@@ -93,17 +93,19 @@
 //     sets; only exploration order — and, under a MaxBacktrackNodes
 //     budget, which prefix gets explored — differs.
 //
-// Diversity scoring is incremental: attribute distance functions compile
-// into per-graph feature tables, pair distances are memoized in a cache
-// scoped by distance fingerprint (shared across jobs when an engine is
-// injected), and instances refined from a scored parent are re-scored by
-// subtracting the removed matches' contributions rather than recomputing
-// the O(n²) pair loop. Pair sums accumulate in fixed point, so scores
-// are bit-identical to the exact recompute in every setting:
+// Diversity scoring is incremental: the default tuple distance compiles
+// into per-graph feature tables and is evaluated in place by a bit-vector
+// edit-distance kernel (cheaper per pair than a cache probe, so it is
+// never cached; only a caller-supplied Config.Distance is memoized, in a
+// run-private pair cache), and instances refined from a scored parent are
+// re-scored by subtracting the removed matches' contributions rather than
+// recomputing the O(n²) pair loop. Pair sums accumulate in fixed point,
+// so scores are bit-identical to the exact recompute in every setting:
 //
 //   - Config.DisableIncScore: ablation switch back to from-scratch
-//     scoring. Delta-path uses are counted in Stats.IncScores, pair-cache
-//     traffic in Stats.DistCache.
+//     scoring. Delta-path uses are counted in Stats.IncScores, the exact
+//     number of distance evaluations in Stats.DistCache.Evals (hits and
+//     misses are a custom distance's pair-cache traffic, 0 otherwise).
 //   - Config.MaxPairs: pair-sampling threshold for very large answer
 //     sets; 0 picks a default cap, negative forces exact scoring.
 //   - Config.Lambda / Config.LambdaSet: the relevance/distance mix;

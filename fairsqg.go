@@ -77,8 +77,11 @@ type (
 	// policy (Config.Order / MatchEngineOptions.Order); results are
 	// identical in both settings.
 	MatchOrder = match.Order
-	// PairCacheStats reports pair-distance cache eval/hit/miss counters
-	// (Stats.DistCache and MatchEngineStats.Dist).
+	// PairCacheStats carries the pairwise-distance counters of
+	// Stats.DistCache and MatchEngineStats.Dist: Evals is the exact number
+	// of distance evaluations; Hits/Misses/Clears/Entries describe the pair
+	// cache around a caller-supplied Config.Distance and read 0 for the
+	// default tuple distance, which is evaluated directly.
 	PairCacheStats = measure.PairCacheStats
 
 	// InstanceStream feeds OnlineQGen.

@@ -215,9 +215,10 @@ type Stats struct {
 	Matcher match.Stats
 	// Cache reports candidate-cache effectiveness; zero when disabled.
 	Cache match.CacheStats
-	// DistCache reports pair-distance cache effectiveness. With an
-	// external Config.Engine the counters are the engine's cumulative ones
-	// (like Cache), since the cache outlives the run by design.
+	// DistCache.Evals is the exact number of pairwise distance evaluations
+	// of this run. The default tuple distance is evaluated directly, so the
+	// other counters read 0; with a caller-supplied Config.Distance they
+	// report the run-private pair cache that memoizes it.
 	DistCache measure.PairCacheStats
 }
 

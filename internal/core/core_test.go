@@ -15,6 +15,13 @@ import (
 // exhaustive enumeration in tests: ~300 persons with gender/experience
 // attributes, 15 orgs, recommend/worksAt edges.
 func fixtureGraph(t testing.TB, seed int64) *graph.Graph {
+	return fixtureGraphExtra(t, seed, nil)
+}
+
+// fixtureGraphExtra is fixtureGraph with extra attributes on person i
+// (drawn outside the fixture's random stream, so the rest of the graph is
+// the canonical one).
+func fixtureGraphExtra(t testing.TB, seed int64, extra func(i int) map[string]graph.Value) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := graph.New()
@@ -31,12 +38,18 @@ func fixtureGraph(t testing.TB, seed int64) *graph.Graph {
 		if i%4 == 0 {
 			title = "Director" // keep the output label populated
 		}
-		persons[i] = g.AddNode("Person", map[string]graph.Value{
+		attrs := map[string]graph.Value{
 			"gender":     graph.Str(gender),
 			"title":      graph.Str(title),
 			"major":      graph.Str(majors[rng.Intn(len(majors))]),
 			"yearsOfExp": graph.Int(int64(rng.Intn(20))),
-		})
+		}
+		if extra != nil {
+			for k, v := range extra(i) {
+				attrs[k] = v
+			}
+		}
+		persons[i] = g.AddNode("Person", attrs)
 	}
 	orgs := make([]graph.NodeID, numOrgs)
 	for i := range orgs {

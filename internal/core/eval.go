@@ -29,11 +29,12 @@ type Runner struct {
 	// implementation and still handles multi-output evaluation. Matcher and
 	// engine share one candidate cache so either path warms the other.
 	engine *match.Engine
-	div    *measure.Diversity
-	// pairCache memoizes pairwise diversity distances. It is the engine's
-	// shared cache when one exists and the default tuple distance is in
-	// use (so jobs on one graph reuse each other's distances), and a
-	// run-private cache otherwise.
+	// div is this runner's evaluator (it counts and keeps kernel scratch,
+	// so ParQGen workers each take their own over the shared features).
+	div *measure.Diversity
+	// pairCache memoizes a caller-supplied Config.Distance, whose cost is
+	// opaque and which Wrap pins to one answer per pair; nil for the
+	// default tuple distance, which is cheaper to evaluate than to look up.
 	pairCache *measure.PairCache
 	// counter answers per-group count queries over answers in O(|answer|)
 	// via a dense node→group array; built once per Runner.
@@ -45,11 +46,12 @@ type Runner struct {
 	extraNodes []int
 	// population is |V_uo| (summed over distinct output labels in
 	// multi-output mode); kept with the resolved scoring functions so the
-	// evaluator can be rebound to a fresh pair cache on reset.
+	// evaluator can be rebound on reset.
 	population int
 	scoreRel   measure.RelevanceFunc
-	scoreDist  measure.DistanceFunc
-	scoreFP    string
+	// scoreFeats is the compiled default tuple distance; nil when the
+	// caller supplied Config.Distance.
+	scoreFeats *measure.DistanceFeatures
 	// ownedG is the graph generation adopted from a MutationSource during
 	// OnlineQGen, released by Close (generations from Retarget itself stay
 	// caller-owned).
@@ -106,9 +108,9 @@ func NewRunner(cfg *Config) (*Runner, error) {
 }
 
 // initScoring resolves the scoring functions once per Runner: the
-// relevance function and the base distance — feature-compiled from the
-// columnar storage when the default tuple distance is in use — then binds
-// them to a pair cache via bindScoring.
+// relevance function and, unless the caller supplied a distance, the
+// default tuple distance feature-compiled from the columnar storage; then
+// builds the evaluator via bindScoring.
 func (r *Runner) initScoring() {
 	cfg := r.cfg
 	outLabel := cfg.Template.Nodes[cfg.Template.Output].Label
@@ -116,39 +118,21 @@ func (r *Runner) initScoring() {
 	if r.scoreRel == nil {
 		r.scoreRel = measure.DegreeRelevance(cfg.G, outLabel)
 	}
-	if cfg.Distance != nil {
-		r.scoreDist = cfg.Distance
-		// Custom functions are opaque: their fingerprint cannot prove two
-		// jobs compute the same distance, so never share them through an
-		// engine-owned cache.
-		r.scoreFP = "custom"
-	} else {
-		feats := measure.NewDistanceFeatures(cfg.G, cfg.DistanceAttrs)
-		r.scoreDist = feats.Func()
-		// Distances are computed from the graph's attribute columns, so
-		// the cache scope carries the graph generation ((lineage, version))
-		// alongside the feature fingerprint: a mutation that changes
-		// attribute values moves jobs to a fresh scope instead of serving
-		// stale pre-mutation distances out of a shared cache.
-		r.scoreFP = cfg.G.GenKey() + "\x02" + feats.Fingerprint()
+	r.scoreFeats = nil
+	if cfg.Distance == nil {
+		r.scoreFeats = measure.NewDistanceFeatures(cfg.G, cfg.DistanceAttrs)
 	}
 	r.bindScoring()
 }
 
-// bindScoring (re)builds the Diversity evaluator over the current pair
-// cache: the engine's shared cache when one exists and the default tuple
-// distance is in use, a fresh run-private cache otherwise. Zero-valued
-// knobs select documented defaults through explicit sentinels: MaxPairs <
-// 0 means exact (no sampling cap) and LambdaSet marks λ = 0 as a
-// deliberate pure-relevance request — the previous code silently rewrote
-// both zeros.
+// bindScoring (re)builds the Diversity evaluator: directly over the
+// compiled features for the default tuple distance, through a fresh
+// run-private pair cache for a caller-supplied one. Zero-valued knobs
+// select documented defaults through explicit sentinels: MaxPairs < 0
+// means exact (no sampling cap) and LambdaSet marks λ = 0 as a deliberate
+// pure-relevance request — the previous code silently rewrote both zeros.
 func (r *Runner) bindScoring() {
 	cfg := r.cfg
-	if r.engine != nil && r.engine.DistCache() != nil && cfg.Distance == nil {
-		r.pairCache = r.engine.DistCache()
-	} else {
-		r.pairCache = measure.NewPairCache(0)
-	}
 	maxPairs := cfg.MaxPairs
 	switch {
 	case maxPairs < 0:
@@ -163,9 +147,14 @@ func (r *Runner) bindScoring() {
 	r.div = &measure.Diversity{
 		Lambda:          lambda,
 		Relevance:       r.scoreRel,
-		Distance:        r.pairCache.Scope(r.scoreFP).Wrap(r.scoreDist),
+		Features:        r.scoreFeats,
 		LabelPopulation: r.population,
 		MaxPairs:        maxPairs,
+	}
+	r.pairCache = nil
+	if cfg.Distance != nil {
+		r.pairCache = measure.NewPairCache(0)
+		r.div.Distance = r.pairCache.Scope("custom").Wrap(cfg.Distance)
 	}
 }
 
@@ -197,10 +186,10 @@ func newConfigEngine(cfg *Config) *match.Engine {
 func (r *Runner) adoptEngine(parent *Runner) {
 	r.engine = parent.engine
 	r.matcher.Cache = parent.matcher.Cache
-	// Share the scorer too: the Diversity evaluator is read-only and its
-	// wrapped distance (features + pair cache) is goroutine-safe, so slab
-	// workers memoize pairwise distances into one shared cache.
-	r.div = parent.div
+	// Share the scorer's read-only parts too — the compiled features, or
+	// the goroutine-safe pair cache wrapped around a custom distance — under
+	// a private evaluator, which counts this worker's pair evaluations.
+	r.div = parent.div.Clone()
 	r.pairCache = parent.pairCache
 }
 
@@ -257,13 +246,9 @@ func (r *Runner) resetStats() {
 	} else if r.matcher.Cache != nil {
 		r.matcher.Cache.Reset()
 	}
-	if r.cfg.Engine == nil {
-		// Rebind the scorer so per-run pair-cache counters start cold (the
-		// rebuilt engine carries a fresh distance cache; a private cache is
-		// simply replaced). An external engine keeps its warm cache — the
-		// point of injecting one.
-		r.bindScoring()
-	}
+	// Rebind the scorer so a custom distance's pair cache starts cold and
+	// its counters cover this run only.
+	r.bindScoring()
 }
 
 // err reports the run context's cancellation state; algorithms poll it
@@ -352,15 +337,25 @@ func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 // so scores are bit-equal regardless of DisableIncScore. The resulting
 // scorer state rides along in Verified for the instance's own children.
 func (r *Runner) scoreDiversity(v *Verified, parent *Verified) float64 {
+	before := r.div.PairEvals()
+	div, ok := 0.0, false
 	if !r.cfg.DisableIncScore && parent != nil && parent.score != nil {
-		if div, st, ok := r.div.EvalDelta(parent.score, v.Matches); ok {
+		if div, v.score, ok = r.div.EvalDelta(parent.score, v.Matches); ok {
 			r.stats.IncScores++
-			v.score = st
-			return div
 		}
 	}
-	div, st := r.div.EvalState(v.Matches)
-	v.score = st
+	if !ok {
+		div, v.score = r.div.EvalState(v.Matches)
+	}
+	if r.pairCache == nil {
+		// Direct path: every pair the loops visited was an evaluation. (A
+		// pair cache counts its own.)
+		evals := r.div.PairEvals() - before
+		r.stats.DistCache.Evals += evals
+		if r.engine != nil {
+			r.engine.AddDistEvals(evals)
+		}
+	}
 	return div
 }
 

@@ -67,10 +67,10 @@ func (s *LiveMutations) Poll() *MutationEvent {
 // Retarget rebinds the runner to a new generation of its graph: matcher,
 // engine, group counter, population and scoring functions are rebuilt
 // over g, and the verification memo is dropped (its entries scored the
-// old generation). The candidate and distance caches carry over — their
-// keys are scoped by the generation key, so pre-mutation entries can
-// never answer post-mutation queries, while entries the new generation
-// re-derives stay warm. An external Config.Engine bound to another
+// old generation). The candidate cache carries over — its keys are scoped
+// by the generation key, so pre-mutation entries can never answer
+// post-mutation queries, while entries the new generation re-derives stay
+// warm. An external Config.Engine bound to another
 // generation is abandoned (the runner builds its own); generation
 // lifetimes stay with the caller — Retarget never closes g.
 func (r *Runner) Retarget(g *graph.Graph) {
@@ -104,7 +104,6 @@ func (r *Runner) Retarget(g *graph.Graph) {
 			CandCacheSize:     cfg.CandCacheSize,
 			DisableAttrIndex:  cfg.DisableAttrIndex,
 			SharedCache:       oldEngine.Cache(),
-			SharedDistCache:   oldEngine.DistCache(),
 		})
 		m.Cache = r.engine.Cache()
 	} else {

@@ -80,6 +80,7 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 			total.Feasible += local.stats.Feasible
 			total.Pruned += local.stats.Pruned
 			total.IncScores += local.stats.IncScores
+			total.DistCache.Evals += local.stats.DistCache.Evals
 			total.Matcher.Evals += local.matcher.Stats.Evals
 			total.Matcher.CandidatesChecked += local.matcher.Stats.CandidatesChecked
 			total.Matcher.BacktrackNodes += local.matcher.Stats.BacktrackNodes
@@ -107,8 +108,8 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 		total.Cache = r.matcher.Cache.Stats()
 	}
 	if r.pairCache != nil {
-		// Workers share the parent's pair cache through adoptEngine, so one
-		// snapshot covers every slab's distance evaluations.
+		// A custom distance: workers share the parent's pair cache through
+		// adoptEngine, so one snapshot covers every slab's evaluations.
 		total.DistCache = r.pairCache.Stats()
 	}
 	mu.Lock()

@@ -38,8 +38,11 @@ func (s Set) TotalWant() int {
 
 // Validate checks that groups are non-empty, pairwise disjoint and that
 // each constraint satisfies 0 <= c_i <= |P_i|.
+//
+// It runs several times per job, so disjointness is checked in place: each
+// pair of groups walks the smaller member set and probes the larger, with
+// no scratch map of every member (m is a handful).
 func (s Set) Validate() error {
-	seen := make(map[graph.NodeID]string)
 	for i := range s {
 		g := &s[i]
 		if len(g.Members) == 0 {
@@ -48,11 +51,16 @@ func (s Set) Validate() error {
 		if g.Want < 0 || g.Want > len(g.Members) {
 			return fmt.Errorf("groups: group %q: constraint %d outside [0,%d]", g.Name, g.Want, len(g.Members))
 		}
-		for v := range g.Members {
-			if other, dup := seen[v]; dup {
-				return fmt.Errorf("groups: node %d belongs to both %q and %q; groups must be disjoint", v, other, g.Name)
+		for j := 0; j < i; j++ {
+			walk, probe := s[j].Members, g.Members
+			if len(probe) < len(walk) {
+				walk, probe = probe, walk
 			}
-			seen[v] = g.Name
+			for v := range walk {
+				if _, dup := probe[v]; dup {
+					return fmt.Errorf("groups: node %d belongs to both %q and %q; groups must be disjoint", v, s[j].Name, g.Name)
+				}
+			}
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package groups
 
 import (
+	"fmt"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -90,22 +91,53 @@ func TestValidate(t *testing.T) {
 	good := Set{
 		{Name: "a", Members: map[graph.NodeID]bool{0: true}, Want: 1},
 		{Name: "b", Members: map[graph.NodeID]bool{1: true}, Want: 0},
+		{Name: "c", Members: map[graph.NodeID]bool{2: true, 3: true, 4: true}, Want: 3},
 	}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid set rejected: %v", err)
 	}
-	bad := []Set{
-		{{Name: "empty", Members: map[graph.NodeID]bool{}}},
-		{{Name: "neg", Members: map[graph.NodeID]bool{0: true}, Want: -1}},
-		{{Name: "big", Members: map[graph.NodeID]bool{0: true}, Want: 2}},
-		{
-			{Name: "x", Members: map[graph.NodeID]bool{0: true}},
-			{Name: "y", Members: map[graph.NodeID]bool{0: true}},
-		},
+	one := map[graph.NodeID]bool{0: true}
+	bad := []struct {
+		set  Set
+		want string
+	}{
+		{Set{{Name: "empty", Members: map[graph.NodeID]bool{}}}, `groups: group "empty" is empty`},
+		{Set{{Name: "nil"}}, `groups: group "nil" is empty`},
+		{Set{{Name: "neg", Members: one, Want: -1}}, `groups: group "neg": constraint -1 outside [0,1]`},
+		{Set{{Name: "big", Members: one, Want: 2}}, `groups: group "big": constraint 2 outside [0,1]`},
+		{Set{{Name: "x", Members: one}, {Name: "y", Members: one}},
+			`groups: node 0 belongs to both "x" and "y"; groups must be disjoint`},
+		// Overlap between non-adjacent groups of different sizes, the small
+		// one first and the small one last: the earlier group is named first.
+		{Set{{Name: "small", Members: map[graph.NodeID]bool{7: true}}, good[1], {Name: "large", Members: map[graph.NodeID]bool{5: true, 6: true, 7: true}}},
+			`groups: node 7 belongs to both "small" and "large"; groups must be disjoint`},
+		{Set{{Name: "large", Members: map[graph.NodeID]bool{5: true, 6: true, 7: true}}, good[1], {Name: "small", Members: map[graph.NodeID]bool{7: true}}},
+			`groups: node 7 belongs to both "large" and "small"; groups must be disjoint`},
+		// A later group's own defect is reported before its overlaps are looked at.
+		{Set{{Name: "x", Members: one}, {Name: "y", Members: one, Want: 5}}, `groups: group "y": constraint 5 outside [0,1]`},
 	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("bad set %d accepted", i)
+	for _, c := range bad {
+		if err := c.set.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("Validate = %v, want %s", err, c.want)
+		}
+	}
+}
+
+// BenchmarkSetValidate: three disjoint groups over 30k nodes, the shape a
+// gender/major partition of a benchmark graph has.
+func BenchmarkSetValidate(b *testing.B) {
+	set := make(Set, 3)
+	for i := range set {
+		set[i] = Group{Name: fmt.Sprint("g", i), Members: map[graph.NodeID]bool{}, Want: 10}
+	}
+	for v := 0; v < 30000; v++ {
+		set[v%7%3].Members[graph.NodeID(v)] = true
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := set.Validate(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -30,12 +30,6 @@ type EngineOptions struct {
 	// DisableAttrIndex forces pooled matchers onto the linear-scan
 	// reference path for candidate selection (see Matcher.DisableAttrIndex).
 	DisableAttrIndex bool
-	// DistCacheSize bounds the shared pair-distance cache that memoizes
-	// diversity distances d(v,w) across the jobs evaluating on this engine:
-	// 0 selects the default size (measure.DefaultPairCacheSize entries), a
-	// negative value disables the cache. Results are identical in all
-	// settings.
-	DistCacheSize int
 	// SharedCache, when non-nil, is used as the engine's candidate cache
 	// instead of constructing one (CandCacheSize is then ignored). Entries
 	// are keyed by graph generation, so one cache can safely back the
@@ -43,9 +37,6 @@ type EngineOptions struct {
 	// of untouched generations keep hitting. Same-graph sharing only;
 	// callers pass the previous engine's Cache().
 	SharedCache *CandidateCache
-	// SharedDistCache is the analogous injection for the pair-distance
-	// cache; see SharedCache.
-	SharedDistCache *measure.PairCache
 }
 
 // EngineStats aggregates the work done through an Engine.
@@ -66,7 +57,9 @@ type EngineStats struct {
 	SigPruned int64
 	// Cache reports candidate-cache effectiveness; zero when disabled.
 	Cache CacheStats
-	// Dist reports pair-distance cache effectiveness; zero when disabled.
+	// Dist.Evals counts the tuple-distance evaluations of the runs scored
+	// on this engine (AddDistEvals). The default tuple distance is evaluated
+	// directly, never cached, so the hit/miss/clear counters read 0.
 	Dist measure.PairCacheStats
 }
 
@@ -87,7 +80,6 @@ type Engine struct {
 	maxBacktrackNodes int
 	workers           int
 	cache             *CandidateCache
-	dist              *measure.PairCache
 	disableAttrIndex  bool
 	pool              sync.Pool
 
@@ -98,6 +90,7 @@ type Engine struct {
 	indexSelections   atomic.Int64
 	scanSelections    atomic.Int64
 	sigPruned         atomic.Int64
+	distEvals         atomic.Int64
 }
 
 // NewEngine returns an engine over a frozen graph.
@@ -113,10 +106,6 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	if cache == nil && opts.CandCacheSize >= 0 {
 		cache = NewCandidateCache(opts.CandCacheSize)
 	}
-	dist := opts.SharedDistCache
-	if dist == nil && opts.DistCacheSize >= 0 {
-		dist = measure.NewPairCache(opts.DistCacheSize)
-	}
 	e := &Engine{
 		g:                 g,
 		mode:              opts.Mode,
@@ -124,7 +113,6 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 		maxBacktrackNodes: opts.MaxBacktrackNodes,
 		workers:           workers,
 		cache:             cache,
-		dist:              dist,
 		disableAttrIndex:  opts.DisableAttrIndex,
 	}
 	e.pool.New = func() any {
@@ -150,12 +138,10 @@ func (e *Engine) Workers() int { return e.workers }
 // Matchers (Matcher.Cache) so they share filter results with the engine.
 func (e *Engine) Cache() *CandidateCache { return e.cache }
 
-// DistCache returns the shared pair-distance cache, or nil when disabled.
-// The cache is goroutine-safe; runners evaluating diversity on this
-// engine's graph memoize their pairwise distances here, so a long-lived
-// engine keeps the distances warm across jobs the way the candidate cache
-// keeps the filter scans warm.
-func (e *Engine) DistCache() *measure.PairCache { return e.dist }
+// AddDistEvals records n tuple-distance evaluations made by a run scoring
+// on this engine, so a long-lived engine reports its jobs' scoring work
+// next to their matching work.
+func (e *Engine) AddDistEvals(n int64) { e.distEvals.Add(n) }
 
 // Stats returns a snapshot of the engine's aggregated counters. Work done
 // by matchers currently mid-evaluation is included only once they finish.
@@ -168,12 +154,10 @@ func (e *Engine) Stats() EngineStats {
 		IndexSelections:   e.indexSelections.Load(),
 		ScanSelections:    e.scanSelections.Load(),
 		SigPruned:         e.sigPruned.Load(),
+		Dist:              measure.PairCacheStats{Evals: e.distEvals.Load()},
 	}
 	if e.cache != nil {
 		s.Cache = e.cache.Stats()
-	}
-	if e.dist != nil {
-		s.Dist = e.dist.Stats()
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -22,19 +23,74 @@ func benchGraph(b *testing.B, n int) (*graph.Graph, []graph.NodeID) {
 	return g, ids
 }
 
+// titleGraph is a DBP-like Movie population: a free-text title unique to
+// nearly every node ("the-" plus three syllables, 10–14 bytes), so the
+// string column is far past levMatrixCap and every pair runs the kernel,
+// next to a categorical genre and two numbers.
+func titleGraph(b *testing.B, n int) (*graph.Graph, []graph.NodeID) {
+	b.Helper()
+	rng := rand.New(rand.NewSource(1))
+	syllables := []string{"ka", "lo", "mi", "ren", "sta", "vor", "qu", "zen", "tha", "bri", "ol", "und"}
+	genres := []string{"drama", "comedy", "action", "horror", "romance", "thriller"}
+	g := graph.New()
+	ids := make([]graph.NodeID, n)
+	for i := range ids {
+		title := "the-"
+		for k := 0; k < 3; k++ {
+			title += syllables[rng.Intn(len(syllables))]
+		}
+		ids[i] = g.AddNode("Movie", map[string]graph.Value{
+			"title":  graph.Str(title),
+			"genre":  graph.Str(genres[rng.Intn(len(genres))]),
+			"rating": graph.Num(float64(rng.Intn(80)) / 10),
+			"year":   graph.Int(int64(1950 + rng.Intn(73))),
+		})
+	}
+	g.Freeze()
+	return g, ids
+}
+
+var titleAttrs = []string{"genre", "rating", "year", "title"}
+
+var benchSink int
+
+// BenchmarkLevenshtein sweeps the public function over string lengths on
+// both sides of the one-word boundary, ASCII (bit-vector kernel) and
+// non-ASCII (rune DP).
 func BenchmarkLevenshtein(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		Levenshtein("machine-learning", "networking-theory")
+	for _, alphabet := range []struct {
+		name  string
+		runes []rune
+	}{{"ascii", []rune("abcdefghijklmnop-")}, {"nonascii", []rune("abcdefghijklmnopé日")}} {
+		for _, n := range []int{8, 16, 64, 65, 200} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			x, y := randString(rng, n, alphabet.runes), randString(rng, n, alphabet.runes)
+			b.Run(fmt.Sprintf("%s/%d", alphabet.name, n), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					benchSink += Levenshtein(x, y)
+				}
+			})
+		}
 	}
 }
 
 func BenchmarkTupleDistance(b *testing.B) {
-	g, ids := benchGraph(b, 1000)
-	d := TupleDistance(g, []string{"major", "exp"})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d(ids[i%1000], ids[(i*7)%1000])
-	}
+	b.Run("categorical", func(b *testing.B) {
+		g, ids := benchGraph(b, 1000)
+		d := TupleDistance(g, []string{"major", "exp"})
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d(ids[i%1000], ids[(i*7)%1000])
+		}
+	})
+	b.Run("freetext", func(b *testing.B) {
+		g, ids := titleGraph(b, 1000)
+		d := TupleDistance(g, titleAttrs)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			d(ids[i%1000], ids[(i*7)%1000])
+		}
+	})
 }
 
 func BenchmarkDiversityExact(b *testing.B) {
@@ -99,16 +155,34 @@ func BenchmarkDiversity(b *testing.B) {
 }
 
 func BenchmarkDiversitySampled(b *testing.B) {
-	g, ids := benchGraph(b, 400)
-	div := &Diversity{
-		Lambda:          0.5,
-		Relevance:       ConstantRelevance(1),
-		Distance:        TupleDistance(g, []string{"major", "exp"}),
-		LabelPopulation: 400,
-		MaxPairs:        5000,
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		div.Eval(ids)
-	}
+	b.Run("categorical", func(b *testing.B) {
+		g, ids := benchGraph(b, 400)
+		div := &Diversity{
+			Lambda:          0.5,
+			Relevance:       ConstantRelevance(1),
+			Distance:        TupleDistance(g, []string{"major", "exp"}),
+			LabelPopulation: 400,
+			MaxPairs:        5000,
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			div.Eval(ids)
+		}
+	})
+	// The gen-score shape: thousands of answers, 10 000 sampled pairs, the
+	// tuple distance bound directly as runners bind it.
+	b.Run("freetext", func(b *testing.B) {
+		g, ids := titleGraph(b, 2000)
+		div := &Diversity{
+			Lambda:          0.5,
+			Relevance:       ConstantRelevance(1),
+			Features:        NewDistanceFeatures(g, titleAttrs),
+			LabelPopulation: 2000,
+			MaxPairs:        10000,
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			div.Eval(ids)
+		}
+	})
 }

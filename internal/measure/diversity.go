@@ -79,19 +79,60 @@ func attrDistance(a, b graph.Value, span float64) float64 {
 //
 // over a match set. |V_{u_o}| is the population of the output label, which
 // normalizes the pairwise term so that δ(q, G) ∈ [0, |V_{u_o}|].
+//
+// A Diversity counts its pair evaluations and owns kernel scratch, so it
+// serves one goroutine at a time; concurrent evaluators each take their
+// own value over the same (read-only) Features.
 type Diversity struct {
 	// Lambda balances relevance (0) against dissimilarity (1).
 	Lambda float64
 	// Relevance is r(u_o, ·); required.
 	Relevance RelevanceFunc
-	// Distance is d(·,·); required.
+	// Distance is d(·,·); required unless Features is set.
 	Distance DistanceFunc
+	// Features, when set, is the default tuple distance evaluated in place
+	// of Distance: the pair loops call the compiled feature rows directly
+	// and keep each row's fixed string compiled for the bit-vector kernel,
+	// which a DistanceFunc closure cannot do.
+	Features *DistanceFeatures
 	// LabelPopulation is |V_{u_o}|.
 	LabelPopulation int
 	// MaxPairs caps the number of pairwise distance evaluations per call.
 	// When the match set induces more pairs, the pairwise sum is estimated
 	// from a deterministic sample and scaled; 0 means always exact.
 	MaxPairs int
+
+	scratch   []levScratch // one per Features column
+	pairEvals int64
+}
+
+// PairEvals returns the number of pairwise distances evaluated so far,
+// counted once per scoring call from the loop bounds.
+func (d *Diversity) PairEvals() int64 { return d.pairEvals }
+
+// Clone returns an evaluator over the same functions and features with its
+// own scratch and a zero pair count, for use on another goroutine.
+func (d *Diversity) Clone() *Diversity {
+	c := *d
+	c.scratch, c.pairEvals = nil, 0
+	return &c
+}
+
+// pairFn opens one scoring call: it counts the call's pairs and returns
+// d(·,·) for its loops — Distance, or the Features rows over this
+// evaluator's scratch. Loops hold the first argument fixed and sweep the
+// second, so the scratch keeps the fixed node's strings compiled.
+func (d *Diversity) pairFn(pairs int64) DistanceFunc {
+	d.pairEvals += pairs
+	f := d.Features
+	if f == nil {
+		return d.Distance
+	}
+	if d.scratch == nil {
+		d.scratch = make([]levScratch, len(f.cols))
+	}
+	scr := d.scratch
+	return func(v, w graph.NodeID) float64 { return f.distance(scr, v, w) }
 }
 
 // Eval computes δ for the given match set.
@@ -107,9 +148,10 @@ func (d *Diversity) Eval(matches []graph.NodeID) float64 {
 		if d.MaxPairs > 0 && numPairs > d.MaxPairs {
 			pairSum = d.samplePairs(matches, numPairs)
 		} else {
+			dist := d.pairFn(int64(numPairs))
 			for i := 0; i < n; i++ {
 				for j := i + 1; j < n; j++ {
-					pairSum += d.Distance(matches[i], matches[j])
+					pairSum += dist(matches[i], matches[j])
 				}
 			}
 		}
@@ -137,6 +179,7 @@ func (d *Diversity) samplePairs(matches []graph.NodeID, numPairs int) float64 {
 		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 		return z ^ (z >> 31)
 	}
+	dist := d.pairFn(int64(d.MaxPairs))
 	sum := 0.0
 	for k := 0; k < d.MaxPairs; k++ {
 		i := int(boundedUint(next, uint64(n)))
@@ -144,7 +187,7 @@ func (d *Diversity) samplePairs(matches []graph.NodeID, numPairs int) float64 {
 		if j >= i {
 			j++
 		}
-		sum += d.Distance(matches[i], matches[j])
+		sum += dist(matches[i], matches[j])
 	}
 	return sum / float64(d.MaxPairs) * float64(numPairs)
 }

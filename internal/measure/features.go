@@ -2,7 +2,6 @@ package measure
 
 import (
 	"math"
-	"strings"
 
 	"fairsqg/internal/graph"
 )
@@ -11,8 +10,8 @@ import (
 // column precomputes the full pairwise normalized-Levenshtein matrix.
 // Categorical attributes (genders, titles, genres) have tiny domains, so
 // the matrix turns every string comparison in the O(n²) pair loop into one
-// array read; large free-text domains fall back to on-demand Levenshtein
-// (which still benefits from the ASCII fast path and pooled scratch).
+// array read; large free-text domains run the bit-vector kernel on demand
+// over the precomputed per-string lengths and ASCII flags.
 const levMatrixCap = 64
 
 // featureCol is one distance attribute's per-node feature row: a kind tag
@@ -27,6 +26,7 @@ type featureCol struct {
 	nums  []float64
 	strID []int32
 	strs  []string  // interned string table
+	info  []strInfo // rune length and ASCII flag per interned string
 	mat   []float64 // pairwise normalized Levenshtein; nil when |strs| > levMatrixCap
 }
 
@@ -34,11 +34,10 @@ type featureCol struct {
 // tuple distance over a frozen graph: one featureCol per distance
 // attribute, materialized straight from the columnar storage at
 // construction. The per-pair evaluation touches only these dense arrays —
-// no AttrValue lookups, no rune decoding — and is read-only afterwards, so
+// no AttrValue lookups, no rune counting — and is read-only afterwards, so
 // one DistanceFeatures value may back any number of concurrent evaluators.
 type DistanceFeatures struct {
-	attrs []string
-	cols  []featureCol
+	cols []featureCol
 }
 
 // NewDistanceFeatures compiles feature rows for the listed attributes (nil
@@ -48,10 +47,7 @@ func NewDistanceFeatures(g *graph.Graph, attrs []string) *DistanceFeatures {
 		attrs = g.AttrNames()
 	}
 	n := g.NumNodes()
-	f := &DistanceFeatures{
-		attrs: append([]string(nil), attrs...),
-		cols:  make([]featureCol, len(attrs)),
-	}
+	f := &DistanceFeatures{cols: make([]featureCol, len(attrs))}
 	for i, name := range attrs {
 		c := &f.cols[i]
 		c.span = domainSpan(g, name)
@@ -80,6 +76,7 @@ func NewDistanceFeatures(g *graph.Graph, attrs []string) *DistanceFeatures {
 				if !ok {
 					sid = int32(len(c.strs))
 					c.strs = append(c.strs, s)
+					c.info = append(c.info, infoOf(s))
 					interned[s] = sid
 				}
 				c.strID[v] = sid
@@ -87,9 +84,10 @@ func NewDistanceFeatures(g *graph.Graph, attrs []string) *DistanceFeatures {
 		}
 		if m := len(c.strs); m > 1 && m <= levMatrixCap {
 			c.mat = make([]float64, m*m)
+			var scr levScratch
 			for a := 0; a < m; a++ {
 				for b := a + 1; b < m; b++ {
-					d := NormalizedLevenshtein(c.strs[a], c.strs[b])
+					d := scr.normLev(c.strs[a], c.strs[b], c.info[a], c.info[b])
 					c.mat[a*m+b] = d
 					c.mat[b*m+a] = d
 				}
@@ -121,22 +119,20 @@ func domainSpan(g *graph.Graph, attr string) float64 {
 	return 1
 }
 
-// Attrs returns the resolved attribute list the features cover.
-func (f *DistanceFeatures) Attrs() []string { return f.attrs }
-
-// Fingerprint canonically identifies the distance configuration; two
-// DistanceFeatures over the same graph with equal fingerprints compute the
-// same function, which is what lets an engine-owned pair cache be shared
-// across jobs whose specs name the same distance attributes.
-func (f *DistanceFeatures) Fingerprint() string {
-	return "tuple\x00" + strings.Join(f.attrs, "\x00")
-}
-
 // Distance evaluates the tuple distance d(v, w) from the feature rows. The
 // result is bit-identical to the reference per-pair attrDistance over
 // AttrValue reads: the same null/number/string/fallback case analysis, the
-// same span division and clamp, the same Levenshtein values.
+// same span division and clamp, the same Levenshtein values. Safe for
+// concurrent use: free-text pairs borrow pooled kernel scratch.
 func (f *DistanceFeatures) Distance(v, w graph.NodeID) float64 {
+	return f.distance(nil, v, w)
+}
+
+// distance is Distance over caller-owned kernel scratch, one levScratch per
+// column (nil borrows from the pool per free-text pair). Each column's
+// scratch keeps v's string compiled, so a loop that holds v fixed and
+// sweeps w builds the bit-vector match masks once per row, not per pair.
+func (f *DistanceFeatures) distance(scr []levScratch, v, w graph.NodeID) float64 {
 	if len(f.cols) == 0 {
 		return 0
 	}
@@ -160,10 +156,15 @@ func (f *DistanceFeatures) Distance(v, w graph.NodeID) float64 {
 			if a == b {
 				break // equal strings: distance 0, no Levenshtein
 			}
-			if c.mat != nil {
+			switch {
+			case c.mat != nil:
 				total += c.mat[int(a)*len(c.strs)+int(b)]
-			} else {
-				total += NormalizedLevenshtein(c.strs[a], c.strs[b])
+			case scr != nil:
+				total += scr[i].normLev(c.strs[a], c.strs[b], c.info[a], c.info[b])
+			default:
+				s := levPool.Get().(*levScratch)
+				total += s.normLev(c.strs[a], c.strs[b], c.info[a], c.info[b])
+				levPool.Put(s)
 			}
 		default:
 			// Mixed kinds never compare equal; two bools compare by payload.
@@ -175,5 +176,9 @@ func (f *DistanceFeatures) Distance(v, w graph.NodeID) float64 {
 	return total / float64(len(f.cols))
 }
 
-// Func adapts the features to the DistanceFunc interface.
-func (f *DistanceFeatures) Func() DistanceFunc { return f.Distance }
+// Func adapts the features to the DistanceFunc interface (a closure over
+// distance rather than the Distance method value: one call shallower on a
+// 12 ns function).
+func (f *DistanceFeatures) Func() DistanceFunc {
+	return func(v, w graph.NodeID) float64 { return f.distance(nil, v, w) }
+}

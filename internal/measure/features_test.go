@@ -3,6 +3,7 @@ package measure
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -33,9 +34,10 @@ func referenceTupleDistance(g *graph.Graph, attrs []string) DistanceFunc {
 }
 
 // featGraph exercises every feature-column code path: a small string
-// domain (precomputed Levenshtein matrix), a large string domain (> 64
-// values, on-demand Levenshtein), numbers, bools, non-ASCII strings, and
-// missing values of each kind.
+// domain (precomputed Levenshtein matrix), a long-tail string domain, a
+// free-text domain past levMatrixCap at n ≥ 100 (on-demand kernel: short,
+// > 64-byte, > 128-byte, non-ASCII and empty strings, the odd number),
+// numbers, bools, and missing values of each kind.
 func featGraph(t testing.TB, n int, seed int64) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -55,6 +57,19 @@ func featGraph(t testing.TB, n int, seed int64) *graph.Graph {
 		if rng.Float64() < 0.85 {
 			attrs["active"] = graph.Bool(rng.Intn(2) == 0)
 		}
+		switch k := rng.Intn(20); {
+		case k == 0: // absent
+		case k == 1:
+			attrs["bio"] = graph.Str("")
+		case k == 2:
+			attrs["bio"] = graph.Int(int64(rng.Intn(3)))
+		case k < 6:
+			attrs["bio"] = graph.Str(fmt.Sprintf("%s — レビュー %d", small[rng.Intn(len(small))], i))
+		case k < 10:
+			attrs["bio"] = graph.Str(strings.Repeat("lorem ipsum ", 5+rng.Intn(12)) + fmt.Sprint(i))
+		default:
+			attrs["bio"] = graph.Str(fmt.Sprintf("the-%s-%s-%d", small[rng.Intn(3)], small[rng.Intn(3)], i))
+		}
 		if rng.Float64() < 0.2 { // mixed-kind attribute: sometimes string, sometimes number
 			attrs["mixed"] = graph.Str("x")
 		} else if rng.Float64() < 0.5 {
@@ -67,19 +82,30 @@ func featGraph(t testing.TB, n int, seed int64) *graph.Graph {
 }
 
 // TestDistanceFeaturesDifferential pins the compiled feature rows to the
-// reference AttrValue evaluation over every pair of a mixed graph.
+// reference AttrValue evaluation over every pair of a mixed graph, bit for
+// bit, through both entry points: the pooled public Distance and the
+// row-sweeping form over caller-owned scratch that the pair loops use.
 func TestDistanceFeaturesDifferential(t *testing.T) {
-	attrs := []string{"cat", "name", "score", "active", "mixed"}
+	attrs := []string{"cat", "name", "bio", "score", "active", "mixed"}
 	for _, seed := range []int64{1, 2, 3} {
-		g := featGraph(t, 60, seed)
+		g := featGraph(t, 130, seed)
 		want := referenceTupleDistance(g, attrs)
 		feats := NewDistanceFeatures(g, attrs)
-		got := feats.Func()
+		if bio := &feats.cols[2]; len(bio.strs) <= levMatrixCap || bio.mat != nil {
+			t.Fatalf("seed %d: bio has %d distinct strings (matrix: %v), want a free-text column past the cap",
+				seed, len(bio.strs), bio.mat != nil)
+		}
+		got := feats.Distance
+		scr := make([]levScratch, len(attrs))
 		n := graph.NodeID(int32(g.NumNodes()))
 		for v := graph.NodeID(0); v < n; v++ {
 			for w := graph.NodeID(0); w < n; w++ {
-				if gd, wd := got(v, w), want(v, w); gd != wd {
+				wd := want(v, w)
+				if gd := got(v, w); gd != wd {
 					t.Fatalf("seed %d: d(%d,%d) = %v, reference %v", seed, v, w, gd, wd)
+				}
+				if gd := feats.distance(scr, v, w); gd != wd {
+					t.Fatalf("seed %d: row-swept d(%d,%d) = %v, reference %v", seed, v, w, gd, wd)
 				}
 			}
 		}
@@ -106,18 +132,5 @@ func TestDistanceFeaturesUnknownAttr(t *testing.T) {
 	d := TupleDistance(g, []string{"no-such-attr"})
 	if got := d(0, 1); got != 0 {
 		t.Errorf("unknown attribute distance = %v, want 0 (all-null column)", got)
-	}
-}
-
-func TestDistanceFeaturesFingerprint(t *testing.T) {
-	g := featGraph(t, 10, 6)
-	a := NewDistanceFeatures(g, []string{"cat", "score"})
-	b := NewDistanceFeatures(g, []string{"cat", "score"})
-	c := NewDistanceFeatures(g, []string{"score", "cat"})
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Error("equal attribute lists produced different fingerprints")
-	}
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Error("different attribute orders share a fingerprint")
 	}
 }

@@ -94,11 +94,12 @@ func (d *Diversity) EvalState(matches []graph.NodeID) (float64, *ScoreState) {
 	if (d.MaxPairs > 0 && numPairs > int64(d.MaxPairs)) || numPairs > maxUnitPairs {
 		return d.Eval(matches), nil
 	}
+	dist := d.pairFn(numPairs)
 	contrib := make([]int64, n)
 	var units int64
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			u := pairUnits(d.Distance(matches[i], matches[j]))
+			u := pairUnits(dist(matches[i], matches[j]))
 			units += u
 			contrib[i] += u
 			contrib[j] += u
@@ -144,13 +145,14 @@ func (d *Diversity) EvalDelta(parent *ScoreState, matches []graph.NodeID) (float
 		}
 	}
 	pc := parent.contribution(d)
+	dist := d.pairFn(int64(len(removed)) * int64(len(removed)-1) / 2)
 	units := parent.pairUnits
 	for _, pi := range removedPos {
 		units -= pc[pi]
 	}
 	for i := 0; i < len(removed); i++ {
 		for j := i + 1; j < len(removed); j++ {
-			units += pairUnits(d.Distance(removed[i], removed[j]))
+			units += pairUnits(dist(removed[i], removed[j]))
 		}
 	}
 	st := &ScoreState{matches: matches, pairUnits: units, base: parent, removed: removed}
@@ -206,9 +208,10 @@ func (s *ScoreState) contribution(d *Diversity) []int64 {
 			contrib[ci] = base.contrib[bi]
 			bi++
 		}
+		dist := d.pairFn(int64(len(cur.removed)) * int64(len(cur.matches)))
 		for _, u := range cur.removed {
 			for ci, v := range cur.matches {
-				contrib[ci] -= pairUnits(d.Distance(u, v))
+				contrib[ci] -= pairUnits(dist(u, v))
 			}
 		}
 		cur.contrib = contrib

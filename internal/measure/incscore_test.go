@@ -209,8 +209,8 @@ func TestEvalDeltaSamplingBoundary(t *testing.T) {
 }
 
 // TestEvalDeltaCachedDistance: the delta path composed with a pair cache
-// (the production wiring) stays bit-identical, and repeated evaluation hits
-// the cache.
+// (the wiring for caller-supplied distances) stays bit-identical, and
+// repeated evaluation hits the cache.
 func TestEvalDeltaCachedDistance(t *testing.T) {
 	g, ids := incGraph(t, 80, 29)
 	cache := NewPairCache(0)
@@ -218,7 +218,7 @@ func TestEvalDeltaCachedDistance(t *testing.T) {
 	div := &Diversity{
 		Lambda:          0.5,
 		Relevance:       DegreeRelevance(g, "P"),
-		Distance:        cache.Scope(feats.Fingerprint()).Wrap(feats.Func()),
+		Distance:        cache.Scope("tuple").Wrap(feats.Func()),
 		LabelPopulation: 80,
 	}
 	_, parent := div.EvalState(ids)
@@ -231,5 +231,59 @@ func TestEvalDeltaCachedDistance(t *testing.T) {
 	st := cache.Stats()
 	if st.Hits == 0 || st.Evals != st.Misses {
 		t.Errorf("cache stats inconsistent: %+v", st)
+	}
+}
+
+// TestDiversityFeaturesDirect: a Diversity bound to Features (the wiring
+// for the default tuple distance) returns the same bits as one bound to the
+// same function as an opaque Distance — exact, delta-chained and sampled —
+// over a free-text column, and counts its pair evaluations from the loop
+// bounds.
+func TestDiversityFeaturesDirect(t *testing.T) {
+	g := featGraph(t, 130, 31)
+	attrs := []string{"cat", "bio", "score"}
+	feats := NewDistanceFeatures(g, attrs)
+	ids := make([]graph.NodeID, g.NumNodes())
+	for i := range ids {
+		ids[i] = graph.NodeID(i)
+	}
+	mk := func(maxPairs int, direct bool) *Diversity {
+		d := &Diversity{Lambda: 0.5, Relevance: DegreeRelevance(g, "P"), LabelPopulation: len(ids), MaxPairs: maxPairs}
+		if direct {
+			d.Features = feats
+		} else {
+			d.Distance = referenceTupleDistance(g, attrs)
+		}
+		return d
+	}
+	direct, ref := mk(0, true), mk(0, false)
+	gotScore, gotState := direct.EvalState(ids)
+	wantScore, wantState := ref.EvalState(ids)
+	if gotScore != wantScore || gotState.PairUnits() != wantState.PairUnits() {
+		t.Fatalf("exact: direct (%v, %d) != reference (%v, %d)",
+			gotScore, gotState.PairUnits(), wantScore, wantState.PairUnits())
+	}
+	n := int64(len(ids))
+	if got := direct.PairEvals(); got != n*(n-1)/2 {
+		t.Errorf("exact scoring counted %d pair evals, want %d", got, n*(n-1)/2)
+	}
+	child, grandchild := subsetOf(ids, 5), subsetOf(subsetOf(ids, 5), 7)
+	for _, set := range [][]graph.NodeID{child, grandchild} {
+		var ok1, ok2 bool
+		gotScore, gotState, ok1 = direct.EvalDelta(gotState, set)
+		wantScore, wantState, ok2 = ref.EvalDelta(wantState, set)
+		if !ok1 || !ok2 || gotScore != wantScore || gotState.PairUnits() != wantState.PairUnits() {
+			t.Fatalf("delta: direct (%v, %v) != reference (%v, %v)", gotScore, ok1, wantScore, ok2)
+		}
+	}
+	if direct.PairEvals() != ref.PairEvals() {
+		t.Errorf("pair evals diverge: direct %d, reference %d", direct.PairEvals(), ref.PairEvals())
+	}
+	sampled, sampledRef := mk(500, true), mk(500, false)
+	if got, want := sampled.Eval(ids), sampledRef.Eval(ids); got != want {
+		t.Errorf("sampled: direct %v != reference %v", got, want)
+	}
+	if got := sampled.PairEvals(); got != 500 {
+		t.Errorf("sampled scoring counted %d pair evals, want 500", got)
 	}
 }

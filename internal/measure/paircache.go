@@ -27,11 +27,11 @@ type PairCacheStats struct {
 }
 
 // PairCache memoizes pairwise distances d(v, w) under packed uint64 keys.
-// Entries are partitioned into scopes, one per distance configuration
-// (canonicalized by DistanceFeatures.Fingerprint), because the same node
-// pair has different distances under different attribute lists — an
-// engine-owned cache outlives any single job, and two jobs may share
-// entries only when their fingerprints agree.
+// It exists for caller-supplied distance functions, whose cost is opaque
+// and which Wrap pins to one answer per pair; the default tuple distance
+// is cheaper to evaluate (DistanceFeatures) than to look up here. Entries
+// are partitioned into scopes, one per distance function, because the
+// same node pair has different distances under different functions.
 //
 // The cache is bounded by total entry count; on overflow every scope is
 // dropped at once (clear-on-full). Distances are deterministic per scope,
@@ -66,8 +66,9 @@ func NewPairCache(capacity int) *PairCache {
 	return &PairCache{capacity: capacity, scopes: make(map[string]*PairScope)}
 }
 
-// Scope returns the cache's view for one distance fingerprint, creating it
-// on first use. Callers with equal fingerprints share entries.
+// Scope returns the cache's view for one distance function, named by
+// fingerprint, creating it on first use. Callers with equal fingerprints
+// share entries.
 func (c *PairCache) Scope(fingerprint string) *PairScope {
 	c.mu.Lock()
 	defer c.mu.Unlock()

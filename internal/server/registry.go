@@ -229,9 +229,8 @@ func (r *Registry) putLive(name string, l *graph.Live, epoch uint64, replayed in
 }
 
 // newEngine builds an engine over g with the registry's knobs; prev, when
-// non-nil, donates its candidate and pair-distance caches so the new
-// generation starts warm (entries are keyed by graph generation, so the
-// handover is always safe).
+// non-nil, donates its candidate cache so the new generation starts warm
+// (entries are keyed by graph generation, so the handover is always safe).
 func (r *Registry) newEngine(g *graph.Graph, prev *match.Engine) *match.Engine {
 	opts := match.EngineOptions{
 		Workers:          r.workers,
@@ -241,7 +240,6 @@ func (r *Registry) newEngine(g *graph.Graph, prev *match.Engine) *match.Engine {
 	}
 	if prev != nil {
 		opts.SharedCache = prev.Cache()
-		opts.SharedDistCache = prev.DistCache()
 	}
 	return match.NewEngine(g, opts)
 }
