@@ -1,12 +1,14 @@
 package fairsqg
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // buildCLI compiles one of the repo's commands into a temp dir.
@@ -172,7 +174,6 @@ func TestCLIErrorExitCodes(t *testing.T) {
 	wantExitError(t, "fairsqg unknown -canon", fairsqg, "-dataset", "lki", "-nodes", "500", "-canon", "zzz")
 	wantExitError(t, "fairsqg bad online knobs", fairsqg, "-alg", "online", "-k", "0")
 	wantExitError(t, "fairsqg bad -eps", fairsqg, "-dataset", "lki", "-nodes", "500", "-eps", "-0.5")
-	wantExitError(t, "fairsqg unknown -order", fairsqg, "-dataset", "lki", "-nodes", "500", "-order", "zzz")
 
 	badBatch := filepath.Join(t.TempDir(), "bad.json")
 	if err := os.WriteFile(badBatch, []byte(`[{"op":"zap"}]`), 0o644); err != nil {
@@ -316,6 +317,36 @@ func TestSnapshotCLIRoundTrip(t *testing.T) {
 		"-save-snapshot", filepath.Join(dir, "no", "such", "dir", "g.fsnap"))
 }
 
+// TestRemovedAblationFlags: the access-path, variable-order and scorer
+// switches are library fields for tests and benchmarks now; neither
+// command accepts them any more (rejected at flag parsing, not ignored).
+func TestRemovedAblationFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	// Otherwise-valid invocations, so only the removed flag can fail them.
+	base := map[string][]string{
+		"fairsqg":  {"-nodes", "300"},
+		"fairsqgd": {"-addr", "127.0.0.1:0"},
+	}
+	for name, valid := range base {
+		bin := buildCLI(t, name)
+		for _, flags := range [][]string{{"-no-attr-index"}, {"-order", "static"}, {"-no-inc-score"}} {
+			// The deadline turns "flag accepted, daemon now serving" into a
+			// failure instead of a hang.
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			out, err := exec.CommandContext(ctx, bin, append(flags, valid...)...).CombinedOutput()
+			cancel()
+			var exitErr *exec.ExitError
+			if !errors.As(err, &exitErr) || exitErr.ExitCode() <= 0 {
+				t.Errorf("%s %v: err %v, want a non-zero exit\n%s", name, flags, err, out)
+			} else if !strings.Contains(string(out), "flag provided but not defined") {
+				t.Errorf("%s %v: rejected for another reason:\n%s", name, flags, out)
+			}
+		}
+	}
+}
+
 // TestFairsqgdCLI checks the daemon's flag and preload error paths; the
 // live-server path is covered by scripts/server_smoke.sh and the
 // internal/server e2e tests.
@@ -333,7 +364,6 @@ func TestFairsqgdCLI(t *testing.T) {
 	wantExitError(t, "fairsqgd corrupt snapshot preload", bin, "-graph", "g="+badSnap)
 	wantExitError(t, "fairsqgd stray args", bin, "stray")
 	wantExitError(t, "fairsqgd bad -addr", bin, "-addr", "not-an-address")
-	wantExitError(t, "fairsqgd unknown -order", bin, "-order", "zzz")
 
 	// Cluster role validation: the flag combinations must be rejected
 	// before any listener comes up.

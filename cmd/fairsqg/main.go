@@ -51,9 +51,6 @@ func main() {
 	distAttrs := flag.String("dist-attrs", "", "comma-separated attributes for the diversity distance")
 	matchWorkers := flag.Int("match-workers", 0, "per-instance match fan-out: 0/1 sequential, >1 concurrent engine, <0 GOMAXPROCS")
 	candCache := flag.Int("cand-cache", 0, "candidate cache entries: 0 default, <0 disabled")
-	noAttrIndex := flag.Bool("no-attr-index", false, "disable sorted attribute indexes for candidate selection (linear-scan ablation)")
-	order := flag.String("order", "dynamic", "backtracking variable order: dynamic or static (ablation; results identical)")
-	noIncScore := flag.Bool("no-inc-score", false, "disable incremental subset-delta diversity scoring (ablation; results identical)")
 
 	k := flag.Int("k", 10, "online: result size to maintain")
 	w := flag.Int("w", 40, "online: sliding-window size")
@@ -84,10 +81,6 @@ func main() {
 	}
 	if flag.NArg() > 0 {
 		log.Fatalf("unexpected arguments: %v", flag.Args())
-	}
-	matchOrder, err := fairsqg.ParseMatchOrder(*order)
-	if err != nil {
-		log.Fatalf("-order: %v", err)
 	}
 
 	g, err := loadGraph(*graphFile, *dataset, *nodes, *seed)
@@ -156,8 +149,6 @@ func main() {
 		G: g, Template: tpl, Groups: set, Eps: *eps, MaxPairs: *maxPairs,
 		Lambda: *lambda, LambdaSet: true,
 		MatchWorkers: *matchWorkers, CandCacheSize: *candCache,
-		Order:            matchOrder,
-		DisableAttrIndex: *noAttrIndex, DisableIncScore: *noIncScore,
 	}
 	if *distAttrs != "" {
 		cfg.DistanceAttrs = strings.Split(*distAttrs, ",")

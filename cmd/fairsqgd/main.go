@@ -35,7 +35,6 @@ import (
 
 	"fairsqg/internal/cluster"
 	"fairsqg/internal/graph"
-	"fairsqg/internal/match"
 	"fairsqg/internal/server"
 )
 
@@ -80,9 +79,6 @@ func run(args []string, errw *os.File) int {
 		maxTimeout     = fs.Duration("max-timeout", 30*time.Minute, "ceiling on per-job deadlines")
 		matchWorkers   = fs.Int("match-workers", 0, "per-graph match engine fan-out (0 = GOMAXPROCS)")
 		candCache      = fs.Int("cand-cache", 0, "per-graph candidate cache entries (0 default, <0 disable)")
-		noAttrIndex    = fs.Bool("no-attr-index", false, "disable sorted attribute indexes for candidate selection (linear-scan ablation)")
-		orderFlag      = fs.String("order", "dynamic", "backtracking variable order for every graph engine: dynamic or static (ablation; results identical)")
-		noIncScore     = fs.Bool("no-inc-score", false, "disable incremental subset-delta diversity scoring (ablation; results identical)")
 		maxUpload      = fs.Int64("max-upload", 64<<20, "largest accepted graph upload in bytes")
 		snapshotDir    = fs.String("snapshot-dir", "", "persist registered graphs as binary snapshots here and restore them on startup (warm restart; standalone/coordinator)")
 		mmapGraphs     = fs.Bool("mmap-graphs", false, "serve graphs memory-mapped from their snapshots in -snapshot-dir instead of decoding to the heap (out-of-core: restore is O(open), resident memory tracks what queries touch)")
@@ -96,11 +92,6 @@ func run(args []string, errw *os.File) int {
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(errw, "fairsqgd: unexpected arguments: %v\n", fs.Args())
-		return 2
-	}
-	order, err := match.ParseOrder(*orderFlag)
-	if err != nil {
-		fmt.Fprintf(errw, "fairsqgd: -order: %v\n", err)
 		return 2
 	}
 	switch *role {
@@ -130,9 +121,6 @@ func run(args []string, errw *os.File) int {
 			opts: cluster.WorkerOptions{
 				MatchWorkers:     *matchWorkers,
 				CandCacheSize:    *candCache,
-				DisableAttrIndex: *noAttrIndex,
-				Order:            order,
-				DisableIncScore:  *noIncScore,
 				MaxSnapshotBytes: *maxUpload,
 				Logger:           logger,
 			},
@@ -141,6 +129,7 @@ func run(args []string, errw *os.File) int {
 
 	var coord *cluster.Coordinator
 	if *role == "coordinator" {
+		var err error
 		coord, err = cluster.NewCoordinator(cluster.CoordinatorOptions{
 			Workers:     strings.Split(*clusterWorkers, ","),
 			Replicas:    *replicas,
@@ -164,18 +153,15 @@ func run(args []string, errw *os.File) int {
 			DefaultTimeout: *timeout,
 			MaxTimeout:     *maxTimeout,
 		},
-		MatchWorkers:     *matchWorkers,
-		CandCacheSize:    *candCache,
-		Order:            order,
-		DisableAttrIndex: *noAttrIndex,
-		DisableIncScore:  *noIncScore,
-		MaxUploadBytes:   *maxUpload,
-		SnapshotDir:      *snapshotDir,
-		MmapGraphs:       *mmapGraphs,
-		CompactAfter:     *compactAfter,
-		RequireGraph:     false,
-		Cluster:          coord,
-		Logger:           logger,
+		MatchWorkers:   *matchWorkers,
+		CandCacheSize:  *candCache,
+		MaxUploadBytes: *maxUpload,
+		SnapshotDir:    *snapshotDir,
+		MmapGraphs:     *mmapGraphs,
+		CompactAfter:   *compactAfter,
+		RequireGraph:   false,
+		Cluster:        coord,
+		Logger:         logger,
 	})
 	srv.PublishExpvar("fairsqgd")
 

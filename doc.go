@@ -68,8 +68,8 @@
 // counted in Stats.Matcher.SigPruned), and the search assigns the
 // cheapest frontier variable first rather than following template order.
 //
-// Four Config knobs control how each instance's answer set is computed;
-// all leave results bit-identical to the sequential defaults:
+// Two Config knobs schedule how each instance's answer set is computed;
+// both leave results bit-identical to the sequential defaults:
 //
 //   - Config.MatchWorkers: 0 or 1 evaluates matches sequentially; a value
 //     above 1 routes verification through a concurrent match engine
@@ -81,16 +81,24 @@
 //     one template that share bound literals. 0 picks a default size;
 //     negative disables the cache. Hit/miss/eviction counts are reported
 //     in Stats.Cache.
-//   - Config.DisableAttrIndex: forces candidate selection onto the
-//     linear-scan reference path (ablation). Access-path counts are
-//     reported in Stats.Matcher.IndexSelections and ScanSelections; a
-//     frozen graph's column and index footprint is available from
-//     Graph.Memory (GraphMemoryStats).
-//   - Config.Order: backtracking variable order. OrderDynamic (the
+//
+// How the matcher searches is one value, MatchSettings (Mode, Order,
+// MaxBacktrackNodes, DisableAttrIndex), embedded by Config and
+// MatchEngineOptions as the field Settings; with Config.Engine injected
+// the run takes the engine's, and Validate rejects a Config.Settings that
+// disagrees. Two fields select reference paths kept as test and benchmark
+// oracles, with no command-line flag (BENCH.md has the rows that settled
+// them):
+//
+//   - Settings.DisableAttrIndex: forces candidate selection onto the
+//     linear-scan reference path. Access-path counts are reported in
+//     Stats.Matcher.IndexSelections and ScanSelections; a frozen graph's
+//     column and index footprint is available from Graph.Memory
+//     (GraphMemoryStats).
+//   - Settings.Order: backtracking variable order. OrderDynamic (the
 //     default) picks the cheapest frontier variable at each step;
-//     OrderStatic follows template order (ablation / escape hatch, also
-//     -order=static on the CLIs). Both orders return identical match
-//     sets; only exploration order — and, under a MaxBacktrackNodes
+//     OrderStatic follows template order. Both orders return identical
+//     match sets; only exploration order — and, under a MaxBacktrackNodes
 //     budget, which prefix gets explored — differs.
 //
 // Diversity scoring is incremental: the default tuple distance compiles
@@ -102,8 +110,9 @@
 // recomputing the O(n²) pair loop. Pair sums accumulate in fixed point,
 // so scores are bit-identical to the exact recompute in every setting:
 //
-//   - Config.DisableIncScore: ablation switch back to from-scratch
-//     scoring. Delta-path uses are counted in Stats.IncScores, the exact
+//   - Config.DisableIncScore: the from-scratch scorer, kept as the
+//     reference the delta path is bit-compared with (library field only).
+//     Delta-path uses are counted in Stats.IncScores, the exact
 //     number of distance evaluations in Stats.DistCache.Evals (hits and
 //     misses are a custom distance's pair-cache traffic, 0 otherwise).
 //   - Config.MaxPairs: pair-sampling threshold for very large answer

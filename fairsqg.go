@@ -73,9 +73,13 @@ type (
 	MatchEngineStats = match.EngineStats
 	// CacheStats reports candidate-cache hit/miss/eviction counters.
 	CacheStats = match.CacheStats
+	// MatchSettings is how the matcher searches — semantics, variable
+	// order, backtrack budget, candidate access path — embedded by Config
+	// and MatchEngineOptions as the field Settings (in a composite literal:
+	// Config{Settings: MatchSettings{Order: OrderStatic}}).
+	MatchSettings = match.Settings
 	// MatchOrder selects the matcher's backtracking variable-ordering
-	// policy (Config.Order / MatchEngineOptions.Order); results are
-	// identical in both settings.
+	// policy (MatchSettings.Order); results are identical in both settings.
 	MatchOrder = match.Order
 	// PairCacheStats carries the pairwise-distance counters of
 	// Stats.DistCache and MatchEngineStats.Dist: Evals is the exact number
@@ -135,12 +139,10 @@ const (
 	// OrderDynamic re-picks the cheapest frontier node at every search
 	// depth from live candidate counts (the default).
 	OrderDynamic = match.OrderDynamic
-	// OrderStatic keeps the per-plan connectivity-first order (ablation).
+	// OrderStatic keeps the per-plan connectivity-first order (the
+	// reference policy the order guard and differential tests compare to).
 	OrderStatic = match.OrderStatic
 )
-
-// ParseMatchOrder parses a -order flag value ("dynamic" or "static").
-var ParseMatchOrder = match.ParseOrder
 
 // Attribute value constructors.
 var (

@@ -23,11 +23,6 @@ type WorkerOptions struct {
 	// disabled).
 	MatchWorkers  int
 	CandCacheSize int
-	// DisableAttrIndex / Order / DisableIncScore propagate the standalone
-	// daemon's ablation knobs so a cluster run can be ablated identically.
-	DisableAttrIndex bool
-	Order            match.Order
-	DisableIncScore  bool
 	// MaxSnapshotBytes bounds pushed snapshot bodies (default 64 MiB).
 	MaxSnapshotBytes int64
 	// Logger receives request logs; nil silences them.
@@ -103,10 +98,8 @@ func (w *Worker) register(name string, g *graph.Graph, crc uint32) {
 		g:   g,
 		crc: crc,
 		engine: match.NewEngine(g, match.EngineOptions{
-			Workers:          w.opts.MatchWorkers,
-			CandCacheSize:    w.opts.CandCacheSize,
-			Order:            w.opts.Order,
-			DisableAttrIndex: w.opts.DisableAttrIndex,
+			Workers:       w.opts.MatchWorkers,
+			CandCacheSize: w.opts.CandCacheSize,
 		}),
 	}
 	w.mu.Lock()
@@ -249,7 +242,6 @@ func (w *Worker) handleSlab(rw http.ResponseWriter, r *http.Request) {
 	// too instead of burning the worker.
 	cfg.Engine = entry.engine
 	cfg.Ctx = r.Context()
-	cfg.DisableIncScore = w.opts.DisableIncScore
 	runner, err := core.NewRunner(cfg)
 	if err != nil {
 		w.slabsFailed.Add(1)

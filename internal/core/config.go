@@ -37,19 +37,18 @@ type Config struct {
 	// run returns the context's error instead of a partial result.
 	Ctx context.Context
 	// Engine, when non-nil, routes verification through this externally
-	// owned match engine instead of a per-run one (MatchWorkers is then
-	// ignored). The engine — and crucially its candidate cache — persists
-	// across runs, which is how a long-lived service shares one warm cache
-	// per graph across jobs. The engine's graph must be G, and the per-run
-	// Stats report the engine's cumulative (not per-run) counters.
+	// owned match engine instead of a per-run one: MatchWorkers is ignored
+	// and the run takes the engine's Settings (Validate rejects a non-zero
+	// Config.Settings that disagrees with them). The engine — and crucially
+	// its candidate cache — persists across runs, which is how a long-lived
+	// service shares one warm cache per graph across jobs. The engine's
+	// graph must be G, and the per-run Stats report the engine's cumulative
+	// (not per-run) counters.
 	Engine *match.Engine
 
-	// Mode selects matching semantics (default Isomorphism).
-	Mode match.Mode
-	// Order selects the matcher's backtracking variable-ordering policy
-	// (default match.OrderDynamic; match.OrderStatic is the ablation knob).
-	// Results are identical in both settings.
-	Order match.Order
+	// Settings is how the matcher searches: semantics, variable order,
+	// backtrack budget and candidate access path (see match.Settings).
+	match.Settings
 	// ExtraOutputs names additional template nodes whose match sets join
 	// the answer (the paper's multiple-output-nodes extension): the
 	// diversity and coverage objectives are computed over the union of
@@ -80,8 +79,6 @@ type Config struct {
 	// scoring with no cap, and a positive value caps evaluations at that
 	// many sampled pairs.
 	MaxPairs int
-	// MaxBacktrackNodes bounds matcher search per candidate (0 unbounded).
-	MaxBacktrackNodes int
 	// MatchWorkers selects how instance verification runs: 0 or 1 keeps
 	// the sequential reference Matcher; > 1 routes evaluation through a
 	// concurrent match.Engine that partitions each instance's output-node
@@ -108,17 +105,12 @@ type Config struct {
 	// rejects an instance when the per-group counts of its arc-consistent
 	// candidate superset already violate a constraint (ablation).
 	DisableBoundPrune bool
-	// DisableAttrIndex forces candidate selection onto the linear-scan
-	// reference path instead of the sorted per-(label, attribute) indexes
-	// built at graph freeze (ablation). Results are identical in both
-	// settings; only the access path changes.
-	DisableAttrIndex bool
 	// DisableIncScore forces every diversity evaluation to run from
 	// scratch instead of deriving a child's score from its verified
 	// parent's (the subset-delta path exploiting Lemma 2). Results are
 	// bit-identical in both settings — both paths accumulate the same
-	// fixed-point pair units — so this is an ablation knob, mirroring
-	// DisableAttrIndex.
+	// fixed-point pair units — so the from-scratch scorer is the reference
+	// the incremental-scoring tests compare against.
 	DisableIncScore bool
 
 	// OnVerified, when set, is invoked after every instance verification —
@@ -166,8 +158,14 @@ func (c *Config) Validate() error {
 	if c.Eps <= 0 {
 		return fmt.Errorf("core: eps must be positive, got %g", c.Eps)
 	}
-	if c.Engine != nil && c.Engine.Graph() != c.G {
-		return fmt.Errorf("core: config engine is bound to a different graph")
+	if c.Engine != nil {
+		if c.Engine.Graph() != c.G {
+			return fmt.Errorf("core: config engine is bound to a different graph")
+		}
+		if es := c.Engine.Settings(); c.Settings != (match.Settings{}) && c.Settings != es {
+			return fmt.Errorf("core: config settings %+v differ from the injected engine's %+v; "+
+				"every evaluation runs on the engine, so set them there (or leave Config.Settings zero)", c.Settings, es)
+		}
 	}
 	if c.Lambda < 0 || c.Lambda > 1 {
 		return fmt.Errorf("core: lambda must be in [0,1], got %g", c.Lambda)

@@ -67,44 +67,71 @@ func NewRunner(cfg *Config) (*Runner, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m := match.New(cfg.G)
-	m.Mode = cfg.Mode
-	m.Order = cfg.Order
-	m.MaxBacktrackNodes = cfg.MaxBacktrackNodes
-	m.DisableAttrIndex = cfg.DisableAttrIndex
-	if cfg.Ctx != nil {
-		m.BindContext(ctx)
-	}
-	engine := newConfigEngine(cfg)
-	if engine != nil {
-		m.Cache = engine.Cache()
-	} else if cfg.CandCacheSize >= 0 {
-		m.Cache = match.NewCandidateCache(cfg.CandCacheSize)
-	}
-	outLabel := cfg.Template.Nodes[cfg.Template.Output].Label
-	var extraNodes []int
-	population := cfg.G.CountLabel(outLabel)
-	seenLabels := map[string]bool{outLabel: true}
+	r := &Runner{cfg: cfg, ctx: ctx}
 	for _, name := range cfg.ExtraOutputs {
-		ni := cfg.Template.Node(name)
-		extraNodes = append(extraNodes, ni)
-		if l := cfg.Template.Nodes[ni].Label; !seenLabels[l] {
-			seenLabels[l] = true
-			population += cfg.G.CountLabel(l)
+		r.extraNodes = append(r.extraNodes, cfg.Template.Node(name))
+	}
+	r.bind()
+	return r, nil
+}
+
+// bind builds everything the runner derives from r.cfg.G — matcher, engine,
+// group counter, population, scoring — and starts an empty verification
+// memo. NewRunner binds a fresh runner; Retarget rebinds one to the next
+// generation, and then the candidate cache and the matcher counters carry
+// over and the engine-or-sequential choice made at NewRunner stands.
+func (r *Runner) bind() {
+	cfg := r.cfg
+	m := match.New(cfg.G)
+	m.Settings = cfg.Settings
+	if cfg.Engine != nil {
+		m.Settings = cfg.Engine.Settings()
+	}
+	if cfg.Ctx != nil {
+		m.BindContext(r.ctx)
+	}
+	fresh := r.matcher == nil
+	ownEngine := cfg.MatchWorkers != 0 && cfg.MatchWorkers != 1
+	if !fresh {
+		m.Stats, m.Cache, ownEngine = r.matcher.Stats, r.matcher.Cache, r.engine != nil
+		if r.engine != nil {
+			// The engine is replaced with its generation: keep what it counted.
+			m.Stats.Add(r.engine.Stats().Matcher())
 		}
 	}
-	r := &Runner{
-		cfg:        cfg,
-		ctx:        ctx,
-		matcher:    m,
-		engine:     engine,
-		counter:    groups.NewCounter(cfg.G.NumNodes(), cfg.Groups),
-		cache:      make(map[string]*Verified),
-		extraNodes: extraNodes,
-		population: population,
+	r.matcher, r.engine = m, cfg.Engine
+	if r.engine == nil && ownEngine {
+		r.engine = r.newEngine(m.Cache)
 	}
+	if r.engine != nil {
+		m.Cache = r.engine.Cache()
+	} else if fresh && cfg.CandCacheSize >= 0 {
+		m.Cache = match.NewCandidateCache(cfg.CandCacheSize)
+	}
+	r.counter = groups.NewCounter(cfg.G.NumNodes(), cfg.Groups)
+
+	outLabel := cfg.Template.Nodes[cfg.Template.Output].Label
+	r.population = cfg.G.CountLabel(outLabel)
+	seen := map[string]bool{outLabel: true}
+	for _, ni := range r.extraNodes {
+		if l := cfg.Template.Nodes[ni].Label; !seen[l] {
+			seen[l] = true
+			r.population += cfg.G.CountLabel(l)
+		}
+	}
+	r.cache = make(map[string]*Verified)
 	r.initScoring()
-	return r, nil
+}
+
+// newEngine builds a run-owned concurrent engine over r.cfg.G under the
+// run's settings; shared, when non-nil, becomes its candidate cache.
+func (r *Runner) newEngine(shared *match.CandidateCache) *match.Engine {
+	return match.NewEngine(r.cfg.G, match.EngineOptions{
+		Settings:      r.cfg.Settings,
+		Workers:       r.cfg.MatchWorkers,
+		CandCacheSize: r.cfg.CandCacheSize,
+		SharedCache:   shared,
+	})
 }
 
 // initScoring resolves the scoring functions once per Runner: the
@@ -158,27 +185,6 @@ func (r *Runner) bindScoring() {
 	}
 }
 
-// newConfigEngine builds the concurrent match engine a configuration asks
-// for, or nil when the sequential reference path is selected. An external
-// Config.Engine always wins: it outlives the run so its candidate cache
-// stays warm across runs.
-func newConfigEngine(cfg *Config) *match.Engine {
-	if cfg.Engine != nil {
-		return cfg.Engine
-	}
-	if cfg.MatchWorkers == 0 || cfg.MatchWorkers == 1 {
-		return nil
-	}
-	return match.NewEngine(cfg.G, match.EngineOptions{
-		Mode:              cfg.Mode,
-		Order:             cfg.Order,
-		MaxBacktrackNodes: cfg.MaxBacktrackNodes,
-		Workers:           cfg.MatchWorkers,
-		CandCacheSize:     cfg.CandCacheSize,
-		DisableAttrIndex:  cfg.DisableAttrIndex,
-	})
-}
-
 // adoptEngine makes a worker Runner share the parent's engine and
 // candidate cache, so concurrent lattice exploration (ParQGen) reuses one
 // pool of matcher scratch states and one warm filter cache instead of
@@ -209,12 +215,7 @@ func (r *Runner) Stats() Stats {
 	s.Matcher = r.matcher.Stats
 	if r.engine != nil {
 		es := r.engine.Stats()
-		s.Matcher.Evals += int(es.Evals)
-		s.Matcher.CandidatesChecked += int(es.CandidatesChecked)
-		s.Matcher.BacktrackNodes += int(es.BacktrackNodes)
-		s.Matcher.IndexSelections += int(es.IndexSelections)
-		s.Matcher.ScanSelections += int(es.ScanSelections)
-		s.Matcher.SigPruned += int(es.SigPruned)
+		s.Matcher.Add(es.Matcher())
 		s.Cache = es.Cache
 	} else if r.matcher.Cache != nil {
 		s.Cache = r.matcher.Cache.Stats()
@@ -240,7 +241,7 @@ func (r *Runner) resetStats() {
 	}
 	if r.engine != nil {
 		if r.cfg.Engine == nil {
-			r.engine = newConfigEngine(r.cfg)
+			r.engine = r.newEngine(nil)
 		}
 		r.matcher.Cache = r.engine.Cache()
 	} else if r.matcher.Cache != nil {

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fairsqg/internal/graph"
-	"fairsqg/internal/groups"
-	"fairsqg/internal/match"
-)
+import "fairsqg/internal/graph"
 
 // MutationEvent announces that the runner's graph advanced to a new
 // generation. The event owns a reference to the generation (retained by
@@ -66,13 +62,15 @@ func (s *LiveMutations) Poll() *MutationEvent {
 
 // Retarget rebinds the runner to a new generation of its graph: matcher,
 // engine, group counter, population and scoring functions are rebuilt
-// over g, and the verification memo is dropped (its entries scored the
-// old generation). The candidate cache carries over — its keys are scoped
-// by the generation key, so pre-mutation entries can never answer
-// post-mutation queries, while entries the new generation re-derives stay
-// warm. An external Config.Engine bound to another
-// generation is abandoned (the runner builds its own); generation
-// lifetimes stay with the caller — Retarget never closes g.
+// over g (see bind), and the verification memo is dropped (its entries
+// scored the old generation). The candidate cache carries over — its keys
+// are scoped by the generation key, so pre-mutation entries can never
+// answer post-mutation queries, while entries the new generation
+// re-derives stay warm — and so do the matcher counters, which span
+// generations within one run. An external Config.Engine bound to another
+// generation is abandoned: the runner builds its own under the same
+// settings. Generation lifetimes stay with the caller — Retarget never
+// closes g.
 func (r *Runner) Retarget(g *graph.Graph) {
 	if g == r.cfg.G {
 		return
@@ -80,49 +78,10 @@ func (r *Runner) Retarget(g *graph.Graph) {
 	cfg := *r.cfg
 	cfg.G = g
 	if cfg.Engine != nil && cfg.Engine.Graph() != g {
-		cfg.Engine = nil
+		cfg.Settings, cfg.Engine = cfg.Engine.Settings(), nil
 	}
 	r.cfg = &cfg
-
-	m := match.New(g)
-	m.Mode = cfg.Mode
-	m.Order = cfg.Order
-	m.MaxBacktrackNodes = cfg.MaxBacktrackNodes
-	m.DisableAttrIndex = cfg.DisableAttrIndex
-	m.Stats = r.matcher.Stats // counters span generations within one run
-	if cfg.Ctx != nil {
-		m.BindContext(r.ctx)
-	}
-	oldEngine, oldCache := r.engine, r.matcher.Cache
-	r.matcher = m
-	if oldEngine != nil {
-		r.engine = match.NewEngine(g, match.EngineOptions{
-			Mode:              cfg.Mode,
-			Order:             cfg.Order,
-			MaxBacktrackNodes: cfg.MaxBacktrackNodes,
-			Workers:           cfg.MatchWorkers,
-			CandCacheSize:     cfg.CandCacheSize,
-			DisableAttrIndex:  cfg.DisableAttrIndex,
-			SharedCache:       oldEngine.Cache(),
-		})
-		m.Cache = r.engine.Cache()
-	} else {
-		m.Cache = oldCache
-	}
-	r.counter = groups.NewCounter(g.NumNodes(), cfg.Groups)
-
-	outLabel := cfg.Template.Nodes[cfg.Template.Output].Label
-	population := g.CountLabel(outLabel)
-	seen := map[string]bool{outLabel: true}
-	for _, ni := range r.extraNodes {
-		if l := cfg.Template.Nodes[ni].Label; !seen[l] {
-			seen[l] = true
-			population += g.CountLabel(l)
-		}
-	}
-	r.population = population
-	r.cache = make(map[string]*Verified)
-	r.initScoring()
+	r.bind()
 }
 
 // Close releases the graph generation the runner adopted from a mutation

@@ -81,9 +81,7 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 			total.Pruned += local.stats.Pruned
 			total.IncScores += local.stats.IncScores
 			total.DistCache.Evals += local.stats.DistCache.Evals
-			total.Matcher.Evals += local.matcher.Stats.Evals
-			total.Matcher.CandidatesChecked += local.matcher.Stats.CandidatesChecked
-			total.Matcher.BacktrackNodes += local.matcher.Stats.BacktrackNodes
+			total.Matcher.Add(local.matcher.Stats)
 			mu.Unlock()
 		}()
 	}
@@ -100,9 +98,7 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 	}
 	if r.engine != nil {
 		es := r.engine.Stats()
-		total.Matcher.Evals += int(es.Evals)
-		total.Matcher.CandidatesChecked += int(es.CandidatesChecked)
-		total.Matcher.BacktrackNodes += int(es.BacktrackNodes)
+		total.Matcher.Add(es.Matcher())
 		total.Cache = es.Cache
 	} else if r.matcher.Cache != nil {
 		total.Cache = r.matcher.Cache.Stats()

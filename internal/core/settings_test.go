@@ -1,0 +1,153 @@
+package core
+
+import (
+	"testing"
+
+	"fairsqg/internal/graph"
+	"fairsqg/internal/match"
+	"fairsqg/internal/query"
+)
+
+// nonDefaultSettings is one Settings value per field, each away from zero.
+var nonDefaultSettings = map[string]match.Settings{
+	"homomorphism": {Mode: match.Homomorphism},
+	"static-order": {Order: match.OrderStatic},
+	"budget":       {MaxBacktrackNodes: 50},
+	"scan-only":    {DisableAttrIndex: true},
+}
+
+// TestSettingsReachEveryMatcher: whatever Config.Settings says is exactly
+// what the runner's matcher and engine run under — after NewRunner and
+// again after Retarget onto a mutated generation, which also carries the
+// candidate cache and keeps the matcher counters monotone. The injected
+// mode pins the other direction: with Config.Engine set and Config.Settings
+// zero, the runner takes the engine's value and keeps it when Retarget
+// abandons that engine.
+func TestSettingsReachEveryMatcher(t *testing.T) {
+	g := fixtureGraph(t, 30)
+	g2, _, err := graph.ApplyBatch(g, []graph.Mutation{
+		{Op: graph.MutSetAttr, Node: 1, Attr: "yearsOfExp", Value: graph.Int(3)},
+		{Op: graph.MutRemoveNode, Node: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range nonDefaultSettings {
+		for _, mode := range []string{"workers=0", "workers=2", "injected"} {
+			t.Run(name+"/"+mode, func(t *testing.T) {
+				cfg := fixtureConfig(t, g, 0.3, 3)
+				switch mode {
+				case "workers=0":
+					cfg.Settings = want
+				case "workers=2":
+					cfg.Settings, cfg.MatchWorkers = want, 2
+				case "injected":
+					cfg.Engine = match.NewEngine(g, match.EngineOptions{Settings: want, Workers: 2})
+				}
+				r := newRunnerT(t, cfg)
+				check := func(when string) {
+					t.Helper()
+					if got := r.matcher.Settings; got != want {
+						t.Errorf("%s: matcher runs under %+v, want %+v", when, got, want)
+					}
+					if (r.engine != nil) != (mode != "workers=0") {
+						t.Fatalf("%s: engine present = %v", when, r.engine != nil)
+					}
+					if r.engine != nil && r.engine.Settings() != want {
+						t.Errorf("%s: engine runs under %+v, want %+v", when, r.engine.Settings(), want)
+					}
+				}
+				check("after NewRunner")
+				if _, err := r.RfQGen(); err != nil {
+					t.Fatal(err)
+				}
+				cache, before := r.matcher.Cache, r.Stats().Matcher
+				if before.Evals == 0 {
+					t.Fatal("RfQGen evaluated nothing")
+				}
+
+				r.Retarget(g2)
+				check("after Retarget")
+				if r.cfg.G != g2 || r.matcher.G != g2 || (r.engine != nil && r.engine.Graph() != g2) {
+					t.Error("Retarget left a matcher or engine on the old generation")
+				}
+				if r.matcher.Cache != cache || (r.engine != nil && r.engine.Cache() != cache) {
+					t.Error("candidate cache not carried across Retarget")
+				}
+				if got := r.Stats().Matcher; got != before {
+					t.Errorf("Retarget changed the matcher counters: %+v -> %+v", before, got)
+				}
+				r.verify(query.MustInstance(cfg.Template, query.Root(cfg.Template)), nil)
+				if got := r.Stats().Matcher; got.Evals <= before.Evals || got.CandidatesChecked < before.CandidatesChecked {
+					t.Errorf("matcher counters not monotone across Retarget: %+v -> %+v", before, got)
+				}
+				// A later run rebuilds the run-owned engine; that nil-dereferenced
+				// once Retarget had abandoned an injected one.
+				if _, err := r.RfQGen(); err != nil {
+					t.Fatal(err)
+				}
+				check("after a run on the new generation")
+			})
+		}
+	}
+}
+
+// TestConfigValidateEngineSettings: with an injected engine every
+// evaluation runs under the engine's settings, so a Config that asks for
+// different ones is rejected instead of silently ignored.
+func TestConfigValidateEngineSettings(t *testing.T) {
+	g := fixtureGraph(t, 1)
+	homo := match.Settings{Mode: match.Homomorphism}
+	for _, c := range []struct {
+		engine, config match.Settings
+		ok             bool
+	}{
+		{match.Settings{}, match.Settings{}, true},
+		{homo, match.Settings{}, true}, // zero Config.Settings: take the engine's
+		{homo, homo, true},
+		{match.Settings{}, homo, false},
+		{homo, match.Settings{Order: match.OrderStatic}, false},
+		{match.Settings{MaxBacktrackNodes: 10}, match.Settings{MaxBacktrackNodes: 20}, false},
+	} {
+		cfg := fixtureConfig(t, g, 0.3, 3)
+		cfg.Engine = match.NewEngine(g, match.EngineOptions{Settings: c.engine})
+		cfg.Settings = c.config
+		if err := cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("engine %+v, config %+v: Validate = %v, want ok=%v", c.engine, c.config, err, c.ok)
+		}
+	}
+	// Without an engine any settings are the run's own.
+	cfg := fixtureConfig(t, g, 0.3, 3)
+	cfg.Settings = homo
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("settings without an engine rejected: %v", err)
+	}
+}
+
+// TestParQGenKeepsMatcherCounters: a par run reports the access-path split
+// and signature pruning wherever the same request under rf does.
+func TestParQGenKeepsMatcherCounters(t *testing.T) {
+	g := fixtureGraph(t, 30)
+	cfg := fixtureConfig(t, g, 0.3, 3)
+	rf, err := newRunnerT(t, cfg).RfQGen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := rf.Stats.Matcher; m.IndexSelections == 0 || m.ScanSelections == 0 || m.SigPruned == 0 {
+		t.Fatalf("fixture no longer exercises all three counters under rf: %+v", m)
+	}
+	for _, matchWorkers := range []int{0, 2} {
+		for _, workers := range []int{1, 2, 4} {
+			c := *cfg
+			c.MatchWorkers = matchWorkers
+			res, err := newRunnerT(t, &c).ParQGen(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := res.Stats.Matcher; m.IndexSelections == 0 || m.ScanSelections == 0 || m.SigPruned == 0 {
+				t.Errorf("matchWorkers=%d/workers=%d: par lost matcher counters: %+v (rf: %+v)",
+					matchWorkers, workers, m, rf.Stats.Matcher)
+			}
+		}
+	}
+}

@@ -124,7 +124,7 @@ func BenchmarkEngineWorkload(b *testing.B) {
 			}
 			c, order := c, order
 			b.Run(name, func(b *testing.B) {
-				e := NewEngine(g, EngineOptions{Workers: c.workers, CandCacheSize: c.cache, Order: order})
+				e := NewEngine(g, EngineOptions{Workers: c.workers, CandCacheSize: c.cache, Settings: Settings{Order: order}})
 				ctx := context.Background()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -39,8 +39,8 @@ func engineMatrix(g *graph.Graph, mode Mode) map[string]*Engine {
 						continue // GOMAXPROCS may coincide with 1 or 4
 					}
 					m[name] = NewEngine(g, EngineOptions{
-						Mode: mode, Workers: w, CandCacheSize: cacheSize,
-						DisableAttrIndex: noIndex, Order: order,
+						Workers: w, CandCacheSize: cacheSize,
+						Settings: Settings{Mode: mode, DisableAttrIndex: noIndex, Order: order},
 					})
 				}
 			}

@@ -14,22 +14,13 @@ import (
 
 // EngineOptions configures NewEngine.
 type EngineOptions struct {
-	// Mode selects the matching semantics (default Isomorphism).
-	Mode Mode
-	// MaxBacktrackNodes bounds matcher search per candidate (0 unbounded).
-	MaxBacktrackNodes int
+	// Settings is stamped onto every pooled matcher.
+	Settings
 	// Workers is the per-evaluation fan-out; <= 0 selects GOMAXPROCS.
 	Workers int
 	// CandCacheSize bounds the shared candidate cache: 0 selects
 	// DefaultCandCacheSize, a negative value disables caching entirely.
 	CandCacheSize int
-	// Order selects the backtracking variable-ordering policy for pooled
-	// matchers (default OrderDynamic; see Order). Results are identical in
-	// both settings.
-	Order Order
-	// DisableAttrIndex forces pooled matchers onto the linear-scan
-	// reference path for candidate selection (see Matcher.DisableAttrIndex).
-	DisableAttrIndex bool
 	// SharedCache, when non-nil, is used as the engine's candidate cache
 	// instead of constructing one (CandCacheSize is then ignored). Entries
 	// are keyed by graph generation, so one cache can safely back the
@@ -63,6 +54,18 @@ type EngineStats struct {
 	Dist measure.PairCacheStats
 }
 
+// Matcher returns the pooled matchers' summed counters as a Stats value.
+func (s EngineStats) Matcher() Stats {
+	return Stats{
+		Evals:             int(s.Evals),
+		CandidatesChecked: int(s.CandidatesChecked),
+		BacktrackNodes:    int(s.BacktrackNodes),
+		IndexSelections:   int(s.IndexSelections),
+		ScanSelections:    int(s.ScanSelections),
+		SigPruned:         int(s.SigPruned),
+	}
+}
+
 // Engine is a concurrent match engine over one frozen graph: it owns a
 // shared, bounded candidate cache and a pool of per-goroutine Matcher
 // scratch states, and evaluates instances by partitioning the output
@@ -74,14 +77,11 @@ type EngineStats struct {
 // ParEval* simultaneously (each call fans out up to Workers goroutines of
 // its own).
 type Engine struct {
-	g                 *graph.Graph
-	mode              Mode
-	order             Order
-	maxBacktrackNodes int
-	workers           int
-	cache             *CandidateCache
-	disableAttrIndex  bool
-	pool              sync.Pool
+	g        *graph.Graph
+	settings Settings
+	workers  int
+	cache    *CandidateCache
+	pool     sync.Pool
 
 	parEvals          atomic.Int64
 	evals             atomic.Int64
@@ -106,22 +106,11 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	if cache == nil && opts.CandCacheSize >= 0 {
 		cache = NewCandidateCache(opts.CandCacheSize)
 	}
-	e := &Engine{
-		g:                 g,
-		mode:              opts.Mode,
-		order:             opts.Order,
-		maxBacktrackNodes: opts.MaxBacktrackNodes,
-		workers:           workers,
-		cache:             cache,
-		disableAttrIndex:  opts.DisableAttrIndex,
-	}
+	e := &Engine{g: g, settings: opts.Settings, workers: workers, cache: cache}
 	e.pool.New = func() any {
 		m := New(g)
-		m.Mode = e.mode
-		m.Order = e.order
-		m.MaxBacktrackNodes = e.maxBacktrackNodes
+		m.Settings = e.settings
 		m.Cache = e.cache
-		m.DisableAttrIndex = e.disableAttrIndex
 		return m
 	}
 	return e
@@ -129,6 +118,10 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 
 // Graph returns the engine's frozen graph.
 func (e *Engine) Graph() *graph.Graph { return e.g }
+
+// Settings returns the matcher settings every evaluation on this engine
+// runs under.
+func (e *Engine) Settings() Settings { return e.settings }
 
 // Workers returns the configured per-evaluation fan-out.
 func (e *Engine) Workers() int { return e.workers }

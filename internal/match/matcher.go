@@ -8,7 +8,6 @@ package match
 
 import (
 	"context"
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -41,7 +40,8 @@ const (
 	OrderStatic
 )
 
-// String renders the order knob the way the -order CLI flag spells it.
+// String names the policy ("dynamic" or "static"), for benchmark and test
+// labels.
 func (o Order) String() string {
 	if o == OrderStatic {
 		return "static"
@@ -49,15 +49,28 @@ func (o Order) String() string {
 	return "dynamic"
 }
 
-// ParseOrder parses the -order flag value.
-func ParseOrder(s string) (Order, error) {
-	switch s {
-	case "dynamic":
-		return OrderDynamic, nil
-	case "static":
-		return OrderStatic, nil
-	}
-	return OrderDynamic, fmt.Errorf("match: unknown order %q (want static or dynamic)", s)
+// Settings is how a matcher searches: everything about an evaluation that
+// is not part of the configuration C = (G, Q(u_o), P, ε). It is declared
+// once, here, and embedded by Matcher, EngineOptions and core.Config. The
+// zero value is what the CLIs and the server run; Order and
+// DisableAttrIndex select reference paths that return identical results
+// and exist for the differential suites, the fuzzers and
+// scripts/bench_order_guard.sh.
+type Settings struct {
+	// Mode selects the matching semantics (default Isomorphism).
+	Mode Mode
+	// Order selects the backtracking variable-ordering policy (default
+	// OrderDynamic); see Order. With an unbounded budget the two policies
+	// return identical results.
+	Order Order
+	// MaxBacktrackNodes bounds the search tree expanded per output-node
+	// candidate; 0 means unbounded. When the bound trips the candidate is
+	// conservatively reported as a non-match.
+	MaxBacktrackNodes int
+	// DisableAttrIndex forces the linear-scan reference path for candidate
+	// selection instead of the sorted per-(label, attribute) indexes.
+	// Results are identical; only the access path changes.
+	DisableAttrIndex bool
 }
 
 // Stats counts work done by the matcher; cumulative across calls.
@@ -79,6 +92,16 @@ type Stats struct {
 	SigPruned int
 }
 
+// Add folds another matcher's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.Evals += o.Evals
+	s.CandidatesChecked += o.CandidatesChecked
+	s.BacktrackNodes += o.BacktrackNodes
+	s.IndexSelections += o.IndexSelections
+	s.ScanSelections += o.ScanSelections
+	s.SigPruned += o.SigPruned
+}
+
 // Matcher evaluates query instances against one frozen graph.
 //
 // A Matcher's mutable state (Stats, the backtracking scratch) is NOT safe
@@ -87,24 +110,12 @@ type Stats struct {
 // API. The frozen Graph and an attached CandidateCache are themselves safe
 // to share between any number of Matchers.
 type Matcher struct {
-	G    *graph.Graph
-	Mode Mode
-	// Order selects the backtracking variable-ordering policy (default
-	// OrderDynamic); see Order. With an unbounded budget the two policies
-	// return identical results.
-	Order Order
-	// MaxBacktrackNodes bounds the search tree expanded per output-node
-	// candidate; 0 means unbounded. When the bound trips the candidate is
-	// conservatively reported as a non-match.
-	MaxBacktrackNodes int
+	G *graph.Graph
+	Settings
 	// Cache, when non-nil, memoizes the label+literal candidate filtering
 	// phase across evaluations (and across Matchers sharing the cache).
 	// Results are unchanged; only repeated nodeSatisfies scans are skipped.
 	Cache *CandidateCache
-	// DisableAttrIndex forces the linear-scan reference path for candidate
-	// selection instead of the sorted per-(label, attribute) indexes.
-	// Results are identical; only the access path changes (ablation knob).
-	DisableAttrIndex bool
 
 	Stats Stats
 

@@ -260,7 +260,7 @@ func TestBudgetSemantics(t *testing.T) {
 	}
 
 	// The engine plumbs the budget through to its pooled matchers.
-	e := NewEngine(g, EngineOptions{Workers: 2, MaxBacktrackNodes: 1})
+	e := NewEngine(g, EngineOptions{Workers: 2, Settings: Settings{MaxBacktrackNodes: 1}})
 	if res, err := e.ParEvalOutput(context.Background(), two); err != nil || !reflect.DeepEqual(res, ids(0)) {
 		t.Errorf("engine budget=1: res %v err %v, want [0]", res, err)
 	}

@@ -129,9 +129,6 @@ type Manager struct {
 	opts ManagerOptions
 	reg  *Registry
 	met  *metrics
-	// disableIncScore propagates the server-level scoring ablation into
-	// every job's configuration (see Options.DisableIncScore).
-	disableIncScore bool
 	// cluster, when set, runs par jobs distributed over the worker fleet
 	// instead of the local lattice walk (see Options.Cluster).
 	cluster *cluster.Coordinator
@@ -188,7 +185,6 @@ func (m *Manager) Submit(spec *JobSpec) (*Job, error) {
 		handle.Release()
 		return nil, err
 	}
-	cfg.DisableIncScore = m.disableIncScore
 	every := spec.ProgressEvery
 	if every == 0 {
 		every = 32

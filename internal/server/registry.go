@@ -122,10 +122,6 @@ type Registry struct {
 	// snapshot and reopen it mapped without racing another registration
 	// of the same name (Acquire/Release only take mu and are unaffected).
 	putMu sync.Mutex
-	// disableAttrIndex and order propagate the ablation knobs to every
-	// per-graph engine created by Put.
-	disableAttrIndex bool
-	order            match.Order
 	// compactAfter, when > 0, triggers a background checkpoint once a
 	// graph accumulates that many mutation ops since its last compaction.
 	compactAfter int
@@ -232,12 +228,7 @@ func (r *Registry) putLive(name string, l *graph.Live, epoch uint64, replayed in
 // non-nil, donates its candidate cache so the new generation starts warm
 // (entries are keyed by graph generation, so the handover is always safe).
 func (r *Registry) newEngine(g *graph.Graph, prev *match.Engine) *match.Engine {
-	opts := match.EngineOptions{
-		Workers:          r.workers,
-		CandCacheSize:    r.cache,
-		Order:            r.order,
-		DisableAttrIndex: r.disableAttrIndex,
-	}
+	opts := match.EngineOptions{Workers: r.workers, CandCacheSize: r.cache}
 	if prev != nil {
 		opts.SharedCache = prev.Cache()
 	}

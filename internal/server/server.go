@@ -13,7 +13,6 @@ import (
 
 	"fairsqg/internal/cluster"
 	"fairsqg/internal/graph"
-	"fairsqg/internal/match"
 )
 
 // Options configures a Server.
@@ -26,18 +25,6 @@ type Options struct {
 	// < 0 disabled).
 	MatchWorkers  int
 	CandCacheSize int
-	// DisableAttrIndex forces every graph engine onto the linear-scan
-	// candidate-selection path instead of the sorted attribute indexes
-	// (ablation; results are identical).
-	DisableAttrIndex bool
-	// Order selects the backtracking variable-ordering policy of every
-	// graph engine (default match.OrderDynamic; match.OrderStatic is the
-	// ablation setting; results are identical).
-	Order match.Order
-	// DisableIncScore forces every job's diversity evaluations onto the
-	// from-scratch pair loop instead of the subset-delta incremental path
-	// (ablation; results are bit-identical).
-	DisableIncScore bool
 	// MaxUploadBytes bounds graph upload bodies (default 64 MiB).
 	MaxUploadBytes int64
 	// SnapshotDir, when non-empty, enables warm restarts: every
@@ -106,8 +93,6 @@ func New(opts Options) *Server {
 		reg:  NewRegistry(opts.MatchWorkers, opts.CandCacheSize),
 		met:  newMetrics(),
 	}
-	s.reg.disableAttrIndex = opts.DisableAttrIndex
-	s.reg.order = opts.Order
 	s.reg.compactAfter = opts.CompactAfter
 	s.reg.onMutate = opts.OnMutate
 	s.logger = opts.Logger
@@ -126,7 +111,6 @@ func New(opts Options) *Server {
 		}
 	}
 	s.jobs = NewManager(s.reg, s.met, opts.Jobs)
-	s.jobs.disableIncScore = opts.DisableIncScore
 	s.jobs.cluster = opts.Cluster
 	s.handler = s.routes()
 	return s

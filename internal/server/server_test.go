@@ -277,6 +277,21 @@ func TestEndToEnd(t *testing.T) {
 	if hitsAfter <= hitsBefore {
 		t.Fatalf("candidate cache hits did not increase across identical jobs: %d -> %d", hitsBefore, hitsAfter)
 	}
+
+	// A par job's result carries the matcher's access-path split and
+	// signature pruning wherever the same request under rf does.
+	for _, alg := range []string{"rf", "par"} {
+		spec.Algorithm = alg
+		st := submitJob(t, ts.URL, spec)
+		if f := pollDone(t, ts.URL, st.ID); f.State != JobDone {
+			t.Fatalf("%s job state = %s (%s)", alg, f.State, f.Error)
+		}
+		var res JobResult
+		doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/result", nil, http.StatusOK, &res)
+		if m := res.Stats.Matcher; m.IndexSelections+m.ScanSelections == 0 || m.SigPruned == 0 {
+			t.Errorf("%s job lost matcher counters: %+v", alg, m)
+		}
+	}
 }
 
 // directRun executes the spec's configuration through the library with no

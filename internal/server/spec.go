@@ -45,19 +45,7 @@ type JobSpec struct {
 }
 
 // GroupsSpec selects the node groups P and their constraints c_i.
-type GroupsSpec struct {
-	// Label and Attr induce the groups: nodes with Label partitioned by
-	// the values of Attr.
-	Label string `json:"label"`
-	Attr  string `json:"attr"`
-	// Values restricts the partition to these attribute values (empty =
-	// every value).
-	Values []string `json:"values,omitempty"`
-	// Cover is the per-group equal-opportunity constraint; Total, when
-	// positive, overrides it by splitting a total budget evenly.
-	Cover int `json:"cover,omitempty"`
-	Total int `json:"total,omitempty"`
-}
+type GroupsSpec = cluster.GroupsPayload
 
 // validAlgorithms names the runnable generation strategies.
 var validAlgorithms = map[string]bool{
@@ -89,14 +77,8 @@ type JobResult struct {
 // spec→config semantics.
 func specPayload(spec *JobSpec) cluster.JobPayload {
 	return cluster.JobPayload{
-		Template: spec.Template,
-		Groups: cluster.GroupsPayload{
-			Label:  spec.Groups.Label,
-			Attr:   spec.Groups.Attr,
-			Values: spec.Groups.Values,
-			Cover:  spec.Groups.Cover,
-			Total:  spec.Groups.Total,
-		},
+		Template:      spec.Template,
+		Groups:        spec.Groups,
 		Eps:           spec.Eps,
 		Lambda:        spec.Lambda,
 		MaxDomain:     spec.MaxDomain,

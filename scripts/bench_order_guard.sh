@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
 # bench_order_guard.sh — guard the dynamic-order matcher path against
-# performance regressions relative to the static-order ablation.
+# performance regressions relative to the static-order reference.
 #
-# Runs BenchmarkEngineWorkload/sequential with -order both ways in several
+# Static order is a library field (match.Settings.Order = OrderStatic), not
+# a CLI flag or server option: BENCH.md "Rebuilt search core" settled that
+# dynamic stays within 5-10% of it on this uniform fixture, its worst case,
+# and this guard keeps it there.
+#
+# Runs BenchmarkEngineWorkload/sequential under both orders in several
 # paired invocations (dynamic and static share each invocation's noise
 # window) and compares per-pair ns/op ratios. The MINIMUM ratio across pairs
 # is the least-noise estimate: transient load inflates individual ratios,
@@ -20,7 +25,7 @@ ratios=()
 for i in $(seq 1 "$PAIRS"); do
   out="$(go test -run '^$' -bench 'BenchmarkEngineWorkload/sequential' \
     -benchtime "$BENCHTIME" -count 1 ./internal/match/)"
-  dyn="$(echo "$out" | awk '$1 == "BenchmarkEngineWorkload/sequential" {print $3}')"
+  dyn="$(echo "$out" | awk '$1 ~ /^BenchmarkEngineWorkload\/sequential(-[0-9]+)?$/ {print $3}')"
   sta="$(echo "$out" | awk '$1 ~ /^BenchmarkEngineWorkload\/sequential\/order=static/ {print $3}')"
   if [ -z "$dyn" ] || [ -z "$sta" ]; then
     echo "bench_order_guard: benchmark output missing a variant:" >&2
