@@ -307,6 +307,39 @@ func TestSnapshotCLIRoundTrip(t *testing.T) {
 		t.Errorf("snapshot-loaded run differs from TSV run:\n--- tsv\n%s--- snapshot\n%s", fromTSV, fromSnap)
 	}
 
+	// The format is chosen by the lowercased extension, as in fairsqgd:
+	// G.FSNAP and G.JSON load exactly like their lowercase names.
+	jsonFile := filepath.Join(dir, "g.json")
+	if out, err := exec.Command(graphgen, "-dataset", "lki", "-nodes", "1500", "-seed", "2",
+		"-format", "json", "-out", jsonFile).CombinedOutput(); err != nil {
+		t.Fatalf("graphgen json: %v\n%s", err, out)
+	}
+	for lower, upper := range map[string]string{snap: "G.FSNAP", jsonFile: "G.JSON"} {
+		data, err := os.ReadFile(lower)
+		if err != nil {
+			t.Fatal(err)
+		}
+		upper = filepath.Join(dir, "upper", upper)
+		if err := os.MkdirAll(filepath.Dir(upper), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(upper, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, err := exec.Command(fairsqg, genArgs(lower)...).Output()
+		if err != nil {
+			t.Fatalf("fairsqg from %s: %v", filepath.Base(lower), err)
+		}
+		got, err := exec.Command(fairsqg, genArgs(upper)...).Output()
+		if err != nil {
+			t.Fatalf("fairsqg from %s: %v", filepath.Base(upper), err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s run differs from %s run:\n--- upper\n%s--- lower\n%s",
+				filepath.Base(upper), filepath.Base(lower), got, want)
+		}
+	}
+
 	// Corrupt snapshots fail loudly on every loading path.
 	bad := filepath.Join(dir, "bad.fsnap")
 	if err := os.WriteFile(bad, []byte("FSQGSNAPgarbage"), 0o644); err != nil {

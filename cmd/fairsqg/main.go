@@ -235,19 +235,7 @@ func loadGraph(file, dataset string, nodes int, seed int64) (*fairsqg.Graph, err
 	if file == "" {
 		return fairsqg.BuildDataset(dataset, fairsqg.DatasetOptions{Nodes: nodes, Seed: seed})
 	}
-	if strings.HasSuffix(file, ".fsnap") {
-		// File-backed fast path: sized read, no io.Reader copy loop.
-		return fairsqg.ReadGraphSnapshotFile(file)
-	}
-	f, err := os.Open(file)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(file, ".json") {
-		return fairsqg.ReadGraphJSON(f)
-	}
-	return fairsqg.ReadGraphTSV(f)
+	return fairsqg.ReadGraphFile(file)
 }
 
 func loadTemplate(file, canon string) (*fairsqg.Template, error) {

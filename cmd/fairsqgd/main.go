@@ -238,7 +238,7 @@ type workerConfig struct {
 func runWorker(cfg workerConfig, logger *log.Logger, errw *os.File) int {
 	w := cluster.NewWorker(cfg.opts)
 	for _, gf := range cfg.graphs {
-		g, err := loadGraphFile(gf.path)
+		g, err := graph.ReadFile(gf.path)
 		if err != nil {
 			fmt.Fprintf(errw, "fairsqgd: load graph %s: %v\n", gf.name, err)
 			return 1
@@ -281,23 +281,4 @@ func runWorker(cfg workerConfig, logger *log.Logger, errw *os.File) int {
 	}
 	logger.Printf("bye")
 	return 0
-}
-
-// loadGraphFile parses one graph file by extension, mirroring the
-// registry's -graph semantics for the worker role.
-func loadGraphFile(path string) (*graph.Graph, error) {
-	lower := strings.ToLower(path)
-	if strings.HasSuffix(lower, ".fsnap") {
-		// File-backed fast path: sized read instead of io.Reader growth.
-		return graph.ReadSnapshotFile(path)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(lower, ".json") {
-		return graph.ReadJSON(f)
-	}
-	return graph.ReadTSV(f)
 }

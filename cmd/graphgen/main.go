@@ -24,7 +24,6 @@ func main() {
 	nodes := flag.Int("nodes", 0, "node budget (0 = dataset default)")
 	seed := flag.Int64("seed", 1, "generation seed")
 	format := flag.String("format", "tsv", "output format: tsv, json or snapshot")
-	snapVersion := flag.Int("snapshot-version", 2, "snapshot layout version to emit: 2 (memory-mappable, default) or 1 (legacy, for older builds)")
 	out := flag.String("out", "-", "output file (- = stdout)")
 	stats := flag.Bool("stats", false, "print dataset statistics to stderr")
 	flag.Parse()
@@ -64,14 +63,7 @@ func main() {
 	case "json":
 		err = fairsqg.WriteGraphJSON(w, g)
 	case "snapshot":
-		switch *snapVersion {
-		case 2:
-			err = fairsqg.WriteGraphSnapshot(w, g)
-		case 1:
-			err = fairsqg.WriteGraphSnapshotV1(w, g)
-		default:
-			log.Fatalf("unknown -snapshot-version %d (want 1 or 2)", *snapVersion)
-		}
+		err = fairsqg.WriteGraphSnapshot(w, g)
 	default:
 		log.Fatalf("unknown format %q (want tsv, json or snapshot)", *format)
 	}

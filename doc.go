@@ -129,9 +129,11 @@
 // layout and sorted indexes directly — loading a snapshot skips Freeze
 // entirely, which is how the fairsqgd server's -snapshot-dir warm restart
 // and the .fsnap files written by graphgen/fairsqg get large graphs back
-// into memory at I/O speed. Snapshots are a cache format: readers reject
-// other versions and corrupt files with descriptive errors, and TSV/JSON
-// remain the durable interchange formats.
+// into memory at I/O speed. Snapshots are a cache format: there is one
+// snapshot version, readers reject any other (graph.ErrSnapshotVersion)
+// and corrupt files with descriptive errors, and TSV/JSON remain the
+// durable interchange formats. ReadGraphFile loads any of the three by
+// file extension.
 //
 // Generation also scales horizontally: the fairsqgd daemon runs as a
 // standalone server, a cluster worker, or a coordinator (-role) that

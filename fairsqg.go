@@ -213,6 +213,10 @@ func ReadGraphJSON(r io.Reader) (*Graph, error) { return graph.ReadJSON(r) }
 // WriteGraphJSON serializes a graph as JSON.
 func WriteGraphJSON(w io.Writer, g *Graph) error { return graph.WriteJSON(w, g) }
 
+// ReadGraphFile loads a graph file, format by case-insensitive extension:
+// .fsnap is a binary snapshot, .json the JSON form, anything else TSV.
+func ReadGraphFile(path string) (*Graph, error) { return graph.ReadFile(path) }
+
 // ReadGraphTSV loads a graph from the tab-separated form and freezes it.
 func ReadGraphTSV(r io.Reader) (*Graph, error) { return graph.ReadTSV(r) }
 
@@ -229,22 +233,18 @@ func ReadGraphSnapshot(r io.Reader) (*Graph, error) { return graph.ReadSnapshot(
 // prefer it over ReadGraphSnapshot when the snapshot is on disk.
 func ReadGraphSnapshotFile(path string) (*Graph, error) { return graph.ReadSnapshotFile(path) }
 
-// OpenGraphSnapshotMapped opens a version 2 snapshot file memory-mapped:
-// the graph's frozen sections are served zero-copy from the page cache,
+// OpenGraphSnapshotMapped opens a snapshot file memory-mapped: the
+// graph's frozen sections are served zero-copy from the page cache,
 // making open time independent of graph size. The caller must Close the
 // returned graph when done reading; see graph.OpenSnapshotMapped for the
-// lifetime rules. Version 1 files return an error wrapping
-// graph.ErrSnapshotVersion — fall back to ReadGraphSnapshotFile.
+// lifetime rules. Like the heap readers it accepts exactly one snapshot
+// version; any other returns an error wrapping graph.ErrSnapshotVersion —
+// rebuild the snapshot from the graph's TSV/JSON source.
 func OpenGraphSnapshotMapped(path string) (*Graph, error) { return graph.OpenSnapshotMapped(path) }
 
 // WriteGraphSnapshot serializes a frozen graph's exact in-memory layout
-// as a versioned, checksummed binary snapshot (the memory-mappable
-// version 2 layout; WriteGraphSnapshotV1 emits the legacy version).
+// as a versioned, checksummed, memory-mappable binary snapshot.
 func WriteGraphSnapshot(w io.Writer, g *Graph) error { return graph.WriteSnapshot(w, g) }
-
-// WriteGraphSnapshotV1 serializes a frozen graph in the legacy version 1
-// snapshot layout, for artifacts consumed by older builds.
-func WriteGraphSnapshotV1(w io.Writer, g *Graph) error { return graph.WriteSnapshotV1(w, g) }
 
 // SummarizeGraph computes descriptive statistics of a frozen graph.
 func SummarizeGraph(g *Graph) GraphStats { return graph.Summarize(g) }

@@ -59,8 +59,8 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 // BenchmarkSnapshotMappedLoad measures open-to-first-query on the same
 // 100k-node lki graph: how long until a freshly started process answers
 // its first read. The mapped path (mmap + structural validation, no decode
-// and no CRC pass) is the -mmap-graphs restore cost; the v1 and v2 heap
-// decodes are what a full-decode restore pays. The "query" walks one label
+// and no CRC pass) is the -mmap-graphs restore cost; the heap decode is
+// what a full-decode restore pays. The "query" walks one label
 // bucket and its out-edges — enough to fault real pages, small enough not
 // to drown the open.
 func BenchmarkSnapshotMappedLoad(b *testing.B) {
@@ -79,22 +79,14 @@ func BenchmarkSnapshotMappedLoad(b *testing.B) {
 
 	dir := b.TempDir()
 	v2Path := filepath.Join(dir, "g.fsnap")
-	v1Path := filepath.Join(dir, "g1.fsnap")
-	var v2, v1 bytes.Buffer
+	var v2 bytes.Buffer
 	if err := graph.WriteSnapshot(&v2, g); err != nil {
-		b.Fatal(err)
-	}
-	if err := graph.WriteSnapshotV1(&v1, g); err != nil {
 		b.Fatal(err)
 	}
 	if err := os.WriteFile(v2Path, v2.Bytes(), 0o644); err != nil {
 		b.Fatal(err)
 	}
-	if err := os.WriteFile(v1Path, v1.Bytes(), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("graph: %d nodes, %d edges; v2 snapshot %d bytes, v1 %d bytes",
-		g.NumNodes(), g.NumEdges(), v2.Len(), v1.Len())
+	b.Logf("graph: %d nodes, %d edges; snapshot %d bytes", g.NumNodes(), g.NumEdges(), v2.Len())
 
 	b.Run("mapped", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -115,17 +107,6 @@ func BenchmarkSnapshotMappedLoad(b *testing.B) {
 	b.Run("v2-heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			h, err := graph.ReadSnapshotFile(v2Path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got := firstQuery(h); got != want {
-				b.Fatalf("first query = %d, want %d", got, want)
-			}
-		}
-	})
-	b.Run("v1-heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			h, err := graph.ReadSnapshotFile(v1Path)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -271,27 +271,13 @@ func (g *Graph) buildColumns() {
 
 // computeDomains derives the active domains — sorted distinct present
 // values per attribute — by scanning the columns. Freeze calls it once;
-// the snapshot v2 loader keeps it as the fallback when the serialized
-// DOM2 section fails validation.
+// the snapshot loader keeps it as the fallback when the serialized DOM2
+// section fails validation.
 func (g *Graph) computeDomains() [][]Value {
 	n := len(g.nodeLabels)
 	domains := make([][]Value, len(g.cols))
 	for a := range g.cols {
-		c := &g.cols[a]
-		vs := make([]Value, 0, c.count)
-		for i := 0; i < n; i++ {
-			if c.has(NodeID(i)) {
-				vs = append(vs, c.value(NodeID(i)))
-			}
-		}
-		sort.Slice(vs, func(i, j int) bool { return vs[i].Compare(vs[j]) < 0 })
-		dedup := vs[:0]
-		for i, v := range vs {
-			if i == 0 || !v.Equal(vs[i-1]) {
-				dedup = append(dedup, v)
-			}
-		}
-		domains[a] = dedup
+		domains[a] = computeDomain(&g.cols[a], n)
 	}
 	return domains
 }

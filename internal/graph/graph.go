@@ -41,7 +41,7 @@ const InvalidLabel LabelID = -1
 //
 // Storage seam: every frozen field below the comment lines is a plain
 // slice (or a map of plain slices), so it can be served either from heap
-// arrays built by Freeze / the v1 snapshot decoder, or — for snapshot-v2
+// arrays built by Freeze / ReadSnapshot, or — for snapshot
 // files opened with OpenSnapshotMapped — from views directly over the
 // memory-mapped file (see storage.go). The read API is identical either
 // way; only Close semantics differ.
@@ -70,7 +70,7 @@ type Graph struct {
 	maxInDeg   int
 
 	// version is the graph's logical mutation version: Freeze and the
-	// snapshot decoders produce version 1, and every applyDelta merge (see
+	// snapshot loader produce version 1, and every applyDelta merge (see
 	// mutate.go) bumps it by one. Caches keyed by (version, query) never
 	// serve a pre-mutation entry for a post-mutation graph.
 	version uint64

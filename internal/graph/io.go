@@ -5,9 +5,30 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 )
+
+// ReadFile loads a frozen graph from a file, choosing the format by the
+// lowercased extension: .fsnap is a binary snapshot (ReadSnapshotFile),
+// .json the JSON form, anything else TSV.
+func ReadFile(path string) (*Graph, error) {
+	ext := strings.ToLower(filepath.Ext(path))
+	if ext == ".fsnap" {
+		return ReadSnapshotFile(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if ext == ".json" {
+		return ReadJSON(f)
+	}
+	return ReadTSV(f)
+}
 
 // jsonGraph is the on-disk JSON form of a graph. Counts is a load hint
 // (it lets the reader pre-allocate); readers treat it as untrusted and

@@ -715,7 +715,7 @@ func rebuildColumn(g *Graph, a AttrID, n, words int, logical func(NodeID, AttrID
 	return c
 }
 
-// computeDomain is computeDomains for a single rebuilt column. Uniform
+// computeDomain derives one column's active domain. Uniform
 // typed columns dedup before sorting — domains are usually tiny relative
 // to the column, so hashing the distinct values first turns the dominant
 // O(count·log count) Value sort into O(count) + O(d·log d) — producing

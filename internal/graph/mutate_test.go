@@ -508,9 +508,6 @@ func TestSnapshotWritersRefuseTombstones(t *testing.T) {
 	if err := WriteSnapshot(&sink, ng); err == nil {
 		t.Error("WriteSnapshot accepted a tombstoned graph")
 	}
-	if err := WriteSnapshotV1(&sink, ng); err == nil {
-		t.Error("WriteSnapshotV1 accepted a tombstoned graph")
-	}
 	// The resurrected image is the writable checkpoint form.
 	l := NewLive(ng)
 	defer l.Close()

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -10,6 +11,7 @@ import (
 	"math/bits"
 	"os"
 	"sort"
+	"sync"
 )
 
 // Binary graph snapshots serialize the *frozen* representation directly —
@@ -17,11 +19,11 @@ import (
 // directions, typed attribute columns with presence bitmaps, active
 // domains, the label index and the per-(label, attribute) sorted
 // permutation indexes — so ReadSnapshot reconstructs a frozen graph with
-// pure sequential decoding: no parsing, no column transposition and no
-// re-sorting. Restart cost becomes proportional to I/O instead of to
-// Freeze's O(n log n) index builds.
+// no parsing, no column transposition and no re-sorting. Restart cost
+// becomes proportional to I/O instead of to Freeze's O(n log n) index
+// builds.
 //
-// Layout (all integers little-endian; "uvarint" is unsigned LEB128):
+// Framing (all integers little-endian; "uvarint" is unsigned LEB128):
 //
 //	magic   [8]byte  "FSQGSNAP"
 //	version uint32   (SnapshotVersion)
@@ -29,101 +31,119 @@ import (
 //	table   count × { tag [4]byte, offset uint64, length uint64, crc uint32 }
 //	payloads, contiguous and in table order
 //
-// Sections appear in the fixed order of their version's section list with
-// contiguous offsets; readers reject reordered, overlapping, truncated or
-// trailing bytes, and (on the heap decode path) verify each section's
-// CRC-32 (IEEE) before decoding it.
+// Sections appear in the fixed order of snapSectionOrder with contiguous
+// offsets; readers reject reordered, overlapping, truncated or trailing
+// bytes, and (on the heap decode path) verify each section's CRC-32
+// (IEEE) before decoding it.
 //
-// Two layouts share this framing:
+// The layout is memory-mappable: every hot section is a little-endian
+// fixed-width array whose file offset is a multiple of 8, so an open file
+// can be mmap'd and the arrays used in place as typed slice views
+// (views.go) with no decode pass. Each section is zero-padded to a
+// multiple of 8 bytes, which keeps the contiguous offsets aligned; logical
+// (pre-padding) lengths are carried in MET2.
 //
-//   - Version 1 (this file) is varint-packed: a leading string table
-//     (STRS) interns every string once and all later sections reference
-//     it, so categorical attributes cost one uvarint per occurrence on
-//     disk. It always decodes into heap slices.
-//   - Version 2 (snapshot_v2.go) is the mmap layout: every hot section is
-//     a little-endian fixed-width array at an 8-byte-aligned offset,
-//     usable in place as an []int32/[]uint64/[]float64 view over the
-//     mapped file; varint encoding is confined to a lazily-materialized
-//     string table and a small mixed-kind spill section.
+// Varint encoding survives only in two cold sections: SPIL (the label and
+// attribute-name dictionaries, which must be materialized at open anyway,
+// plus the payloads of rare mixed-kind columns) and DOM2 (the active
+// domains, decoded lazily on first ActiveDomain call). String column
+// values live in a lazily-materialized string table: STRO/STRB hold
+// offsets and blob, SREF holds fixed-width 1-based refs per node, and no
+// string is copied to the heap until one is first read.
 //
-// Versioning policy: WriteSnapshot emits SnapshotVersion (2); readers
-// accept both versions — v1 through the decode-to-heap path below (the
-// counted fallback the server reports as v1Fallbacks), v2 through the
-// view-based loader. OpenSnapshotMapped accepts only v2 and returns
-// ErrSnapshotVersion for v1 so callers can fall back to a heap decode.
-// Snapshots are a cache of a source graph, not an archival format — on an
-// unknown version callers fall back to the TSV/JSON source and rewrite
-// the snapshot.
+// The loader validates every count, ID, sort order and bitmap invariant
+// before the graph is returned, so a corrupt or hostile file yields an
+// error, never a panic or an out-of-bounds view. The mapped open path
+// skips only the CRC pass (checksumming the whole file would cost a full
+// read and defeat O(open) restore); the ReadSnapshot/ReadSnapshotFile heap
+// path keeps it.
+//
+// Versioning policy: WriteSnapshot emits SnapshotVersion and every reader
+// accepts exactly that version, returning an error wrapping
+// ErrSnapshotVersion for any other. Snapshots are a cache of a source
+// graph, not an archival format — on an unknown version callers fall back
+// to the TSV/JSON source and rewrite the snapshot.
 
-// SnapshotVersion is the format version WriteSnapshot emits.
+// SnapshotVersion is the one format version WriteSnapshot emits and the
+// readers accept.
 const SnapshotVersion = 2
-
-// snapVersionV1 is the varint-packed decode-to-heap layout WriteSnapshotV1
-// emits; ReadSnapshot still accepts it.
-const snapVersionV1 = 1
 
 // snapMagic identifies a fairsqg graph snapshot file.
 const snapMagic = "FSQGSNAP"
 
-// snapSectionOrder is the canonical section layout of version 1.
-var snapSectionOrder = []string{
-	"STRS", // interned string table
-	"META", // counts, degree stats, memory stats
-	"LBLS", // label dictionary (intern order)
-	"ATTR", // attribute-name dictionary (intern order)
-	"NODE", // per-node label ids
-	"OUTE", // out-adjacency, sorted by (label, target)
-	"INED", // in-adjacency, sorted by (label, source)
-	"COLS", // typed attribute columns + presence bitmaps
-	"DOMS", // active domains (sorted distinct values per attribute)
-	"BYLB", // label index: nodes per label, ascending
-	"IDXS", // sorted (label, attribute) permutation indexes
-}
-
 const snapHeaderBase = 8 + 4 + 4 // magic + version + section count
 const snapTableEntry = 4 + 8 + 8 + 4
 
-// snapValueOverhead is the minimum encoded size of one Value (kind byte).
-const snapValueOverhead = 1
+// snapSectionOrder is the canonical section layout.
+var snapSectionOrder = []string{
+	"MET2", // counts, degree and memory stats: snapMetaFields × uint64
+	"SPIL", // varint spill: dictionaries + mixed-kind column payloads
+	"STRO", // string table offsets: []uint64, strCount+1
+	"STRB", // string table blob bytes
+	"NLBL", // per-node label ids: []int32
+	"OOFF", // out-adjacency CSR offsets: []uint64, n+1
+	"OEDG", // out-adjacency flat edges: []{to int32, label int32}
+	"IOFF", // in-adjacency CSR offsets: []uint64, n+1
+	"IEDG", // in-adjacency flat edges
+	"BLBL", // label buckets, ascending label ids: []int32
+	"BOFF", // label bucket CSR offsets: []uint64, buckets+1
+	"BMEM", // label bucket members, flat: []int32 node ids
+	"CHDR", // per-attribute column headers: []{kind uint32, count uint32}
+	"PRES", // presence bitmaps: attrs × words × uint64
+	"NUMS", // numeric column payloads: #numeric × n × float64
+	"BOOL", // bool column bitmaps: #bool × words × uint64
+	"SREF", // string column refs: #string × n × uint32 (1-based, 0 = absent)
+	"IKEY", // sorted index keys: []{label int32, attr int32}
+	"IPRM", // sorted index permutations, concatenated: []int32
+	"LPOS", // packed label+rank table: []uint64, n
+	"SIGO", // out-edge label signatures: []uint64, n
+	"SIGI", // in-edge label signatures: []uint64, n
+	"ORUN", // out run-start table: []int32, n × stride (empty if stride 0)
+	"IRUN", // in run-start table
+	"DOM2", // active domains, varint, lazily materialized
+}
 
-// WriteSnapshotV1 serializes a frozen graph in the varint-packed version 1
-// layout. Kept for compatibility tooling (scripts/snapshot_compat.sh and
-// the fallback tests); new snapshots should use WriteSnapshot, which emits
-// the mappable version 2 layout. The write is deterministic: the same
-// graph always produces the same bytes.
-func WriteSnapshotV1(w io.Writer, g *Graph) error {
+// snapMetaFields is the number of uint64 fields in MET2, in order:
+// nodes, edges, labels, attrs, maxOutDeg, maxInDeg, memColumnBytes,
+// memIndexBytes, memIndexes, buckets, strCount, strBlobLen, runStride,
+// spilLen, dom2Len.
+const snapMetaFields = 15
+
+// ErrSnapshotVersion is returned (wrapped) by every reader when the file
+// carries the snapshot magic but a version other than SnapshotVersion;
+// callers fall back to the graph's source format and rewrite the snapshot.
+var ErrSnapshotVersion = errors.New("unsupported snapshot version")
+
+func pad8(n int) int { return (n + 7) &^ 7 }
+
+// ---------------------------------------------------------------------------
+// Encoder
+
+// WriteSnapshot serializes a frozen graph in the mappable snapshot
+// layout. The write is deterministic: the same graph always
+// produces the same bytes.
+func WriteSnapshot(w io.Writer, g *Graph) error {
 	if !g.frozen {
 		return fmt.Errorf("graph: WriteSnapshot requires a frozen graph; call Freeze first")
 	}
 	if g.HasTombstones() {
-		// The codecs represent every node slot as live; persisting a
+		// The codec represents every node slot as live; persisting a
 		// tombstoned graph goes through Live.Checkpoint's resurrect
 		// protocol (snapshot of the resurrected graph + a WAL tombstone
 		// batch), never through a direct write.
 		return fmt.Errorf("graph: WriteSnapshot on a graph with %d tombstoned node(s); checkpoint via the WAL instead", g.deadCount)
 	}
-	enc := &snapEncoder{strIdx: make(map[string]uint64)}
+	e := &snapBuilder{g: g, strIdx: make(map[string]uint32)}
+	return writeSnapFraming(w, e.build())
+}
 
-	// Payload sections first: encoding them interns into the string
-	// table, which is then serialized as the leading STRS section.
-	meta := enc.encodeMeta(g)
-	lbls := enc.encodeStringRefs(g.labels)
-	attr := enc.encodeStringRefs(g.attrTable)
-	node := enc.encodeNodes(g)
-	oute := enc.encodeAdjacency(g.out)
-	ined := enc.encodeAdjacency(g.in)
-	cols := enc.encodeColumns(g)
-	doms := enc.encodeDomains(g)
-	bylb := enc.encodeByLabel(g)
-	idxs := enc.encodeIndexes(g)
-	strs := enc.encodeStringTable()
-
-	payloads := [][]byte{strs, meta, lbls, attr, node, oute, ined, cols, doms, bylb, idxs}
-
+// writeSnapFraming writes the header + section table + payloads, one
+// payload per snapSectionOrder entry.
+func writeSnapFraming(w io.Writer, payloads [][]byte) error {
 	var hdr bytes.Buffer
 	hdr.WriteString(snapMagic)
 	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], snapVersionV1)
+	binary.LittleEndian.PutUint32(u32[:], SnapshotVersion)
 	hdr.Write(u32[:])
 	binary.LittleEndian.PutUint32(u32[:], uint32(len(payloads)))
 	hdr.Write(u32[:])
@@ -150,20 +170,46 @@ func WriteSnapshotV1(w io.Writer, g *Graph) error {
 	return nil
 }
 
-// snapEncoder carries the string-interning state across sections.
-type snapEncoder struct {
+// snapBuilder carries the string-table interning state. Refs are
+// 1-based: 0 is the absent marker in SREF.
+type snapBuilder struct {
+	g      *Graph
 	strs   []string
-	strIdx map[string]uint64
+	strIdx map[string]uint32
 }
 
-func (e *snapEncoder) ref(s string) uint64 {
+func (e *snapBuilder) ref(s string) uint32 {
 	if i, ok := e.strIdx[s]; ok {
 		return i
 	}
-	i := uint64(len(e.strs))
+	i := uint32(len(e.strs)) + 1
 	e.strs = append(e.strs, s)
 	e.strIdx[s] = i
 	return i
+}
+
+// colStr reads one present string value regardless of representation
+// (heap strings or mapped string-table refs).
+func colStr(c *column, i int) string {
+	if c.strs != nil {
+		return c.strs[i]
+	}
+	return c.tab.str(c.refs[i])
+}
+
+func padded(b []byte) []byte {
+	if rem := len(b) % 8; rem != 0 {
+		b = append(b, make([]byte, 8-rem)...)
+	}
+	return b
+}
+
+func putU64s(buf *bytes.Buffer, xs ...uint64) {
+	var b [8]byte
+	for _, x := range xs {
+		binary.LittleEndian.PutUint64(b[:], x)
+		buf.Write(b[:])
+	}
 }
 
 func putUvarint(buf *bytes.Buffer, x uint64) {
@@ -171,7 +217,15 @@ func putUvarint(buf *bytes.Buffer, x uint64) {
 	buf.Write(tmp[:binary.PutUvarint(tmp[:], x)])
 }
 
-func (e *snapEncoder) putValue(buf *bytes.Buffer, v Value) {
+func putI32(buf *bytes.Buffer, x int32) {
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], uint32(x))
+	buf.Write(b[:])
+}
+
+// putValueInline encodes one Value with strings inline (uvarint length +
+// bytes), the form the SPIL and DOM2 sections use.
+func putValueInline(buf *bytes.Buffer, v Value) {
 	buf.WriteByte(byte(v.kind))
 	switch v.kind {
 	case KindBool:
@@ -185,138 +239,120 @@ func (e *snapEncoder) putValue(buf *bytes.Buffer, v Value) {
 		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.num))
 		buf.Write(b[:])
 	case KindString:
-		putUvarint(buf, e.ref(v.str))
+		putUvarint(buf, uint64(len(v.str)))
+		buf.WriteString(v.str)
 	}
 }
 
-func (e *snapEncoder) encodeMeta(g *Graph) []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(g.nodeLabels)))
-	putUvarint(&buf, uint64(g.numEdges))
-	putUvarint(&buf, uint64(len(g.labels)))
-	putUvarint(&buf, uint64(len(g.attrTable)))
-	putUvarint(&buf, uint64(g.maxOutDeg))
-	putUvarint(&buf, uint64(g.maxInDeg))
-	putUvarint(&buf, uint64(g.mem.ColumnBytes))
-	putUvarint(&buf, uint64(g.mem.IndexBytes))
-	putUvarint(&buf, uint64(g.mem.Indexes))
-	return buf.Bytes()
-}
-
-func (e *snapEncoder) encodeStringRefs(ss []string) []byte {
-	var buf bytes.Buffer
-	for _, s := range ss {
-		putUvarint(&buf, e.ref(s))
-	}
-	return buf.Bytes()
-}
-
-func (e *snapEncoder) encodeNodes(g *Graph) []byte {
-	var buf bytes.Buffer
-	for _, l := range g.nodeLabels {
-		putUvarint(&buf, uint64(l))
-	}
-	return buf.Bytes()
-}
-
-func (e *snapEncoder) encodeAdjacency(adj [][]Edge) []byte {
-	var buf bytes.Buffer
-	for _, es := range adj {
-		putUvarint(&buf, uint64(len(es)))
-		for _, ed := range es {
-			putUvarint(&buf, uint64(ed.To))
-			putUvarint(&buf, uint64(ed.Label))
-		}
-	}
-	return buf.Bytes()
-}
-
-func (e *snapEncoder) encodeColumns(g *Graph) []byte {
-	var buf bytes.Buffer
-	var b8 [8]byte
+func (e *snapBuilder) build() [][]byte {
+	g := e.g
 	n := len(g.nodeLabels)
+
+	// SPIL: dictionaries first, then mixed-column payloads.
+	var spil bytes.Buffer
+	for _, s := range g.labels {
+		putUvarint(&spil, uint64(len(s)))
+		spil.WriteString(s)
+	}
+	for _, s := range g.attrTable {
+		putUvarint(&spil, uint64(len(s)))
+		spil.WriteString(s)
+	}
 	for a := range g.cols {
 		c := &g.cols[a]
-		buf.WriteByte(byte(c.kind))
-		putUvarint(&buf, uint64(c.count))
+		if c.count == 0 || c.kind != KindNull {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			if c.has(NodeID(i)) {
+				putValueInline(&spil, c.vals[i])
+			}
+		}
+	}
+	spilLen := spil.Len()
+
+	// NLBL.
+	var nlbl bytes.Buffer
+	for _, l := range g.nodeLabels {
+		putI32(&nlbl, int32(l))
+	}
+
+	// Adjacency: CSR offsets + flat edges per direction.
+	encodeAdj := func(adj [][]Edge) (offs, edges []byte) {
+		var ob, eb bytes.Buffer
+		total := uint64(0)
+		putU64s(&ob, 0)
+		for _, es := range adj {
+			total += uint64(len(es))
+			putU64s(&ob, total)
+			for _, ed := range es {
+				putI32(&eb, int32(ed.To))
+				putI32(&eb, int32(ed.Label))
+			}
+		}
+		return ob.Bytes(), eb.Bytes()
+	}
+	ooff, oedg := encodeAdj(g.out)
+	ioff, iedg := encodeAdj(g.in)
+
+	// Label buckets, ascending by label.
+	bucketLabels := make([]LabelID, 0, len(g.byLabel))
+	for l := range g.byLabel {
+		bucketLabels = append(bucketLabels, l)
+	}
+	sort.Slice(bucketLabels, func(i, j int) bool { return bucketLabels[i] < bucketLabels[j] })
+	var blbl, boff, bmem bytes.Buffer
+	covered := uint64(0)
+	putU64s(&boff, 0)
+	for _, l := range bucketLabels {
+		putI32(&blbl, int32(l))
+		members := g.byLabel[l]
+		covered += uint64(len(members))
+		putU64s(&boff, covered)
+		for _, v := range members {
+			putI32(&bmem, int32(v))
+		}
+	}
+
+	// Columns: headers + fixed-width payload sections. String columns
+	// intern into the table here, in (attr, node) order — deterministic.
+	var chdr, pres, nums, boolb, sref bytes.Buffer
+	var u32b [4]byte
+	for a := range g.cols {
+		c := &g.cols[a]
+		binary.LittleEndian.PutUint32(u32b[:], uint32(c.kind))
+		chdr.Write(u32b[:])
+		binary.LittleEndian.PutUint32(u32b[:], uint32(c.count))
+		chdr.Write(u32b[:])
 		for _, w := range c.present {
-			binary.LittleEndian.PutUint64(b8[:], w)
-			buf.Write(b8[:])
+			putU64s(&pres, w)
 		}
 		if c.count == 0 {
 			continue
 		}
-		// Typed payload holds present values only, in NodeID order; the
-		// decoder scatters them back through the presence bitmap.
-		switch {
-		case c.nums != nil:
+		switch c.kind {
+		case KindNumber:
 			for i := 0; i < n; i++ {
-				if c.has(NodeID(i)) {
-					binary.LittleEndian.PutUint64(b8[:], math.Float64bits(c.nums[i]))
-					buf.Write(b8[:])
-				}
+				putU64s(&nums, math.Float64bits(c.nums[i]))
 			}
-		case c.strs != nil:
-			for i := 0; i < n; i++ {
-				if c.has(NodeID(i)) {
-					putUvarint(&buf, e.ref(c.strs[i]))
-				}
-			}
-		case c.refs != nil:
-			// Mapped graphs keep string columns as string-table refs;
-			// re-encoding (e.g. the cluster wire format) materializes them.
-			for i := 0; i < n; i++ {
-				if c.has(NodeID(i)) {
-					putUvarint(&buf, e.ref(c.tab.str(c.refs[i])))
-				}
-			}
-		case c.bools != nil:
+		case KindBool:
 			for _, w := range c.bools {
-				binary.LittleEndian.PutUint64(b8[:], w)
-				buf.Write(b8[:])
+				putU64s(&boolb, w)
 			}
-		default:
+		case KindString:
 			for i := 0; i < n; i++ {
+				r := uint32(0)
 				if c.has(NodeID(i)) {
-					e.putValue(&buf, c.vals[i])
+					r = e.ref(colStr(c, i))
 				}
+				binary.LittleEndian.PutUint32(u32b[:], r)
+				sref.Write(u32b[:])
 			}
 		}
 	}
-	return buf.Bytes()
-}
 
-func (e *snapEncoder) encodeDomains(g *Graph) []byte {
-	var buf bytes.Buffer
-	for _, dom := range g.domainList() {
-		putUvarint(&buf, uint64(len(dom)))
-		for _, v := range dom {
-			e.putValue(&buf, v)
-		}
-	}
-	return buf.Bytes()
-}
-
-func (e *snapEncoder) encodeByLabel(g *Graph) []byte {
-	labels := make([]LabelID, 0, len(g.byLabel))
-	for l := range g.byLabel {
-		labels = append(labels, l)
-	}
-	sort.Slice(labels, func(i, j int) bool { return labels[i] < labels[j] })
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(labels)))
-	for _, l := range labels {
-		nodes := g.byLabel[l]
-		putUvarint(&buf, uint64(l))
-		putUvarint(&buf, uint64(len(nodes)))
-		for _, v := range nodes {
-			putUvarint(&buf, uint64(v))
-		}
-	}
-	return buf.Bytes()
-}
-
-func (e *snapEncoder) encodeIndexes(g *Graph) []byte {
+	// Sorted indexes: keys ascending by (label, attr), permutations
+	// concatenated in key order.
 	keys := make([]labelAttr, 0, len(g.indexes))
 	for k := range g.indexes {
 		keys = append(keys, k)
@@ -327,29 +363,70 @@ func (e *snapEncoder) encodeIndexes(g *Graph) []byte {
 		}
 		return keys[i].attr < keys[j].attr
 	})
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(keys)))
+	var ikey, iprm bytes.Buffer
 	for _, k := range keys {
-		perm := g.indexes[k]
-		putUvarint(&buf, uint64(k.label))
-		putUvarint(&buf, uint64(k.attr))
-		putUvarint(&buf, uint64(len(perm)))
-		for _, v := range perm {
-			putUvarint(&buf, uint64(v))
+		putI32(&ikey, int32(k.label))
+		putI32(&ikey, int32(k.attr))
+		for _, v := range g.indexes[k] {
+			putI32(&iprm, int32(v))
 		}
 	}
-	return buf.Bytes()
+
+	// Derived tables — serialized so mapped open skips buildDerived.
+	var lpos, sigo, sigi bytes.Buffer
+	putU64s(&lpos, g.labelPos...)
+	putU64s(&sigo, g.sigOut...)
+	putU64s(&sigi, g.sigIn...)
+	var orun, irun bytes.Buffer
+	for _, x := range g.outRunStart {
+		putI32(&orun, x)
+	}
+	for _, x := range g.inRunStart {
+		putI32(&irun, x)
+	}
+
+	// DOM2 (varint, inline strings).
+	var dom2 bytes.Buffer
+	for _, dom := range g.domainList() {
+		putUvarint(&dom2, uint64(len(dom)))
+		for _, v := range dom {
+			putValueInline(&dom2, v)
+		}
+	}
+	dom2Len := dom2.Len()
+
+	// String table.
+	var stro, strb bytes.Buffer
+	blobLen := uint64(0)
+	putU64s(&stro, 0)
+	for _, s := range e.strs {
+		blobLen += uint64(len(s))
+		putU64s(&stro, blobLen)
+		strb.WriteString(s)
+	}
+
+	var met2 bytes.Buffer
+	putU64s(&met2,
+		uint64(n), uint64(g.numEdges), uint64(len(g.labels)), uint64(len(g.attrTable)),
+		uint64(g.maxOutDeg), uint64(g.maxInDeg),
+		uint64(g.mem.ColumnBytes), uint64(g.mem.IndexBytes), uint64(g.mem.Indexes),
+		uint64(len(bucketLabels)), uint64(len(e.strs)), blobLen,
+		uint64(g.runStride), uint64(spilLen), uint64(dom2Len))
+
+	return [][]byte{
+		padded(met2.Bytes()), padded(spil.Bytes()), padded(stro.Bytes()), padded(strb.Bytes()),
+		padded(nlbl.Bytes()), padded(ooff), padded(oedg), padded(ioff), padded(iedg),
+		padded(blbl.Bytes()), padded(boff.Bytes()), padded(bmem.Bytes()),
+		padded(chdr.Bytes()), padded(pres.Bytes()), padded(nums.Bytes()),
+		padded(boolb.Bytes()), padded(sref.Bytes()),
+		padded(ikey.Bytes()), padded(iprm.Bytes()),
+		padded(lpos.Bytes()), padded(sigo.Bytes()), padded(sigi.Bytes()),
+		padded(orun.Bytes()), padded(irun.Bytes()), padded(dom2.Bytes()),
+	}
 }
 
-func (e *snapEncoder) encodeStringTable() []byte {
-	var buf bytes.Buffer
-	putUvarint(&buf, uint64(len(e.strs)))
-	for _, s := range e.strs {
-		putUvarint(&buf, uint64(len(s)))
-		buf.WriteString(s)
-	}
-	return buf.Bytes()
-}
+// ---------------------------------------------------------------------------
+// Loader
 
 // ReadSnapshot reconstructs a frozen graph from the snapshot format. Every
 // structural claim the file makes is validated before it drives an
@@ -367,14 +444,25 @@ func ReadSnapshot(r io.Reader) (*Graph, error) {
 
 // ReadSnapshotFile is ReadSnapshot for a local file: it stats the file and
 // reads it in one pre-sized allocation instead of growing a buffer through
-// an io.Reader copy, then decodes from that buffer. Both snapshot versions
-// are accepted.
+// an io.Reader copy, then decodes from that buffer.
 func ReadSnapshotFile(path string) (*Graph, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("graph: reading snapshot %s: %w", path, err)
 	}
 	return readSnapshotBytes(data)
+}
+
+func readSnapshotBytes(data []byte) (*Graph, error) {
+	// The loader serves fixed-width sections as views over the buffer,
+	// which requires 8-byte base alignment; heap buffers are realigned by
+	// copy in the (rare) case the allocator misaligned one.
+	data = alignSnapshotBuffer(data)
+	sections, err := parseSnapSections(data)
+	if err != nil {
+		return nil, err
+	}
+	return decodeSnapshot(data, sections, nil, true)
 }
 
 // snapSection is one decoded section-table entry plus its payload.
@@ -384,25 +472,24 @@ type snapSection struct {
 	crc     uint32
 }
 
-// snapVersionOf validates the magic and returns the header's version.
-func snapVersionOf(data []byte) (uint32, error) {
+// parseSnapSections validates the framing — magic, the version gate (any
+// version other than SnapshotVersion is an error wrapping
+// ErrSnapshotVersion), section table against the canonical order,
+// contiguous offsets, no truncation, no trailing bytes — and returns the
+// sections keyed by tag. Payloads alias data.
+func parseSnapSections(data []byte) (map[string]*snapSection, error) {
 	if len(data) < snapHeaderBase {
-		return 0, fmt.Errorf("graph: snapshot too short (%d bytes)", len(data))
+		return nil, fmt.Errorf("graph: snapshot too short (%d bytes)", len(data))
 	}
 	if string(data[:8]) != snapMagic {
-		return 0, fmt.Errorf("graph: bad snapshot magic %q", data[:8])
+		return nil, fmt.Errorf("graph: bad snapshot magic %q", data[:8])
 	}
-	return binary.LittleEndian.Uint32(data[8:12]), nil
-}
-
-// parseSnapSections validates the framing — section table against the
-// version's canonical order, contiguous offsets, no truncation, no
-// trailing bytes — and returns the sections keyed by tag. Payloads alias
-// data.
-func parseSnapSections(data []byte, order []string) (map[string]*snapSection, error) {
+	if version := binary.LittleEndian.Uint32(data[8:12]); version != SnapshotVersion {
+		return nil, fmt.Errorf("graph: %w: file is version %d, this build reads version %d", ErrSnapshotVersion, version, SnapshotVersion)
+	}
 	count := binary.LittleEndian.Uint32(data[12:16])
-	if int(count) != len(order) {
-		return nil, fmt.Errorf("graph: snapshot has %d sections, this version defines %d", count, len(order))
+	if int(count) != len(snapSectionOrder) {
+		return nil, fmt.Errorf("graph: snapshot has %d sections, this version defines %d", count, len(snapSectionOrder))
 	}
 	tableEnd := snapHeaderBase + snapTableEntry*int(count)
 	if len(data) < tableEnd {
@@ -416,8 +503,8 @@ func parseSnapSections(data []byte, order []string) (map[string]*snapSection, er
 		offset := binary.LittleEndian.Uint64(ent[4:12])
 		length := binary.LittleEndian.Uint64(ent[12:20])
 		crc := binary.LittleEndian.Uint32(ent[20:24])
-		if tag != order[i] {
-			return nil, fmt.Errorf("graph: snapshot section %d is %q, want %q (unknown or out of order)", i, tag, order[i])
+		if tag != snapSectionOrder[i] {
+			return nil, fmt.Errorf("graph: snapshot section %d is %q, want %q (unknown or out of order)", i, tag, snapSectionOrder[i])
 		}
 		if offset != running {
 			return nil, fmt.Errorf("graph: snapshot section %s at offset %d, want %d (sections must be contiguous)", tag, offset, running)
@@ -434,194 +521,204 @@ func parseSnapSections(data []byte, order []string) (map[string]*snapSection, er
 	return sections, nil
 }
 
-func readSnapshotBytes(data []byte) (*Graph, error) {
-	version, err := snapVersionOf(data)
-	if err != nil {
-		return nil, err
-	}
-	switch version {
-	case snapVersionV1:
-		sections, err := parseSnapSections(data, snapSectionOrder)
-		if err != nil {
-			return nil, err
-		}
-		dec := &snapDecoder{sections: sections}
-		return dec.decode()
-	case SnapshotVersion:
-		// The v2 loader serves fixed-width sections as views over the
-		// buffer, which requires 8-byte base alignment; heap buffers are
-		// realigned by copy in the (rare) case the allocator misaligned one.
-		data = alignSnapshotBuffer(data)
-		sections, err := parseSnapSections(data, snapSectionOrderV2)
-		if err != nil {
-			return nil, err
-		}
-		return decodeSnapshotV2(data, sections, nil, true)
-	default:
-		return nil, fmt.Errorf("graph: unsupported snapshot version %d (this build reads versions %d and %d)", version, snapVersionV1, SnapshotVersion)
-	}
+// snapMeta is the decoded MET2 section.
+type snapMeta struct {
+	nodes, edges, labels, attrs int
+	maxOutDeg, maxInDeg         int
+	mem                         MemoryStats
+	buckets                     int
+	strCount                    int
+	strBlobLen                  int
+	runStride                   int
+	spilLen, dom2Len            int
 }
 
-// snapDecoder decodes the canonical sections in dependency order. The
-// cursor always points into the current section's payload; all reads are
-// bounds-checked against it.
-type snapDecoder struct {
-	sections map[string]*snapSection
-	tag      string
-	buf      []byte
-	pos      int
-
-	strs []string
+// varCursor is a bounds-checked cursor over one varint section.
+type varCursor struct {
+	sec string
+	buf []byte
+	pos int
 }
 
-// enter switches to a section after verifying its checksum.
-func (d *snapDecoder) enter(tag string) error {
-	s := d.sections[tag]
-	if got := crc32.ChecksumIEEE(s.payload); got != s.crc {
-		return fmt.Errorf("graph: snapshot section %s: CRC mismatch (file has %08x, payload sums to %08x)", tag, s.crc, got)
-	}
-	d.tag, d.buf, d.pos = tag, s.payload, 0
-	return nil
+func (c *varCursor) errf(format string, args ...any) error {
+	return fmt.Errorf("graph: snapshot section %s: %s", c.sec, fmt.Sprintf(format, args...))
 }
 
-// leave asserts the section was consumed exactly.
-func (d *snapDecoder) leave() error {
-	if d.pos != len(d.buf) {
-		return d.errf("%d undecoded trailing bytes", len(d.buf)-d.pos)
-	}
-	return nil
-}
+func (c *varCursor) remaining() int { return len(c.buf) - c.pos }
 
-func (d *snapDecoder) errf(format string, args ...any) error {
-	return fmt.Errorf("graph: snapshot section %s: %s", d.tag, fmt.Sprintf(format, args...))
-}
-
-func (d *snapDecoder) remaining() int { return len(d.buf) - d.pos }
-
-func (d *snapDecoder) uvarint() (uint64, error) {
-	x, n := binary.Uvarint(d.buf[d.pos:])
+func (c *varCursor) uvarint() (uint64, error) {
+	x, n := binary.Uvarint(c.buf[c.pos:])
 	if n <= 0 {
-		return 0, d.errf("bad uvarint at byte %d", d.pos)
+		return 0, c.errf("bad uvarint at byte %d", c.pos)
 	}
-	d.pos += n
+	c.pos += n
 	return x, nil
 }
 
-// count reads a length-prefix and validates it against the bytes that
-// must back it (minSize per element), so a forged count can never force
-// an allocation larger than a small multiple of the input itself.
-func (d *snapDecoder) count(what string, minSize int) (int, error) {
-	x, err := d.uvarint()
-	if err != nil {
-		return 0, err
+func (c *varCursor) bytes(n int) ([]byte, error) {
+	if c.remaining() < n {
+		return nil, c.errf("truncated %d-byte field at byte %d", n, c.pos)
 	}
-	if x > uint64(d.remaining()/minSize) {
-		return 0, d.errf("%s count %d exceeds the %d bytes left in the section", what, x, d.remaining())
-	}
-	return int(x), nil
+	b := c.buf[c.pos : c.pos+n]
+	c.pos += n
+	return b, nil
 }
 
-func (d *snapDecoder) u64() (uint64, error) {
-	if d.remaining() < 8 {
-		return 0, d.errf("truncated 8-byte word at byte %d", d.pos)
-	}
-	x := binary.LittleEndian.Uint64(d.buf[d.pos:])
-	d.pos += 8
-	return x, nil
-}
-
-func (d *snapDecoder) words(n int) ([]uint64, error) {
-	if d.remaining() < 8*n {
-		return nil, d.errf("truncated %d-word bitmap at byte %d", n, d.pos)
-	}
-	ws := make([]uint64, n)
-	for i := range ws {
-		ws[i] = binary.LittleEndian.Uint64(d.buf[d.pos+8*i:])
-	}
-	d.pos += 8 * n
-	return ws, nil
-}
-
-func (d *snapDecoder) stringRef() (string, error) {
-	x, err := d.uvarint()
+// inlineString reads a uvarint-length-prefixed string, copying onto the
+// heap (spill strings never alias the backing buffer).
+func (c *varCursor) inlineString() (string, error) {
+	l, err := c.uvarint()
 	if err != nil {
 		return "", err
 	}
-	if x >= uint64(len(d.strs)) {
-		return "", d.errf("string ref %d out of range [0,%d)", x, len(d.strs))
+	if l > uint64(c.remaining()) {
+		return "", c.errf("string length %d exceeds the %d bytes left", l, c.remaining())
 	}
-	return d.strs[x], nil
+	b, _ := c.bytes(int(l))
+	return string(b), nil
 }
 
-func (d *snapDecoder) value() (Value, error) {
-	if d.remaining() < 1 {
-		return Null, d.errf("truncated value at byte %d", d.pos)
+// valueInline decodes one putValueInline-encoded Value.
+func (c *varCursor) valueInline() (Value, error) {
+	b, err := c.bytes(1)
+	if err != nil {
+		return Null, err
 	}
-	kind := Kind(d.buf[d.pos])
-	d.pos++
-	switch kind {
+	switch Kind(b[0]) {
 	case KindNull:
 		return Null, nil
 	case KindBool:
-		if d.remaining() < 1 {
-			return Null, d.errf("truncated bool value at byte %d", d.pos)
-		}
-		b := d.buf[d.pos]
-		d.pos++
-		if b > 1 {
-			return Null, d.errf("bool value byte %d is %d, want 0 or 1", d.pos-1, b)
-		}
-		return Bool(b == 1), nil
-	case KindNumber:
-		bits, err := d.u64()
+		vb, err := c.bytes(1)
 		if err != nil {
 			return Null, err
 		}
-		return Num(math.Float64frombits(bits)), nil
+		if vb[0] > 1 {
+			return Null, c.errf("bool value byte is %d, want 0 or 1", vb[0])
+		}
+		return Bool(vb[0] == 1), nil
+	case KindNumber:
+		vb, err := c.bytes(8)
+		if err != nil {
+			return Null, err
+		}
+		return Num(math.Float64frombits(binary.LittleEndian.Uint64(vb))), nil
 	case KindString:
-		s, err := d.stringRef()
+		s, err := c.inlineString()
 		if err != nil {
 			return Null, err
 		}
 		return Str(s), nil
 	default:
-		return Null, d.errf("unknown value kind %d", kind)
+		return Null, c.errf("unknown value kind %d", b[0])
 	}
 }
 
-// meta carries the META section's counts through the decode.
-type snapMeta struct {
-	nodes, edges, labels, attrs int
-	maxOutDeg, maxInDeg         int
-	mem                         MemoryStats
+func secErr(tag, format string, args ...any) error {
+	return fmt.Errorf("graph: snapshot section %s: %s", tag, fmt.Sprintf(format, args...))
 }
 
-func (d *snapDecoder) decode() (*Graph, error) {
-	// STRS first — every later section references it.
-	if err := d.enter("STRS"); err != nil {
-		return nil, err
+func decodeMeta(payload []byte) (*snapMeta, error) {
+	if len(payload) != snapMetaFields*8 {
+		return nil, secErr("MET2", "length %d, want %d", len(payload), snapMetaFields*8)
 	}
-	nstr, err := d.count("string", 1)
+	f := make([]uint64, snapMetaFields)
+	for i := range f {
+		f[i] = binary.LittleEndian.Uint64(payload[8*i:])
+	}
+	const maxID = math.MaxInt32
+	for i, x := range f[:4] {
+		if x > maxID {
+			return nil, secErr("MET2", "count %d is %d, beyond the int32 id space", i, x)
+		}
+	}
+	m := &snapMeta{
+		nodes: int(f[0]), edges: int(f[1]), labels: int(f[2]), attrs: int(f[3]),
+		maxOutDeg: int(f[4]), maxInDeg: int(f[5]),
+		mem: MemoryStats{ColumnBytes: int64(f[6]), IndexBytes: int64(f[7]), Indexes: int(f[8])},
+	}
+	if f[8] > maxID || f[9] > uint64(m.labels) || f[10] > maxID {
+		return nil, secErr("MET2", "bucket/index/string counts out of range")
+	}
+	m.buckets, m.strCount = int(f[9]), int(f[10])
+	if f[11] > uint64(math.MaxInt64/2) || f[13] > uint64(math.MaxInt64/2) || f[14] > uint64(math.MaxInt64/2) {
+		return nil, secErr("MET2", "section lengths out of range")
+	}
+	m.strBlobLen, m.spilLen, m.dom2Len = int(f[11]), int(f[13]), int(f[14])
+	if f[12] != 0 {
+		if f[12] != uint64(m.labels)+1 {
+			return nil, secErr("MET2", "run stride %d, want 0 or %d", f[12], m.labels+1)
+		}
+		if uint64(m.nodes)*f[12] > maxRunTableEntries {
+			return nil, secErr("MET2", "run tables would hold %d entries, cap is %d", uint64(m.nodes)*f[12], maxRunTableEntries)
+		}
+		m.runStride = int(f[12])
+	}
+	if m.maxOutDeg > m.edges || m.maxInDeg > m.edges {
+		return nil, secErr("MET2", "max degree exceeds edge count")
+	}
+	return m, nil
+}
+
+// decodeSnapshot builds a frozen graph over the parsed sections.
+// Fixed-width sections become typed views aliasing the buffer (zero-copy
+// on little-endian hosts); dictionaries and mixed columns are decoded from
+// SPIL; strings and domains stay lazy. backing, when non-nil, is attached
+// as the graph's ref-counted store (the mapped path); nil means the buffer
+// is a plain heap allocation kept alive by the views themselves.
+func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snapBacking, verifyCRC bool) (*Graph, error) {
+	if verifyCRC {
+		for _, tag := range snapSectionOrder {
+			s := sections[tag]
+			if got := crc32.ChecksumIEEE(s.payload); got != s.crc {
+				return nil, secErr(tag, "CRC mismatch (file has %08x, payload sums to %08x)", s.crc, got)
+			}
+		}
+	}
+	meta, err := decodeMeta(sections["MET2"].payload)
 	if err != nil {
 		return nil, err
 	}
-	d.strs = make([]string, nstr)
-	for i := range d.strs {
-		l, err := d.count("string byte", 1)
-		if err != nil {
+	n, words := meta.nodes, (meta.nodes+63)/64
+
+	// Every fixed-width section's length is implied by MET2 (+ CHDR for
+	// the per-kind payload sections, + the buckets for IPRM); check the
+	// implied ones now so all view slicing below is in bounds.
+	wantLen := func(tag string, logical int) error {
+		if have := len(sections[tag].payload); have != pad8(logical) {
+			return secErr(tag, "length %d, want %d (%d padded)", have, pad8(logical), logical)
+		}
+		return nil
+	}
+	for _, c := range []struct {
+		tag     string
+		logical int
+	}{
+		{"SPIL", meta.spilLen},
+		{"STRO", 8 * (meta.strCount + 1)},
+		{"STRB", meta.strBlobLen},
+		{"NLBL", 4 * n},
+		{"OOFF", 8 * (n + 1)},
+		{"OEDG", 8 * meta.edges},
+		{"IOFF", 8 * (n + 1)},
+		{"IEDG", 8 * meta.edges},
+		{"BLBL", 4 * meta.buckets},
+		{"BOFF", 8 * (meta.buckets + 1)},
+		{"BMEM", 4 * n},
+		{"CHDR", 8 * meta.attrs},
+		{"PRES", 8 * words * meta.attrs},
+		{"IKEY", 8 * meta.mem.Indexes},
+		{"LPOS", 8 * n},
+		{"SIGO", 8 * n},
+		{"SIGI", 8 * n},
+		{"ORUN", 4 * n * meta.runStride},
+		{"IRUN", 4 * n * meta.runStride},
+		{"DOM2", meta.dom2Len},
+	} {
+		if err := wantLen(c.tag, c.logical); err != nil {
 			return nil, err
 		}
-		d.strs[i] = string(d.buf[d.pos : d.pos+l])
-		d.pos += l
-	}
-	if err := d.leave(); err != nil {
-		return nil, err
 	}
 
-	meta, err := d.decodeMeta()
-	if err != nil {
-		return nil, err
-	}
 	g := &Graph{
 		numEdges:  meta.edges,
 		maxOutDeg: meta.maxOutDeg,
@@ -631,442 +728,717 @@ func (d *snapDecoder) decode() (*Graph, error) {
 		lineage:   nextLineage(),
 		frozen:    true,
 	}
-	if g.labels, g.labelIDs, err = d.decodeDict("LBLS", meta.labels); err != nil {
-		return nil, err
-	}
-	attrIDs := make(map[string]AttrID, meta.attrs)
-	{
-		names, ids, err := d.decodeDict("ATTR", meta.attrs)
-		if err != nil {
-			return nil, err
-		}
-		g.attrTable = names
-		for s, l := range ids {
-			attrIDs[s] = AttrID(l)
-		}
-	}
-	g.attrIDs = attrIDs
-	if err := d.decodeNodes(g, meta); err != nil {
-		return nil, err
-	}
-	if g.out, err = d.decodeAdjacency("OUTE", meta, meta.maxOutDeg); err != nil {
-		return nil, err
-	}
-	if g.in, err = d.decodeAdjacency("INED", meta, meta.maxInDeg); err != nil {
-		return nil, err
-	}
-	if err := d.decodeColumns(g, meta); err != nil {
-		return nil, err
-	}
-	if err := d.decodeDomains(g, meta); err != nil {
-		return nil, err
-	}
-	if err := d.decodeByLabel(g, meta); err != nil {
-		return nil, err
-	}
-	if err := d.decodeIndexes(g, meta); err != nil {
-		return nil, err
-	}
-	g.attrNames = make([]string, len(g.attrTable))
-	copy(g.attrNames, g.attrTable)
-	sort.Strings(g.attrNames)
-	// The label-position and neighborhood-signature tables are derived, not
-	// serialized: rebuilding them from the restored adjacency keeps the
-	// snapshot format stable and costs one linear pass.
-	g.buildDerived()
-	return g, nil
-}
 
-func (d *snapDecoder) decodeMeta() (*snapMeta, error) {
-	if err := d.enter("META"); err != nil {
-		return nil, err
-	}
-	var fields [9]uint64
-	for i := range fields {
-		x, err := d.uvarint()
-		if err != nil {
-			return nil, err
+	// SPIL: dictionaries (always materialized — the API needs the maps).
+	spil := &varCursor{sec: "SPIL", buf: sections["SPIL"].payload[:meta.spilLen]}
+	decodeDict := func(count int, what string) ([]string, error) {
+		var names []string
+		if count > 0 {
+			if count > spil.remaining() {
+				return nil, spil.errf("%s count %d exceeds the %d bytes left", what, count, spil.remaining())
+			}
+			names = make([]string, count)
 		}
-		fields[i] = x
-	}
-	if err := d.leave(); err != nil {
-		return nil, err
-	}
-	const maxID = math.MaxInt32 // NodeID/LabelID/AttrID are int32
-	for i, x := range fields[:4] {
-		if x > maxID {
-			return nil, fmt.Errorf("graph: snapshot section META: count %d is %d, beyond the int32 id space", i, x)
-		}
-	}
-	m := &snapMeta{
-		nodes: int(fields[0]), edges: int(fields[1]),
-		labels: int(fields[2]), attrs: int(fields[3]),
-		maxOutDeg: int(fields[4]), maxInDeg: int(fields[5]),
-		mem: MemoryStats{
-			ColumnBytes: int64(fields[6]),
-			IndexBytes:  int64(fields[7]),
-			Indexes:     int(fields[8]),
-		},
-	}
-	// Cross-check declared counts against the sections that must carry
-	// them (one byte minimum per element) before anything is allocated.
-	words := uint64((m.nodes + 63) / 64)
-	checks := []struct {
-		tag  string
-		need uint64
-	}{
-		{"LBLS", uint64(m.labels)},
-		{"ATTR", uint64(m.attrs)},
-		{"NODE", uint64(m.nodes)},
-		{"OUTE", uint64(m.nodes) + 2*uint64(m.edges)},
-		{"INED", uint64(m.nodes) + 2*uint64(m.edges)},
-		// Every column carries at least a kind byte, a count byte and a
-		// full presence bitmap, every domain at least a length byte —
-		// so declared attribute and node counts are backed by real bytes
-		// and decode allocations stay proportional to the input size.
-		{"COLS", uint64(m.attrs) * (2 + 8*words)},
-		{"DOMS", uint64(m.attrs)},
-	}
-	for _, c := range checks {
-		if have := uint64(len(d.sections[c.tag].payload)); c.need > have {
-			return nil, fmt.Errorf("graph: snapshot section META: declared sizes need >= %d bytes in %s, section has %d", c.need, c.tag, have)
-		}
-	}
-	return m, nil
-}
-
-// decodeDict reads n string refs and rebuilds the string -> id map,
-// rejecting duplicate entries (the dictionaries are injective by
-// construction).
-func (d *snapDecoder) decodeDict(tag string, n int) ([]string, map[string]LabelID, error) {
-	if err := d.enter(tag); err != nil {
-		return nil, nil, err
-	}
-	// nil (not empty) when n == 0, matching the builder's zero state.
-	var names []string
-	if n > 0 {
-		names = make([]string, n)
-	}
-	ids := make(map[string]LabelID, n)
-	for i := range names {
-		s, err := d.stringRef()
-		if err != nil {
-			return nil, nil, err
-		}
-		if _, dup := ids[s]; dup {
-			return nil, nil, d.errf("duplicate dictionary entry %q", s)
-		}
-		names[i] = s
-		ids[s] = LabelID(i)
-	}
-	if err := d.leave(); err != nil {
-		return nil, nil, err
-	}
-	return names, ids, nil
-}
-
-func (d *snapDecoder) decodeNodes(g *Graph, meta *snapMeta) error {
-	if err := d.enter("NODE"); err != nil {
-		return err
-	}
-	if meta.nodes > 0 {
-		g.nodeLabels = make([]LabelID, meta.nodes)
-	}
-	for i := range g.nodeLabels {
-		l, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if l >= uint64(meta.labels) {
-			return d.errf("node %d label %d out of range [0,%d)", i, l, meta.labels)
-		}
-		g.nodeLabels[i] = LabelID(l)
-	}
-	return d.leave()
-}
-
-// decodeAdjacency reads one direction's edge lists, enforcing the frozen
-// (label, endpoint) sort order, the declared edge total and the declared
-// maximum degree.
-func (d *snapDecoder) decodeAdjacency(tag string, meta *snapMeta, wantMaxDeg int) ([][]Edge, error) {
-	if err := d.enter(tag); err != nil {
-		return nil, err
-	}
-	var adj [][]Edge
-	if meta.nodes > 0 {
-		adj = make([][]Edge, meta.nodes)
-	}
-	total, maxDeg := 0, 0
-	for i := range adj {
-		deg, err := d.count("edge", 2)
-		if err != nil {
-			return nil, err
-		}
-		if deg == 0 {
-			continue
-		}
-		es := make([]Edge, deg)
-		for j := range es {
-			to, err := d.uvarint()
+		for i := range names {
+			s, err := spil.inlineString()
 			if err != nil {
 				return nil, err
 			}
-			lb, err := d.uvarint()
-			if err != nil {
-				return nil, err
+			names[i] = s
+		}
+		return names, nil
+	}
+	if g.labels, err = decodeDict(meta.labels, "label"); err != nil {
+		return nil, err
+	}
+	g.labelIDs = make(map[string]LabelID, meta.labels)
+	for i, s := range g.labels {
+		if _, dup := g.labelIDs[s]; dup {
+			return nil, spil.errf("duplicate label dictionary entry %q", s)
+		}
+		g.labelIDs[s] = LabelID(i)
+	}
+	if g.attrTable, err = decodeDict(meta.attrs, "attribute"); err != nil {
+		return nil, err
+	}
+	g.attrIDs = make(map[string]AttrID, meta.attrs)
+	for i, s := range g.attrTable {
+		if _, dup := g.attrIDs[s]; dup {
+			return nil, spil.errf("duplicate attribute dictionary entry %q", s)
+		}
+		g.attrIDs[s] = AttrID(i)
+	}
+
+	// String table views; validated here, materialized lazily.
+	offs := viewU64(sections["STRO"].payload[:8*(meta.strCount+1)])
+	if offs[0] != 0 {
+		return nil, secErr("STRO", "first offset %d, want 0", offs[0])
+	}
+	for i := 1; i < len(offs); i++ {
+		if offs[i] < offs[i-1] {
+			return nil, secErr("STRO", "offsets not monotonic at entry %d", i)
+		}
+	}
+	if offs[len(offs)-1] != uint64(meta.strBlobLen) {
+		return nil, secErr("STRO", "final offset %d, blob has %d bytes", offs[len(offs)-1], meta.strBlobLen)
+	}
+	g.strTab = &strTable{offs: offs, blob: sections["STRB"].payload[:meta.strBlobLen]}
+
+	// Node labels (range-checked in the parallel phase below).
+	g.nodeLabels = viewLabelIDs(sections["NLBL"].payload[:4*n])
+
+	// Adjacency: CSR views + per-node slice headers, validated against the
+	// frozen sort order, the declared degrees, the signature tables and —
+	// when a run table is present — the run starts, all in a single pass.
+	// The run table partitions each node's edge list into one contiguous
+	// run per label, so "boundaries go 0 → degree monotonically and every
+	// edge inside run l carries label l with non-decreasing endpoints" is
+	// exactly the frozen sort + run-start + signature invariant, checked with
+	// one comparison per edge instead of a second full replay.
+	sigOut := viewU64(sections["SIGO"].payload[:8*n])
+	sigIn := viewU64(sections["SIGI"].payload[:8*n])
+	g.sigOut, g.sigIn = sigOut, sigIn
+	decodeAdj := func(offTag, edgeTag, sigTag, runTag string, sigs []uint64, starts []int32, wantMaxDeg int) ([][]Edge, error) {
+		csr := viewU64(sections[offTag].payload[:8*(n+1)])
+		edges := viewEdges(sections[edgeTag].payload[:8*meta.edges])
+		// On little-endian hosts each Edge{To, Label} is the u64
+		// Label<<32|To, so inside a label-l run "label == l, endpoint in
+		// [0,n), endpoints non-decreasing" collapses to two unsigned u64
+		// compares per edge against the raw section words.
+		var eu []uint64
+		if hostLittleEndian {
+			eu = viewU64(sections[edgeTag].payload[:8*meta.edges])
+		}
+		if csr[0] != 0 {
+			return nil, secErr(offTag, "first offset %d, want 0", csr[0])
+		}
+		if csr[n] != uint64(meta.edges) {
+			return nil, secErr(offTag, "edge lists sum to %d, MET2 declares %d", csr[n], meta.edges)
+		}
+		var adj [][]Edge
+		if n > 0 {
+			adj = make([][]Edge, n)
+		}
+		maxDeg := 0
+		stride := meta.runStride
+		for v := 0; v < n; v++ {
+			lo, hi := csr[v], csr[v+1]
+			if lo > hi {
+				return nil, secErr(offTag, "offsets not monotonic at node %d", v)
 			}
-			if to >= uint64(meta.nodes) {
-				return nil, d.errf("node %d edge %d endpoint %d out of range [0,%d)", i, j, to, meta.nodes)
-			}
-			if lb >= uint64(meta.labels) {
-				return nil, d.errf("node %d edge %d label %d out of range [0,%d)", i, j, lb, meta.labels)
-			}
-			es[j] = Edge{To: NodeID(to), Label: LabelID(lb)}
-			if j > 0 {
-				prev := es[j-1]
-				if prev.Label > es[j].Label || (prev.Label == es[j].Label && prev.To > es[j].To) {
-					return nil, d.errf("node %d edges not sorted by (label, endpoint) at position %d", i, j)
+			es := edges[lo:hi]
+			sig := uint64(0)
+			if starts != nil {
+				seg := starts[v*stride : v*stride+stride]
+				if seg[0] != 0 {
+					return nil, secErr(runTag, "node %d label 0 run starts at %d, want 0", v, seg[0])
+				}
+				if seg[stride-1] != int32(len(es)) {
+					return nil, secErr(runTag, "node %d terminating boundary %d, degree is %d", v, seg[stride-1], len(es))
+				}
+				s := int32(0)
+				for l := 1; l < stride; l++ {
+					e := seg[l]
+					if e < s {
+						return nil, secErr(runTag, "node %d label %d run boundaries inverted (%d > %d)", v, l-1, s, e)
+					}
+					if e == s {
+						continue
+					}
+					sig |= 1 << (uint(l-1) & 63)
+					// Hot loop: one fused branch per edge; the precise
+					// diagnosis happens on the (cold) failure path.
+					if eu != nil {
+						base64 := uint64(uint32(l-1)) << 32
+						prev := base64
+						un := uint64(n)
+						for k, x := range eu[lo+uint64(s) : lo+uint64(e)] {
+							if x-base64 >= un || x < prev {
+								return nil, badRunEdge(edgeTag, v, l-1, int(s)+k, es[int(s)+k], n)
+							}
+							prev = x
+						}
+					} else {
+						prevTo := NodeID(-1)
+						for j, ed := range es[s:e] {
+							if int(ed.Label) != l-1 || uint32(ed.To) >= uint32(n) || ed.To < prevTo {
+								return nil, badRunEdge(edgeTag, v, l-1, int(s)+j, ed, n)
+							}
+							prevTo = ed.To
+						}
+					}
+					s = e
+				}
+			} else {
+				for j, ed := range es {
+					if uint32(ed.To) >= uint32(n) {
+						return nil, secErr(edgeTag, "node %d edge %d endpoint %d out of range [0,%d)", v, j, ed.To, n)
+					}
+					if uint32(ed.Label) >= uint32(meta.labels) {
+						return nil, secErr(edgeTag, "node %d edge %d label %d out of range [0,%d)", v, j, ed.Label, meta.labels)
+					}
+					if j > 0 {
+						prev := es[j-1]
+						if prev.Label > ed.Label || (prev.Label == ed.Label && prev.To > ed.To) {
+							return nil, secErr(edgeTag, "node %d edges not sorted by (label, endpoint) at position %d", v, j)
+						}
+					}
+					sig |= LabelSigBit(ed.Label)
 				}
 			}
+			if sig != sigs[v] {
+				return nil, secErr(sigTag, "node %d signature %016x, edges imply %016x", v, sigs[v], sig)
+			}
+			if len(es) > 0 {
+				adj[v] = es
+			}
+			if len(es) > maxDeg {
+				maxDeg = len(es)
+			}
 		}
-		adj[i] = es
-		total += deg
-		if deg > maxDeg {
-			maxDeg = deg
+		if maxDeg != wantMaxDeg {
+			return nil, secErr(offTag, "maximum degree %d, MET2 declares %d", maxDeg, wantMaxDeg)
 		}
+		return adj, nil
 	}
-	if total != meta.edges {
-		return nil, d.errf("edge lists sum to %d, META declares %d", total, meta.edges)
+	// Bucket, position and run-table views; contents are validated in the
+	// parallel phase.
+	lpos := viewU64(sections["LPOS"].payload[:8*n])
+	g.labelPos = lpos
+	bucketLabels := viewLabelIDs(sections["BLBL"].payload[:4*meta.buckets])
+	boff := viewU64(sections["BOFF"].payload[:8*(meta.buckets+1)])
+	bmem := viewNodeIDs(sections["BMEM"].payload[:4*n])
+	if meta.runStride > 0 {
+		g.runStride = meta.runStride
+		g.outRunStart = viewI32(sections["ORUN"].payload[:4*n*meta.runStride])
+		g.inRunStart = viewI32(sections["IRUN"].payload[:4*n*meta.runStride])
 	}
-	if maxDeg != wantMaxDeg {
-		return nil, d.errf("maximum degree %d, META declares %d", maxDeg, wantMaxDeg)
-	}
-	return adj, d.leave()
-}
 
-func (d *snapDecoder) decodeColumns(g *Graph, meta *snapMeta) error {
-	if err := d.enter("COLS"); err != nil {
-		return err
-	}
-	n := meta.nodes
-	words := (n + 63) / 64
+	// Columns: headers, presence bitmaps and typed payload views are
+	// assigned here (the spill cursor is sequential, so mixed columns must
+	// decode in order); the O(n) per-column content checks run in the
+	// parallel phase.
+	chdr := sections["CHDR"].payload
+	presAll := sections["PRES"].payload
+	numsAll := sections["NUMS"].payload
+	boolAll := sections["BOOL"].payload
+	srefAll := sections["SREF"].payload
 	g.cols = make([]column, meta.attrs)
+	numOff, boolOff, srefOff := 0, 0, 0
 	for a := range g.cols {
 		c := &g.cols[a]
-		if d.remaining() < 1 {
-			return d.errf("attribute %d: truncated kind byte", a)
-		}
-		kind := Kind(d.buf[d.pos])
-		d.pos++
+		kind := Kind(binary.LittleEndian.Uint32(chdr[8*a:]))
+		cnt := binary.LittleEndian.Uint32(chdr[8*a+4:])
 		if kind > KindString {
-			return d.errf("attribute %d: unknown column kind %d", a, kind)
+			return nil, secErr("CHDR", "attribute %d: unknown column kind %d", a, kind)
 		}
-		cnt, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if cnt > uint64(n) {
-			return d.errf("attribute %d: count %d exceeds %d nodes", a, cnt, n)
+		if cnt > uint32(n) {
+			return nil, secErr("CHDR", "attribute %d: count %d exceeds %d nodes", a, cnt, n)
 		}
 		c.kind, c.count = kind, int(cnt)
-		if c.present, err = d.words(words); err != nil {
-			return err
-		}
-		pop := 0
-		for _, w := range c.present {
-			pop += bits.OnesCount64(w)
-		}
-		if n%64 != 0 && words > 0 && c.present[words-1]>>(uint(n%64)) != 0 {
-			return d.errf("attribute %d: presence bitmap has bits beyond node %d", a, n-1)
-		}
-		if pop != c.count {
-			return d.errf("attribute %d: presence bitmap has %d bits, count says %d", a, pop, c.count)
-		}
+		c.present = viewU64(presAll[8*words*a : 8*words*(a+1)])
 		if c.count == 0 {
+			if kind != KindNull {
+				return nil, secErr("CHDR", "attribute %d: kind %d with zero count", a, kind)
+			}
 			continue
 		}
 		switch kind {
 		case KindNumber:
-			if d.remaining() < 8*c.count {
-				return d.errf("attribute %d: truncated float payload", a)
+			if len(numsAll) < numOff+8*n {
+				return nil, secErr("NUMS", "attribute %d: truncated float payload", a)
 			}
-			c.nums = make([]float64, n)
-			for i := 0; i < n; i++ {
-				if bitGet(c.present, i) {
-					c.nums[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.buf[d.pos:]))
-					d.pos += 8
-				}
-			}
-		case KindString:
-			c.strs = make([]string, n)
-			for i := 0; i < n; i++ {
-				if bitGet(c.present, i) {
-					if c.strs[i], err = d.stringRef(); err != nil {
-						return err
-					}
-				}
-			}
+			c.nums = viewF64(numsAll[numOff : numOff+8*n])
+			numOff += 8 * n
 		case KindBool:
-			if c.bools, err = d.words(words); err != nil {
-				return err
+			if len(boolAll) < boolOff+8*words {
+				return nil, secErr("BOOL", "attribute %d: truncated bool bitmap", a)
 			}
-			for w := range c.bools {
-				if c.bools[w]&^c.present[w] != 0 {
-					return d.errf("attribute %d: bool bitmap sets bits outside the presence bitmap", a)
-				}
+			c.bools = viewU64(boolAll[boolOff : boolOff+8*words])
+			boolOff += 8 * words
+		case KindString:
+			if len(srefAll) < srefOff+4*n {
+				return nil, secErr("SREF", "attribute %d: truncated ref payload", a)
 			}
-		default: // KindNull: mixed or all-null values
+			c.refs = viewU32(srefAll[srefOff : srefOff+4*n])
+			c.tab = g.strTab
+			srefOff += 4 * n
+		default: // KindNull with count > 0: mixed values from the spill
 			c.vals = make([]Value, n)
 			for i := 0; i < n; i++ {
 				if bitGet(c.present, i) {
-					if c.vals[i], err = d.value(); err != nil {
-						return err
+					if c.vals[i], err = spil.valueInline(); err != nil {
+						return nil, err
 					}
 				}
 			}
 		}
 	}
-	return d.leave()
-}
+	if spil.remaining() != 0 {
+		return nil, spil.errf("%d undecoded trailing bytes", spil.remaining())
+	}
+	if pad8(numOff) != len(numsAll) {
+		return nil, secErr("NUMS", "section holds %d bytes, columns need %d", len(numsAll), numOff)
+	}
+	if pad8(boolOff) != len(boolAll) {
+		return nil, secErr("BOOL", "section holds %d bytes, columns need %d", len(boolAll), boolOff)
+	}
+	if pad8(srefOff) != len(srefAll) {
+		return nil, secErr("SREF", "section holds %d bytes, columns need %d", len(srefAll), srefOff)
+	}
 
-func (d *snapDecoder) decodeDomains(g *Graph, meta *snapMeta) error {
-	if err := d.enter("DOMS"); err != nil {
-		return err
-	}
-	g.domains = make([][]Value, meta.attrs)
-	for a := range g.domains {
-		l, err := d.count("domain value", snapValueOverhead)
-		if err != nil {
-			return err
-		}
-		dom := make([]Value, l)
-		for i := range dom {
-			if dom[i], err = d.value(); err != nil {
-				return err
-			}
-			if i > 0 && dom[i-1].Compare(dom[i]) >= 0 {
-				return d.errf("attribute %d: active domain not sorted and distinct at position %d", a, i)
-			}
-		}
-		g.domains[a] = dom
-	}
-	return d.leave()
-}
+	ikey := viewI32(sections["IKEY"].payload[:8*meta.mem.Indexes])
+	iprm := viewNodeIDs(sections["IPRM"].payload)
 
-func (d *snapDecoder) decodeByLabel(g *Graph, meta *snapMeta) error {
-	if err := d.enter("BYLB"); err != nil {
-		return err
+	// Parallel validation phase. Every frozen-graph invariant is enforced,
+	// but the scans are independent of each other: each task only reads the
+	// immutable views assigned above and writes its own disjoint set of
+	// Graph fields, so the open costs the slowest task, not the sum. This
+	// is what keeps the mapped open fast without trusting the file.
+	var wg sync.WaitGroup
+	taskErrs := make([]error, 5)
+	task := func(slot int, f func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			taskErrs[slot] = f()
+		}()
 	}
-	nlabels, err := d.count("label bucket", 2)
-	if err != nil {
-		return err
-	}
-	g.byLabel = make(map[LabelID][]NodeID, nlabels)
-	covered := 0
-	for i := 0; i < nlabels; i++ {
-		lb, err := d.uvarint()
-		if err != nil {
-			return err
-		}
-		if lb >= uint64(meta.labels) {
-			return d.errf("bucket %d label %d out of range [0,%d)", i, lb, meta.labels)
-		}
-		if _, dup := g.byLabel[LabelID(lb)]; dup {
-			return d.errf("duplicate bucket for label %d", lb)
-		}
-		l, err := d.count("label member", 1)
-		if err != nil {
-			return err
-		}
-		if l == 0 {
-			return d.errf("bucket for label %d is empty", lb)
-		}
-		nodes := make([]NodeID, l)
-		for j := range nodes {
-			v, err := d.uvarint()
-			if err != nil {
-				return err
-			}
-			if v >= uint64(meta.nodes) {
-				return d.errf("label %d member %d out of range [0,%d)", lb, v, meta.nodes)
-			}
-			if g.nodeLabels[v] != LabelID(lb) {
-				return d.errf("node %d filed under label %d but carries label %d", v, lb, g.nodeLabels[v])
-			}
-			if j > 0 && nodes[j-1] >= NodeID(v) {
-				return d.errf("label %d members not strictly ascending at position %d", lb, j)
-			}
-			nodes[j] = NodeID(v)
-		}
-		g.byLabel[LabelID(lb)] = nodes
-		covered += l
-	}
-	if covered != meta.nodes {
-		return d.errf("buckets cover %d nodes, graph has %d", covered, meta.nodes)
-	}
-	return d.leave()
-}
 
-func (d *snapDecoder) decodeIndexes(g *Graph, meta *snapMeta) error {
-	if err := d.enter("IDXS"); err != nil {
+	// Out- and in-adjacency, each validated jointly with its run table.
+	task(0, func() error {
+		adj, err := decodeAdj("OOFF", "OEDG", "SIGO", "ORUN", sigOut, g.outRunStart, meta.maxOutDeg)
+		if err == nil {
+			g.out = adj
+		}
 		return err
-	}
-	nidx, err := d.count("index", 3)
-	if err != nil {
+	})
+	task(1, func() error {
+		adj, err := decodeAdj("IOFF", "IEDG", "SIGI", "IRUN", sigIn, g.inRunStart, meta.maxInDeg)
+		if err == nil {
+			g.in = adj
+		}
 		return err
-	}
-	if nidx != meta.mem.Indexes {
-		return d.errf("%d indexes, META declares %d", nidx, meta.mem.Indexes)
-	}
-	g.indexes = make(map[labelAttr][]NodeID, nidx)
-	for i := 0; i < nidx; i++ {
-		lb, err := d.uvarint()
-		if err != nil {
-			return err
+	})
+
+	// Label buckets + the packed label-position table (checked in one
+	// scan: lpos[v] must pack the bucket label with v's rank). This scan
+	// also subsumes the NLBL range check: the buckets cover exactly n
+	// members, each strictly ascending under a strictly ascending
+	// range-checked label, and nodeLabels[v] must equal that label — so
+	// every node appears in exactly one bucket and its label is in range.
+	task(2, func() error {
+		if boff[0] != 0 {
+			return secErr("BOFF", "first offset %d, want 0", boff[0])
 		}
-		at, err := d.uvarint()
-		if err != nil {
-			return err
+		if boff[meta.buckets] != uint64(n) {
+			return secErr("BOFF", "buckets cover %d nodes, graph has %d", boff[meta.buckets], n)
 		}
-		if lb >= uint64(meta.labels) || at >= uint64(meta.attrs) {
-			return d.errf("index %d key (%d, %d) out of range", i, lb, at)
-		}
-		key := labelAttr{LabelID(lb), AttrID(at)}
-		if _, dup := g.indexes[key]; dup {
-			return d.errf("duplicate index for (label %d, attr %d)", lb, at)
-		}
-		l, err := d.count("index entry", 1)
-		if err != nil {
-			return err
-		}
-		if l != len(g.byLabel[key.label]) {
-			return d.errf("index (%d, %d) has %d entries, label has %d nodes", lb, at, l, len(g.byLabel[key.label]))
-		}
-		perm := make([]NodeID, l)
-		c := &g.cols[at]
-		for j := range perm {
-			v, err := d.uvarint()
-			if err != nil {
-				return err
+		g.byLabel = make(map[LabelID][]NodeID, meta.buckets)
+		for i, l := range bucketLabels {
+			if uint32(l) >= uint32(meta.labels) {
+				return secErr("BLBL", "bucket %d label %d out of range [0,%d)", i, l, meta.labels)
 			}
-			if v >= uint64(meta.nodes) {
-				return d.errf("index (%d, %d) entry %d out of range [0,%d)", lb, at, v, meta.nodes)
+			if i > 0 && bucketLabels[i-1] >= l {
+				return secErr("BLBL", "bucket labels not strictly ascending at entry %d", i)
 			}
-			if g.nodeLabels[v] != key.label {
-				return d.errf("index (%d, %d) lists node %d of label %d", lb, at, v, g.nodeLabels[v])
+			lo, hi := boff[i], boff[i+1]
+			if lo >= hi || hi > uint64(n) {
+				return secErr("BOFF", "bucket for label %d has bad bounds [%d, %d)", l, lo, hi)
 			}
-			perm[j] = NodeID(v)
-			if j > 0 {
-				// The permutation must be sorted by value under the total
-				// order with ties broken by ascending NodeID — the
-				// invariant SortedIndex.Range binary-searches on.
-				cmp := c.value(perm[j-1]).Compare(c.value(perm[j]))
-				if cmp > 0 || (cmp == 0 && perm[j-1] >= perm[j]) {
-					return d.errf("index (%d, %d) not sorted at position %d", lb, at, j)
+			members := bmem[lo:hi]
+			for j, v := range members {
+				if uint32(v) >= uint32(n) {
+					return secErr("BMEM", "label %d member %d out of range [0,%d)", l, v, n)
+				}
+				if g.nodeLabels[v] != l {
+					return secErr("BMEM", "node %d filed under label %d but carries label %d", v, l, g.nodeLabels[v])
+				}
+				if j > 0 && members[j-1] >= v {
+					return secErr("BMEM", "label %d members not strictly ascending at position %d", l, j)
+				}
+				if lpos[v] != PackLabelPos(l, int32(j)) {
+					return secErr("LPOS", "node %d packs %016x, bucket scan implies %016x", v, lpos[v], PackLabelPos(l, int32(j)))
+				}
+			}
+			g.byLabel[l] = members
+		}
+		return nil
+	})
+
+	// Column contents: presence popcounts and the per-kind payload
+	// invariants (absent slots zero, bool ⊆ present, ref ⇔ present).
+	task(3, func() error {
+		for a := range g.cols {
+			c := &g.cols[a]
+			pop := 0
+			for _, w := range c.present {
+				pop += bits.OnesCount64(w)
+			}
+			if n%64 != 0 && words > 0 && c.present[words-1]>>(uint(n%64)) != 0 {
+				return secErr("PRES", "attribute %d: presence bitmap has bits beyond node %d", a, n-1)
+			}
+			if pop != c.count {
+				return secErr("PRES", "attribute %d: presence bitmap has %d bits, count says %d", a, pop, c.count)
+			}
+			switch {
+			case c.nums != nil:
+				// Word-at-a-time: only absent slots are inspected, so a
+				// dense column costs one popcounted word per 64 nodes.
+				for w, pw := range c.present {
+					absent := ^pw
+					if w == words-1 && n%64 != 0 {
+						absent &= 1<<uint(n%64) - 1
+					}
+					for absent != 0 {
+						i := w*64 + bits.TrailingZeros64(absent)
+						if math.Float64bits(c.nums[i]) != 0 {
+							return secErr("NUMS", "attribute %d: nonzero payload at absent node %d", a, i)
+						}
+						absent &= absent - 1
+					}
+				}
+			case c.bools != nil:
+				for w := range c.bools {
+					if c.bools[w]&^c.present[w] != 0 {
+						return secErr("BOOL", "attribute %d: bool bitmap sets bits outside the presence bitmap", a)
+					}
+				}
+			case c.refs != nil:
+				for i := 0; i < n; i++ {
+					r := c.refs[i]
+					if (r != 0) != bitGet(c.present, i) {
+						return secErr("SREF", "attribute %d: ref/presence mismatch at node %d", a, i)
+					}
+					if r > uint32(meta.strCount) {
+						return secErr("SREF", "attribute %d: node %d ref %d out of range [1,%d]", a, i, r, meta.strCount)
+					}
 				}
 			}
 		}
-		g.indexes[key] = perm
+		return nil
+	})
+
+	// Sorted indexes. Bucket extents come straight from the BOFF view, not
+	// g.byLabel (task 2 is building that concurrently); any file where the
+	// two could disagree fails task 2, so whenever the open succeeds the
+	// extents used here are the bucket contents.
+	task(4, func() error {
+		g.indexes = make(map[labelAttr][]NodeID, meta.mem.Indexes)
+		prmOff := 0
+		var prevKey labelAttr
+		for i := 0; i < meta.mem.Indexes; i++ {
+			key := labelAttr{LabelID(ikey[2*i]), AttrID(ikey[2*i+1])}
+			if uint32(key.label) >= uint32(meta.labels) || uint32(key.attr) >= uint32(meta.attrs) {
+				return secErr("IKEY", "index %d key (%d, %d) out of range", i, key.label, key.attr)
+			}
+			if i > 0 && (prevKey.label > key.label || (prevKey.label == key.label && prevKey.attr >= key.attr)) {
+				return secErr("IKEY", "keys not strictly ascending at entry %d", i)
+			}
+			prevKey = key
+			b, found := sort.Find(meta.buckets, func(j int) int { return int(key.label) - int(bucketLabels[j]) })
+			if !found {
+				return secErr("IKEY", "index %d label %d has no bucket", i, key.label)
+			}
+			lo, hi := boff[b], boff[b+1]
+			if lo > hi || hi > uint64(n) {
+				return secErr("BOFF", "bucket for label %d has bad bounds [%d, %d)", key.label, lo, hi)
+			}
+			size := int(hi - lo)
+			if prmOff+size > len(iprm) {
+				return secErr("IPRM", "index %d permutation truncated", i)
+			}
+			perm := iprm[prmOff : prmOff+size]
+			prmOff += size
+			c := &g.cols[key.attr]
+			if c.kind == KindNumber && c.nums != nil {
+				if err := checkNumPerm(c, perm, g.nodeLabels, key, n); err != nil {
+					return err
+				}
+			} else if c.kind == KindString && c.refs != nil {
+				if err := checkStrPerm(c, g.strTab, perm, g.nodeLabels, key, n); err != nil {
+					return err
+				}
+			} else {
+				for j, v := range perm {
+					if uint32(v) >= uint32(n) {
+						return secErr("IPRM", "index (%d, %d) entry %d out of range [0,%d)", key.label, key.attr, v, n)
+					}
+					if g.nodeLabels[v] != key.label {
+						return secErr("IPRM", "index (%d, %d) lists node %d of label %d", key.label, key.attr, v, g.nodeLabels[v])
+					}
+					if j > 0 {
+						cmp := compareColNodes(c, g.strTab, perm[j-1], v)
+						if cmp > 0 || (cmp == 0 && perm[j-1] >= v) {
+							return secErr("IPRM", "index (%d, %d) not sorted at position %d", key.label, key.attr, j)
+						}
+					}
+				}
+			}
+			g.indexes[key] = perm
+		}
+		if pad8(4*prmOff) != len(sections["IPRM"].payload) {
+			return secErr("IPRM", "section holds %d entries, indexes need %d", len(iprm), prmOff)
+		}
+		return nil
+	})
+
+	// Wait for every task even on error: the goroutines hold reads into
+	// data, which on the mapped path the caller will munmap the moment we
+	// return an error.
+	wg.Wait()
+	for _, e := range taskErrs {
+		if e != nil {
+			return nil, e
+		}
 	}
-	return d.leave()
+
+	// Active domains: lazy. The closure decodes DOM2 on first use; if the
+	// section is corrupt (possible on the mapped path, which skips CRC)
+	// the domains are recomputed from the columns instead — never a panic,
+	// never a wrong result.
+	dom2 := sections["DOM2"].payload[:meta.dom2Len]
+	g.domFill = func() {
+		doms, err := decodeDomains(dom2, g.cols)
+		if err != nil {
+			doms = g.computeDomains()
+		}
+		g.domains = doms
+	}
+
+	g.attrNames = make([]string, len(g.attrTable))
+	copy(g.attrNames, g.attrTable)
+	sort.Strings(g.attrNames)
+	g.backing = backing
+	return g, nil
+}
+
+// checkNumPerm validates a numeric index permutation without per-pair
+// comparator calls. Under the Value total order a sorted run over a
+// numeric column is three phases — absent (Null) nodes, then NaN nodes,
+// then finite numbers ascending — with node IDs strictly ascending inside
+// every tie, so one pass with a phase counter enforces exactly what
+// pairwise compareColNodes would.
+func checkNumPerm(c *column, perm []NodeID, nodeLabels []LabelID, key labelAttr, n int) error {
+	const (
+		phAbsent = iota
+		phNaN
+		phNum
+	)
+	ph := phAbsent
+	prevNum := 0.0
+	for j, v := range perm {
+		if uint32(v) >= uint32(n) {
+			return secErr("IPRM", "index (%d, %d) entry %d out of range [0,%d)", key.label, key.attr, v, n)
+		}
+		if nodeLabels[v] != key.label {
+			return secErr("IPRM", "index (%d, %d) lists node %d of label %d", key.label, key.attr, v, nodeLabels[v])
+		}
+		bad := false
+		switch x := c.nums[v]; {
+		case !bitGet(c.present, int(v)):
+			bad = ph != phAbsent || (j > 0 && perm[j-1] >= v)
+		case math.IsNaN(x):
+			bad = ph > phNaN || (ph == phNaN && perm[j-1] >= v)
+			ph = phNaN
+		default:
+			bad = ph == phNum && (x < prevNum || (x == prevNum && perm[j-1] >= v))
+			ph, prevNum = phNum, x
+		}
+		if bad {
+			return secErr("IPRM", "index (%d, %d) not sorted at position %d", key.label, key.attr, j)
+		}
+	}
+	return nil
+}
+
+// checkStrPerm validates a string index permutation. Refs are interned, so
+// equal refs mean equal strings and the blob is only consulted when the
+// adjacent refs differ; within ties node IDs must strictly ascend.
+func checkStrPerm(c *column, tab *strTable, perm []NodeID, nodeLabels []LabelID, key labelAttr, n int) error {
+	prevRef := uint32(0)
+	for j, v := range perm {
+		if uint32(v) >= uint32(n) {
+			return secErr("IPRM", "index (%d, %d) entry %d out of range [0,%d)", key.label, key.attr, v, n)
+		}
+		if nodeLabels[v] != key.label {
+			return secErr("IPRM", "index (%d, %d) lists node %d of label %d", key.label, key.attr, v, nodeLabels[v])
+		}
+		r := c.refs[v]
+		// Ref range is task 3's job, but that task runs concurrently with
+		// this one — bound the lookup here too so a corrupt file can't
+		// push bytesAt out of the offset view before task 3 rejects it.
+		if int64(r) >= int64(len(tab.offs)) {
+			return secErr("SREF", "attribute %d: node %d ref %d out of range [1,%d]", key.attr, v, r, len(tab.offs)-1)
+		}
+		if j > 0 {
+			cmp := 0
+			switch {
+			case prevRef == r:
+			case prevRef == 0: // Null sorts before any string
+				cmp = -1
+			case r == 0:
+				cmp = 1
+			default:
+				cmp = bytes.Compare(tab.bytesAt(int(prevRef)-1), tab.bytesAt(int(r)-1))
+			}
+			if cmp > 0 || (cmp == 0 && perm[j-1] >= v) {
+				return secErr("IPRM", "index (%d, %d) not sorted at position %d", key.label, key.attr, j)
+			}
+		}
+		prevRef = r
+	}
+	return nil
+}
+
+// badRunEdge reports which invariant an edge inside a label run broke;
+// only reached when the fused hot-loop check in decodeAdj fails.
+func badRunEdge(edgeTag string, v, l, j int, ed Edge, n int) error {
+	switch {
+	case int(ed.Label) != l:
+		return secErr(edgeTag, "node %d edge %d label %d inside the label-%d run", v, j, ed.Label, l)
+	case uint32(ed.To) >= uint32(n):
+		return secErr(edgeTag, "node %d edge %d endpoint %d out of range [0,%d)", v, j, ed.To, n)
+	default:
+		return secErr(edgeTag, "node %d edges not sorted by (label, endpoint) at position %d", v, j)
+	}
+}
+
+// compareColNodes orders two nodes by their value in column c under the
+// Value total order, without materializing the string table or boxing
+// Values: string columns compare raw blob bytes (Go string order is byte
+// order), numeric and bool columns compare their packed payloads with the
+// same Null-first, NaN-first order Value.Compare defines.
+func compareColNodes(c *column, tab *strTable, u, v NodeID) int {
+	switch {
+	case c.refs != nil:
+		ru, rv := c.refs[u], c.refs[v]
+		switch {
+		case ru == rv: // interned: same ref is same string (or both Null)
+			return 0
+		case ru == 0: // Null sorts before any string
+			return -1
+		case rv == 0:
+			return 1
+		default:
+			return bytes.Compare(tab.bytesAt(int(ru)-1), tab.bytesAt(int(rv)-1))
+		}
+	case c.nums != nil:
+		pu, pv := c.has(u), c.has(v)
+		if !pu || !pv {
+			return boolCmp(pu, pv) // Null sorts before any number
+		}
+		nu, nv := c.nums[u], c.nums[v]
+		un, vn := math.IsNaN(nu), math.IsNaN(nv)
+		switch {
+		case un || vn:
+			return boolCmp(vn, un) // NaN sorts before any other number
+		case nu < nv:
+			return -1
+		case nu > nv:
+			return 1
+		default:
+			return 0
+		}
+	case c.bools != nil:
+		pu, pv := c.has(u), c.has(v)
+		if !pu || !pv {
+			return boolCmp(pu, pv)
+		}
+		return boolCmp(bitGet(c.bools, int(u)), bitGet(c.bools, int(v)))
+	default:
+		return c.value(u).Compare(c.value(v))
+	}
+}
+
+// boolCmp orders false before true.
+func boolCmp(u, v bool) int {
+	switch {
+	case u == v:
+		return 0
+	case v:
+		return -1
+	default:
+		return 1
+	}
+}
+
+// decodeDomains decodes and validates the DOM2 section.
+func decodeDomains(payload []byte, cols []column) ([][]Value, error) {
+	cur := &varCursor{sec: "DOM2", buf: payload}
+	doms := make([][]Value, len(cols))
+	for a := range doms {
+		l, err := cur.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if l > uint64(cur.remaining()) {
+			return nil, cur.errf("attribute %d: domain count %d exceeds the %d bytes left", a, l, cur.remaining())
+		}
+		dom := make([]Value, l)
+		for i := range dom {
+			if dom[i], err = cur.valueInline(); err != nil {
+				return nil, err
+			}
+			if i > 0 && dom[i-1].Compare(dom[i]) >= 0 {
+				return nil, cur.errf("attribute %d: active domain not sorted and distinct at position %d", a, i)
+			}
+		}
+		doms[a] = dom
+	}
+	if cur.remaining() != 0 {
+		return nil, cur.errf("%d undecoded trailing bytes", cur.remaining())
+	}
+	return doms, nil
+}
+
+// ---------------------------------------------------------------------------
+// Mapped open
+
+// OpenSnapshotMapped opens a snapshot file and serves the graph
+// directly from the page cache: the file is mmap'd read-only, every
+// fixed-width section becomes a typed view over the mapping, and only the
+// dictionaries plus any mixed-kind columns are decoded to the heap. The
+// open performs the full structural validation of ReadSnapshot but skips
+// the CRC pass (which would read the whole file and defeat O(open)
+// restore); use the heap path when end-to-end integrity checking of
+// untrusted files matters.
+//
+// The returned graph holds one reference to the mapping; Close releases
+// it and Retain/Close brackets add readers (see the Registry). After the
+// last Close every slice previously returned by the graph's accessors is
+// invalid. Strings are exempt: they are copied to the heap on first use
+// and stay valid forever.
+//
+// On platforms without mmap support the file is decoded to the heap
+// instead (Mapped reports false).
+func OpenSnapshotMapped(path string) (*Graph, error) {
+	if !mmapSupported {
+		return ReadSnapshotFile(path)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, fmt.Errorf("graph: opening snapshot %s: %w", path, err)
+	}
+	defer f.Close()
+	data, err := mmapFile(f)
+	if err != nil {
+		return nil, fmt.Errorf("graph: mapping snapshot %s: %w", path, err)
+	}
+	g, err := openMappedBytes(data)
+	if err != nil {
+		_ = munmapBytes(data)
+		return nil, fmt.Errorf("graph: snapshot %s: %w", path, err)
+	}
+	return g, nil
+}
+
+func openMappedBytes(data []byte) (*Graph, error) {
+	sections, err := parseSnapSections(data)
+	if err != nil {
+		return nil, err
+	}
+	backing := &snapBacking{data: data, mapped: true, unmap: munmapBytes}
+	backing.refs.Store(1)
+	return decodeSnapshot(data, sections, backing, false)
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -48,17 +49,13 @@ func FuzzReadSnapshot(f *testing.F) {
 		misaligned[snapHeaderBase+snapTableEntry+4]++
 		f.Add(misaligned)
 		forged := bytes.Clone(valid) // forge the MET2 node count sky-high
-		forged[snapHeaderBase+snapTableEntry*len(snapSectionOrderV2)+5] = 0xff
+		forged[snapHeaderBase+snapTableEntry*len(snapSectionOrder)+5] = 0xff
 		f.Add(forged)
 
-		// The version 1 layout stays readable through the fallback path;
-		// keep its decoder in the fuzz corpus too.
-		var v1 bytes.Buffer
-		if err := WriteSnapshotV1(&v1, gr); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(v1.Bytes())
-		f.Add(v1.Bytes()[:len(v1.Bytes())*3/4])
+		stale := bytes.Clone(valid) // other versions stop at the version gate
+		binary.LittleEndian.PutUint32(stale[8:12], 1)
+		f.Add(stale)
+		f.Add(stale[:len(stale)*3/4])
 	}
 	f.Add([]byte(snapMagic))
 	f.Add([]byte("not a snapshot at all"))

@@ -3,14 +3,13 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// writeSnapshotTemp writes g as a v2 snapshot into a fresh temp file and
+// writeSnapshotTemp writes g as a snapshot into a fresh temp file and
 // returns the path.
 func writeSnapshotTemp(t testing.TB, g *Graph) string {
 	t.Helper()
@@ -129,32 +128,6 @@ func TestMappedStringsOutliveClose(t *testing.T) {
 			t.Fatalf("node %d string looks corrupt after munmap: %q", v, w)
 		}
 	}
-}
-
-// TestOpenSnapshotMappedV1Fallback: a version 1 file has no mapped layout;
-// the mapped open must fail with ErrSnapshotVersion (so callers fall back
-// to the heap decoder) and the heap decoder must still read it.
-func TestOpenSnapshotMappedV1Fallback(t *testing.T) {
-	g := snapshotTestGraph(t, 35, 40)
-	path := filepath.Join(t.TempDir(), "v1.fsnap")
-	var buf bytes.Buffer
-	if err := WriteSnapshotV1(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if mmapSupported {
-		_, err := OpenSnapshotMapped(path)
-		if !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("mapped open of a v1 file gave %v; want ErrSnapshotVersion", err)
-		}
-	}
-	heap, err := ReadSnapshotFile(path)
-	if err != nil {
-		t.Fatalf("v1 heap fallback: %v", err)
-	}
-	assertGraphDeepEqual(t, g, heap)
 }
 
 // TestMappedDomainsFallback: the mapped path skips CRC verification, so a

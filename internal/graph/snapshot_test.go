@@ -3,10 +3,13 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -430,17 +433,47 @@ func rebuildSnapshot(t testing.TB, sections []rawSection) []byte {
 	return out.Bytes()
 }
 
-// TestSnapshotRejectsBadVersion bumps the version field.
+// TestSnapshotRejectsBadVersion: every reader accepts exactly
+// SnapshotVersion. Any other value in the version field of an otherwise
+// valid file is refused with an error wrapping ErrSnapshotVersion, and a
+// refused mapped open leaves the file unmapped.
 func TestSnapshotRejectsBadVersion(t *testing.T) {
 	g := snapshotTestGraph(t, 19, 10)
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	binary.LittleEndian.PutUint32(data[8:12], SnapshotVersion+1)
-	_, err := ReadSnapshot(bytes.NewReader(data))
-	if err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("bad version gave %v; want a version error", err)
+	readers := []struct {
+		name string
+		read func(path string) (*Graph, error)
+	}{
+		{"ReadSnapshot", func(path string) (*Graph, error) {
+			f, err := os.Open(path)
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			return ReadSnapshot(f)
+		}},
+		{"ReadSnapshotFile", ReadSnapshotFile},
+		{"OpenSnapshotMapped", OpenSnapshotMapped},
+	}
+	for _, version := range []uint32{0, 1, SnapshotVersion + 1, math.MaxUint32} {
+		data := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(data[8:12], version)
+		path := filepath.Join(t.TempDir(), "stale.fsnap")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range readers {
+			got, err := r.read(path)
+			if !errors.Is(err, ErrSnapshotVersion) {
+				t.Errorf("version %d via %s: got (%v, %v); want an error wrapping ErrSnapshotVersion", version, r.name, got, err)
+			}
+		}
+		// Linux lists live mappings by path; elsewhere there is nothing to read.
+		if maps, err := os.ReadFile("/proc/self/maps"); err == nil && bytes.Contains(maps, []byte(path)) {
+			t.Errorf("version %d: refused file is still mapped", version)
+		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 
 // The backing-store seam: a frozen Graph's slices — adjacency, label
 // buckets, permutation indexes, typed columns, presence bitmaps, derived
-// tables — are plain Go slices either allocated on the heap (Freeze, the
-// v1 snapshot decoder, ReadSnapshot of a v2 file) or aliasing a single
+// tables — are plain Go slices either allocated on the heap (Freeze,
+// ReadSnapshot) or aliasing a single
 // byte buffer (OpenSnapshotMapped, where the buffer is the mmap'd file).
 // snapBacking owns that buffer and ref-counts its users so the last Close
 // can munmap without any reader left holding a view.
@@ -54,7 +54,7 @@ func (g *Graph) Retain() {
 // Close releases one reference to the graph's backing store; when the
 // last reference is released the underlying file mapping is unmapped and
 // every view served by this graph becomes invalid. Heap-backed graphs
-// (built, v1-decoded or v2-decoded from a reader) have no backing store
+// (built, or decoded from a reader) have no backing store
 // and Close is a no-op returning nil.
 func (g *Graph) Close() error {
 	if g.backing == nil {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -98,43 +100,83 @@ func TestServerMappedWarmRestart(t *testing.T) {
 	}
 }
 
-// TestServerMappedV1Fallback: a version 1 snapshot in the directory has no
-// mapped layout; in mapped mode it must still restore — decoded to the
-// heap — and be counted in v1Fallbacks, per the versioning policy.
-func TestServerMappedV1Fallback(t *testing.T) {
-	dir := t.TempDir()
+// TestServerRefusedSnapshotVersion: a snapshot of any version but
+// graph.SnapshotVersion takes the undecodable-file path, in heap and in
+// mapped mode alike — restore skips it, counts one fallback and deletes
+// neither it nor the delta log beside it; only an explicit registration of
+// the same name replaces them.
+func TestServerRefusedSnapshotVersion(t *testing.T) {
 	g := testGraph(t, 5)
 	var buf bytes.Buffer
-	if err := graph.WriteSnapshotV1(&buf, g); err != nil {
+	if err := graph.WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "legacy"+snapExt), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	stale := buf.Bytes()
+	binary.LittleEndian.PutUint32(stale[8:12], 1)
 
-	s, ts := startServer(t, Options{SnapshotDir: dir, MmapGraphs: true})
-	defer shutdown(t, s, ts)
-	if got := s.RestoredGraphs(); !reflect.DeepEqual(got, []string{"legacy"}) {
-		t.Fatalf("RestoredGraphs = %v, want [legacy]", got)
-	}
-	h, err := s.Registry().Acquire("legacy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Graph().Mapped() {
-		t.Fatal("v1 snapshot claims to be mapped")
-	}
-	if h.Graph().NumNodes() != g.NumNodes() {
-		t.Fatalf("v1 fallback restored %d nodes, want %d", h.Graph().NumNodes(), g.NumNodes())
-	}
-	h.Release()
+	for _, mapped := range []bool{false, true} {
+		t.Run(fmt.Sprintf("mmap=%v", mapped), func(t *testing.T) {
+			dir := t.TempDir()
+			snapPath := filepath.Join(dir, "legacy"+snapExt)
+			walPath := filepath.Join(dir, "legacy"+walExt)
+			if err := os.WriteFile(snapPath, stale, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, err := graph.OpenWAL(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append([]graph.Mutation{{Op: graph.MutRemoveNode, Node: 0}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			staleLog, err := os.ReadFile(walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	snaps := storageSnapshots(t, ts.URL)
-	if got, _ := snaps["v1Fallbacks"].(float64); got != 1 {
-		t.Errorf("storage.snapshots.v1Fallbacks = %v, want 1", snaps["v1Fallbacks"])
-	}
-	if got, _ := snaps["mmapLoads"].(float64); got != 0 {
-		t.Errorf("storage.snapshots.mmapLoads = %v, want 0", snaps["mmapLoads"])
+			s, ts := startServer(t, Options{SnapshotDir: dir, MmapGraphs: mapped})
+			defer shutdown(t, s, ts)
+			if got := s.RestoredGraphs(); len(got) != 0 {
+				t.Fatalf("RestoredGraphs = %v, want none", got)
+			}
+			if _, ok := s.Registry().Info("legacy"); ok {
+				t.Fatal("refused-version snapshot was registered")
+			}
+			snaps := storageSnapshots(t, ts.URL)
+			if got, _ := snaps["fallbacks"].(float64); got != 1 {
+				t.Errorf("storage.snapshots.fallbacks = %v, want 1", snaps["fallbacks"])
+			}
+			if got, _ := snaps["mappedBytes"].(float64); got != 0 {
+				t.Errorf("storage.snapshots.mappedBytes = %v after a refused open, want 0", snaps["mappedBytes"])
+			}
+			for path, want := range map[string][]byte{snapPath: stale, walPath: staleLog} {
+				if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("restore touched %s (read err %v)", filepath.Base(path), err)
+				}
+			}
+
+			// Registering the name from its source is what replaces the file.
+			uploadGraph(t, ts.URL, "legacy", g)
+			fresh, err := graph.ReadSnapshotFile(snapPath)
+			if err != nil {
+				t.Fatalf("snapshot after re-registration: %v", err)
+			}
+			if fresh.NumNodes() != g.NumNodes() || fresh.NumEdges() != g.NumEdges() {
+				t.Fatalf("rewritten snapshot has %d/%d nodes/edges, want %d/%d",
+					fresh.NumNodes(), fresh.NumEdges(), g.NumNodes(), g.NumEdges())
+			}
+			if _, err := os.Stat(walPath); !os.IsNotExist(err) {
+				t.Fatalf("stale delta log survived re-registration: stat err = %v", err)
+			}
+			if mapped {
+				if got, _ := storageSnapshots(t, ts.URL)["mmapLoads"].(float64); got < 1 {
+					t.Errorf("storage.snapshots.mmapLoads = %v after re-registration, want >= 1", got)
+				}
+			}
+		})
 	}
 }
 

@@ -3,10 +3,8 @@ package server
 import (
 	"fmt"
 	"io"
-	"os"
 	"regexp"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,26 +259,13 @@ func (r *Registry) Read(name, format string, rd io.Reader) error {
 
 // LoadFile reads a graph file (format by extension: .json is JSON,
 // .fsnap a binary snapshot, anything else TSV) and registers it; used by
-// the daemon's -graph flag. Snapshot files take the file-backed fast path
-// (sized read, no io.Reader growth).
+// the daemon's -graph flag.
 func (r *Registry) LoadFile(name, path string) error {
-	if strings.HasSuffix(strings.ToLower(path), snapExt) {
-		g, err := graph.ReadSnapshotFile(path)
-		if err != nil {
-			return err
-		}
-		return r.Put(name, g)
-	}
-	f, err := os.Open(path)
+	g, err := graph.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	format := "tsv"
-	if strings.HasSuffix(strings.ToLower(path), ".json") {
-		format = "json"
-	}
-	return r.Read(name, format, f)
+	return r.Put(name, g)
 }
 
 // Handle is a ref-counted lease on a registered graph: one consistent

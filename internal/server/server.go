@@ -39,8 +39,9 @@ type Options struct {
 	// with graph.OpenSnapshotMapped instead of decoded to the heap, so
 	// startup is O(open) per graph and resident memory is bounded by the
 	// pages queries actually touch — graphs larger than RAM serve fine.
-	// Version 1 snapshot files fall back to the heap decoder (counted in
-	// /metrics as storage.snapshots.v1Fallbacks).
+	// A file of any other snapshot version is skipped like a corrupt one
+	// (counted in /metrics as storage.snapshots.fallbacks) until its graph
+	// is registered again.
 	MmapGraphs bool
 	// RequireGraph makes /readyz fail until a graph is registered.
 	RequireGraph bool

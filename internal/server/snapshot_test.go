@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -167,7 +168,13 @@ func TestUploadSnapshotFormat(t *testing.T) {
 	if info.Nodes != g.NumNodes() || info.Edges != g.NumEdges() {
 		t.Fatalf("snapshot upload info %d/%d, want %d/%d", info.Nodes, info.Edges, g.NumNodes(), g.NumEdges())
 	}
-	// And a corrupt body is a client error, not a crash.
+	// And a corrupt body is a client error, not a crash; so is a valid
+	// file of another snapshot version.
 	doJSON(t, http.MethodPut, ts.URL+"/v1/graphs/snap2?format=snapshot",
 		bytes.NewReader([]byte("FSQGSNAPnope")), http.StatusBadRequest, nil)
+	if err := graph.WriteSnapshot(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(buf.Bytes()[8:12], 1)
+	doJSON(t, http.MethodPut, ts.URL+"/v1/graphs/snap3?format=snapshot", &buf, http.StatusBadRequest, nil)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -40,8 +39,7 @@ type snapshotStore struct {
 	// mmap switches load from decode-to-heap to graph.OpenSnapshotMapped:
 	// graphs are served straight from the page cache, restore cost is
 	// O(open) instead of O(graph), and resident memory stays bounded by
-	// what queries actually touch. Version 1 files, which have no mapped
-	// layout, silently fall back to the heap decoder (counted).
+	// what queries actually touch.
 	mmap bool
 
 	loads          atomic.Int64 // snapshots decoded successfully
@@ -53,7 +51,6 @@ type snapshotStore struct {
 	loadNanos      atomic.Int64 // cumulative decode wall time
 	mmapLoads      atomic.Int64 // snapshots opened memory-mapped
 	mappedBytes    atomic.Int64 // bytes currently memory-mapped via this store
-	v1Fallbacks    atomic.Int64 // v1 snapshots decoded to heap in mmap mode
 
 	wal walCounters
 }
@@ -167,9 +164,7 @@ func (st *snapshotStore) saveTo(name, path string, g *graph.Graph) bool {
 }
 
 // load materializes the epoch-0 snapshot for name; loadFrom picks the
-// base file for any epoch. In mmap mode the graph is opened mapped; a
-// version 1 file — which has no mapped layout — falls back to the heap
-// decoder and bumps v1Fallbacks.
+// base file for any epoch. In mmap mode the graph is opened mapped.
 func (st *snapshotStore) load(name string) (*graph.Graph, error) {
 	return st.loadFrom(name, 0)
 }
@@ -181,11 +176,6 @@ func (st *snapshotStore) loadFrom(name string, epoch uint64) (*graph.Graph, erro
 	var err error
 	if st.mmap {
 		g, err = graph.OpenSnapshotMapped(path)
-		if errors.Is(err, graph.ErrSnapshotVersion) {
-			st.v1Fallbacks.Add(1)
-			st.logf("snapshot %s: version 1 file, decoding to heap (re-save to enable mapping)", name)
-			g, err = graph.ReadSnapshotFile(path)
-		}
 	} else {
 		g, err = graph.ReadSnapshotFile(path)
 	}
@@ -425,6 +415,5 @@ func (st *snapshotStore) counters() map[string]any {
 		"loadMs":         float64(st.loadNanos.Load()) / 1e6,
 		"mmapLoads":      st.mmapLoads.Load(),
 		"mappedBytes":    st.mappedBytes.Load(),
-		"v1Fallbacks":    st.v1Fallbacks.Load(),
 	}
 }

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
-# Snapshot cross-version compatibility check: a v1 snapshot written by
-# graphgen -snapshot-version 1 (the pre-mmap layout) must still restore
-# in a fairsqgd running with -mmap-graphs — via the counted heap-decode
-# fallback — while a v2 snapshot in the same directory is served
-# memory-mapped. Asserts the storage.snapshots metrics distinguish the
-# two paths and that the mapped graph answers a real job. Needs only
-# bash, curl and go.
+# Snapshot compatibility check against a real fairsqgd -mmap-graphs
+# process: a current snapshot in the directory is restored memory-mapped
+# and answers a real job, while a snapshot of another format version
+# beside it is refused — skipped, counted as a fallback, not registered
+# and left on disk for the next registration of its name to overwrite.
+# Needs only bash, curl and go.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -26,11 +25,11 @@ say "building fairsqgd and graphgen"
 (cd "$root" && go build -o "$work/fairsqgd" ./cmd/fairsqgd && go build -o "$work/graphgen" ./cmd/graphgen)
 
 mkdir -p "$work/snaps"
-say "writing a v1 (legacy) and a v2 (mappable) snapshot"
+say "writing a snapshot and a copy with a stale version field"
 "$work/graphgen" -dataset lki -nodes 2000 -seed 7 -format snapshot \
-    -snapshot-version 1 -out "$work/snaps/legacy.fsnap"
-"$work/graphgen" -dataset lki -nodes 2000 -seed 7 -format snapshot \
-    -snapshot-version 2 -out "$work/snaps/lki.fsnap"
+    -out "$work/snaps/lki.fsnap"
+cp "$work/snaps/lki.fsnap" "$work/snaps/legacy.fsnap"
+printf '\001\000\000\000' | dd of="$work/snaps/legacy.fsnap" bs=1 seek=8 conv=notrunc 2>/dev/null
 
 say "starting fairsqgd -mmap-graphs on the snapshot dir"
 "$work/fairsqgd" -addr 127.0.0.1:0 -workers 2 -queue 8 \
@@ -48,19 +47,20 @@ done
 base="http://$addr"
 say "server is at $base"
 
-grep -q "restored 2 graph" "$work/server.log" || fail "expected both snapshots restored"
+grep -q "restored 1 graph" "$work/server.log" || fail "expected exactly the current-version snapshot restored"
 
 graphs="$(curl -fsS "$base/v1/graphs")"
-echo "$graphs" | grep -q '"name": *"lki"' || fail "v2 graph missing from registry"
-echo "$graphs" | grep -q '"name": *"legacy"' || fail "v1 graph missing from registry"
+echo "$graphs" | grep -q '"name": *"lki"' || fail "current-version graph missing from registry"
+echo "$graphs" | grep -q '"name": *"legacy"' && fail "stale-version snapshot was registered"
+[[ -f "$work/snaps/legacy.fsnap" ]] || fail "restore deleted the refused snapshot"
 
 metrics="$(curl -fsS "$base/metrics")"
 metric() { echo "$metrics" | grep -o "\"$1\": *[0-9]*" | head -n1 | grep -o '[0-9]*$'; }
-v1f="$(metric v1Fallbacks)"; mml="$(metric mmapLoads)"; mb="$(metric mappedBytes)"
-[[ -n "$v1f" && "$v1f" -ge 1 ]] || fail "v1Fallbacks = '$v1f', want >= 1 (legacy snapshot not counted)"
-[[ -n "$mml" && "$mml" -ge 1 ]] || fail "mmapLoads = '$mml', want >= 1 (v2 snapshot not mapped)"
+fb="$(metric fallbacks)"; mml="$(metric mmapLoads)"; mb="$(metric mappedBytes)"
+[[ -n "$fb" && "$fb" -ge 1 ]] || fail "fallbacks = '$fb', want >= 1 (refused snapshot not counted)"
+[[ -n "$mml" && "$mml" -ge 1 ]] || fail "mmapLoads = '$mml', want >= 1 (snapshot not mapped)"
 [[ -n "$mb" && "$mb" -gt 0 ]] || fail "mappedBytes = '$mb', want > 0"
-say "metrics: mmapLoads=$mml v1Fallbacks=$v1f mappedBytes=$mb"
+say "metrics: mmapLoads=$mml fallbacks=$fb mappedBytes=$mb"
 
 say "running the example job against the mapped graph"
 id="$(curl -fsS -X POST --data-binary @"$root/examples/server/job.json" "$base/v1/jobs" \
