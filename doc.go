@@ -69,13 +69,13 @@
 // cheapest frontier variable first rather than following template order.
 //
 // Two Config knobs schedule how each instance's answer set is computed;
-// both leave results bit-identical to the sequential defaults:
+// both leave results bit-identical to the defaults:
 //
-//   - Config.MatchWorkers: 0 or 1 evaluates matches sequentially; a value
-//     above 1 routes verification through a concurrent match engine
-//     (MatchEngine) that partitions the output node's candidates across
-//     that many goroutines and merges the per-worker match sets
-//     deterministically; negative uses GOMAXPROCS workers.
+//   - Config.MatchWorkers: the fan-out of the run's match engine
+//     (MatchEngine), which partitions the output node's candidates into
+//     that many blocks and merges the per-block match sets
+//     deterministically; 0 or 1 evaluate on the calling goroutine,
+//     negative uses GOMAXPROCS workers.
 //   - Config.CandCacheSize: bounds the engine's shared LRU cache of
 //     label+predicate candidate lists, reused across the many instances of
 //     one template that share bound literals. 0 picks a default size;

@@ -63,8 +63,9 @@ type (
 
 	// MatchEngine is the concurrent match engine: a goroutine-safe
 	// evaluator that owns a shared candidate cache and partitions each
-	// instance's output-node candidates across a worker pool. Configure
-	// per-run engines via Config.MatchWorkers / Config.CandCacheSize; use
+	// instance's output-node candidates across its fan-out. Every run
+	// verifies on one: Config.MatchWorkers is its fan-out (0/1 evaluate on
+	// the calling goroutine), Config.CandCacheSize its cache; use
 	// NewMatchEngine for standalone instance evaluation.
 	MatchEngine = match.Engine
 	// MatchEngineOptions configures NewMatchEngine.

@@ -598,3 +598,21 @@ func TestBuildConfigValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestHistogramSnapshot: the one /metrics histogram shape — cumulative "le"
+// counts over the bounds given at construction, "+Inf" equal to the count
+// (observations past the last bound included) and the sum under "sumMs".
+func TestHistogramSnapshot(t *testing.T) {
+	h := NewHistogram([]float64{1, 10})
+	for _, ms := range []float64{0.5, 1, 7, 10.5, 99} {
+		h.Observe(ms)
+	}
+	want := map[string]any{
+		"count": int64(5),
+		"sumMs": 118.0,
+		"le":    map[string]int64{"1": 2, "10": 3, "+Inf": 5},
+	}
+	if got := h.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("snapshot %v, want %v", got, want)
+	}
+}

@@ -126,7 +126,7 @@ type Coordinator struct {
 	jobsFailed   atomic.Int64
 	pushes       atomic.Int64
 	pushBytes    atomic.Int64
-	slabLatency  *latencyHistogram
+	slabLatency  *Histogram
 	healthSweeps atomic.Int64
 
 	closeOnce sync.Once
@@ -152,7 +152,7 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:        o,
 		snaps:       make(map[string]*snapBlob),
-		slabLatency: newLatencyHistogram(),
+		slabLatency: NewHistogram(slabBucketsMs),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -695,7 +695,7 @@ func (c *Coordinator) postSlab(ctx context.Context, w *clusterWorker, req JobReq
 			return nil, fmt.Errorf("decode slab response: %w", err)
 		}
 		out.worker = w.url
-		c.slabLatency.observe(float64(time.Since(start)) / float64(time.Millisecond))
+		c.slabLatency.Observe(float64(time.Since(start)) / float64(time.Millisecond))
 		return &out, nil
 	case http.StatusPreconditionFailed:
 		w.failed.Add(1)
@@ -766,6 +766,6 @@ func (c *Coordinator) MetricsSnapshot() map[string]any {
 		"jobsFailed":      c.jobsFailed.Load(),
 		"snapshotPushes":  c.pushes.Load(),
 		"snapshotBytes":   c.pushBytes.Load(),
-		"slabLatencyMs":   c.slabLatency.snapshot(),
+		"slabLatencyMs":   c.slabLatency.Snapshot(),
 	}
 }

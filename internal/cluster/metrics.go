@@ -6,50 +6,52 @@ import (
 )
 
 // slabBucketsMs are the upper bounds of the coordinator's slab latency
-// histogram, in milliseconds; the implicit last bucket is +Inf. Slabs are
-// coarser than single HTTP requests, so the scale starts higher than the
-// daemon's request histogram.
+// histogram, in milliseconds. Slabs are coarser than single HTTP requests,
+// so the scale starts higher than the daemon's request histogram.
 var slabBucketsMs = []float64{5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000, 60000}
 
-// latencyHistogram is a fixed-bucket histogram safe for concurrent use,
-// mirroring the daemon's /metrics histogram shape.
-type latencyHistogram struct {
-	mu      sync.Mutex
-	count   int64
-	sumMs   float64
-	buckets []int64 // len(slabBucketsMs)+1, last = overflow
+// Histogram is a fixed-bucket latency histogram safe for concurrent use:
+// the one /metrics histogram shape of both daemon roles (the server's
+// per-algorithm job latencies, the coordinator's slab latencies).
+type Histogram struct {
+	boundsMs []float64 // bucket upper bounds; the implicit last bucket is +Inf
+	mu       sync.Mutex
+	count    int64
+	sumMs    float64
+	buckets  []int64 // one per bound; observations past the last only count
 }
 
-func newLatencyHistogram() *latencyHistogram {
-	return &latencyHistogram{buckets: make([]int64, len(slabBucketsMs)+1)}
+// NewHistogram returns an empty histogram over ascending bucket upper
+// bounds in milliseconds.
+func NewHistogram(boundsMs []float64) *Histogram {
+	return &Histogram{boundsMs: boundsMs, buckets: make([]int64, len(boundsMs))}
 }
 
-func (h *latencyHistogram) observe(ms float64) {
+// Observe records one latency.
+func (h *Histogram) Observe(ms float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.count++
 	h.sumMs += ms
-	for i, ub := range slabBucketsMs {
+	for i, ub := range h.boundsMs {
 		if ms <= ub {
 			h.buckets[i]++
 			return
 		}
 	}
-	h.buckets[len(h.buckets)-1]++
 }
 
-// snapshot renders cumulative "le" counts, the shape Prometheus-style
+// Snapshot renders cumulative "le" counts, the shape Prometheus-style
 // scrapers expect.
-func (h *latencyHistogram) snapshot() map[string]any {
+func (h *Histogram) Snapshot() map[string]any {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	le := make(map[string]int64, len(h.buckets))
+	le := make(map[string]int64, len(h.buckets)+1)
 	cum := int64(0)
-	for i, ub := range slabBucketsMs {
+	for i, ub := range h.boundsMs {
 		cum += h.buckets[i]
 		le[fmt.Sprintf("%g", ub)] = cum
 	}
-	cum += h.buckets[len(h.buckets)-1]
-	le["+Inf"] = cum
+	le["+Inf"] = h.count
 	return map[string]any{"count": h.count, "sumMs": h.sumMs, "le": le}
 }

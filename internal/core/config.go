@@ -79,11 +79,10 @@ type Config struct {
 	// scoring with no cap, and a positive value caps evaluations at that
 	// many sampled pairs.
 	MaxPairs int
-	// MatchWorkers selects how instance verification runs: 0 or 1 keeps
-	// the sequential reference Matcher; > 1 routes evaluation through a
-	// concurrent match.Engine that partitions each instance's output-node
-	// candidates across that many workers; < 0 selects GOMAXPROCS workers.
-	// Results are identical in all settings.
+	// MatchWorkers is the fan-out of the run's match.Engine, which
+	// partitions each instance's output-node candidates across that many
+	// workers: 0 or 1 check every candidate on the calling goroutine, < 0
+	// selects GOMAXPROCS workers. Results are identical in all settings.
 	MatchWorkers int
 	// CandCacheSize bounds the shared candidate cache that memoizes the
 	// label+literal filtering phase across instances (refinement siblings
@@ -208,8 +207,7 @@ type Stats struct {
 	// IncScores counts diversity evaluations served by the subset-delta
 	// incremental path instead of a from-scratch pair loop.
 	IncScores int
-	// Matcher carries the matcher's counters (sequential and engine work
-	// combined).
+	// Matcher carries the matcher counters of every evaluation of the run.
 	Matcher match.Stats
 	// Cache reports candidate-cache effectiveness; zero when disabled.
 	Cache match.CacheStats
@@ -218,6 +216,27 @@ type Stats struct {
 	// other counters read 0; with a caller-supplied Config.Distance they
 	// report the run-private pair cache that memoizes it.
 	DistCache measure.PairCacheStats
+}
+
+// Add folds another run's (a ParQGen worker's, a slab's) counters into s.
+// Every field of Stats is summed here and nowhere else.
+func (s *Stats) Add(o Stats) {
+	s.Spawned += o.Spawned
+	s.Verified += o.Verified
+	s.Feasible += o.Feasible
+	s.Pruned += o.Pruned
+	s.SandwichPairs += o.SandwichPairs
+	s.IncScores += o.IncScores
+	s.Matcher.Add(o.Matcher)
+	s.Cache.Hits += o.Cache.Hits
+	s.Cache.Misses += o.Cache.Misses
+	s.Cache.Evictions += o.Cache.Evictions
+	s.Cache.Entries += o.Cache.Entries
+	s.DistCache.Evals += o.DistCache.Evals
+	s.DistCache.Hits += o.DistCache.Hits
+	s.DistCache.Misses += o.DistCache.Misses
+	s.DistCache.Clears += o.DistCache.Clears
+	s.DistCache.Entries += o.DistCache.Entries
 }
 
 // Verified is an evaluated instance: its answer and quality coordinates.

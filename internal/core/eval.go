@@ -12,22 +12,19 @@ import (
 	"fairsqg/internal/query"
 )
 
-// Runner owns the shared evaluation state of one generation run: the
-// matcher, the diversity/coverage scorers and the verification cache. All
+// Runner owns the shared evaluation state of one generation run: the match
+// engine, the diversity/coverage scorers and the verification cache. All
 // algorithms in this package are methods on Runner so repeated runs over
 // one configuration reuse the cache only when the caller wants it (each
 // algorithm entry point starts a fresh Runner unless invoked on one).
 type Runner struct {
 	cfg *Config
 	// ctx is the run's cancellation context (cfg.Ctx, or Background when
-	// unset). Algorithms poll it between verifications; the matcher and
-	// engine poll it inside the backtracking search.
-	ctx     context.Context
-	matcher *match.Matcher
-	// engine, when non-nil (Config.MatchWorkers > 1 or < 0), evaluates
-	// instances concurrently; the sequential matcher stays the reference
-	// implementation and still handles multi-output evaluation. Matcher and
-	// engine share one candidate cache so either path warms the other.
+	// unset). Algorithms poll it between verifications; the engine polls it
+	// inside the backtracking search.
+	ctx context.Context
+	// engine evaluates every instance: Config.Engine when injected, else a
+	// run-owned one of fan-out Config.MatchWorkers (see newEngine).
 	engine *match.Engine
 	// div is this runner's evaluator (it counts and keeps kernel scratch,
 	// so ParQGen workers each take their own over the shared features).
@@ -40,8 +37,10 @@ type Runner struct {
 	// via a dense node→group array; built once per Runner.
 	counter *groups.Counter
 	cache   map[string]*Verified
-	stats   Stats
-	verSeq  int
+	// stats holds the run's own counters; stats.Matcher is what engines
+	// replaced by Retarget had counted (Stats adds the live engine's).
+	stats  Stats
+	verSeq int
 	// extraNodes are the resolved multi-output template node indices.
 	extraNodes []int
 	// population is |V_uo| (summed over distinct output labels in
@@ -71,43 +70,17 @@ func NewRunner(cfg *Config) (*Runner, error) {
 	for _, name := range cfg.ExtraOutputs {
 		r.extraNodes = append(r.extraNodes, cfg.Template.Node(name))
 	}
+	r.engine = r.newEngine(nil)
 	r.bind()
 	return r, nil
 }
 
-// bind builds everything the runner derives from r.cfg.G — matcher, engine,
-// group counter, population, scoring — and starts an empty verification
-// memo. NewRunner binds a fresh runner; Retarget rebinds one to the next
-// generation, and then the candidate cache and the matcher counters carry
-// over and the engine-or-sequential choice made at NewRunner stands.
+// bind builds everything but the engine that the runner derives from
+// r.cfg.G — group counter, population, scoring — and starts an empty
+// verification memo. NewRunner binds a fresh runner; Retarget rebinds one to
+// the next generation.
 func (r *Runner) bind() {
 	cfg := r.cfg
-	m := match.New(cfg.G)
-	m.Settings = cfg.Settings
-	if cfg.Engine != nil {
-		m.Settings = cfg.Engine.Settings()
-	}
-	if cfg.Ctx != nil {
-		m.BindContext(r.ctx)
-	}
-	fresh := r.matcher == nil
-	ownEngine := cfg.MatchWorkers != 0 && cfg.MatchWorkers != 1
-	if !fresh {
-		m.Stats, m.Cache, ownEngine = r.matcher.Stats, r.matcher.Cache, r.engine != nil
-		if r.engine != nil {
-			// The engine is replaced with its generation: keep what it counted.
-			m.Stats.Add(r.engine.Stats().Matcher())
-		}
-	}
-	r.matcher, r.engine = m, cfg.Engine
-	if r.engine == nil && ownEngine {
-		r.engine = r.newEngine(m.Cache)
-	}
-	if r.engine != nil {
-		m.Cache = r.engine.Cache()
-	} else if fresh && cfg.CandCacheSize >= 0 {
-		m.Cache = match.NewCandidateCache(cfg.CandCacheSize)
-	}
 	r.counter = groups.NewCounter(cfg.G.NumNodes(), cfg.Groups)
 
 	outLabel := cfg.Template.Nodes[cfg.Template.Output].Label
@@ -123,12 +96,22 @@ func (r *Runner) bind() {
 	r.initScoring()
 }
 
-// newEngine builds a run-owned concurrent engine over r.cfg.G under the
-// run's settings; shared, when non-nil, becomes its candidate cache.
+// newEngine returns the engine the run evaluates on over r.cfg.G: the
+// injected Config.Engine, else a run-owned one under the run's settings
+// whose fan-out is Config.MatchWorkers (0 means 1: every candidate is
+// checked on the calling goroutine; < 0 selects GOMAXPROCS). shared, when
+// non-nil, becomes a run-owned engine's candidate cache.
 func (r *Runner) newEngine(shared *match.CandidateCache) *match.Engine {
+	if r.cfg.Engine != nil {
+		return r.cfg.Engine
+	}
+	workers := r.cfg.MatchWorkers
+	if workers == 0 {
+		workers = 1
+	}
 	return match.NewEngine(r.cfg.G, match.EngineOptions{
 		Settings:      r.cfg.Settings,
-		Workers:       r.cfg.MatchWorkers,
+		Workers:       workers,
 		CandCacheSize: r.cfg.CandCacheSize,
 		SharedCache:   shared,
 	})
@@ -185,18 +168,19 @@ func (r *Runner) bindScoring() {
 	}
 }
 
-// adoptEngine makes a worker Runner share the parent's engine and
-// candidate cache, so concurrent lattice exploration (ParQGen) reuses one
-// pool of matcher scratch states and one warm filter cache instead of
-// rebuilding per-node candidate sets cache-cold in every worker.
-func (r *Runner) adoptEngine(parent *Runner) {
-	r.engine = parent.engine
-	r.matcher.Cache = parent.matcher.Cache
-	// Share the scorer's read-only parts too — the compiled features, or
-	// the goroutine-safe pair cache wrapped around a custom distance — under
-	// a private evaluator, which counts this worker's pair evaluations.
-	r.div = parent.div.Clone()
-	r.pairCache = parent.pairCache
+// fork returns a worker's view of r for concurrent lattice exploration
+// (ParQGen): it shares what is goroutine-safe or read-only — the engine and
+// its candidate cache, the compiled features, relevance, the pair cache
+// around a custom distance, the group index — and owns what is not: the
+// verification memo, the evaluator's scratch, the counts buffer and the
+// counters. The caller folds the worker's stats back with Stats.Add.
+func (r *Runner) fork() *Runner {
+	w := *r
+	w.stats, w.verSeq = Stats{}, 0
+	w.cache = make(map[string]*Verified)
+	w.div = r.div.Clone()
+	w.counter = r.counter.Clone()
+	return &w
 }
 
 // Config returns the runner's configuration.
@@ -208,18 +192,13 @@ func (r *Runner) DivMax() float64 { return r.div.MaxValue() }
 // CovMax returns the coverage upper bound C = Σ c_i.
 func (r *Runner) CovMax() float64 { return measure.CoverageMax(r.cfg.Groups) }
 
-// Stats returns the counters accumulated so far (matcher, engine and
+// Stats returns the counters accumulated so far (engine and
 // candidate-cache stats included).
 func (r *Runner) Stats() Stats {
 	s := r.stats
-	s.Matcher = r.matcher.Stats
-	if r.engine != nil {
-		es := r.engine.Stats()
-		s.Matcher.Add(es.Matcher())
-		s.Cache = es.Cache
-	} else if r.matcher.Cache != nil {
-		s.Cache = r.matcher.Cache.Stats()
-	}
+	es := r.engine.Stats()
+	s.Matcher.Add(es.Stats)
+	s.Cache = es.Cache
 	if r.pairCache != nil {
 		s.DistCache = r.pairCache.Stats()
 	}
@@ -227,26 +206,15 @@ func (r *Runner) Stats() Stats {
 }
 
 // resetStats clears counters between algorithm invocations on one Runner.
-// The engine is rebuilt (its counters are cumulative) and the candidate
-// cache dropped, so every run reports its own, cold-start numbers. An
+// A run-owned engine is rebuilt (its counters are cumulative) with a fresh
+// candidate cache, so every run reports its own, cold-start numbers. An
 // external Config.Engine is kept as-is: cross-run cache warmth is exactly
 // what injecting an engine is for.
 func (r *Runner) resetStats() {
 	r.stats = Stats{}
-	r.matcher.Stats = match.Stats{}
 	r.verSeq = 0
 	r.cache = make(map[string]*Verified)
-	if r.cfg.Ctx != nil {
-		r.matcher.BindContext(r.ctx)
-	}
-	if r.engine != nil {
-		if r.cfg.Engine == nil {
-			r.engine = r.newEngine(nil)
-		}
-		r.matcher.Cache = r.engine.Cache()
-	} else if r.matcher.Cache != nil {
-		r.matcher.Cache.Reset()
-	}
+	r.engine = r.newEngine(nil)
 	// Rebind the scorer so a custom distance's pair cache starts cold and
 	// its counters cover this run only.
 	r.bindScoring()
@@ -289,13 +257,7 @@ func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 				return measure.FeasibleCounts(r.cfg.Groups, r.counter.Counts(cands))
 			}
 		}
-		var matches []graph.NodeID
-		var ok bool
-		if r.engine != nil {
-			matches, ok, _ = r.engine.ParEvalOutputFiltered(r.ctx, q, within, accept)
-		} else {
-			matches, ok = r.matcher.EvalOutputFiltered(q, within, accept)
-		}
+		matches, ok, _ := r.engine.ParEvalOutputFiltered(r.ctx, q, within, accept)
 		v = &Verified{Q: q, Matches: matches}
 		counts = r.counter.Counts(matches)
 		v.Feasible = ok && measure.FeasibleCounts(r.cfg.Groups, counts)
@@ -353,9 +315,7 @@ func (r *Runner) scoreDiversity(v *Verified, parent *Verified) float64 {
 		// pair cache counts its own.)
 		evals := r.div.PairEvals() - before
 		r.stats.DistCache.Evals += evals
-		if r.engine != nil {
-			r.engine.AddDistEvals(evals)
-		}
+		r.engine.AddDistEvals(evals)
 	}
 	return div
 }
@@ -402,12 +362,7 @@ func (r *Runner) verifyMultiOutput(q *query.Instance, parent *Verified) (*Verifi
 				within = nil
 			}
 		}
-		var matches []graph.NodeID
-		if r.engine != nil {
-			matches, _, _ = r.engine.ParEvalNodeFiltered(r.ctx, q, ni, within, nil)
-		} else {
-			matches, _ = r.matcher.EvalNodeFiltered(q, ni, within, nil)
-		}
+		matches, _, _ := r.engine.ParEvalNodeFiltered(r.ctx, q, ni, within, nil)
 		v.PerNode[ni] = matches
 		for _, m := range matches {
 			unionSet[m] = true

@@ -5,6 +5,7 @@ import (
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/groups"
+	"fairsqg/internal/match"
 	"fairsqg/internal/pareto"
 	"fairsqg/internal/query"
 )
@@ -85,7 +86,7 @@ func TestMultiOutputUnion(t *testing.T) {
 	}
 	// Per-node sets agree with independent single-node evaluation.
 	u1 := cfg.Template.Node("u1")
-	indep := r.matcher.EvalNode(root, u1)
+	indep := match.New(cfg.G).EvalNode(root, u1)
 	got := v.PerNode[u1]
 	if len(indep) != len(got) {
 		t.Fatalf("u1 matches differ: %d vs %d", len(got), len(indep))

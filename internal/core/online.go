@@ -322,12 +322,8 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 		opts.OnCheckpoint(OnlineCheckpoint{Processed: res.Processed, Points: archive.Points(), Eps: archive.Eps()})
 	}
 
-	res.Set = collectSetFromArchive(archive)
+	res.Set = collectSet(archive)
 	res.Eps = archive.Eps()
 	res.Stats = r.Stats()
 	return res, nil
-}
-
-func collectSetFromArchive(a *pareto.Archive[*Verified]) []*Verified {
-	return collectSet(a)
 }

@@ -60,27 +60,28 @@ func (s *LiveMutations) Poll() *MutationEvent {
 	return &MutationEvent{Graph: g}
 }
 
-// Retarget rebinds the runner to a new generation of its graph: matcher,
-// engine, group counter, population and scoring functions are rebuilt
-// over g (see bind), and the verification memo is dropped (its entries
-// scored the old generation). The candidate cache carries over — its keys
-// are scoped by the generation key, so pre-mutation entries can never
-// answer post-mutation queries, while entries the new generation
-// re-derives stay warm — and so do the matcher counters, which span
-// generations within one run. An external Config.Engine bound to another
-// generation is abandoned: the runner builds its own under the same
-// settings. Generation lifetimes stay with the caller — Retarget never
+// Retarget rebinds the runner to a new generation of its graph: engine,
+// group counter, population and scoring functions are rebuilt over g (see
+// bind), and the verification memo is dropped (its entries scored the old
+// generation). The candidate cache carries over — its keys are scoped by
+// the generation key, so pre-mutation entries can never answer
+// post-mutation queries, while entries the new generation re-derives stay
+// warm — and so do the matcher counters, which span generations within one
+// run. The engine is always replaced by a run-owned one under the same
+// settings and fan-out (an external Config.Engine is bound to the old
+// generation). Generation lifetimes stay with the caller — Retarget never
 // closes g.
 func (r *Runner) Retarget(g *graph.Graph) {
 	if g == r.cfg.G {
 		return
 	}
+	old := r.engine
 	cfg := *r.cfg
-	cfg.G = g
-	if cfg.Engine != nil && cfg.Engine.Graph() != g {
-		cfg.Settings, cfg.Engine = cfg.Engine.Settings(), nil
-	}
+	cfg.G, cfg.Engine = g, nil
+	cfg.Settings, cfg.MatchWorkers = old.Settings(), old.Workers()
 	r.cfg = &cfg
+	r.stats.Matcher.Add(old.Stats().Stats)
+	r.engine = r.newEngine(old.Cache())
 	r.bind()
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/query"
@@ -143,12 +145,53 @@ func TestRetargetSameGraphNoop(t *testing.T) {
 	g := fixtureGraph(t, 32)
 	cfg := fixtureConfig(t, g, 0.1, 3)
 	r := newRunnerT(t, cfg)
-	m := r.matcher
+	e := r.engine
 	r.Retarget(g)
-	if r.matcher != m || r.cfg.G != g {
+	if r.engine != e || r.cfg.G != g {
 		t.Fatal("Retarget to the bound generation rebuilt state")
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetargetReleasesOldGeneration: after Retarget the runner holds nothing
+// that reaches the generation it left — engine, matchers, memo, scorer and
+// group index all moved on — so one GC cycle frees it (see
+// match.TestRetiredGenerationCollectable for what used to pin it).
+func TestRetargetReleasesOldGeneration(t *testing.T) {
+	g1 := fixtureGraph(t, 33)
+	for _, workers := range []int{0, 2} {
+		finalized := make(chan struct{})
+		r, g3 := func() (*Runner, *graph.Graph) {
+			g2, _, err := graph.ApplyBatch(g1, []graph.Mutation{
+				{Op: graph.MutSetAttr, Node: 1, Attr: "yearsOfExp", Value: graph.Int(3)},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			g3, _, err := graph.ApplyBatch(g2, []graph.Mutation{{Op: graph.MutRemoveNode, Node: 4}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.SetFinalizer(g2, func(*graph.Graph) { close(finalized) })
+			cfg := fixtureConfig(t, g2, 0.3, 3)
+			cfg.MatchWorkers = workers
+			r := newRunnerT(t, cfg)
+			if _, err := r.RfQGen(); err != nil {
+				t.Fatal(err)
+			}
+			r.Retarget(g3)
+			return r, g3
+		}()
+		runtime.GC()
+		select {
+		case <-finalized:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("MatchWorkers=%d: the runner still reaches the retired generation after one GC", workers)
+		}
+		if r.Config().G != g3 {
+			t.Fatal("runner not on the new generation")
+		}
 	}
 }

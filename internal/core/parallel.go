@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"time"
@@ -30,58 +29,25 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 	r.resetStats()
 	start := time.Now()
 	plan := PlanSlabs(r.cfg.Template)
-	if plan.SplitVar < 0 {
-		// No variables at all: a single instance.
-		res, err := r.RfQGen()
-		if err != nil {
-			return nil, err
-		}
-		res.Elapsed = time.Since(start)
-		return res, nil
-	}
 
-	var (
-		mu      sync.Mutex
-		archive = pareto.NewArchive[*Verified](r.cfg.Eps)
-		total   Stats
-		firstMu sync.Mutex
-		callErr error
-	)
+	var mu sync.Mutex
+	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		// Each worker explores on a fork of r: a private verification memo,
+		// scorer scratch and counters over the one shared engine, warm
+		// candidate cache and compiled scoring state.
+		local := r.fork()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Each worker owns an independent Runner (the sequential matcher
-			// scratch and the verification cache are not safe for concurrent
-			// use) but adopts the parent's engine and candidate cache, which
-			// are: slab workers share one warm filter cache and one pool of
-			// matcher scratch states.
-			local, err := NewRunner(r.cfg)
-			if err != nil {
-				firstMu.Lock()
-				if callErr == nil {
-					callErr = err
-				}
-				firstMu.Unlock()
-				return
-			}
-			local.adoptEngine(r)
 			sp := newSpawner(local)
 			for level := range jobs {
 				exploreSlab(local, sp, plan.SplitVar, level, archive, &mu)
 			}
 			mu.Lock()
-			// Sum the worker-private counters only; shared engine/cache
-			// counters are folded in once after all workers finish.
-			total.Spawned += local.stats.Spawned
-			total.Verified += local.stats.Verified
-			total.Feasible += local.stats.Feasible
-			total.Pruned += local.stats.Pruned
-			total.IncScores += local.stats.IncScores
-			total.DistCache.Evals += local.stats.DistCache.Evals
-			total.Matcher.Add(local.matcher.Stats)
+			r.stats.Add(local.stats)
 			mu.Unlock()
 		}()
 	}
@@ -90,31 +56,13 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	if callErr != nil {
-		return nil, fmt.Errorf("core: ParQGen worker: %w", callErr)
-	}
 	if err := r.err(); err != nil {
 		return nil, err
 	}
-	if r.engine != nil {
-		es := r.engine.Stats()
-		total.Matcher.Add(es.Matcher())
-		total.Cache = es.Cache
-	} else if r.matcher.Cache != nil {
-		total.Cache = r.matcher.Cache.Stats()
-	}
-	if r.pairCache != nil {
-		// A custom distance: workers share the parent's pair cache through
-		// adoptEngine, so one snapshot covers every slab's evaluations.
-		total.DistCache = r.pairCache.Stats()
-	}
-	mu.Lock()
-	set := collectSet(archive)
-	mu.Unlock()
 	return &Result{
-		Set:     set,
+		Set:     collectSet(archive),
 		Eps:     r.cfg.Eps,
-		Stats:   total,
+		Stats:   r.Stats(),
 		Elapsed: time.Since(start),
 	}, nil
 }
@@ -135,10 +83,11 @@ func pickSplitVariable(t *query.Template) int {
 	return best
 }
 
-// exploreSlab runs the RfQGen depth-first strategy inside one slab: the
-// split variable is pinned to level, and spawned children never touch it.
-// The archive may be shared across goroutines (ParQGen: mu is a real
-// mutex) or slab-private (RunSlab: mu is a no-op locker).
+// exploreSlab is the one depth-first refinement walker (RfQGen's strategy,
+// Fig. 3). With splitVar >= 0 it stays inside one slab: the split variable
+// is pinned to level and spawned children never touch it; splitVar -1 walks
+// the whole lattice. The archive may be shared across goroutines (ParQGen:
+// mu is a real mutex) or private (RfQGen, RunSlab: mu is a no-op locker).
 func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 	archive *pareto.Archive[*Verified], mu sync.Locker) {
 	t := r.cfg.Template
@@ -163,13 +112,15 @@ func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 		archive.Update(v.Point, v)
 		mu.Unlock()
 		for _, child := range sp.refine(v) {
-			if child[splitVar] != level {
+			if splitVar >= 0 && child[splitVar] != level {
 				continue // stay inside the slab
 			}
 			explore(child, v)
 		}
 	}
 	rootIn := query.Root(t)
-	rootIn[splitVar] = level
+	if splitVar >= 0 {
+		rootIn[splitVar] = level
+	}
 	explore(rootIn, nil)
 }

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"fairsqg/internal/pareto"
-	"fairsqg/internal/query"
 )
 
 // RfQGen computes an ε-Pareto instance set with the "refine as always"
@@ -18,37 +17,10 @@ func (r *Runner) RfQGen() (*Result, error) {
 	r.resetStats()
 	start := time.Now()
 	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
-	sp := newSpawner(r)
-	visited := make(map[string]bool)
-
-	var explore func(in query.Instantiation, parent *Verified)
-	explore = func(in query.Instantiation, parent *Verified) {
-		if r.err() != nil {
-			return
-		}
-		q := query.MustInstance(r.cfg.Template, in)
-		if visited[q.Key()] {
-			return
-		}
-		visited[q.Key()] = true
-		r.stats.Spawned++
-		v := r.verify(q, parent)
-		if !v.Feasible {
-			// Backtrack: every refinement of an infeasible instance is
-			// infeasible. Count the immediate children as pruned.
-			r.stats.Pruned += len(query.RefineSteps(r.cfg.Template, in))
-			return
-		}
-		archive.Update(v.Point, v)
-		for _, child := range sp.refine(v) {
-			explore(child, v)
-		}
-	}
-	explore(query.Root(r.cfg.Template), nil)
+	exploreSlab(r, newSpawner(r), -1, 0, archive, noopLocker{})
 	if err := r.err(); err != nil {
 		return nil, err
 	}
-
 	return &Result{
 		Set:     collectSet(archive),
 		Eps:     r.cfg.Eps,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -16,8 +17,8 @@ var nonDefaultSettings = map[string]match.Settings{
 	"scan-only":    {DisableAttrIndex: true},
 }
 
-// TestSettingsReachEveryMatcher: whatever Config.Settings says is exactly
-// what the runner's matcher and engine run under — after NewRunner and
+// TestSettingsReachEveryMatcher: there is always an engine, and whatever
+// Config.Settings says is exactly what it runs under — after NewRunner and
 // again after Retarget onto a mutated generation, which also carries the
 // candidate cache and keeps the matcher counters monotone. The injected
 // mode pins the other direction: with Config.Engine set and Config.Settings
@@ -36,9 +37,10 @@ func TestSettingsReachEveryMatcher(t *testing.T) {
 		for _, mode := range []string{"workers=0", "workers=2", "injected"} {
 			t.Run(name+"/"+mode, func(t *testing.T) {
 				cfg := fixtureConfig(t, g, 0.3, 3)
+				wantWorkers := 2
 				switch mode {
 				case "workers=0":
-					cfg.Settings = want
+					cfg.Settings, wantWorkers = want, 1
 				case "workers=2":
 					cfg.Settings, cfg.MatchWorkers = want, 2
 				case "injected":
@@ -47,31 +49,34 @@ func TestSettingsReachEveryMatcher(t *testing.T) {
 				r := newRunnerT(t, cfg)
 				check := func(when string) {
 					t.Helper()
-					if got := r.matcher.Settings; got != want {
-						t.Errorf("%s: matcher runs under %+v, want %+v", when, got, want)
+					if r.engine == nil {
+						t.Fatalf("%s: no engine", when)
 					}
-					if (r.engine != nil) != (mode != "workers=0") {
-						t.Fatalf("%s: engine present = %v", when, r.engine != nil)
+					if got := r.engine.Settings(); got != want {
+						t.Errorf("%s: engine runs under %+v, want %+v", when, got, want)
 					}
-					if r.engine != nil && r.engine.Settings() != want {
-						t.Errorf("%s: engine runs under %+v, want %+v", when, r.engine.Settings(), want)
+					if got := r.engine.Workers(); got != wantWorkers {
+						t.Errorf("%s: engine fan-out %d, want %d", when, got, wantWorkers)
 					}
 				}
 				check("after NewRunner")
+				if (r.engine == cfg.Engine) != (mode == "injected") {
+					t.Errorf("runner on the injected engine = %v", r.engine == cfg.Engine)
+				}
 				if _, err := r.RfQGen(); err != nil {
 					t.Fatal(err)
 				}
-				cache, before := r.matcher.Cache, r.Stats().Matcher
+				cache, before := r.engine.Cache(), r.Stats().Matcher
 				if before.Evals == 0 {
 					t.Fatal("RfQGen evaluated nothing")
 				}
 
 				r.Retarget(g2)
 				check("after Retarget")
-				if r.cfg.G != g2 || r.matcher.G != g2 || (r.engine != nil && r.engine.Graph() != g2) {
-					t.Error("Retarget left a matcher or engine on the old generation")
+				if r.cfg.G != g2 || r.engine.Graph() != g2 {
+					t.Error("Retarget left the engine on the old generation")
 				}
-				if r.matcher.Cache != cache || (r.engine != nil && r.engine.Cache() != cache) {
+				if r.engine.Cache() != cache {
 					t.Error("candidate cache not carried across Retarget")
 				}
 				if got := r.Stats().Matcher; got != before {
@@ -124,8 +129,50 @@ func TestConfigValidateEngineSettings(t *testing.T) {
 	}
 }
 
-// TestParQGenKeepsMatcherCounters: a par run reports the access-path split
-// and signature pruning wherever the same request under rf does.
+// statsLeaves flattens every numeric leaf of a Stats value, by field path.
+func statsLeaves(s Stats) map[string]int64 {
+	leaves := map[string]int64{}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+			return
+		}
+		leaves[path] = v.Int()
+	}
+	walk("Stats", reflect.ValueOf(s))
+	return leaves
+}
+
+// TestStatsAddCoversEveryField: Add sums every leaf of Stats, so a field
+// added later without an Add line fails here.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var one Stats
+	var set func(v reflect.Value)
+	set = func(v reflect.Value) {
+		if v.Kind() == reflect.Struct {
+			for i := 0; i < v.NumField(); i++ {
+				set(v.Field(i))
+			}
+			return
+		}
+		v.SetInt(1)
+	}
+	set(reflect.ValueOf(&one).Elem())
+	sum := one
+	sum.Add(one)
+	for path, n := range statsLeaves(sum) {
+		if n != 2 {
+			t.Errorf("%s = %d after Add, want 2: Stats.Add does not sum it", path, n)
+		}
+	}
+}
+
+// TestParQGenKeepsMatcherCounters: a par run reports every counter of Stats —
+// the access-path split and signature pruning included — wherever the same
+// request under rf does.
 func TestParQGenKeepsMatcherCounters(t *testing.T) {
 	g := fixtureGraph(t, 30)
 	cfg := fixtureConfig(t, g, 0.3, 3)
@@ -136,6 +183,7 @@ func TestParQGenKeepsMatcherCounters(t *testing.T) {
 	if m := rf.Stats.Matcher; m.IndexSelections == 0 || m.ScanSelections == 0 || m.SigPruned == 0 {
 		t.Fatalf("fixture no longer exercises all three counters under rf: %+v", m)
 	}
+	want := statsLeaves(rf.Stats)
 	for _, matchWorkers := range []int{0, 2} {
 		for _, workers := range []int{1, 2, 4} {
 			c := *cfg
@@ -144,9 +192,10 @@ func TestParQGenKeepsMatcherCounters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m := res.Stats.Matcher; m.IndexSelections == 0 || m.ScanSelections == 0 || m.SigPruned == 0 {
-				t.Errorf("matchWorkers=%d/workers=%d: par lost matcher counters: %+v (rf: %+v)",
-					matchWorkers, workers, m, rf.Stats.Matcher)
+			for path, n := range statsLeaves(res.Stats) {
+				if n == 0 && want[path] != 0 {
+					t.Errorf("matchWorkers=%d/workers=%d: par lost %s (rf: %d)", matchWorkers, workers, path, want[path])
+				}
 			}
 		}
 	}

@@ -105,10 +105,11 @@ type SlabResult struct {
 
 // RunSlab executes one slab of the instance lattice: the RfQGen
 // depth-first strategy with splitVar pinned to level, archiving into a
-// slab-local ε-Pareto archive. splitVar -1 (the no-variable plan) runs the
-// single root instance. The execution is deterministic for a given
-// configuration, so two processes running the same slab over the same
-// graph produce identical results.
+// slab-local ε-Pareto archive. splitVar -1 pins nothing — the whole
+// lattice, which under the no-variable plan is the single root instance.
+// The execution is deterministic for a given configuration, so two
+// processes running the same slab over the same graph produce identical
+// results.
 func (r *Runner) RunSlab(splitVar, level int) (*SlabResult, error) {
 	if err := r.cfg.Validate(); err != nil {
 		return nil, err
@@ -125,17 +126,7 @@ func (r *Runner) RunSlab(splitVar, level int) (*SlabResult, error) {
 	r.resetStats()
 	start := time.Now()
 	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
-	if splitVar == -1 {
-		// No variables: the lattice is the single root instance.
-		q := query.MustInstance(t, query.Root(t))
-		r.stats.Spawned++
-		if v := r.verify(q, nil); v.Feasible {
-			archive.Update(v.Point, v)
-		}
-	} else {
-		var mu noopLocker
-		exploreSlab(r, newSpawner(r), splitVar, level, archive, &mu)
-	}
+	exploreSlab(r, newSpawner(r), splitVar, level, archive, noopLocker{})
 	if err := r.err(); err != nil {
 		return nil, err
 	}
@@ -171,8 +162,8 @@ func validSlabLevel(t *query.Template, vi, level int) bool {
 	return level == query.Wildcard || (level >= 0 && level < len(t.Vars[vi].Ladder))
 }
 
-// noopLocker satisfies sync.Locker for the single-goroutine slab path,
-// where exploreSlab's archive needs no real mutex.
+// noopLocker satisfies sync.Locker for the single-goroutine walks (RfQGen,
+// RunSlab), where exploreSlab's archive needs no real mutex.
 type noopLocker struct{}
 
 func (noopLocker) Lock()   {}

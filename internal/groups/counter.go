@@ -36,6 +36,12 @@ func NewCounter(numNodes int, s Set) *Counter {
 	return c
 }
 
+// Clone returns a counter over the same node→group index with its own
+// counts buffer, for use on another goroutine.
+func (c *Counter) Clone() *Counter {
+	return &Counter{set: c.set, id: c.id, counts: make([]int, len(c.counts))}
+}
+
 // Counts returns, for each group, |answer ∩ P_i| — the same values as
 // Set.Count. The returned slice is the Counter's internal buffer: it is
 // valid until the next Counts call and must not be retained or mutated.

@@ -57,6 +57,7 @@ func engineMatrix(g *graph.Graph, mode Mode) map[string]*Engine {
 // the order knob).
 func checkDifferential(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, engines map[string]*Engine) {
 	t.Helper()
+	checkFanoutOne(t, g, q, mode, nil)
 	m := New(g)
 	m.Mode = mode
 	want := m.EvalOutput(q)
@@ -85,16 +86,104 @@ func checkDifferential(t *testing.T, g *graph.Graph, q *query.Instance, mode Mod
 	}
 }
 
+// fanoutOneCases tallies the evaluation shapes the fan-out-1 column has
+// compared, so the tests can assert the corpus reached each of them.
+var fanoutOneCases struct{ plain, within, vetoed, inactive, singleNode int }
+
+// checkFanoutOne is the "engine workers=1" column: for every template node,
+// with and without a vetoing accept, a fresh engine of fan-out 1 returns the
+// sequential matcher's match set and leaves exactly its counters — at that
+// fan-out the engine is the sequential loop, not an approximation of it.
+// within, when non-nil, restricts the output node (incVerify). Both sides
+// run cacheless so the access-path counters are comparable.
+func checkFanoutOne(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, within []graph.NodeID) {
+	t.Helper()
+	veto := func([]graph.NodeID) bool { return false }
+	for node := range q.T.Nodes {
+		for _, accept := range []func([]graph.NodeID) bool{nil, veto} {
+			var w []graph.NodeID
+			if node == q.T.Output {
+				w = within
+			}
+			m := New(g)
+			m.Mode = mode
+			e := NewEngine(g, EngineOptions{Workers: 1, CandCacheSize: -1, Settings: Settings{Mode: mode}})
+			want, wantOK := m.EvalNodeFiltered(q, node, w, accept)
+			got, gotOK, err := e.ParEvalNodeFiltered(context.Background(), q, node, w, accept)
+			if err != nil {
+				t.Fatalf("seed %d: fan-out 1: %s node %d: %v", differentialSeed, q, node, err)
+			}
+			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d: fan-out 1: %s node %d:\nengine     %v ok=%v\nsequential %v ok=%v",
+					differentialSeed, q, node, got, gotOK, want, wantOK)
+			}
+			if es := e.Stats(); es.Stats != m.Stats || es.ParEvals != 1 {
+				t.Errorf("seed %d: fan-out 1: %s node %d: counters diverged:\nengine     %+v (ParEvals %d)\nsequential %+v",
+					differentialSeed, q, node, es.Stats, es.ParEvals, m.Stats)
+			}
+			switch {
+			case !q.NodeActive(node):
+				fanoutOneCases.inactive++
+			case !wantOK:
+				fanoutOneCases.vetoed++
+			case len(want) > 0 && m.Stats.CandidatesChecked == 0:
+				fanoutOneCases.singleNode++ // matches without backtracking: the plan is this node alone
+			case w != nil:
+				fanoutOneCases.within++
+			default:
+				fanoutOneCases.plain++
+			}
+		}
+	}
+}
+
 // TestDifferentialTalentFixture runs every instantiation of the canonical
-// talent fixture through the full engine matrix in both matching modes.
+// talent fixture through the full engine matrix in both matching modes. Its
+// e1=0 instances collapse to the output node alone, so this is also where
+// the fan-out-1 column meets inactive nodes and single-node plans.
 func TestDifferentialTalentFixture(t *testing.T) {
 	g := talentGraph(t)
 	tpl := talentTpl(t)
+	fanoutOneCases.plain, fanoutOneCases.vetoed, fanoutOneCases.inactive, fanoutOneCases.singleNode = 0, 0, 0, 0
 	for _, mode := range []Mode{Isomorphism, Homomorphism} {
 		engines := engineMatrix(g, mode)
 		for _, in := range allInstantiations(tpl) {
 			checkDifferential(t, g, query.MustInstance(tpl, in), mode, engines)
 		}
+	}
+	if c := fanoutOneCases; c.plain == 0 || c.vetoed == 0 || c.inactive == 0 || c.singleNode == 0 {
+		t.Errorf("fan-out 1 column missed an evaluation shape: %+v", c)
+	}
+}
+
+// TestFanoutOneAllocations: an engine of fan-out 1 evaluates on the calling
+// goroutine with the planner's own matcher, so it may cost at most two
+// allocations more than Matcher.EvalOutputFiltered (the block table and the
+// WaitGroup its unused fan-out path shares with the goroutines).
+func TestFanoutOneAllocations(t *testing.T) {
+	g := randomGraph(t, 300, 900, differentialSeed)
+	tpl := randomTemplate(t, g)
+	m := New(g)
+	e := NewEngine(g, EngineOptions{Workers: 1, CandCacheSize: -1})
+	ctx := context.Background()
+	in := query.Root(tpl)
+	var parent []graph.NodeID
+	for step := 0; step < 4; step++ {
+		q := query.MustInstance(tpl, in)
+		for _, within := range [][]graph.NodeID{nil, parent} {
+			seq := testing.AllocsPerRun(10, func() { m.EvalOutputFiltered(q, within, nil) })
+			eng := testing.AllocsPerRun(10, func() { e.ParEvalOutputFiltered(ctx, q, within, nil) })
+			if eng > seq+2 {
+				t.Errorf("%s (within=%v): engine at fan-out 1 allocates %.0f per evaluation, matcher %.0f: want <= +2",
+					q, within != nil, eng, seq)
+			}
+		}
+		parent = m.EvalOutput(q)
+		kids := query.RefineSteps(tpl, in)
+		if len(kids) == 0 {
+			break
+		}
+		in = kids[len(kids)-1]
 	}
 }
 
@@ -138,6 +227,7 @@ func TestDifferentialIncremental(t *testing.T) {
 	m := New(g)
 	engines := engineMatrix(g, Isomorphism)
 	rng := rand.New(rand.NewSource(differentialSeed + 2))
+	fanoutOneCases.within = 0
 	for trial := 0; trial < 20; trial++ {
 		in := query.Root(tpl)
 		parent := m.EvalOutput(query.MustInstance(tpl, in))
@@ -149,6 +239,7 @@ func TestDifferentialIncremental(t *testing.T) {
 			in = kids[rng.Intn(len(kids))]
 			q := query.MustInstance(tpl, in)
 			want := m.EvalOutputWithin(q, parent)
+			checkFanoutOne(t, g, q, Isomorphism, parent)
 			for name, e := range engines {
 				got, err := e.ParEvalOutputWithin(context.Background(), q, parent)
 				if err != nil {
@@ -161,5 +252,8 @@ func TestDifferentialIncremental(t *testing.T) {
 			}
 			parent = want
 		}
+	}
+	if fanoutOneCases.within == 0 {
+		t.Error("fan-out 1 column never ran a within-restricted evaluation")
 	}
 }

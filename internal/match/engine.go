@@ -34,18 +34,8 @@ type EngineOptions struct {
 type EngineStats struct {
 	// ParEvals counts ParEval* invocations.
 	ParEvals int64
-	// Evals, CandidatesChecked and BacktrackNodes sum the pooled matchers'
-	// counters (see Stats).
-	Evals             int64
-	CandidatesChecked int64
-	BacktrackNodes    int64
-	// IndexSelections and ScanSelections sum the pooled matchers' candidate
-	// access-path counters (see Stats).
-	IndexSelections int64
-	ScanSelections  int64
-	// SigPruned sums the pooled matchers' degree/signature pruning counter
-	// (see Stats.SigPruned).
-	SigPruned int64
+	// Stats sums the counters of every matcher the engine has driven.
+	Stats
 	// Cache reports candidate-cache effectiveness; zero when disabled.
 	Cache CacheStats
 	// Dist.Evals counts the tuple-distance evaluations of the runs scored
@@ -54,20 +44,8 @@ type EngineStats struct {
 	Dist measure.PairCacheStats
 }
 
-// Matcher returns the pooled matchers' summed counters as a Stats value.
-func (s EngineStats) Matcher() Stats {
-	return Stats{
-		Evals:             int(s.Evals),
-		CandidatesChecked: int(s.CandidatesChecked),
-		BacktrackNodes:    int(s.BacktrackNodes),
-		IndexSelections:   int(s.IndexSelections),
-		ScanSelections:    int(s.ScanSelections),
-		SigPruned:         int(s.SigPruned),
-	}
-}
-
 // Engine is a concurrent match engine over one frozen graph: it owns a
-// shared, bounded candidate cache and a pool of per-goroutine Matcher
+// shared, bounded candidate cache and a free list of per-goroutine Matcher
 // scratch states, and evaluates instances by partitioning the output
 // node's candidate list across a worker fan-out. Results are byte-for-byte
 // identical to the sequential Matcher's (the reference implementation) —
@@ -81,16 +59,17 @@ type Engine struct {
 	settings Settings
 	workers  int
 	cache    *CandidateCache
-	pool     sync.Pool
 
-	parEvals          atomic.Int64
-	evals             atomic.Int64
-	candidatesChecked atomic.Int64
-	backtrackNodes    atomic.Int64
-	indexSelections   atomic.Int64
-	scanSelections    atomic.Int64
-	sigPruned         atomic.Int64
-	distEvals         atomic.Int64
+	// mu guards free and stats. The free list is the engine's own, not the
+	// sync package's pool: a pool registers itself in a runtime-global list,
+	// which keeps a dropped engine's matchers — and through Matcher.G the
+	// whole retired graph generation — reachable for two further GC cycles.
+	mu    sync.Mutex
+	free  []*Matcher
+	stats Stats
+
+	parEvals  atomic.Int64
+	distEvals atomic.Int64
 }
 
 // NewEngine returns an engine over a frozen graph.
@@ -106,14 +85,7 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	if cache == nil && opts.CandCacheSize >= 0 {
 		cache = NewCandidateCache(opts.CandCacheSize)
 	}
-	e := &Engine{g: g, settings: opts.Settings, workers: workers, cache: cache}
-	e.pool.New = func() any {
-		m := New(g)
-		m.Settings = e.settings
-		m.Cache = e.cache
-		return m
-	}
-	return e
+	return &Engine{g: g, settings: opts.Settings, workers: workers, cache: cache}
 }
 
 // Graph returns the engine's frozen graph.
@@ -140,36 +112,44 @@ func (e *Engine) AddDistEvals(n int64) { e.distEvals.Add(n) }
 // by matchers currently mid-evaluation is included only once they finish.
 func (e *Engine) Stats() EngineStats {
 	s := EngineStats{
-		ParEvals:          e.parEvals.Load(),
-		Evals:             e.evals.Load(),
-		CandidatesChecked: e.candidatesChecked.Load(),
-		BacktrackNodes:    e.backtrackNodes.Load(),
-		IndexSelections:   e.indexSelections.Load(),
-		ScanSelections:    e.scanSelections.Load(),
-		SigPruned:         e.sigPruned.Load(),
-		Dist:              measure.PairCacheStats{Evals: e.distEvals.Load()},
+		ParEvals: e.parEvals.Load(),
+		Dist:     measure.PairCacheStats{Evals: e.distEvals.Load()},
 	}
+	e.mu.Lock()
+	s.Stats = e.stats
+	e.mu.Unlock()
 	if e.cache != nil {
 		s.Cache = e.cache.Stats()
 	}
 	return s
 }
 
-// acquire checks a Matcher out of the pool.
-func (e *Engine) acquire() *Matcher { return e.pool.Get().(*Matcher) }
+// acquire checks a Matcher out of the free list, bound to ctx; the list
+// grows to the engine's peak concurrency.
+func (e *Engine) acquire(ctx context.Context) *Matcher {
+	e.mu.Lock()
+	var m *Matcher
+	if n := len(e.free); n > 0 {
+		m, e.free = e.free[n-1], e.free[:n-1]
+	}
+	e.mu.Unlock()
+	if m == nil {
+		m = New(e.g)
+		m.Settings, m.Cache = e.settings, e.cache
+	}
+	m.bindContext(ctx)
+	return m
+}
 
 // release folds a Matcher's counters into the engine aggregate and returns
-// it to the pool.
+// it to the free list.
 func (e *Engine) release(m *Matcher) {
-	e.evals.Add(int64(m.Stats.Evals))
-	e.candidatesChecked.Add(int64(m.Stats.CandidatesChecked))
-	e.backtrackNodes.Add(int64(m.Stats.BacktrackNodes))
-	e.indexSelections.Add(int64(m.Stats.IndexSelections))
-	e.scanSelections.Add(int64(m.Stats.ScanSelections))
-	e.sigPruned.Add(int64(m.Stats.SigPruned))
-	m.Stats = Stats{}
 	m.bindContext(nil)
-	e.pool.Put(m)
+	e.mu.Lock()
+	e.stats.Add(m.Stats)
+	m.Stats = Stats{}
+	e.free = append(e.free, m)
+	e.mu.Unlock()
 }
 
 // ParEvalOutput computes q(G) = q(u_o, G) concurrently; the result is
@@ -201,12 +181,13 @@ func (e *Engine) ParEvalOutputFiltered(ctx context.Context, q *query.Instance, w
 func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, node int, within []graph.NodeID,
 	accept func(candidates []graph.NodeID) bool) (matches []graph.NodeID, ok bool, err error) {
 	if ctx == nil {
-		ctx = context.Background()
+		// Not "ctx = Background": a reassigned ctx would be captured by
+		// reference below and cost every evaluation a heap allocation.
+		return e.ParEvalNodeFiltered(context.Background(), q, node, within, accept)
 	}
 	e.parEvals.Add(1)
-	planner := e.acquire()
+	planner := e.acquire(ctx)
 	defer e.release(planner)
-	planner.bindContext(ctx)
 	planner.Stats.Evals++
 	if !q.NodeActive(node) {
 		return nil, true, nil
@@ -215,8 +196,7 @@ func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, nod
 	if p == nil {
 		return nil, true, ctx.Err()
 	}
-	rootIdx := p.nodePos[node]
-	rootCands := p.cands[rootIdx]
+	rootCands := p.cands[p.rootIdx]
 	if accept != nil && !accept(rootCands) {
 		return nil, false, nil
 	}
@@ -237,56 +217,51 @@ func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, nod
 	}
 	// Contiguous static blocks: each worker verifies an independent slice
 	// of the candidate list against the shared read-only plan with its own
-	// Matcher scratch state. Per-chunk results keep candidate order, so the
-	// final sort makes the merge deterministic under any scheduling.
+	// Matcher scratch state. The caller takes the first block on the
+	// planner's matcher, so a fan-out of 1 is the sequential loop: no
+	// goroutine and no second matcher.
 	chunk := (len(rootCands) + workers - 1) / workers
 	results := make([][]graph.NodeID, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(rootCands) {
-			hi = len(rootCands)
-		}
-		if lo >= hi {
-			continue
-		}
+	for w := 1; w*chunk < len(rootCands); w++ {
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
-			m := e.acquire()
+			m := e.acquire(ctx)
 			defer e.release(m)
-			m.bindContext(ctx)
-			var local []graph.NodeID
-			for _, v := range rootCands[lo:hi] {
-				if m.aborted || ctx.Err() != nil {
-					return
-				}
-				m.Stats.CandidatesChecked++
-				if m.embedFrom(p, v) {
-					local = append(local, v)
-				}
-			}
-			results[w] = local
-		}(w, lo, hi)
+			results[w] = m.embedAll(ctx, p, rootCands[w*chunk:min((w+1)*chunk, len(rootCands))])
+		}(w)
 	}
+	results[0] = planner.embedAll(ctx, p, rootCands[:chunk])
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	total := 0
-	for _, rs := range results {
-		total += len(rs)
-	}
-	out := make([]graph.NodeID, 0, total)
-	for _, rs := range results {
+	// Per-block results keep candidate order, so appending them in block
+	// order and the final sort make the merge deterministic under any
+	// scheduling.
+	out := results[0]
+	for _, rs := range results[1:] {
 		out = append(out, rs...)
 	}
 	sortIDs(out)
-	if len(out) == 0 {
-		return nil, true, nil
-	}
 	return out, true, nil
+}
+
+// embedAll returns the candidates of one block that extend to a full
+// matching of p, in block order; nil once ctx fires.
+func (m *Matcher) embedAll(ctx context.Context, p *plan, cands []graph.NodeID) []graph.NodeID {
+	var matched []graph.NodeID
+	for _, v := range cands {
+		if m.aborted || ctx.Err() != nil {
+			return nil
+		}
+		m.Stats.CandidatesChecked++
+		if m.embedFrom(p, v) {
+			matched = append(matched, v)
+		}
+	}
+	return matched
 }
 
 // sortIDs restores ascending order. Candidate lists come off the label

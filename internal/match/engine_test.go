@@ -3,8 +3,10 @@ package match
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/query"
@@ -111,7 +113,7 @@ func TestParEvalCancellation(t *testing.T) {
 	// polling window of search nodes before unwinding — the counter is
 	// incremented only after the abort check, so the unwinding frames and
 	// the untried candidates add nothing.
-	if bt := e.Stats().BacktrackNodes; bt > int64(4*(cancelCheckMask+1)) {
+	if bt := e.Stats().BacktrackNodes; bt > 4*(cancelCheckMask+1) {
 		t.Errorf("pre-cancelled eval expanded %d nodes, want <= %d", bt, 4*(cancelCheckMask+1))
 	}
 	// The engine stays usable after an aborted evaluation.
@@ -242,5 +244,40 @@ func TestCandKeyCanonicalizesLiteralOrder(t *testing.T) {
 	k4 := candKey("Person", []query.CompiledLiteral{{Attr: "x", Op: graph.OpEQ, Value: graph.Int(1)}})
 	if k3 == k4 {
 		t.Error("Str(\"1\") and Int(1) share a cache key")
+	}
+}
+
+// TestRetiredGenerationCollectable: once an engine and its graph generation
+// are dropped, one GC cycle frees the generation. A sync.Pool of matchers
+// failed this — pools live in a runtime-global list, and their victim cache
+// kept every pooled Matcher.G (a whole copy-on-write generation) reachable
+// for two further cycles after each Retarget or Registry.Mutate.
+func TestRetiredGenerationCollectable(t *testing.T) {
+	g1 := randomGraph(t, 300, 900, 17)
+	tpl := randomTemplate(t, g1)
+	finalized := make(chan struct{})
+	func() {
+		g2, _, err := graph.ApplyBatch(g1, []graph.Mutation{
+			{Op: graph.MutSetAttr, Node: 1, Attr: "yearsOfExp", Value: graph.Int(3)},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(g2, func(*graph.Graph) { close(finalized) })
+		// The instance caches its literals compiled against g2: it is part
+		// of what must go.
+		q := query.MustInstance(tpl, query.Instantiation{0, 0, 1, 1})
+		for _, workers := range []int{1, 4} {
+			e := NewEngine(g2, EngineOptions{Workers: workers})
+			if got, err := e.ParEvalOutput(context.Background(), q); err != nil || len(got) == 0 {
+				t.Fatalf("workers=%d: %d matches, err %v", workers, len(got), err)
+			}
+		}
+	}()
+	runtime.GC()
+	select {
+	case <-finalized:
+	case <-time.After(5 * time.Second):
+		t.Fatal("retired generation still reachable after one GC")
 	}
 }

@@ -2,54 +2,14 @@ package server
 
 import (
 	"expvar"
-	"fmt"
 	"sync"
+
+	"fairsqg/internal/cluster"
 )
 
 // latencyBucketsMs are the upper bounds of the per-algorithm latency
-// histogram, in milliseconds; the implicit last bucket is +Inf.
+// histogram, in milliseconds.
 var latencyBucketsMs = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10000, 30000}
-
-// histogram is a fixed-bucket latency histogram safe for concurrent use.
-type histogram struct {
-	mu      sync.Mutex
-	count   int64
-	sumMs   float64
-	buckets []int64 // len(latencyBucketsMs)+1, last = overflow
-}
-
-func newHistogram() *histogram {
-	return &histogram{buckets: make([]int64, len(latencyBucketsMs)+1)}
-}
-
-func (h *histogram) observe(ms float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.count++
-	h.sumMs += ms
-	for i, ub := range latencyBucketsMs {
-		if ms <= ub {
-			h.buckets[i]++
-			return
-		}
-	}
-	h.buckets[len(h.buckets)-1]++
-}
-
-// snapshot renders the histogram as cumulative "le" counts, the shape
-// Prometheus-style scrapers expect.
-func (h *histogram) snapshot() map[string]any {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	le := make(map[string]int64, len(h.buckets))
-	cum := int64(0)
-	for i, ub := range latencyBucketsMs {
-		cum += h.buckets[i]
-		le[fmt.Sprintf("%g", ub)] = cum
-	}
-	le["+Inf"] = h.count
-	return map[string]any{"count": h.count, "sum_ms": h.sumMs, "le": le}
-}
 
 // metrics aggregates the service counters surfaced at /metrics. The
 // counters are expvar values held per server instance (published into the
@@ -65,11 +25,11 @@ type metrics struct {
 	httpByCode    expvar.Map
 
 	mu      sync.Mutex
-	latency map[string]*histogram // keyed by algorithm
+	latency map[string]*cluster.Histogram // keyed by algorithm
 }
 
 func newMetrics() *metrics {
-	m := &metrics{latency: make(map[string]*histogram)}
+	m := &metrics{latency: make(map[string]*cluster.Histogram)}
 	m.httpByCode.Init()
 	return m
 }
@@ -79,24 +39,24 @@ func (m *metrics) observeLatency(algorithm string, ms float64) {
 	m.mu.Lock()
 	h, ok := m.latency[algorithm]
 	if !ok {
-		h = newHistogram()
+		h = cluster.NewHistogram(latencyBucketsMs)
 		m.latency[algorithm] = h
 	}
 	m.mu.Unlock()
-	h.observe(ms)
+	h.Observe(ms)
 }
 
 // latencySnapshot renders every algorithm's histogram.
 func (m *metrics) latencySnapshot() map[string]any {
 	m.mu.Lock()
-	hs := make(map[string]*histogram, len(m.latency))
+	hs := make(map[string]*cluster.Histogram, len(m.latency))
 	for k, h := range m.latency {
 		hs[k] = h
 	}
 	m.mu.Unlock()
 	out := make(map[string]any, len(hs))
 	for k, h := range hs {
-		out[k] = h.snapshot()
+		out[k] = h.Snapshot()
 	}
 	return out
 }

@@ -125,9 +125,8 @@ type Registry struct {
 	compactAfter int
 	// snaps, when set, persists every registered graph as a binary
 	// snapshot plus a delta log of its mutation batches, and deletes the
-	// files again on Remove; restore on startup goes through
-	// putRestoredLive so freshly loaded snapshots aren't immediately
-	// rewritten.
+	// files again on Remove; restore on startup goes through putLive
+	// directly so freshly loaded snapshots aren't immediately rewritten.
 	snaps *snapshotStore
 	muts  mutationStats
 	// onMutate, when set, observes every applied batch (the online
@@ -170,13 +169,6 @@ func (r *Registry) Put(name string, g *graph.Graph) error {
 	return r.putLive(name, graph.NewLive(g), 0, 0)
 }
 
-// putRestoredLive registers a graph restored from its snapshot and delta
-// log; identical to Put except the files on disk are already current, so
-// nothing is rewritten.
-func (r *Registry) putRestoredLive(name string, l *graph.Live, epoch uint64, replayed int) error {
-	return r.putLive(name, l, epoch, replayed)
-}
-
 // check validates a registration without inserting, so Put can reject
 // before persisting anything.
 func (r *Registry) check(name string, g *graph.Graph) error {
@@ -194,6 +186,8 @@ func (r *Registry) check(name string, g *graph.Graph) error {
 	return nil
 }
 
+// putLive registers a live graph without touching its files: Put persists
+// first, restore on startup finds the snapshot and delta log already current.
 func (r *Registry) putLive(name string, l *graph.Live, epoch uint64, replayed int) error {
 	if err := r.check(name, l.Graph()); err != nil {
 		l.Close()
@@ -451,12 +445,7 @@ func (r *Registry) swapServed(entry *graphEntry, g *graph.Graph) {
 // so the live engine already reports the cumulative numbers.
 func foldEngineStats(dst *match.EngineStats, s match.EngineStats) {
 	dst.ParEvals += s.ParEvals
-	dst.Evals += s.Evals
-	dst.CandidatesChecked += s.CandidatesChecked
-	dst.BacktrackNodes += s.BacktrackNodes
-	dst.IndexSelections += s.IndexSelections
-	dst.ScanSelections += s.ScanSelections
-	dst.SigPruned += s.SigPruned
+	dst.Stats.Add(s.Stats)
 }
 
 // Checkpoint synchronously compacts a graph and persists the result: the

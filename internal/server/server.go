@@ -155,7 +155,7 @@ func (s *Server) MetricsSnapshot() map[string]any {
 	graphs := map[string]any{}
 	var cacheHits, cacheMisses int64
 	var distEvals, distHits, distMisses int64
-	var indexSel, scanSel, sigPruned int64
+	var indexSel, scanSel, sigPruned int
 	var indexBytes, columnBytes int64
 	for _, info := range s.reg.List() {
 		graphs[info.Name] = info

@@ -396,7 +396,7 @@ func (st *snapshotStore) restoreOne(reg *Registry, name string, f *restoreFiles)
 			st.wal.replayBatches.Add(1)
 		}
 	}
-	if err := reg.putRestoredLive(name, l, baseEpoch, replayed); err != nil {
+	if err := reg.putLive(name, l, baseEpoch, replayed); err != nil {
 		st.logf("snapshot restore %s: %v", name, err)
 		return false
 	}
