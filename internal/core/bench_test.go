@@ -2,6 +2,9 @@ package core
 
 import (
 	"testing"
+
+	"fairsqg/internal/gen"
+	"fairsqg/internal/query"
 )
 
 func benchConfig(b *testing.B) *Config {
@@ -30,6 +33,28 @@ func BenchmarkEnumQGen(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkSpawnRefine measures one Spawn of the star template's root
+// (diameter 2) on a 15k-node LKI graph, from as many seeds as the spawner
+// still walks from: the neighborhood pass and the restricted child list.
+func BenchmarkSpawnRefine(b *testing.B) {
+	g := gen.BuildLKI(gen.Options{Nodes: 15000, Seed: 1})
+	r := spawnRunner(b, g, spawnTemplates[0])
+	tpl := r.cfg.Template
+	root := r.verify(query.MustInstance(tpl, query.Root(tpl)), nil)
+	v := &Verified{Q: root.Q, Matches: root.Matches[:min(len(root.Matches), maxNeighborhoodSeeds)]}
+	sp := newSpawner(r)
+	if sp.diameter != 2 || len(sp.refine(v)) == 0 {
+		b.Fatalf("diameter %d, %d children", sp.diameter, len(sp.refine(v)))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v.spent = 0
+		sp.refine(v)
+	}
+	b.ReportMetric(float64(r.stats.HoodNodes)/float64(r.stats.HoodRuns), "nodes/walk")
 }
 
 func BenchmarkRfQGen(b *testing.B) {

@@ -164,7 +164,7 @@ func (r *Runner) BiQGen() (*Result, error) {
 							}
 						}
 					} else {
-						r.stats.Pruned += len(query.RefineSteps(t, item.in))
+						r.stats.Pruned += query.NumRefineSteps(t, item.in)
 					}
 				}
 			}

@@ -199,9 +199,19 @@ type Stats struct {
 	Verified int
 	// Feasible counts verified instances meeting all constraints.
 	Feasible int
-	// Pruned counts instances skipped without verification (infeasibility
-	// backtracking, sandwich pruning, template-refinement caps).
+	// Pruned counts instances skipped without verification: the children
+	// of an instance found infeasible (infeasibility backtracking) and the
+	// instances inside a sandwich bound. Children the template-refinement
+	// analysis withholds are not in it; RefineSuppressed counts those.
 	Pruned int
+	// RefineSuppressed counts children Spawn withheld because the d-hop
+	// neighborhood of the parent's matches capped the variable's ladder
+	// below the step or froze the edge variable.
+	RefineSuppressed int
+	// HoodRuns counts neighborhood walks made by Spawn and HoodNodes the
+	// nodes they visited.
+	HoodRuns  int
+	HoodNodes int
 	// SandwichPairs counts sandwich bounds recorded (BiQGen only).
 	SandwichPairs int
 	// IncScores counts diversity evaluations served by the subset-delta
@@ -225,6 +235,9 @@ func (s *Stats) Add(o Stats) {
 	s.Verified += o.Verified
 	s.Feasible += o.Feasible
 	s.Pruned += o.Pruned
+	s.RefineSuppressed += o.RefineSuppressed
+	s.HoodRuns += o.HoodRuns
+	s.HoodNodes += o.HoodNodes
 	s.SandwichPairs += o.SandwichPairs
 	s.IncScores += o.IncScores
 	s.Matcher.Add(o.Matcher)
@@ -255,6 +268,12 @@ type Verified struct {
 	// whose matches subset this instance's re-score from the difference.
 	// nil when the instance was sampled or infeasible.
 	score *measure.ScoreState
+	// spent has bit vi set when Spawn found variable vi (< 64) blocked at
+	// this instance or at the ancestor it was verified under: its ladder is
+	// capped below the next step, or the edge variable is frozen. Match
+	// sets, and with them neighborhoods, only shrink along refinement, so
+	// the variable is blocked at every refinement of this instance as well.
+	spent uint64
 }
 
 // Result is the outcome of a generation run.

@@ -262,6 +262,9 @@ func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 		counts = r.counter.Counts(matches)
 		v.Feasible = ok && measure.FeasibleCounts(r.cfg.Groups, counts)
 	}
+	if parent != nil {
+		v.spent = parent.spent
+	}
 	if r.ctx.Err() != nil {
 		// The evaluation was cut short: its result is partial. Don't cache
 		// or count it — the caller's next cancellation poll ends the run,

@@ -105,7 +105,7 @@ func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 		r.stats.Spawned++
 		v := r.verify(q, parent)
 		if !v.Feasible {
-			r.stats.Pruned += len(query.RefineSteps(t, in))
+			r.stats.Pruned += query.NumRefineSteps(t, in)
 			return
 		}
 		mu.Lock()

@@ -20,6 +20,16 @@ func NewBitset(n int) Bitset {
 	return Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// BitsetOver returns an empty bitset holding positions [0, n) in caller-owned
+// memory: the first (n+63)/64 words of words' capacity, which are zeroed.
+// The matcher builds its per-plan candidate bitsets over reused buffers
+// with it.
+func BitsetOver(words []uint64, n int) Bitset {
+	words = words[:(n+63)/64]
+	clear(words)
+	return Bitset{words: words, n: n}
+}
+
 // Len returns the bitset's capacity n.
 func (b Bitset) Len() int { return b.n }
 

@@ -151,11 +151,22 @@ func TestSummarize(t *testing.T) {
 
 func TestKHopNeighborhood(t *testing.T) {
 	g := buildSample(t)
-	h0 := KHopNeighborhood(g, []NodeID{0}, 0)
+	var hood Neighborhood
+	ball := func(d int) map[NodeID]bool {
+		set := map[NodeID]bool{}
+		for _, v := range hood.Walk(g, []NodeID{0, 0}, d) {
+			if set[v] {
+				t.Errorf("%d-hop lists %d twice", d, v)
+			}
+			set[v] = true
+		}
+		return set
+	}
+	h0 := ball(0)
 	if len(h0) != 1 || !h0[0] {
 		t.Errorf("0-hop = %v", h0)
 	}
-	h1 := KHopNeighborhood(g, []NodeID{0}, 1)
+	h1 := ball(1)
 	// node 0 reaches 1, 3 (out) and 2 (in) in one undirected hop.
 	for _, v := range []NodeID{0, 1, 2, 3} {
 		if !h1[v] {
@@ -165,9 +176,45 @@ func TestKHopNeighborhood(t *testing.T) {
 	if h1[4] {
 		t.Errorf("1-hop should not include 4")
 	}
-	h2 := KHopNeighborhood(g, []NodeID{0}, 2)
+	h2 := ball(2)
 	if len(h2) != 5 {
 		t.Errorf("2-hop should reach everything, got %v", h2)
+	}
+	// The walker is reusable: a smaller ball after a larger one.
+	if again := ball(0); len(again) != 1 || !again[0] {
+		t.Errorf("0-hop after 2-hop = %v", again)
+	}
+}
+
+// TestNeighborhoodClearsSeenSet: the seen-set is all-zero after a walk,
+// whether the ball was small against the graph (cleared node by node) or
+// all of it (cleared wholesale), so a reused walker starts from nothing.
+func TestNeighborhoodClearsSeenSet(t *testing.T) {
+	g := New()
+	const n = 1000
+	for i := 0; i < n; i++ {
+		g.AddNode("N", nil)
+	}
+	for i := 0; i+1 < n; i++ {
+		if err := g.AddEdge(NodeID(i), NodeID(i+1), "next"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Freeze()
+	var hood Neighborhood
+	for _, c := range []struct {
+		seed NodeID
+		d    int
+		want int
+	}{{500, 3, 7}, {0, n, n}, {999, 2, 3}, {500, 3, 7}} {
+		if got := len(hood.Walk(g, []NodeID{c.seed}, c.d)); got != c.want {
+			t.Errorf("%d-hop ball of %d has %d nodes, want %d", c.d, c.seed, got, c.want)
+		}
+		for i, w := range hood.seen {
+			if w != 0 {
+				t.Fatalf("after the %d-hop ball of %d: seen word %d = %#x", c.d, c.seed, i, w)
+			}
+		}
 	}
 }
 

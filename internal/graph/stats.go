@@ -73,36 +73,56 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// KHopNeighborhood returns the set of nodes within d hops (ignoring edge
-// direction) of any seed node. It implements the G_q^d structure used by the
-// Spawn template-refinement optimization (Section IV-A): the subgraph
-// induced by the d-hop neighbors of the current match set.
-func KHopNeighborhood(g *Graph, seeds []NodeID, d int) map[NodeID]bool {
-	seen := make(map[NodeID]bool, len(seeds)*4)
-	frontier := make([]NodeID, 0, len(seeds))
+// Neighborhood walks d-hop balls around seed sets. It implements the G_q^d
+// structure of the Spawn template-refinement optimization (Section IV-A):
+// the nodes within d hops of the current match set. The seen-set and the
+// node list are reused from walk to walk, so a warm walker allocates
+// nothing; it serves one goroutine. The zero value is ready to use.
+type Neighborhood struct {
+	// seen is a bitset over NodeIDs, all-zero between walks.
+	seen []uint64
+	// nodes is the last ball in discovery order; during a walk its tail is
+	// the BFS frontier.
+	nodes []NodeID
+}
+
+// Walk returns every node within d hops (ignoring edge direction) of any
+// seed, each once, seeds first. The slice is only valid until the next
+// Walk.
+func (h *Neighborhood) Walk(g *Graph, seeds []NodeID, d int) []NodeID {
+	if need := (g.NumNodes() + 63) / 64; len(h.seen) < need {
+		h.seen = make([]uint64, need)
+	}
+	seen, nodes := h.seen, h.nodes[:0]
 	for _, v := range seeds {
-		if !seen[v] {
-			seen[v] = true
-			frontier = append(frontier, v)
+		if w, b := &seen[v>>6], uint64(1)<<(uint(v)&63); *w&b == 0 {
+			*w |= b
+			nodes = append(nodes, v)
 		}
 	}
-	for hop := 0; hop < d && len(frontier) > 0; hop++ {
-		var next []NodeID
-		for _, v := range frontier {
-			for _, e := range g.Out(v) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-			for _, e := range g.In(v) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
+	for hop, lo := 0, 0; hop < d && lo < len(nodes); hop++ {
+		hi := len(nodes)
+		for _, v := range nodes[lo:hi] {
+			for _, es := range [2][]Edge{g.out[v], g.in[v]} {
+				for _, e := range es {
+					if w, b := &seen[e.To>>6], uint64(1)<<(uint(e.To)&63); *w&b == 0 {
+						*w |= b
+						nodes = append(nodes, e.To)
+					}
 				}
 			}
 		}
-		frontier = next
+		lo = hi
 	}
-	return seen
+	// Clear by walking the ball, so the cost follows the ball and not the
+	// graph — unless the ball is the larger of the two.
+	if len(nodes) >= len(seen) {
+		clear(seen)
+	} else {
+		for _, v := range nodes {
+			seen[v>>6] = 0
+		}
+	}
+	h.nodes = nodes
+	return nodes
 }

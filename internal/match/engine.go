@@ -201,11 +201,8 @@ func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, nod
 		return nil, false, nil
 	}
 	if len(p.nodes) == 1 {
-		// rootCands is private to this plan (filteredCandidates copies on
-		// cache hits) and the plan is discarded here, so it can be returned
-		// without another copy.
-		sortIDs(rootCands)
-		return rootCands, true, nil
+		// The candidates are the plan's (see Matcher.EvalNodeFiltered).
+		return sortedCopy(rootCands), true, nil
 	}
 
 	workers := e.workers
@@ -262,6 +259,13 @@ func (m *Matcher) embedAll(ctx context.Context, p *plan, cands []graph.NodeID) [
 		}
 	}
 	return matched
+}
+
+// sortedCopy returns ids in ascending order in memory of its own.
+func sortedCopy(ids []graph.NodeID) []graph.NodeID {
+	out := append([]graph.NodeID(nil), ids...)
+	sortIDs(out)
+	return out
 }
 
 // sortIDs restores ascending order. Candidate lists come off the label

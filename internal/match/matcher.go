@@ -147,6 +147,19 @@ type Matcher struct {
 	// dirtyPrev/dirtyNext drive the propagation worklist.
 	dirtyPrev, dirtyNext []bool
 
+	// Plan arena: the buffers buildPlan takes every population-sized piece
+	// of a plan from — the private copies of cached candidate lists, the
+	// within filter buffer, the candidate bitsets. The k-th piece of every
+	// plan reuses the k-th buffer (idsUsed and wordsUsed count the pieces
+	// of the current plan), which grows to the largest piece it has held.
+	// A plan never outlives the next buildPlan on its matcher (the engine
+	// holds the planner until every worker is done with the plan), so
+	// nothing taken from the arena may be handed to a caller.
+	idBufs    [][]graph.NodeID
+	wordBufs  [][]uint64
+	idsUsed   int
+	wordsUsed int
+
 	// Frozen-graph tables captured at New (shared, read-only). The inner
 	// loops index them directly so the compiler keeps them register- and
 	// inline-friendly: outAdj/inAdj are the sorted adjacency lists,
@@ -190,6 +203,31 @@ func (m *Matcher) runLen(v graph.NodeID, label graph.LabelID, outgoing bool) int
 func (m *Matcher) usedGet(v graph.NodeID) bool { return m.used[v>>6]&(1<<uint(v&63)) != 0 }
 func (m *Matcher) usedSet(v graph.NodeID)      { m.used[v>>6] |= 1 << uint(v&63) }
 func (m *Matcher) usedClear(v graph.NodeID)    { m.used[v>>6] &^= 1 << uint(v&63) }
+
+// arenaNext returns the plan's next arena buffer, empty and of capacity at
+// least n: the buffer grows if this is the largest request it has seen.
+func arenaNext[T any](bufs *[][]T, used *int, n int) []T {
+	if *used == len(*bufs) {
+		*bufs = append(*bufs, nil)
+	}
+	buf := &(*bufs)[*used]
+	*used++
+	if cap(*buf) < n {
+		*buf = make([]T, 0, n)
+	}
+	return *buf
+}
+
+// arenaIDs returns an empty NodeID slice of capacity at least n from the
+// plan arena.
+func (m *Matcher) arenaIDs(n int) []graph.NodeID {
+	return arenaNext(&m.idBufs, &m.idsUsed, n)
+}
+
+// arenaBitset returns an empty bitset over [0, n) from the plan arena.
+func (m *Matcher) arenaBitset(n int) graph.Bitset {
+	return graph.BitsetOver(arenaNext(&m.wordBufs, &m.wordsUsed, (n+63)/64), n)
+}
 
 // plan is the per-instance evaluation plan: active structure, candidate
 // sets and a matching order rooted at the output node.
@@ -286,11 +324,8 @@ func (m *Matcher) EvalNodeFiltered(q *query.Instance, node int, within []graph.N
 	}
 	if len(p.nodes) == 1 {
 		// The instance collapsed to this node alone: every candidate is a
-		// match.
-		res := make([]graph.NodeID, len(rootCands))
-		copy(res, rootCands)
-		sortIDs(res)
-		return res, true
+		// match. The candidates are the plan's, so the caller gets a copy.
+		return sortedCopy(rootCands), true
 	}
 	var result []graph.NodeID
 	for _, v := range rootCands {
@@ -347,12 +382,13 @@ func (m *Matcher) buildPlan(q *query.Instance, pin int, within []graph.NodeID) *
 	p.cands = make([][]graph.NodeID, len(p.nodes))
 	p.candBits = make([]graph.Bitset, len(p.nodes))
 	p.rootIdx = p.nodePos[pin]
+	m.idsUsed, m.wordsUsed = 0, 0 // the previous plan is dead
 	for i, ni := range p.nodes {
 		p.labels[i] = m.G.LookupLabel(t.Nodes[ni].Label)
 		lits := q.CompiledLiterals(m.G, ni)
 		var cands []graph.NodeID
 		if i == p.rootIdx && within != nil {
-			cands = make([]graph.NodeID, 0, len(within))
+			cands = m.arenaIDs(len(within))
 			for _, v := range within {
 				if m.G.NodeLabelID(v) != p.labels[i] {
 					continue
@@ -378,7 +414,7 @@ func (m *Matcher) buildPlan(q *query.Instance, pin int, within []graph.NodeID) *
 		if len(p.adj[i]) == 0 {
 			continue
 		}
-		bits := graph.NewBitset(len(m.G.NodesByLabelID(p.labels[i])))
+		bits := m.arenaBitset(len(m.G.NodesByLabelID(p.labels[i])))
 		for _, v := range p.cands[i] {
 			bits.Set(int(m.G.LabelPos(v)))
 		}
@@ -494,9 +530,11 @@ func (m *Matcher) structureAdmits(req nodeReq, v graph.NodeID) bool {
 }
 
 // filteredCandidates returns the label's nodes filtered by lits, consulting
-// the candidate cache when attached. Cached lists are immutable, so both
-// the stored list and the returned list are private copies (propagate
-// prunes plan candidate slices in place).
+// the candidate cache when attached. Cached lists are immutable and the
+// plan prunes its candidate slices in place, so a hit is copied into the
+// plan arena, and on a miss the plan keeps the selected list while the
+// cache gets a copy of its own (exactly sized: a scan selects into a
+// buffer as large as the label).
 func (m *Matcher) filteredCandidates(label string, lits []query.CompiledLiteral) []graph.NodeID {
 	if m.Cache == nil {
 		return m.selectCandidates(label, lits)
@@ -507,14 +545,10 @@ func (m *Matcher) filteredCandidates(label string, lits []query.CompiledLiteral)
 	// list, and two graphs sharing one cache never collide.
 	key := m.G.GenKey() + "\x02" + candKey(label, lits)
 	if cached, ok := m.Cache.lookup(key); ok {
-		out := make([]graph.NodeID, len(cached))
-		copy(out, cached)
-		return out
+		return append(m.arenaIDs(len(cached)), cached...)
 	}
 	cands := m.selectCandidates(label, lits)
-	stored := make([]graph.NodeID, len(cands))
-	copy(stored, cands)
-	m.Cache.store(key, stored)
+	m.Cache.store(key, append([]graph.NodeID(nil), cands...))
 	return cands
 }
 

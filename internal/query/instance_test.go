@@ -206,7 +206,7 @@ func TestRefineStepsRestricted(t *testing.T) {
 	tpl := talentTemplate(t)
 	root := Root(tpl)
 	// Cap x1 (var 0) at level 0 and freeze e1 (var 2).
-	kids := RefineStepsRestricted(tpl, root, map[int]int{0: 0}, map[int]bool{2: true})
+	kids := RefineStepsRestricted(tpl, root, Restriction{Caps: []int{0: 0, 1: NoCap, 2: NoCap}, Frozen: []bool{2: true}})
 	for _, k := range kids {
 		if k[2] == 1 {
 			t.Error("frozen edge variable was refined")
@@ -214,22 +214,59 @@ func TestRefineStepsRestricted(t *testing.T) {
 	}
 	// From level 0, x1 cannot go to level 1 under cap 0.
 	at0 := Instantiation{0, Wildcard, 0}
-	kids = RefineStepsRestricted(tpl, at0, map[int]int{0: 0}, nil)
+	kids = RefineStepsRestricted(tpl, at0, Restriction{Caps: []int{0: 0}})
 	for _, k := range kids {
 		if k[0] == 1 {
 			t.Error("cap exceeded")
 		}
 	}
 	// Cap -1 suppresses even the wildcard step.
-	kids = RefineStepsRestricted(tpl, root, map[int]int{0: -1}, nil)
+	kids = RefineStepsRestricted(tpl, root, Restriction{Caps: []int{0: -1}})
 	for _, k := range kids {
 		if k[0] != Wildcard {
 			t.Error("cap -1 did not suppress the variable")
 		}
 	}
-	// Nil maps mean unrestricted.
-	if got, want := len(RefineStepsRestricted(tpl, root, nil, nil)), len(RefineSteps(tpl, root)); got != want {
+	// The zero restriction means unrestricted.
+	if got, want := len(RefineStepsRestricted(tpl, root, Restriction{})), len(RefineSteps(tpl, root)); got != want {
 		t.Errorf("unrestricted mismatch: %d vs %d", got, want)
+	}
+}
+
+// TestNumRefineSteps: the count agrees with the materialized child list on
+// every instantiation of the lattice (chain, equality and edge variables).
+func TestNumRefineSteps(t *testing.T) {
+	mixed, err := NewBuilder("mixed").
+		Node("a", "A").RangeVar("g", "a", "genre", graph.OpEQ).
+		Node("b", "B").RangeVar("y", "b", "year", graph.OpLT).
+		VarEdge("e", "b", "a", "rel").
+		Output("a").
+		SetLadder("g", graph.Str("Action"), graph.Str("Romance")).
+		SetLadder("y", graph.Int(2000), graph.Int(1990)).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tpl := range []*Template{talentTemplate(t), mixed} {
+		in := Root(tpl)
+		var walk func(vi int)
+		walk = func(vi int) {
+			if vi == len(tpl.Vars) {
+				if got, want := NumRefineSteps(tpl, in), len(RefineSteps(tpl, in)); got != want {
+					t.Errorf("%s %v: NumRefineSteps = %d, len(RefineSteps) = %d", tpl.Name, in, got, want)
+				}
+				return
+			}
+			lo, hi := Wildcard, len(tpl.Vars[vi].Ladder)-1
+			if tpl.Vars[vi].Kind == EdgeVar {
+				lo, hi = 0, 1
+			}
+			for l := lo; l <= hi; l++ {
+				in[vi] = l
+				walk(vi + 1)
+			}
+		}
+		walk(0)
 	}
 }
 

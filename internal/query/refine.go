@@ -1,45 +1,104 @@
 package query
 
-import "fairsqg/internal/graph"
+import (
+	"math"
 
-// RefineSteps returns the instantiations reachable from in by refining
-// exactly one variable to its next value in the corresponding ladder: the
-// children of in in the instance lattice (Section IV, "Instance Lattice").
-// For chain-ordered range variables (<, <=, >=, >) the wildcard steps to
-// ladder level 0 and level l to l+1. For equality variables the wildcard
-// steps to every ladder value (each a one-step refinement) and a bound
-// value has no further refinement. Edge variables step from absent (0) to
-// present (1).
-func RefineSteps(t *Template, in Instantiation) []Instantiation {
-	var out []Instantiation
+	"fairsqg/internal/graph"
+)
+
+// NoCap is the Restriction.Caps entry of a range variable whose ladder is
+// not capped.
+const NoCap = math.MaxInt
+
+// Restriction narrows the refinement steps of one instantiation. It
+// implements the Spawn template-refinement optimization, which restricts
+// the values a variable can still take to those realized in the d-hop
+// neighborhood of the current match set. Both slices are indexed by
+// variable; a nil (or short) slice restricts nothing, so the zero value is
+// the unrestricted lattice.
+type Restriction struct {
+	// Caps[vi] is the highest ladder level range variable vi may still be
+	// refined to: NoCap means no cap, -1 means no value remains (even the
+	// wildcard step is suppressed).
+	Caps []int
+	// Frozen[vi] keeps edge variable vi at absent (its label does not occur
+	// around the matches).
+	Frozen []bool
+}
+
+func (r Restriction) capOf(vi int) int {
+	if vi < len(r.Caps) {
+		return r.Caps[vi]
+	}
+	return NoCap
+}
+
+func (r Restriction) frozen(vi int) bool { return vi < len(r.Frozen) && r.Frozen[vi] }
+
+// forEachRefineStep calls step(vi, level) for every one-variable refinement
+// of in that res admits, in variable then level order: the one loop behind
+// RefineSteps, RefineStepsRestricted and NumRefineSteps. For chain-ordered
+// range variables (<, <=, >=, >) the wildcard steps to ladder level 0 and
+// level l to l+1. For equality variables the wildcard steps to every ladder
+// value (each a one-step refinement) and a bound value has no further
+// refinement. Edge variables step from absent (0) to present (1).
+func forEachRefineStep(t *Template, in Instantiation, res Restriction, step func(vi, level int)) {
 	for vi := range t.Vars {
 		v := &t.Vars[vi]
 		level := in[vi]
 		switch v.Kind {
 		case EdgeVar:
-			if level == 0 || level == Wildcard {
-				out = append(out, withBinding(in, vi, 1))
+			if (level == 0 || level == Wildcard) && !res.frozen(vi) {
+				step(vi, 1)
 			}
 		case RangeVar:
+			top := res.capOf(vi)
 			if v.Op == graph.OpEQ {
 				if level == Wildcard {
-					for l := range v.Ladder {
-						out = append(out, withBinding(in, vi, l))
+					for l := 0; l < len(v.Ladder) && l <= top; l++ {
+						step(vi, l)
 					}
 				}
 				continue
 			}
-			switch {
-			case level == Wildcard:
-				if len(v.Ladder) > 0 {
-					out = append(out, withBinding(in, vi, 0))
-				}
-			case level+1 < len(v.Ladder):
-				out = append(out, withBinding(in, vi, level+1))
+			next := level + 1 // Wildcard is -1: the wildcard steps to level 0
+			if next < len(v.Ladder) && next <= top {
+				step(vi, next)
 			}
 		}
 	}
+}
+
+// RefineSteps returns the instantiations reachable from in by refining
+// exactly one variable to its next value in the corresponding ladder: the
+// children of in in the instance lattice (Section IV, "Instance Lattice").
+func RefineSteps(t *Template, in Instantiation) []Instantiation {
+	return RefineStepsRestricted(t, in, Restriction{})
+}
+
+// RefineStepsRestricted is RefineSteps under a Restriction: the children
+// of in that res admits, in the order RefineSteps lists them.
+func RefineStepsRestricted(t *Template, in Instantiation, res Restriction) []Instantiation {
+	n := numRefineSteps(t, in, res)
+	if n == 0 {
+		return nil
+	}
+	out := make([]Instantiation, 0, n)
+	forEachRefineStep(t, in, res, func(vi, level int) {
+		out = append(out, withBinding(in, vi, level))
+	})
 	return out
+}
+
+// NumRefineSteps is len(RefineSteps(t, in)) without building the children.
+func NumRefineSteps(t *Template, in Instantiation) int {
+	return numRefineSteps(t, in, Restriction{})
+}
+
+func numRefineSteps(t *Template, in Instantiation, res Restriction) int {
+	n := 0
+	forEachRefineStep(t, in, res, func(int, int) { n++ })
+	return n
 }
 
 // RelaxSteps returns the instantiations reachable from in by relaxing
@@ -77,62 +136,6 @@ func RelaxSteps(t *Template, in Instantiation) []Instantiation {
 func withBinding(in Instantiation, vi, level int) Instantiation {
 	out := in.Clone()
 	out[vi] = level
-	return out
-}
-
-// RefineStepsRestricted is RefineSteps with per-variable ladder caps: for
-// range variable vi only levels < maxLevel[vi] are spawned. It implements
-// the Spawn template-refinement optimization, which restricts the values a
-// variable can still take to those realized in the d-hop neighborhood of
-// the current match set. A cap of -1 means "no values remain" (only the
-// wildcard step, if any, is suppressed too); a missing entry means no cap.
-// fixedEdges[vi] == true freezes edge variable vi at absent (its label does
-// not occur around the matches).
-func RefineStepsRestricted(t *Template, in Instantiation, maxLevel map[int]int, fixedEdges map[int]bool) []Instantiation {
-	var out []Instantiation
-	for vi := range t.Vars {
-		v := &t.Vars[vi]
-		level := in[vi]
-		switch v.Kind {
-		case EdgeVar:
-			if fixedEdges != nil && fixedEdges[vi] {
-				continue
-			}
-			if level == 0 || level == Wildcard {
-				out = append(out, withBinding(in, vi, 1))
-			}
-		case RangeVar:
-			cap, capped := -2, false
-			if maxLevel != nil {
-				if c, ok := maxLevel[vi]; ok {
-					cap, capped = c, true
-				}
-			}
-			if v.Op == graph.OpEQ {
-				if level == Wildcard {
-					for l := range v.Ladder {
-						if capped && l > cap {
-							continue
-						}
-						out = append(out, withBinding(in, vi, l))
-					}
-				}
-				continue
-			}
-			next := -2
-			switch {
-			case level == Wildcard:
-				if len(v.Ladder) > 0 {
-					next = 0
-				}
-			case level+1 < len(v.Ladder):
-				next = level + 1
-			}
-			if next >= 0 && (!capped || next <= cap) {
-				out = append(out, withBinding(in, vi, next))
-			}
-		}
-	}
 	return out
 }
 
