@@ -3,12 +3,16 @@ package fairsqg
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"fairsqg/internal/cluster"
 )
 
 // buildCLI compiles one of the repo's commands into a temp dir.
@@ -246,6 +250,71 @@ func TestFairsqgMutationsFlag(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "tombstoned") {
 		t.Errorf("missing tombstone error, got:\n%s", out)
+	}
+}
+
+// TestFairsqgKeepsPinnedLadders: a ladder line in the template text is the
+// ladder the CLI runs with (it used to rebind every range variable against
+// the graph), and the CLI binds exactly what cluster.BuildConfig — the
+// server's and the workers' job builder — binds for the same text.
+func TestFairsqgKeepsPinnedLadders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	bin := buildCLI(t, "fairsqg")
+	run := func(text string) string {
+		t.Helper()
+		file := filepath.Join(dir, "t.tpl")
+		if err := os.WriteFile(file, []byte(text), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := exec.Command(bin, "-dataset", "lki", "-nodes", "3000", "-seed", "1",
+			"-template", file, "-max-domain", "4", "-cover", "3", "-alg", "bi", "-eps", "0.2").CombinedOutput()
+		if err != nil {
+			t.Fatalf("fairsqg -template: %v\n%s", err, out)
+		}
+		return string(out)
+	}
+
+	const pinned = "template pinned\nnode u_o Person yearsOfExp >= $x1\nladder $x1 5 10\noutput u_o\n"
+	if out := run(pinned); !strings.Contains(out, "instance space 3\n") {
+		t.Errorf("pinned ladder $x1 5 10 should give instance space 3:\n%s", out)
+	}
+
+	// One pinned and one unbound variable: the pinned ladder survives, the
+	// other is bound from the graph, identically on both paths.
+	const mixed = "template mixed\nnode u_o Person yearsOfExp >= $x1\nnode u1 Person yearsOfExp >= $x2\n" +
+		"edge u1 u_o recommend\nladder $x1 5 10\noutput u_o\n"
+	g, err := BuildDataset("lki", DatasetOptions{Nodes: 3000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := cluster.BuildConfig(cluster.JobPayload{
+		Template: mixed, MaxDomain: 4,
+		Groups: cluster.GroupsPayload{Label: "Person", Attr: "gender", Cover: 3},
+	}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := ParseTemplate(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tpl.BindMissingDomains(g, DomainOptions{MaxValues: 4}); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range cfg.Template.Vars {
+		if !reflect.DeepEqual(v.Ladder, tpl.Vars[i].Ladder) {
+			t.Errorf("variable %s: BuildConfig ladder %v, CLI binding %v", v.Name, v.Ladder, tpl.Vars[i].Ladder)
+		}
+	}
+	if l := cfg.Template.Vars[0].Ladder; len(l) != 2 || !l[0].Equal(Num(5)) || !l[1].Equal(Num(10)) {
+		t.Errorf("BuildConfig rebound the pinned ladder: %v", l)
+	}
+	want := fmt.Sprintf("instance space %d\n", cfg.Template.InstanceSpaceSize())
+	if out := run(mixed); !strings.Contains(out, want) {
+		t.Errorf("CLI and cluster.BuildConfig disagree, want %q:\n%s", want, out)
 	}
 }
 

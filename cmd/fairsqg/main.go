@@ -121,7 +121,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tpl.BindDomains(g, fairsqg.DomainOptions{MaxValues: *maxDomain}); err != nil {
+	if err := tpl.BindMissingDomains(g, fairsqg.DomainOptions{MaxValues: *maxDomain}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "template %s: |Q|=%d |X_L|=%d |X_E|=%d, instance space %d\n",

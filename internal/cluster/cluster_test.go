@@ -103,6 +103,30 @@ func refResult(t *testing.T, p JobPayload, g *graph.Graph) *core.Result {
 	return res
 }
 
+// slabSum runs every slab of the job's plan in this process, a fresh
+// runner each, and sums the private counters.
+func slabSum(t *testing.T, p JobPayload, g *graph.Graph) core.SlabStats {
+	t.Helper()
+	cfg, err := BuildConfig(p, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum core.SlabStats
+	plan := core.PlanSlabs(cfg.Template)
+	for _, level := range plan.Levels {
+		runner, err := core.NewRunner(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := runner.RunSlab(plan.SplitVar, level)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Add(res.Stats)
+	}
+	return sum
+}
+
 func boxSetOf(points []pareto.Point, eps float64) map[pareto.Box]bool {
 	set := make(map[pareto.Box]bool, len(points))
 	for _, p := range points {
@@ -395,6 +419,31 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	}
 }
 
+// TestCoordinatorCarriesEveryCounter: every run-private counter crosses the
+// wire, not a hand-picked few — a distributed job's totals are the
+// in-process sum of RunSlab over the same plan. The pinned ladder tops out
+// above every yearsOfExp in the graph, so Spawn withholds that step and the
+// refinement counters are exercised.
+func TestCoordinatorCarriesEveryCounter(t *testing.T) {
+	g := testGraph(t, 11)
+	_, sa := newTestWorker(t)
+	_, sb := newTestWorker(t)
+	c := newTestCoordinator(t, CoordinatorOptions{Workers: []string{sa.URL, sb.URL}, Replicas: 2})
+	p := testPayload()
+	p.Template += "ladder $x1 5 10 99\n"
+	res, err := c.RunJob(context.Background(), JobRequest{Graph: "net", G: g, Payload: p, RequestID: "j-counters"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := slabSum(t, p, g)
+	if res.Stats != want {
+		t.Errorf("distributed stats %+v != in-process slab sum %+v", res.Stats, want)
+	}
+	if want.RefineSuppressed == 0 || want.HoodRuns == 0 || want.HoodNodes == 0 {
+		t.Errorf("template no longer exercises Spawn's counters: %+v", want)
+	}
+}
+
 // TestCoordinatorPreloadedWorker: a worker that already holds the graph
 // (daemon -graph preload) is never pushed to — the coordinator trusts the
 // content address in the worker's inventory.
@@ -472,12 +521,8 @@ func TestCoordinatorFailover(t *testing.T) {
 	}
 	ref := refResult(t, p, g)
 	assertMatchesReference(t, res, ref, res.Eps)
-	if res.Stats != (core.SlabStats{
-		Spawned: ref.Stats.Spawned, Verified: ref.Stats.Verified,
-		Feasible: ref.Stats.Feasible, Pruned: ref.Stats.Pruned, IncScores: res.Stats.IncScores,
-	}) {
-		t.Errorf("failover lost or duplicated slabs: stats %+v vs reference spawned=%d verified=%d feasible=%d pruned=%d",
-			res.Stats, ref.Stats.Spawned, ref.Stats.Verified, ref.Stats.Feasible, ref.Stats.Pruned)
+	if want := slabSum(t, p, g); res.Stats != want {
+		t.Errorf("failover lost or duplicated slabs: stats %+v vs in-process slab sum %+v", res.Stats, want)
 	}
 	if wb.slabsRun.Load() == 0 {
 		t.Error("survivor ran no slabs")

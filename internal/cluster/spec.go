@@ -79,7 +79,11 @@ func BuildConfig(p JobPayload, g *graph.Graph) (*core.Config, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := bindMissingLadders(tpl, g, p.MaxDomain); err != nil {
+	maxDomain := p.MaxDomain
+	if maxDomain <= 0 {
+		maxDomain = 8
+	}
+	if err := tpl.BindMissingDomains(g, query.DomainOptions{MaxValues: maxDomain}); err != nil {
 		return nil, err
 	}
 	gs := p.Groups
@@ -124,38 +128,4 @@ func BuildConfig(p JobPayload, g *graph.Graph) (*core.Config, error) {
 		return nil, err
 	}
 	return cfg, nil
-}
-
-// bindMissingLadders binds value ladders for range variables the DSL left
-// unbound, preserving explicitly pinned ladders (Template.BindDomains
-// overwrites every variable, so pinned ones are saved and restored).
-// Binding scans the frozen graph deterministically, so two processes
-// holding byte-identical snapshots derive identical ladders.
-func bindMissingLadders(tpl *query.Template, g *graph.Graph, maxDomain int) error {
-	if maxDomain <= 0 {
-		maxDomain = 8
-	}
-	pinned := map[int][]graph.Value{}
-	needsBind := false
-	for vi := range tpl.Vars {
-		v := &tpl.Vars[vi]
-		if v.Kind != query.RangeVar {
-			continue
-		}
-		if len(v.Ladder) > 0 {
-			pinned[vi] = v.Ladder
-		} else {
-			needsBind = true
-		}
-	}
-	if !needsBind {
-		return nil
-	}
-	if err := tpl.BindDomains(g, query.DomainOptions{MaxValues: maxDomain}); err != nil {
-		return err
-	}
-	for vi, ladder := range pinned {
-		tpl.Vars[vi].Ladder = ladder
-	}
-	return nil
 }

@@ -170,6 +170,50 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestSlabStatsCoversRunPrivateCounters: every scalar field of Stats is a
+// run-private counter and crosses the coordinator↔worker wire in SlabStats
+// under its own JSON key, so a counter added to Stats without a SlabStats
+// field (or a conversion line) fails here instead of reading 0 on
+// distributed jobs. The struct-typed fields are the shared engine and cache
+// counters SlabStats excludes on purpose.
+func TestSlabStatsCoversRunPrivateCounters(t *testing.T) {
+	var full Stats
+	st, wire := reflect.TypeOf(full), reflect.TypeOf(SlabStats{})
+	scalars := 0
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Type.Kind() == reflect.Struct {
+			continue
+		}
+		scalars++
+		reflect.ValueOf(&full).Elem().Field(i).SetInt(int64(i + 1))
+		w, ok := wire.FieldByName(f.Name)
+		if !ok {
+			t.Errorf("Stats.%s has no SlabStats field: distributed jobs would report it as 0", f.Name)
+			continue
+		}
+		if tag := w.Tag.Get("json"); tag == "" || tag == "-" {
+			t.Errorf("SlabStats.%s has no JSON key", f.Name)
+		}
+		if got := reflect.ValueOf(full.Slab()).FieldByName(f.Name).Int(); got != int64(i+1) {
+			t.Errorf("Stats.Slab drops %s: %d, want %d", f.Name, got, i+1)
+		}
+	}
+	if wire.NumField() != scalars {
+		t.Errorf("SlabStats has %d fields for %d scalar Stats counters", wire.NumField(), scalars)
+	}
+	if back := full.Slab().Stats(); back != full {
+		t.Errorf("SlabStats.Stats does not invert Stats.Slab: %+v, want %+v", back, full)
+	}
+	sum := full.Slab()
+	sum.Add(full.Slab())
+	for path, n := range statsLeaves(sum.Stats()) {
+		if n != 2*statsLeaves(full)[path] {
+			t.Errorf("SlabStats.Add: %s = %d, want %d", path, n, 2*statsLeaves(full)[path])
+		}
+	}
+}
+
 // TestParQGenKeepsMatcherCounters: a par run reports every counter of Stats —
 // the access-path split and signature pruning included — wherever the same
 // request under rf does.

@@ -72,25 +72,47 @@ type SlabEntry struct {
 func (e SlabEntry) Point() pareto.Point { return pareto.Point{Div: e.Div, Cov: e.Cov} }
 
 // SlabStats is the portion of a run's counters a slab execution owns
-// privately. Shared engine/cache counters are deliberately excluded: on a
-// long-lived worker daemon they are cumulative across slabs and jobs, so
-// including them would double-count in any cross-slab aggregation. They
-// stay visible on the worker's own /metrics.
+// privately, in wire form: every scalar counter of Stats (a reflection
+// check in settings_test.go fails when one is missing here). Shared
+// engine/cache counters are deliberately excluded: on a long-lived worker
+// daemon they are cumulative across slabs and jobs, so including them
+// would double-count in any cross-slab aggregation. They stay visible on
+// the worker's own /metrics.
 type SlabStats struct {
-	Spawned   int `json:"spawned"`
-	Verified  int `json:"verified"`
-	Feasible  int `json:"feasible"`
-	Pruned    int `json:"pruned"`
-	IncScores int `json:"incScores"`
+	Spawned          int `json:"spawned"`
+	Verified         int `json:"verified"`
+	Feasible         int `json:"feasible"`
+	Pruned           int `json:"pruned"`
+	RefineSuppressed int `json:"refineSuppressed"`
+	HoodRuns         int `json:"hoodRuns"`
+	HoodNodes        int `json:"hoodNodes"`
+	SandwichPairs    int `json:"sandwichPairs"`
+	IncScores        int `json:"incScores"`
 }
 
-// add folds another slab's counters in.
+// Slab returns the run-private counters of s in wire form.
+func (s Stats) Slab() SlabStats {
+	return SlabStats{
+		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
+		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
+		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores,
+	}
+}
+
+// Stats is the inverse of Stats.Slab; the shared counters read zero.
+func (s SlabStats) Stats() Stats {
+	return Stats{
+		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
+		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
+		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores,
+	}
+}
+
+// Add folds another slab's counters in, through Stats.Add.
 func (s *SlabStats) Add(o SlabStats) {
-	s.Spawned += o.Spawned
-	s.Verified += o.Verified
-	s.Feasible += o.Feasible
-	s.Pruned += o.Pruned
-	s.IncScores += o.IncScores
+	sum := s.Stats()
+	sum.Add(o.Stats())
+	*s = sum.Slab()
 }
 
 // SlabResult is the serializable outcome of one slab execution: the
@@ -132,13 +154,7 @@ func (r *Runner) RunSlab(splitVar, level int) (*SlabResult, error) {
 	}
 	res := &SlabResult{
 		Entries: make([]SlabEntry, 0, archive.Len()),
-		Stats: SlabStats{
-			Spawned:   r.stats.Spawned,
-			Verified:  r.stats.Verified,
-			Feasible:  r.stats.Feasible,
-			Pruned:    r.stats.Pruned,
-			IncScores: r.stats.IncScores,
-		},
+		Stats:   r.stats.Slab(),
 		Elapsed: time.Since(start),
 	}
 	for _, e := range archive.Entries() {

@@ -203,67 +203,84 @@ func (g *Graph) AttrValue(v NodeID, a AttrID) Value {
 	return Null
 }
 
+// A column's frozen layout has one definition: newColumn, then three
+// steps every producer drives in this order — note each cell (presence,
+// count, kind uniformity), alloc the typed array the noted kind calls for,
+// put each cell's value. Freeze drives them row-major from the builder
+// tuples (buildColumns); ApplyBatch drives them per touched attribute from
+// the base column's surviving cells plus the batch's edits (mergeColumns).
+
+// newColumn returns an empty column over words×64 node slots.
+func newColumn(words int) column { return column{present: make([]uint64, words)} }
+
+// note records that node v carries a value of kind k.
+func (c *column) note(v int, k Kind) {
+	if c.count == 0 {
+		c.kind = k
+	} else if c.kind != k {
+		c.kind = KindNull // mixed
+	}
+	bitSet(c.present, v)
+	c.count++
+}
+
+// alloc sizes the value array for n node slots once every cell is noted:
+// raw floats, strings or a bool bitmap when the cells share one kind, the
+// []Value fallback when they do not, nothing for an empty column.
+func (c *column) alloc(n int) {
+	switch {
+	case c.count == 0:
+	case c.kind == KindNumber:
+		c.nums = make([]float64, n)
+	case c.kind == KindString:
+		c.strs = make([]string, n)
+	case c.kind == KindBool:
+		c.bools = make([]uint64, len(c.present))
+	default:
+		c.vals = make([]Value, n)
+	}
+}
+
+// put stores a noted cell's value in the allocated array.
+func (c *column) put(v int, val Value) {
+	switch {
+	case c.nums != nil:
+		c.nums[v] = val.Float()
+	case c.strs != nil:
+		c.strs[v] = val.Text()
+	case c.bools != nil:
+		if val.IsTrue() {
+			bitSet(c.bools, v)
+		}
+	default:
+		c.vals[v] = val
+	}
+}
+
 // buildColumns transposes the builder-time per-node attribute slices into
 // typed columns and computes the active domains; it releases the row
 // storage afterwards (columns are the only post-freeze representation).
 func (g *Graph) buildColumns() {
 	n := len(g.nodeLabels)
-	words := (n + 63) / 64
 	g.cols = make([]column, len(g.attrTable))
-	// First pass: presence, counts and kind uniformity.
-	for i := range g.nodeAttrs {
-		for _, kv := range g.nodeAttrs[i] {
-			c := &g.cols[kv.id]
-			if c.present == nil {
-				c.present = make([]uint64, words)
-				c.kind = kv.val.Kind()
-			} else if c.kind != kv.val.Kind() {
-				c.kind = KindNull // mixed
-			}
-			bitSet(c.present, i)
-			c.count++
+	for a := range g.cols {
+		g.cols[a] = newColumn((n + 63) / 64)
+	}
+	for i, kvs := range g.nodeAttrs {
+		for _, kv := range kvs {
+			g.cols[kv.id].note(i, kv.val.Kind())
 		}
 	}
 	for a := range g.cols {
-		c := &g.cols[a]
-		if c.present == nil {
-			c.present = make([]uint64, words)
-			continue
-		}
-		switch c.kind {
-		case KindNumber:
-			c.nums = make([]float64, n)
-		case KindString:
-			c.strs = make([]string, n)
-		case KindBool:
-			c.bools = make([]uint64, words)
-		default:
-			c.vals = make([]Value, n)
-		}
+		g.cols[a].alloc(n)
 	}
-	// Second pass: fill the typed arrays, then release the row storage.
-	for i := range g.nodeAttrs {
-		for _, kv := range g.nodeAttrs[i] {
-			c := &g.cols[kv.id]
-			switch {
-			case c.nums != nil:
-				c.nums[i] = kv.val.Float()
-			case c.strs != nil:
-				c.strs[i] = kv.val.Text()
-			case c.bools != nil:
-				if kv.val.IsTrue() {
-					bitSet(c.bools, i)
-				}
-			default:
-				c.vals[i] = kv.val
-			}
+	for i, kvs := range g.nodeAttrs {
+		for _, kv := range kvs {
+			g.cols[kv.id].put(i, kv.val)
 		}
 	}
 	g.nodeAttrs = nil
 	g.domains = g.computeDomains()
-	for a := range g.cols {
-		g.mem.ColumnBytes += g.cols[a].bytes()
-	}
 	g.attrNames = make([]string, len(g.attrTable))
 	copy(g.attrNames, g.attrTable)
 	sort.Strings(g.attrNames)
@@ -282,37 +299,45 @@ func (g *Graph) computeDomains() [][]Value {
 	return domains
 }
 
+// occursOn reports whether any of nodes carries the attribute.
+func (c *column) occursOn(nodes []NodeID) bool {
+	for _, v := range nodes {
+		if c.has(v) {
+			return true
+		}
+	}
+	return false
+}
+
+// less is the order of every permutation index: attribute value under the
+// Value total order, ties by NodeID. Nodes missing the attribute read Null,
+// which sorts before everything.
+func (c *column) less(x, y NodeID) bool {
+	if cmp := c.value(x).Compare(c.value(y)); cmp != 0 {
+		return cmp < 0
+	}
+	return x < y
+}
+
+// sortedPerm returns a copy of nodes in permutation-index order.
+func sortedPerm(c *column, nodes []NodeID) []NodeID {
+	perm := append([]NodeID(nil), nodes...)
+	sort.Slice(perm, func(i, j int) bool { return c.less(perm[i], perm[j]) })
+	return perm
+}
+
 // buildIndexes constructs, for every (label, attribute) pair where the
 // attribute occurs on at least one node of the label, a permutation of the
-// label's nodes sorted by the attribute value under the Value total order
-// (ties by NodeID). Nodes missing the attribute are included — Null sorts
-// before everything, so a single binary search answers every comparison
-// operator, including ones whose bound a missing value satisfies.
+// label's nodes sorted by the attribute value (see less). Nodes missing the
+// attribute are included, so a single binary search answers every
+// comparison operator, including ones whose bound a missing value satisfies.
 func (g *Graph) buildIndexes() {
 	g.indexes = make(map[labelAttr][]NodeID)
 	for label, nodes := range g.byLabel {
-		// Which attributes occur on this label at all.
-		seen := make(map[AttrID]bool)
-		for _, v := range nodes {
-			for a := range g.cols {
-				if g.cols[a].has(v) {
-					seen[AttrID(a)] = true
-				}
+		for a := range g.cols {
+			if c := &g.cols[a]; c.occursOn(nodes) {
+				g.indexes[labelAttr{label, AttrID(a)}] = sortedPerm(c, nodes)
 			}
-		}
-		for a := range seen {
-			c := &g.cols[a]
-			perm := make([]NodeID, len(nodes))
-			copy(perm, nodes)
-			sort.Slice(perm, func(i, j int) bool {
-				if cmp := c.value(perm[i]).Compare(c.value(perm[j])); cmp != 0 {
-					return cmp < 0
-				}
-				return perm[i] < perm[j]
-			})
-			g.indexes[labelAttr{label, a}] = perm
-			g.mem.IndexBytes += int64(len(perm)) * 4
-			g.mem.Indexes++
 		}
 	}
 }

@@ -357,6 +357,7 @@ func CheckInvariants(g *Graph) error {
 		if typed > 1 {
 			return fmt.Errorf("invariants: column %q has %d value arrays", g.attrTable[a], typed)
 		}
+		kinds := 0 // bit k set: a value of Kind k occurs
 		for v := 0; v < n; v++ {
 			if !c.has(NodeID(v)) {
 				continue
@@ -365,6 +366,12 @@ func CheckInvariants(g *Graph) error {
 			if c.kind != KindNull && k != c.kind {
 				return fmt.Errorf("invariants: column %q kind %v holds a %v at node %d", g.attrTable[a], c.kind, k, v)
 			}
+			kinds |= 1 << k
+		}
+		// The other direction: a column stored mixed really holds two kinds
+		// (a builder that forgot to re-uniform it would change snapshot bytes).
+		if c.kind == KindNull && bits.OnesCount(uint(kinds)) == 1 && kinds != 1<<KindNull {
+			return fmt.Errorf("invariants: column %q stored mixed but holds one kind only", g.attrTable[a])
 		}
 	}
 	// Domains match a recompute.

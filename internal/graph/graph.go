@@ -244,17 +244,30 @@ func (g *Graph) Freeze() {
 	for i := range g.out {
 		sortEdges(g.out[i])
 		sortEdges(g.in[i])
-		if len(g.out[i]) > g.maxOutDeg {
-			g.maxOutDeg = len(g.out[i])
-		}
-		if len(g.in[i]) > g.maxInDeg {
-			g.maxInDeg = len(g.in[i])
-		}
 	}
+	g.measure()
 	g.buildDerived()
 	g.version = 1
 	g.lineage = nextLineage()
 	g.frozen = true
+}
+
+// measure sums the storage footprint and the degree maxima of a finished
+// layout (columns, indexes and adjacency in place). Freeze and ApplyBatch
+// both end with it; the snapshot decoder restores the recorded values.
+func (g *Graph) measure() {
+	g.mem = MemoryStats{Indexes: len(g.indexes)}
+	for a := range g.cols {
+		g.mem.ColumnBytes += g.cols[a].bytes()
+	}
+	for _, perm := range g.indexes {
+		g.mem.IndexBytes += int64(len(perm)) * 4
+	}
+	g.maxOutDeg, g.maxInDeg = 0, 0
+	for v := range g.out {
+		g.maxOutDeg = max(g.maxOutDeg, len(g.out[v]))
+		g.maxInDeg = max(g.maxInDeg, len(g.in[v]))
+	}
 }
 
 // lineageCounter issues process-unique lineage identities; see the

@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -101,11 +103,6 @@ type edgeKey struct {
 	label    string
 }
 
-type plannedNode struct {
-	label string
-	attrs []AttrPair
-}
-
 type attrWrite struct {
 	node NodeID
 	name string
@@ -114,13 +111,19 @@ type attrWrite struct {
 
 // batchPlan is the validated, normalized form of one batch.
 type batchPlan struct {
-	base     *Graph
-	adds     []plannedNode
-	addIDs   []NodeID
-	removed  map[NodeID]bool // finally-dead this batch (base or batch-added)
-	edgeAdds []edgeKey       // one instance each, in op order
-	edgeDels []edgeKey       // explicit RemoveEdge instances
-	writes   []attrWrite     // in op order (last write per (node, attr) wins)
+	base       *Graph
+	adds       []string // labels of the added nodes
+	addIDs     []NodeID
+	removed    map[NodeID]bool // finally-dead this batch (base or batch-added)
+	edgeLabels []string        // labels of the AddEdge ops, in op order
+	// net is the batch's instance-count change per parallel-edge class
+	// between nodes that survive it: AddEdge and RemoveEdge pairs cancel, and
+	// a RemoveNode drops the classes touching the node (its cascade over the
+	// base rows subsumes them).
+	net map[edgeKey]int
+	// writes lists attribute writes in op order, an added node's initial
+	// tuple included (last write per (node, attr) wins).
+	writes []attrWrite
 }
 
 func (p *batchPlan) baseN() int { return p.base.NumNodes() }
@@ -161,12 +164,11 @@ func planBatch(base *Graph, ops []Mutation) (*batchPlan, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("graph: empty mutation batch")
 	}
-	p := &batchPlan{base: base, removed: make(map[NodeID]bool)}
-	// delta tracks this batch's parallel-edge count adjustments on top of
-	// the base multiset, so RemoveEdge can be validated mid-batch.
-	delta := make(map[edgeKey]int)
+	p := &batchPlan{base: base, removed: make(map[NodeID]bool), net: make(map[edgeKey]int)}
+	// avail counts the instances of k under base + the batch's earlier ops,
+	// so RemoveEdge can be validated mid-batch.
 	avail := func(k edgeKey) int {
-		n := delta[k]
+		n := p.net[k]
 		if int(k.from) < p.baseN() && int(k.to) < p.baseN() &&
 			base.Alive(k.from) && base.Alive(k.to) {
 			n += countBaseEdges(base, k.from, k.to, k.label)
@@ -177,20 +179,21 @@ func planBatch(base *Graph, ops []Mutation) (*batchPlan, error) {
 		switch m.Op {
 		case MutAddNode:
 			id := NodeID(p.newN())
-			attrs := make([]AttrPair, len(m.Attrs))
-			copy(attrs, m.Attrs)
-			p.adds = append(p.adds, plannedNode{label: m.Label, attrs: attrs})
+			p.adds = append(p.adds, m.Label)
 			p.addIDs = append(p.addIDs, id)
+			for _, kv := range m.Attrs {
+				p.writes = append(p.writes, attrWrite{node: id, name: kv.Name, val: kv.Value})
+			}
 		case MutRemoveNode:
 			if !p.alive(m.Node) {
 				return nil, fmt.Errorf("graph: op %d: removeNode %d: no such live node", i, m.Node)
 			}
 			p.removed[m.Node] = true
-			// Cascade inside the batch: pending edge deltas touching the
+			// Cascade inside the batch: pending edge changes touching the
 			// node die with it (base edges cascade at apply time).
-			for k := range delta {
+			for k := range p.net {
 				if k.from == m.Node || k.to == m.Node {
-					delete(delta, k)
+					delete(p.net, k)
 				}
 			}
 		case MutAddEdge:
@@ -201,8 +204,8 @@ func planBatch(base *Graph, ops []Mutation) (*batchPlan, error) {
 				return nil, fmt.Errorf("graph: op %d: addEdge: target %d is not a live node", i, m.To)
 			}
 			k := edgeKey{m.From, m.To, m.Label}
-			p.edgeAdds = append(p.edgeAdds, k)
-			delta[k]++
+			p.edgeLabels = append(p.edgeLabels, m.Label)
+			p.net[k]++
 		case MutRemoveEdge:
 			if !p.alive(m.From) || !p.alive(m.To) {
 				return nil, fmt.Errorf("graph: op %d: removeEdge: endpoint of %d->%d is not a live node", i, m.From, m.To)
@@ -211,8 +214,7 @@ func planBatch(base *Graph, ops []Mutation) (*batchPlan, error) {
 			if avail(k) <= 0 {
 				return nil, fmt.Errorf("graph: op %d: removeEdge: no edge %d->%d labeled %q", i, m.From, m.To, m.Label)
 			}
-			p.edgeDels = append(p.edgeDels, k)
-			delta[k]--
+			p.net[k]--
 		case MutSetAttr:
 			if !p.alive(m.Node) {
 				return nil, fmt.Errorf("graph: op %d: setAttr %q: node %d is not a live node", i, m.Attr, m.Node)
@@ -243,14 +245,70 @@ func ApplyBatch(base *Graph, ops []Mutation) (*Graph, *ApplyResult, error) {
 	return ng, res, nil
 }
 
-// applyPlan executes a validated plan: the copy-on-write merge.
-func applyPlan(p *batchPlan) (*Graph, *ApplyResult) {
-	base := p.base
-	base.domainList() // force lazy v2 domains before sharing them
-	n0, n := p.baseN(), p.newN()
-	words := (n + 63) / 64
-	res := &ApplyResult{Version: base.version + 1, AddedNodes: p.addIDs}
+// batchEdits is one copy-on-write merge in progress: the validated plan,
+// the generation under construction, and the batch restated per derived
+// structure — which label buckets, attribute columns and (label,
+// attribute) permutations it touches, and with what. Everything a touched
+// set does not name is shared with the base generation.
+type batchEdits struct {
+	p     *batchPlan
+	ng    *Graph
+	res   *ApplyResult
+	words int // presence-bitmap width of the new generation
+	// removedBase lists the removed nodes that exist in the base (a node
+	// added and removed by the same batch leaves no trace).
+	removedBase []NodeID
 
+	// touchedLabels are the buckets whose membership changed; addsByLabel
+	// lists their surviving added nodes, ascending.
+	touchedLabels map[LabelID]bool
+	addsByLabel   map[LabelID][]NodeID
+	// cells holds, by AttrID, the batch's last-write-wins edits ascending by
+	// node (including the Null edits that clear a removed node's cells); a
+	// column is touched exactly when its list is non-empty.
+	cells [][]attrWrite
+	// touchedPairs are the permutation indexes to re-merge: every index of a
+	// touched label plus every (label, attribute) a surviving edit lands on.
+	touchedPairs map[labelAttr]bool
+}
+
+// survives reports whether v is live once the whole batch has applied.
+func (e *batchEdits) survives(v NodeID) bool { return !bitGet(e.ng.dead, int(v)) }
+
+// applyPlan executes a validated plan: the copy-on-write merge, one phase
+// per structure of the frozen layout, each building what the batch touches
+// with the builder Freeze uses and sharing the rest with the base.
+func applyPlan(p *batchPlan) (*Graph, *ApplyResult) {
+	p.base.domainList() // force lazy v2 domains before sharing them
+	e := newGeneration(p)
+	e.mergeAdjacency()
+	e.mergeBuckets()
+	e.collectCells()
+	e.mergeColumns()
+	e.mergeIndexes()
+	e.ng.measure()
+	e.ng.buildDerived()
+	return e.ng, e.res
+}
+
+// internShared interns s into a dictionary the new generation shares with
+// its base (the first shared entries of table): read-only while nothing is
+// added, copied on the first extension.
+func internShared[ID ~int32](table *[]string, ids *map[string]ID, shared int, s string) {
+	if _, ok := (*ids)[s]; ok {
+		return
+	}
+	if len(*table) == shared {
+		*table, *ids = slices.Clone(*table), maps.Clone(*ids)
+	}
+	(*ids)[s] = ID(len(*table))
+	*table = append(*table, s)
+}
+
+// newGeneration starts the merge: the new graph's identity, its
+// dictionaries, and its node slots with the batch's labels and tombstones.
+func newGeneration(p *batchPlan) *batchEdits {
+	base, n0, n := p.base, p.baseN(), p.newN()
 	ng := &Graph{
 		numEdges: base.numEdges,
 		frozen:   true,
@@ -262,457 +320,277 @@ func applyPlan(p *batchPlan) (*Graph, *ApplyResult) {
 	if ng.backing != nil {
 		ng.backing.retain()
 	}
+	e := &batchEdits{
+		p: p, ng: ng, words: (n + 63) / 64,
+		res: &ApplyResult{Version: ng.version, AddedNodes: p.addIDs, NodesRemoved: len(p.removed)},
+	}
 
-	// Dictionaries: copy-on-extend only when the batch introduces new
-	// label or attribute strings; otherwise both generations share the
-	// read-only dictionaries.
 	ng.labels, ng.labelIDs = base.labels, base.labelIDs
-	needLabel := func(s string) {
-		if _, ok := ng.labelIDs[s]; ok {
-			return
-		}
-		if len(ng.labels) == len(base.labels) { // first extension: copy
-			ng.labels = append([]string(nil), base.labels...)
-			ids := make(map[string]LabelID, len(base.labelIDs)+1)
-			for k, v := range base.labelIDs {
-				ids[k] = v
-			}
-			ng.labelIDs = ids
-		}
-		ng.labelIDs[s] = LabelID(len(ng.labels))
-		ng.labels = append(ng.labels, s)
-	}
-	for _, a := range p.adds {
-		needLabel(a.label)
-	}
-	for _, k := range p.edgeAdds {
-		needLabel(k.label)
-	}
 	ng.attrTable, ng.attrIDs = base.attrTable, base.attrIDs
-	needAttr := func(s string) {
-		if _, ok := ng.attrIDs[s]; ok {
-			return
-		}
-		if len(ng.attrTable) == len(base.attrTable) {
-			ng.attrTable = append([]string(nil), base.attrTable...)
-			ids := make(map[string]AttrID, len(base.attrIDs)+1)
-			for k, v := range base.attrIDs {
-				ids[k] = v
-			}
-			ng.attrIDs = ids
-		}
-		ng.attrIDs[s] = AttrID(len(ng.attrTable))
-		ng.attrTable = append(ng.attrTable, s)
+	for _, label := range p.adds {
+		internShared(&ng.labels, &ng.labelIDs, len(base.labels), label)
 	}
-	for _, a := range p.adds {
-		for _, kv := range a.attrs {
-			needAttr(kv.Name)
-		}
+	for _, label := range p.edgeLabels {
+		internShared(&ng.labels, &ng.labelIDs, len(base.labels), label)
 	}
 	for _, w := range p.writes {
-		needAttr(w.name)
+		internShared(&ng.attrTable, &ng.attrIDs, len(base.attrTable), w.name)
 	}
-	if len(ng.attrTable) == len(base.attrTable) {
-		ng.attrNames = base.attrNames
-	} else {
+	ng.attrNames = base.attrNames
+	if len(ng.attrTable) > len(base.attrTable) {
 		ng.attrNames = append([]string(nil), ng.attrTable...)
 		sort.Strings(ng.attrNames)
 	}
 
-	// Node slots: labels and tombstones.
 	ng.nodeLabels = make([]LabelID, n)
 	copy(ng.nodeLabels, base.nodeLabels)
-	for i, a := range p.adds {
-		ng.nodeLabels[n0+i] = ng.labelIDs[a.label]
+	for i, label := range p.adds {
+		ng.nodeLabels[n0+i] = ng.labelIDs[label]
 	}
-	ng.dead = make([]uint64, words)
+	ng.dead = make([]uint64, e.words)
 	copy(ng.dead, base.dead)
-	ng.deadCount = base.deadCount
+	ng.deadCount = base.deadCount + len(p.removed)
 	for v := range p.removed {
 		bitSet(ng.dead, int(v))
-		ng.deadCount++
-	}
-	res.NodesRemoved = len(p.removed)
-	finallyAlive := func(v NodeID) bool { return !bitGet(ng.dead, int(v)) }
-
-	// Net edge churn per parallel-edge class: drop planned adds/dels whose
-	// endpoint died later in the batch (the cascade below subsumes them)
-	// and cancel add/del pairs, so row rebuilds only ever delete instances
-	// that exist in the base row.
-	net := make(map[edgeKey]int)
-	for _, k := range p.edgeAdds {
-		if finallyAlive(k.from) && finallyAlive(k.to) {
-			net[k]++
+		if int(v) < n0 {
+			e.removedBase = append(e.removedBase, v)
 		}
 	}
-	for _, k := range p.edgeDels {
-		if finallyAlive(k.from) && finallyAlive(k.to) {
-			net[k]--
-		}
-	}
+	return e
+}
 
-	// Adjacency: copy the row-header arrays, then rebuild only touched
-	// rows. Every edit is expressed as per-row add/del instance lists.
-	ng.out = make([][]Edge, n)
+// mergeAdjacency copies the row-header arrays and rebuilds only the rows
+// the batch touches.
+func (e *batchEdits) mergeAdjacency() {
+	p, base, ng, res := e.p, e.p.base, e.ng, e.res
+	ng.out = make([][]Edge, p.newN())
 	copy(ng.out, base.out)
-	ng.in = make([][]Edge, n)
+	ng.in = make([][]Edge, p.newN())
 	copy(ng.in, base.in)
-	outAdd := make(map[NodeID][]Edge)
-	inAdd := make(map[NodeID][]Edge)
-	outDel := make(map[NodeID][]Edge)
-	inDel := make(map[NodeID][]Edge)
-	for k, d := range net {
-		l := ng.labelIDs[k.label]
-		for ; d > 0; d-- {
-			outAdd[k.from] = append(outAdd[k.from], Edge{To: k.to, Label: l})
-			inAdd[k.to] = append(inAdd[k.to], Edge{To: k.from, Label: l})
-			res.EdgesAdded++
+
+	// Every edit becomes a signed instance count on the rows of its
+	// surviving endpoints, tallied into the result.
+	out, in := make(map[NodeID]map[Edge]int), make(map[NodeID]map[Edge]int)
+	bump := func(rows map[NodeID]map[Edge]int, v, to NodeID, l LabelID, n int) {
+		if !e.survives(v) {
+			return
 		}
-		for ; d < 0; d++ {
-			outDel[k.from] = append(outDel[k.from], Edge{To: k.to, Label: l})
-			inDel[k.to] = append(inDel[k.to], Edge{To: k.from, Label: l})
-			res.EdgesRemoved++
+		if rows[v] == nil {
+			rows[v] = make(map[Edge]int)
+		}
+		rows[v][Edge{To: to, Label: l}] += n
+	}
+	delta := func(from, to NodeID, l LabelID, n int) {
+		bump(out, from, to, l, n)
+		bump(in, to, from, l, n)
+		res.EdgesAdded += max(n, 0)
+		res.EdgesRemoved += max(-n, 0)
+	}
+	// The net churn only ever deletes instances that exist in the base row.
+	for k, n := range p.net {
+		if n != 0 {
+			delta(k.from, k.to, ng.labelIDs[k.label], n)
 		}
 	}
-	// RemoveNode cascade over base edges: clear the dead node's rows and
-	// drop its instances from every neighbor's opposite row.
-	for v := range p.removed {
-		if int(v) >= n0 {
-			continue // batch-added: never had base rows
+	// RemoveNode cascade over base edges: the dead node's rows are cleared
+	// and its instances leave every surviving neighbor's opposite row.
+	for _, v := range e.removedBase {
+		for _, ed := range base.out[v] {
+			delta(v, ed.To, ed.Label, -1)
 		}
-		for _, e := range base.out[v] {
-			res.EdgesRemoved++
-			if finallyAlive(e.To) {
-				inDel[e.To] = append(inDel[e.To], Edge{To: v, Label: e.Label})
+		for _, ed := range base.in[v] {
+			if e.survives(ed.To) { // dead->dead edges were counted from the out side
+				delta(ed.To, v, ed.Label, -1)
 			}
-		}
-		for _, e := range base.in[v] {
-			if finallyAlive(e.To) {
-				outDel[e.To] = append(outDel[e.To], Edge{To: v, Label: e.Label})
-				res.EdgesRemoved++
-			}
-			// dead->dead edges were already counted from the out side
 		}
 		ng.out[v], ng.in[v] = nil, nil
 	}
 	ng.numEdges += res.EdgesAdded - res.EdgesRemoved
-	rebuildRow := func(rows [][]Edge, baseRows [][]Edge, v NodeID, adds, dels []Edge) {
-		var row []Edge
-		if int(v) < len(baseRows) {
-			row = baseRows[v]
-		}
-		nr := make([]Edge, 0, len(row)+len(adds)-len(dels))
-		if len(dels) > 0 {
-			drop := make(map[Edge]int, len(dels))
-			for _, e := range dels {
-				drop[e]++
-			}
-			for _, e := range row {
-				if drop[e] > 0 {
-					drop[e]--
-					continue
-				}
-				nr = append(nr, e)
-			}
-		} else {
-			nr = append(nr, row...)
-		}
-		nr = append(nr, adds...)
-		sortEdges(nr)
-		rows[v] = nr
+	for v, d := range out {
+		ng.out[v] = mergeRow(ng.out[v], d)
 	}
-	for v := range outAdd {
-		if finallyAlive(v) {
-			rebuildRow(ng.out, base.out, v, outAdd[v], outDel[v])
-			delete(outDel, v)
-		}
+	for v, d := range in {
+		ng.in[v] = mergeRow(ng.in[v], d)
 	}
-	for v := range outDel {
-		if finallyAlive(v) {
-			rebuildRow(ng.out, base.out, v, nil, outDel[v])
-		}
-	}
-	for v := range inAdd {
-		if finallyAlive(v) {
-			rebuildRow(ng.in, base.in, v, inAdd[v], inDel[v])
-			delete(inDel, v)
-		}
-	}
-	for v := range inDel {
-		if finallyAlive(v) {
-			rebuildRow(ng.in, base.in, v, nil, inDel[v])
-		}
-	}
-
-	// Label buckets: copy the map, rebuild buckets whose membership
-	// changed. Buckets stay in ascending NodeID order (batch-added IDs are
-	// all greater than every base ID).
-	touchedLabels := make(map[LabelID]bool)
-	for v := range p.removed {
-		if int(v) < n0 {
-			touchedLabels[base.nodeLabels[v]] = true
-		}
-	}
-	addsByLabel := make(map[LabelID][]NodeID)
-	for i := range p.adds {
-		id := p.addIDs[i]
-		if !finallyAlive(id) {
-			continue
-		}
-		l := ng.nodeLabels[id]
-		touchedLabels[l] = true
-		addsByLabel[l] = append(addsByLabel[l], id)
-	}
-	ng.byLabel = base.byLabel
-	if len(touchedLabels) > 0 {
-		ng.byLabel = make(map[LabelID][]NodeID, len(base.byLabel)+len(touchedLabels))
-		for l, bucket := range base.byLabel {
-			ng.byLabel[l] = bucket
-		}
-		for l := range touchedLabels {
-			old := base.byLabel[l]
-			nb := make([]NodeID, 0, len(old)+len(addsByLabel[l]))
-			for _, v := range old {
-				if finallyAlive(v) {
-					nb = append(nb, v)
-				}
-			}
-			nb = append(nb, addsByLabel[l]...)
-			if len(nb) == 0 {
-				delete(ng.byLabel, l)
-				continue
-			}
-			ng.byLabel[l] = nb
-		}
-	}
-
-	// Columns: a column is touched when the batch writes it, an added node
-	// carries it, or a removed node carried it. Touched columns are
-	// rebuilt logically (restoring the exact kind-uniformity layout Freeze
-	// would produce); untouched columns are shared, with the presence
-	// bitmap extended when the slot count crossed a word boundary.
-	touchedAttrs := make(map[AttrID]bool)
-	// Last-write-wins view of the batch's attribute writes.
-	writeVal := make(map[[2]int32]Value)
-	hasWrite := make(map[[2]int32]bool)
-	for _, w := range p.writes {
-		if !finallyAlive(w.node) {
-			continue
-		}
-		a := ng.attrIDs[w.name]
-		touchedAttrs[a] = true
-		writeVal[[2]int32{int32(w.node), int32(a)}] = w.val
-		hasWrite[[2]int32{int32(w.node), int32(a)}] = true
-	}
-	addVal := make(map[[2]int32]Value)
-	for i, an := range p.adds {
-		id := p.addIDs[i]
-		if !finallyAlive(id) {
-			continue
-		}
-		for _, kv := range an.attrs {
-			a := ng.attrIDs[kv.Name]
-			touchedAttrs[a] = true
-			k := [2]int32{int32(id), int32(a)}
-			if !hasWrite[k] { // explicit write later in the batch wins
-				addVal[k] = kv.Value
-			}
-		}
-	}
-	for v := range p.removed {
-		if int(v) >= n0 {
-			continue
-		}
-		for a := range base.cols {
-			if base.cols[a].has(v) {
-				touchedAttrs[AttrID(a)] = true
-			}
-		}
-	}
-	// logicalValue is the post-batch value of (v, a): the merge's source
-	// of truth for rebuilding touched columns, domains and indexes.
-	logicalValue := func(v NodeID, a AttrID) (Value, bool) {
-		if !finallyAlive(v) {
-			return Null, false
-		}
-		k := [2]int32{int32(v), int32(a)}
-		if hasWrite[k] {
-			val := writeVal[k]
-			return val, val.Kind() != KindNull
-		}
-		if val, ok := addVal[k]; ok {
-			return val, val.Kind() != KindNull
-		}
-		if int(v) < n0 && int(a) < len(base.cols) && base.cols[a].has(v) {
-			return base.cols[a].value(v), true
-		}
-		return Null, false
-	}
-	ng.cols = make([]column, len(ng.attrTable))
-	copy(ng.cols, base.cols)
-	for a := range ng.cols {
-		c := &ng.cols[a]
-		if touchedAttrs[AttrID(a)] {
-			*c = rebuildColumn(ng, AttrID(a), n, words, logicalValue)
-			continue
-		}
-		if len(c.present) < words {
-			np := make([]uint64, words)
-			copy(np, c.present)
-			c.present = np
-		} else if c.present == nil {
-			c.present = make([]uint64, words)
-		}
-	}
-
-	// Active domains: recompute only touched attributes.
-	ng.domains = make([][]Value, len(ng.attrTable))
-	copy(ng.domains, base.domains)
-	for a := range touchedAttrs {
-		ng.domains[a] = computeDomain(&ng.cols[a], n)
-	}
-
-	// Permutation indexes: a (label, attr) pair is touched when the
-	// label's bucket changed (adds join every index of their label with a
-	// Null-or-better rank; removals leave all of them) or the attribute
-	// was written on a node of that label. Touched pairs merge the sorted
-	// tail of changed nodes into the filtered old permutation; untouched
-	// pairs are shared.
-	type pairTail struct{ changed map[NodeID]bool }
-	touchedPairs := make(map[labelAttr]*pairTail)
-	touch := func(l LabelID, a AttrID) *pairTail {
-		k := labelAttr{l, a}
-		t := touchedPairs[k]
-		if t == nil {
-			t = &pairTail{changed: make(map[NodeID]bool)}
-			touchedPairs[k] = t
-		}
-		return t
-	}
-	for l := range touchedLabels {
-		for k := range base.indexes {
-			if k.label == l {
-				t := touch(l, k.attr)
-				for _, v := range addsByLabel[l] {
-					t.changed[v] = true
-				}
-			}
-		}
-		// Newly-added nodes can create pairs that never existed.
-		for _, v := range addsByLabel[l] {
-			for a := range ng.cols {
-				if ng.cols[a].has(v) {
-					t := touch(l, AttrID(a))
-					for _, w := range addsByLabel[l] {
-						t.changed[w] = true
-					}
-				}
-			}
-		}
-	}
-	for k := range hasWrite {
-		v, a := NodeID(k[0]), AttrID(k[1])
-		t := touch(ng.nodeLabels[v], a)
-		t.changed[v] = true
-		for _, w := range addsByLabel[ng.nodeLabels[v]] {
-			t.changed[w] = true
-		}
-	}
-	ng.indexes = base.indexes
-	if len(touchedPairs) > 0 {
-		ng.indexes = make(map[labelAttr][]NodeID, len(base.indexes))
-		for k, perm := range base.indexes {
-			ng.indexes[k] = perm
-		}
-		for k, t := range touchedPairs {
-			perm := mergeIndex(ng, base.indexes[k], ng.byLabel[k.label], k.attr, t.changed)
-			if perm == nil {
-				delete(ng.indexes, k)
-			} else {
-				ng.indexes[k] = perm
-			}
-		}
-	}
-
-	// Footprint and degree stats, then the derived matcher tables.
-	for a := range ng.cols {
-		ng.mem.ColumnBytes += ng.cols[a].bytes()
-	}
-	for _, perm := range ng.indexes {
-		ng.mem.IndexBytes += int64(len(perm)) * 4
-	}
-	ng.mem.Indexes = len(ng.indexes)
-	for v := 0; v < n; v++ {
-		if d := len(ng.out[v]); d > ng.maxOutDeg {
-			ng.maxOutDeg = d
-		}
-		if d := len(ng.in[v]); d > ng.maxInDeg {
-			ng.maxInDeg = d
-		}
-	}
-	ng.buildDerived()
-	return ng, res
 }
 
-// rebuildColumn constructs one attribute column from the post-batch
-// logical values, reproducing buildColumns' layout exactly: presence
-// bitmap + count, kind-uniform typed array (floats, strings, bool bitmap)
-// or the mixed []Value fallback.
-func rebuildColumn(g *Graph, a AttrID, n, words int, logical func(NodeID, AttrID) (Value, bool)) column {
-	c := column{present: make([]uint64, words)}
-	// One logical() pass: the closure resolves each (node, attr) through
-	// several batch maps, so stash the values for the typed fill below
-	// instead of resolving every present node twice.
-	tmp := make([]Value, n)
-	first := true
-	for v := 0; v < n; v++ {
-		val, ok := logical(NodeID(v), a)
-		if !ok {
-			continue
-		}
-		bitSet(c.present, v)
-		tmp[v] = val
-		c.count++
-		if first {
-			c.kind = val.Kind()
-			first = false
-		} else if c.kind != val.Kind() {
-			c.kind = KindNull // mixed
+// mergeRow returns a fresh sorted row: the base row (nil for an added
+// node) with the signed instance counts applied.
+func mergeRow(row []Edge, delta map[Edge]int) []Edge {
+	size := len(row)
+	for _, n := range delta {
+		size += n
+	}
+	nr := make([]Edge, 0, size)
+	for _, ed := range row {
+		if delta[ed] < 0 {
+			delta[ed]++
+		} else {
+			nr = append(nr, ed)
 		}
 	}
-	if c.count == 0 {
-		c.kind = KindNull
-		return c
-	}
-	switch c.kind {
-	case KindNumber:
-		c.nums = make([]float64, n)
-	case KindString:
-		c.strs = make([]string, n)
-	case KindBool:
-		c.bools = make([]uint64, words)
-	default:
-		c.vals = make([]Value, n)
-	}
-	for v := 0; v < n; v++ {
-		if !bitGet(c.present, v) {
-			continue
+	for ed, n := range delta {
+		for ; n > 0; n-- {
+			nr = append(nr, ed)
 		}
-		val := tmp[v]
-		switch {
-		case c.nums != nil:
-			c.nums[v] = val.Float()
-		case c.strs != nil:
-			c.strs[v] = val.Text()
-		case c.bools != nil:
-			if val.IsTrue() {
-				bitSet(c.bools, v)
+	}
+	sortEdges(nr)
+	return nr
+}
+
+// mergeBuckets rebuilds the label buckets whose membership changed.
+// Buckets stay in ascending NodeID order (batch-added IDs are all greater
+// than every base ID).
+func (e *batchEdits) mergeBuckets() {
+	p, base, ng := e.p, e.p.base, e.ng
+	e.touchedLabels = make(map[LabelID]bool)
+	e.addsByLabel = make(map[LabelID][]NodeID)
+	for _, v := range e.removedBase {
+		e.touchedLabels[base.nodeLabels[v]] = true
+	}
+	for _, id := range p.addIDs {
+		if e.survives(id) {
+			l := ng.nodeLabels[id]
+			e.touchedLabels[l] = true
+			e.addsByLabel[l] = append(e.addsByLabel[l], id)
+		}
+	}
+	ng.byLabel = maps.Clone(base.byLabel)
+	for l := range e.touchedLabels {
+		old := base.byLabel[l]
+		nb := make([]NodeID, 0, len(old)+len(e.addsByLabel[l]))
+		for _, v := range old {
+			if e.survives(v) {
+				nb = append(nb, v)
 			}
-		default:
-			c.vals[v] = val
+		}
+		if nb = append(nb, e.addsByLabel[l]...); len(nb) > 0 {
+			ng.byLabel[l] = nb
+		} else {
+			delete(ng.byLabel, l)
 		}
 	}
-	return c
+}
+
+// collectCells restates the batch per attribute: the writes to nodes that
+// survive it, in op order (a later write wins), and a Null edit for every
+// base cell of a removed node.
+func (e *batchEdits) collectCells() {
+	base, ng := e.p.base, e.ng
+	e.cells = make([][]attrWrite, len(ng.attrTable))
+	for _, w := range e.p.writes {
+		if e.survives(w.node) {
+			a := ng.attrIDs[w.name]
+			e.cells[a] = append(e.cells[a], w)
+		}
+	}
+	for _, v := range e.removedBase {
+		for a := range base.cols {
+			if base.cols[a].has(v) {
+				e.cells[a] = append(e.cells[a], attrWrite{node: v})
+			}
+		}
+	}
+	for a, edits := range e.cells {
+		sort.SliceStable(edits, func(i, j int) bool { return edits[i].node < edits[j].node })
+		last := edits[:0]
+		for i, ed := range edits {
+			if i+1 == len(edits) || edits[i+1].node != ed.node {
+				last = append(last, ed)
+			}
+		}
+		e.cells[a] = last
+	}
+}
+
+// eachCell calls fn for every cell attribute a holds in the new
+// generation: the base column's cells the batch does not edit (walking the
+// presence bitmap, the sorted edits alongside), then the non-Null edits.
+func (e *batchEdits) eachCell(a AttrID, fn func(v NodeID, val Value)) {
+	if int(a) < len(e.p.base.cols) {
+		c, edits := &e.p.base.cols[a], e.cells[a]
+		for w, word := range c.present {
+			for ; word != 0; word &= word - 1 {
+				v := NodeID(w<<6 + bits.TrailingZeros64(word))
+				for len(edits) > 0 && edits[0].node < v {
+					edits = edits[1:]
+				}
+				if len(edits) == 0 || edits[0].node != v {
+					fn(v, c.value(v))
+				}
+			}
+		}
+	}
+	for _, ed := range e.cells[a] {
+		if !ed.val.IsNull() {
+			fn(ed.node, ed.val)
+		}
+	}
+}
+
+// mergeColumns rebuilds every touched column and its active domain through
+// the column builder (note, alloc, put — so the result carries exactly the
+// kind-uniformity layout Freeze would produce); untouched columns are
+// shared, their presence bitmap extended when the slot count crossed a
+// word boundary.
+func (e *batchEdits) mergeColumns() {
+	base, ng, n := e.p.base, e.ng, e.p.newN()
+	ng.cols = make([]column, len(ng.attrTable))
+	copy(ng.cols, base.cols)
+	ng.domains = make([][]Value, len(ng.attrTable))
+	copy(ng.domains, base.domains)
+	for a := range ng.cols {
+		c := &ng.cols[a]
+		if len(e.cells[a]) > 0 {
+			*c = newColumn(e.words)
+			e.eachCell(AttrID(a), func(v NodeID, val Value) { c.note(int(v), val.Kind()) })
+			c.alloc(n)
+			e.eachCell(AttrID(a), func(v NodeID, val Value) { c.put(int(v), val) })
+			ng.domains[a] = computeDomain(c, n)
+		} else if len(c.present) < e.words {
+			present := make([]uint64, e.words)
+			copy(present, c.present)
+			c.present = present
+		}
+	}
+}
+
+// mergeIndexes re-merges the touched permutation indexes. Adds join every
+// index of their label and removals leave all of them, so a touched label
+// touches all its indexes; an edit touches the one pair it lands on (and
+// may create it). Untouched pairs are shared.
+func (e *batchEdits) mergeIndexes() {
+	base, ng := e.p.base, e.ng
+	e.touchedPairs = make(map[labelAttr]bool)
+	for k := range base.indexes {
+		if e.touchedLabels[k.label] {
+			e.touchedPairs[k] = true
+		}
+	}
+	for a, edits := range e.cells {
+		for _, ed := range edits {
+			if e.survives(ed.node) {
+				e.touchedPairs[labelAttr{ng.nodeLabels[ed.node], AttrID(a)}] = true
+			}
+		}
+	}
+	ng.indexes = maps.Clone(base.indexes)
+	for k := range e.touchedPairs {
+		// changed marks the nodes whose rank may have moved: the attribute's
+		// edited nodes and the label's added nodes.
+		changed := make([]uint64, e.words)
+		for _, ed := range e.cells[k.attr] {
+			bitSet(changed, int(ed.node))
+		}
+		for _, v := range e.addsByLabel[k.label] {
+			bitSet(changed, int(v))
+		}
+		if perm := mergeIndex(ng, base.indexes[k], ng.byLabel[k.label], k.attr, changed); perm != nil {
+			ng.indexes[k] = perm
+		} else {
+			delete(ng.indexes, k)
+		}
+	}
 }
 
 // computeDomain derives one column's active domain. Uniform
@@ -808,62 +686,35 @@ func computeDomain(c *column, n int) []Value {
 // mergeIndex produces the new permutation for one touched (label, attr)
 // pair: the old permutation minus dead and changed nodes (still sorted —
 // untouched values didn't move) merged with the sorted tail of changed
-// bucket members, ties by NodeID exactly as buildIndexes orders them.
-// Returns nil when the attribute no longer occurs on any bucket node (the
-// index is dropped, as a fresh Freeze would).
-func mergeIndex(g *Graph, oldPerm, bucket []NodeID, a AttrID, changed map[NodeID]bool) []NodeID {
-	if len(bucket) == 0 {
-		return nil
-	}
+// bucket members. Returns nil when the attribute no longer occurs on any
+// bucket node (the index is dropped, as a fresh Freeze would).
+func mergeIndex(g *Graph, oldPerm, bucket []NodeID, a AttrID, changed []uint64) []NodeID {
 	c := &g.cols[a]
-	occupancy := 0
-	for _, v := range bucket {
-		if c.has(v) {
-			occupancy++
-		}
-	}
-	if occupancy == 0 {
+	if !c.occursOn(bucket) {
 		return nil
-	}
-	less := func(x, y NodeID) bool {
-		if cmp := c.value(x).Compare(c.value(y)); cmp != 0 {
-			return cmp < 0
-		}
-		return x < y
 	}
 	if oldPerm == nil {
-		perm := make([]NodeID, len(bucket))
-		copy(perm, bucket)
-		sort.Slice(perm, func(i, j int) bool { return less(perm[i], perm[j]) })
-		return perm
+		return sortedPerm(c, bucket)
 	}
-	stable := make([]NodeID, 0, len(oldPerm))
-	for _, v := range oldPerm {
-		if g.Alive(v) && !changed[v] {
-			stable = append(stable, v)
-		}
-	}
-	tail := make([]NodeID, 0, len(changed))
+	var tail []NodeID
 	for _, v := range bucket {
-		if changed[v] {
+		if bitGet(changed, int(v)) {
 			tail = append(tail, v)
 		}
 	}
-	sort.Slice(tail, func(i, j int) bool { return less(tail[i], tail[j]) })
-	perm := make([]NodeID, 0, len(stable)+len(tail))
-	i, j := 0, 0
-	for i < len(stable) && j < len(tail) {
-		if less(tail[j], stable[i]) {
-			perm = append(perm, tail[j])
-			j++
-		} else {
-			perm = append(perm, stable[i])
-			i++
+	tail = sortedPerm(c, tail)
+	perm := make([]NodeID, 0, len(bucket))
+	for _, v := range oldPerm {
+		if !g.Alive(v) || bitGet(changed, int(v)) {
+			continue
 		}
+		for len(tail) > 0 && c.less(tail[0], v) {
+			perm = append(perm, tail[0])
+			tail = tail[1:]
+		}
+		perm = append(perm, v)
 	}
-	perm = append(perm, stable[i:]...)
-	perm = append(perm, tail[j:]...)
-	return perm
+	return append(perm, tail...)
 }
 
 // Tombstones returns the tombstoned NodeIDs in ascending order (nil when
@@ -873,12 +724,6 @@ func (g *Graph) Tombstones() []NodeID {
 		return nil
 	}
 	out := make([]NodeID, 0, g.deadCount)
-	for w, word := range g.dead {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			out = append(out, NodeID(w*64+b))
-		}
-	}
+	Bitset{words: g.dead}.ForEach(func(i int) { out = append(out, NodeID(i)) })
 	return out
 }

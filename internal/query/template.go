@@ -238,9 +238,24 @@ type DomainOptions struct {
 // >=/>, descending for <=/<; ascending for = where every value is a
 // one-step refinement of the wildcard). The graph must be frozen.
 func (t *Template) BindDomains(g *graph.Graph, opts DomainOptions) error {
+	return t.bindDomains(g, opts, false)
+}
+
+// BindMissingDomains is BindDomains for the range variables that have no
+// ladder yet: ladders pinned in the template text ("ladder $x 5 10") or set
+// with SetLadder are kept. It is what runs a parsed template — the CLI and
+// the server's job builder both call it, so the same template text binds
+// the same ladders on either path. Binding scans the frozen graph
+// deterministically, so two processes holding byte-identical snapshots
+// derive identical ladders.
+func (t *Template) BindMissingDomains(g *graph.Graph, opts DomainOptions) error {
+	return t.bindDomains(g, opts, true)
+}
+
+func (t *Template) bindDomains(g *graph.Graph, opts DomainOptions, keepPinned bool) error {
 	for vi := range t.Vars {
 		v := &t.Vars[vi]
-		if v.Kind != RangeVar {
+		if v.Kind != RangeVar || (keepPinned && len(v.Ladder) > 0) {
 			continue
 		}
 		label := t.Nodes[v.Node].Label

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"fairsqg/internal/cluster"
-	"fairsqg/internal/core"
 )
 
 // ctxJobID keys the job ID into a running job's context; the distributed
@@ -41,14 +40,8 @@ func (m *Manager) runDistributed(ctx context.Context, spec *JobSpec, handle *Han
 		Algorithm: spec.Algorithm,
 		Eps:       res.Eps,
 		ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
-		Stats: core.Stats{
-			Spawned:   res.Stats.Spawned,
-			Verified:  res.Stats.Verified,
-			Feasible:  res.Stats.Feasible,
-			Pruned:    res.Stats.Pruned,
-			IncScores: res.Stats.IncScores,
-		},
-		Queries: make([]ResultQuery, 0, len(res.Entries)),
+		Stats:     res.Stats.Stats(),
+		Queries:   make([]ResultQuery, 0, len(res.Entries)),
 	}
 	for _, e := range res.Entries {
 		out.Queries = append(out.Queries, ResultQuery{
