@@ -159,7 +159,6 @@ func run(args []string, errw *os.File) int {
 		SnapshotDir:    *snapshotDir,
 		MmapGraphs:     *mmapGraphs,
 		CompactAfter:   *compactAfter,
-		RequireGraph:   false,
 		Cluster:        coord,
 		Logger:         logger,
 	})

@@ -18,8 +18,8 @@ type MutationSource interface {
 	Poll() *MutationEvent
 }
 
-// ChanMutations adapts a channel of events into a MutationSource, e.g.
-// one fed from the server's Options.OnMutate hook.
+// ChanMutations adapts a channel of events into a MutationSource, for
+// callers that apply batches themselves and announce each new generation.
 type ChanMutations struct {
 	C <-chan MutationEvent
 }

@@ -71,11 +71,26 @@ func (l *Live) OpsSinceCompact() int {
 // reference is released (readers that acquired it keep it alive); on
 // validation error nothing changes.
 func (l *Live) Apply(ops []Mutation) (*ApplyResult, error) {
+	return l.ApplyCommit(ops, nil)
+}
+
+// ApplyCommit is Apply with a commit step between building the next
+// generation and making it current: commit (when non-nil) runs under the
+// writer lock once the batch has validated and merged — the place to make
+// the batch durable. If it fails, the built generation is discarded, the
+// current one stays and commit's error is returned as is.
+func (l *Live) ApplyCommit(ops []Mutation, commit func() error) (*ApplyResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	ng, res, err := ApplyBatch(l.cur, ops)
 	if err != nil {
 		return nil, err
+	}
+	if commit != nil {
+		if err := commit(); err != nil {
+			ng.Close()
+			return nil, err
+		}
 	}
 	old := l.cur
 	l.cur = ng

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -57,6 +58,47 @@ func TestOpenSnapshotMappedDifferential(t *testing.T) {
 			assertGraphDeepEqual(t, g, mapped)
 			assertGraphDeepEqual(t, heap, mapped)
 		})
+	}
+}
+
+// TestLiveApplyCommit: the commit step runs once the batch has merged and
+// before the generation becomes current; when it fails nothing changes —
+// version, contents, op count — and the discarded generation gives back
+// the reference it took on the mapped base. A batch that fails validation
+// never reaches commit.
+func TestLiveApplyCommit(t *testing.T) {
+	m, err := OpenSnapshotMapped(writeSnapshotTemp(t, snapshotTestGraph(t, 31, 50)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLive(m)
+	defer l.Close()
+	batch := []Mutation{{Op: MutRemoveNode, Node: 3}}
+	refs := m.mappedRefs()
+
+	refuse := errors.New("log full")
+	if _, err := l.ApplyCommit(batch, func() error { return refuse }); err != refuse {
+		t.Fatalf("ApplyCommit error = %v, want the commit's own", err)
+	}
+	if l.Version() != 1 || !l.Graph().Alive(3) || l.OpsSinceCompact() != 0 || l.Graph() != m {
+		t.Fatalf("refused commit changed the graph: v%d, alive=%v, ops=%d", l.Version(), l.Graph().Alive(3), l.OpsSinceCompact())
+	}
+	if got := m.mappedRefs(); got != refs {
+		t.Fatalf("discarded generation leaked a backing reference: %d refs, want %d", got, refs)
+	}
+	called := false
+	if _, err := l.ApplyCommit([]Mutation{{Op: MutRemoveNode, Node: 1 << 20}}, func() error { called = true; return nil }); err == nil || called {
+		t.Fatalf("invalid batch: err=%v, commit called=%v", err, called)
+	}
+
+	res, err := l.ApplyCommit(batch, func() error {
+		if l.cur != m {
+			t.Error("generation current before commit returned")
+		}
+		return nil
+	})
+	if err != nil || res.Version != 2 || l.Version() != 2 || l.Graph().Alive(3) || l.OpsSinceCompact() != 1 {
+		t.Fatalf("committed batch: res=%+v err=%v v%d alive=%v", res, err, l.Version(), l.Graph().Alive(3))
 	}
 }
 

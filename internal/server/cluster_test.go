@@ -158,6 +158,49 @@ func TestDistributedEndToEnd(t *testing.T) {
 	}
 }
 
+// TestCoordinatorParOnTombstonedGraph: a generation that lost a node cannot
+// be shipped to workers (snapshots hold no tombstones), so in coordinator
+// mode its par jobs run the local ParQGen — done, with the archive a
+// standalone server computes on the same generation — instead of failing
+// in WriteSnapshot.
+func TestCoordinatorParOnTombstonedGraph(t *testing.T) {
+	_, sa := newClusterWorker(t)
+	_, sb := newClusterWorker(t)
+	_, coordTS := newTestServer(t, Options{Cluster: newCoordinator(t, sa.URL, sb.URL)})
+	_, aloneTS := newTestServer(t, Options{})
+
+	spec := testSpec("talent")
+	spec.Algorithm = "par"
+	results := make([]JobResult, 2)
+	for i, url := range []string{coordTS.URL, aloneTS.URL} {
+		uploadGraph(t, url, "talent", testGraph(t, 7))
+		if res := mutate(t, url, "talent", `[{"op":"removeNode","node":3}]`, http.StatusOK); res.NodesRemoved != 1 {
+			t.Fatalf("removeNode: %+v", res)
+		}
+		st := submitJob(t, url, spec)
+		if done := pollDone(t, url, st.ID); done.State != JobDone {
+			t.Fatalf("par job on the tombstoned generation (%s): %s (%s)", url, done.State, done.Error)
+		}
+		doJSON(t, http.MethodGet, url+"/v1/jobs/"+st.ID+"/result", nil, http.StatusOK, &results[i])
+	}
+	got, want := &results[0], &results[1]
+	if len(got.Queries) == 0 {
+		t.Fatal("coordinator-mode result is empty")
+	}
+	if g, w := pointBoxes(resultPoints(got), got.Eps), pointBoxes(resultPoints(want), want.Eps); !reflect.DeepEqual(g, w) {
+		t.Errorf("coordinator-mode box set %v != standalone box set %v", g, w)
+	}
+	if got.Stats.Spawned != want.Stats.Spawned || got.Stats.Verified != want.Stats.Verified ||
+		got.Stats.Feasible != want.Stats.Feasible || got.Stats.Pruned != want.Stats.Pruned {
+		t.Errorf("coordinator-mode stats %+v != standalone %+v", got.Stats, want.Stats)
+	}
+	var met map[string]any
+	doJSON(t, http.MethodGet, coordTS.URL+"/metrics", nil, http.StatusOK, &met)
+	if n := met["cluster"].(map[string]any)["slabsDispatched"].(float64); n != 0 {
+		t.Errorf("cluster.slabsDispatched = %v: the tombstoned generation went to the fleet", n)
+	}
+}
+
 // killableHandler lets one slab request through, then drops every
 // connection — the worker process "dies" mid-job.
 type killableHandler struct {

@@ -3,13 +3,13 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"expvar"
 	"fmt"
 	"io"
 	"log"
 	"mime"
 	"net/http"
 	"net/http/pprof"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -62,7 +62,7 @@ func (s *Server) routes() http.Handler {
 	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("GET /debug/vars", s.handleVars)
+	mux.Handle("GET /debug/vars", expvar.Handler())
 
 	return s.withRequestLog(mux)
 }
@@ -116,25 +116,16 @@ func (s *Server) withRequestLog(next http.Handler) http.Handler {
 	})
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.logger != nil {
-		s.logger.Printf(format, args...)
-	}
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// handleReadyz reports ready once at least one graph is registered and
-// the server is not draining — the signal a load balancer should gate on.
+// handleReadyz reports ready while the server is not draining and, in
+// coordinator mode, has a live worker — the signal a load balancer should
+// gate on. An empty registry is ready: graphs arrive by upload.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
-		return
-	}
-	if s.opts.RequireGraph && len(s.reg.List()) == 0 {
-		writeError(w, http.StatusServiceUnavailable, "no graphs registered")
 		return
 	}
 	if s.opts.Cluster != nil && s.opts.Cluster.LiveWorkers() == 0 {
@@ -146,21 +137,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.MetricsSnapshot())
-}
-
-// handleVars mirrors the default expvar endpoint on this mux.
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, "{\n")
-	first := true
-	expvarDo(func(name, value string) {
-		if !first {
-			fmt.Fprintf(w, ",\n")
-		}
-		first = false
-		fmt.Fprintf(w, "%q: %s", name, value)
-	})
-	fmt.Fprintf(w, "\n}\n")
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
@@ -193,17 +169,8 @@ func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	body := http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes)
-	err := s.reg.Read(name, format, body)
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		switch {
-		case errors.As(err, &tooBig):
-			writeError(w, http.StatusRequestEntityTooLarge, "graph body exceeds %d bytes", s.opts.MaxUploadBytes)
-		case strings.Contains(err.Error(), "already registered"):
-			writeError(w, http.StatusConflict, "%v", err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
+	if err := s.reg.Read(name, format, body); err != nil {
+		writeError(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	info, _ := s.reg.Info(name)
@@ -217,17 +184,13 @@ func (s *Server) handleUploadGraph(w http.ResponseWriter, r *http.Request) {
 // The batch is all-or-nothing: any invalid op rejects the whole batch
 // with 422 and the graph is unchanged. On success the batch is durable
 // (fsync'd to the graph's delta log when snapshots are enabled) and
-// subsequent jobs evaluate against the new generation.
+// subsequent jobs evaluate against the new generation; a batch the log
+// cannot take is refused with 503 and changes nothing either.
 func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "mutation body exceeds %d bytes", s.opts.MaxUploadBytes)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "reading body: %v", err)
+		writeError(w, statusOf(err, http.StatusBadRequest), "reading body: %v", err)
 		return
 	}
 	ops, err := graph.DecodeMutations(body)
@@ -237,13 +200,9 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := s.reg.Mutate(name, ops)
 	if err != nil {
-		if strings.Contains(err.Error(), "not registered") {
-			writeError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		// Validation failure: the batch named nodes/edges/kinds the graph
-		// does not have, or was internally inconsistent.
-		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		// Untyped means validation: the batch named nodes/edges/kinds the
+		// graph does not have, or was internally inconsistent.
+		writeError(w, statusOf(err, http.StatusUnprocessableEntity), "%v", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)
@@ -252,7 +211,7 @@ func (s *Server) handleMutateGraph(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if err := s.reg.Remove(name); err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeError(w, statusOf(err, http.StatusInternalServerError), "%v", err)
 		return
 	}
 	if s.opts.Cluster != nil {
@@ -275,22 +234,35 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := s.jobs.Submit(&spec)
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrQueueFull):
+		if errors.Is(err, ErrQueueFull) {
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, "%v", err)
-		case errors.Is(err, ErrDraining):
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		case errors.Is(err, ErrUnknownGraph):
-			writeError(w, http.StatusNotFound, "%v", err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
 		}
+		writeError(w, statusOf(err, http.StatusBadRequest), "%v", err)
 		return
 	}
 	w.Header().Set("Location", "/v1/jobs/"+job.ID)
 	st, _ := s.jobs.Status(job.ID)
 	writeJSON(w, http.StatusAccepted, st)
+}
+
+// statusOf maps an error of the registry or the job manager to its HTTP
+// status by type, never by text; an untyped error — the request itself
+// did not parse or validate — gets the endpoint's fallback.
+func statusOf(err error, fallback int) int {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	case errors.Is(err, ErrUnknownGraph):
+		return http.StatusNotFound
+	case errors.Is(err, ErrGraphExists):
+		return http.StatusConflict
+	case errors.Is(err, ErrQueueFull):
+		return http.StatusTooManyRequests
+	case errors.Is(err, ErrDraining), errors.Is(err, errNotDurable):
+		return http.StatusServiceUnavailable
+	}
+	return fallback
 }
 
 // BatchItem is the per-spec outcome of a batch submission.
@@ -333,20 +305,13 @@ func (s *Server) handleBatchJobs(w http.ResponseWriter, r *http.Request) {
 	accepted, shed := 0, false
 	for i := range specs {
 		job, err := s.jobs.Submit(&specs[i])
-		switch {
-		case err == nil:
-			items[i] = BatchItem{Accepted: true, ID: job.ID, Location: "/v1/jobs/" + job.ID, Status: http.StatusAccepted}
-			accepted++
-		case errors.Is(err, ErrQueueFull):
-			items[i] = BatchItem{Status: http.StatusTooManyRequests, Error: err.Error()}
-			shed = true
-		case errors.Is(err, ErrDraining):
-			items[i] = BatchItem{Status: http.StatusServiceUnavailable, Error: err.Error()}
-		case errors.Is(err, ErrUnknownGraph):
-			items[i] = BatchItem{Status: http.StatusNotFound, Error: err.Error()}
-		default:
-			items[i] = BatchItem{Status: http.StatusBadRequest, Error: err.Error()}
+		if err != nil {
+			items[i] = BatchItem{Status: statusOf(err, http.StatusBadRequest), Error: err.Error()}
+			shed = shed || errors.Is(err, ErrQueueFull)
+			continue
 		}
+		items[i] = BatchItem{Accepted: true, ID: job.ID, Location: "/v1/jobs/" + job.ID, Status: http.StatusAccepted}
+		accepted++
 	}
 	if shed {
 		w.Header().Set("Retry-After", "1")
@@ -459,10 +424,20 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// logger is the minimal interface the server logs through; *log.Logger
-// satisfies it.
+// printfLogger is the minimal interface the server logs through;
+// *log.Logger satisfies it.
 type printfLogger interface {
 	Printf(format string, args ...any)
+}
+
+// logSink is the nil-safe logger the server, its registry and its
+// snapshot store embed.
+type logSink struct{ logger printfLogger }
+
+func (l logSink) logf(format string, args ...any) {
+	if l.logger != nil {
+		l.logger.Printf(format, args...)
+	}
 }
 
 var _ printfLogger = (*log.Logger)(nil)

@@ -34,8 +34,10 @@ var (
 	ErrQueueFull = errors.New("server: job queue full")
 	// ErrDraining rejects submissions during graceful shutdown (503).
 	ErrDraining = errors.New("server: shutting down")
-	// ErrUnknownGraph rejects jobs naming an unregistered graph (404).
+	// ErrUnknownGraph rejects whatever names an unregistered graph (404).
 	ErrUnknownGraph = errors.New("server: unknown graph")
+	// ErrGraphExists rejects registering a name already in use (409).
+	ErrGraphExists = errors.New("server: graph already registered")
 )
 
 // runFunc executes one job under its deadline context, publishing
@@ -98,28 +100,21 @@ type ManagerOptions struct {
 
 func (o *ManagerOptions) withDefaults() ManagerOptions {
 	out := *o
-	if out.Workers <= 0 {
-		out.Workers = 2
-	}
-	if out.QueueDepth <= 0 {
-		out.QueueDepth = 16
-	}
-	if out.Retention <= 0 {
-		out.Retention = 15 * time.Minute
-	}
-	if out.DefaultTimeout <= 0 {
-		out.DefaultTimeout = 5 * time.Minute
-	}
-	if out.MaxTimeout <= 0 {
-		out.MaxTimeout = 30 * time.Minute
-	}
-	if out.GCInterval <= 0 {
-		out.GCInterval = 30 * time.Second
-	}
-	if out.EventBuffer <= 0 {
-		out.EventBuffer = 1024
-	}
+	setDefault(&out.Workers, 2)
+	setDefault(&out.QueueDepth, 16)
+	setDefault(&out.Retention, 15*time.Minute)
+	setDefault(&out.DefaultTimeout, 5*time.Minute)
+	setDefault(&out.MaxTimeout, 30*time.Minute)
+	setDefault(&out.GCInterval, 30*time.Second)
+	setDefault(&out.EventBuffer, 1024)
 	return out
+}
+
+// setDefault replaces an unset (zero or negative) option by its default.
+func setDefault[T int | int64 | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // Manager owns the job lifecycle: a bounded intake queue, a fixed worker
@@ -178,7 +173,7 @@ func (m *Manager) Submit(spec *JobSpec) (*Job, error) {
 	}
 	handle, err := m.reg.Acquire(spec.Graph)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownGraph, spec.Graph)
+		return nil, err
 	}
 	cfg, err := buildConfig(spec, handle)
 	if err != nil {
@@ -189,8 +184,15 @@ func (m *Manager) Submit(spec *JobSpec) (*Job, error) {
 	if every == 0 {
 		every = 32
 	}
+	distributed := m.cluster != nil && spec.Algorithm == "par"
+	if distributed && handle.Graph().HasTombstones() {
+		// Workers receive the generation as a snapshot, which cannot hold
+		// tombstones; the local ParQGen computes the same archive.
+		m.reg.logf("par job on %s v%d runs locally: the generation has removed nodes", spec.Graph, handle.Graph().Version())
+		distributed = false
+	}
 	var run runFunc
-	if m.cluster != nil && spec.Algorithm == "par" {
+	if distributed {
 		// Coordinator mode: par jobs fan out over the worker fleet. The
 		// config built above already validated the spec; workers rebuild it
 		// from the payload against their content-addressed graph copies.
@@ -443,12 +445,12 @@ func (m *Manager) List() []JobStatus {
 }
 
 // counts tallies retained jobs by state plus the live queue depth.
-func (m *Manager) counts() (byState map[JobState]int, queueDepth int) {
+func (m *Manager) counts() (byState map[string]int, queueDepth int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	byState = map[JobState]int{}
+	byState = map[string]int{}
 	for _, job := range m.jobs {
-		byState[job.state]++
+		byState[string(job.state)]++
 	}
 	return byState, len(m.queue)
 }

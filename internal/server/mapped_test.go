@@ -28,6 +28,14 @@ func storageSnapshots(t *testing.T, url string) map[string]any {
 	return met.Storage.Snapshots
 }
 
+// mappedBytesGauge reads storage.snapshots.mappedBytes off the server's
+// metrics document (it is derived from the registry when rendered).
+func mappedBytesGauge(t *testing.T, s *Server) int64 {
+	t.Helper()
+	storage := s.MetricsSnapshot()["storage"].(map[string]any)
+	return storage["snapshots"].(map[string]any)["mappedBytes"].(int64)
+}
+
 // TestServerMappedWarmRestart is the -mmap-graphs e2e: an uploaded graph
 // is persisted and immediately re-served from its memory-mapped snapshot,
 // a restart restores it mapped, job results stay byte-identical across
@@ -95,7 +103,7 @@ func TestServerMappedWarmRestart(t *testing.T) {
 	shutdown(t, s2, ts2)
 
 	// Shutdown tore the registry down; the gauge must be back to zero.
-	if n := s2.snaps.mappedBytes.Load(); n != 0 {
+	if n := mappedBytesGauge(t, s2); n != 0 {
 		t.Errorf("mappedBytes gauge = %d after shutdown, want 0", n)
 	}
 }
@@ -229,7 +237,7 @@ func TestMappedUseAfterRemove(t *testing.T) {
 		t.Fatal("mapped reads invalid after Remove with a live handle")
 	}
 	h.Release()
-	if n := st.mappedBytes.Load(); n != 0 {
+	if n := reg.mappedBytes(); n != 0 {
 		t.Fatalf("mappedBytes gauge = %d after last release, want 0", n)
 	}
 	// Handles and releases are idempotent; a second Release must not

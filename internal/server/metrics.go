@@ -2,7 +2,9 @@ package server
 
 import (
 	"expvar"
+	"reflect"
 	"sync"
+	"sync/atomic"
 
 	"fairsqg/internal/cluster"
 )
@@ -49,14 +51,24 @@ func (m *metrics) observeLatency(algorithm string, ms float64) {
 // latencySnapshot renders every algorithm's histogram.
 func (m *metrics) latencySnapshot() map[string]any {
 	m.mu.Lock()
-	hs := make(map[string]*cluster.Histogram, len(m.latency))
+	defer m.mu.Unlock()
+	out := make(map[string]any, len(m.latency))
 	for k, h := range m.latency {
-		hs[k] = h
-	}
-	m.mu.Unlock()
-	out := make(map[string]any, len(hs))
-	for k, h := range hs {
 		out[k] = h.Snapshot()
+	}
+	return out
+}
+
+// renderCounters renders a counter struct as a /metrics section: every
+// atomic.Int64 field of *counters, keyed by its field name (the fields are
+// unexported, hence the load through the field's address).
+func renderCounters(counters any) map[string]any {
+	v := reflect.ValueOf(counters).Elem()
+	out := make(map[string]any, v.NumField())
+	for i := 0; i < v.NumField(); i++ {
+		if c, ok := reflect.NewAt(v.Field(i).Type(), v.Field(i).Addr().UnsafePointer()).Interface().(*atomic.Int64); ok {
+			out[v.Type().Field(i).Name] = c.Load()
+		}
 	}
 	return out
 }

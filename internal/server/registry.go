@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"regexp"
@@ -14,42 +15,39 @@ import (
 )
 
 // graphNameRe restricts registry names so they embed cleanly in URLs,
-// logs and metrics keys (and so the epoch-qualified snapshot names,
-// which use '@', can never collide with a registry name).
+// logs and metrics keys (and so the snapshot store's '@'-qualified file
+// names can never collide with a registry name).
 var graphNameRe = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
-// graphEntry is one registered graph with its per-graph shared evaluation
-// state. The graph itself lives behind a graph.Live mutation head: cur is
-// the generation currently served (the registry holds one backing
-// reference to it), and engine is the match engine built over exactly
-// that generation. A mutation batch produces the next generation and a
-// fresh engine around the same shared caches, so refinement siblings
-// across jobs keep reusing each other's filter scans while stale entries
-// can never be served (cache keys carry the graph's (lineage, version)).
+// graphEntry is the memory half of one registered graph's lifecycle
+// (absent → serving(generation) → closed), beside the disk half in files.
+// The graph lives behind a graph.Live mutation head: cur is the generation
+// served (the registry holds one backing reference to it), engine the match
+// engine over exactly that generation. A batch produces the next generation
+// and a fresh engine around the same shared caches: jobs keep reusing each
+// other's filter scans, and stale entries are never served (cache keys
+// carry the graph's (lineage, version)).
 type graphEntry struct {
 	name     string
 	live     *graph.Live
-	cur      *graph.Graph  // served generation; swapped with engine under r.mu
-	base     *graph.Graph  // generation charged to mappedBytes accounting
-	engine   *match.Engine // engine over cur
 	loadedAt time.Time
+	replayed int          // delta-log batches replayed at restore
+	mutOps   atomic.Int64 // mutation ops applied since registration
 
-	// retired accumulates the matcher counters of engines replaced by
-	// mutations, so /metrics never loses completed work (guarded by r.mu).
+	// Guarded by Registry.mu; set at registration, changed by swapServed
+	// only. retired sums the matcher counters of replaced engines, so
+	// /metrics never loses completed work.
+	cur     *graph.Graph
+	engine  *match.Engine
 	retired match.EngineStats
-
-	// mutMu serializes this entry's mutate / checkpoint / remove paths;
-	// Acquire and Release never take it.
-	mutMu      sync.Mutex
-	wal        *graph.WALWriter // lazily opened delta log; nil without a store
-	compacting bool             // one background checkpoint at a time (mutMu)
-
-	epoch    atomic.Uint64 // snapshot epoch the delta log extends
-	mutOps   atomic.Int64  // mutation ops applied since registration
-	replayed int           // delta-log batches replayed at restore
-
 	refs    int
-	removed bool
+
+	// mutMu, the writer lock, serializes mutate, checkpoint and unregister
+	// and guards the fields below; Acquire and Release never take it.
+	mutMu      sync.Mutex
+	files      *graphFiles // nil without a snapshot store
+	compacting bool        // a background checkpoint is pending
+	removed    bool        // set by unregister, read by lockEntry
 }
 
 // GraphInfo is the externally visible summary of a registered graph.
@@ -76,8 +74,7 @@ type GraphInfo struct {
 	Engine match.EngineStats `json:"engine"`
 }
 
-// mutationStats aggregates the registry's mutation counters for the
-// /metrics storage.mutations section.
+// mutationStats is the /metrics storage.mutations section (see snapCounters).
 type mutationStats struct {
 	batches         atomic.Int64 // batches applied successfully
 	ops             atomic.Int64 // individual mutations inside them
@@ -87,22 +84,12 @@ type mutationStats struct {
 	checkpointFails atomic.Int64 // compactions whose persistence failed
 }
 
-func (m *mutationStats) counters() map[string]any {
-	return map[string]any{
-		"batches":         m.batches.Load(),
-		"ops":             m.ops.Load(),
-		"rejected":        m.rejected.Load(),
-		"compactions":     m.compactions.Load(),
-		"checkpoints":     m.checkpoints.Load(),
-		"checkpointFails": m.checkpointFails.Load(),
-	}
-}
-
 // Registry holds named, frozen graphs and hands out ref-counted handles.
 // Loading happens once per graph; every request afterwards shares the
-// frozen structure and the per-graph match engine. Mutations go through
-// Mutate, which advances the graph's generation, persists the batch to
-// the graph's delta log, and swaps in an engine over the new generation.
+// frozen structure and the per-graph match engine.
+//
+// Lock order: putMu → an entry's mutMu → mu, never the reverse. putMu and
+// mutMu may be held across file I/O; mu never is.
 //
 // Teardown of snapshot-backed resources is delegated to the graph's own
 // backing-store reference count: the registry holds one reference per
@@ -116,22 +103,16 @@ type Registry struct {
 	graphs  map[string]*graphEntry
 	workers int
 	cache   int
-	// putMu serializes Put/Remove so a mapped-mode Put can persist the
-	// snapshot and reopen it mapped without racing another registration
-	// of the same name (Acquire/Release only take mu and are unaffected).
+	// putMu serializes registration and removal of names, so register's
+	// one duplicate check stays true while it persists or loads the graph.
 	putMu sync.Mutex
 	// compactAfter, when > 0, triggers a background checkpoint once a
 	// graph accumulates that many mutation ops since its last compaction.
 	compactAfter int
-	// snaps, when set, persists every registered graph as a binary
-	// snapshot plus a delta log of its mutation batches, and deletes the
-	// files again on Remove; restore on startup goes through putLive
-	// directly so freshly loaded snapshots aren't immediately rewritten.
+	// snaps, when set, is the disk half (see graphFiles).
 	snaps *snapshotStore
 	muts  mutationStats
-	// onMutate, when set, observes every applied batch (the online
-	// generation hook); called outside all registry locks.
-	onMutate func(name string, ops []graph.Mutation, res *graph.ApplyResult)
+	logSink
 }
 
 // NewRegistry returns an empty registry. workers is the per-graph engine
@@ -141,76 +122,45 @@ func NewRegistry(workers, cacheSize int) *Registry {
 	return &Registry{graphs: make(map[string]*graphEntry), workers: workers, cache: cacheSize}
 }
 
-// Put registers a frozen graph under name, rejecting duplicates. When a
-// snapshot store is attached, the frozen layout is persisted (atomic
-// temp-file + rename) so the next startup restores the graph without
-// re-parsing or re-freezing, and any stale delta log or checkpoint file
-// left by an earlier incarnation of the name is deleted. In mapped mode
-// the freshly saved snapshot is immediately reopened memory-mapped and
-// the mapped graph is what gets registered, so an uploaded graph's heap
-// copy is garbage the moment Put returns; if the save or reopen fails the
-// heap graph serves as-is.
-func (r *Registry) Put(name string, g *graph.Graph) error {
-	r.putMu.Lock()
-	defer r.putMu.Unlock()
-	if err := r.check(name, g); err != nil {
-		return err
+// closeGraph drops one backing reference, logging a failed unmap.
+func (r *Registry) closeGraph(name string, c io.Closer) {
+	if err := c.Close(); err != nil {
+		r.logf("snapshot unmap %s: %v", name, err)
 	}
-	if r.snaps != nil {
-		r.snaps.clearDerived(name)
-		if r.snaps.save(name, g) && r.snaps.mmap {
-			if mg, err := r.snaps.load(name); err == nil {
-				g = mg
-			} else {
-				r.snaps.logf("snapshot reopen %s: %v (serving from heap)", name, err)
-			}
-		}
-	}
-	return r.putLive(name, graph.NewLive(g), 0, 0)
 }
 
-// check validates a registration without inserting, so Put can reject
-// before persisting anything.
-func (r *Registry) check(name string, g *graph.Graph) error {
-	if !graphNameRe.MatchString(name) {
-		return fmt.Errorf("server: invalid graph name %q (want [A-Za-z0-9._-]{1,64})", name)
-	}
+// Put registers a frozen graph under name, rejecting duplicates, after
+// persisting it when a snapshot store is attached (snapshotStore.create).
+func (r *Registry) Put(name string, g *graph.Graph) error {
 	if g == nil || !g.Frozen() {
 		return fmt.Errorf("server: graph %q must be frozen", name)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.graphs[name]; dup {
-		return fmt.Errorf("server: graph %q already registered", name)
-	}
-	return nil
+	return r.register(name, func() (*graphEntry, error) {
+		files, g := r.snaps.create(name, g)
+		return &graphEntry{live: graph.NewLive(g), files: files}, nil
+	})
 }
 
-// putLive registers a live graph without touching its files: Put persists
-// first, restore on startup finds the snapshot and delta log already current.
-func (r *Registry) putLive(name string, l *graph.Live, epoch uint64, replayed int) error {
-	if err := r.check(name, l.Graph()); err != nil {
-		l.Close()
+// register is the one way a graph enters the registry: it checks the name
+// once, has source produce the entry's live graph and files (Put persists
+// an upload, restore opens what is on disk) and links the entry.
+func (r *Registry) register(name string, source func() (*graphEntry, error)) error {
+	r.putMu.Lock()
+	defer r.putMu.Unlock()
+	if !graphNameRe.MatchString(name) {
+		return fmt.Errorf("server: invalid graph name %q (want [A-Za-z0-9._-]{1,64})", name)
+	}
+	if _, dup := r.Info(name); dup {
+		return fmt.Errorf("%w: %q", ErrGraphExists, name)
+	}
+	entry, err := source()
+	if err != nil {
 		return err
 	}
-	cur := l.Acquire()
-	entry := &graphEntry{
-		name:     name,
-		live:     l,
-		cur:      cur,
-		base:     cur,
-		engine:   r.newEngine(cur, nil),
-		loadedAt: time.Now(),
-		replayed: replayed,
-	}
-	entry.epoch.Store(epoch)
+	entry.name, entry.loadedAt = name, time.Now()
+	entry.cur = entry.live.Acquire()
+	entry.engine = r.newEngine(entry.cur, nil)
 	r.mu.Lock()
-	if _, dup := r.graphs[name]; dup {
-		r.mu.Unlock()
-		cur.Close()
-		l.Close()
-		return fmt.Errorf("server: graph %q already registered", name)
-	}
 	r.graphs[name] = entry
 	r.mu.Unlock()
 	return nil
@@ -227,24 +177,22 @@ func (r *Registry) newEngine(g *graph.Graph, prev *match.Engine) *match.Engine {
 	return match.NewEngine(g, opts)
 }
 
-// Read parses a graph from rd in the named format ("tsv", "json" or
-// "snapshot"), freezes it (snapshots arrive frozen) and registers it
-// under name.
+// graphReaders are the upload formats; every reader returns a frozen graph.
+var graphReaders = map[string]func(io.Reader) (*graph.Graph, error){
+	"":         graph.ReadTSV,
+	"tsv":      graph.ReadTSV,
+	"json":     graph.ReadJSON,
+	"snapshot": graph.ReadSnapshot,
+}
+
+// Read parses a graph from rd in the named format ("tsv", the default,
+// "json" or "snapshot") and registers it under name.
 func (r *Registry) Read(name, format string, rd io.Reader) error {
-	var (
-		g   *graph.Graph
-		err error
-	)
-	switch format {
-	case "json":
-		g, err = graph.ReadJSON(rd)
-	case "tsv", "":
-		g, err = graph.ReadTSV(rd)
-	case "snapshot":
-		g, err = graph.ReadSnapshot(rd)
-	default:
+	read, ok := graphReaders[format]
+	if !ok {
 		return fmt.Errorf("server: unknown graph format %q (want tsv, json or snapshot)", format)
 	}
+	g, err := read(rd)
 	if err != nil {
 		return err
 	}
@@ -292,9 +240,7 @@ func (h *Handle) Release() {
 		h.r.mu.Lock()
 		h.entry.refs--
 		h.r.mu.Unlock()
-		if err := h.g.Close(); err != nil && h.r.snaps != nil {
-			h.r.snaps.logf("snapshot unmap %s: %v", h.entry.name, err)
-		}
+		h.r.closeGraph(h.entry.name, h.g)
 	})
 }
 
@@ -308,11 +254,30 @@ func (r *Registry) Acquire(name string) (*Handle, error) {
 	defer r.mu.Unlock()
 	entry, ok := r.graphs[name]
 	if !ok {
-		return nil, fmt.Errorf("server: graph %q not registered", name)
+		return nil, unknownGraph(name)
 	}
 	entry.refs++
 	entry.cur.Retain()
 	return &Handle{r: r, entry: entry, g: entry.cur, engine: entry.engine}, nil
+}
+
+func unknownGraph(name string) error { return fmt.Errorf("%w: %q", ErrUnknownGraph, name) }
+
+// lockEntry looks name up and takes the entry's writer lock (the caller
+// unlocks it), or reports the graph gone — unregistered, maybe meanwhile.
+func (r *Registry) lockEntry(name string) (*graphEntry, error) {
+	r.mu.Lock()
+	entry := r.graphs[name]
+	r.mu.Unlock()
+	if entry == nil {
+		return nil, unknownGraph(name)
+	}
+	entry.mutMu.Lock()
+	if entry.removed {
+		entry.mutMu.Unlock()
+		return nil, unknownGraph(name)
+	}
+	return entry, nil
 }
 
 // MutateResult reports one applied batch: the per-op counters from the
@@ -337,71 +302,36 @@ type MutateResult struct {
 	Compacting bool `json:"compacting,omitempty"`
 }
 
-// Mutate applies one mutation batch to a registered graph: the batch is
-// validated and merged into a new frozen generation (all-or-nothing; see
-// graph.ApplyBatch), appended to the graph's delta log (fsync'd — after
-// Mutate returns, a crash replays it), and a fresh engine over the new
-// generation — sharing the previous engine's caches — starts serving
-// subsequent Acquires. In-flight jobs keep the generation they leased.
+// Mutate applies one mutation batch to a registered graph, in commit
+// order: the batch is validated and merged into the next frozen generation
+// (all-or-nothing; see graph.ApplyBatch), appended to the graph's delta log
+// (fsync'd — after Mutate returns, a crash replays it), and only then does
+// the generation become current and serve subsequent Acquires; in-flight
+// jobs keep the one they leased. A batch the log refuses is not applied:
+// the error wraps errNotDurable and nothing about the graph has changed.
 func (r *Registry) Mutate(name string, ops []graph.Mutation) (*MutateResult, error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("server: empty mutation batch for graph %q", name)
 	}
-	r.mu.Lock()
-	entry, ok := r.graphs[name]
-	r.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("server: graph %q not registered", name)
-	}
-	entry.mutMu.Lock()
-	defer entry.mutMu.Unlock()
-	r.mu.Lock()
-	removed := entry.removed
-	r.mu.Unlock()
-	if removed {
-		return nil, fmt.Errorf("server: graph %q not registered", name)
-	}
-
-	res, err := entry.live.Apply(ops)
+	entry, err := r.lockEntry(name)
 	if err != nil {
-		r.muts.rejected.Add(1)
+		return nil, err
+	}
+	defer entry.mutMu.Unlock()
+
+	res, err := entry.live.ApplyCommit(ops, func() error { return entry.files.append(ops) })
+	if err != nil {
+		if errors.Is(err, errNotDurable) {
+			r.logf("mutate %s: %v", name, err)
+		} else {
+			r.muts.rejected.Add(1)
+		}
 		return nil, err
 	}
 	r.muts.batches.Add(1)
 	r.muts.ops.Add(int64(len(ops)))
 	entry.mutOps.Add(int64(len(ops)))
-
-	// Persist before the new generation becomes visible to new leases:
-	// once a client sees post-batch results, a crash must not roll the
-	// graph back past the batch. Log-write failures are counted and
-	// logged, not returned — the in-memory graph has already advanced.
-	if entry.wal == nil && r.snaps != nil {
-		w, werr := graph.OpenWAL(r.snaps.walPath(name))
-		if werr != nil {
-			r.snaps.wal.appendFails.Add(1)
-			r.snaps.logf("delta log open %s: %v (batch not persisted)", name, werr)
-		} else {
-			if w.Epoch() != entry.epoch.Load() {
-				// A fresh log starts at epoch 0; align it with the entry's
-				// base snapshot so restore resolves the right file.
-				if rerr := w.ResetEpoch(entry.epoch.Load()); rerr != nil {
-					r.snaps.logf("delta log %s: set epoch: %v", name, rerr)
-				}
-			}
-			entry.wal = w
-		}
-	}
-	if entry.wal != nil {
-		if werr := entry.wal.Append(ops); werr != nil {
-			r.snaps.wal.appendFails.Add(1)
-			r.snaps.logf("delta log append %s: %v (batch not persisted)", name, werr)
-		} else {
-			r.snaps.wal.appends.Add(1)
-		}
-	}
-
-	ng := entry.live.Acquire()
-	r.swapServed(entry, ng)
+	ng := r.swapServed(entry)
 
 	out := &MutateResult{
 		Version:      res.Version,
@@ -416,28 +346,25 @@ func (r *Registry) Mutate(name string, ops []graph.Mutation) (*MutateResult, err
 	if r.compactAfter > 0 && entry.live.OpsSinceCompact() >= r.compactAfter && !entry.compacting {
 		entry.compacting = true
 		out.Compacting = true
-		go r.checkpoint(entry)
-	}
-	if r.onMutate != nil {
-		r.onMutate(name, ops, res)
+		go r.Checkpoint(name)
 	}
 	return out, nil
 }
 
-// swapServed makes g (a retained generation, ownership transferred) the
-// entry's served generation, with a fresh engine around the previous
-// engine's caches; the replaced generation's reference is released and
-// the replaced engine's matcher counters are folded into retired.
-func (r *Registry) swapServed(entry *graphEntry, g *graph.Graph) {
+// swapServed installs the live graph's current generation as the one the
+// entry serves, behind a fresh engine around the previous engine's caches
+// — the only place cur, engine and retired change after registration. The
+// caller holds the writer lock and has already made the generation durable.
+func (r *Registry) swapServed(entry *graphEntry) *graph.Graph {
+	g := entry.live.Acquire()
 	ne := r.newEngine(g, entry.engine)
 	r.mu.Lock()
 	old, oldEngine := entry.cur, entry.engine
 	entry.cur, entry.engine = g, ne
 	foldEngineStats(&entry.retired, oldEngine.Stats())
 	r.mu.Unlock()
-	if err := old.Close(); err != nil && r.snaps != nil {
-		r.snaps.logf("snapshot unmap %s: %v", entry.name, err)
-	}
+	r.closeGraph(entry.name, old)
+	return g
 }
 
 // foldEngineStats adds s's matcher counters into dst. Cache and distance
@@ -450,136 +377,78 @@ func foldEngineStats(dst *match.EngineStats, s match.EngineStats) {
 
 // Checkpoint synchronously compacts a graph and persists the result: the
 // accumulated copy-on-write generations re-freeze into a canonical layout
-// (cache coordinates preserved, so the shared caches stay warm), the
-// resurrected image is written as the next-epoch snapshot, and the delta
-// log atomically resets to that epoch with just the tombstone batch.
-// Restores then replay a short log over the fresh snapshot instead of the
-// graph's whole mutation history.
+// (cache coordinates preserved, so the shared caches stay warm; a mapped
+// base is released once outstanding leases drain), and the graph's files
+// rotate (graphFiles.rotate), so a restore replays a short log over a
+// fresh snapshot instead of the whole mutation history.
 func (r *Registry) Checkpoint(name string) error {
-	r.mu.Lock()
-	entry, ok := r.graphs[name]
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("server: graph %q not registered", name)
+	entry, err := r.lockEntry(name)
+	if err != nil {
+		return err
 	}
-	r.checkpoint(entry)
-	return nil
-}
-
-func (r *Registry) checkpoint(entry *graphEntry) {
-	entry.mutMu.Lock()
 	defer entry.mutMu.Unlock()
-	defer func() { entry.compacting = false }()
-	r.mu.Lock()
-	removed := entry.removed
-	r.mu.Unlock()
-	if removed {
-		return
-	}
+	entry.compacting = false
 	compacted, resurrected := entry.live.Compact()
 	r.muts.compactions.Add(1)
-
-	// The compacted generation replaces the served one; its identity (and
-	// therefore every cache key) is unchanged, so the handed-over caches
-	// keep hitting. The mapped base, if any, is released once outstanding
-	// leases drain — move the mappedBytes charge off it now.
-	ng := entry.live.Acquire()
-	r.swapServed(entry, ng)
-	if r.snaps != nil && entry.base != ng {
-		r.snaps.unmapped(entry.base)
-		entry.base = ng
-	}
-
-	if r.snaps == nil || entry.wal == nil {
-		return
-	}
-	// Crash-atomic checkpoint: write the next-epoch snapshot, then commit
-	// by atomically swapping in a delta log carrying that epoch (see the
-	// wal.go format notes). A crash on either side of the log rename
-	// leaves a consistent (snapshot, log) pair; the loser file is swept as
-	// an orphan on the next restore.
-	oldEpoch := entry.epoch.Load()
-	next := oldEpoch + 1
-	if !r.snaps.saveEpoch(entry.name, next, resurrected) {
+	r.swapServed(entry)
+	switch rotated, err := entry.files.rotate(resurrected, compacted.Tombstones()); {
+	case err != nil:
 		r.muts.checkpointFails.Add(1)
-		return
-	}
-	if err := entry.wal.ResetEpoch(next, graph.TombstoneBatch(compacted.Tombstones())); err != nil {
-		r.muts.checkpointFails.Add(1)
-		r.snaps.wal.resetFails.Add(1)
-		r.snaps.logf("delta log reset %s: %v", entry.name, err)
-		r.snaps.removeEpochFile(entry.name, next)
-		return
-	}
-	r.snaps.wal.resets.Add(1)
-	entry.epoch.Store(next)
-	r.snaps.removeEpochFile(entry.name, oldEpoch)
-	r.muts.checkpoints.Add(1)
-}
-
-// Remove unregisters a graph and deletes its snapshot, checkpoint and
-// delta-log files, if any. Existing handles remain valid; the entry's
-// memory — including any file mapping — is reclaimed once the last one
-// releases.
-func (r *Registry) Remove(name string) error {
-	r.putMu.Lock()
-	defer r.putMu.Unlock()
-	r.mu.Lock()
-	entry, ok := r.graphs[name]
-	if ok {
-		entry.removed = true
-		delete(r.graphs, name)
-	}
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("server: graph %q not registered", name)
-	}
-	r.dropEntry(entry)
-	if r.snaps != nil {
-		r.snaps.remove(name)
-		r.snaps.clearDerived(name)
+		r.logf("checkpoint %s: %v", name, err)
+	case rotated:
+		r.muts.checkpoints.Add(1)
 	}
 	return nil
 }
 
-// dropEntry releases the registry's own references for an entry already
-// unlinked from the map (outstanding handles keep theirs), waiting out
-// any in-flight mutation or checkpoint first.
-func (r *Registry) dropEntry(entry *graphEntry) {
-	entry.mutMu.Lock()
-	if entry.wal != nil {
-		entry.wal.Close()
-		entry.wal = nil
+// Remove unregisters a graph and deletes its files, if any. Existing
+// handles remain valid; the entry's memory — including any file mapping —
+// is reclaimed once the last one releases.
+func (r *Registry) Remove(name string) error {
+	return r.unregister(name, false)
+}
+
+// unregister is the one way a graph leaves the registry: it waits out any
+// in-flight mutation or checkpoint, unlinks the name, releases the
+// registry's own references (outstanding handles keep theirs) and closes
+// the files, deleting them unless keepFiles.
+func (r *Registry) unregister(name string, keepFiles bool) error {
+	r.putMu.Lock()
+	defer r.putMu.Unlock()
+	entry, err := r.lockEntry(name)
+	if err != nil {
+		return err
 	}
-	entry.mutMu.Unlock()
-	if r.snaps != nil {
-		r.snaps.unmapped(entry.base)
-	}
-	if err := entry.cur.Close(); err != nil && r.snaps != nil {
-		r.snaps.logf("snapshot unmap %s: %v", entry.name, err)
-	}
-	if err := entry.live.Close(); err != nil && r.snaps != nil {
-		r.snaps.logf("snapshot unmap %s: %v", entry.name, err)
+	defer entry.mutMu.Unlock()
+	entry.removed = true
+	r.mu.Lock()
+	delete(r.graphs, name)
+	r.mu.Unlock()
+	r.closeGraph(name, entry.cur)
+	r.closeGraph(name, entry.live)
+	entry.files.close(keepFiles)
+	return nil
+}
+
+// closeAll unregisters every graph at server shutdown, once the job
+// manager has drained; the files stay on disk for the next warm start.
+func (r *Registry) closeAll() {
+	for _, info := range r.List() {
+		r.unregister(info.Name, true)
 	}
 }
 
-// closeAll unregisters every graph and drops the registry's references,
-// for server shutdown after the job manager has drained; snapshot and
-// delta-log files stay on disk for the next warm start.
-func (r *Registry) closeAll() {
-	r.putMu.Lock()
-	defer r.putMu.Unlock()
+// mappedBytes is the storage.snapshots.mappedBytes gauge: the bytes the
+// served generations keep mapped (a mutated generation still sits on its
+// mapped base; a compacted one is heap).
+func (r *Registry) mappedBytes() int64 {
 	r.mu.Lock()
-	entries := make([]*graphEntry, 0, len(r.graphs))
-	for name, e := range r.graphs {
-		e.removed = true
-		entries = append(entries, e)
-		delete(r.graphs, name)
+	defer r.mu.Unlock()
+	var n int64
+	for _, e := range r.graphs {
+		n += e.cur.MappedBytes()
 	}
-	r.mu.Unlock()
-	for _, e := range entries {
-		r.dropEntry(e)
-	}
+	return n
 }
 
 // Info returns one graph's summary.
@@ -618,7 +487,7 @@ func infoOf(e *graphEntry) GraphInfo {
 		Version:         e.cur.Version(),
 		Mutations:       e.mutOps.Load(),
 		ReplayedBatches: e.replayed,
-		Epoch:           e.epoch.Load(),
+		Epoch:           e.files.baseEpoch(),
 		Memory:          e.cur.Memory(),
 		Engine:          st,
 	}

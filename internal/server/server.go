@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"fairsqg/internal/cluster"
-	"fairsqg/internal/graph"
 )
 
 // Options configures a Server.
@@ -43,8 +42,6 @@ type Options struct {
 	// (counted in /metrics as storage.snapshots.fallbacks) until its graph
 	// is registered again.
 	MmapGraphs bool
-	// RequireGraph makes /readyz fail until a graph is registered.
-	RequireGraph bool
 	// CompactAfter, when > 0, checkpoints a live graph in the background
 	// once it accumulates that many mutation ops since its last
 	// compaction: the copy-on-write generations re-freeze into a
@@ -52,10 +49,6 @@ type Options struct {
 	// is written as the next-epoch snapshot and the delta log resets —
 	// bounding both the overlay chain and the restart replay work.
 	CompactAfter int
-	// OnMutate, when set, observes every applied mutation batch (after
-	// it is durable); online generation jobs use it to re-score archived
-	// instances against the new graph state.
-	OnMutate func(name string, ops []graph.Mutation, res *graph.ApplyResult)
 	// Cluster, when set, puts the server in coordinator mode: par jobs
 	// are scheduled over the coordinator's worker fleet instead of the
 	// local lattice walk, /metrics grows a `cluster` section, and /readyz
@@ -75,7 +68,7 @@ type Server struct {
 	met      *metrics
 	snaps    *snapshotStore
 	restored []string
-	logger   printfLogger
+	logSink
 	handler  http.Handler
 	draining atomic.Bool
 }
@@ -86,28 +79,24 @@ type Server struct {
 // — restore failures (unreadable dir, corrupt files) degrade to a cold
 // registry rather than failing construction.
 func New(opts Options) *Server {
-	if opts.MaxUploadBytes <= 0 {
-		opts.MaxUploadBytes = 64 << 20
-	}
+	setDefault(&opts.MaxUploadBytes, 64<<20)
 	s := &Server{
-		opts: opts,
-		reg:  NewRegistry(opts.MatchWorkers, opts.CandCacheSize),
-		met:  newMetrics(),
+		opts:    opts,
+		reg:     NewRegistry(opts.MatchWorkers, opts.CandCacheSize),
+		met:     newMetrics(),
+		logSink: logSink{opts.Logger},
 	}
 	s.reg.compactAfter = opts.CompactAfter
-	s.reg.onMutate = opts.OnMutate
-	s.logger = opts.Logger
+	s.reg.logSink = s.logSink
 	if opts.SnapshotDir != "" {
 		snaps, err := newSnapshotStore(opts.SnapshotDir, opts.MmapGraphs, opts.Logger)
-		if err != nil && s.logger != nil {
-			s.logger.Printf("snapshots disabled: %v", err)
-		}
-		if err == nil {
+		if err != nil {
+			s.logf("snapshots disabled: %v", err)
+		} else {
 			s.snaps = snaps
 			s.reg.snaps = snaps
-			s.restored = snaps.restore(s.reg)
-			if s.logger != nil && len(s.restored) > 0 {
-				s.logger.Printf("restored %d graph(s) from snapshots: %v", len(s.restored), s.restored)
+			if s.restored = snaps.restore(s.reg); len(s.restored) > 0 {
+				s.logf("restored %d graph(s) from snapshots: %v", len(s.restored), s.restored)
 			}
 		}
 	}
@@ -147,11 +136,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // states, queue depth, per-graph engine/cache counters, and
 // per-algorithm latency histograms.
 func (s *Server) MetricsSnapshot() map[string]any {
-	byState, queueDepth := s.jobs.counts()
-	states := make(map[string]int, len(byState))
-	for st, n := range byState {
-		states[string(st)] = n
-	}
+	states, queueDepth := s.jobs.counts()
 	graphs := map[string]any{}
 	var cacheHits, cacheMisses int64
 	var distEvals, distHits, distMisses int64
@@ -189,21 +174,13 @@ func (s *Server) MetricsSnapshot() map[string]any {
 			"hits":   distHits,
 			"misses": distMisses,
 		},
-		"storage": func() map[string]any {
-			st := map[string]any{
-				"indexSelections": indexSel,
-				"scanSelections":  scanSel,
-				"sigPruned":       sigPruned,
-				"indexBytes":      indexBytes,
-				"columnBytes":     columnBytes,
-			}
-			st["mutations"] = s.reg.muts.counters()
-			if s.snaps != nil {
-				st["snapshots"] = s.snaps.counters()
-				st["wal"] = s.snaps.wal.counters()
-			}
-			return st
-		}(),
+		"storage": s.storageMetrics(map[string]any{
+			"indexSelections": indexSel,
+			"scanSelections":  scanSel,
+			"sigPruned":       sigPruned,
+			"indexBytes":      indexBytes,
+			"columnBytes":     columnBytes,
+		}),
 		"http": map[string]any{
 			"requests": s.met.httpRequests.Value(),
 			"byCode":   s.met.httpByCode.String(),
@@ -217,16 +194,24 @@ func (s *Server) MetricsSnapshot() map[string]any {
 	return out
 }
 
+// storageMetrics adds the counter sections to /metrics' storage object:
+// struct fields, except loadMs and the mappedBytes gauge, derived here.
+func (s *Server) storageMetrics(st map[string]any) map[string]any {
+	st["mutations"] = renderCounters(&s.reg.muts)
+	if s.snaps != nil {
+		snaps := renderCounters(&s.snaps.snapCounters)
+		snaps["loadMs"] = float64(s.snaps.loadNanos.Load()) / 1e6
+		snaps["mappedBytes"] = s.reg.mappedBytes()
+		st["snapshots"] = snaps
+		st["wal"] = renderCounters(&s.snaps.wal)
+	}
+	return st
+}
+
 // PublishExpvar registers the server's metrics snapshot in the
 // process-global expvar namespace under name. Call at most once per
 // process per name (expvar panics on duplicates) — the daemon does, tests
 // don't.
 func (s *Server) PublishExpvar(name string) {
 	expvar.Publish(name, expvar.Func(func() any { return s.MetricsSnapshot() }))
-}
-
-// expvarDo walks the global expvar namespace; split out so httpapi stays
-// free of the expvar import.
-func expvarDo(f func(name, value string)) {
-	expvar.Do(func(kv expvar.KeyValue) { f(kv.Key, kv.Value.String()) })
 }

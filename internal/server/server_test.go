@@ -324,10 +324,10 @@ func cacheHits(t *testing.T, baseURL string) int64 {
 }
 
 func TestHTTPErrorPaths(t *testing.T) {
-	s, ts := newTestServer(t, Options{MaxUploadBytes: 512, RequireGraph: true})
+	s, ts := newTestServer(t, Options{MaxUploadBytes: 512})
 
-	// Not ready before any graph exists.
-	doJSON(t, http.MethodGet, ts.URL+"/readyz", nil, http.StatusServiceUnavailable, nil)
+	// Ready before any graph exists: graphs arrive by upload.
+	doJSON(t, http.MethodGet, ts.URL+"/readyz", nil, http.StatusOK, nil)
 	doJSON(t, http.MethodGet, ts.URL+"/healthz", nil, http.StatusOK, nil)
 
 	// Upload larger than the cap -> 413 (comment lines parse fine, so
@@ -353,6 +353,18 @@ func TestHTTPErrorPaths(t *testing.T) {
 	}
 	doJSON(t, http.MethodPut, ts.URL+"/v1/graphs/tiny?format=tsv", &buf, http.StatusConflict, nil)
 	doJSON(t, http.MethodPut, ts.URL+"/v1/graphs/x?format=xml", strings.NewReader("z"), http.StatusBadRequest, nil)
+	// Statuses follow the error's type, not its text: a parse error and a
+	// validation error that quote the registry's words stay 400 and 422.
+	var quoted apiError
+	doJSON(t, http.MethodPut, ts.URL+"/v1/graphs/y?format=tsv", strings.NewReader("N\talready registered\tPerson\n"), http.StatusBadRequest, &quoted)
+	if !strings.Contains(quoted.Error, "already registered") {
+		t.Fatalf("parse error does not quote the bad field: %q", quoted.Error)
+	}
+	doJSON(t, http.MethodPost, ts.URL+"/v1/graphs/tiny/mutate",
+		strings.NewReader(`[{"op":"removeEdge","from":0,"to":1,"label":"not registered"}]`), http.StatusUnprocessableEntity, &quoted)
+	if !strings.Contains(quoted.Error, "not registered") {
+		t.Fatalf("validation error does not quote the label: %q", quoted.Error)
+	}
 	doJSON(t, http.MethodGet, ts.URL+"/v1/graphs/nope", nil, http.StatusNotFound, nil)
 
 	// Jobs: malformed body, unknown graph, unknown algorithm.

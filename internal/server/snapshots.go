@@ -1,7 +1,9 @@
 package server
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,11 +16,10 @@ import (
 )
 
 // snapExt is the on-disk extension for binary graph snapshots; partially
-// written files carry snapTmpExt until the final rename and are ignored
-// (and cleaned up) by restore. walExt marks a graph's mutation delta log
-// (see graph.OpenWAL); checkpointed base snapshots carry an epoch-
-// qualified stem, "name@<epoch>.fsnap", which can never collide with a
-// registry name ('@' fails graphNameRe).
+// written files carry snapTmpExt until the final rename and are cleaned up
+// by restore. walExt marks a graph's mutation delta log (graph.OpenWAL).
+// Checkpointed base snapshots carry an epoch-qualified stem,
+// "name@<epoch>.fsnap", which can never collide with a registry name.
 const (
 	snapExt    = ".fsnap"
 	snapTmpExt = ".fsnap.tmp"
@@ -26,41 +27,42 @@ const (
 	walTmpExt  = ".fdelta.tmp"
 )
 
-// snapshotStore persists registered graphs as binary frozen-layout
-// snapshots (graph.WriteSnapshot) in a flat directory, one file per graph
-// name, and restores them into the registry on startup so a daemon
-// restart does not re-parse or re-Freeze anything. Writes are atomic:
-// temp file in the same directory, then rename. All operations are
-// best-effort — a disk error never fails graph registration, it only
-// shows up in the counters and the log.
+// snapshotStore is the disk half of the registry: a flat directory holding,
+// per registered graph, a binary frozen-layout base snapshot and the delta
+// log of the mutation batches applied since, restored on startup so a
+// restart does not re-parse or re-Freeze anything. The protocol — which
+// "name[@epoch].fsnap" a "name.fdelta" extends, in what order they are
+// written, what is an orphan — lives in this file only: graphFiles carries
+// it for one registered graph, restore inverts it.
 type snapshotStore struct {
-	dir    string
-	logger printfLogger
+	dir string
+	logSink
 	// mmap switches load from decode-to-heap to graph.OpenSnapshotMapped:
-	// graphs are served straight from the page cache, restore cost is
-	// O(open) instead of O(graph), and resident memory stays bounded by
-	// what queries actually touch.
+	// restore is O(open), not O(graph), and resident memory stays bounded
+	// by what queries actually touch.
 	mmap bool
 
+	snapCounters
+	loadNanos atomic.Int64 // cumulative load wall time (/metrics: loadMs)
+	wal       walCounters
+}
+
+// snapCounters is the /metrics storage.snapshots section, rendered by
+// renderCounters: a counter is declared here and nowhere else.
+type snapCounters struct {
 	loads          atomic.Int64 // snapshots decoded successfully
 	writes         atomic.Int64 // snapshots persisted successfully
 	writeFails     atomic.Int64 // persist attempts that errored
 	fallbacks      atomic.Int64 // corrupt/unreadable snapshots skipped on restore
 	tmpCleaned     atomic.Int64 // partial .tmp files removed on restore
 	orphansCleaned atomic.Int64 // stale checkpoint/log files removed on restore
-	loadNanos      atomic.Int64 // cumulative decode wall time
 	mmapLoads      atomic.Int64 // snapshots opened memory-mapped
-	mappedBytes    atomic.Int64 // bytes currently memory-mapped via this store
-
-	wal walCounters
 }
 
-// walCounters aggregates the delta-log counters for the /metrics
-// storage.wal section. The registry bumps the append pair on the mutate
-// path; the rest belong to restore and checkpointing.
+// walCounters is the /metrics storage.wal section (see snapCounters).
 type walCounters struct {
 	appends       atomic.Int64 // batches fsync'd to a delta log
-	appendFails   atomic.Int64 // append or log-open failures (batch not persisted)
+	appendFails   atomic.Int64 // append or log-open failures (batch refused)
 	resets        atomic.Int64 // checkpoint log rotations
 	resetFails    atomic.Int64 // failed rotations (checkpoint aborted)
 	replays       atomic.Int64 // logs replayed on restore
@@ -70,43 +72,22 @@ type walCounters struct {
 	unusable      atomic.Int64 // logs with an unreadable header, dropped on restore
 }
 
-func (c *walCounters) counters() map[string]any {
-	return map[string]any{
-		"appends":       c.appends.Load(),
-		"appendFails":   c.appendFails.Load(),
-		"resets":        c.resets.Load(),
-		"resetFails":    c.resetFails.Load(),
-		"replays":       c.replays.Load(),
-		"replayBatches": c.replayBatches.Load(),
-		"replayRejects": c.replayRejects.Load(),
-		"truncations":   c.truncations.Load(),
-		"unusable":      c.unusable.Load(),
-	}
-}
-
 // newSnapshotStore creates dir if needed and returns a store over it.
 func newSnapshotStore(dir string, mmap bool, logger printfLogger) (*snapshotStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: snapshot dir: %w", err)
 	}
-	return &snapshotStore{dir: dir, mmap: mmap, logger: logger}, nil
+	return &snapshotStore{dir: dir, mmap: mmap, logSink: logSink{logger}}, nil
 }
 
-// path maps a registry name to its snapshot file. Names already match
-// graphNameRe ([A-Za-z0-9._-]{1,64}) and gain an extension, so the result
-// is always a plain file inside dir.
-func (st *snapshotStore) path(name string) string {
-	return filepath.Join(st.dir, name+snapExt)
-}
-
-// epochPath maps (name, epoch) to the base-snapshot file the graph's
-// delta log extends: the plain path for epoch 0 (the original upload),
-// an '@'-qualified one for checkpoints.
-func (st *snapshotStore) epochPath(name string, epoch uint64) string {
-	if epoch == 0 {
-		return st.path(name)
+// snapPath maps (name, epoch) to a base-snapshot file: "name.fsnap" for
+// epoch 0 (the upload), "name@<epoch>.fsnap" for checkpoints. Names match
+// graphNameRe, so the result is always a plain file inside dir.
+func (st *snapshotStore) snapPath(name string, epoch uint64) string {
+	if epoch > 0 {
+		name = fmt.Sprintf("%s@%d", name, epoch)
 	}
-	return filepath.Join(st.dir, fmt.Sprintf("%s@%d%s", name, epoch, snapExt))
+	return filepath.Join(st.dir, name+snapExt)
 }
 
 // walPath maps a registry name to its mutation delta log.
@@ -114,148 +95,205 @@ func (st *snapshotStore) walPath(name string) string {
 	return filepath.Join(st.dir, name+walExt)
 }
 
-func (st *snapshotStore) logf(format string, args ...any) {
-	if st.logger != nil {
-		st.logger.Printf(format, args...)
-	}
-}
-
-// save writes g's snapshot atomically under name, reporting success.
-// Errors are counted and logged, not returned: persistence is an
-// optimization, never a reason to reject a registration.
-func (st *snapshotStore) save(name string, g *graph.Graph) bool {
-	return st.saveTo(name, st.path(name), g)
-}
-
-// saveEpoch writes g as the epoch-qualified base snapshot for name — the
-// first half of a checkpoint, before the delta-log rotation commits it.
-func (st *snapshotStore) saveEpoch(name string, epoch uint64, g *graph.Graph) bool {
-	return st.saveTo(name, st.epochPath(name, epoch), g)
-}
-
-func (st *snapshotStore) saveTo(name, path string, g *graph.Graph) bool {
+// save writes g as name's epoch base snapshot, atomically: temp file in
+// the same directory, fsync, rename. Counted here, logged by the caller.
+func (st *snapshotStore) save(name string, epoch uint64, g *graph.Graph) error {
+	path := st.snapPath(name, epoch)
 	tmp := path + ".tmp" // ends in snapTmpExt
-	err := func() error {
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
+	f, err := os.Create(tmp)
+	if err == nil {
+		if err = graph.WriteSnapshot(f, g); err == nil {
+			err = f.Sync()
 		}
-		if err := graph.WriteSnapshot(f, g); err != nil {
-			f.Close()
-			return err
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp, path)
-	}()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		st.writeFails.Add(1)
 		os.Remove(tmp)
-		st.logf("snapshot save %s: %v", name, err)
-		return false
+		return fmt.Errorf("snapshot save %s: %w", filepath.Base(path), err)
 	}
 	st.writes.Add(1)
-	return true
+	return nil
 }
 
-// load materializes the epoch-0 snapshot for name; loadFrom picks the
-// base file for any epoch. In mmap mode the graph is opened mapped.
-func (st *snapshotStore) load(name string) (*graph.Graph, error) {
-	return st.loadFrom(name, 0)
-}
-
-func (st *snapshotStore) loadFrom(name string, epoch uint64) (*graph.Graph, error) {
+// load materializes name's epoch base snapshot, mapped in mmap mode.
+func (st *snapshotStore) load(name string, epoch uint64) (*graph.Graph, error) {
 	start := time.Now()
-	path := st.epochPath(name, epoch)
-	var g *graph.Graph
-	var err error
+	open := graph.ReadSnapshotFile
 	if st.mmap {
-		g, err = graph.OpenSnapshotMapped(path)
-	} else {
-		g, err = graph.ReadSnapshotFile(path)
+		open = graph.OpenSnapshotMapped
 	}
+	g, err := open(st.snapPath(name, epoch))
 	if err != nil {
 		return nil, err
 	}
 	if g.Mapped() {
 		st.mmapLoads.Add(1)
-		st.mappedBytes.Add(g.MappedBytes())
 	}
 	st.loads.Add(1)
 	st.loadNanos.Add(int64(time.Since(start)))
 	return g, nil
 }
 
-// unmapped records that a mapped graph produced by load released its last
-// reference (the registry calls it from entry teardown).
-func (st *snapshotStore) unmapped(g *graph.Graph) {
-	if g.Mapped() {
-		st.mappedBytes.Add(-g.MappedBytes())
+// remove deletes one file of the store (no-op if absent).
+func (st *snapshotStore) remove(path string) {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		st.logf("remove %s: %v", filepath.Base(path), err)
 	}
 }
 
-// remove deletes name's snapshot file (no-op if absent).
-func (st *snapshotStore) remove(name string) {
-	if err := os.Remove(st.path(name)); err != nil && !os.IsNotExist(err) {
-		st.logf("snapshot remove %s: %v", name, err)
+// clear deletes every file of a name: base snapshots of any epoch, the
+// delta log and its rotation temp.
+func (st *snapshotStore) clear(name string) {
+	checkpoints, _ := filepath.Glob(st.snapPath(name+"@*", 0))
+	for _, p := range append(checkpoints, st.snapPath(name, 0), st.walPath(name), st.walPath(name)+".tmp") {
+		st.remove(p)
 	}
 }
 
-// removeEpochFile deletes one epoch-qualified base snapshot; epoch 0 (the
-// plain snapshot) is handled too, so checkpointing off the original
-// upload retires it.
-func (st *snapshotStore) removeEpochFile(name string, epoch uint64) {
-	if err := os.Remove(st.epochPath(name, epoch)); err != nil && !os.IsNotExist(err) {
-		st.logf("snapshot remove %s@%d: %v", name, epoch, err)
-	}
+// graphFiles is the disk half of one registered graph: the epoch of its
+// base snapshot and the delta log extending it, used by the entry under
+// its writer lock (baseEpoch excepted); a registry without a store passes
+// the nil receiver, which persists nothing. The operations are the whole
+// protocol: create (upload), open (restore), append, rotate, close.
+type graphFiles struct {
+	st    *snapshotStore
+	name  string
+	epoch atomic.Uint64
+	wal   *graph.WALWriter // opened by open or the first append; nil after a failed one
 }
 
-// clearDerived deletes every file derived from name's mutation history —
-// the delta log, its rotation temp, and all epoch-qualified checkpoints —
-// leaving any plain snapshot alone. Put calls it so a fresh registration
-// can never have a stale log replayed over it; Remove calls it after
-// deleting the plain snapshot so nothing of the name survives.
-func (st *snapshotStore) clearDerived(name string) {
-	for _, p := range []string{st.walPath(name), st.walPath(name) + ".tmp"} {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			st.logf("remove %s: %v", p, err)
+// create persists an uploaded graph as name's epoch-0 base, after deleting
+// whatever an earlier incarnation of the name left behind (a stale log
+// must never be replayed over it), and returns the graph to serve: in
+// mapped mode the mapped reopen of the file just written. Persistence
+// never rejects a registration: if it fails the upload itself serves.
+func (st *snapshotStore) create(name string, g *graph.Graph) (*graphFiles, *graph.Graph) {
+	if st == nil {
+		return nil, g
+	}
+	st.clear(name)
+	if err := st.save(name, 0, g); err != nil {
+		st.logf("%v", err)
+	} else if st.mmap {
+		if mg, err := st.load(name, 0); err == nil {
+			g = mg
+		} else {
+			st.logf("snapshot reopen %s: %v (serving from heap)", name, err)
 		}
 	}
-	matches, err := filepath.Glob(filepath.Join(st.dir, name+"@*"+snapExt))
+	return &graphFiles{st: st, name: name}, g
+}
+
+// openLog is the one way the delta log is opened for writing: repair (a
+// torn tail is truncated to the last intact frame), then open. It returns
+// what the log holds — nil when it is unreadable, or absent and created.
+func (f *graphFiles) openLog() (*graph.WALReplay, error) {
+	path := f.st.walPath(f.name)
+	rep, err := graph.ReplayWAL(path, true)
+	if err == nil || errors.Is(err, fs.ErrNotExist) {
+		f.wal, err = graph.OpenWAL(path)
+	}
+	return rep, err
+}
+
+// errNotDurable marks a batch the delta log did not take: it must not be
+// applied, and the HTTP layer answers 503.
+var errNotDurable = errors.New("server: mutation batch not durable")
+
+// append makes one batch durable: fsync'd to the delta log, which is
+// opened first if need be and, when that created it, stamped with the
+// epoch of the base it extends. On any failure the writer is discarded —
+// the next append goes through openLog again rather than writing after a
+// possibly partial frame — and the error wraps errNotDurable.
+func (f *graphFiles) append(ops []graph.Mutation) (err error) {
+	if f == nil {
+		return nil
+	}
+	if f.wal == nil {
+		if _, err = f.openLog(); err == nil && f.wal.Epoch() != f.epoch.Load() {
+			err = f.wal.ResetEpoch(f.epoch.Load())
+		}
+	}
+	if err == nil {
+		err = f.wal.Append(ops)
+	}
 	if err != nil {
+		f.st.wal.appendFails.Add(1)
+		f.close(true)
+		return fmt.Errorf("%w: delta log %s%s: %v", errNotDurable, f.name, walExt, err)
+	}
+	f.st.wal.appends.Add(1)
+	return nil
+}
+
+// rotate is the crash-atomic half of a checkpoint: write image (the
+// compacted graph with its tombstoned slots resurrected, the only form a
+// snapshot can hold) as the next-epoch base, commit by atomically swapping
+// in a delta log that carries that epoch and re-tombstones dead (see
+// wal.go), then delete the old base. A crash on either side of the log
+// rename leaves a consistent (snapshot, log) pair and an orphan for the
+// next restore to sweep. With no log open the pair on disk already replays
+// to this graph: nothing rotates.
+func (f *graphFiles) rotate(image *graph.Graph, dead []graph.NodeID) (rotated bool, err error) {
+	if f == nil || f.wal == nil {
+		return false, nil
+	}
+	old := f.epoch.Load()
+	if err := f.st.save(f.name, old+1, image); err != nil {
+		return false, err
+	}
+	if err := f.wal.ResetEpoch(old+1, graph.TombstoneBatch(dead)); err != nil {
+		f.st.wal.resetFails.Add(1)
+		f.st.remove(f.st.snapPath(f.name, old+1))
+		return false, fmt.Errorf("delta log reset: %w", err)
+	}
+	f.st.wal.resets.Add(1)
+	f.epoch.Store(old + 1)
+	f.st.remove(f.st.snapPath(f.name, old))
+	return true, nil
+}
+
+// baseEpoch is GraphInfo's snapshotEpoch; safe without the writer lock.
+func (f *graphFiles) baseEpoch() uint64 {
+	if f == nil {
+		return 0
+	}
+	return f.epoch.Load()
+}
+
+// close releases the log writer and, unless keepFiles (the graph is to
+// come back on the next start), deletes the name's files.
+func (f *graphFiles) close(keepFiles bool) {
+	if f == nil {
 		return
 	}
-	for _, p := range matches {
-		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
-			st.logf("remove %s: %v", p, err)
-		}
+	if f.wal != nil {
+		f.wal.Close()
+		f.wal = nil
+	}
+	if !keepFiles {
+		f.st.clear(f.name)
 	}
 }
 
 // restoreFiles is what the directory scan found for one registry name.
 type restoreFiles struct {
-	plain  bool            // name.fsnap (epoch 0)
-	epochs map[uint64]bool // name@<k>.fsnap checkpoints
-	wal    bool            // name.fdelta
+	bases map[uint64]bool // base snapshots by epoch: name.fsnap is 0, name@<k>.fsnap is k
+	wal   bool            // name.fdelta
 }
 
 // restore scans the directory and rebuilds the registry: partial .tmp
-// files are deleted, and for every name the delta log (recovered with
-// torn tails truncated) names the base snapshot epoch its batches extend;
-// that snapshot is loaded and the batches are replayed over it, so the
-// graph comes back at its exact pre-crash state — including in mapped
-// mode, where the base is served from the page cache and the replayed
-// generations sit on top copy-on-write. Snapshot files the log does not
-// name (a checkpoint that lost the race with a crash) and logs without a
-// base are orphans: deleted and counted. A snapshot that fails to decode
-// (bit rot, version skew) is skipped and counted — the caller falls back
-// to the original source format, and the next successful registration
-// overwrites the bad file. Returns the names restored, sorted.
+// files are deleted and every name with files goes through open. A name
+// that cannot be opened (bit rot, version skew, a missing base) is skipped
+// and logged — the caller falls back to the source format, and the next
+// registration of the name overwrites the bad file. Returns the names
+// restored, sorted.
 func (st *snapshotStore) restore(reg *Registry) []string {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
@@ -264,12 +302,10 @@ func (st *snapshotStore) restore(reg *Registry) []string {
 	}
 	byName := map[string]*restoreFiles{}
 	get := func(name string) *restoreFiles {
-		f := byName[name]
-		if f == nil {
-			f = &restoreFiles{epochs: map[uint64]bool{}}
-			byName[name] = f
+		if byName[name] == nil {
+			byName[name] = &restoreFiles{bases: map[uint64]bool{}}
 		}
-		return f
+		return byName[name]
 	}
 	for _, e := range entries {
 		if e.IsDir() {
@@ -287,15 +323,15 @@ func (st *snapshotStore) restore(reg *Registry) []string {
 				get(name).wal = true
 			}
 		case strings.HasSuffix(fn, snapExt):
-			stem := strings.TrimSuffix(fn, snapExt)
-			if i := strings.IndexByte(stem, '@'); i >= 0 {
-				name, es := stem[:i], stem[i+1:]
-				epoch, err := strconv.ParseUint(es, 10, 64)
-				if err == nil && epoch > 0 && graphNameRe.MatchString(name) {
-					get(name).epochs[epoch] = true
+			name, es, qualified := strings.Cut(strings.TrimSuffix(fn, snapExt), "@")
+			var epoch uint64
+			if qualified {
+				if epoch, err = strconv.ParseUint(es, 10, 64); err != nil || epoch == 0 {
+					continue
 				}
-			} else if graphNameRe.MatchString(stem) {
-				get(stem).plain = true
+			}
+			if graphNameRe.MatchString(name) {
+				get(name).bases[epoch] = true
 			}
 		}
 	}
@@ -308,27 +344,35 @@ func (st *snapshotStore) restore(reg *Registry) []string {
 
 	var restored []string
 	for _, name := range names {
-		if st.restoreOne(reg, name, byName[name]) {
-			restored = append(restored, name)
+		err := reg.register(name, func() (*graphEntry, error) { return st.open(name, byName[name]) })
+		if err != nil {
+			st.logf("snapshot restore %s: %v", name, err)
+			continue
 		}
+		restored = append(restored, name)
 	}
 	return restored
 }
 
-// restoreOne rebuilds one name from its files, reporting success.
-func (st *snapshotStore) restoreOne(reg *Registry, name string, f *restoreFiles) bool {
+// open rebuilds one name from its files: the delta log (see openLog) names
+// the epoch of the base snapshot its batches extend; that snapshot is
+// loaded and the batches are replayed over it, so the graph comes back at
+// its exact pre-crash state — in mapped mode the replayed generations sit
+// copy-on-write on the mapped base. Snapshot files the log does not name (a
+// checkpoint that lost the race with a crash) and a log without a base are
+// orphans: deleted and counted.
+func (st *snapshotStore) open(name string, found *restoreFiles) (*graphEntry, error) {
+	f := &graphFiles{st: st, name: name}
 	var rep *graph.WALReplay
-	if f.wal {
+	if found.wal {
 		var err error
-		rep, err = graph.ReplayWAL(st.walPath(name), true)
-		if err != nil {
+		if rep, err = f.openLog(); rep == nil {
 			// Unreadable header: the log never held a recoverable batch
 			// (appends only follow a complete header). Drop it so the next
 			// mutation starts a clean one.
 			st.wal.unusable.Add(1)
 			st.logf("delta log %s: %v (removed; restoring from snapshot alone)", name, err)
-			os.Remove(st.walPath(name))
-			rep = nil
+			st.remove(st.walPath(name))
 		} else {
 			st.wal.replays.Add(1)
 			if rep.Truncated {
@@ -337,83 +381,53 @@ func (st *snapshotStore) restoreOne(reg *Registry, name string, f *restoreFiles)
 			}
 		}
 	}
-	baseEpoch := uint64(0)
+	var base uint64
 	if rep != nil {
-		baseEpoch = rep.Epoch
-	} else if !f.plain && len(f.epochs) > 0 {
-		// No usable log but checkpoints exist and the plain snapshot is
-		// gone: the highest checkpoint is the newest complete image.
-		for e := range f.epochs {
-			if e > baseEpoch {
-				baseEpoch = e
-			}
+		base = rep.Epoch
+	} else if !found.bases[0] {
+		// No usable log and the plain snapshot is gone: the highest
+		// checkpoint is the newest complete image.
+		for e := range found.bases {
+			base = max(base, e)
 		}
 	}
-	haveBase := f.plain
-	if baseEpoch > 0 {
-		haveBase = f.epochs[baseEpoch]
-	}
-	// Sweep orphans: every snapshot that is not the base, and (when the
-	// base itself is missing) the log too — nothing can extend it.
-	if f.plain && baseEpoch != 0 {
-		st.removeEpochFile(name, 0)
-		st.orphansCleaned.Add(1)
-	}
-	for e := range f.epochs {
-		if e != baseEpoch || !haveBase {
-			st.removeEpochFile(name, e)
+	for e := range found.bases {
+		if e != base {
+			st.remove(st.snapPath(name, e))
 			st.orphansCleaned.Add(1)
 		}
 	}
-	if !haveBase {
-		if f.wal {
-			os.Remove(st.walPath(name))
+	if !found.bases[base] {
+		if found.wal {
+			f.close(true)
+			st.remove(st.walPath(name))
 			st.orphansCleaned.Add(1)
 		}
-		if baseEpoch != 0 || f.plain {
-			st.fallbacks.Add(1)
-			st.logf("snapshot restore %s: base epoch %d missing (will fall back to source format)", name, baseEpoch)
+		if base == 0 {
+			return nil, errors.New("delta log without a base snapshot (removed)")
 		}
-		return false
+		st.fallbacks.Add(1)
+		return nil, fmt.Errorf("base epoch %d missing (will fall back to source format)", base)
 	}
 
-	g, err := st.loadFrom(name, baseEpoch)
+	g, err := st.load(name, base)
 	if err != nil {
+		f.close(true)
 		st.fallbacks.Add(1)
-		st.logf("snapshot restore %s: %v (will fall back to source format)", name, err)
-		return false
+		return nil, fmt.Errorf("%w (will fall back to source format)", err)
 	}
-	l := graph.NewLive(g)
-	replayed := 0
+	f.epoch.Store(base)
+	entry := &graphEntry{live: graph.NewLive(g), files: f}
 	if rep != nil {
 		for i, b := range rep.Batches {
-			if _, err := l.Apply(b); err != nil {
+			if _, err := entry.live.Apply(b); err != nil {
 				st.wal.replayRejects.Add(1)
 				st.logf("delta log %s: batch %d refused: %v (stopping at last good state)", name, i, err)
 				break
 			}
-			replayed++
+			entry.replayed++
 			st.wal.replayBatches.Add(1)
 		}
 	}
-	if err := reg.putLive(name, l, baseEpoch, replayed); err != nil {
-		st.logf("snapshot restore %s: %v", name, err)
-		return false
-	}
-	return true
-}
-
-// counters renders the store's state for the /metrics "storage" section.
-func (st *snapshotStore) counters() map[string]any {
-	return map[string]any{
-		"loads":          st.loads.Load(),
-		"writes":         st.writes.Load(),
-		"writeFails":     st.writeFails.Load(),
-		"fallbacks":      st.fallbacks.Load(),
-		"tmpCleaned":     st.tmpCleaned.Load(),
-		"orphansCleaned": st.orphansCleaned.Load(),
-		"loadMs":         float64(st.loadNanos.Load()) / 1e6,
-		"mmapLoads":      st.mmapLoads.Load(),
-		"mappedBytes":    st.mappedBytes.Load(),
-	}
+	return entry, nil
 }

@@ -47,9 +47,15 @@ type JobSpec struct {
 // GroupsSpec selects the node groups P and their constraints c_i.
 type GroupsSpec = cluster.GroupsPayload
 
-// validAlgorithms names the runnable generation strategies.
-var validAlgorithms = map[string]bool{
-	"enum": true, "rf": true, "bi": true, "par": true, "kungs": true, "cbm": true,
+// algorithms names the runnable generation strategies: what a spec may
+// ask for and how each runs on a prepared runner.
+var algorithms = map[string]func(*core.Runner, *JobSpec) (*core.Result, error){
+	"enum":  func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.EnumQGen() },
+	"rf":    func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.RfQGen() },
+	"bi":    func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.BiQGen() },
+	"par":   func(r *core.Runner, s *JobSpec) (*core.Result, error) { return r.ParQGen(s.Workers) },
+	"kungs": func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.Kungs() },
+	"cbm":   func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.CBM(core.CBMOptions{}) },
 }
 
 // ResultQuery is one suggested query in a job result, mirroring the
@@ -93,7 +99,7 @@ func specPayload(spec *JobSpec) cluster.JobPayload {
 // semantics live in cluster.BuildConfig, shared with cluster workers; the
 // server only adds algorithm validation and the graph's shared engine.
 func buildConfig(spec *JobSpec, h *Handle) (*core.Config, error) {
-	if !validAlgorithms[spec.Algorithm] {
+	if algorithms[spec.Algorithm] == nil {
 		return nil, fmt.Errorf("server: unknown algorithm %q (want enum, rf, bi, par, kungs or cbm)", spec.Algorithm)
 	}
 	cfg, err := cluster.BuildConfig(specPayload(spec), h.Graph())
@@ -115,23 +121,7 @@ func runSpec(spec *JobSpec, cfg *core.Config, hook func(core.VerifyEvent)) (*Job
 	if err != nil {
 		return nil, err
 	}
-	var res *core.Result
-	switch spec.Algorithm {
-	case "enum":
-		res, err = runner.EnumQGen()
-	case "rf":
-		res, err = runner.RfQGen()
-	case "bi":
-		res, err = runner.BiQGen()
-	case "par":
-		res, err = runner.ParQGen(spec.Workers)
-	case "kungs":
-		res, err = runner.Kungs()
-	case "cbm":
-		res, err = runner.CBM(core.CBMOptions{})
-	default:
-		err = fmt.Errorf("server: unknown algorithm %q", spec.Algorithm)
-	}
+	res, err := algorithms[spec.Algorithm](runner, spec) // buildConfig checked the name
 	if err != nil {
 		return nil, err
 	}

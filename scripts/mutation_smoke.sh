@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke test for live graphs: register a graph, mutate it over
+# End-to-end smoke test for live graphs: register a graph, have a batch
+# refused (503) while a directory blocks the delta log, mutate it over
 # HTTP, run a job, kill the daemon uncleanly (plus a torn delta-log tail),
 # restart on the same snapshot dir and assert the mutation survived the
 # crash via WAL replay; then trigger a background checkpoint with
@@ -62,6 +63,15 @@ say "starting fairsqgd"
 start_server "$work/server.log"
 
 curl -fsS -X PUT --data-binary @"$work/lki.tsv" "$base/v1/graphs/lki?format=tsv" >/dev/null || fail "graph upload"
+
+say "refusing a batch the delta log cannot take"
+mkdir "$work/snaps/lki.fdelta" # a directory where the log would be created
+code="$(curl -sS -o "$work/refused.json" -w '%{http_code}' -X POST --data-binary '[{"op":"removeNode","node":5}]' "$base/v1/graphs/lki/mutate")"
+[[ "$code" == 503 ]] || fail "mutate with an unopenable log answered $code, want 503: $(cat "$work/refused.json")"
+grep -q 'lki.fdelta' "$work/refused.json" || fail "503 body does not name the log: $(cat "$work/refused.json")"
+curl -fsS "$base/v1/graphs/lki" | grep -q '"version": *1' || fail "refused batch advanced the graph version"
+curl -fsS "$base/metrics" | grep -q '"appendFails": *1' || fail "refused batch not counted in storage.wal.appendFails"
+rmdir "$work/snaps/lki.fdelta"
 
 say "mutating over HTTP"
 res="$(curl -fsS -X POST --data-binary '[{"op":"removeNode","node":0},{"op":"removeNode","node":1}]' "$base/v1/graphs/lki/mutate")"
