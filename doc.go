@@ -67,6 +67,13 @@
 // pre-screened by degree and neighborhood-label signatures (rejections
 // counted in Stats.Matcher.SigPruned), and the search assigns the
 // cheapest frontier variable first rather than following template order.
+// Down the refinement lattice the propagation is incremental: RfQGen,
+// ParQGen and BiQGen hand every instance the arc-consistent candidate sets
+// of a verified ancestor, its plan starts from those instead of the label
+// populations and revises only the arcs the step touched, and it ends at
+// exactly the from-scratch fixpoint (Stats.Matcher.ArcsRevised and
+// ArcsInherited count both kinds). Config.DisableIncremental turns that
+// off together with incVerify.
 //
 // Two Config knobs schedule how each instance's answer set is computed;
 // both leave results bit-identical to the defaults:

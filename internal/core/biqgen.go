@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"fairsqg/internal/match"
 	"fairsqg/internal/pareto"
 	"fairsqg/internal/query"
 )
@@ -122,8 +123,13 @@ func (r *Runner) BiQGen() (*Result, error) {
 	bwd := []biItem{{in: query.Bottom(t)}}
 
 	// Every instance refines the root, so the root's match set is a valid
-	// incremental-verification superset for the backward direction too.
+	// incremental-verification superset for the backward direction too, and
+	// the root's matcher domains, held for the whole run, seed every plan of
+	// both sweeps (the queues are breadth-first: a parent's own domains
+	// would have to outlive its queued children).
 	var rootV *Verified
+	var rootDoms *match.Domains
+	defer func() { r.engine.ReleaseDomains(rootDoms) }()
 
 	for len(fwd) > 0 || len(bwd) > 0 {
 		if r.err() != nil {
@@ -151,9 +157,13 @@ func (r *Runner) BiQGen() (*Result, error) {
 					}
 				} else {
 					q := query.MustInstance(t, item.in)
-					v := r.verify(q, item.parent)
+					var v *Verified
 					if rootV == nil {
-						rootV = v // the first forward item is the root
+						// The first forward item is the root.
+						v, rootDoms = r.verifySeeded(q, nil, nil, true)
+						rootV = v
+					} else {
+						v, _ = r.verifySeeded(q, item.parent, rootDoms, false)
 					}
 					if v.Feasible {
 						archive.Update(v.Point, v)
@@ -191,7 +201,7 @@ func (r *Runner) BiQGen() (*Result, error) {
 					if rootV != nil && rootV.Feasible {
 						parent = rootV
 					}
-					v := r.verify(q, parent)
+					v, _ := r.verifySeeded(q, parent, rootDoms, false)
 					if v.Feasible {
 						archive.Update(v.Point, v)
 						recordSandwich(v, false)

@@ -1,27 +1,43 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 
+	"fairsqg/internal/graph"
+	"fairsqg/internal/groups"
+	"fairsqg/internal/match"
 	"fairsqg/internal/pareto"
+	"fairsqg/internal/query"
 )
 
-// differentialConfigs enumerates the engine knob settings the core
-// differential suite compares against the sequential reference: workers in
-// {1, 4, GOMAXPROCS} with the candidate cache on and off. Workers=1 with
+// differentialConfig is one column of the core differential suite.
+type differentialConfig struct {
+	name           string
+	workers, cache int
+	// noInherit sets Config.DisableIncremental: every plan from its label
+	// populations, no within, no matcher domains handed down the lattice.
+	noInherit bool
+}
+
+// apply returns base under the column's knobs.
+func (dc differentialConfig) apply(base *Config) *Config {
+	cfg := *base
+	cfg.MatchWorkers, cfg.CandCacheSize, cfg.DisableIncremental = dc.workers, dc.cache, dc.noInherit
+	return &cfg
+}
+
+// differentialConfigs enumerates the knob settings the core differential
+// suite compares against the sequential reference: workers in {1, 4,
+// GOMAXPROCS} with the candidate cache on and off, each with inheritance
+// down the lattice on (as the reference has it) and off. Workers=1 with
 // cache on exercises the cached sequential path.
-func differentialConfigs() []struct {
-	name    string
-	workers int
-	cache   int
-} {
-	var out []struct {
-		name    string
-		workers int
-		cache   int
-	}
+func differentialConfigs() []differentialConfig {
+	var out []differentialConfig
 	seen := map[int]bool{}
 	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		if seen[w] {
@@ -29,15 +45,36 @@ func differentialConfigs() []struct {
 		}
 		seen[w] = true
 		for _, cache := range []int{0, -1} {
-			label := fmt.Sprintf("workers=%d/cache=%d", w, cache)
-			out = append(out, struct {
-				name    string
-				workers int
-				cache   int
-			}{label, w, cache})
+			for _, noInherit := range []bool{false, true} {
+				label := fmt.Sprintf("workers=%d/cache=%d/inherit=%v", w, cache, !noInherit)
+				out = append(out, differentialConfig{label, w, cache, noInherit})
+			}
 		}
 	}
 	return out
+}
+
+// cycleConfig is fixtureConfig's problem over a template whose plans do
+// inherit: a fixed edge keeps two nodes active from the root on, e1 brings
+// a third in and e2 closes the cycle through it.
+func cycleConfig(t testing.TB, g *graph.Graph) *Config {
+	t.Helper()
+	tpl, err := query.NewBuilder("cycle").
+		Node("u_o", "Person").Literal("u_o", "title", graph.OpEQ, graph.Str("Director")).
+		Node("u1", "Person").RangeVar("x1", "u1", "yearsOfExp", graph.OpGE).
+		Node("u2", "Person").RangeVar("x2", "u2", "yearsOfExp", graph.OpLE).
+		Edge("u1", "u_o", "recommend").
+		VarEdge("e1", "u2", "u1", "recommend").
+		VarEdge("e2", "u_o", "u2", "recommend").
+		Output("u_o").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tpl.BindDomains(g, query.DomainOptions{MaxValues: 4}); err != nil {
+		t.Fatal(err)
+	}
+	set := groups.EqualOpportunity(groups.ByAttribute(g, "Person", "gender"), 2)
+	return &Config{G: g, Template: tpl, Groups: set, Eps: 0.2}
 }
 
 // archiveFingerprint renders a result set into a canonical comparable form:
@@ -50,12 +87,16 @@ func archiveFingerprint(set []*Verified) []string {
 	return out
 }
 
-// runAll exercises every offline algorithm on one config and returns the
-// per-algorithm fingerprints.
+// runAll exercises every offline algorithm on one config, and RunSlab over
+// every slab of its plan, and returns the per-algorithm fingerprints: the
+// archive, then the lattice counters no knob of the suite may move.
 func runAll(t *testing.T, cfg *Config) map[string][]string {
 	t.Helper()
 	r := newRunnerT(t, cfg)
 	out := map[string][]string{}
+	counters := func(s Stats) string {
+		return fmt.Sprintf("spawned=%d verified=%d feasible=%d pruned=%d", s.Spawned, s.Verified, s.Feasible, s.Pruned)
+	}
 	for _, alg := range []struct {
 		name string
 		run  func() (*Result, error)
@@ -72,7 +113,21 @@ func runAll(t *testing.T, cfg *Config) map[string][]string {
 		if err != nil {
 			t.Fatalf("%s: %v", alg.name, err)
 		}
-		out[alg.name] = archiveFingerprint(res.Set)
+		out[alg.name] = append(archiveFingerprint(res.Set), counters(res.Stats))
+		if n := r.engine.Stats().DomainsHeld; n != 0 {
+			t.Errorf("%s left %d matcher domains held", alg.name, n)
+		}
+	}
+	plan := PlanSlabs(cfg.Template)
+	for _, level := range plan.Levels {
+		res, err := r.RunSlab(plan.SplitVar, level)
+		if err != nil {
+			t.Fatalf("slab %d: %v", level, err)
+		}
+		for _, e := range res.Entries {
+			out["slabs"] = append(out["slabs"], fmt.Sprintf("%d|%v|%.9f|%.9f|%d", level, e.Bindings, e.Div, e.Cov, e.Matches))
+		}
+		out["slabs"] = append(out["slabs"], counters(res.Stats.Stats()))
 	}
 	return out
 }
@@ -85,17 +140,18 @@ func runAll(t *testing.T, cfg *Config) map[string][]string {
 func TestDifferentialEngineVsSequential(t *testing.T) {
 	const seed = 4
 	g := fixtureGraph(t, seed)
-	base := fixtureConfig(t, g, 0.3, 3)
-	ref := runAll(t, base)
-	for _, dc := range differentialConfigs() {
-		cfg := *base
-		cfg.MatchWorkers = dc.workers
-		cfg.CandCacheSize = dc.cache
-		got := runAll(t, &cfg)
-		for alg, want := range ref {
-			if !equalStrings(got[alg], want) {
-				t.Errorf("seed %d: %s: %s archive diverged from sequential reference:\ngot  %v\nwant %v",
-					seed, dc.name, alg, got[alg], want)
+	for name, base := range map[string]*Config{"talent": fixtureConfig(t, g, 0.3, 3), "cycle": cycleConfig(t, g)} {
+		ref := runAll(t, base)
+		if len(ref["rf"]) < 2 {
+			t.Fatalf("%s: rf archive %v: the fixture no longer yields a front", name, ref["rf"])
+		}
+		for _, dc := range differentialConfigs() {
+			got := runAll(t, dc.apply(base))
+			for alg, want := range ref {
+				if !equalStrings(got[alg], want) {
+					t.Errorf("seed %d: %s: %s: %s archive diverged from sequential reference:\ngot  %v\nwant %v",
+						seed, name, dc.name, alg, got[alg], want)
+				}
 			}
 		}
 	}
@@ -120,10 +176,7 @@ func TestDifferentialOnline(t *testing.T) {
 	}
 	wantSet, wantEps := run(base)
 	for _, dc := range differentialConfigs() {
-		cfg := *base
-		cfg.MatchWorkers = dc.workers
-		cfg.CandCacheSize = dc.cache
-		gotSet, gotEps := run(&cfg)
+		gotSet, gotEps := run(dc.apply(base))
 		if gotEps != wantEps || !equalStrings(gotSet, wantSet) {
 			t.Errorf("seed %d: %s: online run diverged (eps %v vs %v)\ngot  %v\nwant %v",
 				seed, dc.name, gotEps, wantEps, gotSet, wantSet)
@@ -146,10 +199,7 @@ func TestDifferentialMultiOutput(t *testing.T) {
 	}
 	want := run(base)
 	for _, dc := range differentialConfigs() {
-		cfg := *base
-		cfg.MatchWorkers = dc.workers
-		cfg.CandCacheSize = dc.cache
-		if got := run(&cfg); !equalStrings(got, want) {
+		if got := run(dc.apply(base)); !equalStrings(got, want) {
 			t.Errorf("seed %d: %s: multi-output archive diverged:\ngot  %v\nwant %v",
 				seed, dc.name, got, want)
 		}
@@ -194,5 +244,50 @@ func TestParetoArchiveParityParQGen(t *testing.T) {
 	}
 	if !a.EpsDominatesAll(ref) {
 		t.Error("ParQGen(engine) set does not ε-dominate the feasible space")
+	}
+}
+
+// TestDomainsReturnToEngine: the walkers hold matcher domains only while
+// they walk — after RfQGen, ParQGen, BiQGen and RunSlab, completed or
+// cancelled mid-walk, every buffer is back on the engine — and they do use
+// them: on the cycle template plans inherit arcs unless inheritance is off.
+func TestDomainsReturnToEngine(t *testing.T) {
+	g := fixtureGraph(t, 4)
+	algs := map[string]func(r *Runner) error{
+		"rf":   func(r *Runner) error { _, err := r.RfQGen(); return err },
+		"par":  func(r *Runner) error { _, err := r.ParQGen(2); return err },
+		"bi":   func(r *Runner) error { _, err := r.BiQGen(); return err },
+		"slab": func(r *Runner) error { _, err := r.RunSlab(-1, 0); return err },
+	}
+	for name, run := range algs {
+		for _, cancelAt := range []int{0, 1, 7} { // 0: run to completion
+			for _, noInherit := range []bool{false, true} {
+				cfg := cycleConfig(t, g)
+				cfg.DisableIncremental = noInherit
+				cfg.Engine = match.NewEngine(g, match.EngineOptions{Workers: 2})
+				ctx, cancel := context.WithCancel(context.Background())
+				cfg.Ctx = ctx
+				var mu sync.Mutex // par verifies on two goroutines
+				seen := 0
+				cfg.OnVerified = func(VerifyEvent) {
+					mu.Lock()
+					defer mu.Unlock()
+					if seen++; seen == cancelAt {
+						cancel()
+					}
+				}
+				err := run(newRunnerT(t, cfg))
+				cancel()
+				if cancelAt == 0 && err != nil || cancelAt > 0 && !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s cancelAt=%d: err %v", name, cancelAt, err)
+				}
+				if n := cfg.Engine.Stats().DomainsHeld; n != 0 {
+					t.Errorf("%s cancelAt=%d inherit=%v: %d matcher domains still held", name, cancelAt, !noInherit, n)
+				}
+				if st := cfg.Engine.Stats(); cancelAt == 0 && (st.ArcsInherited > 0) == noInherit {
+					t.Errorf("%s inherit=%v: %d arcs inherited, %d revised", name, !noInherit, st.ArcsInherited, st.ArcsRevised)
+				}
+			}
+		}
 	}
 }

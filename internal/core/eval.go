@@ -231,10 +231,23 @@ func (r *Runner) err() error { return r.ctx.Err() }
 // q(G) is a subset of the parent's matches and only those candidates are
 // re-checked.
 func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
+	v, _ := r.verifySeeded(q, parent, nil, false)
+	return v
+}
+
+// verifySeeded is verify for the refinement walkers, which extend
+// incVerify from the output node to every template node: seed, when
+// non-nil, is the matcher domains held from a verified ancestor of q, and
+// the plan starts from them (match.Engine.ParEvalOutputSeeded); hold asks
+// for q's own domains, to seed its refinements with. held is nil when the
+// record came from the memo, the plan came out empty or the bound check
+// vetoed it, the run was cancelled, inheritance is off (DisableIncremental)
+// or the run has several output nodes; otherwise the caller owes it to the
+// engine's ReleaseDomains.
+func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.Domains, hold bool) (v *Verified, held *match.Domains) {
 	if v, ok := r.cache[q.Key()]; ok {
-		return v
+		return v, nil
 	}
-	var v *Verified
 	// counts holds the answer's per-group tally, computed once per
 	// verification: feasibility and coverage both derive from it (the
 	// slice is the counter's reusable buffer — read before any Counts
@@ -244,7 +257,9 @@ func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 		v, counts = r.verifyMultiOutput(q, parent)
 	} else {
 		var within []graph.NodeID
-		if parent != nil && !r.cfg.DisableIncremental {
+		if r.cfg.DisableIncremental {
+			seed, hold = nil, false
+		} else if parent != nil {
 			within = parent.Matches
 		}
 		// The arc-consistent candidate set of u_o is a superset of q(G), so
@@ -257,7 +272,9 @@ func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 				return measure.FeasibleCounts(r.cfg.Groups, r.counter.Counts(cands))
 			}
 		}
-		matches, ok, _ := r.engine.ParEvalOutputFiltered(r.ctx, q, within, accept)
+		var matches []graph.NodeID
+		var ok bool
+		matches, ok, held, _ = r.engine.ParEvalOutputSeeded(r.ctx, q, within, accept, seed, hold)
 		v = &Verified{Q: q, Matches: matches}
 		counts = r.counter.Counts(matches)
 		v.Feasible = ok && measure.FeasibleCounts(r.cfg.Groups, counts)
@@ -269,7 +286,8 @@ func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 		// The evaluation was cut short: its result is partial. Don't cache
 		// or count it — the caller's next cancellation poll ends the run,
 		// so the placeholder never influences a returned set.
-		return &Verified{Q: q}
+		r.engine.ReleaseDomains(held)
+		return &Verified{Q: q}, nil
 	}
 	if v.Feasible {
 		v.Point = pareto.Point{
@@ -292,7 +310,7 @@ func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 			Matches:  len(v.Matches),
 		})
 	}
-	return v
+	return v, held
 }
 
 // scoreDiversity evaluates δ for a feasible instance. When the parent was
@@ -346,10 +364,16 @@ func collectSet(a *pareto.Archive[*Verified]) []*Verified {
 // extension: each designated node's match set is computed (incrementally
 // within the parent's per-node set when available — refinement shrinks
 // every node's matches, Lemma 2's argument applies per node), and the
-// objectives are taken over the sorted union. The candidate-bound pruning
-// is not applied: a single node's candidate shortfall cannot prove the
-// union infeasible. The returned counts are the union's per-group tally,
-// for the caller's coverage computation.
+// objectives are taken over the sorted union. A nil PerNode entry means
+// "from scratch" — nil is how within says "no restriction": the parent
+// found no match for the node, or left it inactive and an edge variable
+// switched on since activates it (Validate keeps extra outputs always
+// active; nothing here leans on that). The candidate-bound pruning is not
+// applied: a single node's candidate shortfall cannot prove the union
+// infeasible. Matcher domains are not inherited either: each node is
+// evaluated under its own pin, narrowed by its own within, so a seed serves
+// one pin only. The returned counts are the union's per-group tally, for
+// the caller's coverage computation.
 func (r *Runner) verifyMultiOutput(q *query.Instance, parent *Verified) (*Verified, []int) {
 	nodes := append([]int{q.T.Output}, r.extraNodes...)
 	v := &Verified{Q: q, PerNode: make(map[int][]graph.NodeID, len(nodes))}
@@ -358,12 +382,6 @@ func (r *Runner) verifyMultiOutput(q *query.Instance, parent *Verified) (*Verifi
 		var within []graph.NodeID
 		if parent != nil && !r.cfg.DisableIncremental && parent.PerNode != nil {
 			within = parent.PerNode[ni]
-			if within == nil && q.NodeActive(ni) {
-				// The node was inactive in the parent but is active here:
-				// impossible under refinement of the same edge set shape,
-				// but guard by evaluating from scratch.
-				within = nil
-			}
 		}
 		matches, _, _ := r.engine.ParEvalNodeFiltered(r.ctx, q, ni, within, nil)
 		v.PerNode[ni] = matches

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -161,6 +162,55 @@ func TestMultiOutputMonotone(t *testing.T) {
 					t.Fatalf("node %d gained match %d under refinement", ni, m)
 				}
 			}
+		}
+	}
+}
+
+// TestMultiOutputActivatedNode: a designated node the parent left inactive
+// has a nil PerNode entry there, and the edge-variable step that activates
+// it evaluates it from scratch. Validate keeps such a node out of
+// ExtraOutputs, so the runner is given it directly.
+func TestMultiOutputActivatedNode(t *testing.T) {
+	g := fixtureGraph(t, 51)
+	tpl, err := query.NewBuilder("gated").
+		Node("u_o", "Person").Literal("u_o", "title", graph.OpEQ, graph.Str("Director")).
+		Node("u1", "Person").RangeVar("x1", "u1", "yearsOfExp", graph.OpGE).
+		Node("u2", "Person").
+		Edge("u1", "u_o", "recommend").
+		VarEdge("e1", "u2", "u1", "recommend").
+		Output("u_o").Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tpl.BindDomains(g, query.DomainOptions{MaxValues: 4}); err != nil {
+		t.Fatal(err)
+	}
+	set := groups.EqualOpportunity(groups.ByAttribute(g, "Person", "gender"), 3)
+	r := newRunnerT(t, &Config{G: g, Template: tpl, Groups: set, Eps: 0.3, ExtraOutputs: []string{"u1"}})
+	u2 := tpl.Node("u2")
+	r.extraNodes = append(r.extraNodes, u2)
+
+	rootIn := query.Root(tpl)
+	root := r.verify(query.MustInstance(tpl, rootIn), nil)
+	if root.Q.NodeActive(u2) || root.PerNode[u2] != nil {
+		t.Fatalf("u2 at the root: active=%v, PerNode=%v; want inactive and nil", root.Q.NodeActive(u2), root.PerNode[u2])
+	}
+	childIn := rootIn.Clone()
+	childIn[tpl.Var("e1")] = 1
+	child := r.verify(query.MustInstance(tpl, childIn), root)
+	if !child.Q.NodeActive(u2) {
+		t.Fatal("e1 did not activate u2")
+	}
+	want := match.New(g).EvalNode(child.Q, u2)
+	if len(want) == 0 {
+		t.Fatal("fixture: u2 has no matches once active")
+	}
+	if got := child.PerNode[u2]; !slices.Equal(got, want) {
+		t.Errorf("activated node's matches = %v, want the from-scratch %v", got, want)
+	}
+	for _, m := range want {
+		if !slices.Contains(child.Matches, m) {
+			t.Fatalf("union misses activated node's match %d", m)
 		}
 	}
 }

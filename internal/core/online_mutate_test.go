@@ -156,8 +156,9 @@ func TestRetargetSameGraphNoop(t *testing.T) {
 }
 
 // TestRetargetReleasesOldGeneration: after Retarget the runner holds nothing
-// that reaches the generation it left — engine, matchers, memo, scorer and
-// group index all moved on — so one GC cycle frees it (see
+// that reaches the generation it left — engine, matchers, released matcher
+// domains, memo, scorer and group index all moved on — so one GC cycle
+// frees it (see
 // match.TestRetiredGenerationCollectable for what used to pin it).
 func TestRetargetReleasesOldGeneration(t *testing.T) {
 	g1 := fixtureGraph(t, 33)
@@ -178,7 +179,12 @@ func TestRetargetReleasesOldGeneration(t *testing.T) {
 			cfg := fixtureConfig(t, g2, 0.3, 3)
 			cfg.MatchWorkers = workers
 			r := newRunnerT(t, cfg)
+			// A walk that held matcher domains, then the online run Retarget
+			// exists for: neither leaves anything of g2 behind.
 			if _, err := r.RfQGen(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.OnlineQGen(NewRandomStream(cfg.Template, 40, 99), OnlineOptions{K: 5, Window: 10}); err != nil {
 				t.Fatal(err)
 			}
 			r.Retarget(g3)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"fairsqg/internal/match"
 	"fairsqg/internal/pareto"
 	"fairsqg/internal/query"
 )
@@ -88,22 +89,30 @@ func pickSplitVariable(t *query.Template) int {
 // is pinned to level and spawned children never touch it; splitVar -1 walks
 // the whole lattice. The archive may be shared across goroutines (ParQGen:
 // mu is a real mutex) or private (RfQGen, RunSlab: mu is a no-op locker).
+//
+// The walk holds the matcher domains of every feasible instance on the
+// current root-to-leaf path: an instance's plan is seeded with those of the
+// nearest ancestor that has them, and each goes back to the engine once its
+// subtree is walked.
 func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 	archive *pareto.Archive[*Verified], mu sync.Locker) {
 	t := r.cfg.Template
 	visited := make(map[string]bool)
-	var explore func(in query.Instantiation, parent *Verified)
-	explore = func(in query.Instantiation, parent *Verified) {
+	var explore func(in query.Instantiation, parent *Verified, seed *match.Domains)
+	explore = func(in query.Instantiation, parent *Verified, seed *match.Domains) {
 		if r.err() != nil {
 			return
 		}
-		q := query.MustInstance(t, in)
-		if visited[q.Key()] {
+		// The key before the instance: a lattice node reached through a
+		// second parent costs a map probe, not a projection.
+		key := in.Key()
+		if visited[key] {
 			return
 		}
-		visited[q.Key()] = true
+		visited[key] = true
 		r.stats.Spawned++
-		v := r.verify(q, parent)
+		v, held := r.verifySeeded(query.MustInstance(t, in), parent, seed, true)
+		defer r.engine.ReleaseDomains(held)
 		if !v.Feasible {
 			r.stats.Pruned += query.NumRefineSteps(t, in)
 			return
@@ -111,16 +120,19 @@ func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 		mu.Lock()
 		archive.Update(v.Point, v)
 		mu.Unlock()
+		if held != nil {
+			seed = held
+		}
 		for _, child := range sp.refine(v) {
 			if splitVar >= 0 && child[splitVar] != level {
 				continue // stay inside the slab
 			}
-			explore(child, v)
+			explore(child, v, seed)
 		}
 	}
 	rootIn := query.Root(t)
 	if splitVar >= 0 {
 		rootIn[splitVar] = level
 	}
-	explore(rootIn, nil)
+	explore(rootIn, nil, nil)
 }

@@ -215,30 +215,41 @@ func TestSlabStatsCoversRunPrivateCounters(t *testing.T) {
 }
 
 // TestParQGenKeepsMatcherCounters: a par run reports every counter of Stats —
-// the access-path split and signature pruning included — wherever the same
-// request under rf does.
+// the access-path split, signature pruning and the propagation counters
+// included — wherever the same request under rf does, on the default seeded
+// path and with DisableIncremental, where every plan selects its candidates
+// from the labels.
 func TestParQGenKeepsMatcherCounters(t *testing.T) {
 	g := fixtureGraph(t, 30)
-	cfg := fixtureConfig(t, g, 0.3, 3)
-	rf, err := newRunnerT(t, cfg).RfQGen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m := rf.Stats.Matcher; m.IndexSelections == 0 || m.ScanSelections == 0 || m.SigPruned == 0 {
-		t.Fatalf("fixture no longer exercises all three counters under rf: %+v", m)
-	}
-	want := statsLeaves(rf.Stats)
-	for _, matchWorkers := range []int{0, 2} {
-		for _, workers := range []int{1, 2, 4} {
-			c := *cfg
-			c.MatchWorkers = matchWorkers
-			res, err := newRunnerT(t, &c).ParQGen(workers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for path, n := range statsLeaves(res.Stats) {
-				if n == 0 && want[path] != 0 {
-					t.Errorf("matchWorkers=%d/workers=%d: par lost %s (rf: %d)", matchWorkers, workers, path, want[path])
+	for _, inherit := range []bool{true, false} {
+		cfg := fixtureConfig(t, g, 0.3, 3)
+		cfg.DisableIncremental = !inherit
+		rf, err := newRunnerT(t, cfg).RfQGen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := rf.Stats.Matcher
+		if m.ArcsRevised == 0 || inherit != (m.ArcsInherited > 0) {
+			t.Fatalf("inherit=%v: fixture no longer exercises the propagation counters under rf: %+v", inherit, m)
+		}
+		// A seeded plan selects no candidates, so only the unseeded column
+		// is sure to take both access paths and prune by signature.
+		if !inherit && (m.IndexSelections == 0 || m.ScanSelections == 0 || m.SigPruned == 0) {
+			t.Fatalf("fixture no longer exercises all three counters under rf: %+v", m)
+		}
+		want := statsLeaves(rf.Stats)
+		for _, matchWorkers := range []int{0, 2} {
+			for _, workers := range []int{1, 2, 4} {
+				c := *cfg
+				c.MatchWorkers = matchWorkers
+				res, err := newRunnerT(t, &c).ParQGen(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for path, n := range statsLeaves(res.Stats) {
+					if n == 0 && want[path] != 0 {
+						t.Errorf("inherit=%v/matchWorkers=%d/workers=%d: par lost %s (rf: %d)", inherit, matchWorkers, workers, path, want[path])
+					}
 				}
 			}
 		}

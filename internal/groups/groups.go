@@ -84,28 +84,41 @@ func (s Set) Count(answer []graph.NodeID) []int {
 // distinct value of attr. Nodes lacking the attribute join no group. Groups
 // are returned sorted by value; constraints are left at zero.
 func ByAttribute(g *graph.Graph, label, attr string) Set {
-	byVal := map[string]map[graph.NodeID]bool{}
+	nodes := g.NodesByLabel(label)
 	aid := g.AttrIDOf(attr)
-	for _, v := range g.NodesByLabel(label) {
+	// First pass: every node's value slot and the slots' sizes, so that each
+	// member map is made at its final size instead of rehashing its way up.
+	slot := map[string]int{}
+	var names []string
+	var sizes []int
+	slotOf := make([]int32, len(nodes))
+	for i, v := range nodes {
 		val := g.AttrValue(v, aid)
 		if val.IsNull() {
+			slotOf[i] = -1
 			continue
 		}
 		key := val.String()
-		if byVal[key] == nil {
-			byVal[key] = map[graph.NodeID]bool{}
+		k, ok := slot[key]
+		if !ok {
+			k = len(names)
+			slot[key] = k
+			names, sizes = append(names, key), append(sizes, 0)
 		}
-		byVal[key][v] = true
+		slotOf[i] = int32(k)
+		sizes[k]++
 	}
-	names := make([]string, 0, len(byVal))
-	for k := range byVal {
-		names = append(names, k)
+	set := make(Set, len(names))
+	for k, n := range names {
+		set[k] = Group{Name: attr + "=" + n, Members: make(map[graph.NodeID]bool, sizes[k])}
 	}
-	sort.Strings(names)
-	set := make(Set, 0, len(names))
-	for _, n := range names {
-		set = append(set, Group{Name: attr + "=" + n, Members: byVal[n]})
+	for i, v := range nodes {
+		if k := slotOf[i]; k >= 0 {
+			set[k].Members[v] = true
+		}
 	}
+	// The names share their prefix, so this is the order of the values.
+	sort.Slice(set, func(a, b int) bool { return set[a].Name < set[b].Name })
 	return set
 }
 

@@ -10,13 +10,13 @@ import (
 	"fairsqg/internal/query"
 )
 
-// planCost returns the allocations and bytes one warm buildPlan of q costs
-// on m.
-func planCost(t *testing.T, m *Matcher, q *query.Instance) (allocs float64, bytes uint64) {
+// planCost returns the allocations and bytes one warm buildPlan of q,
+// seeded from seed when that is non-nil, costs on m.
+func planCost(t *testing.T, m *Matcher, q *query.Instance, seed *Domains) (allocs float64, bytes uint64) {
 	t.Helper()
 	const runs = 50
 	plan := func() {
-		if m.buildPlan(q, q.T.Output, nil) == nil {
+		if m.buildPlan(q, q.T.Output, nil, seed) == nil {
 			t.Fatal("no plan")
 		}
 	}
@@ -34,29 +34,45 @@ func planCost(t *testing.T, m *Matcher, q *query.Instance) (allocs float64, byte
 
 // TestBuildPlanArena: with the candidate lists cached, a warm buildPlan
 // takes its copies of them and its candidate bitsets from the matcher's
-// arena, so what it allocates does not grow with the label populations.
+// arena, so what it allocates does not grow with the label populations. A
+// seeded plan — one node inherited, two expanded from it — takes the same
+// pieces from the same arena, and the domains it is captured into reuse
+// their buffers.
 func TestBuildPlanArena(t *testing.T) {
-	var allocs [2]float64
-	var bytes [2]uint64
+	var allocs, seededAllocs, captureAllocs [2]float64
+	var bytes, seededBytes [2]uint64
 	sizes := [2]int{2000, 16000}
 	for i, nodes := range sizes {
 		g := randomGraph(t, nodes, 3*nodes, differentialSeed)
 		tpl := randomTemplate(t, g)
 		in := query.Root(tpl)
+		root := query.MustInstance(tpl, in)
 		in[tpl.Var("e1")], in[tpl.Var("e2")] = 1, 1 // three unfiltered nodes
+		q := query.MustInstance(tpl, in)
 		m := New(g)
 		m.Cache = NewCandidateCache(0)
-		allocs[i], bytes[i] = planCost(t, m, query.MustInstance(tpl, in))
+		allocs[i], bytes[i] = planCost(t, m, q, nil)
 		if st := m.Cache.Stats(); st.Hits == 0 || st.Misses != int64(st.Entries) {
 			t.Fatalf("%d nodes: cache stats %+v, want one miss per entry and then hits", nodes, st)
 		}
+		seed := captureDomains(g, Isomorphism, root, nil, nil)
+		seededAllocs[i], seededBytes[i] = planCost(t, m, q, seed)
+		held := new(Domains)
+		p := m.buildPlan(q, tpl.Output, nil, seed)
+		held.capture(m, p, false) // sizes the buffers
+		captureAllocs[i] = testing.AllocsPerRun(20, func() { held.capture(m, p, false) })
 	}
-	if allocs[0] != allocs[1] {
-		t.Errorf("buildPlan allocations follow the graph: %v at %d nodes, %v at %d", allocs[0], sizes[0], allocs[1], sizes[1])
+	if allocs[0] != allocs[1] || seededAllocs[0] != seededAllocs[1] {
+		t.Errorf("buildPlan allocations follow the graph: %v (seeded %v) at %d nodes, %v (seeded %v) at %d",
+			allocs[0], seededAllocs[0], sizes[0], allocs[1], seededAllocs[1], sizes[1])
 	}
 	// One copy of one candidate list at the larger size is ~50 KB.
-	if bytes[1] > bytes[0]+256 {
-		t.Errorf("buildPlan bytes follow the graph: %d at %d nodes, %d at %d", bytes[0], sizes[0], bytes[1], sizes[1])
+	if bytes[1] > bytes[0]+256 || seededBytes[1] > seededBytes[0]+256 {
+		t.Errorf("buildPlan bytes follow the graph: %d (seeded %d) at %d nodes, %d (seeded %d) at %d",
+			bytes[0], seededBytes[0], sizes[0], bytes[1], seededBytes[1], sizes[1])
+	}
+	if captureAllocs != [2]float64{} {
+		t.Errorf("capturing into a sized Domains allocates: %v", captureAllocs)
 	}
 }
 

@@ -84,6 +84,65 @@ func BenchmarkEvalOutputIncremental(b *testing.B) {
 	}
 }
 
+// BenchmarkRefineChain walks one root-to-leaf refinement chain of the cycle
+// template on the largest bench graph — literal steps first, then the edge
+// variable that brings the third node in, then the one that closes the
+// cycle — each instance evaluated within its parent's matches. "unseeded"
+// plans every instance from its label populations; "seeded" from the domains
+// held from its parent, as the depth-first walkers do. The CI smoke job runs
+// both at -benchtime=1x.
+func BenchmarkRefineChain(b *testing.B) {
+	g := randomGraph(b, 3000, 12000, 7)
+	tpl := shapeTemplate(b, "cycle", g)
+	var chain []*query.Instance
+	for in, m := query.Root(tpl), New(g); ; {
+		q := query.MustInstance(tpl, in)
+		if len(m.EvalOutput(q)) == 0 {
+			break
+		}
+		chain = append(chain, q)
+		kids := query.RefineSteps(tpl, in)
+		if len(kids) == 0 {
+			break
+		}
+		in = kids[0]
+	}
+	if len(chain) < 4 {
+		b.Fatalf("chain of %d instances: the fixture no longer refines", len(chain))
+	}
+	ctx := context.Background()
+	for _, seeded := range []bool{false, true} {
+		name := "unseeded"
+		if seeded {
+			name = "seeded"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := NewEngine(g, EngineOptions{Workers: 1})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var seed *Domains
+				var within []graph.NodeID
+				for _, q := range chain {
+					matches, _, held, err := e.ParEvalOutputSeeded(ctx, q, within, nil, seed, seeded)
+					if err != nil || len(matches) == 0 {
+						b.Fatalf("%s: %d matches, err %v", q, len(matches), err)
+					}
+					if held != nil {
+						e.ReleaseDomains(seed)
+						seed = held
+					}
+					within = matches
+				}
+				e.ReleaseDomains(seed)
+			}
+			if st := e.Stats(); seeded != (st.ArcsInherited > 0) || st.DomainsHeld != 0 {
+				b.Fatalf("seeded=%v: %d arcs inherited, %d domains still held", seeded, st.ArcsInherited, st.DomainsHeld)
+			}
+		})
+	}
+}
+
 // BenchmarkEngineWorkload sweeps the full instantiation lattice of the
 // largest bench graph — the unit of work one generation run performs —
 // through the sequential matcher and the engine at several worker/cache

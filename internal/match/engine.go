@@ -42,6 +42,11 @@ type EngineStats struct {
 	// on this engine (AddDistEvals). The default tuple distance is evaluated
 	// directly, never cached, so the hit/miss/clear counters read 0.
 	Dist measure.PairCacheStats
+	// DomainsHeld is a gauge, not a counter: the Domains buffers handed out
+	// by ParEvalOutputSeeded and not yet released. It reads 0 whenever no
+	// refinement walk is in flight; anything else on an idle engine is a
+	// walker that lost a buffer.
+	DomainsHeld int
 }
 
 // Engine is a concurrent match engine over one frozen graph: it owns a
@@ -60,13 +65,17 @@ type Engine struct {
 	workers  int
 	cache    *CandidateCache
 
-	// mu guards free and stats. The free list is the engine's own, not the
-	// sync package's pool: a pool registers itself in a runtime-global list,
-	// which keeps a dropped engine's matchers — and through Matcher.G the
-	// whole retired graph generation — reachable for two further GC cycles.
-	mu    sync.Mutex
-	free  []*Matcher
-	stats Stats
+	// mu guards the free lists and stats. The lists are the engine's own,
+	// not the sync package's pool: a pool registers itself in a
+	// runtime-global list, which keeps a dropped engine's matchers — and
+	// through Matcher.G the whole retired graph generation — reachable for
+	// two further GC cycles. freeDoms holds the Domains buffers not handed
+	// out; domsHeld counts those that are.
+	mu       sync.Mutex
+	free     []*Matcher
+	freeDoms []*Domains
+	domsHeld int
+	stats    Stats
 
 	parEvals  atomic.Int64
 	distEvals atomic.Int64
@@ -116,7 +125,7 @@ func (e *Engine) Stats() EngineStats {
 		Dist:     measure.PairCacheStats{Evals: e.distEvals.Load()},
 	}
 	e.mu.Lock()
-	s.Stats = e.stats
+	s.Stats, s.DomainsHeld = e.stats, e.domsHeld
 	e.mu.Unlock()
 	if e.cache != nil {
 		s.Cache = e.cache.Stats()
@@ -152,6 +161,39 @@ func (e *Engine) release(m *Matcher) {
 	e.mu.Unlock()
 }
 
+// holdDomains hands out a Domains buffer filled with the candidate sets of
+// p, a plan m has propagated, under a within set or not; the list grows to
+// the deepest refinement path walked at once.
+func (e *Engine) holdDomains(m *Matcher, p *plan, narrowed bool) *Domains {
+	e.mu.Lock()
+	var d *Domains
+	if n := len(e.freeDoms); n > 0 {
+		d, e.freeDoms = e.freeDoms[n-1], e.freeDoms[:n-1]
+	}
+	e.domsHeld++
+	e.mu.Unlock()
+	if d == nil {
+		d = new(Domains)
+	}
+	d.capture(m, p, narrowed)
+	return d
+}
+
+// ReleaseDomains gives d, held from ParEvalOutputSeeded, back to the
+// engine for reuse; nil is a no-op. The caller must not use d afterwards.
+// A released buffer drops its instance, whose compiled literals pin the
+// graph.
+func (e *Engine) ReleaseDomains(d *Domains) {
+	if d == nil {
+		return
+	}
+	d.q = nil
+	e.mu.Lock()
+	e.freeDoms = append(e.freeDoms, d)
+	e.domsHeld--
+	e.mu.Unlock()
+}
+
 // ParEvalOutput computes q(G) = q(u_o, G) concurrently; the result is
 // sorted and identical to Matcher.EvalOutput. It returns ctx's error when
 // the evaluation was cancelled before completing.
@@ -180,29 +222,56 @@ func (e *Engine) ParEvalOutputFiltered(ctx context.Context, q *query.Instance, w
 // node, mirroring Matcher.EvalNodeFiltered.
 func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, node int, within []graph.NodeID,
 	accept func(candidates []graph.NodeID) bool) (matches []graph.NodeID, ok bool, err error) {
+	matches, ok, _, err = e.parEval(ctx, q, node, within, accept, nil, false)
+	return matches, ok, err
+}
+
+// ParEvalOutputSeeded is ParEvalOutputFiltered for a walk down the
+// refinement lattice. seed, when non-nil, is the Domains held from the
+// evaluation of an instance q refines — its parent or any ancestor: the
+// plan starts from those candidate sets instead of the label populations
+// and reaches the same fixpoint, so matches, ok and the search are what a
+// nil seed gives (a seed q does not refine is ignored, and so is one
+// captured under a within set when within is nil here). A seed captured
+// under a within set serves evaluations within that set only, which is what
+// a walk passes anyway — the matches of an instance between the seed's and
+// q; the two sets are not compared. hold asks for q's own domains: held is
+// non-nil when the evaluation got past accept with a non-empty plan, and
+// must go back through ReleaseDomains.
+func (e *Engine) ParEvalOutputSeeded(ctx context.Context, q *query.Instance, within []graph.NodeID,
+	accept func(candidates []graph.NodeID) bool, seed *Domains, hold bool) (matches []graph.NodeID, ok bool, held *Domains, err error) {
+	return e.parEval(ctx, q, q.T.Output, within, accept, seed, hold)
+}
+
+// parEval is the one evaluation path behind every ParEval* entry point.
+func (e *Engine) parEval(ctx context.Context, q *query.Instance, node int, within []graph.NodeID,
+	accept func(candidates []graph.NodeID) bool, seed *Domains, hold bool) (matches []graph.NodeID, ok bool, held *Domains, err error) {
 	if ctx == nil {
 		// Not "ctx = Background": a reassigned ctx would be captured by
 		// reference below and cost every evaluation a heap allocation.
-		return e.ParEvalNodeFiltered(context.Background(), q, node, within, accept)
+		return e.parEval(context.Background(), q, node, within, accept, seed, hold)
 	}
 	e.parEvals.Add(1)
 	planner := e.acquire(ctx)
 	defer e.release(planner)
 	planner.Stats.Evals++
 	if !q.NodeActive(node) {
-		return nil, true, nil
+		return nil, true, nil, nil
 	}
-	p := planner.buildPlan(q, node, within)
+	p := planner.buildPlan(q, node, within, seed)
 	if p == nil {
-		return nil, true, ctx.Err()
+		return nil, true, nil, ctx.Err()
 	}
 	rootCands := p.cands[p.rootIdx]
 	if accept != nil && !accept(rootCands) {
-		return nil, false, nil
+		return nil, false, nil, nil
+	}
+	if hold {
+		held = e.holdDomains(planner, p, within != nil)
 	}
 	if len(p.nodes) == 1 {
 		// The candidates are the plan's (see Matcher.EvalNodeFiltered).
-		return sortedCopy(rootCands), true, nil
+		return sortedCopy(rootCands), true, held, nil
 	}
 
 	workers := e.workers
@@ -232,7 +301,8 @@ func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, nod
 	results[0] = planner.embedAll(ctx, p, rootCands[:chunk])
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, false, err
+		e.ReleaseDomains(held)
+		return nil, false, nil, err
 	}
 	// Per-block results keep candidate order, so appending them in block
 	// order and the final sort make the merge deterministic under any
@@ -242,7 +312,7 @@ func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, nod
 		out = append(out, rs...)
 	}
 	sortIDs(out)
-	return out, true, nil
+	return out, true, held, nil
 }
 
 // embedAll returns the candidates of one block that extend to a full

@@ -67,8 +67,9 @@ func fuzzSchemaGraph(tpl *query.Template, seed int64) *graph.Graph {
 // instantiation selector: any template the parser accepts is bound against a
 // schema-matched random graph and evaluated under BOTH ordering policies in
 // both matching modes. Dynamic and static order must return byte-identical
-// match sets and drive candidate selection identically — and nothing may
-// panic on the way.
+// match sets and drive candidate selection identically, a plan seeded from
+// an ancestor's domains must end with the from-scratch plan's candidate
+// sets — and nothing may panic on the way.
 func FuzzMatcherEquivalence(f *testing.F) {
 	seeds := []string{
 		"template talent\nnode u_o Person title = \"Director\"\nnode u1 Person yearsOfExp >= $x1\nnode o Org employees >= $x2\nedge u1 u_o recommend ?e1\nedge u1 o worksAt\noutput u_o\n",
@@ -78,7 +79,7 @@ func FuzzMatcherEquivalence(f *testing.F) {
 		"template t\nnode a A\nnode b A\nnode c A\nedge a b r\nedge b c r\nedge c a r\noutput a\n",
 	}
 	for i, s := range seeds {
-		f.Add(s, int64(i+1), uint64(i)*7919)
+		f.Add(s, int64(i+1), uint64(i)*7919|uint64(i)<<33)
 	}
 	f.Fuzz(func(t *testing.T, src string, graphSeed int64, instPick uint64) {
 		tpl, err := query.ParseString(src)
@@ -126,6 +127,28 @@ func FuzzMatcherEquivalence(f *testing.F) {
 				dyn.Stats.ScanSelections != st.Stats.ScanSelections {
 				t.Fatalf("mode %d: selection counters depend on order: dynamic %+v, static %+v\ntemplate %q graphSeed %d pick %d",
 					mode, dyn.Stats, st.Stats, src, graphSeed, instPick)
+			}
+			// The seeded column: the root, and an ancestor the selector's
+			// high bits relax q to variable by variable, each seed q's plan.
+			anc := in.Clone()
+			for vi, r := range query.Root(tpl) {
+				if instPick>>(32+uint(vi))&1 == 1 {
+					anc[vi] = r
+				}
+			}
+			for _, a := range []query.Instantiation{query.Root(tpl), anc} {
+				aq := query.MustInstance(tpl, a)
+				d := captureDomains(g, mode, aq, nil, nil)
+				if d == nil {
+					continue
+				}
+				scratch, seeded := New(g), New(g)
+				scratch.Mode, seeded.Mode = mode, mode
+				want := planSets(t, scratch, scratch.buildPlan(q, tpl.Output, nil, nil))
+				if got := planSets(t, seeded, seeded.buildPlan(q, tpl.Output, nil, d)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("mode %d: plan seeded from %s has sets %v, from scratch %v\ntemplate %q graphSeed %d pick %d instance %s",
+						mode, aq, got, want, src, graphSeed, instPick, q)
+				}
 			}
 		}
 	})

@@ -3,12 +3,15 @@
 // node's match set q(u_o, G) under subgraph isomorphism (injective) or
 // homomorphism semantics. It supports incremental verification — when an
 // instance refines an already-verified parent, only the parent's match set
-// needs to be re-checked (Lemma 2 of the paper).
+// needs to be re-checked (Lemma 2 of the paper) — and extends it to every
+// template node: a plan can start from a verified ancestor's arc-consistent
+// candidate sets (Domains) instead of the label populations.
 package match
 
 import (
 	"context"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"fairsqg/internal/graph"
@@ -90,6 +93,12 @@ type Stats struct {
 	// SigPruned counts candidates rejected by the degree and
 	// neighborhood-label-signature check before entering a candidate set.
 	SigPruned int
+	// ArcsRevised counts arc revisions made by arc-consistency propagation;
+	// ArcsInherited counts the arcs a seeded plan's first sweep did not
+	// revise because a verified ancestor's fixpoint already vouched for
+	// them (0 on an unseeded plan, whose first sweep revises every arc).
+	ArcsRevised   int
+	ArcsInherited int
 }
 
 // Add folds another matcher's counters into s.
@@ -100,6 +109,8 @@ func (s *Stats) Add(o Stats) {
 	s.IndexSelections += o.IndexSelections
 	s.ScanSelections += o.ScanSelections
 	s.SigPruned += o.SigPruned
+	s.ArcsRevised += o.ArcsRevised
+	s.ArcsInherited += o.ArcsInherited
 }
 
 // Matcher evaluates query instances against one frozen graph.
@@ -144,7 +155,8 @@ type Matcher struct {
 	reachMask    uint64
 	// scratch is the propagation semijoin mask, reused across arcs.
 	scratch []uint64
-	// dirtyPrev/dirtyNext drive the propagation worklist.
+	// dirtyPrev/dirtyNext drive the propagation worklist: buildPlan marks
+	// in dirtyPrev the nodes whose arcs the first sweep must revise.
 	dirtyPrev, dirtyNext []bool
 
 	// Plan arena: the buffers buildPlan takes every population-sized piece
@@ -259,6 +271,10 @@ type planEdge struct {
 	other    int // index into plan.nodes
 	label    graph.LabelID
 	outgoing bool // true when the edge leaves this node
+	// fresh marks an edge the plan's seed did not have (every edge, without
+	// a seed): no fixpoint vouches for its arcs yet, so propagation's first
+	// sweep revises them whatever the sets at its ends did.
+	fresh bool
 }
 
 // inSet reports whether v is in plan node i's candidate set: the label must
@@ -314,7 +330,7 @@ func (m *Matcher) EvalNodeFiltered(q *query.Instance, node int, within []graph.N
 	if !q.NodeActive(node) {
 		return nil, true
 	}
-	p := m.buildPlan(q, node, within)
+	p := m.buildPlan(q, node, within, nil)
 	if p == nil {
 		return nil, true
 	}
@@ -345,7 +361,25 @@ func (m *Matcher) EvalNodeFiltered(q *query.Instance, node int, within []graph.N
 // label-local bitsets, plus a static connectivity-first matching order
 // rooted at pin (the node whose matches are being computed). It returns nil
 // when some active node has no candidates (empty q(G)).
-func (m *Matcher) buildPlan(q *query.Instance, pin int, within []graph.NodeID) *plan {
+//
+// seed, when it holds the domains of an instance q refines (Domains.seeds),
+// is where the plan starts from instead of the label populations. A node
+// the ancestor's plan had takes the ancestor's set, re-checked against its
+// literals only if one of its variables moved and against its structural
+// requirement only if an edge at it is fresh; a node it lacked is expanded
+// from a neighbor (expandNew); and propagation's first sweep revises only
+// the fresh arcs and the arcs against nodes whose set differs from the
+// ancestor's. The candidate sets the plan ends with are the ones a nil seed
+// gives: the ancestor's fixpoint contains the child's (restricted to the
+// ancestor's nodes, the child's fixpoint is arc-consistent over the
+// ancestor's edges and lies inside the ancestor's start), so the seeded
+// start lies between the child's fixpoint and its from-scratch start, and
+// the greatest arc-consistent subset of anything in between is the same
+// set. DESIGN.md §5j has the argument in full.
+func (m *Matcher) buildPlan(q *query.Instance, pin int, within []graph.NodeID, seed *Domains) *plan {
+	if !seed.seeds(q, pin, within != nil) {
+		seed = nil
+	}
 	t := q.T
 	p := &plan{q: q, nodes: q.ActiveNodes(), nodePos: make([]int, len(t.Nodes))}
 	for i := range p.nodePos {
@@ -354,13 +388,29 @@ func (m *Matcher) buildPlan(q *query.Instance, pin int, within []graph.NodeID) *
 	for i, ni := range p.nodes {
 		p.nodePos[ni] = i
 	}
-	p.adj = make([][]planEdge, len(p.nodes))
-	if n := len(p.nodes); n <= 64 {
+	n := len(p.nodes)
+	p.adj = make([][]planEdge, n)
+	if n <= 64 {
 		p.adjMask = make([]uint64, n)
 		p.fullMask = ^uint64(0)
 		if n < 64 {
 			p.fullMask = 1<<uint(n) - 1
 		}
+	}
+	// dirty[i] asks propagation's first sweep to revise node i's neighbors
+	// against it: every node without a seed, else those whose set differs
+	// from the seed's.
+	if cap(m.dirtyPrev) < n {
+		m.dirtyPrev, m.dirtyNext = make([]bool, n), make([]bool, n)
+	}
+	dirty := m.dirtyPrev[:n]
+	for i := range dirty {
+		dirty[i] = seed == nil
+	}
+	clear(m.dirtyNext[:n])
+	var inherited []int // the seed's active edges not yet passed, ascending like q's
+	if seed != nil {
+		inherited = seed.q.ActiveEdges()
 	}
 	for _, ei := range q.ActiveEdges() {
 		e := &t.Edges[ei]
@@ -370,55 +420,92 @@ func (m *Matcher) buildPlan(q *query.Instance, pin int, within []graph.NodeID) *
 			// The edge label never occurs in G: no embedding exists.
 			return nil
 		}
-		p.adj[fi] = append(p.adj[fi], planEdge{other: ti, label: label, outgoing: true})
-		p.adj[ti] = append(p.adj[ti], planEdge{other: fi, label: label, outgoing: false})
+		for len(inherited) > 0 && inherited[0] < ei {
+			inherited = inherited[1:]
+		}
+		fresh := len(inherited) == 0 || inherited[0] != ei
+		p.adj[fi] = append(p.adj[fi], planEdge{other: ti, label: label, outgoing: true, fresh: fresh})
+		p.adj[ti] = append(p.adj[ti], planEdge{other: fi, label: label, outgoing: false, fresh: fresh})
 		if p.adjMask != nil {
 			p.adjMask[fi] |= 1 << uint(ti)
 			p.adjMask[ti] |= 1 << uint(fi)
 		}
 		p.edgeCount++
 	}
-	p.labels = make([]graph.LabelID, len(p.nodes))
-	p.cands = make([][]graph.NodeID, len(p.nodes))
-	p.candBits = make([]graph.Bitset, len(p.nodes))
+	p.labels = make([]graph.LabelID, n)
+	p.cands = make([][]graph.NodeID, n)
+	p.candBits = make([]graph.Bitset, n)
 	p.rootIdx = p.nodePos[pin]
 	m.idsUsed, m.wordsUsed = 0, 0 // the previous plan is dead
+	pending := 0
 	for i, ni := range p.nodes {
 		p.labels[i] = m.G.LookupLabel(t.Nodes[ni].Label)
 		lits := q.CompiledLiterals(m.G, ni)
+		// had is the size of the set the node inherits, 0 when it starts
+		// from its label; unmoved literals already hold on an inherited set.
+		had := 0
+		if seed != nil {
+			had = seed.sizes[ni]
+		}
+		if had > 0 && !seed.moved(q, ni) {
+			lits = nil
+		}
 		var cands []graph.NodeID
-		if i == p.rootIdx && within != nil {
+		switch {
+		case i == p.rootIdx && within != nil:
 			cands = m.arenaIDs(len(within))
 			for _, v := range within {
-				if m.G.NodeLabelID(v) != p.labels[i] {
+				lp := m.labelPos[v]
+				if graph.LabelID(lp>>32) != p.labels[i] || had > 0 && !seed.sets[ni].Get(int(uint32(lp))) {
 					continue
 				}
 				if nodeSatisfies(m.G, v, lits) {
 					cands = append(cands, v)
 				}
 			}
-		} else {
+		case had > 0:
+			cands = m.arenaIDs(had)
+			base := m.G.NodesByLabelID(p.labels[i])
+			for wi, w := range seed.sets[ni].Words() {
+				for ; w != 0; w &= w - 1 {
+					if v := base[wi<<6+bits.TrailingZeros64(w)]; nodeSatisfies(m.G, v, lits) {
+						cands = append(cands, v)
+					}
+				}
+			}
+		case seed != nil:
+			pending++ // a node the seed lacks: expandNew derives its start
+			continue
+		default:
 			cands = m.filteredCandidates(t.Nodes[ni].Label, lits)
 		}
-		if len(p.adj[i]) > 0 {
+		// An inherited set already meets the requirement of the edges the
+		// seed had; a fresh edge raises it.
+		if slices.ContainsFunc(p.adj[i], func(pe planEdge) bool { return pe.fresh }) {
 			cands = m.structurePrune(p, i, cands)
 		}
 		if len(cands) == 0 {
 			return nil
 		}
+		if len(cands) != had {
+			dirty[i] = true
+		}
 		p.cands[i] = cands
+	}
+	if pending > 0 && !m.expandNew(p, pending) {
+		return nil
 	}
 	for i := range p.nodes {
 		// Only nodes referenced by a constraint edge need the set form;
 		// skipping the rest keeps single-node plans bitset-free.
-		if len(p.adj[i]) == 0 {
+		if len(p.adj[i]) == 0 || p.candBits[i].Len() > 0 {
 			continue
 		}
-		bits := m.arenaBitset(len(m.G.NodesByLabelID(p.labels[i])))
+		set := m.arenaBitset(len(m.G.NodesByLabelID(p.labels[i])))
 		for _, v := range p.cands[i] {
-			bits.Set(int(m.G.LabelPos(v)))
+			set.Set(int(m.G.LabelPos(v)))
 		}
-		p.candBits[i] = bits
+		p.candBits[i] = set
 	}
 	if !m.propagate(p) {
 		return nil
@@ -668,21 +755,15 @@ func nodeSatisfies(g *graph.Graph, v graph.NodeID, lits []query.CompiledLiteral)
 // scratch mask, then u's bitset is intersected against it word-at-a-time —
 // so a whole candidate set is pruned at the cost of scanning the
 // neighbor's edges once, instead of per-candidate neighborhood probes. A
-// worklist re-revises only arcs whose source set shrank; the fixpoint (the
+// worklist re-revises only arcs whose source set shrank, starting from the
+// nodes buildPlan marked (all of them without a seed); the fixpoint (the
 // unique greatest arc-consistent subset) is the same one the per-candidate
 // reference loop reaches. Returns false when a candidate set empties.
 func (m *Matcher) propagate(p *plan) bool {
 	n := len(p.nodes)
-	if cap(m.dirtyPrev) < n {
-		m.dirtyPrev = make([]bool, n)
-		m.dirtyNext = make([]bool, n)
-	}
+	// buildPlan sized the worklist and marked the first sweep's nodes.
 	dirtyPrev, dirtyNext := m.dirtyPrev[:n], m.dirtyNext[:n]
-	for i := range dirtyPrev {
-		dirtyPrev[i] = true // first sweep revises every arc
-		dirtyNext[i] = false
-	}
-	for sweep := true; sweep; {
+	for first, sweep := true, true; sweep; first = false {
 		sweep = false
 		for i := 0; i < n; i++ {
 			if len(p.adj[i]) == 0 {
@@ -690,9 +771,13 @@ func (m *Matcher) propagate(p *plan) bool {
 			}
 			shrunk := false
 			for _, pe := range p.adj[i] {
-				if !dirtyPrev[pe.other] {
+				if !dirtyPrev[pe.other] && !(first && pe.fresh) {
+					if first {
+						m.Stats.ArcsInherited++
+					}
 					continue
 				}
+				m.Stats.ArcsRevised++
 				// Revise in whichever direction is cheaper: the reverse
 				// semijoin walks the neighbor's candidates once, the
 				// forward probe walks this node's candidates with an
@@ -723,25 +808,74 @@ func (m *Matcher) propagate(p *plan) bool {
 			}
 		}
 		dirtyPrev, dirtyNext = dirtyNext, dirtyPrev
-		for i := range dirtyNext {
-			dirtyNext[i] = false
-		}
+		clear(dirtyNext)
 	}
 	return true
 }
 
-// reviseArc prunes plan node i's candidates to those with a pe-matching
-// edge into the current candidate set of pe.other. It reports whether the
-// set shrank and whether it remains non-empty.
-func (m *Matcher) reviseArc(p *plan, i int, pe planEdge) (shrunk, nonEmpty bool) {
-	words := p.candBits[i].Words()
-	if cap(m.scratch) < len(words) {
-		m.scratch = make([]uint64, len(words))
+// expandNew starts the pending nodes of a seeded plan — active in q but not
+// in the seed's instance, which had the edge variable in front of them off —
+// from the neighbors of a node that has its candidates already, not from
+// their label's population: the set is what revising the arc from that
+// neighbor would leave of the label-and-literal set, so the fixpoint is
+// unchanged, and the label-sized list is never built. Every pending node is
+// connected to the seed's component through active edges, so each round
+// places at least one. It reports false when a set comes out empty.
+func (m *Matcher) expandNew(p *plan, pending int) bool {
+	for pending > 0 {
+		placed := 0
+		for i, ni := range p.nodes {
+			if p.cands[i] != nil {
+				continue
+			}
+			from := -1 // the incident edge whose far side has the fewest candidates
+			for k, pe := range p.adj[i] {
+				if c := p.cands[pe.other]; c != nil && (from < 0 || len(c) < len(p.cands[p.adj[i][from].other])) {
+					from = k
+				}
+			}
+			if from < 0 {
+				continue
+			}
+			base := m.G.NodesByLabelID(p.labels[i])
+			set := m.arenaBitset(len(base))
+			m.markSupport(set.Words(), p, i, p.adj[i][from])
+			lits, req := p.q.CompiledLiterals(m.G, ni), m.structureReq(p, i)
+			cands := m.arenaIDs(set.Count())
+			for wi, w := range set.Words() {
+				for ; w != 0; w &= w - 1 {
+					pos := wi<<6 + bits.TrailingZeros64(w)
+					switch v := base[pos]; {
+					case !nodeSatisfies(m.G, v, lits):
+						set.Clear(pos)
+					case !m.structureAdmits(req, v):
+						set.Clear(pos)
+						m.Stats.SigPruned++
+					default:
+						cands = append(cands, v)
+					}
+				}
+			}
+			if len(cands) == 0 {
+				return false
+			}
+			p.cands[i], p.candBits[i] = cands, set
+			p.adj[i][from].fresh = false // the expansion was this arc's revision
+			placed++
+		}
+		if placed == 0 {
+			panic("match: an active node is not connected to the seeded plan")
+		}
+		pending -= placed
 	}
-	scratch := m.scratch[:len(words)]
-	for k := range scratch {
-		scratch[k] = 0
-	}
+	return true
+}
+
+// markSupport sets, in mask (label-local positions of plan node i's label),
+// every node of that label with a pe-matching edge into the current
+// candidate set of pe.other: the neighbor's candidates mark their
+// adjacency-run endpoints.
+func (m *Matcher) markSupport(mask []uint64, p *plan, i int, pe planEdge) {
 	lbl := p.labels[i]
 	// The arc's edges seen from the neighbor side: flip the direction.
 	adj, starts := m.outAdj, m.outRuns
@@ -755,20 +889,33 @@ func (m *Matcher) reviseArc(p *plan, i int, pe planEdge) (shrunk, nonEmpty bool)
 			for _, e := range adj[w][starts[b]:starts[b+1]] {
 				lp := m.labelPos[e.To]
 				if graph.LabelID(lp>>32) == lbl {
-					scratch[uint32(lp)>>6] |= 1 << (uint32(lp) & 63)
+					mask[uint32(lp)>>6] |= 1 << (uint32(lp) & 63)
 				}
 			}
 		}
-	} else {
-		for _, w := range p.cands[pe.other] {
-			for _, e := range m.G.EdgeRun(w, pe.label, !pe.outgoing) {
-				lp := m.labelPos[e.To]
-				if graph.LabelID(lp>>32) == lbl {
-					scratch[uint32(lp)>>6] |= 1 << (uint32(lp) & 63)
-				}
+		return
+	}
+	for _, w := range p.cands[pe.other] {
+		for _, e := range m.G.EdgeRun(w, pe.label, !pe.outgoing) {
+			lp := m.labelPos[e.To]
+			if graph.LabelID(lp>>32) == lbl {
+				mask[uint32(lp)>>6] |= 1 << (uint32(lp) & 63)
 			}
 		}
 	}
+}
+
+// reviseArc prunes plan node i's candidates to those with a pe-matching
+// edge into the current candidate set of pe.other. It reports whether the
+// set shrank and whether it remains non-empty.
+func (m *Matcher) reviseArc(p *plan, i int, pe planEdge) (shrunk, nonEmpty bool) {
+	words := p.candBits[i].Words()
+	if cap(m.scratch) < len(words) {
+		m.scratch = make([]uint64, len(words))
+	}
+	scratch := m.scratch[:len(words)]
+	clear(scratch)
+	m.markSupport(scratch, p, i, pe)
 	for k := range words {
 		masked := words[k] & scratch[k]
 		if masked != words[k] {

@@ -370,7 +370,7 @@ func TestSignaturePruneSoundness(t *testing.T) {
 			for _, mode := range []Mode{Isomorphism, Homomorphism} {
 				m := New(g)
 				m.Mode = mode
-				p := m.buildPlan(q, q.T.Output, nil)
+				p := m.buildPlan(q, q.T.Output, nil, nil)
 				if p == nil {
 					continue
 				}

@@ -51,9 +51,12 @@ type Job struct {
 	spec      *JobSpec
 	handle    *Handle
 	hub       *progressHub
-	run       runFunc
 	timeout   time.Duration
 	submitted time.Time
+
+	// run is set at creation, read once by the worker that starts the job
+	// and dropped when the job reaches a terminal state.
+	run runFunc
 
 	// Guarded by the manager's mutex.
 	state           JobState
@@ -317,6 +320,11 @@ func (m *Manager) finishLocked(job *Job, state JobState, result *JobResult, errM
 	job.errMsg = errMsg
 	job.finished = time.Now()
 	job.cancel = nil
+	// The closure holds the bound configuration — the group sets are maps
+	// over the label's population — and a finished job is retained for
+	// Retention: without this the faster jobs finish, the more of those a
+	// daemon carries.
+	job.run = nil
 	if job.handle != nil {
 		job.handle.Release()
 	}

@@ -104,6 +104,14 @@ func TestCancelRunningJob(t *testing.T) {
 	if got := met.jobsCancelled.Value(); got != 1 {
 		t.Fatalf("jobsCancelled = %d, want 1", got)
 	}
+	// A finished job is retained without its run closure, which holds the
+	// bound configuration.
+	m.mu.Lock()
+	dropped := job.run == nil
+	m.mu.Unlock()
+	if !dropped {
+		t.Error("a terminal job still holds its run closure")
+	}
 	// A terminal job can't be cancelled again.
 	if err := m.Cancel(job.ID); err == nil {
 		t.Fatal("second cancel should fail")

@@ -140,7 +140,7 @@ func (s *Server) MetricsSnapshot() map[string]any {
 	graphs := map[string]any{}
 	var cacheHits, cacheMisses int64
 	var distEvals, distHits, distMisses int64
-	var indexSel, scanSel, sigPruned int
+	var indexSel, scanSel, sigPruned, arcsRevised, arcsInherited int
 	var indexBytes, columnBytes int64
 	for _, info := range s.reg.List() {
 		graphs[info.Name] = info
@@ -152,6 +152,8 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		indexSel += info.Engine.IndexSelections
 		scanSel += info.Engine.ScanSelections
 		sigPruned += info.Engine.SigPruned
+		arcsRevised += info.Engine.ArcsRevised
+		arcsInherited += info.Engine.ArcsInherited
 		indexBytes += info.Memory.IndexBytes
 		columnBytes += info.Memory.ColumnBytes
 	}
@@ -178,6 +180,8 @@ func (s *Server) MetricsSnapshot() map[string]any {
 			"indexSelections": indexSel,
 			"scanSelections":  scanSel,
 			"sigPruned":       sigPruned,
+			"arcsRevised":     arcsRevised,
+			"arcsInherited":   arcsInherited,
 			"indexBytes":      indexBytes,
 			"columnBytes":     columnBytes,
 		}),

@@ -288,9 +288,36 @@ func TestEndToEnd(t *testing.T) {
 		}
 		var res JobResult
 		doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/result", nil, http.StatusOK, &res)
-		if m := res.Stats.Matcher; m.IndexSelections+m.ScanSelections == 0 || m.SigPruned == 0 {
+		if m := res.Stats.Matcher; m.IndexSelections+m.ScanSelections == 0 || m.SigPruned == 0 || m.ArcsRevised == 0 {
 			t.Errorf("%s job lost matcher counters: %+v", alg, m)
 		}
+	}
+	// And /metrics renders the propagation counters beside sigPruned (on
+	// this template every multi-node plan hangs off a one-node ancestor, so
+	// no arc is ever inherited: the key is there and reads 0), and each
+	// graph's engine object carries the held-domains gauge, back at 0 once
+	// the walks are over.
+	var doc struct {
+		Storage struct {
+			SigPruned     int  `json:"sigPruned"`
+			ArcsRevised   int  `json:"arcsRevised"`
+			ArcsInherited *int `json:"arcsInherited"`
+		} `json:"storage"`
+		Graphs map[string]struct {
+			Engine struct{ DomainsHeld *int } `json:"engine"`
+		} `json:"graphs"`
+	}
+	doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, http.StatusOK, &doc)
+	if st := doc.Storage; st.SigPruned == 0 || st.ArcsRevised == 0 || st.ArcsInherited == nil {
+		t.Errorf("/metrics storage counters after rf and par jobs: %+v", st)
+	}
+	for name, gr := range doc.Graphs {
+		if n := gr.Engine.DomainsHeld; n == nil || *n != 0 {
+			t.Errorf("/metrics graphs.%s.engine.DomainsHeld with no job running: %v", name, n)
+		}
+	}
+	if len(doc.Graphs) == 0 {
+		t.Error("/metrics lists no graph")
 	}
 }
 
