@@ -2,42 +2,27 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"fairsqg/internal/gen"
 	"fairsqg/internal/graph"
 )
 
-// BenchmarkMutateBatch compares the two ways an edit reaches a served
-// 100k-node graph: ApplyBatch — a copy-on-write overlay generation with
-// incremental index maintenance — versus the only pre-mutation path,
-// re-uploading the full TSV and re-running Freeze (column transposition
-// plus index rebuilds from scratch). The batch is a realistic mixed edit:
-// attribute updates, new edges, node churn. Acceptance bar for the live
-// graph layer is ApplyBatch ≥ 10× faster; the measured gap is recorded
-// in BENCH.md.
-func BenchmarkMutateBatch(b *testing.B) {
-	g, err := gen.Build("lki", gen.Options{Nodes: 100000, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var tsv bytes.Buffer
-	if err := graph.WriteTSV(&tsv, g); err != nil {
-		b.Fatal(err)
-	}
-
-	// A mixed 100-op batch over live Person nodes: 40 attribute updates,
-	// 30 new recommend edges, 20 removals, 10 fresh nodes. IDs step by a
-	// prime so ops spread across the columns instead of clustering.
+// mixedBatch is a realistic mixed edit of the given size over live Person
+// nodes: 40 % attribute updates, 30 % new recommend edges, 20 % node
+// removals, 10 % fresh nodes. IDs step by a prime so ops spread across the
+// columns instead of clustering.
+func mixedBatch(g *graph.Graph, ops int) []graph.Mutation {
 	persons := g.NodesByLabel("Person")
 	var batch []graph.Mutation
-	for i := 0; i < 40; i++ {
+	for i := 0; i < ops*4/10; i++ {
 		batch = append(batch, graph.Mutation{
 			Op: graph.MutSetAttr, Node: persons[(i*101)%len(persons)],
 			Attr: "yearsOfExp", Value: graph.Int(int64(i % 30)),
 		})
 	}
-	for i := 0; i < 30; i++ {
+	for i := 0; i < ops*3/10; i++ {
 		from := persons[(i*211)%len(persons)]
 		to := persons[(i*307+13)%len(persons)]
 		if from == to {
@@ -45,10 +30,10 @@ func BenchmarkMutateBatch(b *testing.B) {
 		}
 		batch = append(batch, graph.Mutation{Op: graph.MutAddEdge, From: from, To: to, Label: "recommend"})
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < ops*2/10; i++ {
 		batch = append(batch, graph.Mutation{Op: graph.MutRemoveNode, Node: persons[(i*401+7)%len(persons)]})
 	}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < ops/10; i++ {
 		batch = append(batch, graph.Mutation{
 			Op: graph.MutAddNode, Label: "Person",
 			Attrs: []graph.AttrPair{
@@ -58,20 +43,51 @@ func BenchmarkMutateBatch(b *testing.B) {
 			},
 		})
 	}
-	b.Logf("graph: %d nodes, %d edges; batch %d ops; tsv %d bytes",
-		g.NumNodes(), g.NumEdges(), len(batch), tsv.Len())
+	return batch
+}
 
+// BenchmarkMutateBatch compares the two ways an edit reaches a served
+// graph: ApplyBatch — a copy-on-write overlay generation that rebuilds what
+// the batch touches — versus the only pre-mutation path, re-uploading the
+// full TSV and re-running Freeze (column transposition plus index rebuilds
+// from scratch). The mutate rows cross graph size with batch size: what is
+// left of the dependence on the first (the headers and typed arrays a
+// generation copies; read B/op) against the work that follows the second.
+// Acceptance bar for the live graph layer is ApplyBatch ≥ 10× faster than
+// the re-upload on nodes=100k/ops=100; the rows are recorded in BENCH.md.
+func BenchmarkMutateBatch(b *testing.B) {
+	sizes := []int{25000, 100000}
+	graphs := make([]*graph.Graph, len(sizes))
+	for i, nodes := range sizes {
+		var err error
+		if graphs[i], err = gen.Build("lki", gen.Options{Nodes: nodes, Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.Run("mutate", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ng, res, err := graph.ApplyBatch(g, batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Ops != len(batch) || ng.Version() != g.Version()+1 {
-				b.Fatalf("batch misapplied: %+v", res)
+		for i, g := range graphs {
+			for _, ops := range []int{20, 100} {
+				batch := mixedBatch(g, ops)
+				b.Run(fmt.Sprintf("nodes=%dk/ops=%d", sizes[i]/1000, ops), func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						ng, res, err := graph.ApplyBatch(g, batch)
+						if err != nil {
+							b.Fatal(err)
+						}
+						if res.Ops != len(batch) || ng.Version() != g.Version()+1 {
+							b.Fatalf("batch misapplied: %+v", res)
+						}
+					}
+				})
 			}
 		}
 	})
+	g := graphs[len(graphs)-1]
+	var tsv bytes.Buffer
+	if err := graph.WriteTSV(&tsv, g); err != nil {
+		b.Fatal(err)
+	}
 	b.Run("reupload+refreeze", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			ng, err := graph.ReadTSV(bytes.NewReader(tsv.Bytes()))

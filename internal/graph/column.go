@@ -42,6 +42,7 @@ type column struct {
 
 func bitGet(bm []uint64, i int) bool { return bm[i>>6]&(1<<uint(i&63)) != 0 }
 func bitSet(bm []uint64, i int)      { bm[i>>6] |= 1 << uint(i&63) }
+func bitClear(bm []uint64, i int)    { bm[i>>6] &^= 1 << uint(i&63) }
 
 // has reports whether node v carries the attribute.
 func (c *column) has(v NodeID) bool { return bitGet(c.present, int(v)) }
@@ -208,7 +209,9 @@ func (g *Graph) AttrValue(v NodeID, a AttrID) Value {
 // count, kind uniformity), alloc the typed array the noted kind calls for,
 // put each cell's value. Freeze drives them row-major from the builder
 // tuples (buildColumns); ApplyBatch drives them per touched attribute from
-// the base column's surviving cells plus the batch's edits (mergeColumns).
+// the base column's surviving cells plus the batch's edits (mergeColumns) —
+// unless the edits keep the layout (keepsLayout), when it copies the base
+// column and edits the cells in place with unset, note and put.
 
 // newColumn returns an empty column over words×64 node slots.
 func newColumn(words int) column { return column{present: make([]uint64, words)} }
@@ -255,6 +258,49 @@ func (c *column) put(v int, val Value) {
 	default:
 		c.vals[v] = val
 	}
+}
+
+// unset removes node v's cell, if it holds one, from a uniform typed
+// column, leaving the slot as alloc made it (the snapshot decoder rejects a
+// payload at an absent slot).
+func (c *column) unset(v int) {
+	if !bitGet(c.present, v) {
+		return
+	}
+	bitClear(c.present, v)
+	c.count--
+	switch {
+	case c.nums != nil:
+		c.nums[v] = 0
+	case c.strs != nil:
+		c.strs[v] = ""
+	default:
+		bitClear(c.bools, v)
+	}
+}
+
+// keepsLayout reports whether applying edits (one per node) to this column
+// provably leaves the layout the builder would choose for the result: the
+// column is a uniform typed array, every written value has its kind, and
+// at least one cell remains. Mixed columns may turn uniform and a
+// snapshot's string refs become heap strings, so neither qualifies.
+func (c *column) keepsLayout(edits []attrWrite) bool {
+	if c.nums == nil && c.strs == nil && c.bools == nil {
+		return false
+	}
+	count := c.count
+	for _, ed := range edits {
+		if int(ed.node)>>6 < len(c.present) && c.has(ed.node) {
+			count--
+		}
+		if !ed.val.IsNull() {
+			if ed.val.Kind() != c.kind {
+				return false
+			}
+			count++
+		}
+	}
+	return count > 0
 }
 
 // buildColumns transposes the builder-time per-node attribute slices into

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 )
@@ -360,6 +361,12 @@ func CheckInvariants(g *Graph) error {
 		kinds := 0 // bit k set: a value of Kind k occurs
 		for v := 0; v < n; v++ {
 			if !c.has(NodeID(v)) {
+				// An absent slot holds no payload (the snapshot decoder
+				// refuses one): a cleared cell is left as alloc made it.
+				if (v < len(c.nums) && math.Float64bits(c.nums[v]) != 0) || (v < len(c.strs) && c.strs[v] != "") ||
+					(v>>6 < len(c.bools) && bitGet(c.bools, v)) || (v < len(c.vals) && c.vals[v] != Null) {
+					return fmt.Errorf("invariants: column %q keeps a payload at absent node %d", g.attrTable[a], v)
+				}
 				continue
 			}
 			k := c.value(NodeID(v)).Kind()

@@ -98,9 +98,12 @@ type Graph struct {
 	domOnce sync.Once
 	domFill func()
 
-	// Derived tables computed once per frozen graph (by Freeze or by the
-	// snapshot decoder — they are cheap to rebuild, so they are never
-	// serialized): labelPos packs each node's label (high 32 bits) with its
+	// Derived tables, a function of buckets and adjacency alone. Freeze
+	// computes them for every row (buildDerived), ApplyBatch copies its
+	// base's and re-derives the rows the batch touched (patchDerived, same
+	// per-row kernels), and a snapshot stores them (LPOS/SIGO/SIGI and the
+	// run sections), so a decoded or mapped graph computes nothing.
+	// labelPos packs each node's label (high 32 bits) with its
 	// rank inside that label's bucket (low 32 bits), the backing coordinate
 	// for the matcher's label-local candidate bitsets; sigOut/sigIn hold
 	// per-node neighborhood label signatures (bit label&63 set when an
@@ -329,72 +332,95 @@ func (g *Graph) DictLabels() []string { return g.labels }
 // i holds the name of AttrID i). Shared; callers must not mutate it.
 func (g *Graph) DictAttrs() []string { return g.attrTable }
 
-// buildDerived computes the label-position and neighborhood-signature
-// tables from the frozen layout. Freeze calls it after sorting adjacency;
-// the snapshot decoder calls it after restoring the frozen sections, so a
-// restored graph carries identical tables without serializing them.
+// The derived tables have one definition per row — rankBucket for a
+// label's positions, deriveRow for a node's signatures and run boundaries —
+// and two drivers: buildDerived over every row (Freeze, and an ApplyBatch
+// whose run-table stride moved) and patchDerived over the rows one batch
+// touched (mutate.go). A snapshot stores the tables, so decoding and mapped
+// open run neither.
+
+// buildDerived is the all-rows driver: it allocates the tables for the
+// finished buckets and adjacency and derives every row.
 func (g *Graph) buildDerived() {
-	g.labelPos = make([]uint64, len(g.nodeLabels))
-	for label, nodes := range g.byLabel {
-		for i, v := range nodes {
-			g.labelPos[v] = PackLabelPos(label, int32(i))
-		}
+	n := len(g.nodeLabels)
+	g.labelPos = make([]uint64, n)
+	for l := range g.byLabel {
+		g.rankBucket(l)
 	}
 	if g.deadCount > 0 {
-		// Tombstoned slots belong to no bucket; poison their packed entry so
-		// a stray probe can never alias (label 0, rank 0).
 		for v := range g.nodeLabels {
 			if bitGet(g.dead, v) {
-				g.labelPos[v] = PackLabelPos(InvalidLabel, -1)
+				g.labelPos[v] = deadLabelPos
 			}
 		}
 	}
-	g.sigOut = make([]uint64, len(g.nodeLabels))
-	g.sigIn = make([]uint64, len(g.nodeLabels))
-	for v := range g.out {
-		for _, e := range g.out[v] {
-			g.sigOut[v] |= LabelSigBit(e.Label)
-		}
-		for _, e := range g.in[v] {
-			g.sigIn[v] |= LabelSigBit(e.Label)
-		}
+	g.sigOut = make([]uint64, n)
+	g.sigIn = make([]uint64, n)
+	g.runStride, g.outRunStart, g.inRunStart = runTableStride(n, len(g.labels)), nil, nil
+	if g.runStride > 0 {
+		g.outRunStart = make([]int32, n*g.runStride)
+		g.inRunStart = make([]int32, n*g.runStride)
 	}
-	g.buildRunTables()
+	for v := range g.out {
+		g.deriveRow(v)
+	}
+}
+
+// deadLabelPos poisons a tombstoned slot's packed entry: it belongs to no
+// bucket, and a stray probe must never alias (label 0, rank 0).
+var deadLabelPos = PackLabelPos(InvalidLabel, -1)
+
+// rankBucket writes the packed label and bucket rank of every node of l.
+func (g *Graph) rankBucket(l LabelID) {
+	for i, v := range g.byLabel[l] {
+		g.labelPos[v] = PackLabelPos(l, int32(i))
+	}
+}
+
+// deriveRow computes node v's signatures and, where the graph carries run
+// tables, its run boundaries from its two sorted adjacency rows.
+func (g *Graph) deriveRow(v int) {
+	g.sigOut[v] = rowSignature(g.out[v])
+	g.sigIn[v] = rowSignature(g.in[v])
+	if s := g.runStride; s > 0 {
+		fillRunStarts(g.outRunStart[v*s:(v+1)*s], g.out[v])
+		fillRunStarts(g.inRunStart[v*s:(v+1)*s], g.in[v])
+	}
+}
+
+func rowSignature(es []Edge) (sig uint64) {
+	for _, e := range es {
+		sig |= LabelSigBit(e.Label)
+	}
+	return sig
 }
 
 // maxRunTableEntries caps the dense (node × label) run-boundary tables at
 // 32 MiB apiece; graphs beyond the cap keep the binary-search EdgeRun path.
 const maxRunTableEntries = 1 << 23
 
-// buildRunTables precomputes, for every (node, label) pair, where the
-// label's run starts inside the node's sorted adjacency: run(v, l) =
-// es[start[v*stride+l]:start[v*stride+l+1]]. One extra column per node
-// holds the terminating boundary.
-func (g *Graph) buildRunTables() {
-	g.runStride, g.outRunStart, g.inRunStart = 0, nil, nil
-	stride := len(g.labels) + 1
-	if len(g.nodeLabels) == 0 || len(g.nodeLabels)*stride > maxRunTableEntries {
-		return
+// runTableStride is the row width of the run tables of a graph with n node
+// slots and the given label dictionary — one column per label plus the
+// terminating boundary — or 0 when it carries none (empty, or past
+// maxRunTableEntries).
+func runTableStride(n, labels int) int {
+	if n == 0 || n*(labels+1) > maxRunTableEntries {
+		return 0
 	}
-	g.runStride = stride
-	g.outRunStart = buildRunStarts(g.out, stride)
-	g.inRunStart = buildRunStarts(g.in, stride)
+	return labels + 1
 }
 
-func buildRunStarts(adj [][]Edge, stride int) []int32 {
-	starts := make([]int32, len(adj)*stride)
-	for v, es := range adj {
-		base := v * stride
-		pos := 0
-		for l := 0; l < stride-1; l++ {
-			starts[base+l] = int32(pos)
-			for pos < len(es) && int(es[pos].Label) == l {
-				pos++
-			}
+// fillRunStarts writes one node's row of a run table: the run of label l
+// inside the sorted adjacency es is es[starts[l]:starts[l+1]].
+func fillRunStarts(starts []int32, es []Edge) {
+	pos := 0
+	for l := range starts[:len(starts)-1] {
+		starts[l] = int32(pos)
+		for pos < len(es) && int(es[pos].Label) == l {
+			pos++
 		}
-		starts[base+stride-1] = int32(len(es))
 	}
-	return starts
+	starts[len(starts)-1] = int32(len(es))
 }
 
 // LabelSigBit returns the signature bit an edge label hashes to. The

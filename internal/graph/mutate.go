@@ -95,6 +95,33 @@ type ApplyResult struct {
 	EdgesRemoved int
 	// Ops is the number of mutations in the batch.
 	Ops int
+	// Touched sizes what the merge rebuilt for this batch.
+	Touched Touched
+}
+
+// Touched sizes the structures one batch made ApplyBatch build; everything
+// it does not count the new generation shares with its base, or copied
+// from it without looking at the rows.
+type Touched struct {
+	// LabelsReranked counts the label buckets whose membership changed.
+	LabelsReranked int `json:"labelsReranked"`
+	// OutRows / InRows count the adjacency rows rebuilt.
+	OutRows int `json:"outRows"`
+	InRows  int `json:"inRows"`
+	// ColumnsPatched counts the touched columns that kept their typed
+	// layout and had only the edited cells written; ColumnsRebuilt those
+	// that went back through the column builder.
+	ColumnsPatched int `json:"columnsPatched"`
+	ColumnsRebuilt int `json:"columnsRebuilt"`
+	// IndexesMerged counts the (label, attribute) permutations re-merged.
+	IndexesMerged int `json:"indexesMerged"`
+	// DomainAdded / DomainDropped count the values that entered and left
+	// the active domains.
+	DomainAdded   int `json:"domainAdded"`
+	DomainDropped int `json:"domainDropped"`
+	// DerivedRebuilt reports that the derived tables were rebuilt for every
+	// row because the run tables changed shape, not patched.
+	DerivedRebuilt bool `json:"derivedRebuilt"`
 }
 
 // edgeKey identifies a parallel-edge class during validation.
@@ -247,9 +274,9 @@ func ApplyBatch(base *Graph, ops []Mutation) (*Graph, *ApplyResult, error) {
 
 // batchEdits is one copy-on-write merge in progress: the validated plan,
 // the generation under construction, and the batch restated per derived
-// structure — which label buckets, attribute columns and (label,
-// attribute) permutations it touches, and with what. Everything a touched
-// set does not name is shared with the base generation.
+// structure — which adjacency rows, label buckets, attribute columns and
+// (label, attribute) permutations it touches, and with what. Everything a
+// touched set does not name is shared with the base generation.
 type batchEdits struct {
 	p     *batchPlan
 	ng    *Graph
@@ -258,6 +285,9 @@ type batchEdits struct {
 	// removedBase lists the removed nodes that exist in the base (a node
 	// added and removed by the same batch leaves no trace).
 	removedBase []NodeID
+	// dirtyRows lists the nodes with a rebuilt or cleared adjacency row (one
+	// entry per direction, so a node may repeat).
+	dirtyRows []NodeID
 
 	// touchedLabels are the buckets whose membership changed; addsByLabel
 	// lists their surviving added nodes, ascending.
@@ -276,8 +306,11 @@ type batchEdits struct {
 func (e *batchEdits) survives(v NodeID) bool { return !bitGet(e.ng.dead, int(v)) }
 
 // applyPlan executes a validated plan: the copy-on-write merge, one phase
-// per structure of the frozen layout, each building what the batch touches
-// with the builder Freeze uses and sharing the rest with the base.
+// per structure of the frozen layout. Each phase starts from the base
+// generation's structure and builds what the batch touches — with the
+// builder Freeze uses where the layout may change, by patching a copy where
+// it cannot — and shares the rest. Domains come after the indexes they
+// probe; the derived tables last, from the finished buckets and rows.
 func applyPlan(p *batchPlan) (*Graph, *ApplyResult) {
 	p.base.domainList() // force lazy v2 domains before sharing them
 	e := newGeneration(p)
@@ -286,9 +319,17 @@ func applyPlan(p *batchPlan) (*Graph, *ApplyResult) {
 	e.collectCells()
 	e.mergeColumns()
 	e.mergeIndexes()
+	e.mergeDomains()
 	e.ng.measure()
-	e.ng.buildDerived()
+	e.patchDerived()
 	return e.ng, e.res
+}
+
+// grown returns a copy of s extended (zero-filled) to n elements.
+func grown[T any](s []T, n int) []T {
+	out := make([]T, n)
+	copy(out, s)
+	return out
 }
 
 // internShared interns s into a dictionary the new generation shares with
@@ -342,13 +383,11 @@ func newGeneration(p *batchPlan) *batchEdits {
 		sort.Strings(ng.attrNames)
 	}
 
-	ng.nodeLabels = make([]LabelID, n)
-	copy(ng.nodeLabels, base.nodeLabels)
+	ng.nodeLabels = grown(base.nodeLabels, n)
 	for i, label := range p.adds {
 		ng.nodeLabels[n0+i] = ng.labelIDs[label]
 	}
-	ng.dead = make([]uint64, e.words)
-	copy(ng.dead, base.dead)
+	ng.dead = grown(base.dead, e.words)
 	ng.deadCount = base.deadCount + len(p.removed)
 	for v := range p.removed {
 		bitSet(ng.dead, int(v))
@@ -360,13 +399,11 @@ func newGeneration(p *batchPlan) *batchEdits {
 }
 
 // mergeAdjacency copies the row-header arrays and rebuilds only the rows
-// the batch touches.
+// the batch touches, recording which.
 func (e *batchEdits) mergeAdjacency() {
 	p, base, ng, res := e.p, e.p.base, e.ng, e.res
-	ng.out = make([][]Edge, p.newN())
-	copy(ng.out, base.out)
-	ng.in = make([][]Edge, p.newN())
-	copy(ng.in, base.in)
+	ng.out = grown(base.out, p.newN())
+	ng.in = grown(base.in, p.newN())
 
 	// Every edit becomes a signed instance count on the rows of its
 	// surviving endpoints, tallied into the result.
@@ -406,12 +443,16 @@ func (e *batchEdits) mergeAdjacency() {
 		ng.out[v], ng.in[v] = nil, nil
 	}
 	ng.numEdges += res.EdgesAdded - res.EdgesRemoved
+	e.dirtyRows = slices.Clone(e.removedBase)
 	for v, d := range out {
 		ng.out[v] = mergeRow(ng.out[v], d)
+		e.dirtyRows = append(e.dirtyRows, v)
 	}
 	for v, d := range in {
 		ng.in[v] = mergeRow(ng.in[v], d)
+		e.dirtyRows = append(e.dirtyRows, v)
 	}
+	res.Touched.OutRows, res.Touched.InRows = len(out), len(in)
 }
 
 // mergeRow returns a fresh sorted row: the base row (nil for an added
@@ -455,6 +496,7 @@ func (e *batchEdits) mergeBuckets() {
 			e.addsByLabel[l] = append(e.addsByLabel[l], id)
 		}
 	}
+	e.res.Touched.LabelsReranked = len(e.touchedLabels)
 	ng.byLabel = maps.Clone(base.byLabel)
 	for l := range e.touchedLabels {
 		old := base.byLabel[l]
@@ -528,29 +570,49 @@ func (e *batchEdits) eachCell(a AttrID, fn func(v NodeID, val Value)) {
 	}
 }
 
-// mergeColumns rebuilds every touched column and its active domain through
-// the column builder (note, alloc, put — so the result carries exactly the
-// kind-uniformity layout Freeze would produce); untouched columns are
-// shared, their presence bitmap extended when the slot count crossed a
+// mergeColumns produces every touched column. One whose layout the edits
+// cannot change — a uniform typed array, every written value of its kind, a
+// cell left when they are done — is a copy of the base's bitmap and array
+// with the edited cells cleared and put. Any other (mixed, string refs of a
+// snapshot, a foreign kind written, emptied, new) goes through the column
+// builder over its surviving cells (note, alloc, put), so either way the
+// result carries exactly the layout Freeze would produce. Untouched columns
+// are shared, their presence bitmap extended when the slot count crossed a
 // word boundary.
 func (e *batchEdits) mergeColumns() {
 	base, ng, n := e.p.base, e.ng, e.p.newN()
-	ng.cols = make([]column, len(ng.attrTable))
-	copy(ng.cols, base.cols)
-	ng.domains = make([][]Value, len(ng.attrTable))
-	copy(ng.domains, base.domains)
+	ng.cols = grown(base.cols, len(ng.attrTable))
 	for a := range ng.cols {
-		c := &ng.cols[a]
-		if len(e.cells[a]) > 0 {
+		c, edits := &ng.cols[a], e.cells[a]
+		switch {
+		case len(edits) == 0:
+			if len(c.present) < e.words {
+				c.present = grown(c.present, e.words)
+			}
+		case c.keepsLayout(edits):
+			c.present = grown(c.present, e.words)
+			switch {
+			case c.nums != nil:
+				c.nums = grown(c.nums, n)
+			case c.strs != nil:
+				c.strs = grown(c.strs, n)
+			default:
+				c.bools = grown(c.bools, e.words)
+			}
+			for _, ed := range edits {
+				c.unset(int(ed.node))
+				if !ed.val.IsNull() {
+					c.note(int(ed.node), ed.val.Kind())
+					c.put(int(ed.node), ed.val)
+				}
+			}
+			e.res.Touched.ColumnsPatched++
+		default:
 			*c = newColumn(e.words)
 			e.eachCell(AttrID(a), func(v NodeID, val Value) { c.note(int(v), val.Kind()) })
 			c.alloc(n)
 			e.eachCell(AttrID(a), func(v NodeID, val Value) { c.put(int(v), val) })
-			ng.domains[a] = computeDomain(c, n)
-		} else if len(c.present) < e.words {
-			present := make([]uint64, e.words)
-			copy(present, c.present)
-			c.present = present
+			e.res.Touched.ColumnsRebuilt++
 		}
 	}
 }
@@ -560,7 +622,7 @@ func (e *batchEdits) mergeColumns() {
 // touches all its indexes; an edit touches the one pair it lands on (and
 // may create it). Untouched pairs are shared.
 func (e *batchEdits) mergeIndexes() {
-	base, ng := e.p.base, e.ng
+	base, ng, n0 := e.p.base, e.ng, NodeID(e.p.baseN())
 	e.touchedPairs = make(map[labelAttr]bool)
 	for k := range base.indexes {
 		if e.touchedLabels[k.label] {
@@ -574,26 +636,182 @@ func (e *batchEdits) mergeIndexes() {
 			}
 		}
 	}
+	e.res.Touched.IndexesMerged = len(e.touchedPairs)
 	ng.indexes = maps.Clone(base.indexes)
+	edited := make([]uint64, e.words) // the pair's edited nodes, set around each merge
 	for k := range e.touchedPairs {
-		// changed marks the nodes whose rank may have moved: the attribute's
-		// edited nodes and the label's added nodes.
-		changed := make([]uint64, e.words)
+		// moved lists the bucket members whose rank may have moved: the
+		// attribute's surviving edited nodes of this label, then the label's
+		// added nodes.
+		var moved []NodeID
 		for _, ed := range e.cells[k.attr] {
-			bitSet(changed, int(ed.node))
+			bitSet(edited, int(ed.node))
+			if ed.node < n0 && ng.nodeLabels[ed.node] == k.label && e.survives(ed.node) {
+				moved = append(moved, ed.node)
+			}
 		}
-		for _, v := range e.addsByLabel[k.label] {
-			bitSet(changed, int(v))
-		}
-		if perm := mergeIndex(ng, base.indexes[k], ng.byLabel[k.label], k.attr, changed); perm != nil {
+		moved = append(moved, e.addsByLabel[k.label]...)
+		if perm := mergeIndex(&ng.cols[k.attr], base.indexes[k], ng.byLabel[k.label], moved, ng.dead, edited); perm != nil {
 			ng.indexes[k] = perm
 		} else {
 			delete(ng.indexes, k)
 		}
+		for _, ed := range e.cells[k.attr] {
+			edited[ed.node>>6] = 0
+		}
 	}
 }
 
-// computeDomain derives one column's active domain. Uniform
+// mergeIndex produces the new permutation for one touched (label, attr)
+// pair: the old permutation minus dead and edited nodes (still sorted —
+// untouched values didn't move), with each of the moved bucket members, in
+// sorted order, placed by binary search and the stretches between them
+// copied whole. Returns nil when the attribute no longer occurs on any
+// bucket node (the index is dropped, as a fresh Freeze would).
+func mergeIndex(c *column, oldPerm, bucket, moved []NodeID, dead, edited []uint64) []NodeID {
+	if !c.occursOn(bucket) {
+		return nil
+	}
+	if oldPerm == nil {
+		return sortedPerm(c, bucket)
+	}
+	kept := make([]NodeID, 0, len(bucket))
+	for _, v := range oldPerm {
+		if !bitGet(dead, int(v)) && !bitGet(edited, int(v)) {
+			kept = append(kept, v)
+		}
+	}
+	// Back to front inside the one array: each moved node goes after the
+	// kept nodes that sort below it, which slide right as one segment.
+	moved = sortedPerm(c, moved)
+	perm, hi := kept[:len(kept)+len(moved)], len(kept)
+	for w := len(perm); len(moved) > 0; moved = moved[:len(moved)-1] {
+		t := moved[len(moved)-1]
+		p := sort.Search(hi, func(i int) bool { return c.less(t, kept[i]) })
+		w -= hi - p
+		copy(perm[w:], kept[p:hi])
+		hi = p
+		w--
+		perm[w] = t
+	}
+	return perm
+}
+
+// mergeDomains maintains the active domain of every touched attribute: the
+// base domain, plus the batch's written values it lacks, minus the
+// overwritten or cleared values that no node holds any more. Every live
+// holder of a value is listed in the permutation index of its (label,
+// attribute), so a value is gone exactly when an equality probe comes back
+// empty on every index of the attribute in the new generation. Untouched
+// and unchanged domains are shared.
+func (e *batchEdits) mergeDomains() {
+	base, ng, n0 := e.p.base, e.ng, NodeID(e.p.baseN())
+	ng.domains = grown(base.domains, len(ng.attrTable))
+	for a, edits := range e.cells {
+		if len(edits) == 0 {
+			continue
+		}
+		var written, lost []Value
+		for _, ed := range edits {
+			if !ed.val.IsNull() {
+				written = append(written, ed.val)
+			}
+			if a < len(base.cols) && ed.node < n0 && base.cols[a].has(ed.node) {
+				lost = append(lost, base.cols[a].value(ed.node))
+			}
+		}
+		dom := ng.domains[a]
+		find := func(x Value) (int, bool) { return slices.BinarySearchFunc(dom, x, Value.Compare) }
+		written, lost = sortDistinct(written), sortDistinct(lost)
+		added, dropped := written[:0], lost[:0]
+		for _, x := range written {
+			if _, ok := find(x); !ok {
+				added = append(added, x)
+			}
+		}
+		for _, x := range lost {
+			if !ng.holds(AttrID(a), x) {
+				dropped = append(dropped, x)
+			}
+		}
+		if len(added)+len(dropped) == 0 {
+			continue
+		}
+		e.res.Touched.DomainAdded += len(added)
+		e.res.Touched.DomainDropped += len(dropped)
+		// Both lists are sorted and disjoint (an added value is not in dom,
+		// a dropped one is): walk them together, copying the stretches of
+		// dom between their positions.
+		merged, from := make([]Value, 0, len(dom)+len(added)-len(dropped)), 0
+		for len(added) > 0 || len(dropped) > 0 {
+			if len(added) == 0 || (len(dropped) > 0 && dropped[0].Compare(added[0]) < 0) {
+				pos, _ := find(dropped[0])
+				merged = append(merged, dom[from:pos]...)
+				from, dropped = pos+1, dropped[1:]
+			} else {
+				pos, _ := find(added[0])
+				merged = append(append(merged, dom[from:pos]...), added[0])
+				from, added = pos, added[1:]
+			}
+		}
+		ng.domains[a] = append(merged, dom[from:]...)
+	}
+}
+
+// holds reports whether any live node carries value x for attribute a, by
+// an equality probe on each of the attribute's permutation indexes.
+func (g *Graph) holds(a AttrID, x Value) bool {
+	for k, perm := range g.indexes {
+		if k.attr == a {
+			if lo, hi := (SortedIndex{col: &g.cols[a], perm: perm}).Range(OpEQ, x); lo < hi {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// patchDerived is the derived tables' touched-rows driver: copies of the
+// base's tables, re-derived — by the kernels buildDerived loops over — for
+// the buckets whose membership changed, the removed slots and the rows
+// mergeAdjacency rebuilt (an added node's rows are among those, or empty).
+// The run tables' row width is a property of the label dictionary and the
+// slot count; when the batch moves it (a new label, the first node, the
+// cap crossed) no base row can be copied and every row is rebuilt.
+func (e *batchEdits) patchDerived() {
+	base, ng, n := e.p.base, e.ng, e.p.newN()
+	s := runTableStride(n, len(ng.labels))
+	if s != base.runStride {
+		ng.buildDerived()
+		e.res.Touched.DerivedRebuilt = true
+		return
+	}
+	ng.labelPos = grown(base.labelPos, n)
+	ng.sigOut, ng.sigIn = grown(base.sigOut, n), grown(base.sigIn, n)
+	if ng.runStride = s; s > 0 {
+		ng.outRunStart, ng.inRunStart = grown(base.outRunStart, n*s), grown(base.inRunStart, n*s)
+	}
+	for l := range e.touchedLabels {
+		ng.rankBucket(l)
+	}
+	for v := range e.p.removed {
+		ng.labelPos[v] = deadLabelPos
+	}
+	for _, v := range e.dirtyRows {
+		ng.deriveRow(int(v))
+	}
+}
+
+// sortDistinct sorts vs under the Value total order and drops duplicates,
+// in place.
+func sortDistinct(vs []Value) []Value {
+	slices.SortFunc(vs, Value.Compare)
+	return slices.CompactFunc(vs, Value.Equal)
+}
+
+// computeDomain derives one column's active domain from its cells: Freeze's
+// builder, and the oracle CheckInvariants holds the domains ApplyBatch
+// maintains (mergeDomains) to. Uniform
 // typed columns dedup before sorting — domains are usually tiny relative
 // to the column, so hashing the distinct values first turns the dominant
 // O(count·log count) Value sort into O(count) + O(d·log d) — producing
@@ -673,48 +891,7 @@ func computeDomain(c *column, n int) []Value {
 			vs = append(vs, c.value(NodeID(i)))
 		}
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Compare(vs[j]) < 0 })
-	dedup := vs[:0]
-	for i, v := range vs {
-		if i == 0 || !v.Equal(vs[i-1]) {
-			dedup = append(dedup, v)
-		}
-	}
-	return dedup
-}
-
-// mergeIndex produces the new permutation for one touched (label, attr)
-// pair: the old permutation minus dead and changed nodes (still sorted —
-// untouched values didn't move) merged with the sorted tail of changed
-// bucket members. Returns nil when the attribute no longer occurs on any
-// bucket node (the index is dropped, as a fresh Freeze would).
-func mergeIndex(g *Graph, oldPerm, bucket []NodeID, a AttrID, changed []uint64) []NodeID {
-	c := &g.cols[a]
-	if !c.occursOn(bucket) {
-		return nil
-	}
-	if oldPerm == nil {
-		return sortedPerm(c, bucket)
-	}
-	var tail []NodeID
-	for _, v := range bucket {
-		if bitGet(changed, int(v)) {
-			tail = append(tail, v)
-		}
-	}
-	tail = sortedPerm(c, tail)
-	perm := make([]NodeID, 0, len(bucket))
-	for _, v := range oldPerm {
-		if !g.Alive(v) || bitGet(changed, int(v)) {
-			continue
-		}
-		for len(tail) > 0 && c.less(tail[0], v) {
-			perm = append(perm, tail[0])
-			tail = tail[1:]
-		}
-		perm = append(perm, v)
-	}
-	return append(perm, tail...)
+	return sortDistinct(vs)
 }
 
 // Tombstones returns the tombstoned NodeIDs in ascending order (nil when

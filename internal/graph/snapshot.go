@@ -330,15 +330,17 @@ func (e *snapBuilder) build() [][]byte {
 		if c.count == 0 {
 			continue
 		}
+		// A column no batch has touched since nodes were added stops at its
+		// base's slot count (ApplyBatch shares it); the slots past it are absent.
 		switch c.kind {
 		case KindNumber:
-			for i := 0; i < n; i++ {
-				putU64s(&nums, math.Float64bits(c.nums[i]))
+			for _, x := range c.nums {
+				putU64s(&nums, math.Float64bits(x))
 			}
+			nums.Write(make([]byte, 8*(n-len(c.nums))))
 		case KindBool:
-			for _, w := range c.bools {
-				putU64s(&boolb, w)
-			}
+			putU64s(&boolb, c.bools...)
+			boolb.Write(make([]byte, 8*(len(c.present)-len(c.bools))))
 		case KindString:
 			for i := 0; i < n; i++ {
 				r := uint32(0)

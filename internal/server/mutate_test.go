@@ -69,6 +69,12 @@ func TestHTTPMutateEndpoint(t *testing.T) {
 	if res.Nodes != g.NumNodes()+1 || res.Edges != g.NumEdges()+1 {
 		t.Fatalf("post-batch shape %d/%d, want %d/%d", res.Nodes, res.Edges, g.NumNodes()+1, g.NumEdges()+1)
 	}
+	// The response sizes what the merge rebuilt: the Person bucket, the new
+	// edge's two rows, the added node's three columns.
+	if tc := res.Touched; tc.LabelsReranked != 1 || tc.OutRows != 1 || tc.InRows != 1 ||
+		tc.ColumnsPatched+tc.ColumnsRebuilt != 3 || tc.IndexesMerged < 3 || tc.DerivedRebuilt {
+		t.Fatalf("touched = %+v", tc)
+	}
 	info := graphInfo(t, ts.URL, "talent")
 	if info.Version != 2 || info.Mutations != 3 {
 		t.Fatalf("graph info version=%d mutations=%d, want 2/3", info.Version, info.Mutations)

@@ -294,6 +294,8 @@ type MutateResult struct {
 	EdgesAdded   int `json:"edgesAdded"`
 	EdgesRemoved int `json:"edgesRemoved"`
 	Ops          int `json:"ops"`
+	// Touched sizes what the merge rebuilt for the batch (graph.Touched).
+	Touched graph.Touched `json:"touched"`
 	// Nodes and Edges are the live counts after the batch.
 	Nodes int `json:"nodes"`
 	Edges int `json:"edges"`
@@ -340,6 +342,7 @@ func (r *Registry) Mutate(name string, ops []graph.Mutation) (*MutateResult, err
 		EdgesAdded:   res.EdgesAdded,
 		EdgesRemoved: res.EdgesRemoved,
 		Ops:          res.Ops,
+		Touched:      res.Touched,
 		Nodes:        ng.NumLive(),
 		Edges:        ng.NumEdges(),
 	}

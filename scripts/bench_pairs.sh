@@ -1,0 +1,108 @@
+#!/usr/bin/env bash
+# bench_pairs.sh — the paired measurement a performance claim rests on:
+# the working tree against a parent commit, on one workload of the
+# repository benchmark (BENCHMARK.json), in BENCH.md's table format.
+#
+# Extracts <parent-ref> into a temporary directory (git archive: the
+# repository and its worktree list are not touched, and the working tree may
+# be dirty), builds both runners once, and runs them alternately, each from
+# its own working directory, flipping which side goes first every pair.
+# Prints, per end-to-end metric: both medians with quartiles [q1–q3]
+# (linear interpolation), the ratio change/parent, and the pairs the change
+# won (the direction comes from BENCHMARK.json; ties count for neither);
+# then every run. A run that is not correct:true with 0 failed ops, or a
+# digest that differs between the sides, fails the script.
+#
+# Usage: scripts/bench_pairs.sh <parent-ref> [workload] [pairs]
+#        (workload default live-mutate, pairs default 10; SEED=n for -seed n;
+#        BENCH_ARGS="-scale smoke -seconds 1" tries the script out in a minute
+#        — a claim is measured with the runner's defaults)
+# One run takes ~25 s, so ten pairs of one workload take ~9 minutes.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+ref="${1:?usage: scripts/bench_pairs.sh <parent-ref> [workload] [pairs]}"
+workload="${2:-live-mutate}"
+pairs="${3:-10}"
+seed="${SEED:-1}"
+
+tmp="$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent" "$tmp/run_parent" "$tmp/run_new"
+git archive "$ref" | tar -x -C "$tmp/parent"
+(cd "$tmp/parent" && go build -o "$tmp/bench_parent" ./benchmark)
+go build -o "$tmp/bench_new" ./benchmark
+
+for i in $(seq 1 "$pairs"); do
+  order="parent new"
+  if ((i % 2 == 0)); then order="new parent"; fi
+  for side in $order; do
+    out="$tmp/${side}_$i.out"
+    (cd "$tmp/run_$side" && "$tmp/bench_$side" -workload "$workload" -seed "$seed" ${BENCH_ARGS:-}) >"$out"
+    if ! tail -1 "$out" | grep -q '"correct":true.*"failed":0'; then
+      echo "bench_pairs: $side run $i is not correct with 0 failed ops:" >&2
+      tail -1 "$out" >&2
+      exit 1
+    fi
+    echo "pair $i/$pairs $side: $(awk '$2 == "fronts_per_s" {print $3, $4}' "$out")" >&2
+  done
+done
+
+digests="$(cat "$tmp"/*.out | sed -n 's/^# .* digest=\([0-9a-f]*\).*/\1/p' | sort -u)"
+if [ "$(echo "$digests" | wc -l)" -ne 1 ]; then
+  echo "bench_pairs: digests differ between runs:" $digests >&2
+  exit 1
+fi
+echo "$workload, seed $seed, parent $(git rev-parse --short "$ref"), $pairs pairs, digest $digests on both sides"
+echo
+echo "| workload | metric | parent | change | ratio | pairs won |"
+echo "|---|---|---|---|---|---|"
+
+# Metric order and direction from BENCHMARK.json's end_to_end list.
+awk '/"end_to_end"/ {on = 1} /"per_layer"/ {on = 0}
+     on && /"name"/ {gsub(/[",]/, "", $2); name = $2}
+     on && /"better"/ {gsub(/[",]/, "", $2); print name, $2}' BENCHMARK.json >"$tmp/metrics"
+
+for side in parent new; do
+  for i in $(seq 1 "$pairs"); do
+    awk -v side="$side" -v i="$i" -v w="$workload" '$1 == w && NF == 4 {print side, i, $2, $3}' "$tmp/${side}_$i.out"
+  done
+done | awk -v w="$workload" -v pairs="$pairs" -v metrics="$tmp/metrics" '
+  function quantile(side, m, q,    n, j, k, tmpv, pos, lo) {
+    n = 0
+    for (j = 1; j <= pairs; j++) sorted[++n] = val[side, m, j]
+    for (j = 2; j <= n; j++) { # insertion sort
+      tmpv = sorted[j]
+      for (k = j - 1; k >= 1 && sorted[k] > tmpv; k--) sorted[k + 1] = sorted[k]
+      sorted[k + 1] = tmpv
+    }
+    pos = 1 + (n - 1) * q; lo = int(pos)
+    if (lo >= n) return sorted[n]
+    return sorted[lo] + (pos - lo) * (sorted[lo + 1] - sorted[lo])
+  }
+  function cell(side, m) {
+    return sprintf("%.4g [%.4g–%.4g]", quantile(side, m, 0.5), quantile(side, m, 0.25), quantile(side, m, 0.75))
+  }
+  {val[$1, $3, $2] = $4}
+  END {
+    first = w
+    while ((getline line <metrics) > 0) {
+      split(line, f, " "); m = f[1]; higher = (f[2] == "higher")
+      won = 0
+      for (j = 1; j <= pairs; j++) {
+        d = val["new", m, j] - val["parent", m, j]
+        if ((higher && d > 0) || (!higher && d < 0)) won++
+      }
+      printf "| %s | `%s` | %s | %s | %.3f× | %d/%d |\n", first, m, cell("parent", m), cell("new", m),
+        quantile("new", m, 0.5) / quantile("parent", m, 0.5), won, pairs
+      first = ""
+      order[++nm] = m
+    }
+    print ""
+    print "Every run, in pair order (parent / change):"
+    for (k = 1; k <= nm; k++) {
+      m = order[k]; p = ""; c = ""
+      for (j = 1; j <= pairs; j++) { p = p " " sprintf("%.4g", val["parent", m, j]); c = c " " sprintf("%.4g", val["new", m, j]) }
+      printf "- `%s`:%s /%s\n", m, p, c
+    }
+  }'
