@@ -67,13 +67,19 @@
 // pre-screened by degree and neighborhood-label signatures (rejections
 // counted in Stats.Matcher.SigPruned), and the search assigns the
 // cheapest frontier variable first rather than following template order.
-// Down the refinement lattice the propagation is incremental: RfQGen,
-// ParQGen and BiQGen hand every instance the arc-consistent candidate sets
-// of a verified ancestor, its plan starts from those instead of the label
-// populations and revises only the arcs the step touched, and it ends at
-// exactly the from-scratch fixpoint (Stats.Matcher.ArcsRevised and
-// ArcsInherited count both kinds). Config.DisableIncremental turns that
-// off together with incVerify.
+// Down the refinement lattice the propagation is incremental: every
+// instance is handed the arc-consistent candidate sets of a verified
+// ancestor — its parent where the walk has one (RfQGen, ParQGen, the
+// enumeration prefix of EnumQGen, Kungs and CBM), else the template's root,
+// planned once per graph generation (BiQGen, OnlineQGen) — its plan starts
+// from those instead of the label populations and revises only the arcs
+// the step touched, and it ends at exactly the from-scratch fixpoint
+// (Stats.Matcher.ArcsRevised and ArcsInherited count both kinds,
+// ScratchPlans the plans that did start from the labels: one per
+// generation). An instance whose answer equals its parent's adopts the
+// parent's score and coverage (Stats.AnswersShared). Config.
+// DisableIncremental turns all of that off together with incVerify: the
+// paper's naive verification.
 //
 // Two Config knobs schedule how each instance's answer set is computed;
 // both leave results bit-identical to the defaults:

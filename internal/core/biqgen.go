@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"fairsqg/internal/match"
 	"fairsqg/internal/pareto"
 	"fairsqg/internal/query"
 )
@@ -58,7 +57,7 @@ func (s *sBounds) prunes(in query.Instantiation) bool {
 }
 
 // biItem is one queued lattice node with its verified parent (forward
-// direction only; backward items verify from scratch).
+// direction only; backward items verify within the root's answer).
 type biItem struct {
 	in     query.Instantiation
 	parent *Verified
@@ -74,6 +73,7 @@ type biItem struct {
 // lower coverage and are reached by the forward search.
 func (r *Runner) BiQGen() (*Result, error) {
 	r.resetStats()
+	defer r.releaseRoot()
 	start := time.Now()
 	t := r.cfg.Template
 	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
@@ -123,13 +123,11 @@ func (r *Runner) BiQGen() (*Result, error) {
 	bwd := []biItem{{in: query.Bottom(t)}}
 
 	// Every instance refines the root, so the root's match set is a valid
-	// incremental-verification superset for the backward direction too, and
-	// the root's matcher domains, held for the whole run, seed every plan of
-	// both sweeps (the queues are breadth-first: a parent's own domains
-	// would have to outlive its queued children).
+	// incremental-verification superset for the backward direction too.
+	// Plans of both sweeps start from the root's domains, the default seed
+	// (the queues are breadth-first: a parent's own domains would have to
+	// outlive its queued children).
 	var rootV *Verified
-	var rootDoms *match.Domains
-	defer func() { r.engine.ReleaseDomains(rootDoms) }()
 
 	for len(fwd) > 0 || len(bwd) > 0 {
 		if r.err() != nil {
@@ -156,14 +154,9 @@ func (r *Runner) BiQGen() (*Result, error) {
 						}
 					}
 				} else {
-					q := query.MustInstance(t, item.in)
-					var v *Verified
+					v := r.verify(query.MustInstance(t, item.in), item.parent)
 					if rootV == nil {
-						// The first forward item is the root.
-						v, rootDoms = r.verifySeeded(q, nil, nil, true)
-						rootV = v
-					} else {
-						v, _ = r.verifySeeded(q, item.parent, rootDoms, false)
+						rootV = v // the first forward item is the root
 					}
 					if v.Feasible {
 						archive.Update(v.Point, v)
@@ -201,7 +194,7 @@ func (r *Runner) BiQGen() (*Result, error) {
 					if rootV != nil && rootV.Feasible {
 						parent = rootV
 					}
-					v, _ := r.verifySeeded(q, parent, rootDoms, false)
+					v := r.verify(q, parent)
 					if v.Feasible {
 						archive.Update(v.Point, v)
 						recordSandwich(v, false)

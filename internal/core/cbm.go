@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"fairsqg/internal/pareto"
-	"fairsqg/internal/query"
 )
 
 // CBMOptions parameterizes the constraint-based baseline.
@@ -27,8 +26,9 @@ type CBMOptions struct {
 // makes CBM slower than Kungs.
 func (r *Runner) CBM(opts CBMOptions) (*Result, error) {
 	r.resetStats()
+	defer r.releaseRoot()
 	start := time.Now()
-	feasible, err := r.allFeasibleKeepStats()
+	feasible, err := r.enumerateFeasible()
 	if err != nil {
 		return nil, err
 	}
@@ -115,28 +115,4 @@ func (r *Runner) CBM(opts CBMOptions) (*Result, error) {
 		Stats:   r.Stats(),
 		Elapsed: time.Since(start),
 	}, nil
-}
-
-// allFeasibleKeepStats is AllFeasible without resetting counters.
-func (r *Runner) allFeasibleKeepStats() ([]*Verified, error) {
-	var feasible []*Verified
-	EnumerateInstantiations(r.cfg.Template, func(in query.Instantiation) bool {
-		if r.err() != nil {
-			return false
-		}
-		q := query.MustInstance(r.cfg.Template, in)
-		if r.verifiedKey(q.Key()) {
-			return true
-		}
-		r.stats.Spawned++
-		v := r.verify(q, nil)
-		if v.Feasible {
-			feasible = append(feasible, v)
-		}
-		return true
-	})
-	if err := r.err(); err != nil {
-		return nil, err
-	}
-	return feasible, nil
 }

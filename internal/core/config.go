@@ -95,8 +95,9 @@ type Config struct {
 	// Enabled by default through NewRunner; set DisableTemplateRefinement
 	// to turn it off for ablations.
 	DisableTemplateRefinement bool
-	// DisableIncremental forces from-scratch verification even when a
-	// verified parent's match set is available (ablation).
+	// DisableIncremental forces from-scratch verification — no parent match
+	// set, no ancestor's (or the root's) matcher domains, no shared answer —
+	// for every algorithm: the ablation, and the paper's naive EnumQGen.
 	DisableIncremental bool
 	// DisableSandwich turns off BiQGen's sandwich pruning (ablation).
 	DisableSandwich bool
@@ -217,6 +218,11 @@ type Stats struct {
 	// IncScores counts diversity evaluations served by the subset-delta
 	// incremental path instead of a from-scratch pair loop.
 	IncScores int
+	// AnswersShared counts verifications whose answer equalled the verified
+	// parent's and adopted its record — matches, feasibility, point and
+	// scorer state — instead of counting and scoring the same set again; the
+	// feasible ones are in IncScores too.
+	AnswersShared int
 	// Matcher carries the matcher counters of every evaluation of the run.
 	Matcher match.Stats
 	// Cache reports candidate-cache effectiveness; zero when disabled.
@@ -240,6 +246,7 @@ func (s *Stats) Add(o Stats) {
 	s.HoodNodes += o.HoodNodes
 	s.SandwichPairs += o.SandwichPairs
 	s.IncScores += o.IncScores
+	s.AnswersShared += o.AnswersShared
 	s.Matcher.Add(o.Matcher)
 	s.Cache.Hits += o.Cache.Hits
 	s.Cache.Misses += o.Cache.Misses

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 
@@ -89,7 +90,8 @@ func archiveFingerprint(set []*Verified) []string {
 
 // runAll exercises every offline algorithm on one config, and RunSlab over
 // every slab of its plan, and returns the per-algorithm fingerprints: the
-// archive, then the lattice counters no knob of the suite may move.
+// archive (CBM: its boxes), then the lattice counters no knob of the suite
+// may move.
 func runAll(t *testing.T, cfg *Config) map[string][]string {
 	t.Helper()
 	r := newRunnerT(t, cfg)
@@ -102,6 +104,7 @@ func runAll(t *testing.T, cfg *Config) map[string][]string {
 		run  func() (*Result, error)
 	}{
 		{"enum", r.EnumQGen},
+		{"kungs", r.Kungs},
 		{"rf", r.RfQGen},
 		{"bi", r.BiQGen},
 		// One slab worker keeps archive arrival order deterministic (slab
@@ -118,6 +121,17 @@ func runAll(t *testing.T, cfg *Config) map[string][]string {
 			t.Errorf("%s left %d matcher domains held", alg.name, n)
 		}
 	}
+	// CBM keeps its anchors in a map, so which of two instances with one box
+	// stands for it varies from run to run: the boxes do not.
+	res, err := r.CBM(CBMOptions{})
+	if err != nil {
+		t.Fatalf("cbm: %v", err)
+	}
+	for _, v := range res.Set {
+		out["cbm"] = append(out["cbm"], fmt.Sprint(pareto.BoxOf(v.Point, cfg.Eps)))
+	}
+	sort.Strings(out["cbm"])
+	out["cbm"] = append(out["cbm"], counters(res.Stats))
 	plan := PlanSlabs(cfg.Template)
 	for _, level := range plan.Levels {
 		res, err := r.RunSlab(plan.SplitVar, level)
@@ -158,9 +172,9 @@ func TestDifferentialEngineVsSequential(t *testing.T) {
 }
 
 // TestDifferentialOnline asserts OnlineQGen yields the identical final set,
-// ε and eps history under every engine configuration: the stream order is
-// fixed, so verification results are the only way configurations could
-// diverge.
+// ε and verification counters under every engine configuration, root-seeded
+// plans (inherit=true) or each from its labels: the stream order is fixed,
+// so verification results are the only way configurations could diverge.
 func TestDifferentialOnline(t *testing.T) {
 	const seed = 4
 	g := fixtureGraph(t, seed)
@@ -172,7 +186,11 @@ func TestDifferentialOnline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return archiveFingerprint(res.Set), res.Eps
+		if n := r.engine.Stats().DomainsHeld; n != 0 {
+			t.Errorf("online left %d matcher domains held", n)
+		}
+		st := res.Stats
+		return append(archiveFingerprint(res.Set), fmt.Sprintf("verified=%d feasible=%d", st.Verified, st.Feasible)), res.Eps
 	}
 	wantSet, wantEps := run(base)
 	for _, dc := range differentialConfigs() {
@@ -247,17 +265,30 @@ func TestParetoArchiveParityParQGen(t *testing.T) {
 	}
 }
 
-// TestDomainsReturnToEngine: the walkers hold matcher domains only while
-// they walk — after RfQGen, ParQGen, BiQGen and RunSlab, completed or
-// cancelled mid-walk, every buffer is back on the engine — and they do use
-// them: on the cycle template plans inherit arcs unless inheritance is off.
+// TestDomainsReturnToEngine: the runner holds matcher domains — the root's,
+// and a walker's path — only while an algorithm runs: after each of them,
+// completed or cancelled mid-walk (OnlineQGen, which has no cancellation
+// poll, works through its stream on placeholders), every buffer is back on
+// the engine — and they do use them: on the cycle template plans inherit
+// arcs unless inheritance is off.
 func TestDomainsReturnToEngine(t *testing.T) {
 	g := fixtureGraph(t, 4)
 	algs := map[string]func(r *Runner) error{
-		"rf":   func(r *Runner) error { _, err := r.RfQGen(); return err },
-		"par":  func(r *Runner) error { _, err := r.ParQGen(2); return err },
-		"bi":   func(r *Runner) error { _, err := r.BiQGen(); return err },
-		"slab": func(r *Runner) error { _, err := r.RunSlab(-1, 0); return err },
+		"rf":    func(r *Runner) error { _, err := r.RfQGen(); return err },
+		"par":   func(r *Runner) error { _, err := r.ParQGen(2); return err },
+		"bi":    func(r *Runner) error { _, err := r.BiQGen(); return err },
+		"slab":  func(r *Runner) error { _, err := r.RunSlab(-1, 0); return err },
+		"enum":  func(r *Runner) error { _, err := r.EnumQGen(); return err },
+		"kungs": func(r *Runner) error { _, err := r.Kungs(); return err },
+		"all":   func(r *Runner) error { _, err := r.AllFeasible(); return err },
+		"cbm":   func(r *Runner) error { _, err := r.CBM(CBMOptions{}); return err },
+		"online": func(r *Runner) error {
+			_, err := r.OnlineQGen(NewRandomStream(r.cfg.Template, 40, 3), OnlineOptions{K: 4, Window: 8})
+			if err == nil {
+				err = r.err()
+			}
+			return err
+		},
 	}
 	for name, run := range algs {
 		for _, cancelAt := range []int{0, 1, 7} { // 0: run to completion

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"fairsqg/internal/match"
 	"fairsqg/internal/pareto"
 	"fairsqg/internal/query"
 )
@@ -45,33 +46,94 @@ func EnumerateInstantiations(t *query.Template, yield func(query.Instantiation) 
 	rec(0)
 }
 
-// EnumQGen is the naive baseline of Theorem 1: it enumerates up to
-// 2^|X_E| · |adom_m|^|X_L| instances, verifies every one, and applies the
-// Update procedure (the nested-loop ε-Pareto computation) over the feasible
-// ones.
-func (r *Runner) EnumQGen() (*Result, error) {
-	r.resetStats()
-	start := time.Now()
-	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
-	EnumerateInstantiations(r.cfg.Template, func(in query.Instantiation) bool {
+// enumerate is the one enumerate-and-verify walk behind EnumQGen, Kungs,
+// AllFeasible and CBM: it verifies every instance of I(Q) in
+// EnumerateInstantiations order and passes the feasible ones to visit. It
+// ends early, with the context's error, when the run is cancelled.
+//
+// That order is depth-first over the variables, and the first leaf under a
+// prefix binds every later variable to its root level: it is the loosest
+// instance of the prefix, and everything enumerated under the prefix refines
+// it. path[d] holds the record and matcher domains of that instance for the
+// prefix ending at variable d-1 of the current instantiation (path[0]: the
+// root), so an instance takes seed, within set and scoring parent from its
+// nearest held ancestor — itself with its last bound variable back at the
+// root level. A slot is nil where that ancestor held nothing (empty plan,
+// bound veto, DisableIncremental) or was an instantiation the memo already
+// had; every held buffer is back on the engine when the walk returns.
+func (r *Runner) enumerate(visit func(v *Verified)) error {
+	t := r.cfg.Template
+	root := query.Root(t)
+	type prefix struct {
+		v    *Verified
+		doms *match.Domains
+	}
+	path := make([]prefix, len(t.Vars)+1)
+	release := func(from int) {
+		for d := from; d < len(path); d++ {
+			r.engine.ReleaseDomains(path[d].doms)
+			path[d] = prefix{}
+		}
+	}
+	defer release(0)
+	EnumerateInstantiations(t, func(in query.Instantiation) bool {
 		if r.err() != nil {
 			return false
 		}
 		r.stats.Spawned++
-		q := query.MustInstance(r.cfg.Template, in)
+		// depth is one past the last variable bound off its root level: the
+		// slot this instance fills, above everything it refines on the path.
+		depth := len(in)
+		for depth > 0 && in[depth-1] == root[depth-1] {
+			depth--
+		}
+		release(depth)
+		q := query.MustInstance(t, in)
 		if r.verifiedKey(q.Key()) {
-			// Distinct instantiations can project to one instance (an edge
-			// bound present outside u_o's component); count as pruned.
+			// An instantiation the memo already answers costs no
+			// verification: it counts as pruned and holds nothing.
 			r.stats.Pruned++
 			return true
 		}
-		v := r.verify(q, nil)
+		var from prefix
+		for d := depth - 1; d >= 0 && from.doms == nil; d-- {
+			from = path[d]
+		}
+		// Nothing enumerates under a prefix of full length.
+		v, held := r.verifySeeded(q, from.v, from.doms, depth < len(in))
+		if held != nil {
+			path[depth] = prefix{v, held}
+		}
 		if v.Feasible {
-			archive.Update(v.Point, v)
+			visit(v)
 		}
 		return true
 	})
-	if err := r.err(); err != nil {
+	return r.err()
+}
+
+// enumerateFeasible collects the feasible instances of I(Q).
+func (r *Runner) enumerateFeasible() ([]*Verified, error) {
+	var feasible []*Verified
+	err := r.enumerate(func(v *Verified) { feasible = append(feasible, v) })
+	if err != nil {
+		return nil, err
+	}
+	return feasible, nil
+}
+
+// EnumQGen is the baseline of Theorem 1: it enumerates up to
+// 2^|X_E| · |adom_m|^|X_L| instances, verifies every one, and applies the
+// Update procedure (the nested-loop ε-Pareto computation) over the feasible
+// ones. Each verification inherits from the enumeration prefix (enumerate);
+// Config.DisableIncremental gives the paper's naive version, every instance
+// from scratch.
+func (r *Runner) EnumQGen() (*Result, error) {
+	r.resetStats()
+	defer r.releaseRoot()
+	start := time.Now()
+	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
+	if err := r.enumerate(func(v *Verified) { archive.Update(v.Point, v) }); err != nil {
 		return nil, err
 	}
 	return &Result{
@@ -87,25 +149,10 @@ func (r *Runner) EnumQGen() (*Result, error) {
 // of the paper's evaluation (its I_ε is 1 by construction).
 func (r *Runner) Kungs() (*Result, error) {
 	r.resetStats()
+	defer r.releaseRoot()
 	start := time.Now()
-	var feasible []*Verified
-	EnumerateInstantiations(r.cfg.Template, func(in query.Instantiation) bool {
-		if r.err() != nil {
-			return false
-		}
-		r.stats.Spawned++
-		q := query.MustInstance(r.cfg.Template, in)
-		if r.verifiedKey(q.Key()) {
-			r.stats.Pruned++
-			return true
-		}
-		v := r.verify(q, nil)
-		if v.Feasible {
-			feasible = append(feasible, v)
-		}
-		return true
-	})
-	if err := r.err(); err != nil {
+	feasible, err := r.enumerateFeasible()
+	if err != nil {
 		return nil, err
 	}
 	points := make([]pareto.Point, len(feasible))
@@ -130,23 +177,6 @@ func (r *Runner) Kungs() (*Result, error) {
 // computed against in the experiments.
 func (r *Runner) AllFeasible() ([]*Verified, error) {
 	r.resetStats()
-	var feasible []*Verified
-	EnumerateInstantiations(r.cfg.Template, func(in query.Instantiation) bool {
-		if r.err() != nil {
-			return false
-		}
-		q := query.MustInstance(r.cfg.Template, in)
-		if r.verifiedKey(q.Key()) {
-			return true
-		}
-		v := r.verify(q, nil)
-		if v.Feasible {
-			feasible = append(feasible, v)
-		}
-		return true
-	})
-	if err := r.err(); err != nil {
-		return nil, err
-	}
-	return feasible, nil
+	defer r.releaseRoot()
+	return r.enumerateFeasible()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"fairsqg/internal/graph"
@@ -37,6 +38,13 @@ type Runner struct {
 	// via a dense node→group array; built once per Runner.
 	counter *groups.Counter
 	cache   map[string]*Verified
+	// rootDoms is the matcher domains of the generation's root instance,
+	// planned at most once per generation (rootPlanned; nil when that plan
+	// came out empty) and held from the first verification that wants a seed
+	// until releaseRoot. Every instance refines the root, so it seeds every
+	// plan no nearer ancestor does. ParQGen's forks share their parent's.
+	rootDoms    *match.Domains
+	rootPlanned bool
 	// stats holds the run's own counters; stats.Matcher is what engines
 	// replaced by Retarget had counted (Stats adds the live engine's).
 	stats  Stats
@@ -214,10 +222,31 @@ func (r *Runner) resetStats() {
 	r.stats = Stats{}
 	r.verSeq = 0
 	r.cache = make(map[string]*Verified)
+	r.releaseRoot()
 	r.engine = r.newEngine(nil)
 	// Rebind the scorer so a custom distance's pair cache starts cold and
 	// its counters cover this run only.
 	r.bindScoring()
+}
+
+// rootSeed returns the domains of the root instance on the current engine,
+// planning it on first use: one plan from the label populations per
+// generation, no search, no verification counted.
+func (r *Runner) rootSeed() *match.Domains {
+	if !r.rootPlanned {
+		r.rootPlanned = true
+		t := r.cfg.Template
+		r.rootDoms = r.engine.PlanDomains(r.ctx, query.MustInstance(t, query.Root(t)))
+	}
+	return r.rootDoms
+}
+
+// releaseRoot gives the root's domains back to the engine that planned
+// them: at every algorithm's exit, and before the engine is replaced
+// (resetStats, Retarget) — they say nothing about another generation.
+func (r *Runner) releaseRoot() {
+	r.engine.ReleaseDomains(r.rootDoms)
+	r.rootDoms, r.rootPlanned = nil, false
 }
 
 // err reports the run context's cancellation state; algorithms poll it
@@ -229,21 +258,26 @@ func (r *Runner) err() error { return r.ctx.Err() }
 // parent, when non-nil and enabled, supplies the verified parent's match
 // set for incremental verification (incVerify): since q refines its parent,
 // q(G) is a subset of the parent's matches and only those candidates are
-// re-checked.
+// re-checked. The plan starts from the root's domains.
 func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 	v, _ := r.verifySeeded(q, parent, nil, false)
 	return v
 }
 
-// verifySeeded is verify for the refinement walkers, which extend
-// incVerify from the output node to every template node: seed, when
-// non-nil, is the matcher domains held from a verified ancestor of q, and
-// the plan starts from them (match.Engine.ParEvalOutputSeeded); hold asks
-// for q's own domains, to seed its refinements with. held is nil when the
-// record came from the memo, the plan came out empty or the bound check
-// vetoed it, the run was cancelled, inheritance is off (DisableIncremental)
-// or the run has several output nodes; otherwise the caller owes it to the
-// engine's ReleaseDomains.
+// verifySeeded is verify with the matcher's side of Lemma 2: refinement
+// shrinks the arc-consistent set of every template node, not only the
+// output node's matches. seed is the domains held from a verified ancestor
+// of q, and the plan starts from them (match.Engine.ParEvalOutputSeeded);
+// nil — or no within set to go with a seed captured under one — means the
+// root's (rootSeed), which every instance refines. hold asks for q's own
+// domains, to seed its refinements with. held is nil when the record came
+// from the memo, the plan came out empty or the bound check vetoed it, the
+// run was cancelled, inheritance is off (DisableIncremental) or the run has
+// several output nodes; otherwise the caller owes it to the engine's
+// ReleaseDomains.
+//
+// An answer equal to the parent's is not scored again: δ and f are functions
+// of the answer set alone, so the record adopts the parent's.
 func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.Domains, hold bool) (v *Verified, held *match.Domains) {
 	if v, ok := r.cache[q.Key()]; ok {
 		return v, nil
@@ -253,14 +287,20 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 	// slice is the counter's reusable buffer — read before any Counts
 	// call, which the paths below never make after filling it).
 	var counts []int
+	shared := false
 	if len(r.extraNodes) > 0 {
 		v, counts = r.verifyMultiOutput(q, parent)
 	} else {
 		var within []graph.NodeID
 		if r.cfg.DisableIncremental {
 			seed, hold = nil, false
-		} else if parent != nil {
-			within = parent.Matches
+		} else {
+			if parent != nil {
+				within = parent.Matches
+			}
+			if seed == nil || within == nil {
+				seed = r.rootSeed()
+			}
 		}
 		// The arc-consistent candidate set of u_o is a superset of q(G), so
 		// its per-group counts upper-bound the coverage counts: when some
@@ -275,9 +315,15 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 		var matches []graph.NodeID
 		var ok bool
 		matches, ok, held, _ = r.engine.ParEvalOutputSeeded(r.ctx, q, within, accept, seed, hold)
-		v = &Verified{Q: q, Matches: matches}
-		counts = r.counter.Counts(matches)
-		v.Feasible = ok && measure.FeasibleCounts(r.cfg.Groups, counts)
+		// A non-empty within is a verified parent's whole answer (a vetoed or
+		// cancelled record has none), so an equal set makes an equal record.
+		if shared = ok && len(within) > 0 && !r.cfg.DisableIncScore && slices.Equal(matches, within); shared {
+			v = &Verified{Q: q, Matches: within, Feasible: parent.Feasible, Point: parent.Point, score: parent.score}
+		} else {
+			v = &Verified{Q: q, Matches: matches}
+			counts = r.counter.Counts(matches)
+			v.Feasible = ok && measure.FeasibleCounts(r.cfg.Groups, counts)
+		}
 	}
 	if parent != nil {
 		v.spent = parent.spent
@@ -289,7 +335,13 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 		r.engine.ReleaseDomains(held)
 		return &Verified{Q: q}, nil
 	}
-	if v.Feasible {
+	switch {
+	case shared:
+		r.stats.AnswersShared++
+		if v.Feasible {
+			r.stats.IncScores++
+		}
+	case v.Feasible:
 		v.Point = pareto.Point{
 			Div: r.scoreDiversity(v, parent),
 			Cov: measure.CoverageCounts(r.cfg.Groups, counts),

@@ -152,6 +152,7 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 		eps = r.cfg.Eps
 	}
 	r.resetStats()
+	defer r.releaseRoot()
 	archive := pareto.NewArchive[*Verified](eps)
 	divMax, covMax := r.DivMax(), r.CovMax()
 	var window []windowEntry

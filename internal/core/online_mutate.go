@@ -75,6 +75,7 @@ func (r *Runner) Retarget(g *graph.Graph) {
 	if g == r.cfg.G {
 		return
 	}
+	r.releaseRoot()
 	old := r.engine
 	cfg := *r.cfg
 	cfg.G, cfg.Engine = g, nil

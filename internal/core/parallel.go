@@ -28,8 +28,12 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	r.resetStats()
+	defer r.releaseRoot()
 	start := time.Now()
 	plan := PlanSlabs(r.cfg.Template)
+	if !r.cfg.DisableIncremental && len(r.extraNodes) == 0 {
+		r.rootSeed() // planned once, before the forks copy the runner
+	}
 
 	var mu sync.Mutex
 	archive := pareto.NewArchive[*Verified](r.cfg.Eps)

@@ -15,6 +15,7 @@ import (
 // through the Update archive and spawn their restricted front set.
 func (r *Runner) RfQGen() (*Result, error) {
 	r.resetStats()
+	defer r.releaseRoot()
 	start := time.Now()
 	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
 	exploreSlab(r, newSpawner(r), -1, 0, archive, noopLocker{})

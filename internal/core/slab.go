@@ -88,6 +88,7 @@ type SlabStats struct {
 	HoodNodes        int `json:"hoodNodes"`
 	SandwichPairs    int `json:"sandwichPairs"`
 	IncScores        int `json:"incScores"`
+	AnswersShared    int `json:"answersShared"`
 }
 
 // Slab returns the run-private counters of s in wire form.
@@ -95,7 +96,7 @@ func (s Stats) Slab() SlabStats {
 	return SlabStats{
 		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
 		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
-		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores,
+		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores, AnswersShared: s.AnswersShared,
 	}
 }
 
@@ -104,7 +105,7 @@ func (s SlabStats) Stats() Stats {
 	return Stats{
 		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
 		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
-		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores,
+		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores, AnswersShared: s.AnswersShared,
 	}
 }
 
@@ -146,6 +147,7 @@ func (r *Runner) RunSlab(splitVar, level int) (*SlabResult, error) {
 		}
 	}
 	r.resetStats()
+	defer r.releaseRoot()
 	start := time.Now()
 	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
 	exploreSlab(r, newSpawner(r), splitVar, level, archive, noopLocker{})

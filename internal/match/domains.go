@@ -15,8 +15,11 @@ import (
 // A Domains belongs to the Engine that handed it out: a refinement walker
 // holds it while it walks the instance's subtree and gives it back with
 // ReleaseDomains. It is read-only while held, so one may seed evaluations
-// on any number of goroutines.
+// on any number of goroutines — of that engine only: the sets are positions
+// in its graph generation's label populations, so another engine ignores it
+// as a seed and refuses to take it back.
 type Domains struct {
+	owner *Engine
 	// q is the instance the sets were computed for and pin the template
 	// node its plan was rooted at: the node a within set narrowed, so the
 	// sets seed plans pinned there only.

@@ -173,19 +173,23 @@ func (e *Engine) holdDomains(m *Matcher, p *plan, narrowed bool) *Domains {
 	e.domsHeld++
 	e.mu.Unlock()
 	if d == nil {
-		d = new(Domains)
+		d = &Domains{owner: e}
 	}
 	d.capture(m, p, narrowed)
 	return d
 }
 
-// ReleaseDomains gives d, held from ParEvalOutputSeeded, back to the
-// engine for reuse; nil is a no-op. The caller must not use d afterwards.
-// A released buffer drops its instance, whose compiled literals pin the
-// graph.
+// ReleaseDomains gives d, held from ParEvalOutputSeeded or PlanDomains,
+// back to the engine for reuse; nil is a no-op. The caller must not use d
+// afterwards. A released buffer drops its instance, whose compiled literals
+// pin the graph. Only a walker that outlived its engine's generation can
+// hand in another engine's buffer, so that panics.
 func (e *Engine) ReleaseDomains(d *Domains) {
 	if d == nil {
 		return
+	}
+	if d.owner != e {
+		panic("match: Domains released to an engine that did not hand it out")
 	}
 	d.q = nil
 	e.mu.Lock()
@@ -243,6 +247,22 @@ func (e *Engine) ParEvalOutputSeeded(ctx context.Context, q *query.Instance, wit
 	return e.parEval(ctx, q, q.T.Output, within, accept, seed, hold)
 }
 
+// PlanDomains plans q at its output node without searching the plan and
+// hands out the domains it ended propagation with: the seed of every
+// refinement of q, which for the root instance is every instance of the
+// template. It is no evaluation (Evals and ParEvals do not move); nil means
+// the plan came out empty, or ctx fired. The caller owes a non-nil result to
+// ReleaseDomains.
+func (e *Engine) PlanDomains(ctx context.Context, q *query.Instance) *Domains {
+	planner := e.acquire(ctx)
+	defer e.release(planner)
+	p := planner.buildPlan(q, q.T.Output, nil, nil)
+	if p == nil {
+		return nil
+	}
+	return e.holdDomains(planner, p, false)
+}
+
 // parEval is the one evaluation path behind every ParEval* entry point.
 func (e *Engine) parEval(ctx context.Context, q *query.Instance, node int, within []graph.NodeID,
 	accept func(candidates []graph.NodeID) bool, seed *Domains, hold bool) (matches []graph.NodeID, ok bool, held *Domains, err error) {
@@ -257,6 +277,9 @@ func (e *Engine) parEval(ctx context.Context, q *query.Instance, node int, withi
 	planner.Stats.Evals++
 	if !q.NodeActive(node) {
 		return nil, true, nil, nil
+	}
+	if seed != nil && seed.owner != e {
+		seed = nil // another engine's: positions in another generation's labels
 	}
 	p := planner.buildPlan(q, node, within, seed)
 	if p == nil {

@@ -99,6 +99,10 @@ type Stats struct {
 	// them (0 on an unseeded plan, whose first sweep revises every arc).
 	ArcsRevised   int
 	ArcsInherited int
+	// ScratchPlans counts the plans started from label populations instead
+	// of a verified ancestor's domains: one per generation for a run that
+	// inherits (the root's), one per evaluation for one that does not.
+	ScratchPlans int
 }
 
 // Add folds another matcher's counters into s.
@@ -111,6 +115,7 @@ func (s *Stats) Add(o Stats) {
 	s.SigPruned += o.SigPruned
 	s.ArcsRevised += o.ArcsRevised
 	s.ArcsInherited += o.ArcsInherited
+	s.ScratchPlans += o.ScratchPlans
 }
 
 // Matcher evaluates query instances against one frozen graph.
@@ -379,6 +384,7 @@ func (m *Matcher) EvalNodeFiltered(q *query.Instance, node int, within []graph.N
 func (m *Matcher) buildPlan(q *query.Instance, pin int, within []graph.NodeID, seed *Domains) *plan {
 	if !seed.seeds(q, pin, within != nil) {
 		seed = nil
+		m.Stats.ScratchPlans++
 	}
 	t := q.T
 	p := &plan{q: q, nodes: q.ActiveNodes(), nodePos: make([]int, len(t.Nodes))}

@@ -371,6 +371,89 @@ func TestEngineSeededEqualsUnseeded(t *testing.T) {
 	}
 }
 
+// TestPlanDomainsSeedsTheLattice: the root's domains from the plan-only
+// entry — no evaluation counted, nothing searched — seed every instance of
+// the template to the matches a plan from the label populations finds, and
+// the engine then builds no second such plan.
+func TestPlanDomainsSeedsTheLattice(t *testing.T) {
+	g := randomGraph(t, 220, 1100, differentialSeed+5)
+	ctx := context.Background()
+	for _, shape := range []string{"star", "chain", "tree", "cycle"} {
+		tpl := shapeTemplate(t, shape, g)
+		e, plain := NewEngine(g, EngineOptions{Workers: 2}), NewEngine(g, EngineOptions{Workers: 2})
+		root := e.PlanDomains(ctx, query.MustInstance(tpl, query.Root(tpl)))
+		if root == nil {
+			t.Fatalf("%s: fixture: the root plans empty", shape)
+		}
+		if st := e.Stats(); st.Evals != 0 || st.ParEvals != 0 || st.BacktrackNodes != 0 || st.ScratchPlans != 1 || st.DomainsHeld != 1 {
+			t.Fatalf("%s: after PlanDomains: %+v", shape, st)
+		}
+		n := 0
+		for _, in := range allInstantiations(tpl) {
+			q := query.MustInstance(tpl, in)
+			got, _, _, err := e.ParEvalOutputSeeded(ctx, q, nil, nil, root, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := plain.ParEvalOutput(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %s seeded from the root: %v, from scratch %v", shape, q, got, want)
+			}
+			n++
+		}
+		e.ReleaseDomains(root)
+		if st := e.Stats(); st.ScratchPlans != 1 || st.Evals != n || st.DomainsHeld != 0 {
+			t.Errorf("%s: %d evaluations under the root's seed: %+v", shape, n, st.Stats)
+		}
+		if got := plain.Stats().ScratchPlans; got != n {
+			t.Errorf("%s: unseeded engine counts %d scratch plans for %d evaluations", shape, got, n)
+		}
+	}
+}
+
+// TestDomainsStayWithTheirEngine: domains seed plans of the engine that
+// handed them out only — another engine, over the same graph or the next
+// generation, plans from scratch to the same answer — and only that engine
+// takes them back.
+func TestDomainsStayWithTheirEngine(t *testing.T) {
+	g := randomGraph(t, 220, 1100, differentialSeed+6)
+	ctx := context.Background()
+	tpl := shapeTemplate(t, "cycle", g)
+	root := query.MustInstance(tpl, query.Root(tpl))
+	mine, other := NewEngine(g, EngineOptions{Workers: 1}), NewEngine(g, EngineOptions{Workers: 1})
+	held := mine.PlanDomains(ctx, root)
+	if held == nil {
+		t.Fatal("fixture: the root plans empty")
+	}
+	bottom := query.MustInstance(tpl, query.Bottom(tpl))
+	want, _, _, err := mine.ParEvalOutputSeeded(ctx, bottom, nil, nil, held, false)
+	if err != nil || mine.Stats().ScratchPlans != 1 {
+		t.Fatalf("own seed: err %v, %d scratch plans", err, mine.Stats().ScratchPlans)
+	}
+	got, _, _, err := other.ParEvalOutputSeeded(ctx, bottom, nil, nil, held, false)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("foreign seed: %v (err %v), want %v", got, err, want)
+	}
+	if st := other.Stats(); st.ScratchPlans != 1 || st.ArcsInherited != 0 {
+		t.Errorf("another engine's domains seeded a plan: %+v", st.Stats)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an engine took back domains it did not hand out")
+			}
+		}()
+		other.ReleaseDomains(held)
+	}()
+	mine.ReleaseDomains(held)
+	if a, b := mine.Stats().DomainsHeld, other.Stats().DomainsHeld; a != 0 || b != 0 {
+		t.Errorf("DomainsHeld = %d and %d after the release", a, b)
+	}
+}
+
 // TestStatsAddCoversEveryField: Add sums every counter of Stats, so one
 // added later without an Add line fails here.
 func TestStatsAddCoversEveryField(t *testing.T) {

@@ -140,7 +140,7 @@ func (s *Server) MetricsSnapshot() map[string]any {
 	graphs := map[string]any{}
 	var cacheHits, cacheMisses int64
 	var distEvals, distHits, distMisses int64
-	var indexSel, scanSel, sigPruned, arcsRevised, arcsInherited int
+	var indexSel, scanSel, sigPruned, arcsRevised, arcsInherited, scratchPlans int
 	var indexBytes, columnBytes int64
 	for _, info := range s.reg.List() {
 		graphs[info.Name] = info
@@ -154,6 +154,7 @@ func (s *Server) MetricsSnapshot() map[string]any {
 		sigPruned += info.Engine.SigPruned
 		arcsRevised += info.Engine.ArcsRevised
 		arcsInherited += info.Engine.ArcsInherited
+		scratchPlans += info.Engine.ScratchPlans
 		indexBytes += info.Memory.IndexBytes
 		columnBytes += info.Memory.ColumnBytes
 	}
@@ -182,6 +183,7 @@ func (s *Server) MetricsSnapshot() map[string]any {
 			"sigPruned":       sigPruned,
 			"arcsRevised":     arcsRevised,
 			"arcsInherited":   arcsInherited,
+			"scratchPlans":    scratchPlans,
 			"indexBytes":      indexBytes,
 			"columnBytes":     columnBytes,
 		}),

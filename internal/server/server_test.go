@@ -193,7 +193,8 @@ func TestEndToEnd(t *testing.T) {
 
 	spec := testSpec("talent")
 	st := submitJob(t, ts.URL, spec)
-	if st.State != JobQueued && st.State != JobRunning {
+	// A fast job can be done before the submit response is rendered.
+	if st.State != JobQueued && st.State != JobRunning && st.State != JobDone {
 		t.Fatalf("submitted job state = %s", st.State)
 	}
 
@@ -279,8 +280,9 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// A par job's result carries the matcher's access-path split and
-	// signature pruning wherever the same request under rf does.
-	for _, alg := range []string{"rf", "par"} {
+	// signature pruning wherever the same request under rf does; an enum job
+	// — inheriting down its enumeration prefixes — no less.
+	for _, alg := range []string{"rf", "par", "enum"} {
 		spec.Algorithm = alg
 		st := submitJob(t, ts.URL, spec)
 		if f := pollDone(t, ts.URL, st.ID); f.State != JobDone {
@@ -292,24 +294,32 @@ func TestEndToEnd(t *testing.T) {
 			t.Errorf("%s job lost matcher counters: %+v", alg, m)
 		}
 	}
+	// An enum job cut off by its deadline, wherever in the lattice that
+	// lands, gives its buffers back like one that finished.
+	spec.Algorithm, spec.TimeoutMs = "enum", 1
+	if f := pollDone(t, ts.URL, submitJob(t, ts.URL, spec).ID); f.State == JobDone {
+		t.Log("the 1 ms enum job finished before its deadline")
+	}
 	// And /metrics renders the propagation counters beside sigPruned (on
 	// this template every multi-node plan hangs off a one-node ancestor, so
-	// no arc is ever inherited: the key is there and reads 0), and each
-	// graph's engine object carries the held-domains gauge, back at 0 once
-	// the walks are over.
+	// no arc is ever inherited: the key is there and reads 0) — one plan
+	// from the label populations per job that got to run — and each graph's
+	// engine object carries the held-domains gauge, back at 0 once the walks
+	// are over.
 	var doc struct {
 		Storage struct {
 			SigPruned     int  `json:"sigPruned"`
 			ArcsRevised   int  `json:"arcsRevised"`
 			ArcsInherited *int `json:"arcsInherited"`
+			ScratchPlans  int  `json:"scratchPlans"`
 		} `json:"storage"`
 		Graphs map[string]struct {
 			Engine struct{ DomainsHeld *int } `json:"engine"`
 		} `json:"graphs"`
 	}
 	doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, http.StatusOK, &doc)
-	if st := doc.Storage; st.SigPruned == 0 || st.ArcsRevised == 0 || st.ArcsInherited == nil {
-		t.Errorf("/metrics storage counters after rf and par jobs: %+v", st)
+	if st := doc.Storage; st.SigPruned == 0 || st.ArcsRevised == 0 || st.ArcsInherited == nil || st.ScratchPlans < 5 || st.ScratchPlans > 6 {
+		t.Errorf("/metrics storage counters after bi, bi, rf, par, enum and a cut-off enum job: %+v", st)
 	}
 	for name, gr := range doc.Graphs {
 		if n := gr.Engine.DomainsHeld; n == nil || *n != 0 {
