@@ -15,6 +15,7 @@ import (
 
 	"fairsqg/internal/core"
 	"fairsqg/internal/graph"
+	"fairsqg/internal/match"
 	"fairsqg/internal/pareto"
 )
 
@@ -436,11 +437,72 @@ func TestCoordinatorCarriesEveryCounter(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := slabSum(t, p, g)
-	if res.Stats != want {
-		t.Errorf("distributed stats %+v != in-process slab sum %+v", res.Stats, want)
+	// What a slab found in its worker's store depends on the slabs that
+	// engine served before it, not on the plan: carried, but not the sum's.
+	if res.Stats.AnswersReused == 0 || res.Stats.DerivedReused == 0 {
+		t.Errorf("slabs sharing two worker engines reused nothing: %+v", res.Stats)
+	}
+	if got := coldStats(res.Stats); got != want {
+		t.Errorf("distributed stats %+v != in-process slab sum %+v", got, want)
 	}
 	if want.RefineSuppressed == 0 || want.HoodRuns == 0 || want.HoodNodes == 0 {
 		t.Errorf("template no longer exercises Spawn's counters: %+v", want)
+	}
+	// The same job again, on worker engines the first one warmed: the same
+	// entries and lattice counters, with more of it answered from their stores.
+	again, err := c.RunJob(context.Background(), JobRequest{Graph: "net", G: g, Payload: p, RequestID: "j-counters-2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Entries, res.Entries) || coldStats(again.Stats) != want || again.Stats.AnswersReused <= res.Stats.AnswersReused {
+		t.Errorf("repeated on warm workers: stats %+v (first %+v)\nentries %+v\nfirst   %+v", again.Stats, res.Stats, again.Entries, res.Entries)
+	}
+}
+
+// TestBuildConfigOnKeepsSpecsApart: group specs that differ only in where
+// their value strings are cut — none, one empty, one holding a NUL, two — are
+// taken from the job spec unvalidated, and each gets from a shared engine
+// exactly what it gets from the graph alone, whichever the engine served
+// first: none is answered with another's partition.
+func TestBuildConfigOnKeepsSpecsApart(t *testing.T) {
+	g := testGraph(t, 1)
+	specs := [][]string{nil, {""}, {"male\x00female"}, {"male", "female"}, {"male"}}
+	outcome := func(values []string, e *match.Engine) string {
+		p := testPayload()
+		p.Groups.Values = values
+		cfg, err := BuildConfig(p, g)
+		if e != nil {
+			cfg, err = BuildConfigOn(p, e)
+		}
+		if err != nil {
+			return err.Error()
+		}
+		var names []string
+		for _, grp := range cfg.Groups {
+			names = append(names, fmt.Sprintf("%s:%d/%d", grp.Name, grp.Want, grp.Size()))
+		}
+		return fmt.Sprint(names)
+	}
+	if all, none, two := outcome(nil, nil), outcome([]string{""}, nil), outcome(specs[3], nil); all == none || all == two || none == two {
+		t.Fatalf("the specs no longer differ cold: %q, %q, %q", all, none, two)
+	}
+	for first := range specs {
+		e := match.NewEngine(g, match.EngineOptions{})
+		for k := range specs {
+			values := specs[(first+k)%len(specs)]
+			if got, want := outcome(values, e), outcome(values, nil); got != want {
+				t.Errorf("values %q after %q on a shared engine: %s, cold: %s", values, specs[first], got, want)
+			}
+		}
+		// Again, now each from the store.
+		for _, values := range specs {
+			if got, want := outcome(values, e), outcome(values, nil); got != want {
+				t.Errorf("values %q from the store: %s, cold: %s", values, got, want)
+			}
+		}
+		if st := e.Stats().Shared; st.Entries != len(specs) || st.Hits != int64(len(specs)) {
+			t.Errorf("%d specs left %+v", len(specs), st)
+		}
 	}
 }
 
@@ -467,6 +529,12 @@ func TestCoordinatorPreloadedWorker(t *testing.T) {
 	if c.pushes.Load() != 0 {
 		t.Errorf("coordinator counted %d pushes", c.pushes.Load())
 	}
+}
+
+// coldStats is s without the counters of what a worker engine's store had.
+func coldStats(s core.SlabStats) core.SlabStats {
+	s.AnswersReused, s.DerivedReused = 0, 0
+	return s
 }
 
 // killableWorker lets a bounded number of slab requests through, then
@@ -521,8 +589,8 @@ func TestCoordinatorFailover(t *testing.T) {
 	}
 	ref := refResult(t, p, g)
 	assertMatchesReference(t, res, ref, res.Eps)
-	if want := slabSum(t, p, g); res.Stats != want {
-		t.Errorf("failover lost or duplicated slabs: stats %+v vs in-process slab sum %+v", res.Stats, want)
+	if got, want := coldStats(res.Stats), slabSum(t, p, g); got != want {
+		t.Errorf("failover lost or duplicated slabs: stats %+v vs in-process slab sum %+v", got, want)
 	}
 	if wb.slabsRun.Load() == 0 {
 		t.Error("survivor ran no slabs")

@@ -12,10 +12,12 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"fairsqg/internal/core"
 	"fairsqg/internal/graph"
 	"fairsqg/internal/groups"
+	"fairsqg/internal/match"
 	"fairsqg/internal/query"
 )
 
@@ -69,9 +71,20 @@ type GroupsPayload struct {
 // g. It is the single source of truth for spec→config semantics: the
 // fairsqgd job API delegates here for local runs, and workers call it to
 // rebuild a coordinator's job, which is what keeps the two sides'
-// lattices identical. The returned config has no engine bound; callers
-// attach their own.
+// lattices identical. The returned config has no engine bound and was built
+// from g alone; BuildConfigOn is the same thing for a caller with an engine.
 func BuildConfig(p JobPayload, g *graph.Graph) (*core.Config, error) {
+	return buildConfig(p, g, nil)
+}
+
+// BuildConfigOn is BuildConfig against e's graph for a run on e itself: the
+// config has e bound, and takes the group partition it names from e's store
+// (match.Engine.Derived), as the run will take answers and scoring structures.
+func BuildConfigOn(p JobPayload, e *match.Engine) (*core.Config, error) {
+	return buildConfig(p, e.Graph(), e)
+}
+
+func buildConfig(p JobPayload, g *graph.Graph, e *match.Engine) (*core.Config, error) {
 	if p.Template == "" {
 		return nil, fmt.Errorf("cluster: job needs a template")
 	}
@@ -90,12 +103,17 @@ func BuildConfig(p JobPayload, g *graph.Graph) (*core.Config, error) {
 	if gs.Label == "" || gs.Attr == "" {
 		return nil, fmt.Errorf("cluster: job needs groups.label and groups.attr")
 	}
-	var set groups.Set
-	if len(gs.Values) > 0 {
-		set = groups.ByValues(g, gs.Label, gs.Attr, gs.Values...)
-	} else {
-		set = groups.ByAttribute(g, gs.Label, gs.Attr)
-	}
+	// Cut once per engine — per generation — and shared read-only by every
+	// job that names it; the constraints below are set on this job's copy.
+	cut, _ := e.Derived("groups", append([]string{gs.Label, gs.Attr}, gs.Values...), func() (any, int64) {
+		// At most a map entry per node of the label, an index slot per node.
+		weight := int64(16*g.CountLabel(gs.Label) + 4*g.NumNodes())
+		if len(gs.Values) > 0 {
+			return groups.ByValues(g, gs.Label, gs.Attr, gs.Values...), weight
+		}
+		return groups.ByAttribute(g, gs.Label, gs.Attr), weight
+	})
+	set := slices.Clone(cut.(groups.Set))
 	if len(set) == 0 {
 		return nil, fmt.Errorf("cluster: no groups for %s.%s", gs.Label, gs.Attr)
 	}
@@ -119,6 +137,7 @@ func BuildConfig(p JobPayload, g *graph.Graph) (*core.Config, error) {
 		Eps:           eps,
 		MaxPairs:      maxPairs,
 		DistanceAttrs: p.DistanceAttrs,
+		Engine:        e,
 	}
 	if p.Lambda != nil {
 		cfg.Lambda = *p.Lambda

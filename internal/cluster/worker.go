@@ -229,18 +229,17 @@ func (w *Worker) handleSlab(rw http.ResponseWriter, r *http.Request) {
 		writeWireError(rw, http.StatusPreconditionFailed, "graph %q has crc %08x, coordinator wants %08x", req.Graph, entry.crc, req.GraphCRC)
 		return
 	}
-	cfg, err := BuildConfig(req.Job, entry.g)
+	// The graph's shared engine: every slab on this graph reuses one warm
+	// candidate cache, one matcher pool and what earlier slabs left in the
+	// engine's store — mirroring the standalone registry.
+	cfg, err := BuildConfigOn(req.Job, entry.engine)
 	if err != nil {
 		w.slabsFailed.Add(1)
 		writeWireError(rw, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The graph's shared engine: every slab on this graph reuses one warm
-	// candidate cache, one pair-distance cache and one matcher pool —
-	// mirroring the standalone registry. The request context carries the
-	// coordinator's per-slab timeout, so an abandoned dispatch aborts here
-	// too instead of burning the worker.
-	cfg.Engine = entry.engine
+	// The request context carries the coordinator's per-slab timeout, so an
+	// abandoned dispatch aborts here too instead of burning the worker.
 	cfg.Ctx = r.Context()
 	runner, err := core.NewRunner(cfg)
 	if err != nil {

@@ -40,10 +40,11 @@ type Config struct {
 	// owned match engine instead of a per-run one: MatchWorkers is ignored
 	// and the run takes the engine's Settings (Validate rejects a non-zero
 	// Config.Settings that disagrees with them). The engine — and crucially
-	// its candidate cache — persists across runs, which is how a long-lived
-	// service shares one warm cache per graph across jobs. The engine's
-	// graph must be G, and the per-run Stats report the engine's cumulative
-	// (not per-run) counters.
+	// its candidate cache and its store of answers and scoring structures
+	// (match.Store) — persists across runs, which is how a long-lived
+	// service pays for one generation once across jobs; a run-owned engine
+	// never consults a store. The engine's graph must be G, and the per-run
+	// Stats report the engine's cumulative (not per-run) counters.
 	Engine *match.Engine
 
 	// Settings is how the matcher searches: semantics, variable order,
@@ -223,6 +224,12 @@ type Stats struct {
 	// scorer state — instead of counting and scoring the same set again; the
 	// feasible ones are in IncScores too.
 	AnswersShared int
+	// AnswersReused counts verifications whose answer an earlier run had left
+	// in the injected engine's store (match.Engine.Answer): no plan, no
+	// search. DerivedReused counts the scoring structures — distance features,
+	// degree relevance — taken from it. Both are 0 on a run-owned engine.
+	AnswersReused int
+	DerivedReused int
 	// Matcher carries the matcher counters of every evaluation of the run.
 	Matcher match.Stats
 	// Cache reports candidate-cache effectiveness; zero when disabled.
@@ -247,6 +254,8 @@ func (s *Stats) Add(o Stats) {
 	s.SandwichPairs += o.SandwichPairs
 	s.IncScores += o.IncScores
 	s.AnswersShared += o.AnswersShared
+	s.AnswersReused += o.AnswersReused
+	s.DerivedReused += o.DerivedReused
 	s.Matcher.Add(o.Matcher)
 	s.Cache.Hits += o.Cache.Hits
 	s.Cache.Misses += o.Cache.Misses

@@ -60,7 +60,8 @@ func EnumerateInstantiations(t *query.Template, yield func(query.Instantiation) 
 // nearest held ancestor — itself with its last bound variable back at the
 // root level. A slot is nil where that ancestor held nothing (empty plan,
 // bound veto, DisableIncremental) or was an instantiation the memo already
-// had; every held buffer is back on the engine when the walk returns.
+// had (an ancestor answered from an injected engine's store fills its slot
+// without domains); every held buffer is back on the engine when the walk returns.
 func (r *Runner) enumerate(visit func(v *Verified)) error {
 	t := r.cfg.Template
 	root := query.Root(t)
@@ -96,12 +97,12 @@ func (r *Runner) enumerate(visit func(v *Verified)) error {
 			return true
 		}
 		var from prefix
-		for d := depth - 1; d >= 0 && from.doms == nil; d-- {
+		for d := depth - 1; d >= 0 && from.v == nil; d-- {
 			from = path[d]
 		}
 		// Nothing enumerates under a prefix of full length.
-		v, held := r.verifySeeded(q, from.v, from.doms, depth < len(in))
-		if held != nil {
+		v, held, reused := r.verifySeeded(q, from.v, from.doms, depth < len(in))
+		if held != nil || reused {
 			path[depth] = prefix{v, held}
 		}
 		if v.Feasible {

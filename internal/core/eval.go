@@ -49,6 +49,8 @@ type Runner struct {
 	// replaced by Retarget had counted (Stats adds the live engine's).
 	stats  Stats
 	verSeq int
+	// derivedReused: bind's hits in an injected engine's store; the next run's.
+	derivedReused int
 	// extraNodes are the resolved multi-output template node indices.
 	extraNodes []int
 	// population is |V_uo| (summed over distinct output labels in
@@ -134,13 +136,28 @@ func (r *Runner) initScoring() {
 	outLabel := cfg.Template.Nodes[cfg.Template.Output].Label
 	r.scoreRel = cfg.Relevance
 	if r.scoreRel == nil {
-		r.scoreRel = measure.DegreeRelevance(cfg.G, outLabel)
+		r.scoreRel = derive(r, "relevance", []string{outLabel}, func() (measure.RelevanceFunc, int64) {
+			return measure.DegreeRelevance(cfg.G, outLabel), 64
+		})
 	}
 	r.scoreFeats = nil
 	if cfg.Distance == nil {
-		r.scoreFeats = measure.NewDistanceFeatures(cfg.G, cfg.DistanceAttrs)
+		r.scoreFeats = derive(r, "features", cfg.DistanceAttrs, func() (*measure.DistanceFeatures, int64) {
+			f := measure.NewDistanceFeatures(cfg.G, cfg.DistanceAttrs)
+			return f, f.Bytes()
+		})
 	}
 	r.bindScoring()
+}
+
+// derive returns what build computes from the run's generation, kind and spec
+// — read-only — through an injected engine's store (match.Engine.Derived).
+func derive[T any](r *Runner, kind string, spec []string, build func() (T, int64)) T {
+	v, hit := r.cfg.Engine.Derived(kind, spec, func() (any, int64) { return build() })
+	if hit {
+		r.derivedReused++
+	}
+	return v.(T)
 }
 
 // bindScoring (re)builds the Diversity evaluator: directly over the
@@ -219,7 +236,8 @@ func (r *Runner) Stats() Stats {
 // external Config.Engine is kept as-is: cross-run cache warmth is exactly
 // what injecting an engine is for.
 func (r *Runner) resetStats() {
-	r.stats = Stats{}
+	r.stats = Stats{DerivedReused: r.derivedReused}
+	r.derivedReused = 0
 	r.verSeq = 0
 	r.cache = make(map[string]*Verified)
 	r.releaseRoot()
@@ -260,7 +278,7 @@ func (r *Runner) err() error { return r.ctx.Err() }
 // q(G) is a subset of the parent's matches and only those candidates are
 // re-checked. The plan starts from the root's domains.
 func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
-	v, _ := r.verifySeeded(q, parent, nil, false)
+	v, _, _ := r.verifySeeded(q, parent, nil, false)
 	return v
 }
 
@@ -271,16 +289,17 @@ func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 // nil — or no within set to go with a seed captured under one — means the
 // root's (rootSeed), which every instance refines. hold asks for q's own
 // domains, to seed its refinements with. held is nil when the record came
-// from the memo, the plan came out empty or the bound check vetoed it, the
-// run was cancelled, inheritance is off (DisableIncremental) or the run has
-// several output nodes; otherwise the caller owes it to the engine's
-// ReleaseDomains.
+// from the memo or its answer from an injected engine's store (reused: a
+// whole answer, though nothing was planned), the plan came out empty or the
+// bound check vetoed it, the run was cancelled, inheritance is off
+// (DisableIncremental) or the run has several output nodes; otherwise the
+// caller owes it to the engine's ReleaseDomains.
 //
 // An answer equal to the parent's is not scored again: δ and f are functions
 // of the answer set alone, so the record adopts the parent's.
-func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.Domains, hold bool) (v *Verified, held *match.Domains) {
+func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.Domains, hold bool) (v *Verified, held *match.Domains, reused bool) {
 	if v, ok := r.cache[q.Key()]; ok {
-		return v, nil
+		return v, nil, false
 	}
 	// counts holds the answer's per-group tally, computed once per
 	// verification: feasibility and coverage both derive from it (the
@@ -292,29 +311,37 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 		v, counts = r.verifyMultiOutput(q, parent)
 	} else {
 		var within []graph.NodeID
-		if r.cfg.DisableIncremental {
-			seed, hold = nil, false
-		} else {
-			if parent != nil {
-				within = parent.Matches
+		if parent != nil && !r.cfg.DisableIncremental {
+			within = parent.Matches
+		}
+		// An injected engine may have the answer from an earlier run: it stands
+		// where the evaluation would have returned it; nothing is planned.
+		var matches []graph.NodeID
+		key, ok := "", false
+		if r.cfg.Engine != nil {
+			key = match.AnswerKey(q)
+			if matches, reused = r.engine.Answer(key); reused {
+				r.stats.AnswersReused++
 			}
-			if seed == nil || within == nil {
+		}
+		if ok = reused; !ok {
+			if r.cfg.DisableIncremental {
+				seed, hold = nil, false
+			} else if seed == nil || within == nil {
 				seed = r.rootSeed()
 			}
-		}
-		// The arc-consistent candidate set of u_o is a superset of q(G), so
-		// its per-group counts upper-bound the coverage counts: when some
-		// group's bound is already below c_i the instance is certainly
-		// infeasible and backtracking is skipped (cheap infeasibility check).
-		var accept func([]graph.NodeID) bool
-		if !r.cfg.DisableBoundPrune {
-			accept = func(cands []graph.NodeID) bool {
-				return measure.FeasibleCounts(r.cfg.Groups, r.counter.Counts(cands))
+			// The arc-consistent candidate set of u_o is a superset of q(G), so
+			// its per-group counts upper-bound the coverage counts: when some
+			// group's bound is already below c_i the instance is certainly
+			// infeasible and backtracking is skipped (cheap infeasibility check).
+			var accept func([]graph.NodeID) bool
+			if !r.cfg.DisableBoundPrune {
+				accept = func(cands []graph.NodeID) bool {
+					return measure.FeasibleCounts(r.cfg.Groups, r.counter.Counts(cands))
+				}
 			}
+			matches, ok, held, _ = r.engine.ParEvalOutputSeeded(r.ctx, q, within, accept, seed, hold, key)
 		}
-		var matches []graph.NodeID
-		var ok bool
-		matches, ok, held, _ = r.engine.ParEvalOutputSeeded(r.ctx, q, within, accept, seed, hold)
 		// A non-empty within is a verified parent's whole answer (a vetoed or
 		// cancelled record has none), so an equal set makes an equal record.
 		if shared = ok && len(within) > 0 && !r.cfg.DisableIncScore && slices.Equal(matches, within); shared {
@@ -333,7 +360,7 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 		// or count it — the caller's next cancellation poll ends the run,
 		// so the placeholder never influences a returned set.
 		r.engine.ReleaseDomains(held)
-		return &Verified{Q: q}, nil
+		return &Verified{Q: q}, nil, false
 	}
 	switch {
 	case shared:
@@ -362,7 +389,7 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 			Matches:  len(v.Matches),
 		})
 	}
-	return v, held
+	return v, held, reused
 }
 
 // scoreDiversity evaluates δ for a feasible instance. When the parent was

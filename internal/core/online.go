@@ -136,7 +136,8 @@ type windowEntry struct {
 // nearest neighbor in the normalized (δ, f) space, enlarging ε to their
 // distance so the previous ε-dominance relations are preserved (Lemma 4).
 // After every eviction the window is rescanned for cached instances that
-// can re-enter without growing ε.
+// can re-enter without growing ε. A cancelled run returns the context's
+// error, like every other algorithm.
 func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineResult, error) {
 	if err := r.cfg.Validate(); err != nil {
 		return nil, err
@@ -213,6 +214,9 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 		archive = pareto.NewArchive[*Verified](archive.Eps())
 		window = nil
 		for _, v := range old {
+			if r.err() != nil {
+				return
+			}
 			nv := r.verify(v.Q, nil)
 			if !nv.Feasible {
 				res.RescoreDropped++
@@ -227,6 +231,9 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 			}
 		}
 		for _, e := range oldWindow {
+			if r.err() != nil {
+				return
+			}
 			nv := r.verify(e.v.Q, nil)
 			if !nv.Feasible {
 				res.RescoreDropped++
@@ -261,6 +268,9 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 		now++
 		rescore()
 		v := r.verify(q, nil)
+		if err := r.err(); err != nil { // v, or a re-scored record, is a placeholder
+			return nil, err
+		}
 		expire()
 		if !v.Feasible {
 			res.Delays = append(res.Delays, time.Since(start))
@@ -319,6 +329,9 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 		}
 	}
 	rescore() // mutations that landed after the last arrival still count
+	if err := r.err(); err != nil {
+		return nil, err
+	}
 	if opts.OnCheckpoint != nil && (opts.CheckpointEvery <= 0 || res.Processed%opts.CheckpointEvery != 0) {
 		opts.OnCheckpoint(OnlineCheckpoint{Processed: res.Processed, Points: archive.Points(), Eps: archive.Eps()})
 	}

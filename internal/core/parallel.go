@@ -115,7 +115,7 @@ func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 		}
 		visited[key] = true
 		r.stats.Spawned++
-		v, held := r.verifySeeded(query.MustInstance(t, in), parent, seed, true)
+		v, held, _ := r.verifySeeded(query.MustInstance(t, in), parent, seed, true)
 		defer r.engine.ReleaseDomains(held)
 		if !v.Feasible {
 			r.stats.Pruned += query.NumRefineSteps(t, in)

@@ -89,6 +89,8 @@ type SlabStats struct {
 	SandwichPairs    int `json:"sandwichPairs"`
 	IncScores        int `json:"incScores"`
 	AnswersShared    int `json:"answersShared"`
+	AnswersReused    int `json:"answersReused"`
+	DerivedReused    int `json:"derivedReused"`
 }
 
 // Slab returns the run-private counters of s in wire form.
@@ -97,6 +99,7 @@ func (s Stats) Slab() SlabStats {
 		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
 		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
 		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores, AnswersShared: s.AnswersShared,
+		AnswersReused: s.AnswersReused, DerivedReused: s.DerivedReused,
 	}
 }
 
@@ -106,6 +109,7 @@ func (s SlabStats) Stats() Stats {
 		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
 		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
 		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores, AnswersShared: s.AnswersShared,
+		AnswersReused: s.AnswersReused, DerivedReused: s.DerivedReused,
 	}
 }
 

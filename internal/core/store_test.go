@@ -1,0 +1,359 @@
+package core
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"fairsqg/internal/graph"
+	"fairsqg/internal/groups"
+	"fairsqg/internal/match"
+	"fairsqg/internal/pareto"
+	"fairsqg/internal/query"
+)
+
+// storeShapes are the benchmark's four template shapes (benchmark/templates)
+// over fixtureGraph's schema, ladders pinned.
+var storeShapes = map[string]string{
+	"star": `template star
+node u_o Person title = "Director"
+node u1 Person yearsOfExp >= $x1
+node u2 Person yearsOfExp >= $x2
+node u3 Org employees >= 100
+edge u1 u_o recommend ?e1
+edge u2 u_o recommend ?e2
+edge u_o u3 worksAt
+ladder $x1 4 10
+ladder $x2 4 10
+output u_o
+`,
+	"chain": `template chain
+node u_o Person title = "Director"
+node u1 Person yearsOfExp >= $x1
+node u2 Person yearsOfExp >= 3
+node u3 Org employees >= $x3
+edge u1 u_o recommend
+edge u2 u1 recommend ?e1
+edge u2 u3 worksAt
+ladder $x1 4 10
+ladder $x3 100 1000
+output u_o
+`,
+	"tree": `template tree
+node u_o Person title = "Director"
+node u1 Person yearsOfExp >= $x1
+node u2 Person
+node u3 Person yearsOfExp >= $x2
+node u4 Org employees >= 100
+edge u1 u_o recommend
+edge u2 u_o recommend ?e1
+edge u3 u1 recommend ?e2
+edge u1 u4 worksAt
+ladder $x1 4 10
+ladder $x2 4 10
+output u_o
+`,
+	"cycle": `template cycle
+node u_o Person title = "Director"
+node u1 Person yearsOfExp >= $x1
+node u2 Person yearsOfExp <= $x2
+edge u1 u_o recommend
+edge u2 u1 recommend ?e1
+edge u_o u2 recommend ?e2
+ladder $x1 4 10
+ladder $x2 16 8
+output u_o
+`,
+}
+
+// shapeConfig is one job over a storeShapes template: gender groups under
+// the given constraint, tolerance and λ, on engine (nil: run-owned).
+func shapeConfig(t testing.TB, g *graph.Graph, shape string, cover int, eps, lambda float64, engine *match.Engine) *Config {
+	t.Helper()
+	tpl, err := query.ParseString(storeShapes[shape])
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := groups.EqualOpportunity(groups.ByAttribute(g, "Person", "gender"), cover)
+	return &Config{G: g, Template: tpl, Groups: set, Eps: eps, Lambda: lambda, MaxPairs: -1, Engine: engine}
+}
+
+// warmEngine returns an engine over g that jobs unlike the one under test —
+// other algorithms, constraints, tolerances and λ — have run on.
+func warmEngine(t testing.TB, g *graph.Graph, shape string) *match.Engine {
+	t.Helper()
+	e := match.NewEngine(g, match.EngineOptions{Workers: 2})
+	for _, job := range []struct {
+		cover       int
+		eps, lambda float64
+		run         func(r *Runner) error
+	}{
+		{1, 0.3, 0.2, func(r *Runner) error { _, err := r.BiQGen(); return err }},
+		{4, 0.05, 0.9, func(r *Runner) error { _, err := r.EnumQGen(); return err }},
+		{3, 0.15, 0.5, func(r *Runner) error { _, err := r.RfQGen(); return err }},
+	} {
+		if err := job.run(newRunnerT(t, shapeConfig(t, g, shape, job.cover, job.eps, job.lambda, e))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return e
+}
+
+// TestWarmEqualsCold: on an engine other jobs have warmed, every algorithm
+// and every slab returns what it returns on an engine of its own — the same
+// instances with the same answers, bit-equal (δ, f) points, the same lattice
+// counters — while answering from the store, not the matcher.
+func TestWarmEqualsCold(t *testing.T) {
+	g := fixtureGraph(t, 4)
+	for shape := range storeShapes {
+		cold := runAll(t, shapeConfig(t, g, shape, 2, 0.1, 0.5, nil))
+		if len(cold["rf"]) < 2 {
+			t.Fatalf("%s: rf archive %v: the fixture yields no front", shape, cold["rf"])
+		}
+		e := warmEngine(t, g, shape)
+		before := e.Stats()
+		warm := runAll(t, shapeConfig(t, g, shape, 2, 0.1, 0.5, e))
+		if !reflect.DeepEqual(warm, cold) {
+			for alg := range cold {
+				if !equalStrings(warm[alg], cold[alg]) {
+					t.Errorf("%s/%s on a warm engine:\n%v\non its own:\n%v", shape, alg, warm[alg], cold[alg])
+				}
+			}
+		}
+		after := e.Stats()
+		if after.Shared.Hits == before.Shared.Hits || after.Shared.Evictions != 0 {
+			t.Errorf("%s: the warm runs found nothing stored: %+v", shape, after.Shared)
+		}
+		// Whole answers are stored, so only vetoed instances are evaluated again.
+		if evals, lookups := after.Evals-before.Evals, after.Shared.Hits+after.Shared.Misses-before.Shared.Hits-before.Shared.Misses; int64(evals)*2 > lookups {
+			t.Errorf("%s: %d evaluations for %d lookups on a warm engine", shape, evals, lookups)
+		}
+	}
+}
+
+// TestStatsSayWhatWasReused: a job's Stats carry how much of it the store
+// answered; the first job on an engine reuses only what it stored itself.
+func TestStatsSayWhatWasReused(t *testing.T) {
+	g := fixtureGraph(t, 4)
+	e := match.NewEngine(g, match.EngineOptions{Workers: 1})
+	first, err := newRunnerT(t, shapeConfig(t, g, "tree", 2, 0.1, 0.5, e)).RfQGen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Stats.DerivedReused != 0 || first.Stats.AnswersReused >= first.Stats.Verified {
+		t.Errorf("first job on an engine: %+v", first.Stats)
+	}
+	second, err := newRunnerT(t, shapeConfig(t, g, "tree", 2, 0.1, 0.5, e)).RfQGen()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Degree relevance and the feature table; every instance the bound
+	// check let through the first time.
+	if second.Stats.DerivedReused != 2 || second.Stats.AnswersReused == 0 || second.Stats.AnswersReused > second.Stats.Verified {
+		t.Errorf("second job: %+v", second.Stats)
+	}
+	if second.Stats.Verified != first.Stats.Verified || second.Stats.Matcher.ScratchPlans >= first.Stats.Matcher.ScratchPlans+2 {
+		t.Errorf("second job verified %d (first %d), scratch plans %d → %d", second.Stats.Verified, first.Stats.Verified,
+			first.Stats.Matcher.ScratchPlans, second.Stats.Matcher.ScratchPlans)
+	}
+	// The structures were taken when the runner was bound, once: a second run
+	// on that runner does not report them again (Stats.Add would count four).
+	r := newRunnerT(t, shapeConfig(t, g, "tree", 2, 0.1, 0.5, e))
+	var sum Stats
+	for range 2 {
+		res, err := r.RfQGen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum.Add(res.Stats)
+	}
+	if sum.DerivedReused != 2 || sum.AnswersReused != 2*second.Stats.AnswersReused {
+		t.Errorf("two runs on one runner: %d structures, %d answers reused (one run: 2, %d)", sum.DerivedReused, sum.AnswersReused, second.Stats.AnswersReused)
+	}
+}
+
+// TestBudgetedEngineKeepsNoAnswers: under a backtracking budget an answer
+// depends on what it was searched inside — a parent's answer, truncated or
+// not — so an injected engine with one stores none: a second job finds only
+// the scoring structures and returns what the first did.
+func TestBudgetedEngineKeepsNoAnswers(t *testing.T) {
+	g := fixtureGraph(t, 4)
+	e := match.NewEngine(g, match.EngineOptions{Workers: 1, Settings: match.Settings{MaxBacktrackNodes: 1}})
+	var runs [2]map[string][]string
+	for i := range runs {
+		runs[i] = runAll(t, shapeConfig(t, g, "cycle", 2, 0.1, 0.5, e))
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("second job on a budgeted engine:\n%v\nfirst:\n%v", runs[1], runs[0])
+	}
+	unbounded := runAll(t, shapeConfig(t, g, "cycle", 2, 0.1, 0.5, nil))
+	if reflect.DeepEqual(runs[0], unbounded) {
+		t.Error("a budget of 1 truncated nothing: the test shows nothing")
+	}
+	if st := e.Stats().Shared; st.Entries != 2 {
+		t.Errorf("a budgeted engine holds %+v, want the relevance and feature tables only", st)
+	}
+}
+
+// TestRunOwnedEnginesShareNothing: without an injected engine no run looks
+// into a store or leaves anything in one — the library and CLI paths are
+// cold by construction, whatever the algorithm.
+func TestRunOwnedEnginesShareNothing(t *testing.T) {
+	g := fixtureGraph(t, 4)
+	for name, run := range map[string]func(r *Runner) (Stats, error){
+		"rf": func(r *Runner) (Stats, error) { res, err := r.RfQGen(); return statsOf(res), err },
+		"bi": func(r *Runner) (Stats, error) { res, err := r.BiQGen(); return statsOf(res), err },
+		"online": func(r *Runner) (Stats, error) {
+			res, err := r.OnlineQGen(NewRandomStream(r.cfg.Template, 60, 3), OnlineOptions{K: 4, Window: 8})
+			if err != nil {
+				return Stats{}, err
+			}
+			return res.Stats, nil
+		},
+	} {
+		r := newRunnerT(t, shapeConfig(t, g, "cycle", 2, 0.1, 0.5, nil))
+		st, err := run(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sh := r.engine.Stats().Shared; sh.Hits+sh.Misses != 0 || sh.Entries != 0 || st.AnswersReused != 0 || st.DerivedReused != 0 {
+			t.Errorf("%s on a run-owned engine: store %+v, reused %d answers and %d structures", name, sh, st.AnswersReused, st.DerivedReused)
+		}
+		if st.Verified == 0 {
+			t.Errorf("%s verified nothing", name)
+		}
+	}
+}
+
+func statsOf(res *Result) Stats {
+	if res == nil {
+		return Stats{}
+	}
+	return res.Stats
+}
+
+// TestConcurrentJobsShareOneEngine: jobs over one template running at once
+// on one engine — each other's answers arriving in the store mid-run — all
+// return the cold result, and none writes to an answer it took from the
+// store: every stored answer is intact afterwards, and under -race a write
+// would trip against the other jobs' reads.
+func TestConcurrentJobsShareOneEngine(t *testing.T) {
+	g := fixtureGraph(t, 4)
+	algs := map[string]func(r *Runner) (*Result, error){
+		"rf":   func(r *Runner) (*Result, error) { return r.RfQGen() },
+		"bi":   func(r *Runner) (*Result, error) { return r.BiQGen() },
+		"enum": func(r *Runner) (*Result, error) { return r.EnumQGen() },
+		"par":  func(r *Runner) (*Result, error) { return r.ParQGen(2) },
+	}
+	cold := map[string][]string{}
+	for name, run := range algs {
+		res, err := run(newRunnerT(t, shapeConfig(t, g, "star", 2, 0.1, 0.5, nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold[name] = sortedFingerprint(name, res)
+	}
+	e := match.NewEngine(g, match.EngineOptions{Workers: 2})
+	var wg sync.WaitGroup
+	for round := 0; round < 3; round++ {
+		for name, run := range algs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := run(newRunnerT(t, shapeConfig(t, g, "star", 2, 0.1, 0.5, e)))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := sortedFingerprint(name, res); !equalStrings(got, cold[name]) {
+					t.Errorf("%s beside other jobs:\n%v\non its own:\n%v", name, got, cold[name])
+				}
+			}()
+		}
+	}
+	wg.Wait()
+
+	// Every instance's stored answer is what a matcher of its own computes.
+	tpl := shapeConfig(t, g, "star", 2, 0.1, 0.5, nil).Template
+	stored := 0
+	EnumerateInstantiations(tpl, func(in query.Instantiation) bool {
+		q := query.MustInstance(tpl, in)
+		if got, ok := e.Answer(match.AnswerKey(q)); ok {
+			stored++
+			if want := match.New(g).EvalOutput(q); !slices.Equal(got, want) {
+				t.Errorf("%s: stored answer %v, want %v", q, got, want)
+			}
+		}
+		return true
+	})
+	if stored == 0 {
+		t.Error("twelve jobs stored no answer")
+	}
+	if n := e.Stats().DomainsHeld; n != 0 {
+		t.Errorf("%d matcher domains still held", n)
+	}
+}
+
+// sortedFingerprint renders a result as its lattice counters and sorted
+// lines: "instance|δ|f|answer" with exact floats, or for par — whose slabs
+// race into the archive, so which point stands for a box varies — the boxes.
+func sortedFingerprint(alg string, res *Result) []string {
+	out := archiveFingerprint(res.Set)
+	if alg == "par" {
+		for i, v := range res.Set {
+			out[i] = fmt.Sprint(pareto.BoxOf(v.Point, res.Eps))
+		}
+	}
+	slices.Sort(out)
+	return append(out, fmt.Sprint(res.Stats.Spawned, res.Stats.Verified, res.Stats.Feasible, res.Stats.Pruned))
+}
+
+// TestOnlineQGenReturnsOnCancel: a context cancelled mid-stream or in the
+// middle of a re-score ends OnlineQGen with the context's error — no result
+// built from placeholders — and every matcher buffer is back on its engine.
+func TestOnlineQGenReturnsOnCancel(t *testing.T) {
+	g := fixtureGraph(t, 30)
+	for _, where := range []string{"mid-stream", "mid-rescore"} {
+		cfg := fixtureConfig(t, g, 0.05, 3)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cfg.Ctx = ctx
+		live := graph.NewLive(g)
+		defer live.Close()
+		r := newRunnerT(t, cfg)
+		defer r.Close()
+		var stream *mutatingStream
+		rescoring, seen, cancelledAt := false, 0, 0
+		cfg.OnVerified = func(VerifyEvent) {
+			// The 30th verification of the stream, or the second one of the
+			// re-score the batch before arrival 60 sets off.
+			if seen++; where == "mid-stream" && seen == 30 || rescoring && seen == 2 {
+				cancelledAt = stream.n
+				cancel()
+			}
+		}
+		stream = &mutatingStream{inner: NewRandomStream(cfg.Template, 120, 11), at: 60, fire: func() {
+			if where == "mid-stream" {
+				return
+			}
+			if _, err := live.Apply([]graph.Mutation{{Op: graph.MutRemoveNode, Node: 0}}); err != nil {
+				t.Fatal(err)
+			}
+			rescoring, seen = true, 0
+		}}
+		res, err := r.OnlineQGen(stream, OnlineOptions{K: 4, Window: 20, Mutations: &LiveMutations{L: live}})
+		if !errors.Is(err, context.Canceled) || res != nil {
+			t.Fatalf("%s: result %v, err %v, want context.Canceled", where, res, err)
+		}
+		if stream.n != cancelledAt || where == "mid-rescore" && cancelledAt != 60 {
+			t.Errorf("%s: cancelled at arrival %d, yet the stream went on to arrival %d", where, cancelledAt, stream.n)
+		}
+		if n := r.engine.Stats().DomainsHeld; n != 0 {
+			t.Errorf("%s: %d matcher domains still held", where, n)
+		}
+	}
+}

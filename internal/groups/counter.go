@@ -14,10 +14,13 @@ import "fairsqg/internal/graph"
 // because the counts buffer is reused across calls.
 type Counter struct {
 	set Set
-	// id[v] is 1+“index of the group containing v”, or 0 when v belongs to
-	// no group. Groups are disjoint (Set.Validate enforces it), so one slot
-	// suffices.
+	// group[id[v]] is 1+“index of the group containing v”, or 0 when v
+	// belongs to no group. Groups are disjoint (Set.Validate enforces it), so
+	// one slot suffices. id is the shared node index of the partition the
+	// groups were cut from (Set.partition) and group places its cells in the
+	// set; for any other set id is the counter's own and group the identity.
 	id     []int32
+	group  []int32
 	counts []int
 }
 
@@ -25,8 +28,17 @@ type Counter struct {
 // outside every group — including IDs past numNodes, which cannot occur in
 // answers from the same graph — count toward no group.
 func NewCounter(numNodes int, s Set) *Counter {
-	c := &Counter{set: s, id: make([]int32, numNodes), counts: make([]int, len(s))}
+	c := &Counter{set: s, counts: make([]int, len(s))}
+	if p := s.partition(); p != nil {
+		c.id, c.group = p.id, make([]int32, p.cells+1)
+		for i := range s {
+			c.group[s[i].cell+1] = int32(i) + 1
+		}
+		return c
+	}
+	c.id, c.group = make([]int32, numNodes), make([]int32, len(s)+1)
 	for i := range s {
+		c.group[i+1] = int32(i) + 1
 		for v := range s[i].Members {
 			if int(v) < numNodes {
 				c.id[v] = int32(i) + 1
@@ -39,19 +51,19 @@ func NewCounter(numNodes int, s Set) *Counter {
 // Clone returns a counter over the same node→group index with its own
 // counts buffer, for use on another goroutine.
 func (c *Counter) Clone() *Counter {
-	return &Counter{set: c.set, id: c.id, counts: make([]int, len(c.counts))}
+	return &Counter{set: c.set, id: c.id, group: c.group, counts: make([]int, len(c.counts))}
 }
 
 // Counts returns, for each group, |answer ∩ P_i| — the same values as
-// Set.Count. The returned slice is the Counter's internal buffer: it is
-// valid until the next Counts call and must not be retained or mutated.
+// Set.Count (Group.Members is read-only). The returned slice is the Counter's
+// internal buffer: valid until the next Counts call, not to be retained.
 func (c *Counter) Counts(answer []graph.NodeID) []int {
 	for i := range c.counts {
 		c.counts[i] = 0
 	}
 	for _, v := range answer {
 		if int(v) < len(c.id) {
-			if g := c.id[v]; g != 0 {
+			if g := c.group[c.id[v]]; g != 0 {
 				c.counts[g-1]++
 			}
 		}

@@ -2,6 +2,7 @@ package groups
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -70,5 +71,59 @@ func TestCounterBufferReuse(t *testing.T) {
 	}
 	if second[0] != 0 {
 		t.Error("buffer not zeroed between calls")
+	}
+}
+
+// TestCounterOverPartition: a Counter over groups cut by one ByAttribute call
+// shares the partition's node index — nothing graph-sized is built — and
+// agrees with Set.Count for the whole partition and for a reordered subset of
+// it; Validate takes such groups as disjoint, but not one of them listed
+// twice, nor the same members cut by two ByAttribute calls.
+func TestCounterOverPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := graph.New()
+	const numNodes = 300
+	for i := 0; i < numNodes; i++ {
+		attrs := map[string]graph.Value{}
+		if k := rng.Intn(5); k < 4 { // a fifth of the people carry no value
+			attrs["team"] = graph.Str(string(rune('a' + k)))
+		}
+		label := "Person"
+		if i%7 == 0 {
+			label = "Org"
+		}
+		g.AddNode(label, attrs)
+	}
+	g.Freeze()
+	all := EqualOpportunity(ByAttribute(g, "Person", "team"), 1)
+	some := EqualOpportunity(ByValues(g, "Person", "team", "d", "b"), 1)
+	for name, set := range map[string]Set{"all": all, "some": some} {
+		if err := set.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c := NewCounter(numNodes, set)
+		if &c.id[0] != &set[0].from.id[0] {
+			t.Fatalf("%s: the counter built an index of its own", name)
+		}
+		for trial := 0; trial < 50; trial++ {
+			var answer []graph.NodeID
+			for k := rng.Intn(80); k > 0; k-- {
+				answer = append(answer, graph.NodeID(rng.Intn(numNodes+5))) // some past the graph
+			}
+			if got, want := c.Clone().Counts(answer), set.Count(answer); !slices.Equal(got, want) {
+				t.Fatalf("%s trial %d: Counter %v, Set.Count %v", name, trial, got, want)
+			}
+		}
+	}
+	if err := ByValues(g, "Person", "team", "a", "a").Validate(); err == nil {
+		t.Error("one cell listed twice validated as two disjoint groups")
+	}
+	other := ByAttribute(g, "Person", "team") // another call: another partition
+	mixed := Set{all[0], other[0]}
+	if err := mixed.Validate(); err == nil {
+		t.Error("the same members under two partitions validated as disjoint")
+	}
+	if c := NewCounter(numNodes, Set{all[0], other[1]}); &c.id[0] == &all[0].from.id[0] || &c.id[0] == &other[0].from.id[0] {
+		t.Error("groups of two partitions share one node index")
 	}
 }

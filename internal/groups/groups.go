@@ -13,12 +13,40 @@ import (
 
 // Group is one node group P_i with its coverage constraint c_i.
 type Group struct {
-	Name    string
+	Name string
+	// Members is P_i; read-only on a group ByAttribute or ByValues returned:
+	// Validate and Counter go by the partition it was cut from, not by edits.
 	Members map[graph.NodeID]bool
 	// Want is the coverage constraint c_i: an instance is feasible only if
 	// its answer covers at least Want members, and the coverage measure
 	// penalizes deviation from exactly Want.
 	Want int
+	// from and cell are set by ByAttribute: the partition the group was cut
+	// from and its place there. Cells of one partition are disjoint by
+	// construction: Validate skips them, a Counter shares the node index.
+	from *partition
+	cell int32
+}
+
+// partition is the node index of one ByAttribute call, shared read-only:
+// id[v] is 1 + the cell of the group holding node v, 0 when none does.
+type partition struct {
+	id    []int32
+	cells int
+}
+
+// partition returns the partition every group of s was cut from, nil when
+// they do not share one.
+func (s Set) partition() *partition {
+	for i := range s {
+		if s[i].from != s[0].from {
+			return nil
+		}
+	}
+	if len(s) == 0 {
+		return nil
+	}
+	return s[0].from
 }
 
 // Size returns |P_i|.
@@ -52,6 +80,9 @@ func (s Set) Validate() error {
 			return fmt.Errorf("groups: group %q: constraint %d outside [0,%d]", g.Name, g.Want, len(g.Members))
 		}
 		for j := 0; j < i; j++ {
+			if g.from != nil && g.from == s[j].from && g.cell != s[j].cell {
+				continue // two cells of one partition
+			}
 			walk, probe := s[j].Members, g.Members
 			if len(probe) < len(walk) {
 				walk, probe = probe, walk
@@ -109,12 +140,14 @@ func ByAttribute(g *graph.Graph, label, attr string) Set {
 		sizes[k]++
 	}
 	set := make(Set, len(names))
+	part := &partition{id: make([]int32, g.NumNodes()), cells: len(names)}
 	for k, n := range names {
-		set[k] = Group{Name: attr + "=" + n, Members: make(map[graph.NodeID]bool, sizes[k])}
+		set[k] = Group{Name: attr + "=" + n, Members: make(map[graph.NodeID]bool, sizes[k]), from: part, cell: int32(k)}
 	}
 	for i, v := range nodes {
 		if k := slotOf[i]; k >= 0 {
 			set[k].Members[v] = true
+			part.id[v] = k + 1
 		}
 	}
 	// The names share their prefix, so this is the order of the values.

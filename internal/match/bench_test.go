@@ -124,7 +124,7 @@ func BenchmarkRefineChain(b *testing.B) {
 				var seed *Domains
 				var within []graph.NodeID
 				for _, q := range chain {
-					matches, _, held, err := e.ParEvalOutputSeeded(ctx, q, within, nil, seed, seeded)
+					matches, _, held, err := e.ParEvalOutputSeeded(ctx, q, within, nil, seed, seeded, "")
 					if err != nil || len(matches) == 0 {
 						b.Fatalf("%s: %d matches, err %v", q, len(matches), err)
 					}

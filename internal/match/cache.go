@@ -1,11 +1,9 @@
 package match
 
 import (
-	"container/list"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/query"
@@ -32,23 +30,10 @@ type CacheStats struct {
 // literals) pair, the value is the filtered candidate list over one frozen
 // graph. Refinement siblings share most of their bound-literal sets, so a
 // shared cache lets them reuse nodeSatisfies scans instead of re-filtering
-// the label's whole node list. The cache is bounded (LRU) and safe for
-// concurrent use; cached slices are treated as immutable and callers must
-// copy before mutating.
-type CandidateCache struct {
-	mu        sync.Mutex
-	capacity  int
-	entries   map[string]*list.Element
-	order     *list.List // front = most recently used
-	hits      int64
-	misses    int64
-	evictions int64
-}
-
-type cacheEntry struct {
-	key   string
-	cands []graph.NodeID
-}
+// the label's whole node list. The cache is an LRU (a Store whose entries
+// weigh 1 under a ceiling of capacity) and safe for concurrent use; cached
+// slices are treated as immutable and callers must copy before mutating.
+type CandidateCache struct{ lru Store }
 
 // NewCandidateCache returns an empty cache holding at most capacity
 // candidate lists; capacity <= 0 selects DefaultCandCacheSize.
@@ -56,11 +41,7 @@ func NewCandidateCache(capacity int) *CandidateCache {
 	if capacity <= 0 {
 		capacity = DefaultCandCacheSize
 	}
-	return &CandidateCache{
-		capacity: capacity,
-		entries:  make(map[string]*list.Element),
-		order:    list.New(),
-	}
+	return &CandidateCache{lru: Store{stats: StoreStats{Ceiling: int64(capacity)}}}
 }
 
 // candKey canonicalizes a (node label, compiled literals) pair: literals
@@ -88,55 +69,19 @@ func candKey(label string, lits []query.CompiledLiteral) string {
 // lookup returns the cached candidate list for key; the returned slice must
 // not be mutated.
 func (c *CandidateCache) lookup(key string) ([]graph.NodeID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses++
-		return nil, false
+	if v, ok := c.lru.get(key); ok {
+		return v.([]graph.NodeID), true
 	}
-	c.hits++
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).cands, true
+	return nil, false
 }
 
 // store records a candidate list for key, evicting the least recently used
-// entry when over capacity. The slice is retained; callers must not mutate
-// it afterwards.
-func (c *CandidateCache) store(key string, cands []graph.NodeID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		// A concurrent eval computed the same list; keep the incumbent.
-		c.order.MoveToFront(el)
-		return
-	}
-	c.entries[key] = c.order.PushFront(&cacheEntry{key: key, cands: cands})
-	for c.order.Len() > c.capacity {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).key)
-		c.evictions++
-	}
-}
+// entry when over capacity (a concurrent evaluation's incumbent is kept).
+// The slice is retained; callers must not mutate it afterwards.
+func (c *CandidateCache) store(key string, cands []graph.NodeID) { c.lru.put(key, cands, 1) }
 
 // Stats returns a snapshot of the cache counters.
 func (c *CandidateCache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return CacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Entries:   c.order.Len(),
-	}
-}
-
-// Reset drops every entry and zeroes the counters.
-func (c *CandidateCache) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = make(map[string]*list.Element)
-	c.order.Init()
-	c.hits, c.misses, c.evictions = 0, 0, 0
+	s := c.lru.Stats()
+	return CacheStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
 }

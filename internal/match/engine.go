@@ -19,7 +19,8 @@ type EngineOptions struct {
 	// Workers is the per-evaluation fan-out; <= 0 selects GOMAXPROCS.
 	Workers int
 	// CandCacheSize bounds the shared candidate cache: 0 selects
-	// DefaultCandCacheSize, a negative value disables caching entirely.
+	// DefaultCandCacheSize, a negative value disables caching entirely, the
+	// engine's Store included.
 	CandCacheSize int
 	// SharedCache, when non-nil, is used as the engine's candidate cache
 	// instead of constructing one (CandCacheSize is then ignored). Entries
@@ -47,6 +48,8 @@ type EngineStats struct {
 	// refinement walk is in flight; anything else on an idle engine is a
 	// walker that lost a buffer.
 	DomainsHeld int
+	// Shared reports what the runs on this engine left each other (Store).
+	Shared StoreStats
 }
 
 // Engine is a concurrent match engine over one frozen graph: it owns a
@@ -64,6 +67,8 @@ type Engine struct {
 	settings Settings
 	workers  int
 	cache    *CandidateCache
+	// store is what this generation's runs share; nothing, without a cache.
+	store Store
 
 	// mu guards the free lists and stats. The lists are the engine's own,
 	// not the sync package's pool: a pool registers itself in a
@@ -94,7 +99,11 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	if cache == nil && opts.CandCacheSize >= 0 {
 		cache = NewCandidateCache(opts.CandCacheSize)
 	}
-	return &Engine{g: g, settings: opts.Settings, workers: workers, cache: cache}
+	e := &Engine{g: g, settings: opts.Settings, workers: workers, cache: cache}
+	if cache != nil {
+		e.store.stats.Ceiling = storeBytesPerNode * int64(g.NumNodes())
+	}
+	return e
 }
 
 // Graph returns the engine's frozen graph.
@@ -130,6 +139,7 @@ func (e *Engine) Stats() EngineStats {
 	if e.cache != nil {
 		s.Cache = e.cache.Stats()
 	}
+	s.Shared = e.store.Stats()
 	return s
 }
 
@@ -226,7 +236,7 @@ func (e *Engine) ParEvalOutputFiltered(ctx context.Context, q *query.Instance, w
 // node, mirroring Matcher.EvalNodeFiltered.
 func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, node int, within []graph.NodeID,
 	accept func(candidates []graph.NodeID) bool) (matches []graph.NodeID, ok bool, err error) {
-	matches, ok, _, err = e.parEval(ctx, q, node, within, accept, nil, false)
+	matches, ok, _, err = e.parEval(ctx, q, node, within, accept, nil, false, "")
 	return matches, ok, err
 }
 
@@ -241,10 +251,12 @@ func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, nod
 // a walk passes anyway — the matches of an instance between the seed's and
 // q; the two sets are not compared. hold asks for q's own domains: held is
 // non-nil when the evaluation got past accept with a non-empty plan, and
-// must go back through ReleaseDomains.
+// must go back through ReleaseDomains. key, when not empty, is q's AnswerKey:
+// a whole answer — not vetoed by accept or cut short by ctx, on an engine
+// without a MaxBacktrackNodes budget — stays in the store for the next run.
 func (e *Engine) ParEvalOutputSeeded(ctx context.Context, q *query.Instance, within []graph.NodeID,
-	accept func(candidates []graph.NodeID) bool, seed *Domains, hold bool) (matches []graph.NodeID, ok bool, held *Domains, err error) {
-	return e.parEval(ctx, q, q.T.Output, within, accept, seed, hold)
+	accept func(candidates []graph.NodeID) bool, seed *Domains, hold bool, key string) (matches []graph.NodeID, ok bool, held *Domains, err error) {
+	return e.parEval(ctx, q, q.T.Output, within, accept, seed, hold, key)
 }
 
 // PlanDomains plans q at its output node without searching the plan and
@@ -265,11 +277,11 @@ func (e *Engine) PlanDomains(ctx context.Context, q *query.Instance) *Domains {
 
 // parEval is the one evaluation path behind every ParEval* entry point.
 func (e *Engine) parEval(ctx context.Context, q *query.Instance, node int, within []graph.NodeID,
-	accept func(candidates []graph.NodeID) bool, seed *Domains, hold bool) (matches []graph.NodeID, ok bool, held *Domains, err error) {
+	accept func(candidates []graph.NodeID) bool, seed *Domains, hold bool, key string) (matches []graph.NodeID, ok bool, held *Domains, err error) {
 	if ctx == nil {
 		// Not "ctx = Background": a reassigned ctx would be captured by
 		// reference below and cost every evaluation a heap allocation.
-		return e.parEval(context.Background(), q, node, within, accept, seed, hold)
+		return e.parEval(context.Background(), q, node, within, accept, seed, hold, key)
 	}
 	e.parEvals.Add(1)
 	planner := e.acquire(ctx)
@@ -283,7 +295,10 @@ func (e *Engine) parEval(ctx context.Context, q *query.Instance, node int, withi
 	}
 	p := planner.buildPlan(q, node, within, seed)
 	if p == nil {
-		return nil, true, nil, ctx.Err()
+		if err = ctx.Err(); err == nil {
+			e.keep(key, nil)
+		}
+		return nil, true, nil, err
 	}
 	rootCands := p.cands[p.rootIdx]
 	if accept != nil && !accept(rootCands) {
@@ -294,7 +309,9 @@ func (e *Engine) parEval(ctx context.Context, q *query.Instance, node int, withi
 	}
 	if len(p.nodes) == 1 {
 		// The candidates are the plan's (see Matcher.EvalNodeFiltered).
-		return sortedCopy(rootCands), true, held, nil
+		matches = sortedCopy(rootCands)
+		e.keep(key, matches)
+		return matches, true, held, nil
 	}
 
 	workers := e.workers
@@ -335,7 +352,17 @@ func (e *Engine) parEval(ctx context.Context, q *query.Instance, node int, withi
 		out = append(out, rs...)
 	}
 	sortIDs(out)
+	e.keep(key, out)
 	return out, true, held, nil
+}
+
+// keep leaves a whole answer in the store under key; "" keeps nothing, nor
+// does an engine under a MaxBacktrackNodes budget: what it finds depends on
+// the (possibly truncated) parent answer it searched within, not on q alone.
+func (e *Engine) keep(key string, matches []graph.NodeID) {
+	if key != "" && e.settings.MaxBacktrackNodes == 0 {
+		e.store.put(key, matches, 4*int64(cap(matches))+int64(len(key))+storeEntryBytes)
+	}
 }
 
 // embedAll returns the candidates of one block that extend to a full

@@ -274,12 +274,12 @@ func TestRetiredGenerationCollectable(t *testing.T) {
 			}
 			// Domains held, used as a seed and released stay on the
 			// engine's free list, which goes with the engine.
-			_, _, held, err := e.ParEvalOutputSeeded(context.Background(), q, nil, nil, nil, true)
+			_, _, held, err := e.ParEvalOutputSeeded(context.Background(), q, nil, nil, nil, true, "")
 			if err != nil || held == nil {
 				t.Fatalf("workers=%d: held %v, err %v", workers, held, err)
 			}
 			child := query.MustInstance(tpl, query.Instantiation{1, 0, 1, 1})
-			if _, _, _, err := e.ParEvalOutputSeeded(context.Background(), child, nil, nil, held, false); err != nil {
+			if _, _, _, err := e.ParEvalOutputSeeded(context.Background(), child, nil, nil, held, false, ""); err != nil {
 				t.Fatal(err)
 			}
 			e.ReleaseDomains(held)

@@ -286,7 +286,7 @@ func TestSeedIgnoredUnlessRefined(t *testing.T) {
 		}
 	}
 	e := NewEngine(g, EngineOptions{Workers: 1})
-	_, _, held, err := e.ParEvalOutputSeeded(context.Background(), mid, nil, nil, nil, true)
+	_, _, held, err := e.ParEvalOutputSeeded(context.Background(), mid, nil, nil, nil, true, "")
 	if err != nil || held == nil || held.q != mid {
 		t.Fatalf("hold: domains %v, err %v", held, err)
 	}
@@ -304,7 +304,7 @@ func TestSeedIgnoredUnlessRefined(t *testing.T) {
 		t.Error("a released buffer still seeds plans")
 	}
 	// The next hold reuses the buffer.
-	_, _, again, _ := e.ParEvalOutputSeeded(context.Background(), mid, nil, nil, nil, true)
+	_, _, again, _ := e.ParEvalOutputSeeded(context.Background(), mid, nil, nil, nil, true, "")
 	if again != held {
 		t.Error("the free list did not hand the released buffer out again")
 	}
@@ -331,7 +331,7 @@ func TestEngineSeededEqualsUnseeded(t *testing.T) {
 				var within []graph.NodeID
 				for {
 					q := query.MustInstance(tpl, in)
-					got, gotOK, held, err := seeded.ParEvalOutputSeeded(ctx, q, within, nil, seed, true)
+					got, gotOK, held, err := seeded.ParEvalOutputSeeded(ctx, q, within, nil, seed, true, "")
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -391,7 +391,7 @@ func TestPlanDomainsSeedsTheLattice(t *testing.T) {
 		n := 0
 		for _, in := range allInstantiations(tpl) {
 			q := query.MustInstance(tpl, in)
-			got, _, _, err := e.ParEvalOutputSeeded(ctx, q, nil, nil, root, false)
+			got, _, _, err := e.ParEvalOutputSeeded(ctx, q, nil, nil, root, false, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -429,11 +429,11 @@ func TestDomainsStayWithTheirEngine(t *testing.T) {
 		t.Fatal("fixture: the root plans empty")
 	}
 	bottom := query.MustInstance(tpl, query.Bottom(tpl))
-	want, _, _, err := mine.ParEvalOutputSeeded(ctx, bottom, nil, nil, held, false)
+	want, _, _, err := mine.ParEvalOutputSeeded(ctx, bottom, nil, nil, held, false, "")
 	if err != nil || mine.Stats().ScratchPlans != 1 {
 		t.Fatalf("own seed: err %v, %d scratch plans", err, mine.Stats().ScratchPlans)
 	}
-	got, _, _, err := other.ParEvalOutputSeeded(ctx, bottom, nil, nil, held, false)
+	got, _, _, err := other.ParEvalOutputSeeded(ctx, bottom, nil, nil, held, false, "")
 	if err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("foreign seed: %v (err %v), want %v", got, err, want)
 	}

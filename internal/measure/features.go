@@ -97,6 +97,16 @@ func NewDistanceFeatures(g *graph.Graph, attrs []string) *DistanceFeatures {
 	return f
 }
 
+// Bytes is the size of the feature rows (an interned string at 40 bytes),
+// for whoever keeps them around.
+func (f *DistanceFeatures) Bytes() (n int64) {
+	for i := range f.cols {
+		c := &f.cols[i]
+		n += int64(len(c.kinds) + 8*len(c.nums) + 4*len(c.strID) + 8*len(c.mat) + 40*len(c.strs))
+	}
+	return n
+}
+
 // domainSpan computes the numeric active-domain span exactly like the
 // original TupleDistance closure did: max − min over the attribute's
 // numeric values, or 1 when fewer than two distinct numbers occur.

@@ -28,12 +28,14 @@ type JobEvent struct {
 // what guarantees a late subscriber still sees the history that fit the
 // ring).
 type progressHub struct {
-	mu     sync.Mutex
-	seq    int
-	buf    []JobEvent // ring of the most recent events
+	mu  sync.Mutex
+	seq int
+	// buf is a ring of the most recent events, grown by append (a finished
+	// job is retained with its hub, and most publish a few dozen) until it
+	// holds cap; start is the oldest event's index, 0 until the ring wraps.
+	buf    []JobEvent
 	cap    int
-	start  int // index of the oldest buffered event
-	count  int
+	start  int
 	subs   map[chan JobEvent]struct{}
 	closed bool
 }
@@ -42,7 +44,7 @@ func newProgressHub(buffer int) *progressHub {
 	if buffer <= 0 {
 		buffer = 1024
 	}
-	return &progressHub{cap: buffer, buf: make([]JobEvent, buffer), subs: make(map[chan JobEvent]struct{})}
+	return &progressHub{cap: buffer, subs: make(map[chan JobEvent]struct{})}
 }
 
 // publish assigns the event its sequence number, appends it to the ring
@@ -56,12 +58,11 @@ func (h *progressHub) publish(ev JobEvent) {
 	}
 	h.seq++
 	ev.Seq = h.seq
-	if h.count == h.cap {
+	if len(h.buf) == h.cap {
 		h.buf[h.start] = ev
 		h.start = (h.start + 1) % h.cap
 	} else {
-		h.buf[(h.start+h.count)%h.cap] = ev
-		h.count++
+		h.buf = append(h.buf, ev)
 	}
 	for ch := range h.subs {
 		select {
@@ -92,10 +93,7 @@ func (h *progressHub) close() {
 func (h *progressHub) subscribe() (replay []JobEvent, live <-chan JobEvent, cancel func()) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	replay = make([]JobEvent, h.count)
-	for i := 0; i < h.count; i++ {
-		replay[i] = h.buf[(h.start+i)%h.cap]
-	}
+	replay = append(append(make([]JobEvent, 0, len(h.buf)), h.buf[h.start:]...), h.buf[:h.start]...)
 	if h.closed {
 		return replay, nil, func() {}
 	}

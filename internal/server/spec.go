@@ -96,20 +96,16 @@ func specPayload(spec *JobSpec) cluster.JobPayload {
 // buildConfig validates a spec against its leased graph and produces the
 // run configuration. Errors here are the caller's fault and surface as
 // HTTP 400s at submit time, before the job is queued. The spec→config
-// semantics live in cluster.BuildConfig, shared with cluster workers; the
-// server only adds algorithm validation and the graph's shared engine.
+// semantics live in cluster.BuildConfigOn, shared with cluster workers; the
+// server only adds algorithm validation.
 func buildConfig(spec *JobSpec, h *Handle) (*core.Config, error) {
 	if algorithms[spec.Algorithm] == nil {
 		return nil, fmt.Errorf("server: unknown algorithm %q (want enum, rf, bi, par, kungs or cbm)", spec.Algorithm)
 	}
-	cfg, err := cluster.BuildConfig(specPayload(spec), h.Graph())
-	if err != nil {
-		return nil, err
-	}
-	// The graph's shared engine: every job on this graph reuses one warm
-	// candidate cache, one pair-distance cache and one matcher pool.
-	cfg.Engine = h.Engine()
-	return cfg, nil
+	// The graph's shared engine: every job on this generation reuses one warm
+	// candidate cache, one matcher pool, and the answers, group partitions
+	// and scoring structures earlier jobs left in its store.
+	return cluster.BuildConfigOn(specPayload(spec), h.Engine())
 }
 
 // runSpec executes a job's algorithm over its prepared configuration and

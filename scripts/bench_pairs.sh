@@ -13,8 +13,17 @@
 # then every run. A run that is not correct:true with 0 failed ops, or a
 # digest that differs between the sides, fails the script.
 #
+# With PR=<n> the same numbers also go into BENCH_<n>.json at the repository
+# root, the machine-readable record of a PR's claim: commit, parent, Go
+# version and nproc once, then one line per (workload, seed) measured — this
+# run replaces its own line and keeps the others — holding per metric both
+# medians with quartiles, the ratio, the pairs won and every run in pair
+# order, plus the digest and the command that reproduces the line.
+# TestBenchFilesRederive (go test .) re-derives every median from the runs.
+#
 # Usage: scripts/bench_pairs.sh <parent-ref> [workload] [pairs]
 #        (workload default live-mutate, pairs default 10; SEED=n for -seed n;
+#        PR=n to record into BENCH_n.json;
 #        BENCH_ARGS="-scale smoke -seconds 1" tries the script out in a minute
 #        — a claim is measured with the runner's defaults)
 # One run takes ~25 s, so ten pairs of one workload take ~9 minutes.
@@ -58,16 +67,18 @@ echo
 echo "| workload | metric | parent | change | ratio | pairs won |"
 echo "|---|---|---|---|---|---|"
 
-# Metric order and direction from BENCHMARK.json's end_to_end list.
+# Metric order, unit and direction from BENCHMARK.json's end_to_end list.
 awk '/"end_to_end"/ {on = 1} /"per_layer"/ {on = 0}
      on && /"name"/ {gsub(/[",]/, "", $2); name = $2}
-     on && /"better"/ {gsub(/[",]/, "", $2); print name, $2}' BENCHMARK.json >"$tmp/metrics"
+     on && /"unit"/ {gsub(/[",]/, "", $2); unit = $2}
+     on && /"better"/ {gsub(/[",]/, "", $2); print name, $2, unit}' BENCHMARK.json >"$tmp/metrics"
 
 for side in parent new; do
   for i in $(seq 1 "$pairs"); do
     awk -v side="$side" -v i="$i" -v w="$workload" '$1 == w && NF == 4 {print side, i, $2, $3}' "$tmp/${side}_$i.out"
   done
-done | awk -v w="$workload" -v pairs="$pairs" -v metrics="$tmp/metrics" '
+done | awk -v w="$workload" -v pairs="$pairs" -v metrics="$tmp/metrics" -v json="$tmp/json" \
+  -v head="\"workload\": \"$workload\", \"seed\": $seed, \"pairs\": $pairs, \"digest\": \"$digests\", \"reproduce\": \"${PR:+PR=$PR }SEED=$seed scripts/bench_pairs.sh $(git rev-parse --short "$ref") $workload $pairs\"" '
   function quantile(side, m, q,    n, j, k, tmpv, pos, lo) {
     n = 0
     for (j = 1; j <= pairs; j++) sorted[++n] = val[side, m, j]
@@ -83,6 +94,11 @@ done | awk -v w="$workload" -v pairs="$pairs" -v metrics="$tmp/metrics" '
   function cell(side, m) {
     return sprintf("%.4g [%.4g–%.4g]", quantile(side, m, 0.5), quantile(side, m, 0.25), quantile(side, m, 0.75))
   }
+  function jsonSide(side, m,    j, runs) {
+    for (j = 1; j <= pairs; j++) runs = runs (j > 1 ? ", " : "") val[side, m, j]
+    return sprintf("{\"median\": %.10g, \"q1\": %.10g, \"q3\": %.10g, \"runs\": [%s]}",
+      quantile(side, m, 0.5), quantile(side, m, 0.25), quantile(side, m, 0.75), runs)
+  }
   {val[$1, $3, $2] = $4}
   END {
     first = w
@@ -97,7 +113,10 @@ done | awk -v w="$workload" -v pairs="$pairs" -v metrics="$tmp/metrics" '
         quantile("new", m, 0.5) / quantile("parent", m, 0.5), won, pairs
       first = ""
       order[++nm] = m
+      row = row (nm > 1 ? ", " : "") sprintf("{\"name\": \"%s\", \"unit\": \"%s\", \"better\": \"%s\", \"parent\": %s, \"change\": %s, \"ratio\": %.10g, \"pairs_won\": %d}",
+        m, f[3], f[2], jsonSide("parent", m), jsonSide("new", m), quantile("new", m, 0.5) / quantile("parent", m, 0.5), won)
     }
+    printf "    {%s, \"metrics\": [%s]}", head, row >json
     print ""
     print "Every run, in pair order (parent / change):"
     for (k = 1; k <= nm; k++) {
@@ -106,3 +125,26 @@ done | awk -v w="$workload" -v pairs="$pairs" -v metrics="$tmp/metrics" '
       printf "- `%s`:%s /%s\n", m, p, c
     }
   }'
+
+# BENCH_<pr>.json: the header, every result line of another (workload, seed),
+# then this run's, one object per line so that this merge stays a grep.
+if [ -n "${PR:-}" ]; then
+  out="BENCH_$PR.json"
+  commit="$(git rev-parse --short HEAD)"
+  if [ -n "$(git status --porcelain -- . ':!BENCH_*.json' ':!*.md')" ]; then commit="$commit+worktree"; fi
+  {
+    echo "{"
+    echo "  \"pr\": $PR, \"commit\": \"$commit\", \"parent\": \"$(git rev-parse --short "$ref")\", \"go\": \"$(go env GOVERSION)\", \"nproc\": $(nproc),"
+    echo "  \"results\": ["
+    if [ -f "$out" ]; then
+      grep '^    {"workload"' "$out" | grep -v "^    {\"workload\": \"$workload\", \"seed\": $seed," | sed 's/,$//' | sed 's/$/,/' || true
+    fi
+    cat "$tmp/json"
+    echo
+    echo "  ]"
+    echo "}"
+  } >"$tmp/bench.json"
+  mv "$tmp/bench.json" "$out"
+  echo
+  echo "recorded in $out"
+fi
