@@ -126,14 +126,18 @@ func BenchmarkRPQGeneration(b *testing.B) {
 	set := EqualOpportunity(GroupsByValues(g, "Paper", "topic", "MachineLearning", "Databases"), 10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		gen, err := NewRPQGenerator(&RPQConfig{
-			G: g, Template: tpl, Groups: set, Eps: 0.1,
-			DistanceAttrs: []string{"topic", "numberOfCitations"},
-		})
+		cfg, err := NewRPQConfig(g, tpl)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := gen.Generate(); err != nil {
+		cfg.Groups, cfg.Eps = set, 0.1
+		cfg.DistanceAttrs = []string{"topic", "numberOfCitations"}
+		cfg.MaxPairs = 20000
+		gen, err := NewGenerator(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := gen.Refine(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strings"
 
 	"fairsqg"
@@ -44,7 +45,9 @@ func main() {
 	cover := flag.Int("cover", 20, "coverage constraint per group (equal opportunity)")
 	totalC := flag.Int("total", 0, "total coverage budget split evenly (overrides -cover)")
 
-	alg := flag.String("alg", "bi", "algorithm: bi, rf, par, enum, kungs, cbm or online")
+	batchAlgs := fairsqg.Algorithms()
+	algNames := strings.Join(batchAlgs, ", ") + " or online"
+	alg := flag.String("alg", "bi", "algorithm: "+algNames)
 	eps := flag.Float64("eps", 0.05, "ε-dominance tolerance")
 	lambda := flag.Float64("lambda", 0.5, "relevance/dissimilarity balance λ in [0,1] (0 = pure relevance)")
 	maxPairs := flag.Int("max-pairs", 20000, "pairwise diversity sample cap (<0 = exact, no cap)")
@@ -75,6 +78,9 @@ func main() {
 	}
 	if *totalC < 0 {
 		log.Fatalf("-total must be non-negative, got %d", *totalC)
+	}
+	if *alg != "online" && !slices.Contains(batchAlgs, *alg) {
+		log.Fatalf("unknown algorithm %q (want %s)", *alg, algNames)
 	}
 	if *alg == "online" && (*k < 1 || *w < 1 || *streamLen < 1) {
 		log.Fatalf("online mode needs positive -k, -w and -stream (got %d, %d, %d)", *k, *w, *streamLen)
@@ -177,23 +183,7 @@ func main() {
 		return
 	}
 
-	var res *fairsqg.Result
-	switch *alg {
-	case "bi":
-		res, err = generator.Bidirectional()
-	case "rf":
-		res, err = generator.Refine()
-	case "enum":
-		res, err = generator.Enumerate()
-	case "kungs":
-		res, err = generator.ExactPareto()
-	case "par":
-		res, err = generator.Parallel(0)
-	case "cbm":
-		res, err = generator.CBM(fairsqg.CBMOptions{})
-	default:
-		log.Fatalf("unknown algorithm %q (want bi, rf, par, enum, kungs, cbm or online)", *alg)
-	}
+	res, err := generator.Run(*alg, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

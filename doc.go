@@ -51,7 +51,17 @@
 //     forced.
 //
 // Generator.ExactPareto (Kung's algorithm) and Generator.CBM (ε-constraint
-// bisection) are the evaluation baselines.
+// bisection) are the evaluation baselines. Generator.Run runs any batch
+// algorithm by the name Algorithms lists, as the CLI and the server do.
+//
+// The algorithms ask two things of a query class: answers that shrink
+// along refinement, and δ and f computed from the answer set alone. A
+// regular path query (NewRPQTemplate: predicate-filtered sources, a path
+// language whose alternation branches can be dropped, a hop-bound ladder)
+// has both, so NewRPQConfig lowers one to a Config — a one-node carrier
+// template spanning its lattice plus Config.Evaluator, which answers
+// instances in place of the subgraph matcher — and it runs on the same
+// Generator.
 //
 // # Performance
 //

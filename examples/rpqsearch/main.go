@@ -42,33 +42,39 @@ func main() {
 	if err := tpl.BindDomains(g, 6); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("RPQ template: sources Paper, path %s, bounds %v, space %d instances\n\n",
-		expr, tpl.Bounds, tpl.InstanceSpaceSize())
-
 	// Cover the two largest topic groups.
 	all := fairsqg.GroupsByAttribute(g, "Paper", "topic")
 	sort.Slice(all, func(i, j int) bool { return all[i].Size() > all[j].Size() })
 	set := fairsqg.EqualOpportunity(all[:2], *want)
-	fmt.Printf("groups: %s (%d), %s (%d); c=%d each\n\n",
-		set[0].Name, set[0].Size(), set[1].Name, set[1].Size(), *want)
 
-	gen, err := fairsqg.NewRPQGenerator(&fairsqg.RPQConfig{
-		G: g, Template: tpl, Groups: set, Eps: 0.1,
-		DistanceAttrs: []string{"topic", "numberOfCitations"},
-	})
+	// From here on it is the subgraph templates' stack: the RPQ is lowered to
+	// a Config and runs on the same Generator.
+	cfg, err := fairsqg.NewRPQConfig(g, tpl)
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := gen.Generate()
+	cfg.Groups, cfg.Eps = set, 0.1
+	cfg.DistanceAttrs = []string{"topic", "numberOfCitations"}
+	cfg.MaxPairs = 20000 // answers run to thousands of papers: sample δ's pairs
+	fmt.Printf("RPQ template: sources Paper, path %s, bounds %v, space %d instances\n\n",
+		expr, tpl.Bounds, cfg.Template.InstanceSpaceSize())
+	fmt.Printf("groups: %s (%d), %s (%d); c=%d each\n\n",
+		set[0].Name, set[0].Size(), set[1].Name, set[1].Size(), *want)
+
+	gen, err := fairsqg.NewGenerator(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := gen.Refine()
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("generated %d RPQ suggestions in %v (verified %d, pruned %d):\n\n",
-		len(res.Set), res.Elapsed.Round(1000000), res.VerifiedCount, res.Pruned)
+		len(res.Set), res.Elapsed.Round(1000000), res.Stats.Verified, res.Stats.Pruned)
 	for i, v := range res.Set {
-		counts := set.Count(v.Targets)
-		fmt.Printf("q%d: %s\n", i+1, tpl.Describe(v.In))
+		counts := set.Count(v.Matches)
+		fmt.Printf("q%d: %s\n", i+1, tpl.Describe(v.Q.I))
 		fmt.Printf("    %d papers (%d/%d per topic), diversity %.2f, coverage %.0f\n\n",
-			len(v.Targets), counts[0], counts[1], v.Point.Div, v.Point.Cov)
+			len(v.Matches), counts[0], counts[1], v.Point.Div, v.Point.Cov)
 	}
 }

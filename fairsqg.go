@@ -303,6 +303,15 @@ func NewGenerator(cfg *Config) (*Generator, error) {
 	return &Generator{runner: r}, nil
 }
 
+// Algorithms lists the names Generator.Run accepts: the batch algorithms
+// (OnlineQGen, which needs a stream, is Generator.Online).
+func Algorithms() []string { return core.AlgorithmNames() }
+
+// Run runs the batch algorithm with the given name; workers is Parallel's.
+func (g *Generator) Run(name string, workers int) (*Result, error) {
+	return g.runner.Run(name, workers)
+}
+
 // Enumerate runs the naive EnumQGen baseline: verify the full instance
 // space, then reduce it to an ε-Pareto set.
 func (g *Generator) Enumerate() (*Result, error) { return g.runner.EnumQGen() }

@@ -197,3 +197,51 @@ func TestPublicTemplateGenerators(t *testing.T) {
 		t.Error("bad arity accepted")
 	}
 }
+
+// TestPublicRPQ: an RPQ template lowered with NewRPQConfig runs on the same
+// Generator as a subgraph template, under every name Algorithms lists.
+func TestPublicRPQ(t *testing.T) {
+	g, err := BuildDataset(DatasetCite, DatasetOptions{Nodes: 1500, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	expr, err := ParsePathExpr("cites|cites/cites")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := NewRPQTemplate("influence", "Paper", expr, []int{3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tpl.AddVar("minYear", "year", OpGE)
+	if err := tpl.BindDomains(g, 3); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := NewRPQConfig(g, tpl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Groups = EqualOpportunity(GroupsByValues(g, "Paper", "topic", "MachineLearning", "Databases"), 5)
+	cfg.Eps = 0.1
+	if got := cfg.Template.InstanceSpaceSize(); got != 4*4*2 {
+		t.Fatalf("instance space = %d", got)
+	}
+	gen, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range Algorithms() {
+		res, err := gen.Run(name, 2)
+		if err != nil || len(res.Set) == 0 {
+			t.Fatalf("%s: %v, %v", name, res, err)
+		}
+		for _, v := range res.Set {
+			if !Feasible(cfg.Groups, v.Matches) || !strings.Contains(tpl.Describe(v.Q.I), "path=") {
+				t.Errorf("%s returned %s with %d targets", name, tpl.Describe(v.Q.I), len(v.Matches))
+			}
+		}
+	}
+	if _, err := gen.Run("zz", 0); err == nil {
+		t.Error("unknown algorithm name accepted")
+	}
+}

@@ -212,10 +212,5 @@ func (r *Runner) BiQGen() (*Result, error) {
 		return nil, err
 	}
 
-	return &Result{
-		Set:     collectSet(archive),
-		Eps:     r.cfg.Eps,
-		Stats:   r.Stats(),
-		Elapsed: time.Since(start),
-	}, nil
+	return r.result(archive, start), nil
 }

@@ -109,10 +109,5 @@ func (r *Runner) CBM(opts CBMOptions) (*Result, error) {
 	for _, v := range set {
 		archive.Update(v.Point, v)
 	}
-	return &Result{
-		Set:     collectSet(archive),
-		Eps:     r.cfg.Eps,
-		Stats:   r.Stats(),
-		Elapsed: time.Since(start),
-	}, nil
+	return r.result(archive, start), nil
 }

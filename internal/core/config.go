@@ -8,6 +8,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strings"
 	"time"
 
 	"fairsqg/internal/graph"
@@ -46,6 +48,10 @@ type Config struct {
 	// never consults a store. The engine's graph must be G, and the per-run
 	// Stats report the engine's cumulative (not per-run) counters.
 	Engine *match.Engine
+	// Evaluator, when non-nil, answers every instance in place of the match
+	// engine (see Evaluator); it excludes Engine and ExtraOutputs. Relevance
+	// still defaults to the degree relevance of the output node's label.
+	Evaluator Evaluator
 
 	// Settings is how the matcher searches: semantics, variable order,
 	// backtrack budget and candidate access path (see match.Settings).
@@ -119,6 +125,21 @@ type Config struct {
 	OnVerified func(ev VerifyEvent)
 }
 
+// Evaluator computes the answers of a run that does not match subgraphs: the
+// template is then only a lattice, variables and ladders whose meaning the
+// evaluator owns (internal/rpq lowers RPQ templates this way). Answers must
+// shrink along refinement (Lemma 2: every pruning rule rests on it) and
+// belong to one generation of G, so OnlineQGen takes no MutationSource with
+// one. ParQGen's workers call Answer concurrently.
+type Evaluator interface {
+	// Answer returns q's answer in ascending order; one cut short by ctx, the
+	// run's, is discarded whatever it holds.
+	Answer(ctx context.Context, q *query.Instance) []graph.NodeID
+	// Population is the size of the node set answers are drawn from: it
+	// replaces |V_uo| as δ's normalizer.
+	Population() int
+}
+
 // VerifyEvent describes one instance verification.
 type VerifyEvent struct {
 	// Seq is the 1-based verification sequence number.
@@ -167,6 +188,9 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("core: config settings %+v differ from the injected engine's %+v; "+
 				"every evaluation runs on the engine, so set them there (or leave Config.Settings zero)", c.Settings, es)
 		}
+	}
+	if c.Evaluator != nil && (c.Engine != nil || len(c.ExtraOutputs) > 0) {
+		return fmt.Errorf("core: config evaluator answers in place of the matcher; it excludes Engine and ExtraOutputs")
 	}
 	if c.Lambda < 0 || c.Lambda > 1 {
 		return fmt.Errorf("core: lambda must be in [0,1], got %g", c.Lambda)
@@ -313,4 +337,43 @@ func (r *Result) Points() []pareto.Point {
 		ps[i] = v.Point
 	}
 	return ps
+}
+
+// algorithms is the one table of batch strategies: the names a job spec or
+// the CLI's -alg may ask for and how each runs on a prepared runner (workers
+// is ParQGen's fan-out). OnlineQGen, which needs a stream, is not in it.
+var algorithms = map[string]func(r *Runner, workers int) (*Result, error){
+	"enum":  func(r *Runner, _ int) (*Result, error) { return r.EnumQGen() },
+	"rf":    func(r *Runner, _ int) (*Result, error) { return r.RfQGen() },
+	"bi":    func(r *Runner, _ int) (*Result, error) { return r.BiQGen() },
+	"par":   (*Runner).ParQGen,
+	"kungs": func(r *Runner, _ int) (*Result, error) { return r.Kungs() },
+	"cbm":   func(r *Runner, _ int) (*Result, error) { return r.CBM(CBMOptions{}) },
+}
+
+// AlgorithmNames lists the names Run accepts, sorted.
+func AlgorithmNames() []string {
+	names := make([]string, 0, len(algorithms))
+	for name := range algorithms {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// CheckAlgorithm returns nil for a name Run accepts, else the error that
+// lists them: what a caller taking the name from outside checks up front.
+func CheckAlgorithm(name string) error {
+	if algorithms[name] == nil {
+		return fmt.Errorf("core: unknown algorithm %q (want %s)", name, strings.Join(AlgorithmNames(), ", "))
+	}
+	return nil
+}
+
+// Run runs the named algorithm.
+func (r *Runner) Run(name string, workers int) (*Result, error) {
+	if err := CheckAlgorithm(name); err != nil {
+		return nil, err
+	}
+	return algorithms[name](r, workers)
 }

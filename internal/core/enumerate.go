@@ -137,12 +137,7 @@ func (r *Runner) EnumQGen() (*Result, error) {
 	if err := r.enumerate(func(v *Verified) { archive.Update(v.Point, v) }); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Set:     collectSet(archive),
-		Eps:     r.cfg.Eps,
-		Stats:   r.Stats(),
-		Elapsed: time.Since(start),
-	}, nil
+	return r.result(archive, start), nil
 }
 
 // Kungs enumerates and verifies the full instance space and computes the

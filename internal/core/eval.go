@@ -4,6 +4,7 @@ import (
 	"context"
 	"slices"
 	"sort"
+	"time"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/groups"
@@ -101,6 +102,9 @@ func (r *Runner) bind() {
 			seen[l] = true
 			r.population += cfg.G.CountLabel(l)
 		}
+	}
+	if cfg.Evaluator != nil {
+		r.population = cfg.Evaluator.Population()
 	}
 	r.cache = make(map[string]*Verified)
 	r.initScoring()
@@ -289,11 +293,11 @@ func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 // nil — or no within set to go with a seed captured under one — means the
 // root's (rootSeed), which every instance refines. hold asks for q's own
 // domains, to seed its refinements with. held is nil when the record came
-// from the memo or its answer from an injected engine's store (reused: a
-// whole answer, though nothing was planned), the plan came out empty or the
-// bound check vetoed it, the run was cancelled, inheritance is off
-// (DisableIncremental) or the run has several output nodes; otherwise the
-// caller owes it to the engine's ReleaseDomains.
+// from the memo or its answer from an injected engine's store or from
+// Config.Evaluator (reused: a whole answer, though nothing was planned), the
+// plan came out empty or the bound check vetoed it, the run was cancelled,
+// inheritance is off (DisableIncremental) or the run has several output
+// nodes; otherwise the caller owes it to the engine's ReleaseDomains.
 //
 // An answer equal to the parent's is not scored again: δ and f are functions
 // of the answer set alone, so the record adopts the parent's.
@@ -318,7 +322,10 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 		// where the evaluation would have returned it; nothing is planned.
 		var matches []graph.NodeID
 		key, ok := "", false
-		if r.cfg.Engine != nil {
+		if r.cfg.Evaluator != nil {
+			// Like a stored answer: whole, nothing planned, vetoed or held.
+			matches, reused = r.cfg.Evaluator.Answer(r.ctx, q), true
+		} else if r.cfg.Engine != nil {
 			key = match.AnswerKey(q)
 			if matches, reused = r.engine.Answer(key); reused {
 				r.stats.AnswersReused++
@@ -437,6 +444,12 @@ func collectSet(a *pareto.Archive[*Verified]) []*Verified {
 		return set[i].Point.Cov < set[j].Point.Cov
 	})
 	return set
+}
+
+// result is what every batch algorithm returns for its archive: the set in
+// collectSet order with the run's counters.
+func (r *Runner) result(archive *pareto.Archive[*Verified], start time.Time) *Result {
+	return &Result{Set: collectSet(archive), Eps: r.cfg.Eps, Stats: r.Stats(), Elapsed: time.Since(start)}
 }
 
 // verifyMultiOutput evaluates an instance under the multiple-output-nodes

@@ -125,3 +125,24 @@ func TestOnVerifiedSeesBoundPrunedInstances(t *testing.T) {
 		t.Error("no infeasible instances traced; fixture too easy or hook broken")
 	}
 }
+
+// TestRunNamesEveryAlgorithm: the one name→run table. Every listed name
+// runs, par takes the worker count, and an unlisted name is an error.
+func TestRunNamesEveryAlgorithm(t *testing.T) {
+	g := fixtureGraph(t, 40)
+	cfg := fixtureConfig(t, g, 0.3, 3)
+	r := newRunnerT(t, cfg)
+	names := AlgorithmNames()
+	if want := []string{"bi", "cbm", "enum", "kungs", "par", "rf"}; !equalStrings(names, want) {
+		t.Fatalf("AlgorithmNames = %v, want %v", names, want)
+	}
+	for _, name := range names {
+		res, err := r.Run(name, 2)
+		if err != nil || len(res.Set) == 0 {
+			t.Errorf("%s: %v, %v", name, res, err)
+		}
+	}
+	if res, err := r.Run("online", 0); err == nil {
+		t.Errorf("Run(online) = %v: it needs a stream, so it is not in the table", res)
+	}
+}

@@ -148,6 +148,9 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 	if opts.Window < 0 {
 		return nil, fmt.Errorf("core: OnlineQGen requires Window >= 0, got %d", opts.Window)
 	}
+	if opts.Mutations != nil && r.cfg.Evaluator != nil {
+		return nil, fmt.Errorf("core: OnlineQGen cannot follow mutations with Config.Evaluator, which answers over one generation")
+	}
 	eps := opts.InitialEps
 	if eps <= 0 {
 		eps = r.cfg.Eps

@@ -31,7 +31,7 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 	defer r.releaseRoot()
 	start := time.Now()
 	plan := PlanSlabs(r.cfg.Template)
-	if !r.cfg.DisableIncremental && len(r.extraNodes) == 0 {
+	if !r.cfg.DisableIncremental && len(r.extraNodes) == 0 && r.cfg.Evaluator == nil {
 		r.rootSeed() // planned once, before the forks copy the runner
 	}
 
@@ -64,12 +64,7 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 	if err := r.err(); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Set:     collectSet(archive),
-		Eps:     r.cfg.Eps,
-		Stats:   r.Stats(),
-		Elapsed: time.Since(start),
-	}, nil
+	return r.result(archive, start), nil
 }
 
 // pickSplitVariable selects the variable with the largest number of

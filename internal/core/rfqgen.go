@@ -22,10 +22,5 @@ func (r *Runner) RfQGen() (*Result, error) {
 	if err := r.err(); err != nil {
 		return nil, err
 	}
-	return &Result{
-		Set:     collectSet(archive),
-		Eps:     r.cfg.Eps,
-		Stats:   r.Stats(),
-		Elapsed: time.Since(start),
-	}, nil
+	return r.result(archive, start), nil
 }

@@ -113,7 +113,8 @@ func newSpawner(r *Runner) *spawner {
 // by the template-refinement analysis when enabled and affordable.
 func (s *spawner) refine(v *Verified) []query.Instantiation {
 	t := s.r.cfg.Template
-	if s.r.cfg.DisableTemplateRefinement || len(v.Matches) == 0 || len(v.Matches) > maxNeighborhoodSeeds {
+	// An evaluator's variables need not be predicates on nodes near the answer.
+	if s.r.cfg.DisableTemplateRefinement || s.r.cfg.Evaluator != nil || len(v.Matches) == 0 || len(v.Matches) > maxNeighborhoodSeeds {
 		return query.RefineSteps(t, v.Q.I)
 	}
 	return query.RefineStepsRestricted(t, v.Q.I, s.restriction(v))

@@ -227,7 +227,7 @@ func (t *Template) connectedWithAllEdges() bool {
 type DomainOptions struct {
 	// MaxValues caps the ladder length per variable; 0 means no cap. When a
 	// label-restricted active domain exceeds the cap it is subsampled
-	// evenly, always keeping the extremes.
+	// evenly, always keeping the extremes (a cap of 1 keeps the median).
 	MaxValues int
 }
 
@@ -317,10 +317,13 @@ func labelRestrictedDomain(g *graph.Graph, label, attr string) []graph.Value {
 	return out
 }
 
-// subsample keeps n values from dom spread evenly, including both extremes.
+// subsample keeps n values from dom (0 < n < len(dom)) spread evenly,
+// including both extremes; one value has no extremes to keep and is the
+// median.
 func subsample(dom []graph.Value, n int) []graph.Value {
-	if n >= len(dom) || n < 2 {
-		return dom
+	if n == 1 {
+		mid := (len(dom) - 1) / 2
+		return dom[mid : mid+1]
 	}
 	out := make([]graph.Value, n)
 	step := float64(len(dom)-1) / float64(n-1)

@@ -177,6 +177,22 @@ func TestBindDomainsSubsample(t *testing.T) {
 			t.Errorf("subsampled ladder not strictly ascending: %v", lad)
 		}
 	}
+	// A cap of 1 keeps one value, the median — not the whole domain.
+	if err := tpl.BindDomains(g, DomainOptions{MaxValues: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if lad := tpl.Vars[0].Ladder; len(lad) != 1 || !lad[0].Equal(graph.Int(49)) {
+		t.Errorf("ladder under a cap of 1 = %v, want [49]", lad)
+	}
+	// And no cap, or one the domain fits in, keeps all of it.
+	for _, max := range []int{0, 100, 1000} {
+		if err := tpl.BindDomains(g, DomainOptions{MaxValues: max}); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(tpl.Vars[0].Ladder); n != 100 {
+			t.Errorf("MaxValues %d: ladder has %d values, want 100", max, n)
+		}
+	}
 }
 
 func TestParseRoundTrip(t *testing.T) {

@@ -1,6 +1,7 @@
 package rpq
 
 import (
+	"context"
 	"sort"
 
 	"fairsqg/internal/graph"
@@ -164,8 +165,9 @@ func (n *NFA) AcceptsEmpty() bool { return n.accept[n.start] }
 
 // Eval computes the targets reachable from the given sources along paths
 // whose label word is accepted, using at most maxHops edges. The result is
-// sorted and deduplicated.
-func (n *NFA) Eval(g *graph.Graph, sources []graph.NodeID, maxHops int) []graph.NodeID {
+// sorted and deduplicated. ctx is polled once per hop; a cancelled
+// evaluation returns nil.
+func (n *NFA) Eval(ctx context.Context, g *graph.Graph, sources []graph.NodeID, maxHops int) []graph.NodeID {
 	type pair struct {
 		node  graph.NodeID
 		state int
@@ -184,6 +186,9 @@ func (n *NFA) Eval(g *graph.Graph, sources []graph.NodeID, maxHops int) []graph.
 		}
 	}
 	for hop := 0; hop < maxHops && len(frontier) > 0; hop++ {
+		if ctx.Err() != nil {
+			return nil
+		}
 		var next []pair
 		for _, p := range frontier {
 			for _, tr := range n.trans[p.state] {

@@ -1,10 +1,12 @@
 package rpq
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"fairsqg/internal/graph"
+	"fairsqg/internal/query"
 )
 
 // TestQuickEvalMonotoneInHops: enlarging the hop bound never removes
@@ -37,7 +39,7 @@ func TestQuickEvalMonotoneInHops(t *testing.T) {
 			nfa := Compile(expr, g)
 			prev := map[graph.NodeID]bool{}
 			for hops := 0; hops <= 5; hops++ {
-				cur := nfa.Eval(g, src, hops)
+				cur := nfa.Eval(context.Background(), g, src, hops)
 				curSet := map[graph.NodeID]bool{}
 				for _, v := range cur {
 					curSet[v] = true
@@ -76,21 +78,21 @@ func TestQuickBranchDisablingShrinks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full := tpl.Root()
+		full := query.Instantiation{query.Wildcard, query.Wildcard, query.Wildcard} // every branch enabled
 		fullNFA := Compile(tpl.EnabledExpr(full), g)
 		sources := tpl.Sources(g, full)
 		fullTargets := map[graph.NodeID]bool{}
-		for _, v := range fullNFA.Eval(g, sources, 4) {
+		for _, v := range fullNFA.Eval(context.Background(), g, sources, 4) {
 			fullTargets[v] = true
 		}
 		for bi := range tpl.Branches {
-			in := append(Instantiation(nil), full...)
-			in[len(tpl.Vars)+bi] = 1
+			in := full.Clone()
+			in[len(tpl.Vars)+bi] = 0
 			expr := tpl.EnabledExpr(in)
 			if expr == nil {
 				continue
 			}
-			sub := Compile(expr, g).Eval(g, sources, 4)
+			sub := Compile(expr, g).Eval(context.Background(), g, sources, 4)
 			for _, v := range sub {
 				if !fullTargets[v] {
 					t.Fatalf("trial %d: disabling branch %d added target %d", trial, bi, v)

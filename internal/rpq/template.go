@@ -1,15 +1,16 @@
 package rpq
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"strings"
+	"sync"
 
+	"fairsqg/internal/core"
 	"fairsqg/internal/graph"
+	"fairsqg/internal/measure"
+	"fairsqg/internal/query"
 )
-
-// Wildcard is the "don't care" binding level for range variables.
-const Wildcard = -1
 
 // Variable parameterizes one source-node predicate "source.Attr Op $x".
 type Variable struct {
@@ -28,6 +29,9 @@ type Variable struct {
 //   - one Boolean flag per top-level alternation branch (disabling a
 //     branch shrinks the language — the analogue of an edge variable),
 //   - the hop-bound ladder (smaller bounds admit fewer paths).
+//
+// The template owns what its parameters mean; the lattice they span, and
+// the generation over it, are query's and core's (see Config).
 type Template struct {
 	Name        string
 	SourceLabel string
@@ -73,153 +77,118 @@ func (t *Template) AddVar(name, attr string, op graph.Op) *Template {
 	return t
 }
 
+// carrier lowers the template to the one-node query.Template whose instance
+// lattice is the RPQ's, variables in the order [Vars..., one per branch,
+// hops]. The source predicates are real literals on the node. Each branch is
+// a pinned one-value variable — wildcard: enabled, level 0: dropped — and the
+// hop bound one over Bounds[1:] — wildcard: the widest bound, Bounds[0];
+// absent when there is one bound — so query.Root is the most relaxed RPQ and
+// every query.RefineSteps edge tightens a predicate, drops a branch or lowers
+// the bound. The pseudo-variables' literals name attributes no graph has:
+// nothing ever matches a carrier, an Evaluator answers it.
+func (t *Template) carrier() (*query.Template, error) {
+	b := query.NewBuilder(t.Name).Node("source", t.SourceLabel).Output("source")
+	for _, v := range t.Vars {
+		b.RangeVar(v.Name, "source", v.Attr, v.Op).SetLadder(v.Name, v.Ladder...)
+	}
+	for bi := range t.Branches {
+		name := fmt.Sprintf("drop%d", bi)
+		b.RangeVar(name, "source", "path:"+name, graph.OpEQ).SetLadder(name, graph.Bool(true))
+	}
+	if len(t.Bounds) > 1 {
+		hops := make([]graph.Value, len(t.Bounds)-1)
+		for i, bound := range t.Bounds[1:] {
+			hops[i] = graph.Int(int64(bound))
+		}
+		b.RangeVar("hops", "source", "path:hops", graph.OpLE).SetLadder("hops", hops...)
+	}
+	return b.Build()
+}
+
 // BindDomains installs value ladders from the label-restricted active
-// domain of each variable's attribute, like the subgraph templates.
+// domain of each variable's attribute, through the subgraph templates'
+// binder (query.Template.BindMissingDomains; the branch and hop ladders are
+// pinned). maxValues caps a ladder's length, 0 for no cap.
 func (t *Template) BindDomains(g *graph.Graph, maxValues int) error {
 	for vi := range t.Vars {
-		v := &t.Vars[vi]
-		aid := g.AttrIDOf(v.Attr)
-		var vals []graph.Value
-		for _, node := range g.NodesByLabel(t.SourceLabel) {
-			if a := g.AttrValue(node, aid); !a.IsNull() {
-				vals = append(vals, a)
-			}
-		}
-		sort.Slice(vals, func(i, j int) bool { return vals[i].Compare(vals[j]) < 0 })
-		dedup := vals[:0]
-		for i, val := range vals {
-			if i == 0 || !val.Equal(vals[i-1]) {
-				dedup = append(dedup, val)
-			}
-		}
-		if len(dedup) == 0 {
-			return fmt.Errorf("rpq: variable %q: attribute %q empty for label %q", v.Name, v.Attr, t.SourceLabel)
-		}
-		if maxValues > 0 && len(dedup) > maxValues {
-			sub := make([]graph.Value, maxValues)
-			step := float64(len(dedup)-1) / float64(maxValues-1)
-			for i := range sub {
-				sub[i] = dedup[int(float64(i)*step+0.5)]
-			}
-			dedup = sub
-		}
-		if v.Op == graph.OpLT || v.Op == graph.OpLE {
-			for i, j := 0, len(dedup)-1; i < j; i, j = i+1, j-1 {
-				dedup[i], dedup[j] = dedup[j], dedup[i]
-			}
-		}
-		v.Ladder = dedup
+		t.Vars[vi].Ladder = nil
+	}
+	c, err := t.carrier()
+	if err != nil {
+		return err
+	}
+	if err := c.BindMissingDomains(g, query.DomainOptions{MaxValues: maxValues}); err != nil {
+		return err
+	}
+	for vi := range t.Vars {
+		t.Vars[vi].Ladder = c.Vars[vi].Ladder
 	}
 	return nil
 }
 
-// Instantiation binds every parameter: one level per range variable
-// (Wildcard or ladder index), one flag per branch (0 = enabled, 1 =
-// disabled), and the hop-bound index. Layout: [vars..., branches..., bound].
-type Instantiation []int
-
-// arity returns the expected instantiation length.
-func (t *Template) arity() int { return len(t.Vars) + len(t.Branches) + 1 }
-
-// Root returns the most relaxed instantiation: every variable wildcarded,
-// all branches enabled, the largest hop bound.
-func (t *Template) Root() Instantiation {
-	in := make(Instantiation, t.arity())
-	for i := range t.Vars {
-		in[i] = Wildcard
+// Config lowers the template over g onto the generation stack: a
+// core.Config holding the carrier template, the Evaluator that answers its
+// instances, and the RPQ scoring defaults — every target equally relevant
+// (Relevance), δ normalized by |V| because targets may span labels
+// (Evaluator.Population). The caller sets Groups, Eps and whatever else a
+// subgraph run would, runs any of core's algorithms on it, and reads an
+// instance's Q.I back through Describe, Sources, EnabledExpr and Bound.
+// Ladders are taken as they are now: call BindDomains first.
+func (t *Template) Config(g *graph.Graph) (*core.Config, error) {
+	c, err := t.carrier()
+	if err != nil {
+		return nil, err
 	}
-	return in // branch flags 0 (enabled), bound index 0 (largest)
+	return &core.Config{
+		G: g, Template: c,
+		Evaluator: &Evaluator{t: t, g: g, nfas: map[uint64]*NFA{}},
+		Relevance: measure.ConstantRelevance(1),
+	}, nil
 }
 
-// Validate checks an instantiation's shape.
-func (t *Template) Validate(in Instantiation) error {
-	if len(in) != t.arity() {
-		return fmt.Errorf("rpq: instantiation has %d entries, template needs %d", len(in), t.arity())
-	}
-	for vi := range t.Vars {
-		if in[vi] < Wildcard || in[vi] >= len(t.Vars[vi].Ladder) {
-			return fmt.Errorf("rpq: variable %q level %d out of range", t.Vars[vi].Name, in[vi])
-		}
-	}
-	for bi := range t.Branches {
-		f := in[len(t.Vars)+bi]
-		if f != 0 && f != 1 {
-			return fmt.Errorf("rpq: branch flag must be 0 or 1, got %d", f)
-		}
-	}
-	b := in[t.arity()-1]
-	if b < 0 || b >= len(t.Bounds) {
-		return fmt.Errorf("rpq: bound index %d out of range", b)
-	}
-	return nil
+// Evaluator answers a template's carrier instances over one graph — the
+// core.Evaluator of an RPQ run. It compiles one NFA per set of enabled
+// branches, in a table the workers of a parallel run share.
+type Evaluator struct {
+	t *Template
+	g *graph.Graph
+
+	mu   sync.Mutex
+	nfas map[uint64]*NFA // by BranchMask; nil for the empty language
 }
 
-// Refines reports whether b refines a: every predicate at least as
-// selective, every disabled branch of a disabled in b, and b's hop bound
-// no larger.
-func (t *Template) Refines(a, b Instantiation) bool {
-	for vi := range t.Vars {
-		la, lb := a[vi], b[vi]
-		if la == lb || la == Wildcard {
-			continue
+// Answer returns the targets of q, sorted.
+func (e *Evaluator) Answer(ctx context.Context, q *query.Instance) []graph.NodeID {
+	mask := e.t.BranchMask(q.I)
+	e.mu.Lock()
+	nfa, ok := e.nfas[mask]
+	if !ok {
+		if expr := e.t.EnabledExpr(q.I); expr != nil {
+			nfa = Compile(expr, e.g)
 		}
-		if lb == Wildcard || lb < la {
-			return false
-		}
+		e.nfas[mask] = nfa
 	}
-	for bi := range t.Branches {
-		if b[len(t.Vars)+bi] < a[len(t.Vars)+bi] {
-			return false
-		}
+	e.mu.Unlock()
+	if nfa == nil {
+		return nil
 	}
-	return b[t.arity()-1] >= a[t.arity()-1]
+	return nfa.Eval(ctx, e.g, e.t.Sources(e.g, q.I), e.t.Bound(q.I))
 }
 
-// RefineSteps returns the one-step refinements of in.
-func (t *Template) RefineSteps(in Instantiation) []Instantiation {
-	var out []Instantiation
-	step := func(i, level int) {
-		child := make(Instantiation, len(in))
-		copy(child, in)
-		child[i] = level
-		out = append(out, child)
-	}
-	for vi := range t.Vars {
-		switch {
-		case in[vi] == Wildcard:
-			if len(t.Vars[vi].Ladder) > 0 {
-				step(vi, 0)
-			}
-		case in[vi]+1 < len(t.Vars[vi].Ladder):
-			step(vi, in[vi]+1)
-		}
-	}
-	for bi := range t.Branches {
-		if in[len(t.Vars)+bi] == 0 {
-			step(len(t.Vars)+bi, 1)
-		}
-	}
-	if b := in[t.arity()-1]; b+1 < len(t.Bounds) {
-		step(t.arity()-1, b+1)
-	}
-	return out
-}
+// Population is |V|: any node can be a target.
+func (e *Evaluator) Population() int { return e.g.NumNodes() }
 
-// Key encodes the instantiation for maps.
-func (in Instantiation) Key() string {
-	parts := make([]string, len(in))
-	for i, v := range in {
-		parts[i] = fmt.Sprint(v)
-	}
-	return strings.Join(parts, ",")
+// enabled reports whether in keeps branch bi.
+func (t *Template) enabled(in query.Instantiation, bi int) bool {
+	return in[len(t.Vars)+bi] == query.Wildcard
 }
 
 // EnabledExpr returns the expression restricted to the enabled branches,
 // or nil when every branch is disabled (the empty language).
-func (t *Template) EnabledExpr(in Instantiation) Expr {
+func (t *Template) EnabledExpr(in query.Instantiation) Expr {
 	var enabled []Expr
 	for bi, br := range t.Branches {
-		if in[len(t.Vars)+bi] == 0 {
+		if t.enabled(in, bi) {
 			enabled = append(enabled, br)
 		}
 	}
@@ -233,11 +202,11 @@ func (t *Template) EnabledExpr(in Instantiation) Expr {
 	}
 }
 
-// BranchMask packs the branch flags for NFA caching.
-func (t *Template) BranchMask(in Instantiation) uint64 {
+// BranchMask packs the enabled branches for NFA caching.
+func (t *Template) BranchMask(in query.Instantiation) uint64 {
 	var mask uint64
 	for bi := range t.Branches {
-		if in[len(t.Vars)+bi] == 0 {
+		if t.enabled(in, bi) {
 			mask |= 1 << uint(bi)
 		}
 	}
@@ -245,10 +214,15 @@ func (t *Template) BranchMask(in Instantiation) uint64 {
 }
 
 // Bound returns the hop limit selected by in.
-func (t *Template) Bound(in Instantiation) int { return t.Bounds[in[t.arity()-1]] }
+func (t *Template) Bound(in query.Instantiation) int {
+	if hops := len(t.Vars) + len(t.Branches); hops < len(in) {
+		return t.Bounds[in[hops]+1]
+	}
+	return t.Bounds[0]
+}
 
 // Sources returns the source nodes satisfying the bound literals.
-func (t *Template) Sources(g *graph.Graph, in Instantiation) []graph.NodeID {
+func (t *Template) Sources(g *graph.Graph, in query.Instantiation) []graph.NodeID {
 	ids := make([]graph.AttrID, len(t.Vars))
 	for vi := range t.Vars {
 		ids[vi] = g.AttrIDOf(t.Vars[vi].Attr)
@@ -258,7 +232,7 @@ func (t *Template) Sources(g *graph.Graph, in Instantiation) []graph.NodeID {
 		ok := true
 		for vi := range t.Vars {
 			level := in[vi]
-			if level == Wildcard {
+			if level == query.Wildcard {
 				continue
 			}
 			if !t.Vars[vi].Op.Apply(g.AttrValue(v, ids[vi]), t.Vars[vi].Ladder[level]) {
@@ -274,7 +248,7 @@ func (t *Template) Sources(g *graph.Graph, in Instantiation) []graph.NodeID {
 }
 
 // Describe renders an instance for display.
-func (t *Template) Describe(in Instantiation) string {
+func (t *Template) Describe(in query.Instantiation) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s{", t.Name)
 	for vi := range t.Vars {
@@ -282,7 +256,7 @@ func (t *Template) Describe(in Instantiation) string {
 			b.WriteString(", ")
 		}
 		v := &t.Vars[vi]
-		if in[vi] == Wildcard {
+		if in[vi] == query.Wildcard {
 			fmt.Fprintf(&b, "%s=_", v.Name)
 		} else {
 			fmt.Fprintf(&b, "%s%s%s", v.Attr, v.Op, v.Ladder[in[vi]])
@@ -295,16 +269,4 @@ func (t *Template) Describe(in Instantiation) string {
 	}
 	fmt.Fprintf(&b, "; hops<=%d}", t.Bound(in))
 	return b.String()
-}
-
-// InstanceSpaceSize returns the number of distinct instantiations.
-func (t *Template) InstanceSpaceSize() int {
-	size := len(t.Bounds)
-	for vi := range t.Vars {
-		size *= len(t.Vars[vi].Ladder) + 1
-	}
-	for range t.Branches {
-		size *= 2
-	}
-	return size
 }

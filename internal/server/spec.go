@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"time"
 
 	"fairsqg/internal/cluster"
@@ -13,7 +12,7 @@ import (
 type JobSpec struct {
 	// Graph names a registered graph.
 	Graph string `json:"graph"`
-	// Algorithm is one of enum, rf, bi, par, kungs or cbm.
+	// Algorithm is one of core.AlgorithmNames: enum, rf, bi, par, kungs, cbm.
 	Algorithm string `json:"algorithm"`
 	// Template is the query template in the textual DSL. Range variables
 	// without explicit `ladder` lines get their value ladders bound
@@ -46,17 +45,6 @@ type JobSpec struct {
 
 // GroupsSpec selects the node groups P and their constraints c_i.
 type GroupsSpec = cluster.GroupsPayload
-
-// algorithms names the runnable generation strategies: what a spec may
-// ask for and how each runs on a prepared runner.
-var algorithms = map[string]func(*core.Runner, *JobSpec) (*core.Result, error){
-	"enum":  func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.EnumQGen() },
-	"rf":    func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.RfQGen() },
-	"bi":    func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.BiQGen() },
-	"par":   func(r *core.Runner, s *JobSpec) (*core.Result, error) { return r.ParQGen(s.Workers) },
-	"kungs": func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.Kungs() },
-	"cbm":   func(r *core.Runner, _ *JobSpec) (*core.Result, error) { return r.CBM(core.CBMOptions{}) },
-}
 
 // ResultQuery is one suggested query in a job result, mirroring the
 // workload format so results feed the same downstream drivers.
@@ -99,8 +87,8 @@ func specPayload(spec *JobSpec) cluster.JobPayload {
 // semantics live in cluster.BuildConfigOn, shared with cluster workers; the
 // server only adds algorithm validation.
 func buildConfig(spec *JobSpec, h *Handle) (*core.Config, error) {
-	if algorithms[spec.Algorithm] == nil {
-		return nil, fmt.Errorf("server: unknown algorithm %q (want enum, rf, bi, par, kungs or cbm)", spec.Algorithm)
+	if err := core.CheckAlgorithm(spec.Algorithm); err != nil {
+		return nil, err
 	}
 	// The graph's shared engine: every job on this generation reuses one warm
 	// candidate cache, one matcher pool, and the answers, group partitions
@@ -117,7 +105,7 @@ func runSpec(spec *JobSpec, cfg *core.Config, hook func(core.VerifyEvent)) (*Job
 	if err != nil {
 		return nil, err
 	}
-	res, err := algorithms[spec.Algorithm](runner, spec) // buildConfig checked the name
+	res, err := runner.Run(spec.Algorithm, spec.Workers)
 	if err != nil {
 		return nil, err
 	}

@@ -10,21 +10,13 @@ import (
 // in a regular language over edge labels, within a bounded hop count; its
 // parameters (source-predicate range variables, alternation-branch flags,
 // the hop-bound ladder) span an instance lattice with the same
-// monotonicity properties as subgraph templates, so the ε-Pareto
-// generation carries over.
+// monotonicity properties as subgraph templates, so it runs on the same
+// Generator: only what computes an answer differs.
 type (
 	// RPQExpr is a regular expression over edge labels.
 	RPQExpr = rpq.Expr
 	// RPQTemplate is a parameterized regular path query.
 	RPQTemplate = rpq.Template
-	// RPQInstantiation binds an RPQ template's parameters.
-	RPQInstantiation = rpq.Instantiation
-	// RPQConfig configures RPQ generation.
-	RPQConfig = rpq.Config
-	// RPQResult is an RPQ generation outcome.
-	RPQResult = rpq.Result
-	// RPQVerified is an evaluated RPQ instance.
-	RPQVerified = rpq.Verified
 )
 
 // ParsePathExpr parses a path expression: labels, '/' concatenation, '|'
@@ -38,26 +30,11 @@ func NewRPQTemplate(name, sourceLabel string, expr RPQExpr, bounds []int) (*RPQT
 	return rpq.NewTemplate(name, sourceLabel, expr, bounds)
 }
 
-// RPQGenerator runs the RPQ generation algorithms.
-type RPQGenerator struct {
-	runner *rpq.Runner
-}
-
-// NewRPQGenerator validates the configuration and prepares a generator.
-func NewRPQGenerator(cfg *RPQConfig) (*RPQGenerator, error) {
-	r, err := rpq.NewRunner(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &RPQGenerator{runner: r}, nil
-}
-
-// Enumerate verifies the full RPQ instance space and reduces it to an
-// ε-Pareto set.
-func (g *RPQGenerator) Enumerate() (*RPQResult, error) { return g.runner.Enumerate() }
-
-// Generate runs the refinement-based strategy with infeasibility pruning.
-func (g *RPQGenerator) Generate() (*RPQResult, error) { return g.runner.Generate() }
-
-// AllFeasible returns every feasible RPQ instance (indicator reference).
-func (g *RPQGenerator) AllFeasible() []*RPQVerified { return g.runner.AllFeasible() }
+// NewRPQConfig lowers an RPQ template (its ladders bound) over g into a
+// Config for NewGenerator: Template is a one-node carrier spanning the RPQ's
+// instance lattice, Evaluator answers its instances by bounded product-BFS,
+// every target is equally relevant and δ is normalized by |V|. Set Groups,
+// Eps and any other field as for a subgraph template; every algorithm, Ctx
+// and the scoring knobs apply. A result's Verified.Matches are the targets,
+// and t.Describe(v.Q.I) renders the instance.
+func NewRPQConfig(g *Graph, t *RPQTemplate) (*Config, error) { return t.Config(g) }
