@@ -80,16 +80,20 @@
 // Down the refinement lattice the propagation is incremental: every
 // instance is handed the arc-consistent candidate sets of a verified
 // ancestor — its parent where the walk has one (RfQGen, ParQGen, the
-// enumeration prefix of EnumQGen, Kungs and CBM), else the template's root,
-// planned once per graph generation (BiQGen, OnlineQGen) — its plan starts
-// from those instead of the label populations and revises only the arcs
-// the step touched, and it ends at exactly the from-scratch fixpoint
-// (Stats.Matcher.ArcsRevised and ArcsInherited count both kinds,
-// ScratchPlans the plans that did start from the labels: one per
-// generation). An instance whose answer equals its parent's adopts the
-// parent's score and coverage (Stats.AnswersShared). Config.
-// DisableIncremental turns all of that off together with incVerify: the
-// paper's naive verification.
+// enumeration prefix of EnumQGen, Kungs and CBM; OnlineQGen's working set,
+// re-verified after a mutation as a walk down the lattice it spans), else
+// the template's root, planned once per graph generation (BiQGen, stream
+// arrivals) — its plan starts from those instead of the label populations
+// and revises only the arcs the step touched, and it ends at exactly the
+// from-scratch fixpoint (Stats.Matcher.ArcsRevised and ArcsInherited count
+// both kinds, ScratchPlans the plans that did start from the labels: one
+// per generation). An instance no walk hands a parent — a stream arrival,
+// a re-verified member, an item of BiQGen's backward sweep — takes the most
+// refined verified ancestor the run's memo holds (Stats.AncestorsFound) and
+// searches within its answer like any child. An instance whose answer
+// equals its parent's adopts the parent's score and coverage
+// (Stats.AnswersShared). Config.DisableIncremental turns all of that off
+// together with incVerify: the paper's naive verification.
 //
 // Two Config knobs schedule how each instance's answer set is computed;
 // both leave results bit-identical to the defaults:

@@ -212,7 +212,8 @@ func (s *flipSource) Poll() *MutationEvent {
 // BenchmarkOnlineRescore is an OnlineQGen over 48 arrivals whose graph
 // changes generation before every sixth poll, so the run is dominated by
 // Retarget and the re-verification of archive and window: one plan from the
-// labels per generation against one per verification.
+// labels per generation and a walk down the working set's lattice, against
+// one plan per verification.
 func BenchmarkOnlineRescore(b *testing.B) {
 	g := gen.BuildLKI(gen.Options{Nodes: 15000, Seed: 1})
 	g2, _, err := graph.ApplyBatch(g, []graph.Mutation{
@@ -242,11 +243,15 @@ func BenchmarkOnlineRescore(b *testing.B) {
 				}
 			}
 			st := res.Stats
-			if res.Rescores < 7 || col.naive != (st.Matcher.ScratchPlans == st.Verified) {
-				b.Fatalf("%d re-scores, %d verifications, %d plans from the labels", res.Rescores, st.Verified, st.Matcher.ScratchPlans)
+			// Both columns look their parents up in the memo: naive keeps score
+			// inheritance, which needs one.
+			if res.Rescores < 7 || col.naive != (st.Matcher.ScratchPlans == st.Verified) || st.AncestorsFound == 0 {
+				b.Fatalf("%d re-scores, %d verifications, %d plans from the labels, %d ancestors found",
+					res.Rescores, st.Verified, st.Matcher.ScratchPlans, st.AncestorsFound)
 			}
 			b.ReportMetric(float64(st.Matcher.ScratchPlans), "scratch-plans/run")
 			b.ReportMetric(float64(st.Verified), "verified/run")
+			b.ReportMetric(float64(st.AncestorsFound), "ancestors/run")
 		})
 	}
 }

@@ -57,7 +57,8 @@ func (s *sBounds) prunes(in query.Instantiation) bool {
 }
 
 // biItem is one queued lattice node with its verified parent (forward
-// direction only; backward items verify within the root's answer).
+// direction only; a backward item takes the most refined ancestor the memo
+// holds when its turn comes — verifyParentless).
 type biItem struct {
 	in     query.Instantiation
 	parent *Verified
@@ -122,13 +123,9 @@ func (r *Runner) BiQGen() (*Result, error) {
 	fwd := []biItem{{in: query.Root(t)}}
 	bwd := []biItem{{in: query.Bottom(t)}}
 
-	// Every instance refines the root, so the root's match set is a valid
-	// incremental-verification superset for the backward direction too.
 	// Plans of both sweeps start from the root's domains, the default seed
 	// (the queues are breadth-first: a parent's own domains would have to
 	// outlive its queued children).
-	var rootV *Verified
-
 	for len(fwd) > 0 || len(bwd) > 0 {
 		if r.err() != nil {
 			break
@@ -155,9 +152,6 @@ func (r *Runner) BiQGen() (*Result, error) {
 					}
 				} else {
 					v := r.verify(query.MustInstance(t, item.in), item.parent)
-					if rootV == nil {
-						rootV = v // the first forward item is the root
-					}
 					if v.Feasible {
 						archive.Update(v.Point, v)
 						recordSandwich(v, true)
@@ -189,12 +183,9 @@ func (r *Runner) BiQGen() (*Result, error) {
 					// past the band.
 					r.stats.Pruned++
 				} else {
-					q := query.MustInstance(t, item.in)
-					var parent *Verified
-					if rootV != nil && rootV.Feasible {
-						parent = rootV
-					}
-					v := r.verify(q, parent)
+					// Whatever either sweep has verified that the item refines
+					// bounds its answer; the root, first forward item, at least.
+					v := r.verifyParentless(query.MustInstance(t, item.in), nil, false)
 					if v.Feasible {
 						archive.Update(v.Point, v)
 						recordSandwich(v, false)

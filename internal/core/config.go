@@ -248,6 +248,10 @@ type Stats struct {
 	// scorer state — instead of counting and scoring the same set again; the
 	// feasible ones are in IncScores too.
 	AnswersShared int
+	// AncestorsFound counts verifications no walk handed a parent — stream
+	// arrivals, re-scored working sets, BiQGen's backward sweep — that took
+	// one from the run's memo (Runner.ancestor) and inherited from it.
+	AncestorsFound int
 	// AnswersReused counts verifications whose answer an earlier run had left
 	// in the injected engine's store (match.Engine.Answer): no plan, no
 	// search. DerivedReused counts the scoring structures — distance features,
@@ -278,6 +282,7 @@ func (s *Stats) Add(o Stats) {
 	s.SandwichPairs += o.SandwichPairs
 	s.IncScores += o.IncScores
 	s.AnswersShared += o.AnswersShared
+	s.AncestorsFound += o.AncestorsFound
 	s.AnswersReused += o.AnswersReused
 	s.DerivedReused += o.DerivedReused
 	s.Matcher.Add(o.Matcher)

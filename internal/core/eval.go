@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"slices"
 	"sort"
@@ -39,6 +40,8 @@ type Runner struct {
 	// via a dense node→group array; built once per Runner.
 	counter *groups.Counter
 	cache   map[string]*Verified
+	// answered lists the memo's records with an answer, oldest first (ancestor).
+	answered []*Verified
 	// rootDoms is the matcher domains of the generation's root instance,
 	// planned at most once per generation (rootPlanned; nil when that plan
 	// came out empty) and held from the first verification that wants a seed
@@ -106,7 +109,7 @@ func (r *Runner) bind() {
 	if cfg.Evaluator != nil {
 		r.population = cfg.Evaluator.Population()
 	}
-	r.cache = make(map[string]*Verified)
+	r.cache, r.answered = make(map[string]*Verified), nil
 	r.initScoring()
 }
 
@@ -206,7 +209,7 @@ func (r *Runner) bindScoring() {
 func (r *Runner) fork() *Runner {
 	w := *r
 	w.stats, w.verSeq = Stats{}, 0
-	w.cache = make(map[string]*Verified)
+	w.cache, w.answered = make(map[string]*Verified), nil
 	w.div = r.div.Clone()
 	w.counter = r.counter.Clone()
 	return &w
@@ -243,7 +246,7 @@ func (r *Runner) resetStats() {
 	r.stats = Stats{DerivedReused: r.derivedReused}
 	r.derivedReused = 0
 	r.verSeq = 0
-	r.cache = make(map[string]*Verified)
+	r.cache, r.answered = make(map[string]*Verified), nil
 	r.releaseRoot()
 	r.engine = r.newEngine(nil)
 	// Rebind the scorer so a custom distance's pair cache starts cold and
@@ -283,6 +286,66 @@ func (r *Runner) err() error { return r.ctx.Err() }
 // re-checked. The plan starts from the root's domains.
 func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
 	v, _, _ := r.verifySeeded(q, parent, nil, false)
+	return v
+}
+
+// level sums q's binding levels; every refinement step raises the sum.
+func level(q *query.Instance) (n int) {
+	for _, l := range q.I {
+		n += l
+	}
+	return n
+}
+
+// ancestorScan bounds the records one ancestor lookup reads, whatever the
+// memo's size: the newest that many answered ones, then the root's.
+const ancestorScan = 256
+
+// ancestor picks the parent of a verification that arrives without one: of
+// the answered records q refines (q itself is not in the memo), the most
+// refined by level, then the smaller answer, then the smaller key — arrival
+// order plays no part; failing those, the root's. scanned counts the records
+// read. With incVerify and score inheritance both off nothing of a parent is
+// used, so none is looked up.
+func (r *Runner) ancestor(q *query.Instance) (best *Verified, scanned int) {
+	if r.cfg.DisableIncremental && r.cfg.DisableIncScore {
+		return nil, 0
+	}
+	for _, v := range r.answered[max(0, len(r.answered)-ancestorScan):] {
+		scanned++
+		// v over best: positive where v is the better parent.
+		if query.Refines(q, v.Q) && (best == nil || cmp.Or(cmp.Compare(level(v.Q), level(best.Q)),
+			cmp.Compare(len(best.Matches), len(v.Matches)), cmp.Compare(best.Q.Key(), v.Q.Key())) > 0) {
+			best = v
+		}
+	}
+	if best == nil && len(r.answered) > ancestorScan {
+		scanned++
+		if root := r.cache[query.Root(r.cfg.Template).Key()]; root != nil && len(root.Matches) > 0 {
+			best = root
+		}
+	}
+	return best, scanned
+}
+
+// verifyParentless is verify for an instance no walk hands a parent — a stream
+// arrival, a member of a re-scored working set, an item of BiQGen's backward
+// sweep: it inherits from the memo's ancestor as a walk's child does from its
+// parent (within set, score state, spent variables), and plans from that
+// record's domains where doms, the caller's ledger of held ones, has them.
+// hold asks for q's own, entered in doms for the caller to release.
+func (r *Runner) verifyParentless(q *query.Instance, doms map[*Verified]*match.Domains, hold bool) *Verified {
+	if v, ok := r.cache[q.Key()]; ok {
+		return v
+	}
+	parent, _ := r.ancestor(q)
+	if parent != nil {
+		r.stats.AncestorsFound++
+	}
+	v, held, _ := r.verifySeeded(q, parent, doms[parent], hold)
+	if held != nil {
+		doms[v] = held
+	}
 	return v
 }
 
@@ -382,6 +445,9 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 		}
 	}
 	r.cache[q.Key()] = v
+	if len(v.Matches) > 0 {
+		r.answered = append(r.answered, v)
+	}
 	r.stats.Verified++
 	if v.Feasible {
 		r.stats.Feasible++

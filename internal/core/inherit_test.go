@@ -1,9 +1,13 @@
 package core
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"slices"
 	"testing"
 
+	"fairsqg/internal/gen"
 	"fairsqg/internal/graph"
 	"fairsqg/internal/groups"
 	"fairsqg/internal/match"
@@ -262,7 +266,8 @@ func TestEnumerateMemoHit(t *testing.T) {
 // The root's domains held from the old generation have no bit for it, so a
 // seed that survived Retarget would lose it from every answer; the run
 // instead equals a from-scratch verifier on the rebuilt graph, and both the
-// abandoned engine and its successor have every buffer back.
+// abandoned engine and its successor have every buffer back — the free ones
+// of the first now the second's — also when the run is cancelled in reverify.
 func TestRetargetLeavesNoStaleSeed(t *testing.T) {
 	g := fixtureGraph(t, 30)
 	cfg := fixtureConfig(t, g, 0.05, 3)
@@ -324,6 +329,160 @@ func TestRetargetLeavesNoStaleSeed(t *testing.T) {
 	}
 	if !sawAdded {
 		t.Error("fixture: no instance of the final set matches the added node")
+	}
+
+	// Retarget handed the old engine's free buffers to its successor, so what
+	// the successor hands out — the one it got last, the root's — the old
+	// engine now refuses.
+	d := r.engine.PlanDomains(context.Background(), root)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the old engine took back a buffer it had handed over")
+			}
+		}()
+		cfg.Engine.ReleaseDomains(d)
+	}()
+	r.engine.ReleaseDomains(d)
+
+	// The same run cancelled inside the ordered re-verification, at its third
+	// instance — the root, loosest of the set, holds its domains for the rest
+	// by then: both engines have every buffer back all the same.
+	live2 := graph.NewLive(g)
+	defer live2.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cut := *cfg
+	// An engine of its own: a second lineage of g's generations must not meet
+	// the first's entries in one candidate cache.
+	cut.Ctx, cut.Engine = ctx, match.NewEngine(g, match.EngineOptions{Workers: 2})
+	sinceBatch := -1
+	cut.OnVerified = func(VerifyEvent) {
+		if sinceBatch >= 0 {
+			if sinceBatch++; sinceBatch == 3 {
+				cancel()
+			}
+		}
+	}
+	r2 := newRunnerT(t, &cut)
+	defer r2.Close()
+	stream = &mutatingStream{inner: &SliceStream{Items: items}, at: 20, fire: func() {
+		_, err := live2.Apply([]graph.Mutation{{Op: graph.MutRemoveNode, Node: 0}})
+		must(t, err)
+		sinceBatch = 0
+	}}
+	_, err = r2.OnlineQGen(stream, OnlineOptions{K: 50, Window: 50, Mutations: &LiveMutations{L: live2}})
+	if !errors.Is(err, context.Canceled) || r2.engine == cut.Engine || sinceBatch != 3 {
+		t.Fatalf("cancelled run: err %v, retargeted %v, %d verified on the new generation", err, r2.engine != cut.Engine, sinceBatch)
+	}
+	if a, b := cut.Engine.Stats().DomainsHeld, r2.engine.Stats().DomainsHeld; a != 0 || b != 0 {
+		t.Errorf("DomainsHeld after a run cancelled in the ordered walk: old engine %d, new engine %d", a, b)
+	}
+}
+
+// TestParentlessInheritanceEqualsScratch: the verifications that take their
+// parent from the memo — BiQGen's backward sweep, OnlineQGen's arrivals and
+// its ordered re-verification after each of two batches — return what the
+// from-scratch reference (no incVerify, no seed, no score inheritance: no
+// lookup at all) returns: sets with their matches and bit-equal points, the ε
+// history and every counter of the lattice and the re-scores. Two default
+// runs also agree on the work done: the lookup's choice is deterministic.
+func TestParentlessInheritanceEqualsScratch(t *testing.T) {
+	lki := gen.BuildLKI(gen.Options{Nodes: 2000, Seed: 1})
+	star := *spawnRunner(t, lki, spawnTemplates[0]).cfg
+	for name, base := range map[string]*Config{
+		"cycle":  cycleConfig(t, fixtureGraph(t, 4)),
+		"talent": fixtureConfig(t, fixtureGraph(t, 30), 0.05, 3),
+		"star":   &star,
+	} {
+		// Each batch removes an eighth of the root's answer and adds a node.
+		rootAnswer := newRunnerT(t, base).verify(query.MustInstance(base.Template, query.Root(base.Template)), nil).Matches
+		batch := func(i int) []graph.Mutation {
+			muts := []graph.Mutation{{Op: graph.MutAddNode, Label: "Person", Attrs: []graph.AttrPair{{Name: "title", Value: graph.Str("Director")}}}}
+			for _, id := range rootAnswer[i*len(rootAnswer)/8 : (i+1)*len(rootAnswer)/8] {
+				muts = append(muts, graph.Mutation{Op: graph.MutRemoveNode, Node: id})
+			}
+			return muts
+		}
+		run := func(scratch bool) (fp []string, st Stats) {
+			cfg := *base
+			cfg.DisableIncremental, cfg.DisableIncScore = scratch, scratch
+			r := newRunnerT(t, &cfg)
+			defer r.Close()
+			bi, err := r.BiQGen()
+			must(t, err)
+			fp = append(archiveFingerprint(bi.Set), fmt.Sprintf("bi %d/%d/%d/%d", bi.Stats.Spawned, bi.Stats.Verified, bi.Stats.Feasible, bi.Stats.Pruned))
+			st = bi.Stats
+
+			live := graph.NewLive(base.G)
+			defer live.Close()
+			apply := func(i int) func() { return func() { _, err := live.Apply(batch(i)); must(t, err) } }
+			var stream InstanceStream = NewRandomStream(cfg.Template, 90, 11)
+			stream = &mutatingStream{inner: stream, at: 30, fire: apply(0)}
+			stream = &mutatingStream{inner: stream, at: 60, fire: apply(1)}
+			on, err := r.OnlineQGen(stream, OnlineOptions{K: 6, Window: 30, Mutations: &LiveMutations{L: live}})
+			must(t, err)
+			if n := r.engine.Stats().DomainsHeld; n != 0 {
+				t.Errorf("%s scratch=%v: %d matcher domains held after OnlineQGen", name, scratch, n)
+			}
+			if on.Rescores != 2 || on.RescoreDropped == 0 {
+				t.Errorf("%s: fixture: %d re-scores dropped %d instances", name, on.Rescores, on.RescoreDropped)
+			}
+			fp = append(fp, archiveFingerprint(on.Set)...)
+			fp = append(fp, fmt.Sprint(on.EpsHistory), fmt.Sprintf("online %d/%d/%d rescores %d dropped %d",
+				on.Stats.Verified, on.Stats.Feasible, on.Stats.Pruned, on.Rescores, on.RescoreDropped))
+			st.Add(on.Stats)
+			return fp, st
+		}
+		want, scratch := run(true)
+		got, first := run(false)
+		_, second := run(false)
+		if !equalStrings(got, want) {
+			t.Errorf("%s: inheriting run differs from the from-scratch one:\ngot  %v\nwant %v", name, got, want)
+		}
+		if scratch.AncestorsFound != 0 || first.AncestorsFound == 0 || first.AnswersShared == 0 {
+			t.Errorf("%s: %d ancestors found from scratch; %d found, %d answers shared by default",
+				name, scratch.AncestorsFound, first.AncestorsFound, first.AnswersShared)
+		}
+		if first.Matcher != second.Matcher || first.AncestorsFound != second.AncestorsFound {
+			t.Errorf("%s: two identical runs did different work:\n%+v, %d ancestors\n%+v, %d ancestors",
+				name, first.Matcher, first.AncestorsFound, second.Matcher, second.AncestorsFound)
+		}
+	}
+}
+
+// TestAncestorLookupIsBounded: over a memo of 10,000 answered records a lookup
+// reads ancestorScan of them and the root's, which stands in when none of
+// those is an ancestor; among ancestors it prefers the most refined, then the
+// smaller answer.
+func TestAncestorLookupIsBounded(t *testing.T) {
+	cfg := cycleConfig(t, fixtureGraph(t, 4))
+	r := newRunnerT(t, cfg)
+	tpl := cfg.Template
+	record := func(in query.Instantiation, matches int) *Verified {
+		v := &Verified{Q: query.MustInstance(tpl, in), Matches: make([]graph.NodeID, matches)}
+		r.cache[v.Q.Key()] = v
+		r.answered = append(r.answered, v)
+		return v
+	}
+	root := record(query.Root(tpl), 9)
+	steps := query.RefineSteps(tpl, query.Root(tpl))
+	q := query.MustInstance(tpl, query.RefineSteps(tpl, steps[0])[0])
+	stranger := query.RefineSteps(tpl, steps[len(steps)-1])
+	for len(r.answered) < 10000 {
+		record(stranger[len(stranger)-1], 5)
+	}
+	if query.Refines(q, r.answered[1].Q) {
+		t.Fatal("fixture: the filler record is an ancestor of q")
+	}
+	if got, scanned := r.ancestor(q); got != root || scanned != ancestorScan+1 {
+		t.Errorf("among strangers: ancestor %v after %d records, want the root after %d", got, scanned, ancestorScan+1)
+	}
+	record(query.Root(tpl), 9) // as refined as nothing
+	big, small := record(steps[0], 7), &Verified{Q: query.MustInstance(tpl, steps[0]), Matches: make([]graph.NodeID, 6)}
+	r.answered = append(r.answered, small)
+	if got, scanned := r.ancestor(q); got != small || scanned != ancestorScan {
+		t.Errorf("ancestor %p after %d records, want the smaller answer %p of (root, %p, %p) after %d", got, scanned, small, big, small, ancestorScan)
 	}
 }
 

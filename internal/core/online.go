@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"fairsqg/internal/graph"
@@ -180,7 +181,8 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 	// rescore drains the mutation source and, when the graph advanced,
 	// retargets the runner and re-verifies the whole working state — the
 	// archive's payloads and the window cache — against the newest
-	// generation. The archive is rebuilt at its current ε (Lemma 4's
+	// generation: reverify walks it as a lattice, so the two loops below
+	// only read the memo. The archive is rebuilt at its current ε (Lemma 4's
 	// monotonicity is per-tolerance; re-scored points land wherever the
 	// new graph puts them, but the tolerance itself never shrinks).
 	var refill func()
@@ -216,6 +218,11 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 		oldWindow := window
 		archive = pareto.NewArchive[*Verified](archive.Eps())
 		window = nil
+		set := slices.Clone(old)
+		for _, e := range oldWindow {
+			set = append(set, e.v)
+		}
+		r.reverify(set)
 		for _, v := range old {
 			if r.err() != nil {
 				return
@@ -265,23 +272,27 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 		}
 		window = kept
 	}
+	// processed closes one arrival's bookkeeping, feasible or not.
+	processed := func(start time.Time) {
+		res.Delays = append(res.Delays, time.Since(start))
+		res.EpsHistory = append(res.EpsHistory, archive.Eps())
+		res.Processed++
+		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && res.Processed%opts.CheckpointEvery == 0 {
+			opts.OnCheckpoint(OnlineCheckpoint{Processed: res.Processed, Points: archive.Points(), Eps: archive.Eps()})
+		}
+	}
 
 	for q := stream.Next(); q != nil; q = stream.Next() {
 		start := time.Now()
 		now++
 		rescore()
-		v := r.verify(q, nil)
+		v := r.verifyParentless(q, nil, false)
 		if err := r.err(); err != nil { // v, or a re-scored record, is a placeholder
 			return nil, err
 		}
 		expire()
 		if !v.Feasible {
-			res.Delays = append(res.Delays, time.Since(start))
-			res.EpsHistory = append(res.EpsHistory, archive.Eps())
-			res.Processed++
-			if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && res.Processed%opts.CheckpointEvery == 0 {
-				opts.OnCheckpoint(OnlineCheckpoint{Processed: res.Processed, Points: archive.Points(), Eps: archive.Eps()})
-			}
+			processed(start)
 			continue
 		}
 		if archive.Len() < opts.K {
@@ -324,12 +335,7 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 				refill()
 			}
 		}
-		res.Delays = append(res.Delays, time.Since(start))
-		res.EpsHistory = append(res.EpsHistory, archive.Eps())
-		res.Processed++
-		if opts.CheckpointEvery > 0 && opts.OnCheckpoint != nil && res.Processed%opts.CheckpointEvery == 0 {
-			opts.OnCheckpoint(OnlineCheckpoint{Processed: res.Processed, Points: archive.Points(), Eps: archive.Eps()})
-		}
+		processed(start)
 	}
 	rescore() // mutations that landed after the last arrival still count
 	if err := r.err(); err != nil {

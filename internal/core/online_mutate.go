@@ -1,6 +1,13 @@
 package core
 
-import "fairsqg/internal/graph"
+import (
+	"cmp"
+	"slices"
+
+	"fairsqg/internal/graph"
+	"fairsqg/internal/match"
+	"fairsqg/internal/query"
+)
 
 // MutationEvent announces that the runner's graph advanced to a new
 // generation. The event owns a reference to the generation (retained by
@@ -69,8 +76,10 @@ func (s *LiveMutations) Poll() *MutationEvent {
 // warm — and so do the matcher counters, which span generations within one
 // run. The engine is always replaced by a run-owned one under the same
 // settings and fan-out (an external Config.Engine is bound to the old
-// generation). Generation lifetimes stay with the caller — Retarget never
-// closes g.
+// generation), which takes over the old one's free matcher-domain buffers
+// (match.Engine.AdoptDomains): reverify holds one per member of the working
+// set, every generation. Generation lifetimes stay with the caller — Retarget
+// never closes g.
 func (r *Runner) Retarget(g *graph.Graph) {
 	if g == r.cfg.G {
 		return
@@ -83,7 +92,36 @@ func (r *Runner) Retarget(g *graph.Graph) {
 	r.cfg = &cfg
 	r.stats.Matcher.Add(old.Stats().Stats)
 	r.engine = r.newEngine(old.Cache())
+	r.engine.AdoptDomains(old)
 	r.bind()
+}
+
+// reverify verifies an online run's working set — a copy, sorted in place —
+// on the generation the runner was just retargeted to, as a walk of the
+// lattice the set spans instead of one instance at a time from the root: each
+// distinct instance once, loosest first, under the most refined ancestor the
+// memo holds by then and planned from that ancestor's domains
+// (verifyParentless), which an instance holds while a later one refines it.
+// Every buffer is back on the engine at return, cancelled or not, and the
+// caller finds each record in the memo.
+func (r *Runner) reverify(set []*Verified) {
+	slices.SortFunc(set, func(a, b *Verified) int {
+		return cmp.Or(cmp.Compare(level(a.Q), level(b.Q)), cmp.Compare(a.Q.Key(), b.Q.Key()))
+	})
+	set = slices.CompactFunc(set, func(a, b *Verified) bool { return a.Q.Key() == b.Q.Key() })
+	doms := map[*Verified]*match.Domains{}
+	defer func() {
+		for _, d := range doms {
+			r.engine.ReleaseDomains(d)
+		}
+	}()
+	for i, v := range set {
+		if r.err() != nil {
+			return
+		}
+		hold := slices.ContainsFunc(set[i+1:], func(d *Verified) bool { return query.StrictlyRefines(d.Q, v.Q) })
+		r.verifyParentless(v.Q, doms, hold)
+	}
 }
 
 // Close releases the graph generation the runner adopted from a mutation

@@ -89,6 +89,7 @@ type SlabStats struct {
 	SandwichPairs    int `json:"sandwichPairs"`
 	IncScores        int `json:"incScores"`
 	AnswersShared    int `json:"answersShared"`
+	AncestorsFound   int `json:"ancestorsFound"`
 	AnswersReused    int `json:"answersReused"`
 	DerivedReused    int `json:"derivedReused"`
 }
@@ -99,7 +100,7 @@ func (s Stats) Slab() SlabStats {
 		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
 		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
 		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores, AnswersShared: s.AnswersShared,
-		AnswersReused: s.AnswersReused, DerivedReused: s.DerivedReused,
+		AncestorsFound: s.AncestorsFound, AnswersReused: s.AnswersReused, DerivedReused: s.DerivedReused,
 	}
 }
 
@@ -109,7 +110,7 @@ func (s SlabStats) Stats() Stats {
 		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
 		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
 		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores, AnswersShared: s.AnswersShared,
-		AnswersReused: s.AnswersReused, DerivedReused: s.DerivedReused,
+		AncestorsFound: s.AncestorsFound, AnswersReused: s.AnswersReused, DerivedReused: s.DerivedReused,
 	}
 }
 

@@ -208,6 +208,24 @@ func (e *Engine) ReleaseDomains(d *Domains) {
 	e.mu.Unlock()
 }
 
+// AdoptDomains moves old's free Domains buffers to e, the engine that replaces
+// it over the graph's next generation (core.Runner.Retarget), so a walk that
+// holds many does not allocate them again per generation. A free buffer names
+// no instance and capture rewrites every set it then reads, so only the owner
+// changes: old refuses it from now on. Buffers old has out stay old's.
+func (e *Engine) AdoptDomains(old *Engine) {
+	old.mu.Lock()
+	free := old.freeDoms
+	old.freeDoms = nil
+	old.mu.Unlock()
+	for _, d := range free {
+		d.owner = e
+	}
+	e.mu.Lock()
+	e.freeDoms = append(e.freeDoms, free...)
+	e.mu.Unlock()
+}
+
 // ParEvalOutput computes q(G) = q(u_o, G) concurrently; the result is
 // sorted and identical to Matcher.EvalOutput. It returns ctx's error when
 // the evaluation was cancelled before completing.

@@ -417,7 +417,7 @@ func TestPlanDomainsSeedsTheLattice(t *testing.T) {
 // TestDomainsStayWithTheirEngine: domains seed plans of the engine that
 // handed them out only — another engine, over the same graph or the next
 // generation, plans from scratch to the same answer — and only that engine
-// takes them back.
+// takes them back, until AdoptDomains makes a free buffer another engine's.
 func TestDomainsStayWithTheirEngine(t *testing.T) {
 	g := randomGraph(t, 220, 1100, differentialSeed+6)
 	ctx := context.Background()
@@ -451,6 +451,38 @@ func TestDomainsStayWithTheirEngine(t *testing.T) {
 	mine.ReleaseDomains(held)
 	if a, b := mine.Stats().DomainsHeld, other.Stats().DomainsHeld; a != 0 || b != 0 {
 		t.Errorf("DomainsHeld = %d and %d after the release", a, b)
+	}
+
+	// AdoptDomains moves the free buffer, not one that is out: the engine of
+	// a larger next generation hands the same buffer out again as
+	// its own — it seeds there and the first engine refuses it.
+	out, free := mine.PlanDomains(ctx, root), mine.PlanDomains(ctx, root)
+	mine.ReleaseDomains(free)
+	bigger, _, err := graph.ApplyBatch(g, []graph.Mutation{{Op: graph.MutAddNode, Label: tpl.Nodes[tpl.Output].Label}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := NewEngine(bigger, EngineOptions{Workers: 1})
+	next.AdoptDomains(mine)
+	adopted := next.PlanDomains(ctx, root)
+	if adopted != free {
+		t.Fatalf("the next engine handed out %p, want the adopted %p (still out: %p)", adopted, free, out)
+	}
+	if _, _, _, err := next.ParEvalOutputSeeded(ctx, bottom, nil, nil, adopted, false, ""); err != nil || next.Stats().ScratchPlans != 1 {
+		t.Errorf("adopted seed: err %v, %d scratch plans", err, next.Stats().ScratchPlans)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("an engine took back domains it had handed over")
+			}
+		}()
+		mine.ReleaseDomains(adopted)
+	}()
+	next.ReleaseDomains(adopted)
+	mine.ReleaseDomains(out)
+	if a, b := mine.Stats().DomainsHeld, next.Stats().DomainsHeld; a != 0 || b != 0 {
+		t.Errorf("DomainsHeld = %d and %d after the hand-over", a, b)
 	}
 }
 

@@ -331,6 +331,10 @@ func (m *Manager) finishLocked(job *Job, state JobState, result *JobResult, errM
 	switch state {
 	case JobDone:
 		m.met.jobsDone.Add(1)
+		if result != nil {
+			m.met.answersShared.Add(int64(result.Stats.AnswersShared))
+			m.met.ancestorsFound.Add(int64(result.Stats.AncestorsFound))
+		}
 		if job.spec != nil && !job.started.IsZero() {
 			m.met.observeLatency(job.spec.Algorithm, float64(job.finished.Sub(job.started))/float64(time.Millisecond))
 		}

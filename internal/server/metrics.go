@@ -25,6 +25,9 @@ type metrics struct {
 	jobsCancelled expvar.Int
 	httpRequests  expvar.Int
 	httpByCode    expvar.Map
+	// What done jobs inherited, summed from their core.Stats.
+	answersShared  expvar.Int
+	ancestorsFound expvar.Int
 
 	mu      sync.Mutex
 	latency map[string]*cluster.Histogram // keyed by algorithm

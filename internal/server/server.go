@@ -186,6 +186,9 @@ func (s *Server) MetricsSnapshot() map[string]any {
 			"scratchPlans":    scratchPlans,
 			"indexBytes":      indexBytes,
 			"columnBytes":     columnBytes,
+			// Run-side inheritance, summed over done jobs' core.Stats.
+			"answersShared":  s.met.answersShared.Value(),
+			"ancestorsFound": s.met.ancestorsFound.Value(),
 		}),
 		"http": map[string]any{
 			"requests": s.met.httpRequests.Value(),

@@ -308,10 +308,12 @@ func TestEndToEnd(t *testing.T) {
 	// are over.
 	var doc struct {
 		Storage struct {
-			SigPruned     int  `json:"sigPruned"`
-			ArcsRevised   int  `json:"arcsRevised"`
-			ArcsInherited *int `json:"arcsInherited"`
-			ScratchPlans  int  `json:"scratchPlans"`
+			SigPruned      int  `json:"sigPruned"`
+			ArcsRevised    int  `json:"arcsRevised"`
+			ArcsInherited  *int `json:"arcsInherited"`
+			ScratchPlans   int  `json:"scratchPlans"`
+			AnswersShared  int  `json:"answersShared"`
+			AncestorsFound int  `json:"ancestorsFound"`
 		} `json:"storage"`
 		Graphs map[string]struct {
 			Engine struct{ DomainsHeld *int } `json:"engine"`
@@ -320,6 +322,11 @@ func TestEndToEnd(t *testing.T) {
 	doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, http.StatusOK, &doc)
 	if st := doc.Storage; st.SigPruned == 0 || st.ArcsRevised == 0 || st.ArcsInherited == nil || st.ScratchPlans < 5 || st.ScratchPlans > 6 {
 		t.Errorf("/metrics storage counters after bi, bi, rf, par, enum and a cut-off enum job: %+v", st)
+	}
+	// The run-side inheritance counters of the done jobs are summed beside
+	// them: the bi jobs' backward sweeps took their parents from the memo.
+	if st := doc.Storage; st.AnswersShared == 0 || st.AncestorsFound == 0 {
+		t.Errorf("/metrics run-side inheritance counters after bi, bi, rf, par, enum: %+v", st)
 	}
 	for name, gr := range doc.Graphs {
 		if n := gr.Engine.DomainsHeld; n == nil || *n != 0 {
