@@ -20,6 +20,7 @@ import (
 	"fairsqg/internal/core"
 	"fairsqg/internal/graph"
 	"fairsqg/internal/pareto"
+	"fairsqg/internal/query"
 )
 
 // CoordinatorOptions configures a cluster coordinator.
@@ -436,10 +437,10 @@ type DistResult struct {
 }
 
 // RunJob plans the job's lattice into slabs, dispatches every slab to the
-// fleet and merges the returned archives in deterministic plan order. The
-// context bounds the whole job (the job manager's deadline); per-attempt
-// timeouts, retry with exponential backoff and jitter, and failover to
-// other live workers happen per slab inside.
+// fleet and merges the returned archives. The context bounds the whole job
+// (the job manager's deadline); per-attempt timeouts, retry with
+// exponential backoff and jitter, and failover to other live workers
+// happen per slab inside.
 func (c *Coordinator) RunJob(ctx context.Context, req JobRequest) (*DistResult, error) {
 	start := time.Now()
 	cfg, err := BuildConfig(req.Payload, req.G)
@@ -498,12 +499,8 @@ func (c *Coordinator) RunJob(ctx context.Context, req JobRequest) (*DistResult, 
 		return nil, err
 	}
 
-	// Deterministic merge: slabs in plan order, each slab's entries in its
-	// worker's depth-first insertion order. Update keeps the incumbent on
-	// in-box ties, so the merged archive is a pure function of the slab
-	// results — re-running the job (or failing slabs over to different
-	// workers, which return identical results) cannot change it.
-	archive := pareto.NewArchive[core.SlabEntry](cfg.Eps)
+	// In-box ties go to the smaller instance key, as in ParQGen.
+	archive := pareto.NewKeyedArchive(cfg.Eps, func(e core.SlabEntry) string { return query.Instantiation(e.Bindings).Key() })
 	res := &DistResult{Eps: cfg.Eps, Slabs: plan.NumSlabs(), Retried: retried}
 	for _, resp := range responses {
 		entries := make([]pareto.Entry[core.SlabEntry], len(resp.Entries))

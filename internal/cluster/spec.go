@@ -5,9 +5,8 @@
 // that need it (content-addressed by snapshot CRC), dispatches slabs with
 // bounded in-flight per worker plus timeout/retry/failover, and merges the
 // returned slab archives through pareto.Archive.Update — so the
-// distributed result stays inside the ε-Pareto contract and, with the
-// deterministic merge order, matches a single-process ParQGen run at box
-// granularity.
+// distributed result stays inside the ε-Pareto contract and matches a
+// single-process ParQGen run, whatever order the slabs come back in.
 package cluster
 
 import (

@@ -58,7 +58,7 @@ func (s *sBounds) prunes(in query.Instantiation) bool {
 
 // biItem is one queued lattice node with its verified parent (forward
 // direction only; a backward item takes the most refined ancestor the memo
-// holds when its turn comes — verifyParentless).
+// holds when its turn comes — parentOf).
 type biItem struct {
 	in     query.Instantiation
 	parent *Verified
@@ -73,11 +73,10 @@ type biItem struct {
 // expanding at feasible instances: their relaxations are feasible with
 // lower coverage and are reached by the forward search.
 func (r *Runner) BiQGen() (*Result, error) {
-	r.resetStats()
-	defer r.releaseRoot()
+	defer r.start()()
 	start := time.Now()
 	t := r.cfg.Template
-	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
+	archive := newArchive(r.cfg.Eps)
 	sp := newSpawner(r)
 	visited := make(map[string]bool)
 	bounds := &sBounds{t: t}
@@ -185,7 +184,9 @@ func (r *Runner) BiQGen() (*Result, error) {
 				} else {
 					// Whatever either sweep has verified that the item refines
 					// bounds its answer; the root, first forward item, at least.
-					v := r.verifyParentless(query.MustInstance(t, item.in), nil, false)
+					q := query.MustInstance(t, item.in)
+					parent, _ := r.parentOf(q)
+					v := r.verify(q, parent)
 					if v.Feasible {
 						archive.Update(v.Point, v)
 						recordSandwich(v, false)

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
+	"fairsqg/internal/graph"
 	"fairsqg/internal/match"
 )
 
@@ -40,33 +42,66 @@ func TestCancelledContextAborts(t *testing.T) {
 	}
 }
 
-// TestDeadlineStopsMidRun cancels after the first verification and checks
-// the run stops early rather than exploring the whole lattice — through
-// both the sequential matcher and the concurrent engine path.
+// TestDeadlineStopsMidRun cancels every algorithm at its 1st, 3rd and 10th
+// verification, through the sequential matcher and the concurrent engine
+// path (OnlineQGen after a batch has retargeted it): the run stops with the
+// context's error after at most one more verification — ParQGen's other
+// fork may have one under way — and every matcher domain it held, the
+// lineage's links and the root's, is back on its engine.
 func TestDeadlineStopsMidRun(t *testing.T) {
-	for _, workers := range []int{0, 2} {
-		g := fixtureGraph(t, 8)
-		cfg := fixtureConfig(t, g, 0.05, 2)
-		cfg.MatchWorkers = workers
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		cfg.Ctx = ctx
-		seen := 0
-		cfg.OnVerified = func(ev VerifyEvent) {
-			seen++
-			if seen == 1 {
+	g := fixtureGraph(t, 8)
+	cycle := func() *Config { return cycleConfig(t, g) }
+	run := func(f func(r *Runner) (*Result, error)) func(r *Runner) error {
+		return func(r *Runner) error { _, err := f(r); return err }
+	}
+	cases := []struct {
+		name string
+		cfg  func() *Config
+		run  func(r *Runner) error
+	}{
+		{"enum", cycle, run((*Runner).EnumQGen)},
+		{"kungs", cycle, run((*Runner).Kungs)},
+		{"rf", cycle, run((*Runner).RfQGen)},
+		{"rf/talent", func() *Config { return fixtureConfig(t, g, 0.05, 2) }, run((*Runner).RfQGen)},
+		{"bi", cycle, run((*Runner).BiQGen)},
+		{"par", cycle, func(r *Runner) error { _, err := r.ParQGen(2); return err }},
+		{"cbm", cycle, func(r *Runner) error { _, err := r.CBM(CBMOptions{}); return err }},
+		{"allfeasible", cycle, func(r *Runner) error { _, err := r.AllFeasible(); return err }},
+		{"online", cycle, func(r *Runner) error {
+			live := graph.NewLive(g)
+			defer live.Close()
+			defer r.Close()
+			stream := &mutatingStream{inner: NewRandomStream(r.cfg.Template, 60, 3), at: 2, fire: func() {
+				_, err := live.Apply([]graph.Mutation{{Op: graph.MutRemoveNode, Node: 0}})
+				must(t, err)
+			}}
+			_, err := r.OnlineQGen(stream, OnlineOptions{K: 4, Window: 20, Mutations: &LiveMutations{L: live}})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{0, 2} {
+			for _, at := range []int32{1, 3, 10} {
+				cfg := c.cfg()
+				cfg.MatchWorkers = workers
+				ctx, cancel := context.WithCancel(context.Background())
+				cfg.Ctx = ctx
+				var seen atomic.Int32 // ParQGen's forks verify concurrently
+				cfg.OnVerified = func(VerifyEvent) {
+					if seen.Add(1) == at {
+						cancel()
+					}
+				}
+				r := newRunnerT(t, cfg)
+				err := c.run(r)
 				cancel()
+				if !errors.Is(err, context.Canceled) || seen.Load() > at+1 {
+					t.Errorf("%s workers=%d cancelled at %d: %v after %d verifications", c.name, workers, at, err, seen.Load())
+				}
+				if n := r.engine.Stats().DomainsHeld; n != 0 {
+					t.Errorf("%s workers=%d cancelled at %d: %d matcher domains still held", c.name, workers, at, n)
+				}
 			}
-		}
-		r, err := NewRunner(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.RfQGen(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: want context.Canceled, got %v", workers, err)
-		}
-		if seen > 2 {
-			t.Errorf("workers=%d: run kept verifying after cancel: %d verifications", workers, seen)
 		}
 	}
 }

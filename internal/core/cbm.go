@@ -25,8 +25,7 @@ type CBMOptions struct {
 // instances — the more expensive bi-level iteration the paper observes
 // makes CBM slower than Kungs.
 func (r *Runner) CBM(opts CBMOptions) (*Result, error) {
-	r.resetStats()
-	defer r.releaseRoot()
+	defer r.start()()
 	start := time.Now()
 	feasible, err := r.enumerateFeasible()
 	if err != nil {
@@ -105,7 +104,7 @@ func (r *Runner) CBM(opts CBMOptions) (*Result, error) {
 	for _, idx := range pareto.NaiveParetoSet(points) {
 		set = append(set, list[idx])
 	}
-	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
+	archive := newArchive(r.cfg.Eps)
 	for _, v := range set {
 		archive.Update(v.Point, v)
 	}

@@ -250,7 +250,7 @@ type Stats struct {
 	AnswersShared int
 	// AncestorsFound counts verifications no walk handed a parent — stream
 	// arrivals, re-scored working sets, BiQGen's backward sweep — that took
-	// one from the run's memo (Runner.ancestor) and inherited from it.
+	// one from the run's memo (Runner.parentOf) and inherited from it.
 	AncestorsFound int
 	// AnswersReused counts verifications whose answer an earlier run had left
 	// in the injected engine's store (match.Engine.Answer): no plan, no

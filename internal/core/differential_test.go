@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"testing"
 
@@ -91,7 +90,7 @@ func archiveFingerprint(set []*Verified) []string {
 
 // runAll exercises every offline algorithm on one config, and RunSlab over
 // every slab of its plan, and returns the per-algorithm fingerprints: the
-// archive (CBM: its boxes), then the lattice counters no knob of the suite
+// archive, then the lattice counters no knob of the suite
 // may move.
 func runAll(t *testing.T, cfg *Config) map[string][]string {
 	t.Helper()
@@ -108,10 +107,8 @@ func runAll(t *testing.T, cfg *Config) map[string][]string {
 		{"kungs", r.Kungs},
 		{"rf", r.RfQGen},
 		{"bi", r.BiQGen},
-		// One slab worker keeps archive arrival order deterministic (slab
-		// concurrency reorders same-box ties); the match-engine fan-out
-		// under test runs inside verification and merges deterministically.
-		{"par", func() (*Result, error) { return r.ParQGen(1) }},
+		{"par", func() (*Result, error) { return r.ParQGen(2) }},
+		{"cbm", func() (*Result, error) { return r.CBM(CBMOptions{}) }},
 	} {
 		res, err := alg.run()
 		if err != nil {
@@ -122,17 +119,6 @@ func runAll(t *testing.T, cfg *Config) map[string][]string {
 			t.Errorf("%s left %d matcher domains held", alg.name, n)
 		}
 	}
-	// CBM keeps its anchors in a map, so which of two instances with one box
-	// stands for it varies from run to run: the boxes do not.
-	res, err := r.CBM(CBMOptions{})
-	if err != nil {
-		t.Fatalf("cbm: %v", err)
-	}
-	for _, v := range res.Set {
-		out["cbm"] = append(out["cbm"], fmt.Sprint(pareto.BoxOf(v.Point, cfg.Eps)))
-	}
-	sort.Strings(out["cbm"])
-	out["cbm"] = append(out["cbm"], counters(res.Stats))
 	plan := PlanSlabs(cfg.Template)
 	for _, level := range plan.Levels {
 		res, err := r.RunSlab(plan.SplitVar, level)

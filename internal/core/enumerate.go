@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"fairsqg/internal/match"
 	"fairsqg/internal/pareto"
 	"fairsqg/internal/query"
 )
@@ -54,29 +53,16 @@ func EnumerateInstantiations(t *query.Template, yield func(query.Instantiation) 
 // That order is depth-first over the variables, and the first leaf under a
 // prefix binds every later variable to its root level: it is the loosest
 // instance of the prefix, and everything enumerated under the prefix refines
-// it. path[d] holds the record and matcher domains of that instance for the
-// prefix ending at variable d-1 of the current instantiation (path[0]: the
-// root), so an instance takes seed, within set and scoring parent from its
-// nearest held ancestor — itself with its last bound variable back at the
-// root level. A slot is nil where that ancestor held nothing (empty plan,
-// bound veto, DisableIncremental) or was an instantiation the memo already
-// had (an ancestor answered from an injected engine's store fills its slot
-// without domains); every held buffer is back on the engine when the walk returns.
+// it. The lineage keeps that instance at depth d for the prefix ending at
+// variable d-1 of the current instantiation (depth 0: the root), so an
+// instance takes within set, scoring parent and seed from the newest link —
+// its nearest kept ancestor, itself with its last bound variable back at the
+// root level. Nothing is kept for an empty plan or a bound veto, nor for an
+// instantiation the memo already had; every link is cut when the walk returns.
 func (r *Runner) enumerate(visit func(v *Verified)) error {
 	t := r.cfg.Template
 	root := query.Root(t)
-	type prefix struct {
-		v    *Verified
-		doms *match.Domains
-	}
-	path := make([]prefix, len(t.Vars)+1)
-	release := func(from int) {
-		for d := from; d < len(path); d++ {
-			r.engine.ReleaseDomains(path[d].doms)
-			path[d] = prefix{}
-		}
-	}
-	defer release(0)
+	defer r.cut(0)
 	EnumerateInstantiations(t, func(in query.Instantiation) bool {
 		if r.err() != nil {
 			return false
@@ -88,23 +74,23 @@ func (r *Runner) enumerate(visit func(v *Verified)) error {
 		for depth > 0 && in[depth-1] == root[depth-1] {
 			depth--
 		}
-		release(depth)
+		r.cut(depth)
 		q := query.MustInstance(t, in)
-		if r.verifiedKey(q.Key()) {
+		if _, ok := r.cache[q.Key()]; ok {
 			// An instantiation the memo already answers costs no
 			// verification: it counts as pruned and holds nothing.
 			r.stats.Pruned++
 			return true
 		}
-		var from prefix
-		for d := depth - 1; d >= 0 && from.v == nil; d-- {
-			from = path[d]
+		keep := depth
+		if depth == len(in) {
+			keep = noKeep // nothing enumerates under a prefix of full length
 		}
-		// Nothing enumerates under a prefix of full length.
-		v, held, reused := r.verifySeeded(q, from.v, from.doms, depth < len(in))
-		if held != nil || reused {
-			path[depth] = prefix{v, held}
+		var parent *Verified // the newest link's record
+		if n := len(r.lin.links); n > 0 {
+			parent = r.lin.links[n-1].v
 		}
+		v := r.verifySeeded(q, parent, keep)
 		if v.Feasible {
 			visit(v)
 		}
@@ -130,10 +116,9 @@ func (r *Runner) enumerateFeasible() ([]*Verified, error) {
 // Config.DisableIncremental gives the paper's naive version, every instance
 // from scratch.
 func (r *Runner) EnumQGen() (*Result, error) {
-	r.resetStats()
-	defer r.releaseRoot()
+	defer r.start()()
 	start := time.Now()
-	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
+	archive := newArchive(r.cfg.Eps)
 	if err := r.enumerate(func(v *Verified) { archive.Update(v.Point, v) }); err != nil {
 		return nil, err
 	}
@@ -144,8 +129,7 @@ func (r *Runner) EnumQGen() (*Result, error) {
 // exact Pareto instance set with Kung's algorithm — the quality reference
 // of the paper's evaluation (its I_ε is 1 by construction).
 func (r *Runner) Kungs() (*Result, error) {
-	r.resetStats()
-	defer r.releaseRoot()
+	defer r.start()()
 	start := time.Now()
 	feasible, err := r.enumerateFeasible()
 	if err != nil {
@@ -172,7 +156,6 @@ func (r *Runner) Kungs() (*Result, error) {
 // every feasible instance — the reference set I(Q) that indicators are
 // computed against in the experiments.
 func (r *Runner) AllFeasible() ([]*Verified, error) {
-	r.resetStats()
-	defer r.releaseRoot()
+	defer r.start()()
 	return r.enumerateFeasible()
 }

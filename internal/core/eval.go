@@ -40,15 +40,10 @@ type Runner struct {
 	// via a dense node→group array; built once per Runner.
 	counter *groups.Counter
 	cache   map[string]*Verified
-	// answered lists the memo's records with an answer, oldest first (ancestor).
+	// answered lists the memo's records with an answer, oldest first (parentOf).
 	answered []*Verified
-	// rootDoms is the matcher domains of the generation's root instance,
-	// planned at most once per generation (rootPlanned; nil when that plan
-	// came out empty) and held from the first verification that wants a seed
-	// until releaseRoot. Every instance refines the root, so it seeds every
-	// plan no nearer ancestor does. ParQGen's forks share their parent's.
-	rootDoms    *match.Domains
-	rootPlanned bool
+	// lin holds every matcher domain the run keeps, on engine.
+	lin lineage
 	// stats holds the run's own counters; stats.Matcher is what engines
 	// replaced by Retarget had counted (Stats adds the live engine's).
 	stats  Stats
@@ -204,12 +199,14 @@ func (r *Runner) bindScoring() {
 // (ParQGen): it shares what is goroutine-safe or read-only — the engine and
 // its candidate cache, the compiled features, relevance, the pair cache
 // around a custom distance, the group index — and owns what is not: the
-// verification memo, the evaluator's scratch, the counts buffer and the
-// counters. The caller folds the worker's stats back with Stats.Add.
+// verification memo, the evaluator's scratch, the counts buffer, the
+// counters and the lineage's links (the root's domains it shares read-only).
+// The caller folds the worker's stats back with Stats.Add.
 func (r *Runner) fork() *Runner {
 	w := *r
 	w.stats, w.verSeq = Stats{}, 0
 	w.cache, w.answered = make(map[string]*Verified), nil
+	w.lin.links = nil
 	w.div = r.div.Clone()
 	w.counter = r.counter.Clone()
 	return &w
@@ -237,41 +234,22 @@ func (r *Runner) Stats() Stats {
 	return s
 }
 
-// resetStats clears counters between algorithm invocations on one Runner.
-// A run-owned engine is rebuilt (its counters are cumulative) with a fresh
-// candidate cache, so every run reports its own, cold-start numbers. An
-// external Config.Engine is kept as-is: cross-run cache warmth is exactly
-// what injecting an engine is for.
-func (r *Runner) resetStats() {
+// start clears counters and memo for one algorithm run and returns its end,
+// the lineage's release. A run-owned engine is rebuilt (its counters are
+// cumulative) with a fresh candidate cache, so every run reports its own,
+// cold-start numbers. An external Config.Engine is kept as-is: cross-run
+// cache warmth is exactly what injecting an engine is for.
+func (r *Runner) start() (end func()) {
 	r.stats = Stats{DerivedReused: r.derivedReused}
 	r.derivedReused = 0
 	r.verSeq = 0
 	r.cache, r.answered = make(map[string]*Verified), nil
-	r.releaseRoot()
+	r.release()
 	r.engine = r.newEngine(nil)
 	// Rebind the scorer so a custom distance's pair cache starts cold and
 	// its counters cover this run only.
 	r.bindScoring()
-}
-
-// rootSeed returns the domains of the root instance on the current engine,
-// planning it on first use: one plan from the label populations per
-// generation, no search, no verification counted.
-func (r *Runner) rootSeed() *match.Domains {
-	if !r.rootPlanned {
-		r.rootPlanned = true
-		t := r.cfg.Template
-		r.rootDoms = r.engine.PlanDomains(r.ctx, query.MustInstance(t, query.Root(t)))
-	}
-	return r.rootDoms
-}
-
-// releaseRoot gives the root's domains back to the engine that planned
-// them: at every algorithm's exit, and before the engine is replaced
-// (resetStats, Retarget) — they say nothing about another generation.
-func (r *Runner) releaseRoot() {
-	r.engine.ReleaseDomains(r.rootDoms)
-	r.rootDoms, r.rootPlanned = nil, false
+	return r.release
 }
 
 // err reports the run context's cancellation state; algorithms poll it
@@ -283,10 +261,9 @@ func (r *Runner) err() error { return r.ctx.Err() }
 // parent, when non-nil and enabled, supplies the verified parent's match
 // set for incremental verification (incVerify): since q refines its parent,
 // q(G) is a subset of the parent's matches and only those candidates are
-// re-checked. The plan starts from the root's domains.
+// re-checked. The plan starts from the lineage's seed.
 func (r *Runner) verify(q *query.Instance, parent *Verified) *Verified {
-	v, _, _ := r.verifySeeded(q, parent, nil, false)
-	return v
+	return r.verifySeeded(q, parent, noKeep)
 }
 
 // level sums q's binding levels; every refinement step raises the sum.
@@ -301,14 +278,13 @@ func level(q *query.Instance) (n int) {
 // memo's size: the newest that many answered ones, then the root's.
 const ancestorScan = 256
 
-// ancestor picks the parent of a verification that arrives without one: of
-// the answered records q refines (q itself is not in the memo), the most
-// refined by level, then the smaller answer, then the smaller key — arrival
-// order plays no part; failing those, the root's. scanned counts the records
-// read. With incVerify and score inheritance both off nothing of a parent is
-// used, so none is looked up.
-func (r *Runner) ancestor(q *query.Instance) (best *Verified, scanned int) {
-	if r.cfg.DisableIncremental && r.cfg.DisableIncScore {
+// parentOf picks the parent of a verification no walk hands one (a stream
+// arrival, a re-scored record, BiQGen's backward sweep): of the answered
+// records q refines, the most refined by level, then the smaller answer, then
+// the smaller key; failing those, the root's. scanned counts the records read.
+// Nothing is looked up for a memo hit, nor when nothing of a parent is used.
+func (r *Runner) parentOf(q *query.Instance) (best *Verified, scanned int) {
+	if _, ok := r.cache[q.Key()]; ok || r.cfg.DisableIncremental && r.cfg.DisableIncScore {
 		return nil, 0
 	}
 	for _, v := range r.answered[max(0, len(r.answered)-ancestorScan):] {
@@ -325,48 +301,22 @@ func (r *Runner) ancestor(q *query.Instance) (best *Verified, scanned int) {
 			best = root
 		}
 	}
+	if best != nil {
+		r.stats.AncestorsFound++
+	}
 	return best, scanned
 }
 
-// verifyParentless is verify for an instance no walk hands a parent — a stream
-// arrival, a member of a re-scored working set, an item of BiQGen's backward
-// sweep: it inherits from the memo's ancestor as a walk's child does from its
-// parent (within set, score state, spent variables), and plans from that
-// record's domains where doms, the caller's ledger of held ones, has them.
-// hold asks for q's own, entered in doms for the caller to release.
-func (r *Runner) verifyParentless(q *query.Instance, doms map[*Verified]*match.Domains, hold bool) *Verified {
-	if v, ok := r.cache[q.Key()]; ok {
-		return v
-	}
-	parent, _ := r.ancestor(q)
-	if parent != nil {
-		r.stats.AncestorsFound++
-	}
-	v, held, _ := r.verifySeeded(q, parent, doms[parent], hold)
-	if held != nil {
-		doms[v] = held
-	}
-	return v
-}
-
-// verifySeeded is verify with the matcher's side of Lemma 2: refinement
-// shrinks the arc-consistent set of every template node, not only the
-// output node's matches. seed is the domains held from a verified ancestor
-// of q, and the plan starts from them (match.Engine.ParEvalOutputSeeded);
-// nil — or no within set to go with a seed captured under one — means the
-// root's (rootSeed), which every instance refines. hold asks for q's own
-// domains, to seed its refinements with. held is nil when the record came
-// from the memo or its answer from an injected engine's store or from
-// Config.Evaluator (reused: a whole answer, though nothing was planned), the
-// plan came out empty or the bound check vetoed it, the run was cancelled,
-// inheritance is off (DisableIncremental) or the run has several output
-// nodes; otherwise the caller owes it to the engine's ReleaseDomains.
+// verifySeeded is verify that keeps q in the lineage at depth keep (unless
+// noKeep) for its refinements: with the domains its plan ended with, or none
+// when its answer came whole from a store or Config.Evaluator. A memo hit,
+// an empty plan, a bound veto or several output nodes keep nothing.
 //
 // An answer equal to the parent's is not scored again: δ and f are functions
 // of the answer set alone, so the record adopts the parent's.
-func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.Domains, hold bool) (v *Verified, held *match.Domains, reused bool) {
+func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, keep int) (v *Verified) {
 	if v, ok := r.cache[q.Key()]; ok {
-		return v, nil, false
+		return v
 	}
 	// counts holds the answer's per-group tally, computed once per
 	// verification: feasibility and coverage both derive from it (the
@@ -384,7 +334,8 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 		// An injected engine may have the answer from an earlier run: it stands
 		// where the evaluation would have returned it; nothing is planned.
 		var matches []graph.NodeID
-		key, ok := "", false
+		var held *match.Domains
+		key, ok, reused := "", false, false
 		if r.cfg.Evaluator != nil {
 			// Like a stored answer: whole, nothing planned, vetoed or held.
 			matches, reused = r.cfg.Evaluator.Answer(r.ctx, q), true
@@ -395,10 +346,11 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 			}
 		}
 		if ok = reused; !ok {
-			if r.cfg.DisableIncremental {
-				seed, hold = nil, false
-			} else if seed == nil || within == nil {
-				seed = r.rootSeed()
+			var seed *match.Domains
+			if within != nil {
+				seed = r.seed(parent)
+			} else if !r.cfg.DisableIncremental {
+				seed = r.seed(nil) // a seed captured under a within set needs one
 			}
 			// The arc-consistent candidate set of u_o is a superset of q(G), so
 			// its per-group counts upper-bound the coverage counts: when some
@@ -410,6 +362,7 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 					return measure.FeasibleCounts(r.cfg.Groups, r.counter.Counts(cands))
 				}
 			}
+			hold := keep != noKeep && !r.cfg.DisableIncremental
 			matches, ok, held, _ = r.engine.ParEvalOutputSeeded(r.ctx, q, within, accept, seed, hold, key)
 		}
 		// A non-empty within is a verified parent's whole answer (a vetoed or
@@ -421,6 +374,9 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 			counts = r.counter.Counts(matches)
 			v.Feasible = ok && measure.FeasibleCounts(r.cfg.Groups, counts)
 		}
+		if keep != noKeep && (held != nil || reused) {
+			r.lin.links = append(r.lin.links, link{v, held, keep})
+		}
 	}
 	if parent != nil {
 		v.spent = parent.spent
@@ -428,9 +384,9 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 	if r.ctx.Err() != nil {
 		// The evaluation was cut short: its result is partial. Don't cache
 		// or count it — the caller's next cancellation poll ends the run,
-		// so the placeholder never influences a returned set.
-		r.engine.ReleaseDomains(held)
-		return &Verified{Q: q}, nil, false
+		// so the placeholder never influences a returned set. What the
+		// lineage keeps of it goes when the walker cuts it.
+		return &Verified{Q: q}
 	}
 	switch {
 	case shared:
@@ -462,7 +418,7 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, seed *match.D
 			Matches:  len(v.Matches),
 		})
 	}
-	return v, held, reused
+	return v
 }
 
 // scoreDiversity evaluates δ for a feasible instance. When the parent was
@@ -495,10 +451,11 @@ func (r *Runner) scoreDiversity(v *Verified, parent *Verified) float64 {
 	return div
 }
 
-// verified reports whether the instance key has been evaluated already.
-func (r *Runner) verifiedKey(key string) bool {
-	_, ok := r.cache[key]
-	return ok
+// newArchive returns the archive every algorithm updates: in-box ties between
+// equal points go to the smaller instance key, so which instance stands for a
+// box does not depend on the order instances arrive in.
+func newArchive(eps float64) *pareto.Archive[*Verified] {
+	return pareto.NewKeyedArchive(eps, func(v *Verified) string { return v.Q.Key() })
 }
 
 // collectSet extracts the archive's payloads ordered by decreasing

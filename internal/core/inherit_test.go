@@ -132,8 +132,8 @@ func TestSharedAnswerEqualsDirectScore(t *testing.T) {
 			"rf":   func(r *Runner) *Runner { _, err := r.RfQGen(); must(t, err); return r },
 			"bi":   func(r *Runner) *Runner { _, err := r.BiQGen(); must(t, err); return r },
 			"fork": func(r *Runner) *Runner {
-				r.rootSeed()
-				defer r.releaseRoot()
+				r.seed(nil)
+				defer r.release()
 				w := r.fork()
 				plan := PlanSlabs(r.cfg.Template)
 				exploreSlab(w, newSpawner(w), plan.SplitVar, plan.Levels[len(plan.Levels)-1],
@@ -199,7 +199,7 @@ func TestSharedAnswerAwkwardParents(t *testing.T) {
 	cfg := cycleConfig(t, g)
 	cfg.Groups = groups.EqualOpportunity(groups.ByAttribute(g, "Person", "gender"), 100)
 	r := newRunnerT(t, cfg)
-	defer r.releaseRoot()
+	defer r.release()
 	tpl := cfg.Template
 	root := r.verify(query.MustInstance(tpl, query.Root(tpl)), nil)
 	if root.Feasible || root.Matches != nil {
@@ -229,7 +229,7 @@ func TestEnumerateMemoHit(t *testing.T) {
 	must(t, err)
 
 	r := newRunnerT(t, cfg)
-	defer r.releaseRoot()
+	defer r.release()
 	// x1 at its first level, everything after it at the root: the loosest
 	// instance of a prefix, with the rest of the lattice's first quarter
 	// enumerated under it.
@@ -256,7 +256,7 @@ func TestEnumerateMemoHit(t *testing.T) {
 			t.Errorf("%s: %+v, clean walk %+v (found %v)", v.Q.Key(), v.Point, p, ok)
 		}
 	}
-	r.releaseRoot()
+	r.release()
 	if n := r.engine.Stats().DomainsHeld; n != 0 {
 		t.Errorf("%d matcher domains still held", n)
 	}
@@ -353,9 +353,7 @@ func TestRetargetLeavesNoStaleSeed(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cut := *cfg
-	// An engine of its own: a second lineage of g's generations must not meet
-	// the first's entries in one candidate cache.
-	cut.Ctx, cut.Engine = ctx, match.NewEngine(g, match.EngineOptions{Workers: 2})
+	cut.Ctx = ctx
 	sinceBatch := -1
 	cut.OnVerified = func(VerifyEvent) {
 		if sinceBatch >= 0 {
@@ -475,13 +473,13 @@ func TestAncestorLookupIsBounded(t *testing.T) {
 	if query.Refines(q, r.answered[1].Q) {
 		t.Fatal("fixture: the filler record is an ancestor of q")
 	}
-	if got, scanned := r.ancestor(q); got != root || scanned != ancestorScan+1 {
+	if got, scanned := r.parentOf(q); got != root || scanned != ancestorScan+1 {
 		t.Errorf("among strangers: ancestor %v after %d records, want the root after %d", got, scanned, ancestorScan+1)
 	}
 	record(query.Root(tpl), 9) // as refined as nothing
 	big, small := record(steps[0], 7), &Verified{Q: query.MustInstance(tpl, steps[0]), Matches: make([]graph.NodeID, 6)}
 	r.answered = append(r.answered, small)
-	if got, scanned := r.ancestor(q); got != small || scanned != ancestorScan {
+	if got, scanned := r.parentOf(q); got != small || scanned != ancestorScan {
 		t.Errorf("ancestor %p after %d records, want the smaller answer %p of (root, %p, %p) after %d", got, scanned, small, big, small, ancestorScan)
 	}
 }

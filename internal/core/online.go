@@ -156,9 +156,8 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 	if eps <= 0 {
 		eps = r.cfg.Eps
 	}
-	r.resetStats()
-	defer r.releaseRoot()
-	archive := pareto.NewArchive[*Verified](eps)
+	defer r.start()()
+	archive := newArchive(eps)
 	divMax, covMax := r.DivMax(), r.CovMax()
 	var window []windowEntry
 	res := &OnlineResult{}
@@ -176,6 +175,16 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 	cache := func(v *Verified) {
 		if opts.Window > 0 {
 			window = append(window, windowEntry{v: v, ts: now})
+		}
+	}
+	// offer updates the archive with v and caches whatever it turns away.
+	offer := func(v *Verified) {
+		out := archive.Update(v.Point, v)
+		if !out.Accepted {
+			cache(v)
+		}
+		for _, ev := range out.Evicted {
+			cache(ev)
 		}
 	}
 	// rescore drains the mutation source and, when the graph advanced,
@@ -216,7 +225,7 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 		res.Rescores++
 		old := archive.Payloads()
 		oldWindow := window
-		archive = pareto.NewArchive[*Verified](archive.Eps())
+		archive = newArchive(archive.Eps())
 		window = nil
 		set := slices.Clone(old)
 		for _, e := range oldWindow {
@@ -232,13 +241,7 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 				res.RescoreDropped++
 				continue
 			}
-			out := archive.Update(nv.Point, nv)
-			if !out.Accepted {
-				cache(nv)
-			}
-			for _, ev := range out.Evicted {
-				cache(ev)
-			}
+			offer(nv)
 		}
 		for _, e := range oldWindow {
 			if r.err() != nil {
@@ -258,7 +261,7 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 	refill = func() {
 		kept := window[:0]
 		for _, e := range window {
-			c := archive.Classify(e.v.Point)
+			c := archive.Classify(e.v.Point, e.v)
 			admit := c == pareto.ReplacedBoxes || c == pareto.ReplacedInstance ||
 				(c == pareto.AddedBox && archive.Len() < opts.K)
 			if admit {
@@ -286,7 +289,8 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 		start := time.Now()
 		now++
 		rescore()
-		v := r.verifyParentless(q, nil, false)
+		parent, _ := r.parentOf(q)
+		v := r.verify(q, parent)
 		if err := r.err(); err != nil { // v, or a re-scored record, is a placeholder
 			return nil, err
 		}
@@ -296,22 +300,13 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 			continue
 		}
 		if archive.Len() < opts.K {
-			out := archive.Update(v.Point, v)
-			if !out.Accepted {
-				cache(v)
-			}
-			for _, ev := range out.Evicted {
-				cache(ev)
-			}
+			offer(v)
 		} else {
-			switch archive.Classify(v.Point) {
+			switch archive.Classify(v.Point, v) {
 			case pareto.Rejected:
 				cache(v)
 			case pareto.ReplacedBoxes, pareto.ReplacedInstance:
-				out := archive.Update(v.Point, v)
-				for _, ev := range out.Evicted {
-					cache(ev)
-				}
+				offer(v) // accepted: Classify agrees with Update
 				refill()
 			case pareto.AddedBox:
 				// Replace the nearest neighbor, enlarging ε to their
@@ -325,13 +320,7 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 						cache(dropped)
 					}
 				}
-				out := archive.Update(v.Point, v)
-				if !out.Accepted {
-					cache(v)
-				}
-				for _, ev := range out.Evicted {
-					cache(ev)
-				}
+				offer(v)
 				refill()
 			}
 		}

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"fairsqg/internal/graph"
-	"fairsqg/internal/match"
 	"fairsqg/internal/query"
 )
 
@@ -84,13 +83,13 @@ func (r *Runner) Retarget(g *graph.Graph) {
 	if g == r.cfg.G {
 		return
 	}
-	r.releaseRoot()
 	old := r.engine
 	cfg := *r.cfg
 	cfg.G, cfg.Engine = g, nil
 	cfg.Settings, cfg.MatchWorkers = old.Settings(), old.Workers()
 	r.cfg = &cfg
 	r.stats.Matcher.Add(old.Stats().Stats)
+	r.release()
 	r.engine = r.newEngine(old.Cache())
 	r.engine.AdoptDomains(old)
 	r.bind()
@@ -100,27 +99,25 @@ func (r *Runner) Retarget(g *graph.Graph) {
 // on the generation the runner was just retargeted to, as a walk of the
 // lattice the set spans instead of one instance at a time from the root: each
 // distinct instance once, loosest first, under the most refined ancestor the
-// memo holds by then and planned from that ancestor's domains
-// (verifyParentless), which an instance holds while a later one refines it.
-// Every buffer is back on the engine at return, cancelled or not, and the
-// caller finds each record in the memo.
+// memo holds by then (parentOf) and planned from that ancestor's domains,
+// which the lineage keeps while a later instance refines it. Every link is cut
+// at return, cancelled or not, and the caller finds each record in the memo.
 func (r *Runner) reverify(set []*Verified) {
 	slices.SortFunc(set, func(a, b *Verified) int {
 		return cmp.Or(cmp.Compare(level(a.Q), level(b.Q)), cmp.Compare(a.Q.Key(), b.Q.Key()))
 	})
 	set = slices.CompactFunc(set, func(a, b *Verified) bool { return a.Q.Key() == b.Q.Key() })
-	doms := map[*Verified]*match.Domains{}
-	defer func() {
-		for _, d := range doms {
-			r.engine.ReleaseDomains(d)
-		}
-	}()
+	defer r.cut(0)
 	for i, v := range set {
 		if r.err() != nil {
 			return
 		}
-		hold := slices.ContainsFunc(set[i+1:], func(d *Verified) bool { return query.StrictlyRefines(d.Q, v.Q) })
-		r.verifyParentless(v.Q, doms, hold)
+		keep := noKeep
+		if slices.ContainsFunc(set[i+1:], func(d *Verified) bool { return query.StrictlyRefines(d.Q, v.Q) }) {
+			keep = 0
+		}
+		parent, _ := r.parentOf(v.Q)
+		r.verifySeeded(v.Q, parent, keep)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"fairsqg/internal/match"
 	"fairsqg/internal/pareto"
 	"fairsqg/internal/query"
 )
@@ -27,16 +26,15 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	r.resetStats()
-	defer r.releaseRoot()
+	defer r.start()()
 	start := time.Now()
 	plan := PlanSlabs(r.cfg.Template)
 	if !r.cfg.DisableIncremental && len(r.extraNodes) == 0 && r.cfg.Evaluator == nil {
-		r.rootSeed() // planned once, before the forks copy the runner
+		r.seed(nil) // planned once, before the forks copy the runner
 	}
 
 	var mu sync.Mutex
-	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
+	archive := newArchive(r.cfg.Eps)
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -89,16 +87,14 @@ func pickSplitVariable(t *query.Template) int {
 // the whole lattice. The archive may be shared across goroutines (ParQGen:
 // mu is a real mutex) or private (RfQGen, RunSlab: mu is a no-op locker).
 //
-// The walk holds the matcher domains of every feasible instance on the
-// current root-to-leaf path: an instance's plan is seeded with those of the
-// nearest ancestor that has them, and each goes back to the engine once its
-// subtree is walked.
+// The walk keeps every instance on the current root-to-leaf path in the
+// lineage at its depth, and cuts it once its subtree is walked.
 func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 	archive *pareto.Archive[*Verified], mu sync.Locker) {
 	t := r.cfg.Template
 	visited := make(map[string]bool)
-	var explore func(in query.Instantiation, parent *Verified, seed *match.Domains)
-	explore = func(in query.Instantiation, parent *Verified, seed *match.Domains) {
+	var explore func(in query.Instantiation, parent *Verified, depth int)
+	explore = func(in query.Instantiation, parent *Verified, depth int) {
 		if r.err() != nil {
 			return
 		}
@@ -110,8 +106,8 @@ func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 		}
 		visited[key] = true
 		r.stats.Spawned++
-		v, held, _ := r.verifySeeded(query.MustInstance(t, in), parent, seed, true)
-		defer r.engine.ReleaseDomains(held)
+		v := r.verifySeeded(query.MustInstance(t, in), parent, depth)
+		defer r.cut(depth)
 		if !v.Feasible {
 			r.stats.Pruned += query.NumRefineSteps(t, in)
 			return
@@ -119,19 +115,16 @@ func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 		mu.Lock()
 		archive.Update(v.Point, v)
 		mu.Unlock()
-		if held != nil {
-			seed = held
-		}
 		for _, child := range sp.refine(v) {
 			if splitVar >= 0 && child[splitVar] != level {
 				continue // stay inside the slab
 			}
-			explore(child, v, seed)
+			explore(child, v, depth+1)
 		}
 	}
 	rootIn := query.Root(t)
 	if splitVar >= 0 {
 		rootIn[splitVar] = level
 	}
-	explore(rootIn, nil, nil)
+	explore(rootIn, nil, 0)
 }

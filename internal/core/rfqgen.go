@@ -1,10 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"fairsqg/internal/pareto"
-)
+import "time"
 
 // RfQGen computes an ε-Pareto instance set with the "refine as always"
 // strategy (Fig. 3): a depth-first exploration of the instance lattice from
@@ -14,10 +10,9 @@ import (
 // sets, so no descendant can regain feasibility). Feasible instances pass
 // through the Update archive and spawn their restricted front set.
 func (r *Runner) RfQGen() (*Result, error) {
-	r.resetStats()
-	defer r.releaseRoot()
+	defer r.start()()
 	start := time.Now()
-	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
+	archive := newArchive(r.cfg.Eps)
 	exploreSlab(r, newSpawner(r), -1, 0, archive, noopLocker{})
 	if err := r.err(); err != nil {
 		return nil, err

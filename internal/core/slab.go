@@ -156,10 +156,9 @@ func (r *Runner) RunSlab(splitVar, level int) (*SlabResult, error) {
 			return nil, fmt.Errorf("core: slab level %d invalid for variable %q", level, t.Vars[splitVar].Name)
 		}
 	}
-	r.resetStats()
-	defer r.releaseRoot()
+	defer r.start()()
 	start := time.Now()
-	archive := pareto.NewArchive[*Verified](r.cfg.Eps)
+	archive := newArchive(r.cfg.Eps)
 	exploreSlab(r, newSpawner(r), splitVar, level, archive, noopLocker{})
 	if err := r.err(); err != nil {
 		return nil, err

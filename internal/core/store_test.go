@@ -12,7 +12,6 @@ import (
 	"fairsqg/internal/graph"
 	"fairsqg/internal/groups"
 	"fairsqg/internal/match"
-	"fairsqg/internal/pareto"
 	"fairsqg/internal/query"
 )
 
@@ -255,7 +254,7 @@ func TestConcurrentJobsShareOneEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold[name] = sortedFingerprint(name, res)
+		cold[name] = sortedFingerprint(res)
 	}
 	e := match.NewEngine(g, match.EngineOptions{Workers: 2})
 	var wg sync.WaitGroup
@@ -269,7 +268,7 @@ func TestConcurrentJobsShareOneEngine(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := sortedFingerprint(name, res); !equalStrings(got, cold[name]) {
+				if got := sortedFingerprint(res); !equalStrings(got, cold[name]) {
 					t.Errorf("%s beside other jobs:\n%v\non its own:\n%v", name, got, cold[name])
 				}
 			}()
@@ -299,15 +298,9 @@ func TestConcurrentJobsShareOneEngine(t *testing.T) {
 }
 
 // sortedFingerprint renders a result as its lattice counters and sorted
-// lines: "instance|δ|f|answer" with exact floats, or for par — whose slabs
-// race into the archive, so which point stands for a box varies — the boxes.
-func sortedFingerprint(alg string, res *Result) []string {
+// lines: "instance|δ|f|answer" with exact floats.
+func sortedFingerprint(res *Result) []string {
 	out := archiveFingerprint(res.Set)
-	if alg == "par" {
-		for i, v := range res.Set {
-			out[i] = fmt.Sprint(pareto.BoxOf(v.Point, res.Eps))
-		}
-	}
 	slices.Sort(out)
 	return append(out, fmt.Sprint(res.Stats.Spawned, res.Stats.Verified, res.Stats.Feasible, res.Stats.Pruned))
 }
@@ -354,6 +347,28 @@ func TestOnlineQGenReturnsOnCancel(t *testing.T) {
 		}
 		if n := r.engine.Stats().DomainsHeld; n != 0 {
 			t.Errorf("%s: %d matcher domains still held", where, n)
+		}
+	}
+}
+
+// TestStoreHitSeedsFromKeptAncestor pins the seed under a record an injected
+// engine's store answered: it keeps no domains of its own, so its
+// refinements plan from the nearest kept ancestor's, in enumerate's walk as
+// in exploreSlab's. The engine is warmed by one BiQGen job, so the EnumQGen
+// job after it is answered partly from the store and partly by plans;
+// planning those from the root's domains instead inherits 25, 74 and 64
+// arcs. (On the star no stored record has a planned refinement.)
+func TestStoreHitSeedsFromKeptAncestor(t *testing.T) {
+	g := fixtureGraph(t, 4)
+	for shape, want := range map[string]int{"chain": 34, "tree": 99, "cycle": 88} {
+		e := match.NewEngine(g, match.EngineOptions{Workers: 2})
+		_, err := newRunnerT(t, shapeConfig(t, g, shape, 1, 0.3, 0.2, e)).BiQGen()
+		must(t, err)
+		before := e.Stats()
+		res, err := newRunnerT(t, shapeConfig(t, g, shape, 4, 0.05, 0.9, e)).EnumQGen()
+		must(t, err)
+		if arcs := e.Stats().ArcsInherited - before.ArcsInherited; arcs != want || res.Stats.AnswersReused == 0 {
+			t.Errorf("%s: %d arcs inherited, %d answers reused; want %d arcs", shape, arcs, res.Stats.AnswersReused, want)
 		}
 	}
 }

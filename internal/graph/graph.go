@@ -75,12 +75,12 @@ type Graph struct {
 	// serve a pre-mutation entry for a post-mutation graph.
 	version uint64
 	// lineage is a process-unique identity for the graph's mutation
-	// lineage: Freeze and the snapshot decoders draw a fresh value, every
-	// mutation merge inherits it, and compaction preserves it (together
-	// with the version — see Live.Compact). (lineage, version) therefore
-	// uniquely identifies one logical graph state within the process, the
-	// key prefix shared caches use to stay correct across graphs and
-	// mutations.
+	// lineage: Freeze, the snapshot decoders and every mutation merge draw
+	// a fresh value (two batches merged onto one base are two states at one
+	// version), and compaction preserves it (together with the version — see
+	// Live.Compact). (lineage, version) therefore uniquely identifies one
+	// logical graph state within the process, the key prefix shared caches
+	// use to stay correct across graphs and mutations.
 	lineage uint64
 	// dead marks tombstoned node slots (see mutate.go): a set bit means the
 	// NodeID was removed by a mutation. Dead slots keep their label (the
@@ -288,8 +288,7 @@ func (g *Graph) Version() uint64 {
 }
 
 // Lineage returns the graph's process-unique lineage identity: fresh per
-// Freeze or snapshot load, inherited by mutation merges, preserved by
-// compaction. The (Lineage, Version) pair uniquely identifies one logical
+// Freeze, snapshot load and mutation merge, preserved by compaction. The (Lineage, Version) pair uniquely identifies one logical
 // graph state within the process — shared caches key entries by it.
 func (g *Graph) Lineage() uint64 {
 	g.mustFrozen("Lineage")

@@ -354,7 +354,7 @@ func newGeneration(p *batchPlan) *batchEdits {
 		numEdges: base.numEdges,
 		frozen:   true,
 		version:  base.version + 1,
-		lineage:  base.lineage,
+		lineage:  nextLineage(),
 		backing:  base.backing,
 		strTab:   base.strTab,
 	}

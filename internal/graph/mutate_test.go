@@ -255,6 +255,23 @@ func TestApplyBatchBasic(t *testing.T) {
 	checkAgainstModel(t, ng, m)
 }
 
+// TestApplyBatchBranchesGetOwnKeys: two batches applied to one base are two
+// graph states at one version, so they must not share a generation key.
+func TestApplyBatchBranchesGetOwnKeys(t *testing.T) {
+	g := buildSample(t)
+	var keys []string
+	for _, age := range []int64{31, 32} {
+		ng, _, err := ApplyBatch(g, []Mutation{{Op: MutSetAttr, Node: 0, Attr: "age", Value: Int(age)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, ng.GenKey())
+	}
+	if keys[0] == keys[1] {
+		t.Errorf("two branches of one base share the generation key %s", keys[0])
+	}
+}
+
 // TestApplyBatchColumnLayout: a batch leaves every touched column in the
 // layout Freeze would give its new content — re-uniformed when its odd
 // value goes, demoted to the mixed fallback when one arrives, bare when

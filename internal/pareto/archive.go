@@ -1,5 +1,7 @@
 package pareto
 
+import "cmp"
+
 // UpdateCase identifies which branch of the paper's Update procedure
 // (Fig. 5) handled an instance.
 type UpdateCase uint8
@@ -56,15 +58,22 @@ type Result[T any] struct {
 // paper with its three cases.
 type Archive[T any] struct {
 	eps     float64
+	key     func(T) string
 	entries []Entry[T]
 }
 
 // NewArchive returns an empty archive with tolerance eps (> 0).
-func NewArchive[T any](eps float64) *Archive[T] {
+func NewArchive[T any](eps float64) *Archive[T] { return NewKeyedArchive[T](eps, nil) }
+
+// NewKeyedArchive is NewArchive whose payloads break in-box ties between
+// equal points by key, the smaller winning (nil: the incumbent stays), so
+// every box's representative, and with it the whole archive, depends only on
+// the set of points and payloads offered, not on their order (see Update).
+func NewKeyedArchive[T any](eps float64, key func(T) string) *Archive[T] {
 	if eps <= 0 {
 		panic("pareto: archive eps must be positive")
 	}
-	return &Archive[T]{eps: eps}
+	return &Archive[T]{eps: eps, key: key}
 }
 
 // Eps returns the current tolerance.
@@ -99,8 +108,10 @@ func (a *Archive[T]) Payloads() []T {
 //
 //	Case 1 — the instance's box strictly dominates one or more archived
 //	boxes: evict their representatives, add the instance.
-//	Case 2 — the instance lands in an occupied box: keep whichever of the
-//	two representatives dominates the other (ties keep the incumbent).
+//	Case 2 — the instance lands in an occupied box: keep the greater of the
+//	two representatives in a total order that extends dominance — the point
+//	lexicographically (δ, then f), then the smaller key — so the box ends up
+//	with the greatest of everything offered to it, whatever the order.
 //	Case 3 — no archived box weakly dominates the instance's box: add it
 //	as a new box representative.
 //	Otherwise the instance is rejected.
@@ -131,7 +142,7 @@ func (a *Archive[T]) Update(p Point, payload T) Result[T] {
 	// Case 2: same box as an incumbent.
 	for i := range a.entries {
 		if a.entries[i].Box == box {
-			if Dominates(p, a.entries[i].Point) {
+			if a.wins(p, payload, a.entries[i]) {
 				evicted := a.entries[i].Payload
 				a.entries[i] = Entry[T]{Point: p, Box: box, Payload: payload}
 				return Result[T]{Case: ReplacedInstance, Accepted: true, Evicted: []T{evicted}}
@@ -168,16 +179,12 @@ func (s *MergeStats) Add(o MergeStats) {
 }
 
 // Merge unions a batch of entries into the archive by offering each to
-// Update in order, so the result stays inside the ε-Pareto contract for
-// the combined point stream. The surviving *box set* is independent of
-// offer order (each box survives iff no offered box strictly dominates
-// it), which is what lets a cluster coordinator merge per-worker slab
-// archives in any arrival order and still converge on one box set; the
-// chosen *representative* within a box follows Update's keep-the-incumbent
-// tie-break, so a deterministic merge order yields a fully deterministic
-// archive. Entry Box fields are recomputed under the receiver's ε, so
-// archives with different tolerances merge correctly (Lemma 4: established
-// ε-dominance survives any larger ε').
+// Update, so the result stays inside the ε-Pareto contract for the combined
+// point stream. Each box survives iff no offered box strictly dominates it
+// and keeps the greatest representative offered to it, so slab archives
+// merged in any order give one archive. Entry Box fields are recomputed under
+// the receiver's ε, so archives with different tolerances merge correctly
+// (Lemma 4: established ε-dominance survives any larger ε').
 func (a *Archive[T]) Merge(entries []Entry[T]) MergeStats {
 	var st MergeStats
 	for i := range entries {
@@ -192,10 +199,10 @@ func (a *Archive[T]) Merge(entries []Entry[T]) MergeStats {
 	return st
 }
 
-// Classify reports which Update case would apply for p without mutating the
-// archive; OnlineQGen uses it to decide whether an arrival would grow the
-// set before committing.
-func (a *Archive[T]) Classify(p Point) UpdateCase {
+// Classify reports which Update case would apply for (p, payload) without
+// mutating the archive; OnlineQGen uses it to decide whether an arrival would
+// grow the set before committing.
+func (a *Archive[T]) Classify(p Point, payload T) UpdateCase {
 	box := BoxOf(p, a.eps)
 	for i := range a.entries {
 		if box.Dominates(a.entries[i].Box) {
@@ -204,7 +211,7 @@ func (a *Archive[T]) Classify(p Point) UpdateCase {
 	}
 	for i := range a.entries {
 		if a.entries[i].Box == box {
-			if Dominates(p, a.entries[i].Point) {
+			if a.wins(p, payload, a.entries[i]) {
 				return ReplacedInstance
 			}
 			return Rejected
@@ -216,6 +223,16 @@ func (a *Archive[T]) Classify(p Point) UpdateCase {
 		}
 	}
 	return AddedBox
+}
+
+// wins reports whether (p, payload) beats e, the incumbent of its box, in
+// Update's Case 2 order.
+func (a *Archive[T]) wins(p Point, payload T, e Entry[T]) bool {
+	c := cmp.Or(cmp.Compare(p.Div, e.Point.Div), cmp.Compare(p.Cov, e.Point.Cov))
+	if c == 0 && a.key != nil {
+		c = cmp.Compare(a.key(e.Payload), a.key(payload))
+	}
+	return c > 0
 }
 
 // SetEps changes the tolerance and re-buckets every archived entry,

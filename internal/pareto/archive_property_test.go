@@ -81,10 +81,8 @@ func equalBoxes(a, b []Box) bool {
 // TestArchiveBoxSetOrderIndependent: for any point set, the set of occupied
 // boxes after offering every point is independent of insertion order — it is
 // exactly the maximal boxes under box dominance, a function of the point set
-// alone. (The representative chosen inside a box is order-dependent when a
-// box receives incomparable points: Case 2 keeps the incumbent on ties. The
-// full-archive equality is therefore asserted separately, on point sets with
-// at most one point per box.)
+// alone — and so is each box's representative point, the lexicographically
+// greatest offered to it.
 func TestArchiveBoxSetOrderIndependent(t *testing.T) {
 	rng := rand.New(rand.NewSource(propertySeed))
 	for trial := 0; trial < 60; trial++ {
@@ -96,9 +94,14 @@ func TestArchiveBoxSetOrderIndependent(t *testing.T) {
 				rng.Shuffle(len(shuffled), func(i, j int) {
 					shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 				})
-				if got := boxSet(fillArchive(eps, shuffled)); !equalBoxes(got, want) {
+				a := fillArchive(eps, shuffled)
+				if got := boxSet(a); !equalBoxes(got, want) {
 					t.Fatalf("seed %d trial %d eps=%v perm %d: box set depends on insertion order:\ngot  %v\nwant %v\npoints %v",
 						propertySeed, trial, eps, perm, got, want, shuffled)
+				}
+				if got, want := pointSet(a), pointSet(fillArchive(eps, ps)); !equalStringSlices(got, want) {
+					t.Fatalf("seed %d trial %d eps=%v perm %d: representatives depend on insertion order:\ngot  %v\nwant %v",
+						propertySeed, trial, eps, perm, got, want)
 				}
 			}
 		}

@@ -44,13 +44,29 @@ func TestArchiveUpdateCases(t *testing.T) {
 	}
 }
 
+// TestKeyedArchiveTies: two payloads at one point keep the smaller key,
+// offered in either order, and Classify says so beforehand.
+func TestKeyedArchiveTies(t *testing.T) {
+	for _, order := range [][]string{{"a", "b"}, {"b", "a"}} {
+		a := NewKeyedArchive(0.5, func(s string) string { return s })
+		a.Update(Point{3, 4}, order[0])
+		if c := a.Classify(Point{3, 4}, order[1]); (c == ReplacedInstance) != (order[1] == "a") {
+			t.Errorf("offer %v: Classify says %v", order, c)
+		}
+		a.Update(Point{3, 4}, order[1])
+		if got := a.Payloads(); len(got) != 1 || got[0] != "a" {
+			t.Errorf("offer %v: archive keeps %v, want [a]", order, got)
+		}
+	}
+}
+
 func TestArchiveClassifyMatchesUpdate(t *testing.T) {
 	const seed = 5 // fixed and logged so a failing iteration reproduces
 	rng := rand.New(rand.NewSource(seed))
 	a := NewArchive[int](0.3)
 	for i := 0; i < 500; i++ {
 		p := Point{Div: float64(rng.Intn(40)), Cov: float64(rng.Intn(40))}
-		want := a.Classify(p)
+		want := a.Classify(p, i)
 		got := a.Update(p, i)
 		if got.Case != want {
 			t.Fatalf("seed %d iteration %d: Classify=%v Update=%v for %v", seed, i, want, got.Case, p)
