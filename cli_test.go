@@ -420,8 +420,9 @@ func TestSnapshotCLIRoundTrip(t *testing.T) {
 }
 
 // TestRemovedAblationFlags: the access-path, variable-order and scorer
-// switches are library fields for tests and benchmarks now; neither
-// command accepts them any more (rejected at flag parsing, not ignored).
+// switches are library fields for tests and benchmarks now, and the match
+// engine has no fan-out to set; neither command accepts these flags any
+// more (rejected at flag parsing, not ignored).
 func TestRemovedAblationFlags(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -433,7 +434,7 @@ func TestRemovedAblationFlags(t *testing.T) {
 	}
 	for name, valid := range base {
 		bin := buildCLI(t, name)
-		for _, flags := range [][]string{{"-no-attr-index"}, {"-order", "static"}, {"-no-inc-score"}} {
+		for _, flags := range [][]string{{"-no-attr-index"}, {"-order", "static"}, {"-no-inc-score"}, {"-match-workers", "2"}} {
 			// The deadline turns "flag accepted, daemon now serving" into a
 			// failure instead of a hang.
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -53,7 +53,6 @@ func main() {
 	lambda := flag.Float64("lambda", 0.5, "relevance/dissimilarity balance λ in [0,1] (0 = pure relevance)")
 	maxPairs := flag.Int("max-pairs", 20000, "pairwise diversity sample cap (<0 = exact, no cap)")
 	distAttrs := flag.String("dist-attrs", "", "comma-separated attributes for the diversity distance")
-	matchWorkers := flag.Int("match-workers", 0, "fan-out of the run's match engine: 0/1 evaluate on the calling goroutine, <0 GOMAXPROCS")
 	candCache := flag.Int("cand-cache", 0, "candidate cache entries: 0 default, <0 disabled")
 
 	k := flag.Int("k", 10, "online: result size to maintain")
@@ -155,7 +154,7 @@ func main() {
 	cfg := &fairsqg.Config{
 		G: g, Template: tpl, Groups: set, Eps: *eps, MaxPairs: *maxPairs,
 		Lambda: *lambda, LambdaSet: true,
-		MatchWorkers: *matchWorkers, CandCacheSize: *candCache,
+		CandCacheSize: *candCache,
 	}
 	if *distAttrs != "" {
 		cfg.DistanceAttrs = strings.Split(*distAttrs, ",")

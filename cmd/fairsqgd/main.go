@@ -77,7 +77,6 @@ func run(args []string, errw *os.File) int {
 		retention      = fs.Duration("retention", 15*time.Minute, "how long finished jobs stay visible")
 		timeout        = fs.Duration("timeout", 5*time.Minute, "default per-job deadline")
 		maxTimeout     = fs.Duration("max-timeout", 30*time.Minute, "ceiling on per-job deadlines")
-		matchWorkers   = fs.Int("match-workers", 0, "per-graph match engine fan-out (0 = GOMAXPROCS)")
 		candCache      = fs.Int("cand-cache", 0, "per-graph candidate cache entries (0 default, <0 disable)")
 		maxUpload      = fs.Int64("max-upload", 64<<20, "largest accepted graph upload in bytes")
 		snapshotDir    = fs.String("snapshot-dir", "", "persist registered graphs as binary snapshots here and restore them on startup (warm restart; standalone/coordinator)")
@@ -119,7 +118,6 @@ func run(args []string, errw *os.File) int {
 		return runWorker(workerConfig{
 			addr: *addr, drainFor: *drainFor, graphs: graphs,
 			opts: cluster.WorkerOptions{
-				MatchWorkers:     *matchWorkers,
 				CandCacheSize:    *candCache,
 				MaxSnapshotBytes: *maxUpload,
 				Logger:           logger,
@@ -153,7 +151,6 @@ func run(args []string, errw *os.File) int {
 			DefaultTimeout: *timeout,
 			MaxTimeout:     *maxTimeout,
 		},
-		MatchWorkers:   *matchWorkers,
 		CandCacheSize:  *candCache,
 		MaxUploadBytes: *maxUpload,
 		SnapshotDir:    *snapshotDir,

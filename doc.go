@@ -95,14 +95,10 @@
 // (Stats.AnswersShared). Config.DisableIncremental turns all of that off
 // together with incVerify: the paper's naive verification.
 //
-// Two Config knobs schedule how each instance's answer set is computed;
-// both leave results bit-identical to the defaults:
+// Each instance's answer set is computed on the calling goroutine by the
+// run's match engine (MatchEngine). One Config knob schedules it and leaves
+// results bit-identical to the default:
 //
-//   - Config.MatchWorkers: the fan-out of the run's match engine
-//     (MatchEngine), which partitions the output node's candidates into
-//     that many blocks and merges the per-block match sets
-//     deterministically; 0 or 1 evaluate on the calling goroutine,
-//     negative uses GOMAXPROCS workers.
 //   - Config.CandCacheSize: bounds the engine's shared LRU cache of
 //     label+predicate candidate lists, reused across the many instances of
 //     one template that share bound literals. 0 picks a default size;

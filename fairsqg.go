@@ -62,11 +62,10 @@ type (
 	VerifyEvent = core.VerifyEvent
 
 	// MatchEngine is the concurrent match engine: a goroutine-safe
-	// evaluator that owns a shared candidate cache and partitions each
-	// instance's output-node candidates across its fan-out. Every run
-	// verifies on one: Config.MatchWorkers is its fan-out (0/1 evaluate on
-	// the calling goroutine), Config.CandCacheSize its cache; use
-	// NewMatchEngine for standalone instance evaluation.
+	// evaluator that owns a shared candidate cache and evaluates each
+	// instance on its caller's goroutine. Every run verifies on one, with
+	// Config.CandCacheSize its cache; use NewMatchEngine for standalone
+	// instance evaluation.
 	MatchEngine = match.Engine
 	// MatchEngineOptions configures NewMatchEngine.
 	MatchEngineOptions = match.EngineOptions
@@ -364,7 +363,7 @@ func Answer(g *Graph, q *Instance) []NodeID {
 }
 
 // NewMatchEngine returns a concurrent, goroutine-safe instance evaluator
-// over a frozen graph; ParEvalOutput results are identical to Answer's.
+// over a frozen graph; its output-node results are identical to Answer's.
 func NewMatchEngine(g *Graph, opts MatchEngineOptions) *MatchEngine {
 	return match.NewEngine(g, opts)
 }

@@ -106,13 +106,13 @@ func refResult(t *testing.T, p JobPayload, g *graph.Graph) *core.Result {
 
 // slabSum runs every slab of the job's plan in this process, a fresh
 // runner each, and sums the private counters, as coldStats reads them.
-func slabSum(t *testing.T, p JobPayload, g *graph.Graph) core.SlabStats {
+func slabSum(t *testing.T, p JobPayload, g *graph.Graph) core.Stats {
 	t.Helper()
 	cfg, err := BuildConfig(p, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sum core.SlabStats
+	var sum core.Stats
 	plan := core.PlanSlabs(cfg.Template)
 	for _, level := range plan.Levels {
 		runner, err := core.NewRunner(cfg)
@@ -536,7 +536,7 @@ func TestCoordinatorPreloadedWorker(t *testing.T) {
 
 // coldStats is s without the counters of what a worker engine's store had,
 // and without the scoring clock, which no two runs read the same.
-func coldStats(s core.SlabStats) core.SlabStats {
+func coldStats(s core.Stats) core.Stats {
 	s.AnswersReused, s.DerivedReused, s.ScoreWall = 0, 0, 0
 	return s
 }

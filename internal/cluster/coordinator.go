@@ -426,7 +426,7 @@ type DistResult struct {
 	// Eps is the tolerance the set satisfies.
 	Eps float64
 	// Stats sums the slabs' private work counters.
-	Stats core.SlabStats
+	Stats core.Stats
 	// Merge tallies the coordinator-side archive union.
 	Merge pareto.MergeStats
 	// Slabs is the plan size; Retried counts extra dispatch attempts the

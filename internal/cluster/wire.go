@@ -41,7 +41,7 @@ type SlabRequest struct {
 // SlabResponse is a worker's serialized slab result.
 type SlabResponse struct {
 	Entries   []core.SlabEntry `json:"entries"`
-	Stats     core.SlabStats   `json:"stats"`
+	Stats     core.Stats       `json:"stats"`
 	ElapsedMs float64          `json:"elapsedMs"`
 
 	// worker records which worker answered; coordinator-side only.

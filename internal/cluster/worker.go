@@ -18,10 +18,8 @@ import (
 
 // WorkerOptions configures a slab-execution worker.
 type WorkerOptions struct {
-	// MatchWorkers is each graph engine's fan-out (<= 0 = GOMAXPROCS);
 	// CandCacheSize bounds each graph's candidate cache (0 default, < 0
 	// disabled).
-	MatchWorkers  int
 	CandCacheSize int
 	// MaxSnapshotBytes bounds pushed snapshot bodies (default 64 MiB).
 	MaxSnapshotBytes int64
@@ -95,12 +93,9 @@ func (w *Worker) RegisterGraph(name string, g *graph.Graph) error {
 
 func (w *Worker) register(name string, g *graph.Graph, crc uint32) {
 	entry := &workerGraph{
-		g:   g,
-		crc: crc,
-		engine: match.NewEngine(g, match.EngineOptions{
-			Workers:       w.opts.MatchWorkers,
-			CandCacheSize: w.opts.CandCacheSize,
-		}),
+		g:      g,
+		crc:    crc,
+		engine: match.NewEngine(g, match.EngineOptions{CandCacheSize: w.opts.CandCacheSize}),
 	}
 	w.mu.Lock()
 	w.graphs[name] = entry

@@ -43,11 +43,10 @@ func TestCancelledContextAborts(t *testing.T) {
 }
 
 // TestDeadlineStopsMidRun cancels every algorithm at its 1st, 3rd and 10th
-// verification, through the sequential matcher and the concurrent engine
-// path (OnlineQGen after a batch has retargeted it): the run stops with the
-// context's error after at most one more verification — ParQGen's other
-// fork may have one under way — and every matcher domain it held, the
-// lineage's links and the root's, is back on its engine.
+// verification (OnlineQGen after a batch has retargeted it): the run stops
+// with the context's error after at most one more verification —
+// ParQGen's other fork may have one under way — and every matcher domain it
+// held, the lineage's links and the root's, is back on its engine.
 func TestDeadlineStopsMidRun(t *testing.T) {
 	g := fixtureGraph(t, 8)
 	cycle := func() *Config { return cycleConfig(t, g) }
@@ -80,27 +79,24 @@ func TestDeadlineStopsMidRun(t *testing.T) {
 		}},
 	}
 	for _, c := range cases {
-		for _, workers := range []int{0, 2} {
-			for _, at := range []int32{1, 3, 10} {
-				cfg := c.cfg()
-				cfg.MatchWorkers = workers
-				ctx, cancel := context.WithCancel(context.Background())
-				cfg.Ctx = ctx
-				var seen atomic.Int32 // ParQGen's forks verify concurrently
-				cfg.OnVerified = func(VerifyEvent) {
-					if seen.Add(1) == at {
-						cancel()
-					}
+		for _, at := range []int32{1, 3, 10} {
+			cfg := c.cfg()
+			ctx, cancel := context.WithCancel(context.Background())
+			cfg.Ctx = ctx
+			var seen atomic.Int32 // ParQGen's forks verify concurrently
+			cfg.OnVerified = func(VerifyEvent) {
+				if seen.Add(1) == at {
+					cancel()
 				}
-				r := newRunnerT(t, cfg)
-				err := c.run(r)
-				cancel()
-				if !errors.Is(err, context.Canceled) || seen.Load() > at+1 {
-					t.Errorf("%s workers=%d cancelled at %d: %v after %d verifications", c.name, workers, at, err, seen.Load())
-				}
-				if n := r.engine.Stats().DomainsHeld; n != 0 {
-					t.Errorf("%s workers=%d cancelled at %d: %d matcher domains still held", c.name, workers, at, n)
-				}
+			}
+			r := newRunnerT(t, cfg)
+			err := c.run(r)
+			cancel()
+			if !errors.Is(err, context.Canceled) || seen.Load() > at+1 {
+				t.Errorf("%s cancelled at %d: %v after %d verifications", c.name, at, err, seen.Load())
+			}
+			if n := r.engine.Stats().DomainsHeld; n != 0 {
+				t.Errorf("%s cancelled at %d: %d matcher domains still held", c.name, at, n)
 			}
 		}
 	}
@@ -121,7 +117,7 @@ func TestExternalEngineSharedAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	engine := match.NewEngine(g, match.EngineOptions{Workers: 2})
+	engine := match.NewEngine(g, match.EngineOptions{})
 	cfg := fixtureConfig(t, g, 0.2, 3)
 	cfg.Engine = engine
 	r1, err := NewRunner(cfg)

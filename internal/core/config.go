@@ -39,14 +39,14 @@ type Config struct {
 	// run returns the context's error instead of a partial result.
 	Ctx context.Context
 	// Engine, when non-nil, routes verification through this externally
-	// owned match engine instead of a per-run one: MatchWorkers is ignored
-	// and the run takes the engine's Settings (Validate rejects a non-zero
-	// Config.Settings that disagrees with them). The engine — and crucially
-	// its candidate cache and its store of answers and scoring structures
-	// (match.Store) — persists across runs, which is how a long-lived
-	// service pays for one generation once across jobs; a run-owned engine
-	// never consults a store. The engine's graph must be G, and the per-run
-	// Stats report the engine's cumulative (not per-run) counters.
+	// owned match engine instead of a per-run one: the run takes the
+	// engine's Settings (Validate rejects a non-zero Config.Settings that
+	// disagrees with them). The engine — and crucially its candidate cache
+	// and its store of answers and scoring structures (match.Store) —
+	// persists across runs, which is how a long-lived service pays for one
+	// generation once across jobs; a run-owned engine never consults a
+	// store. The engine's graph must be G, and the per-run Stats report the
+	// engine's cumulative (not per-run) counters.
 	Engine *match.Engine
 	// Evaluator, when non-nil, answers every instance in place of the match
 	// engine (see Evaluator); it excludes Engine and ExtraOutputs. Relevance
@@ -86,11 +86,6 @@ type Config struct {
 	// scoring with no cap, and a positive value caps evaluations at that
 	// many sampled pairs.
 	MaxPairs int
-	// MatchWorkers is the fan-out of the run's match.Engine, which
-	// partitions each instance's output-node candidates across that many
-	// workers: 0 or 1 check every candidate on the calling goroutine, < 0
-	// selects GOMAXPROCS workers. Results are identical in all settings.
-	MatchWorkers int
 	// CandCacheSize bounds the shared candidate cache that memoizes the
 	// label+literal filtering phase across instances (refinement siblings
 	// share most of their predicate sets): 0 selects the default size

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -17,8 +16,8 @@ import (
 
 // differentialConfig is one column of the core differential suite.
 type differentialConfig struct {
-	name           string
-	workers, cache int
+	name  string
+	cache int
 	// noInherit sets Config.DisableIncremental: every plan from its label
 	// populations, no within, no matcher domains handed down the lattice.
 	noInherit bool
@@ -27,28 +26,20 @@ type differentialConfig struct {
 // apply returns base under the column's knobs.
 func (dc differentialConfig) apply(base *Config) *Config {
 	cfg := *base
-	cfg.MatchWorkers, cfg.CandCacheSize, cfg.DisableIncremental = dc.workers, dc.cache, dc.noInherit
+	cfg.CandCacheSize, cfg.DisableIncremental = dc.cache, dc.noInherit
 	return &cfg
 }
 
 // differentialConfigs enumerates the knob settings the core differential
-// suite compares against the sequential reference: workers in {1, 4,
-// GOMAXPROCS} with the candidate cache on and off, each with inheritance
-// down the lattice on (as the reference has it) and off. Workers=1 with
-// cache on exercises the cached sequential path.
+// suite compares against the sequential reference: the candidate cache on
+// and off, each with inheritance down the lattice on (as the reference has
+// it) and off.
 func differentialConfigs() []differentialConfig {
 	var out []differentialConfig
-	seen := map[int]bool{}
-	for _, w := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		if seen[w] {
-			continue
-		}
-		seen[w] = true
-		for _, cache := range []int{0, -1} {
-			for _, noInherit := range []bool{false, true} {
-				label := fmt.Sprintf("workers=%d/cache=%d/inherit=%v", w, cache, !noInherit)
-				out = append(out, differentialConfig{label, w, cache, noInherit})
-			}
+	for _, cache := range []int{0, -1} {
+		for _, noInherit := range []bool{false, true} {
+			label := fmt.Sprintf("cache=%d/inherit=%v", cache, !noInherit)
+			out = append(out, differentialConfig{label, cache, noInherit})
 		}
 	}
 	return out
@@ -128,7 +119,7 @@ func runAll(t *testing.T, cfg *Config) map[string][]string {
 		for _, e := range res.Entries {
 			out["slabs"] = append(out["slabs"], fmt.Sprintf("%d|%v|%.9f|%.9f|%d", level, e.Bindings, e.Div, e.Cov, e.Matches))
 		}
-		out["slabs"] = append(out["slabs"], counters(res.Stats.Stats()))
+		out["slabs"] = append(out["slabs"], counters(res.Stats))
 	}
 	return out
 }
@@ -271,7 +262,6 @@ func equalStrings(a, b []string) bool {
 func TestParetoArchiveParityParQGen(t *testing.T) {
 	g := fixtureGraph(t, 4)
 	cfg := fixtureConfig(t, g, 0.3, 3)
-	cfg.MatchWorkers = 4
 	r := newRunnerT(t, cfg)
 	all, err := r.AllFeasible()
 	if err != nil {
@@ -320,7 +310,7 @@ func TestDomainsReturnToEngine(t *testing.T) {
 			for _, noInherit := range []bool{false, true} {
 				cfg := cycleConfig(t, g)
 				cfg.DisableIncremental = noInherit
-				cfg.Engine = match.NewEngine(g, match.EngineOptions{Workers: 2})
+				cfg.Engine = match.NewEngine(g, match.EngineOptions{})
 				ctx, cancel := context.WithCancel(context.Background())
 				cfg.Ctx = ctx
 				var mu sync.Mutex // par verifies on two goroutines

@@ -27,7 +27,7 @@ type Runner struct {
 	// inside the backtracking search.
 	ctx context.Context
 	// engine evaluates every instance: Config.Engine when injected, else a
-	// run-owned one of fan-out Config.MatchWorkers (see newEngine).
+	// run-owned one (see newEngine).
 	engine *match.Engine
 	// div is this runner's evaluator (it counts and keeps kernel scratch,
 	// so ParQGen workers each take their own over the shared features).
@@ -109,21 +109,14 @@ func (r *Runner) bind() {
 }
 
 // newEngine returns the engine the run evaluates on over r.cfg.G: the
-// injected Config.Engine, else a run-owned one under the run's settings
-// whose fan-out is Config.MatchWorkers (0 means 1: every candidate is
-// checked on the calling goroutine; < 0 selects GOMAXPROCS). shared, when
-// non-nil, becomes a run-owned engine's candidate cache.
+// injected Config.Engine, else a run-owned one under the run's settings.
+// shared, when non-nil, becomes a run-owned engine's candidate cache.
 func (r *Runner) newEngine(shared *match.CandidateCache) *match.Engine {
 	if r.cfg.Engine != nil {
 		return r.cfg.Engine
 	}
-	workers := r.cfg.MatchWorkers
-	if workers == 0 {
-		workers = 1
-	}
 	return match.NewEngine(r.cfg.G, match.EngineOptions{
 		Settings:      r.cfg.Settings,
-		Workers:       workers,
 		CandCacheSize: r.cfg.CandCacheSize,
 		SharedCache:   shared,
 	})

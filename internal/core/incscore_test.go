@@ -8,10 +8,10 @@ import (
 )
 
 // TestIncScoreDifferential is the lattice-wide bit-compatibility check for
-// the subset-delta diversity scorer: every algorithm, with and without the
-// concurrent match engine, must produce exactly the same point sets whether
-// the incremental path is on or off — the fixed-point accumulation makes
-// the two scoring paths bit-identical, so samePointSets compares with ==.
+// the subset-delta diversity scorer: every algorithm must produce exactly
+// the same point sets whether the incremental path is on or off — the
+// fixed-point accumulation makes the two scoring paths bit-identical, so
+// samePointSets compares with ==.
 func TestIncScoreDifferential(t *testing.T) {
 	g := fixtureGraph(t, 21)
 	algorithms := []struct {
@@ -23,31 +23,27 @@ func TestIncScoreDifferential(t *testing.T) {
 		{"bi", func(r *Runner) (*Result, error) { return r.BiQGen() }},
 		{"par", func(r *Runner) (*Result, error) { return r.ParQGen(2) }},
 	}
-	for _, workers := range []int{0, 2} {
-		for _, alg := range algorithms {
-			mk := func(disable bool) *Result {
-				cfg := fixtureConfig(t, g, 0.3, 3)
-				cfg.MatchWorkers = workers
-				cfg.MaxPairs = -1 // exact scoring end to end
-				cfg.DisableIncScore = disable
-				res, err := alg.run(newRunnerT(t, cfg))
-				if err != nil {
-					t.Fatalf("%s workers=%d disable=%v: %v", alg.name, workers, disable, err)
-				}
-				return res
+	for _, alg := range algorithms {
+		mk := func(disable bool) *Result {
+			cfg := fixtureConfig(t, g, 0.3, 3)
+			cfg.MaxPairs = -1 // exact scoring end to end
+			cfg.DisableIncScore = disable
+			res, err := alg.run(newRunnerT(t, cfg))
+			if err != nil {
+				t.Fatalf("%s disable=%v: %v", alg.name, disable, err)
 			}
-			inc, noInc := mk(false), mk(true)
-			if !samePointSets(inc.Points(), noInc.Points()) {
-				t.Errorf("%s workers=%d: incremental scoring changed results:\n%v\nvs\n%v",
-					alg.name, workers, inc.Points(), noInc.Points())
-			}
-			if alg.name != "enum" && inc.Stats.IncScores == 0 {
-				t.Errorf("%s workers=%d: refinement run took no incremental scores", alg.name, workers)
-			}
-			if noInc.Stats.IncScores != 0 {
-				t.Errorf("%s workers=%d: ablated run counted %d incremental scores",
-					alg.name, workers, noInc.Stats.IncScores)
-			}
+			return res
+		}
+		inc, noInc := mk(false), mk(true)
+		if !samePointSets(inc.Points(), noInc.Points()) {
+			t.Errorf("%s: incremental scoring changed results:\n%v\nvs\n%v",
+				alg.name, inc.Points(), noInc.Points())
+		}
+		if alg.name != "enum" && inc.Stats.IncScores == 0 {
+			t.Errorf("%s: refinement run took no incremental scores", alg.name)
+		}
+		if noInc.Stats.IncScores != 0 {
+			t.Errorf("%s: ablated run counted %d incremental scores", alg.name, noInc.Stats.IncScores)
 		}
 	}
 }
@@ -167,7 +163,7 @@ func TestMaxPairsSentinels(t *testing.T) {
 // and no cache traffic, and the engine accumulates both.
 func TestEngineSharedDistCache(t *testing.T) {
 	g := fixtureGraph(t, 26)
-	engine := match.NewEngine(g, match.EngineOptions{Workers: 2})
+	engine := match.NewEngine(g, match.EngineOptions{})
 	run := func() Stats {
 		cfg := fixtureConfig(t, g, 0.3, 3)
 		cfg.Engine = engine

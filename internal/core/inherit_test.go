@@ -271,7 +271,7 @@ func TestEnumerateMemoHit(t *testing.T) {
 func TestRetargetLeavesNoStaleSeed(t *testing.T) {
 	g := fixtureGraph(t, 30)
 	cfg := fixtureConfig(t, g, 0.05, 3)
-	cfg.Engine = match.NewEngine(g, match.EngineOptions{Workers: 2})
+	cfg.Engine = match.NewEngine(g, match.EngineOptions{})
 	live := graph.NewLive(g)
 	defer live.Close()
 	r := newRunnerT(t, cfg)

@@ -74,11 +74,11 @@ func (s *LiveMutations) Poll() *MutationEvent {
 // post-mutation queries, while entries the new generation re-derives stay
 // warm — and so do the matcher counters, which span generations within one
 // run. The engine is always replaced by a run-owned one under the same
-// settings and fan-out (an external Config.Engine is bound to the old
-// generation), which takes over the old one's free matcher-domain buffers
+// settings (an external Config.Engine is bound to the old generation),
+// which takes over the old one's free matcher-domain buffers
 // (match.Engine.AdoptDomains): reverify holds one per member of the working
-// set, every generation. Generation lifetimes stay with the caller — Retarget
-// never closes g.
+// set, every generation. Generation lifetimes stay with the caller —
+// Retarget never closes g.
 func (r *Runner) Retarget(g *graph.Graph) {
 	if g == r.cfg.G {
 		return
@@ -86,7 +86,7 @@ func (r *Runner) Retarget(g *graph.Graph) {
 	old := r.engine
 	cfg := *r.cfg
 	cfg.G, cfg.Engine = g, nil
-	cfg.Settings, cfg.MatchWorkers = old.Settings(), old.Workers()
+	cfg.Settings = old.Settings()
 	r.cfg = &cfg
 	r.stats.Matcher.Add(old.Stats().Stats)
 	r.release()

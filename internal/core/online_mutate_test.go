@@ -162,42 +162,39 @@ func TestRetargetSameGraphNoop(t *testing.T) {
 // match.TestRetiredGenerationCollectable for what used to pin it).
 func TestRetargetReleasesOldGeneration(t *testing.T) {
 	g1 := fixtureGraph(t, 33)
-	for _, workers := range []int{0, 2} {
-		finalized := make(chan struct{})
-		r, g3 := func() (*Runner, *graph.Graph) {
-			g2, _, err := graph.ApplyBatch(g1, []graph.Mutation{
-				{Op: graph.MutSetAttr, Node: 1, Attr: "yearsOfExp", Value: graph.Int(3)},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			g3, _, err := graph.ApplyBatch(g2, []graph.Mutation{{Op: graph.MutRemoveNode, Node: 4}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			runtime.SetFinalizer(g2, func(*graph.Graph) { close(finalized) })
-			cfg := fixtureConfig(t, g2, 0.3, 3)
-			cfg.MatchWorkers = workers
-			r := newRunnerT(t, cfg)
-			// A walk that held matcher domains, then the online run Retarget
-			// exists for: neither leaves anything of g2 behind.
-			if _, err := r.RfQGen(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := r.OnlineQGen(NewRandomStream(cfg.Template, 40, 99), OnlineOptions{K: 5, Window: 10}); err != nil {
-				t.Fatal(err)
-			}
-			r.Retarget(g3)
-			return r, g3
-		}()
-		runtime.GC()
-		select {
-		case <-finalized:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("MatchWorkers=%d: the runner still reaches the retired generation after one GC", workers)
+	finalized := make(chan struct{})
+	r, g3 := func() (*Runner, *graph.Graph) {
+		g2, _, err := graph.ApplyBatch(g1, []graph.Mutation{
+			{Op: graph.MutSetAttr, Node: 1, Attr: "yearsOfExp", Value: graph.Int(3)},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if r.Config().G != g3 {
-			t.Fatal("runner not on the new generation")
+		g3, _, err := graph.ApplyBatch(g2, []graph.Mutation{{Op: graph.MutRemoveNode, Node: 4}})
+		if err != nil {
+			t.Fatal(err)
 		}
+		runtime.SetFinalizer(g2, func(*graph.Graph) { close(finalized) })
+		cfg := fixtureConfig(t, g2, 0.3, 3)
+		r := newRunnerT(t, cfg)
+		// A walk that held matcher domains, then the online run Retarget
+		// exists for: neither leaves anything of g2 behind.
+		if _, err := r.RfQGen(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.OnlineQGen(NewRandomStream(cfg.Template, 40, 99), OnlineOptions{K: 5, Window: 10}); err != nil {
+			t.Fatal(err)
+		}
+		r.Retarget(g3)
+		return r, g3
+	}()
+	runtime.GC()
+	select {
+	case <-finalized:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the runner still reaches the retired generation after one GC")
+	}
+	if r.Config().G != g3 {
+		t.Fatal("runner not on the new generation")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -34,17 +35,13 @@ func TestSettingsReachEveryMatcher(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, want := range nonDefaultSettings {
-		for _, mode := range []string{"workers=0", "workers=2", "injected"} {
+		for _, mode := range []string{"owned", "injected"} {
 			t.Run(name+"/"+mode, func(t *testing.T) {
 				cfg := fixtureConfig(t, g, 0.3, 3)
-				wantWorkers := 2
-				switch mode {
-				case "workers=0":
-					cfg.Settings, wantWorkers = want, 1
-				case "workers=2":
-					cfg.Settings, cfg.MatchWorkers = want, 2
-				case "injected":
-					cfg.Engine = match.NewEngine(g, match.EngineOptions{Settings: want, Workers: 2})
+				if mode == "owned" {
+					cfg.Settings = want
+				} else {
+					cfg.Engine = match.NewEngine(g, match.EngineOptions{Settings: want})
 				}
 				r := newRunnerT(t, cfg)
 				check := func(when string) {
@@ -54,9 +51,6 @@ func TestSettingsReachEveryMatcher(t *testing.T) {
 					}
 					if got := r.engine.Settings(); got != want {
 						t.Errorf("%s: engine runs under %+v, want %+v", when, got, want)
-					}
-					if got := r.engine.Workers(); got != wantWorkers {
-						t.Errorf("%s: engine fan-out %d, want %d", when, got, wantWorkers)
 					}
 				}
 				check("after NewRunner")
@@ -147,7 +141,8 @@ func statsLeaves(s Stats) map[string]int64 {
 }
 
 // TestStatsAddCoversEveryField: Add sums every leaf of Stats, so a field
-// added later without an Add line fails here.
+// added later without an Add line fails here; and every leaf crosses the
+// coordinator↔worker wire, where Stats travels as JSON, unchanged.
 func TestStatsAddCoversEveryField(t *testing.T) {
 	var one Stats
 	var set func(v reflect.Value)
@@ -161,55 +156,15 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 		v.SetInt(1)
 	}
 	set(reflect.ValueOf(&one).Elem())
+	var wire Stats
+	if data, err := json.Marshal(one); err != nil || json.Unmarshal(data, &wire) != nil || wire != one {
+		t.Errorf("Stats does not round-trip through JSON (err %v): %+v, want %+v", err, wire, one)
+	}
 	sum := one
 	sum.Add(one)
 	for path, n := range statsLeaves(sum) {
 		if n != 2 {
 			t.Errorf("%s = %d after Add, want 2: Stats.Add does not sum it", path, n)
-		}
-	}
-}
-
-// TestSlabStatsCoversRunPrivateCounters: every scalar field of Stats is a
-// run-private counter and crosses the coordinator↔worker wire in SlabStats
-// under its own JSON key, so a counter added to Stats without a SlabStats
-// field (or a conversion line) fails here instead of reading 0 on
-// distributed jobs. The struct-typed fields are the shared engine and cache
-// counters SlabStats excludes on purpose.
-func TestSlabStatsCoversRunPrivateCounters(t *testing.T) {
-	var full Stats
-	st, wire := reflect.TypeOf(full), reflect.TypeOf(SlabStats{})
-	scalars := 0
-	for i := 0; i < st.NumField(); i++ {
-		f := st.Field(i)
-		if f.Type.Kind() == reflect.Struct {
-			continue
-		}
-		scalars++
-		reflect.ValueOf(&full).Elem().Field(i).SetInt(int64(i + 1))
-		w, ok := wire.FieldByName(f.Name)
-		if !ok {
-			t.Errorf("Stats.%s has no SlabStats field: distributed jobs would report it as 0", f.Name)
-			continue
-		}
-		if tag := w.Tag.Get("json"); tag == "" || tag == "-" {
-			t.Errorf("SlabStats.%s has no JSON key", f.Name)
-		}
-		if got := reflect.ValueOf(full.Slab()).FieldByName(f.Name).Int(); got != int64(i+1) {
-			t.Errorf("Stats.Slab drops %s: %d, want %d", f.Name, got, i+1)
-		}
-	}
-	if wire.NumField() != scalars {
-		t.Errorf("SlabStats has %d fields for %d scalar Stats counters", wire.NumField(), scalars)
-	}
-	if back := full.Slab().Stats(); back != full {
-		t.Errorf("SlabStats.Stats does not invert Stats.Slab: %+v, want %+v", back, full)
-	}
-	sum := full.Slab()
-	sum.Add(full.Slab())
-	for path, n := range statsLeaves(sum.Stats()) {
-		if n != 2*statsLeaves(full)[path] {
-			t.Errorf("SlabStats.Add: %s = %d, want %d", path, n, 2*statsLeaves(full)[path])
 		}
 	}
 }
@@ -238,18 +193,14 @@ func TestParQGenKeepsMatcherCounters(t *testing.T) {
 			t.Fatalf("fixture no longer exercises all three counters under rf: %+v", m)
 		}
 		want := statsLeaves(rf.Stats)
-		for _, matchWorkers := range []int{0, 2} {
-			for _, workers := range []int{1, 2, 4} {
-				c := *cfg
-				c.MatchWorkers = matchWorkers
-				res, err := newRunnerT(t, &c).ParQGen(workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for path, n := range statsLeaves(res.Stats) {
-					if n == 0 && want[path] != 0 {
-						t.Errorf("inherit=%v/matchWorkers=%d/workers=%d: par lost %s (rf: %d)", inherit, matchWorkers, workers, path, want[path])
-					}
+		for _, workers := range []int{1, 2, 4} {
+			res, err := newRunnerT(t, cfg).ParQGen(workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for path, n := range statsLeaves(res.Stats) {
+				if n == 0 && want[path] != 0 {
+					t.Errorf("inherit=%v/workers=%d: par lost %s (rf: %d)", inherit, workers, path, want[path])
 				}
 			}
 		}

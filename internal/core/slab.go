@@ -71,68 +71,15 @@ type SlabEntry struct {
 // Point returns the entry's quality coordinates.
 func (e SlabEntry) Point() pareto.Point { return pareto.Point{Div: e.Div, Cov: e.Cov} }
 
-// SlabStats is the portion of a run's counters a slab execution owns
-// privately, in wire form: every scalar counter of Stats (a reflection
-// check in settings_test.go fails when one is missing here). Shared
-// engine/cache counters are deliberately excluded: on a long-lived worker
-// daemon they are cumulative across slabs and jobs, so including them
-// would double-count in any cross-slab aggregation. They stay visible on
-// the worker's own /metrics.
-type SlabStats struct {
-	Spawned          int `json:"spawned"`
-	Verified         int `json:"verified"`
-	Feasible         int `json:"feasible"`
-	Pruned           int `json:"pruned"`
-	RefineSuppressed int `json:"refineSuppressed"`
-	HoodRuns         int `json:"hoodRuns"`
-	HoodNodes        int `json:"hoodNodes"`
-	SandwichPairs    int `json:"sandwichPairs"`
-	IncScores        int `json:"incScores"`
-	AnswersShared    int `json:"answersShared"`
-	AncestorsFound   int `json:"ancestorsFound"`
-	AnswersReused    int `json:"answersReused"`
-	DerivedReused    int `json:"derivedReused"`
-	ScoreSplits      int `json:"scoreSplits"`
-	// ScoreWall crosses the wire in nanoseconds.
-	ScoreWall time.Duration `json:"scoreWallNs"`
-}
-
-// Slab returns the run-private counters of s in wire form.
-func (s Stats) Slab() SlabStats {
-	return SlabStats{
-		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
-		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
-		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores, AnswersShared: s.AnswersShared,
-		AncestorsFound: s.AncestorsFound, AnswersReused: s.AnswersReused, DerivedReused: s.DerivedReused,
-		ScoreSplits: s.ScoreSplits, ScoreWall: s.ScoreWall,
-	}
-}
-
-// Stats is the inverse of Stats.Slab; the shared counters read zero.
-func (s SlabStats) Stats() Stats {
-	return Stats{
-		Spawned: s.Spawned, Verified: s.Verified, Feasible: s.Feasible, Pruned: s.Pruned,
-		RefineSuppressed: s.RefineSuppressed, HoodRuns: s.HoodRuns, HoodNodes: s.HoodNodes,
-		SandwichPairs: s.SandwichPairs, IncScores: s.IncScores, AnswersShared: s.AnswersShared,
-		AncestorsFound: s.AncestorsFound, AnswersReused: s.AnswersReused, DerivedReused: s.DerivedReused,
-		ScoreSplits: s.ScoreSplits, ScoreWall: s.ScoreWall,
-	}
-}
-
-// Add folds another slab's counters in, through Stats.Add.
-func (s *SlabStats) Add(o SlabStats) {
-	sum := s.Stats()
-	sum.Add(o.Stats())
-	*s = sum.Slab()
-}
-
 // SlabResult is the serializable outcome of one slab execution: the
 // slab-local ε-Pareto archive (entries in deterministic insertion order —
 // the slab's depth-first exploration order, which makes coordinator-side
-// merges reproducible) plus the slab's private work counters.
+// merges reproducible) plus the slab's work counters: the runner's own,
+// which leave out the engine's and its cache's — on a long-lived worker
+// those are cumulative across slabs and jobs, and stay on its /metrics.
 type SlabResult struct {
 	Entries []SlabEntry   `json:"entries"`
-	Stats   SlabStats     `json:"stats"`
+	Stats   Stats         `json:"stats"`
 	Elapsed time.Duration `json:"elapsedNs"`
 }
 
@@ -165,7 +112,7 @@ func (r *Runner) RunSlab(splitVar, level int) (*SlabResult, error) {
 	}
 	res := &SlabResult{
 		Entries: make([]SlabEntry, 0, archive.Len()),
-		Stats:   r.stats.Slab(),
+		Stats:   r.stats,
 		Elapsed: time.Since(start),
 	}
 	for _, e := range archive.Entries() {

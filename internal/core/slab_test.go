@@ -36,11 +36,11 @@ func TestPlanSlabs(t *testing.T) {
 // runAllSlabs executes every slab of the plan in a fresh Runner each and
 // merges the results in plan order — the single-process analogue of what
 // the cluster coordinator does across workers.
-func runAllSlabs(t *testing.T, cfg *Config) (*pareto.Archive[SlabEntry], SlabStats) {
+func runAllSlabs(t *testing.T, cfg *Config) (*pareto.Archive[SlabEntry], Stats) {
 	t.Helper()
 	plan := PlanSlabs(cfg.Template)
 	merged := pareto.NewArchive[SlabEntry](cfg.Eps)
-	var stats SlabStats
+	var stats Stats
 	for _, level := range plan.Levels {
 		res, err := newRunnerT(t, cfg).RunSlab(plan.SplitVar, level)
 		if err != nil {

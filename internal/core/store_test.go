@@ -85,7 +85,7 @@ func shapeConfig(t testing.TB, g *graph.Graph, shape string, cover int, eps, lam
 // other algorithms, constraints, tolerances and λ — have run on.
 func warmEngine(t testing.TB, g *graph.Graph, shape string) *match.Engine {
 	t.Helper()
-	e := match.NewEngine(g, match.EngineOptions{Workers: 2})
+	e := match.NewEngine(g, match.EngineOptions{})
 	for _, job := range []struct {
 		cover       int
 		eps, lambda float64
@@ -138,7 +138,7 @@ func TestWarmEqualsCold(t *testing.T) {
 // answered; the first job on an engine reuses only what it stored itself.
 func TestStatsSayWhatWasReused(t *testing.T) {
 	g := fixtureGraph(t, 4)
-	e := match.NewEngine(g, match.EngineOptions{Workers: 1})
+	e := match.NewEngine(g, match.EngineOptions{})
 	first, err := newRunnerT(t, shapeConfig(t, g, "tree", 2, 0.1, 0.5, e)).RfQGen()
 	if err != nil {
 		t.Fatal(err)
@@ -181,7 +181,7 @@ func TestStatsSayWhatWasReused(t *testing.T) {
 // the scoring structures and returns what the first did.
 func TestBudgetedEngineKeepsNoAnswers(t *testing.T) {
 	g := fixtureGraph(t, 4)
-	e := match.NewEngine(g, match.EngineOptions{Workers: 1, Settings: match.Settings{MaxBacktrackNodes: 1}})
+	e := match.NewEngine(g, match.EngineOptions{Settings: match.Settings{MaxBacktrackNodes: 1}})
 	var runs [2]map[string][]string
 	for i := range runs {
 		runs[i] = runAll(t, shapeConfig(t, g, "cycle", 2, 0.1, 0.5, e))
@@ -256,7 +256,7 @@ func TestConcurrentJobsShareOneEngine(t *testing.T) {
 		}
 		cold[name] = sortedFingerprint(res)
 	}
-	e := match.NewEngine(g, match.EngineOptions{Workers: 2})
+	e := match.NewEngine(g, match.EngineOptions{})
 	var wg sync.WaitGroup
 	for round := 0; round < 3; round++ {
 		for name, run := range algs {
@@ -361,7 +361,7 @@ func TestOnlineQGenReturnsOnCancel(t *testing.T) {
 func TestStoreHitSeedsFromKeptAncestor(t *testing.T) {
 	g := fixtureGraph(t, 4)
 	for shape, want := range map[string]int{"chain": 34, "tree": 99, "cycle": 88} {
-		e := match.NewEngine(g, match.EngineOptions{Workers: 2})
+		e := match.NewEngine(g, match.EngineOptions{})
 		_, err := newRunnerT(t, shapeConfig(t, g, shape, 1, 0.3, 0.2, e)).BiQGen()
 		must(t, err)
 		before := e.Stats()

@@ -85,11 +85,11 @@ func TestSingleNodeResultIsCallerOwned(t *testing.T) {
 	q := query.MustInstance(tpl, query.Root(tpl)) // both edges absent
 	m := New(g)
 	m.Cache = NewCandidateCache(0)
-	e := NewEngine(g, EngineOptions{Workers: 1})
+	e := NewEngine(g, EngineOptions{})
 	evals := map[string]func() []graph.NodeID{
 		"matcher": func() []graph.NodeID { return m.EvalOutput(q) },
 		"engine": func() []graph.NodeID {
-			got, err := e.ParEvalOutput(context.Background(), q)
+			got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

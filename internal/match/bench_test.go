@@ -117,7 +117,7 @@ func BenchmarkRefineChain(b *testing.B) {
 			name = "seeded"
 		}
 		b.Run(name, func(b *testing.B) {
-			e := NewEngine(g, EngineOptions{Workers: 1})
+			e := NewEngine(g, EngineOptions{})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -145,10 +145,10 @@ func BenchmarkRefineChain(b *testing.B) {
 
 // BenchmarkEngineWorkload sweeps the full instantiation lattice of the
 // largest bench graph — the unit of work one generation run performs —
-// through the sequential matcher and the engine at several worker/cache
-// settings. The shared candidate cache is what pays off here: the lattice
-// re-filters the same label+literal candidate lists for every instance
-// that shares bound predicates.
+// through the sequential matcher and the engine with and without its
+// candidate cache. The shared candidate cache is what pays off here: the
+// lattice re-filters the same label+literal candidate lists for every
+// instance that shares bound predicates.
 func BenchmarkEngineWorkload(b *testing.B) {
 	g := randomGraph(b, 3000, 12000, 7)
 	tpl := randomTemplate(b, g)
@@ -173,22 +173,20 @@ func BenchmarkEngineWorkload(b *testing.B) {
 			}
 		})
 	}
-	for _, c := range []struct {
-		workers, cache int
-	}{{1, -1}, {1, 0}, {4, -1}, {4, 0}} {
+	for _, cache := range []int{-1, 0} {
 		for _, order := range []Order{OrderDynamic, OrderStatic} {
-			name := fmt.Sprintf("engine/workers=%d/cache=%v", c.workers, c.cache >= 0)
+			name := fmt.Sprintf("engine/cache=%v", cache >= 0)
 			if order == OrderStatic {
 				name += "/order=static"
 			}
-			c, order := c, order
+			cache, order := cache, order
 			b.Run(name, func(b *testing.B) {
-				e := NewEngine(g, EngineOptions{Workers: c.workers, CandCacheSize: c.cache, Settings: Settings{Order: order}})
+				e := NewEngine(g, EngineOptions{CandCacheSize: cache, Settings: Settings{Order: order}})
 				ctx := context.Background()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					for _, q := range qs {
-						if _, err := e.ParEvalOutput(ctx, q); err != nil {
+						if _, _, err := e.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -206,16 +204,13 @@ func BenchmarkEngineNodeOnly(b *testing.B) {
 	g := randomGraph(b, 3000, 12000, 7)
 	tpl := randomTemplate(b, g)
 	solo := query.MustInstance(tpl, query.Instantiation{1, 1, 0, 0})
-	for _, c := range []struct {
-		workers, cache int
-	}{{4, -1}, {4, 0}} {
-		name := fmt.Sprintf("workers=%d/cache=%v", c.workers, c.cache >= 0)
-		b.Run(name, func(b *testing.B) {
-			e := NewEngine(g, EngineOptions{Workers: c.workers, CandCacheSize: c.cache})
+	for _, cache := range []int{-1, 0} {
+		b.Run(fmt.Sprintf("cache=%v", cache >= 0), func(b *testing.B) {
+			e := NewEngine(g, EngineOptions{CandCacheSize: cache})
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.ParEvalOutput(ctx, solo); err != nil {
+				if _, _, err := e.ParEvalNodeFiltered(ctx, solo, solo.T.Output, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

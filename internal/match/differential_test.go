@@ -4,8 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
-	"runtime"
-	"strconv"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -17,32 +15,25 @@ import (
 const differentialSeed = 7321
 
 // engineMatrix enumerates the engine configurations the differential suite
-// checks against the sequential reference: workers 1, 4 and GOMAXPROCS,
-// each with the candidate cache on and off, each with the sorted attribute
-// indexes on and off, each under dynamic and static backtracking order.
+// checks against the sequential reference: the candidate cache on and off,
+// each with the sorted attribute indexes on and off, each under dynamic and
+// static backtracking order.
 func engineMatrix(g *graph.Graph, mode Mode) map[string]*Engine {
-	workerSet := []int{1, 4, runtime.GOMAXPROCS(0)}
 	m := make(map[string]*Engine)
-	for _, w := range workerSet {
-		for _, cacheSize := range []int{0, -1} {
-			for _, noIndex := range []bool{false, true} {
-				for _, order := range []Order{OrderDynamic, OrderStatic} {
-					name := "workers=" + strconv.Itoa(w) + "/cache=on"
-					if cacheSize < 0 {
-						name = "workers=" + strconv.Itoa(w) + "/cache=off"
-					}
-					if noIndex {
-						name += "/index=off"
-					}
-					name += "/order=" + order.String()
-					if _, dup := m[name]; dup {
-						continue // GOMAXPROCS may coincide with 1 or 4
-					}
-					m[name] = NewEngine(g, EngineOptions{
-						Workers: w, CandCacheSize: cacheSize,
-						Settings: Settings{Mode: mode, DisableAttrIndex: noIndex, Order: order},
-					})
+	for _, cacheSize := range []int{0, -1} {
+		for _, noIndex := range []bool{false, true} {
+			for _, order := range []Order{OrderDynamic, OrderStatic} {
+				name := "cache=on"
+				if cacheSize < 0 {
+					name = "cache=off"
 				}
+				if noIndex {
+					name += "/index=off"
+				}
+				m[name+"/order="+order.String()] = NewEngine(g, EngineOptions{
+					CandCacheSize: cacheSize,
+					Settings:      Settings{Mode: mode, DisableAttrIndex: noIndex, Order: order},
+				})
 			}
 		}
 	}
@@ -57,7 +48,7 @@ func engineMatrix(g *graph.Graph, mode Mode) map[string]*Engine {
 // the order knob).
 func checkDifferential(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, engines map[string]*Engine) {
 	t.Helper()
-	checkFanoutOne(t, g, q, mode, nil)
+	checkEngineColumn(t, g, q, mode, nil)
 	m := New(g)
 	m.Mode = mode
 	want := m.EvalOutput(q)
@@ -75,7 +66,7 @@ func checkDifferential(t *testing.T, g *graph.Graph, q *query.Instance, mode Mod
 			m.Stats.IndexSelections, m.Stats.ScanSelections)
 	}
 	for name, e := range engines {
-		got, err := e.ParEvalOutput(context.Background(), q)
+		got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %s: %s: %v", differentialSeed, name, q, err)
 		}
@@ -86,17 +77,17 @@ func checkDifferential(t *testing.T, g *graph.Graph, q *query.Instance, mode Mod
 	}
 }
 
-// fanoutOneCases tallies the evaluation shapes the fan-out-1 column has
-// compared, so the tests can assert the corpus reached each of them.
-var fanoutOneCases struct{ plain, within, vetoed, inactive, singleNode int }
+// engineCases tallies the evaluation shapes the engine column has compared,
+// so the tests can assert the corpus reached each of them.
+var engineCases struct{ plain, within, vetoed, inactive, singleNode int }
 
-// checkFanoutOne is the "engine workers=1" column: for every template node,
-// with and without a vetoing accept, a fresh engine of fan-out 1 returns the
-// sequential matcher's match set and leaves exactly its counters — at that
-// fan-out the engine is the sequential loop, not an approximation of it.
-// within, when non-nil, restricts the output node (incVerify). Both sides
-// run cacheless so the access-path counters are comparable.
-func checkFanoutOne(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, within []graph.NodeID) {
+// checkEngineColumn is the "engine" column: for every template node, with
+// and without a vetoing accept, a fresh engine returns the sequential
+// matcher's match set and leaves exactly its counters — the engine runs the
+// sequential loop, not an approximation of it. within, when non-nil,
+// restricts the output node (incVerify). Both sides run cacheless so the
+// access-path counters are comparable.
+func checkEngineColumn(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, within []graph.NodeID) {
 	t.Helper()
 	veto := func([]graph.NodeID) bool { return false }
 	for node := range q.T.Nodes {
@@ -107,31 +98,31 @@ func checkFanoutOne(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, 
 			}
 			m := New(g)
 			m.Mode = mode
-			e := NewEngine(g, EngineOptions{Workers: 1, CandCacheSize: -1, Settings: Settings{Mode: mode}})
+			e := NewEngine(g, EngineOptions{CandCacheSize: -1, Settings: Settings{Mode: mode}})
 			want, wantOK := m.EvalNodeFiltered(q, node, w, accept)
 			got, gotOK, err := e.ParEvalNodeFiltered(context.Background(), q, node, w, accept)
 			if err != nil {
-				t.Fatalf("seed %d: fan-out 1: %s node %d: %v", differentialSeed, q, node, err)
+				t.Fatalf("seed %d: engine: %s node %d: %v", differentialSeed, q, node, err)
 			}
 			if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-				t.Errorf("seed %d: fan-out 1: %s node %d:\nengine     %v ok=%v\nsequential %v ok=%v",
+				t.Errorf("seed %d: engine: %s node %d:\nengine     %v ok=%v\nsequential %v ok=%v",
 					differentialSeed, q, node, got, gotOK, want, wantOK)
 			}
-			if es := e.Stats(); es.Stats != m.Stats || es.ParEvals != 1 {
-				t.Errorf("seed %d: fan-out 1: %s node %d: counters diverged:\nengine     %+v (ParEvals %d)\nsequential %+v",
-					differentialSeed, q, node, es.Stats, es.ParEvals, m.Stats)
+			if es := e.Stats(); es.Stats != m.Stats {
+				t.Errorf("seed %d: engine: %s node %d: counters diverged:\nengine     %+v\nsequential %+v",
+					differentialSeed, q, node, es.Stats, m.Stats)
 			}
 			switch {
 			case !q.NodeActive(node):
-				fanoutOneCases.inactive++
+				engineCases.inactive++
 			case !wantOK:
-				fanoutOneCases.vetoed++
+				engineCases.vetoed++
 			case len(want) > 0 && m.Stats.CandidatesChecked == 0:
-				fanoutOneCases.singleNode++ // matches without backtracking: the plan is this node alone
+				engineCases.singleNode++ // matches without backtracking: the plan is this node alone
 			case w != nil:
-				fanoutOneCases.within++
+				engineCases.within++
 			default:
-				fanoutOneCases.plain++
+				engineCases.plain++
 			}
 		}
 	}
@@ -140,31 +131,30 @@ func checkFanoutOne(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, 
 // TestDifferentialTalentFixture runs every instantiation of the canonical
 // talent fixture through the full engine matrix in both matching modes. Its
 // e1=0 instances collapse to the output node alone, so this is also where
-// the fan-out-1 column meets inactive nodes and single-node plans.
+// the engine column meets inactive nodes and single-node plans.
 func TestDifferentialTalentFixture(t *testing.T) {
 	g := talentGraph(t)
 	tpl := talentTpl(t)
-	fanoutOneCases.plain, fanoutOneCases.vetoed, fanoutOneCases.inactive, fanoutOneCases.singleNode = 0, 0, 0, 0
+	engineCases.plain, engineCases.vetoed, engineCases.inactive, engineCases.singleNode = 0, 0, 0, 0
 	for _, mode := range []Mode{Isomorphism, Homomorphism} {
 		engines := engineMatrix(g, mode)
 		for _, in := range allInstantiations(tpl) {
 			checkDifferential(t, g, query.MustInstance(tpl, in), mode, engines)
 		}
 	}
-	if c := fanoutOneCases; c.plain == 0 || c.vetoed == 0 || c.inactive == 0 || c.singleNode == 0 {
-		t.Errorf("fan-out 1 column missed an evaluation shape: %+v", c)
+	if c := engineCases; c.plain == 0 || c.vetoed == 0 || c.inactive == 0 || c.singleNode == 0 {
+		t.Errorf("engine column missed an evaluation shape: %+v", c)
 	}
 }
 
-// TestFanoutOneAllocations: an engine of fan-out 1 evaluates on the calling
-// goroutine with the planner's own matcher, so it may cost at most two
-// allocations more than Matcher.EvalOutputFiltered (the block table and the
-// WaitGroup its unused fan-out path shares with the goroutines).
-func TestFanoutOneAllocations(t *testing.T) {
+// TestEngineAllocations: the engine evaluates on the calling goroutine with
+// the planner's own matcher, so it allocates no more than
+// Matcher.EvalOutputFiltered.
+func TestEngineAllocations(t *testing.T) {
 	g := randomGraph(t, 300, 900, differentialSeed)
 	tpl := randomTemplate(t, g)
 	m := New(g)
-	e := NewEngine(g, EngineOptions{Workers: 1, CandCacheSize: -1})
+	e := NewEngine(g, EngineOptions{CandCacheSize: -1})
 	ctx := context.Background()
 	in := query.Root(tpl)
 	var parent []graph.NodeID
@@ -172,9 +162,9 @@ func TestFanoutOneAllocations(t *testing.T) {
 		q := query.MustInstance(tpl, in)
 		for _, within := range [][]graph.NodeID{nil, parent} {
 			seq := testing.AllocsPerRun(10, func() { m.EvalOutputFiltered(q, within, nil) })
-			eng := testing.AllocsPerRun(10, func() { e.ParEvalOutputFiltered(ctx, q, within, nil) })
-			if eng > seq+2 {
-				t.Errorf("%s (within=%v): engine at fan-out 1 allocates %.0f per evaluation, matcher %.0f: want <= +2",
+			eng := testing.AllocsPerRun(10, func() { e.ParEvalNodeFiltered(ctx, q, q.T.Output, within, nil) })
+			if eng > seq {
+				t.Errorf("%s (within=%v): engine allocates %.0f per evaluation, matcher %.0f",
 					q, within != nil, eng, seq)
 			}
 		}
@@ -227,7 +217,7 @@ func TestDifferentialIncremental(t *testing.T) {
 	m := New(g)
 	engines := engineMatrix(g, Isomorphism)
 	rng := rand.New(rand.NewSource(differentialSeed + 2))
-	fanoutOneCases.within = 0
+	engineCases.within = 0
 	for trial := 0; trial < 20; trial++ {
 		in := query.Root(tpl)
 		parent := m.EvalOutput(query.MustInstance(tpl, in))
@@ -239,9 +229,9 @@ func TestDifferentialIncremental(t *testing.T) {
 			in = kids[rng.Intn(len(kids))]
 			q := query.MustInstance(tpl, in)
 			want := m.EvalOutputWithin(q, parent)
-			checkFanoutOne(t, g, q, Isomorphism, parent)
+			checkEngineColumn(t, g, q, Isomorphism, parent)
 			for name, e := range engines {
-				got, err := e.ParEvalOutputWithin(context.Background(), q, parent)
+				got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, parent, nil)
 				if err != nil {
 					t.Fatalf("seed %d: %s: %v", differentialSeed, name, err)
 				}
@@ -253,7 +243,7 @@ func TestDifferentialIncremental(t *testing.T) {
 			parent = want
 		}
 	}
-	if fanoutOneCases.within == 0 {
-		t.Error("fan-out 1 column never ran a within-restricted evaluation")
+	if engineCases.within == 0 {
+		t.Error("engine column never ran a within-restricted evaluation")
 	}
 }

@@ -2,7 +2,6 @@ package match
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,8 +15,6 @@ import (
 type EngineOptions struct {
 	// Settings is stamped onto every pooled matcher.
 	Settings
-	// Workers is the per-evaluation fan-out; <= 0 selects GOMAXPROCS.
-	Workers int
 	// CandCacheSize bounds the shared candidate cache: 0 selects
 	// DefaultCandCacheSize, a negative value disables caching entirely, the
 	// engine's Store included.
@@ -33,8 +30,6 @@ type EngineOptions struct {
 
 // EngineStats aggregates the work done through an Engine.
 type EngineStats struct {
-	// ParEvals counts ParEval* invocations.
-	ParEvals int64
 	// Stats sums the counters of every matcher the engine has driven.
 	Stats
 	// Cache reports candidate-cache effectiveness; zero when disabled.
@@ -54,18 +49,15 @@ type EngineStats struct {
 
 // Engine is a concurrent match engine over one frozen graph: it owns a
 // shared, bounded candidate cache and a free list of per-goroutine Matcher
-// scratch states, and evaluates instances by partitioning the output
-// node's candidate list across a worker fan-out. Results are byte-for-byte
-// identical to the sequential Matcher's (the reference implementation) —
-// candidates are verified independently and merged in sorted order.
+// scratch states. Each evaluation runs on its caller's goroutine with one
+// matcher from the list, so its results and counters are the sequential
+// Matcher's (the reference implementation).
 //
 // An Engine is safe for concurrent use: any number of goroutines may call
-// ParEval* simultaneously (each call fans out up to Workers goroutines of
-// its own).
+// ParEval* simultaneously.
 type Engine struct {
 	g        *graph.Graph
 	settings Settings
-	workers  int
 	cache    *CandidateCache
 	// store is what this generation's runs share; nothing, without a cache.
 	store Store
@@ -82,7 +74,6 @@ type Engine struct {
 	domsHeld int
 	stats    Stats
 
-	parEvals  atomic.Int64
 	distEvals atomic.Int64
 }
 
@@ -91,15 +82,11 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	if !g.Frozen() {
 		panic("match: graph must be frozen")
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	cache := opts.SharedCache
 	if cache == nil && opts.CandCacheSize >= 0 {
 		cache = NewCandidateCache(opts.CandCacheSize)
 	}
-	e := &Engine{g: g, settings: opts.Settings, workers: workers, cache: cache}
+	e := &Engine{g: g, settings: opts.Settings, cache: cache}
 	if cache != nil {
 		e.store.stats.Ceiling = storeBytesPerNode * int64(g.NumNodes())
 	}
@@ -112,9 +99,6 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // Settings returns the matcher settings every evaluation on this engine
 // runs under.
 func (e *Engine) Settings() Settings { return e.settings }
-
-// Workers returns the configured per-evaluation fan-out.
-func (e *Engine) Workers() int { return e.workers }
 
 // Cache returns the shared candidate cache, or nil when disabled. The
 // cache is goroutine-safe and may be attached to external sequential
@@ -129,10 +113,7 @@ func (e *Engine) AddDistEvals(n int64) { e.distEvals.Add(n) }
 // Stats returns a snapshot of the engine's aggregated counters. Work done
 // by matchers currently mid-evaluation is included only once they finish.
 func (e *Engine) Stats() EngineStats {
-	s := EngineStats{
-		ParEvals: e.parEvals.Load(),
-		Dist:     measure.PairCacheStats{Evals: e.distEvals.Load()},
-	}
+	s := EngineStats{Dist: measure.PairCacheStats{Evals: e.distEvals.Load()}}
 	e.mu.Lock()
 	s.Stats, s.DomainsHeld = e.stats, e.domsHeld
 	e.mu.Unlock()
@@ -226,41 +207,18 @@ func (e *Engine) AdoptDomains(old *Engine) {
 	e.mu.Unlock()
 }
 
-// ParEvalOutput computes q(G) = q(u_o, G) concurrently; the result is
-// sorted and identical to Matcher.EvalOutput. It returns ctx's error when
-// the evaluation was cancelled before completing.
-func (e *Engine) ParEvalOutput(ctx context.Context, q *query.Instance) ([]graph.NodeID, error) {
-	matches, _, err := e.ParEvalOutputFiltered(ctx, q, nil, nil)
-	return matches, err
-}
-
-// ParEvalOutputWithin is ParEvalOutput restricted to output-node candidates
-// drawn from within (nil means all nodes with the output label); passing a
-// verified parent's match set implements incVerify.
-func (e *Engine) ParEvalOutputWithin(ctx context.Context, q *query.Instance, within []graph.NodeID) ([]graph.NodeID, error) {
-	matches, _, err := e.ParEvalOutputFiltered(ctx, q, within, nil)
-	return matches, err
-}
-
-// ParEvalOutputFiltered mirrors Matcher.EvalOutputFiltered: accept, when
-// non-nil, sees the output node's arc-consistent candidate superset and may
-// veto the backtracking phase (ok reports false).
-func (e *Engine) ParEvalOutputFiltered(ctx context.Context, q *query.Instance, within []graph.NodeID,
-	accept func(candidates []graph.NodeID) bool) (matches []graph.NodeID, ok bool, err error) {
-	return e.ParEvalNodeFiltered(ctx, q, q.T.Output, within, accept)
-}
-
-// ParEvalNodeFiltered generalizes ParEvalOutputFiltered to any template
-// node, mirroring Matcher.EvalNodeFiltered.
+// ParEvalNodeFiltered evaluates q at a template node, mirroring
+// Matcher.EvalNodeFiltered; it returns ctx's error when the evaluation was
+// cancelled before completing.
 func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, node int, within []graph.NodeID,
 	accept func(candidates []graph.NodeID) bool) (matches []graph.NodeID, ok bool, err error) {
-	matches, ok, _, err = e.parEval(ctx, q, node, within, accept, nil, false, "")
+	matches, ok, _, err = e.eval(ctx, q, node, within, accept, nil, false, "")
 	return matches, ok, err
 }
 
-// ParEvalOutputSeeded is ParEvalOutputFiltered for a walk down the
-// refinement lattice. seed, when non-nil, is the Domains held from the
-// evaluation of an instance q refines — its parent or any ancestor: the
+// ParEvalOutputSeeded is ParEvalNodeFiltered at q's output node, for a walk
+// down the refinement lattice. seed, when non-nil, is the Domains held from
+// the evaluation of an instance q refines — its parent or any ancestor: the
 // plan starts from those candidate sets instead of the label populations
 // and reaches the same fixpoint, so matches, ok and the search are what a
 // nil seed gives (a seed q does not refine is ignored, and so is one
@@ -274,13 +232,13 @@ func (e *Engine) ParEvalNodeFiltered(ctx context.Context, q *query.Instance, nod
 // without a MaxBacktrackNodes budget — stays in the store for the next run.
 func (e *Engine) ParEvalOutputSeeded(ctx context.Context, q *query.Instance, within []graph.NodeID,
 	accept func(candidates []graph.NodeID) bool, seed *Domains, hold bool, key string) (matches []graph.NodeID, ok bool, held *Domains, err error) {
-	return e.parEval(ctx, q, q.T.Output, within, accept, seed, hold, key)
+	return e.eval(ctx, q, q.T.Output, within, accept, seed, hold, key)
 }
 
 // PlanDomains plans q at its output node without searching the plan and
 // hands out the domains it ended propagation with: the seed of every
 // refinement of q, which for the root instance is every instance of the
-// template. It is no evaluation (Evals and ParEvals do not move); nil means
+// template. It is no evaluation (Evals does not move); nil means
 // the plan came out empty, or ctx fired. The caller owes a non-nil result to
 // ReleaseDomains.
 func (e *Engine) PlanDomains(ctx context.Context, q *query.Instance) *Domains {
@@ -293,15 +251,14 @@ func (e *Engine) PlanDomains(ctx context.Context, q *query.Instance) *Domains {
 	return e.holdDomains(planner, p, false)
 }
 
-// parEval is the one evaluation path behind every ParEval* entry point.
-func (e *Engine) parEval(ctx context.Context, q *query.Instance, node int, within []graph.NodeID,
+// eval is the one evaluation path behind every ParEval* entry point. The
+// planner's matcher also checks the plan's root candidates, on the calling
+// goroutine: runs and jobs sharing the engine are what fill the processors.
+func (e *Engine) eval(ctx context.Context, q *query.Instance, node int, within []graph.NodeID,
 	accept func(candidates []graph.NodeID) bool, seed *Domains, hold bool, key string) (matches []graph.NodeID, ok bool, held *Domains, err error) {
 	if ctx == nil {
-		// Not "ctx = Background": a reassigned ctx would be captured by
-		// reference below and cost every evaluation a heap allocation.
-		return e.parEval(context.Background(), q, node, within, accept, seed, hold, key)
+		ctx = context.Background()
 	}
-	e.parEvals.Add(1)
 	planner := e.acquire(ctx)
 	defer e.release(planner)
 	planner.Stats.Evals++
@@ -331,47 +288,13 @@ func (e *Engine) parEval(ctx context.Context, q *query.Instance, node int, withi
 		e.keep(key, matches)
 		return matches, true, held, nil
 	}
-
-	workers := e.workers
-	if workers > len(rootCands) {
-		workers = len(rootCands)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	// Contiguous static blocks: each worker verifies an independent slice
-	// of the candidate list against the shared read-only plan with its own
-	// Matcher scratch state. The caller takes the first block on the
-	// planner's matcher, so a fan-out of 1 is the sequential loop: no
-	// goroutine and no second matcher.
-	chunk := (len(rootCands) + workers - 1) / workers
-	results := make([][]graph.NodeID, workers)
-	var wg sync.WaitGroup
-	for w := 1; w*chunk < len(rootCands); w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			m := e.acquire(ctx)
-			defer e.release(m)
-			results[w] = m.embedAll(ctx, p, rootCands[w*chunk:min((w+1)*chunk, len(rootCands))])
-		}(w)
-	}
-	results[0] = planner.embedAll(ctx, p, rootCands[:chunk])
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	matches = planner.embedAll(p, rootCands)
+	if err = ctx.Err(); err != nil {
 		e.ReleaseDomains(held)
 		return nil, false, nil, err
 	}
-	// Per-block results keep candidate order, so appending them in block
-	// order and the final sort make the merge deterministic under any
-	// scheduling.
-	out := results[0]
-	for _, rs := range results[1:] {
-		out = append(out, rs...)
-	}
-	sortIDs(out)
-	e.keep(key, out)
-	return out, true, held, nil
+	e.keep(key, matches)
+	return matches, true, held, nil
 }
 
 // keep leaves a whole answer in the store under key; "" keeps nothing, nor
@@ -383,22 +306,6 @@ func (e *Engine) keep(key string, matches []graph.NodeID) {
 	}
 }
 
-// embedAll returns the candidates of one block that extend to a full
-// matching of p, in block order; nil once ctx fires.
-func (m *Matcher) embedAll(ctx context.Context, p *plan, cands []graph.NodeID) []graph.NodeID {
-	var matched []graph.NodeID
-	for _, v := range cands {
-		if m.aborted || ctx.Err() != nil {
-			return nil
-		}
-		m.Stats.CandidatesChecked++
-		if m.embedFrom(p, v) {
-			matched = append(matched, v)
-		}
-	}
-	return matched
-}
-
 // sortedCopy returns ids in ascending order in memory of its own.
 func sortedCopy(ids []graph.NodeID) []graph.NodeID {
 	out := append([]graph.NodeID(nil), ids...)
@@ -407,10 +314,9 @@ func sortedCopy(ids []graph.NodeID) []graph.NodeID {
 }
 
 // sortIDs restores ascending order. Candidate lists come off the label
-// index in ascending NodeID order and the contiguous chunks are merged in
-// that same order, so in practice this is a linear verification; the sort
-// fallback keeps the deterministic-merge guarantee for caller-supplied
-// unsorted within-sets.
+// index in ascending NodeID order, so in practice this is a linear
+// verification; the sort fallback covers caller-supplied unsorted
+// within-sets.
 func sortIDs(ids []graph.NodeID) {
 	for i := 1; i < len(ids); i++ {
 		if ids[i] < ids[i-1] {

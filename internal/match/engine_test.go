@@ -41,11 +41,11 @@ func TestParEvalOutputMatchesSequentialTalent(t *testing.T) {
 	g := talentGraph(t)
 	tpl := talentTpl(t)
 	m := New(g)
-	e := NewEngine(g, EngineOptions{Workers: 4})
+	e := NewEngine(g, EngineOptions{})
 	for _, in := range allInstantiations(tpl) {
 		q := query.MustInstance(tpl, in)
 		want := m.EvalOutput(q)
-		got, err := e.ParEvalOutput(context.Background(), q)
+		got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", q, err)
 		}
@@ -55,23 +55,23 @@ func TestParEvalOutputMatchesSequentialTalent(t *testing.T) {
 	}
 }
 
-func TestParEvalOutputWithin(t *testing.T) {
+func TestParEvalWithin(t *testing.T) {
 	g := talentGraph(t)
 	tpl := talentTpl(t)
-	e := NewEngine(g, EngineOptions{Workers: 4})
+	e := NewEngine(g, EngineOptions{})
 	q := query.MustInstance(tpl, query.Instantiation{0, 0, 1})
-	full, err := e.ParEvalOutput(context.Background(), q)
+	full, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	within, err := e.ParEvalOutputWithin(context.Background(), q, full)
+	within, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, full, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(full, within) {
 		t.Errorf("within(full) = %v, want %v", within, full)
 	}
-	sub, err := e.ParEvalOutputWithin(context.Background(), q, ids(1))
+	sub, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, ids(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestParEvalOutputWithin(t *testing.T) {
 func TestParEvalOutputFilteredVeto(t *testing.T) {
 	g := talentGraph(t)
 	tpl := talentTpl(t)
-	e := NewEngine(g, EngineOptions{Workers: 4})
+	e := NewEngine(g, EngineOptions{})
 	q := query.MustInstance(tpl, query.Instantiation{0, 0, 1})
 	var sawCands int
-	matches, ok, err := e.ParEvalOutputFiltered(context.Background(), q, nil,
+	matches, ok, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil,
 		func(cands []graph.NodeID) bool { sawCands = len(cands); return false })
 	if err != nil {
 		t.Fatal(err)
@@ -102,24 +102,24 @@ func TestParEvalOutputFilteredVeto(t *testing.T) {
 func TestParEvalCancellation(t *testing.T) {
 	g := randomGraph(t, 1000, 4000, 11)
 	tpl := randomTemplate(t, g)
-	e := NewEngine(g, EngineOptions{Workers: 4})
+	e := NewEngine(g, EngineOptions{})
 	q := query.MustInstance(tpl, query.Instantiation{0, 0, 1, 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // already cancelled: the evaluation must abort, not complete
-	if _, err := e.ParEvalOutput(ctx, q); err != context.Canceled {
+	if _, _, err := e.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil); err != context.Canceled {
 		t.Fatalf("cancelled eval returned err=%v, want context.Canceled", err)
 	}
-	// The abort is prompt: each of the 4 worker matchers expands at most one
-	// polling window of search nodes before unwinding — the counter is
-	// incremented only after the abort check, so the unwinding frames and
-	// the untried candidates add nothing.
-	if bt := e.Stats().BacktrackNodes; bt > 4*(cancelCheckMask+1) {
-		t.Errorf("pre-cancelled eval expanded %d nodes, want <= %d", bt, 4*(cancelCheckMask+1))
+	// The abort is prompt: the matcher expands at most one polling window of
+	// search nodes before unwinding — the counter is incremented only after
+	// the abort check, so the unwinding frames and the untried candidates add
+	// nothing.
+	if bt := e.Stats().BacktrackNodes; bt > cancelCheckMask+1 {
+		t.Errorf("pre-cancelled eval expanded %d nodes, want <= %d", bt, cancelCheckMask+1)
 	}
 	// The engine stays usable after an aborted evaluation.
 	m := New(g)
 	want := m.EvalOutput(q)
-	got, err := e.ParEvalOutput(context.Background(), q)
+	got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +131,16 @@ func TestParEvalCancellation(t *testing.T) {
 func TestEngineCacheStats(t *testing.T) {
 	g := talentGraph(t)
 	tpl := talentTpl(t)
-	e := NewEngine(g, EngineOptions{Workers: 2})
+	e := NewEngine(g, EngineOptions{})
 	q := query.MustInstance(tpl, query.Instantiation{0, 0, 1})
-	if _, err := e.ParEvalOutput(context.Background(), q); err != nil {
+	if _, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	first := e.Stats()
 	if first.Cache.Misses == 0 {
 		t.Fatalf("first eval recorded no cache misses: %+v", first.Cache)
 	}
-	if _, err := e.ParEvalOutput(context.Background(), q); err != nil {
+	if _, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	second := e.Stats()
@@ -150,20 +150,20 @@ func TestEngineCacheStats(t *testing.T) {
 	if second.Cache.Misses != first.Cache.Misses {
 		t.Errorf("repeat eval missed: %d -> %d", first.Cache.Misses, second.Cache.Misses)
 	}
-	if second.ParEvals != 2 || second.Evals != 2 {
+	if second.Evals != 2 {
 		t.Errorf("counters: %+v", second)
 	}
 }
 
 func TestEngineCacheDisabled(t *testing.T) {
 	g := talentGraph(t)
-	e := NewEngine(g, EngineOptions{Workers: 2, CandCacheSize: -1})
+	e := NewEngine(g, EngineOptions{CandCacheSize: -1})
 	if e.Cache() != nil {
 		t.Fatal("CandCacheSize < 0 should disable the cache")
 	}
 	q := query.MustInstance(talentTpl(t), query.Instantiation{0, 0, 1})
 	want := New(g).EvalOutput(q)
-	got, err := e.ParEvalOutput(context.Background(), q)
+	got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestEngineCacheDisabled(t *testing.T) {
 func TestEngineConcurrentUse(t *testing.T) {
 	g := randomGraph(t, 300, 900, 7)
 	tpl := randomTemplate(t, g)
-	e := NewEngine(g, EngineOptions{Workers: 4, CandCacheSize: 64})
+	e := NewEngine(g, EngineOptions{CandCacheSize: 64})
 	ins := allInstantiations(tpl)
 	want := make([][]graph.NodeID, len(ins))
 	m := New(g)
@@ -191,7 +191,7 @@ func TestEngineConcurrentUse(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i, q := range qs {
-				got, err := e.ParEvalOutput(context.Background(), q)
+				got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 				if err != nil {
 					errs[w] = err
 					return
@@ -267,23 +267,21 @@ func TestRetiredGenerationCollectable(t *testing.T) {
 		// The instance caches its literals compiled against g2: it is part
 		// of what must go.
 		q := query.MustInstance(tpl, query.Instantiation{0, 0, 1, 1})
-		for _, workers := range []int{1, 4} {
-			e := NewEngine(g2, EngineOptions{Workers: workers})
-			if got, err := e.ParEvalOutput(context.Background(), q); err != nil || len(got) == 0 {
-				t.Fatalf("workers=%d: %d matches, err %v", workers, len(got), err)
-			}
-			// Domains held, used as a seed and released stay on the
-			// engine's free list, which goes with the engine.
-			_, _, held, err := e.ParEvalOutputSeeded(context.Background(), q, nil, nil, nil, true, "")
-			if err != nil || held == nil {
-				t.Fatalf("workers=%d: held %v, err %v", workers, held, err)
-			}
-			child := query.MustInstance(tpl, query.Instantiation{1, 0, 1, 1})
-			if _, _, _, err := e.ParEvalOutputSeeded(context.Background(), child, nil, nil, held, false, ""); err != nil {
-				t.Fatal(err)
-			}
-			e.ReleaseDomains(held)
+		e := NewEngine(g2, EngineOptions{})
+		if got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil); err != nil || len(got) == 0 {
+			t.Fatalf("%d matches, err %v", len(got), err)
 		}
+		// Domains held, used as a seed and released stay on the engine's
+		// free list, which goes with the engine.
+		_, _, held, err := e.ParEvalOutputSeeded(context.Background(), q, nil, nil, nil, true, "")
+		if err != nil || held == nil {
+			t.Fatalf("held %v, err %v", held, err)
+		}
+		child := query.MustInstance(tpl, query.Instantiation{1, 0, 1, 1})
+		if _, _, _, err := e.ParEvalOutputSeeded(context.Background(), child, nil, nil, held, false, ""); err != nil {
+			t.Fatal(err)
+		}
+		e.ReleaseDomains(held)
 	}()
 	runtime.GC()
 	select {

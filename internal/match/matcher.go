@@ -348,17 +348,7 @@ func (m *Matcher) EvalNodeFiltered(q *query.Instance, node int, within []graph.N
 		// match. The candidates are the plan's, so the caller gets a copy.
 		return sortedCopy(rootCands), true
 	}
-	var result []graph.NodeID
-	for _, v := range rootCands {
-		m.Stats.CandidatesChecked++
-		if m.embedFrom(p, v) {
-			result = append(result, v)
-		}
-	}
-	// rootCands is ascending, so the appends usually are too; sortIDs is a
-	// linear verification with a sort fallback for unsorted within-sets.
-	sortIDs(result)
-	return result, true
+	return m.embedAll(p, rootCands), true
 }
 
 // buildPlan computes candidate sets with label/literal filtering, degree
@@ -1033,6 +1023,26 @@ func (m *Matcher) BindContext(ctx context.Context) { m.bindContext(ctx) }
 // cancellation; an aborted evaluation's result is partial and must be
 // discarded.
 func (m *Matcher) Aborted() bool { return m.aborted }
+
+// embedAll returns, sorted, the candidates of p's pinned node that extend to
+// a full matching; nil, with Aborted set, once the bound context fires.
+func (m *Matcher) embedAll(p *plan, cands []graph.NodeID) []graph.NodeID {
+	var matched []graph.NodeID
+	for _, v := range cands {
+		if m.aborted || m.ctx != nil && m.ctx.Err() != nil {
+			m.aborted = true
+			return nil
+		}
+		m.Stats.CandidatesChecked++
+		if m.embedFrom(p, v) {
+			matched = append(matched, v)
+		}
+	}
+	// cands is ascending, so the appends usually are too; sortIDs is a
+	// linear verification with a sort fallback for unsorted within-sets.
+	sortIDs(matched)
+	return matched
+}
 
 // embedFrom checks whether a full matching exists with the pinned node
 // mapped to v.

@@ -138,7 +138,7 @@ func TestMutatedGraphDifferential(t *testing.T) {
 			t.Errorf("%s: stats diverged:\nmutated %+v\nrebuilt %+v", q, m.Stats, mr.Stats)
 		}
 		for name, e := range engines {
-			got, err := e.ParEvalOutput(context.Background(), q)
+			got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 			if err != nil {
 				t.Fatalf("%s: %s: %v", name, q, err)
 			}
@@ -166,14 +166,14 @@ func TestSharedCacheAcrossGenerations(t *testing.T) {
 
 	run := func(e *Engine) []graph.NodeID {
 		t.Helper()
-		got, err := e.ParEvalOutput(context.Background(), query.MustInstance(tpl, inst))
+		got, _, err := e.ParEvalNodeFiltered(context.Background(), query.MustInstance(tpl, inst), tpl.Output, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return got
 	}
 
-	e1 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared, Workers: 1})
+	e1 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared})
 	first := run(e1)
 	afterFirst := shared.Stats()
 	if afterFirst.Misses == 0 || afterFirst.Entries == 0 {
@@ -186,11 +186,11 @@ func TestSharedCacheAcrossGenerations(t *testing.T) {
 	}
 
 	// Warm the unrelated graph's entries through the same shared cache.
-	eOther := NewEngine(other, EngineOptions{SharedCache: shared, Workers: 1})
+	eOther := NewEngine(other, EngineOptions{SharedCache: shared})
 	tplO := randomTemplate(t, other)
 	instO := allInstantiations(tplO)[0]
 	qO := query.MustInstance(tplO, instO)
-	if _, err := eOther.ParEvalOutput(context.Background(), qO); err != nil {
+	if _, _, err := eOther.ParEvalNodeFiltered(context.Background(), qO, qO.T.Output, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	otherWarm := shared.Stats()
@@ -202,7 +202,7 @@ func TestSharedCacheAcrossGenerations(t *testing.T) {
 	if _, err := l.Apply([]graph.Mutation{{Op: graph.MutRemoveNode, Node: first[0]}}); err != nil {
 		t.Fatal(err)
 	}
-	e2 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared, Workers: 1})
+	e2 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared})
 	second := run(e2)
 	afterMutate := shared.Stats()
 	if afterMutate.Hits != otherWarm.Hits {
@@ -222,7 +222,7 @@ func TestSharedCacheAcrossGenerations(t *testing.T) {
 	// The unrelated graph's warm entries survived the other graph's
 	// mutation: rerunning it hits without new misses.
 	beforeOther := shared.Stats()
-	if _, err := eOther.ParEvalOutput(context.Background(), qO); err != nil {
+	if _, _, err := eOther.ParEvalNodeFiltered(context.Background(), qO, qO.T.Output, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	afterOther := shared.Stats()
@@ -249,15 +249,15 @@ func TestCompactionKeepsCacheWarm(t *testing.T) {
 	tpl := talentTpl(t)
 	q := query.MustInstance(tpl, allInstantiations(tpl)[0])
 
-	e1 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared, Workers: 1})
-	want, err := e1.ParEvalOutput(context.Background(), q)
+	e1 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared})
+	want, _, err := e1.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := shared.Stats()
 	l.Compact()
-	e2 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared, Workers: 1})
-	got, err := e2.ParEvalOutput(context.Background(), q)
+	e2 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared})
+	got, _, err := e2.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -285,7 +285,7 @@ func TestSeedIgnoredUnlessRefined(t *testing.T) {
 			}
 		}
 	}
-	e := NewEngine(g, EngineOptions{Workers: 1})
+	e := NewEngine(g, EngineOptions{})
 	_, _, held, err := e.ParEvalOutputSeeded(context.Background(), mid, nil, nil, nil, true, "")
 	if err != nil || held == nil || held.q != mid {
 		t.Fatalf("hold: domains %v, err %v", held, err)
@@ -311,61 +311,58 @@ func TestSeedIgnoredUnlessRefined(t *testing.T) {
 	e.ReleaseDomains(again)
 }
 
-// TestEngineSeededEqualsUnseeded: through the engine, at fan-out 1 and 4, a
-// seeded evaluation returns the unseeded one's matches and veto, and leaves
-// the search counters where the unseeded one does — same fixpoint, same
-// search.
+// TestEngineSeededEqualsUnseeded: through the engine, a seeded evaluation
+// returns the unseeded one's matches and veto, and leaves the search
+// counters where the unseeded one does — same fixpoint, same search.
 func TestEngineSeededEqualsUnseeded(t *testing.T) {
 	g := randomGraph(t, 220, 1100, differentialSeed+3)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(differentialSeed + 3))
 	for _, shape := range []string{"tree", "cycle"} {
 		tpl := shapeTemplate(t, shape, g)
-		for _, workers := range []int{1, 4} {
-			for trial := 0; trial < 6; trial++ {
-				seeded := NewEngine(g, EngineOptions{Workers: workers})
-				plain := NewEngine(g, EngineOptions{Workers: workers})
-				in := query.Root(tpl)
-				var stack []*Domains
-				var seed *Domains
-				var within []graph.NodeID
-				for {
-					q := query.MustInstance(tpl, in)
-					got, gotOK, held, err := seeded.ParEvalOutputSeeded(ctx, q, within, nil, seed, true, "")
-					if err != nil {
-						t.Fatal(err)
-					}
-					want, wantOK, err := plain.ParEvalOutputFiltered(ctx, q, within, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s workers=%d: seeded %v ok=%v, unseeded %v ok=%v", q, workers, got, gotOK, want, wantOK)
-					}
-					if held != nil {
-						stack = append(stack, held)
-						seed = held
-					}
-					kids := query.RefineSteps(tpl, in)
-					if len(kids) == 0 || len(got) == 0 {
-						break
-					}
-					in, within = kids[rng.Intn(len(kids))], got
+		for trial := 0; trial < 12; trial++ {
+			seeded := NewEngine(g, EngineOptions{})
+			plain := NewEngine(g, EngineOptions{})
+			in := query.Root(tpl)
+			var stack []*Domains
+			var seed *Domains
+			var within []graph.NodeID
+			for {
+				q := query.MustInstance(tpl, in)
+				got, gotOK, held, err := seeded.ParEvalOutputSeeded(ctx, q, within, nil, seed, true, "")
+				if err != nil {
+					t.Fatal(err)
 				}
-				if n := seeded.Stats().DomainsHeld; n != len(stack) {
-					t.Errorf("DomainsHeld = %d with %d on the path", n, len(stack))
+				want, wantOK, err := plain.ParEvalNodeFiltered(ctx, q, q.T.Output, within, nil)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for _, d := range stack {
-					seeded.ReleaseDomains(d)
+				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: seeded %v ok=%v, unseeded %v ok=%v", q, got, gotOK, want, wantOK)
 				}
-				s, p := seeded.Stats().Stats, plain.Stats().Stats
-				if s.CandidatesChecked != p.CandidatesChecked || s.BacktrackNodes != p.BacktrackNodes || s.Evals != p.Evals {
-					t.Errorf("%s workers=%d: search diverged: seeded %+v, unseeded %+v", shape, workers, s, p)
+				if held != nil {
+					stack = append(stack, held)
+					seed = held
 				}
-				if p.ArcsInherited != 0 || s.ArcsRevised >= p.ArcsRevised {
-					t.Errorf("%s workers=%d: arcs revised seeded %d (inherited %d), unseeded %d (inherited %d)",
-						shape, workers, s.ArcsRevised, s.ArcsInherited, p.ArcsRevised, p.ArcsInherited)
+				kids := query.RefineSteps(tpl, in)
+				if len(kids) == 0 || len(got) == 0 {
+					break
 				}
+				in, within = kids[rng.Intn(len(kids))], got
+			}
+			if n := seeded.Stats().DomainsHeld; n != len(stack) {
+				t.Errorf("DomainsHeld = %d with %d on the path", n, len(stack))
+			}
+			for _, d := range stack {
+				seeded.ReleaseDomains(d)
+			}
+			s, p := seeded.Stats().Stats, plain.Stats().Stats
+			if s.CandidatesChecked != p.CandidatesChecked || s.BacktrackNodes != p.BacktrackNodes || s.Evals != p.Evals {
+				t.Errorf("%s: search diverged: seeded %+v, unseeded %+v", shape, s, p)
+			}
+			if p.ArcsInherited != 0 || s.ArcsRevised >= p.ArcsRevised {
+				t.Errorf("%s: arcs revised seeded %d (inherited %d), unseeded %d (inherited %d)",
+					shape, s.ArcsRevised, s.ArcsInherited, p.ArcsRevised, p.ArcsInherited)
 			}
 		}
 	}
@@ -380,12 +377,12 @@ func TestPlanDomainsSeedsTheLattice(t *testing.T) {
 	ctx := context.Background()
 	for _, shape := range []string{"star", "chain", "tree", "cycle"} {
 		tpl := shapeTemplate(t, shape, g)
-		e, plain := NewEngine(g, EngineOptions{Workers: 2}), NewEngine(g, EngineOptions{Workers: 2})
+		e, plain := NewEngine(g, EngineOptions{}), NewEngine(g, EngineOptions{})
 		root := e.PlanDomains(ctx, query.MustInstance(tpl, query.Root(tpl)))
 		if root == nil {
 			t.Fatalf("%s: fixture: the root plans empty", shape)
 		}
-		if st := e.Stats(); st.Evals != 0 || st.ParEvals != 0 || st.BacktrackNodes != 0 || st.ScratchPlans != 1 || st.DomainsHeld != 1 {
+		if st := e.Stats(); st.Evals != 0 || st.BacktrackNodes != 0 || st.ScratchPlans != 1 || st.DomainsHeld != 1 {
 			t.Fatalf("%s: after PlanDomains: %+v", shape, st)
 		}
 		n := 0
@@ -395,7 +392,7 @@ func TestPlanDomainsSeedsTheLattice(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := plain.ParEvalOutput(ctx, q)
+			want, _, err := plain.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -423,7 +420,7 @@ func TestDomainsStayWithTheirEngine(t *testing.T) {
 	ctx := context.Background()
 	tpl := shapeTemplate(t, "cycle", g)
 	root := query.MustInstance(tpl, query.Root(tpl))
-	mine, other := NewEngine(g, EngineOptions{Workers: 1}), NewEngine(g, EngineOptions{Workers: 1})
+	mine, other := NewEngine(g, EngineOptions{}), NewEngine(g, EngineOptions{})
 	held := mine.PlanDomains(ctx, root)
 	if held == nil {
 		t.Fatal("fixture: the root plans empty")
@@ -462,7 +459,7 @@ func TestDomainsStayWithTheirEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := NewEngine(bigger, EngineOptions{Workers: 1})
+	next := NewEngine(bigger, EngineOptions{})
 	next.AdoptDomains(mine)
 	adopted := next.PlanDomains(ctx, root)
 	if adopted != free {

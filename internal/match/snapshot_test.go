@@ -193,19 +193,19 @@ func TestEngineSnapshotDifferential(t *testing.T) {
 	snap := snapshotCopy(t, orig)
 	tpl := talentTpl(t)
 
-	eOrig := NewEngine(orig, EngineOptions{Workers: 4})
-	eSnap := NewEngine(snap, EngineOptions{Workers: 4})
+	eOrig := NewEngine(orig, EngineOptions{})
+	eSnap := NewEngine(snap, EngineOptions{})
 	ctx := context.Background()
 	for _, in := range []query.Instantiation{
 		{0, 0, 1}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1},
 		{query.Wildcard, query.Wildcard, 1},
 	} {
 		q := query.MustInstance(tpl, in)
-		want, err := eOrig.ParEvalOutput(ctx, q)
+		want, _, err := eOrig.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eSnap.ParEvalOutput(ctx, q)
+		got, _, err := eSnap.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

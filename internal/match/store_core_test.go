@@ -57,7 +57,7 @@ func TestOneEntryCeilingSameResults(t *testing.T) {
 	if len(rootAnswer) < 10 {
 		t.Fatalf("root answer %v: the dataset yields no front", rootAnswer)
 	}
-	tight := match.NewEngine(g, match.EngineOptions{Workers: 1})
+	tight := match.NewEngine(g, match.EngineOptions{})
 	tight.SetStoreCeiling(int64(4*len(rootAnswer)) + 512) // the largest answer, its key and entry
 	for _, cover := range []int{1, 2} {
 		for name, run := range map[string]func(r *core.Runner) (*core.Result, error){

@@ -81,7 +81,7 @@ ladder $x 1 5
 output u_o
 `
 	g := randomGraph(t, 400, 1600, 5)
-	e := NewEngine(g, EngineOptions{Workers: 1})
+	e := NewEngine(g, EngineOptions{})
 	baseKey, q := keyOf(t, base)
 	want, _, _, err := e.ParEvalOutputSeeded(context.Background(), q, nil, nil, nil, false, baseKey)
 	if err != nil || len(want) == 0 {
@@ -163,7 +163,7 @@ func TestStoreKeepsOnlyWholeAnswers(t *testing.T) {
 	}
 	entries := func(e *Engine) int { return e.Stats().Shared.Entries }
 
-	e := NewEngine(g, EngineOptions{Workers: 2})
+	e := NewEngine(g, EngineOptions{})
 	if _, ok, _, _ := e.ParEvalOutputSeeded(ctx, two, nil, func([]graph.NodeID) bool { return false }, nil, false, AnswerKey(two)); ok || entries(e) != 0 {
 		t.Errorf("vetoed evaluation: ok %v, %d entries", ok, entries(e))
 	}
@@ -190,7 +190,7 @@ func TestStoreKeepsOnlyWholeAnswers(t *testing.T) {
 	// three-node cycle only where the first neighbour tried does. The
 	// truncated answer is not kept, and neither is what was then searched
 	// inside it without running out: a query nobody truncated, answered short.
-	tight := NewEngine(g, EngineOptions{Workers: 2, Settings: Settings{MaxBacktrackNodes: 2}})
+	tight := NewEngine(g, EngineOptions{Settings: Settings{MaxBacktrackNodes: 2}})
 	cut, _, _, err := tight.ParEvalOutputSeeded(ctx, three, nil, nil, nil, false, AnswerKey(three))
 	if err != nil || len(cut) == 0 || len(cut) >= len(New(g).EvalOutput(three)) {
 		t.Fatalf("a budget of two did not truncate the cycle: %d matches, err %v", len(cut), err)
@@ -217,7 +217,7 @@ func TestStoreKeepsOnlyWholeAnswers(t *testing.T) {
 	}
 
 	// "No caching" means no store either.
-	off := NewEngine(g, EngineOptions{Workers: 1, CandCacheSize: -1})
+	off := NewEngine(g, EngineOptions{CandCacheSize: -1})
 	if _, _, _, err := off.ParEvalOutputSeeded(ctx, two, nil, nil, nil, false, AnswerKey(two)); err != nil {
 		t.Fatal(err)
 	}

@@ -260,8 +260,8 @@ func TestBudgetSemantics(t *testing.T) {
 	}
 
 	// The engine plumbs the budget through to its pooled matchers.
-	e := NewEngine(g, EngineOptions{Workers: 2, Settings: Settings{MaxBacktrackNodes: 1}})
-	if res, err := e.ParEvalOutput(context.Background(), two); err != nil || !reflect.DeepEqual(res, ids(0)) {
+	e := NewEngine(g, EngineOptions{Settings: Settings{MaxBacktrackNodes: 1}})
+	if res, _, err := e.ParEvalNodeFiltered(context.Background(), two, two.T.Output, nil, nil); err != nil || !reflect.DeepEqual(res, ids(0)) {
 		t.Errorf("engine budget=1: res %v err %v, want [0]", res, err)
 	}
 }

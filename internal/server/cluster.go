@@ -40,7 +40,7 @@ func (m *Manager) runDistributed(ctx context.Context, spec *JobSpec, handle *Han
 		Algorithm: spec.Algorithm,
 		Eps:       res.Eps,
 		ElapsedMs: float64(res.Elapsed) / float64(time.Millisecond),
-		Stats:     res.Stats.Stats(),
+		Stats:     res.Stats,
 		Queries:   make([]ResultQuery, 0, len(res.Entries)),
 	}
 	for _, e := range res.Entries {

@@ -348,7 +348,7 @@ func TestRestoreSweepsOrphans(t *testing.T) {
 // under an in-flight job, while new acquires see the new generation and
 // successive engines share one candidate cache.
 func TestHandleGenerationIsolation(t *testing.T) {
-	reg := NewRegistry(1, 0)
+	reg := NewRegistry(0)
 	if err := reg.Put("g", testGraph(t, 9)); err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ type graphEntry struct {
 	// /metrics never loses completed work.
 	cur     *graph.Graph
 	engine  *match.Engine
-	retired match.EngineStats
+	retired match.Stats
 	refs    int
 
 	// mutMu, the writer lock, serializes mutate, checkpoint and unregister
@@ -99,10 +99,9 @@ type mutationStats struct {
 // the entry is gone AND the last in-flight job releases its handle; for
 // heap graphs all of this is a no-op.
 type Registry struct {
-	mu      sync.Mutex
-	graphs  map[string]*graphEntry
-	workers int
-	cache   int
+	mu     sync.Mutex
+	graphs map[string]*graphEntry
+	cache  int
 	// putMu serializes registration and removal of names, so register's
 	// one duplicate check stays true while it persists or loads the graph.
 	putMu sync.Mutex
@@ -115,11 +114,10 @@ type Registry struct {
 	logSink
 }
 
-// NewRegistry returns an empty registry. workers is the per-graph engine
-// fan-out (<= 0 selects GOMAXPROCS); cacheSize bounds each graph's
+// NewRegistry returns an empty registry. cacheSize bounds each graph's
 // candidate cache (0 default, < 0 disabled).
-func NewRegistry(workers, cacheSize int) *Registry {
-	return &Registry{graphs: make(map[string]*graphEntry), workers: workers, cache: cacheSize}
+func NewRegistry(cacheSize int) *Registry {
+	return &Registry{graphs: make(map[string]*graphEntry), cache: cacheSize}
 }
 
 // closeGraph drops one backing reference, logging a failed unmap.
@@ -170,7 +168,7 @@ func (r *Registry) register(name string, source func() (*graphEntry, error)) err
 // non-nil, donates its candidate cache so the new generation starts warm
 // (entries are keyed by graph generation, so the handover is always safe).
 func (r *Registry) newEngine(g *graph.Graph, prev *match.Engine) *match.Engine {
-	opts := match.EngineOptions{Workers: r.workers, CandCacheSize: r.cache}
+	opts := match.EngineOptions{CandCacheSize: r.cache}
 	if prev != nil {
 		opts.SharedCache = prev.Cache()
 	}
@@ -364,18 +362,12 @@ func (r *Registry) swapServed(entry *graphEntry) *graph.Graph {
 	r.mu.Lock()
 	old, oldEngine := entry.cur, entry.engine
 	entry.cur, entry.engine = g, ne
-	foldEngineStats(&entry.retired, oldEngine.Stats())
+	// Only the matcher counters: successive engines share the candidate
+	// cache, so the live engine already reports its cumulative numbers.
+	entry.retired.Add(oldEngine.Stats().Stats)
 	r.mu.Unlock()
 	r.closeGraph(entry.name, old)
 	return g
-}
-
-// foldEngineStats adds s's matcher counters into dst. Cache and distance
-// stats are deliberately excluded: successive engines share those caches,
-// so the live engine already reports the cumulative numbers.
-func foldEngineStats(dst *match.EngineStats, s match.EngineStats) {
-	dst.ParEvals += s.ParEvals
-	dst.Stats.Add(s.Stats)
 }
 
 // Checkpoint synchronously compacts a graph and persists the result: the
@@ -480,7 +472,7 @@ func (r *Registry) List() []GraphInfo {
 // infoOf renders an entry's summary; the caller holds r.mu.
 func infoOf(e *graphEntry) GraphInfo {
 	st := e.engine.Stats()
-	foldEngineStats(&st, e.retired)
+	st.Stats.Add(e.retired)
 	return GraphInfo{
 		Name:            e.name,
 		Nodes:           e.cur.NumLive(),

@@ -19,10 +19,8 @@ type Options struct {
 	// Workers / QueueDepth / Retention / DefaultTimeout / MaxTimeout /
 	// GCInterval tune the job manager (see ManagerOptions).
 	Jobs ManagerOptions
-	// MatchWorkers is each graph engine's fan-out (<= 0 = GOMAXPROCS);
 	// CandCacheSize bounds each graph's candidate cache (0 default,
 	// < 0 disabled).
-	MatchWorkers  int
 	CandCacheSize int
 	// MaxUploadBytes bounds graph upload bodies (default 64 MiB).
 	MaxUploadBytes int64
@@ -82,7 +80,7 @@ func New(opts Options) *Server {
 	setDefault(&opts.MaxUploadBytes, 64<<20)
 	s := &Server{
 		opts:    opts,
-		reg:     NewRegistry(opts.MatchWorkers, opts.CandCacheSize),
+		reg:     NewRegistry(opts.CandCacheSize),
 		met:     newMetrics(),
 		logSink: logSink{opts.Logger},
 	}
