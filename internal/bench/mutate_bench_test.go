@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"fairsqg/internal/gen"
@@ -46,15 +47,44 @@ func mixedBatch(g *graph.Graph, ops int) []graph.Mutation {
 	return batch
 }
 
+// TestMutateBatchAllocation pins what a batch copies: five chained 20-op
+// mixedBatch edits of a 20k-node LKI graph allocate at most 1.5 MB each on
+// average. A batch that copied every per-node table in full took about
+// 4.9 MB; now it clones the table chunks and permutation pieces it writes,
+// and the largest single copy left is the name domain its removals shrink.
+func TestMutateBatchAllocation(t *testing.T) {
+	g, err := gen.Build("lki", gen.Options{Nodes: 20000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const batches, limit = 5, 1_500_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		if g, _, err = graph.ApplyBatch(g, mixedBatch(g, 20)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / batches
+	if per > limit {
+		t.Errorf("a 20-op batch on 20k nodes allocates %d B, want ≤ %d", per, limit)
+	}
+	t.Logf("%d B per batch", per)
+}
+
 // BenchmarkMutateBatch compares the two ways an edit reaches a served
-// graph: ApplyBatch — a copy-on-write overlay generation that rebuilds what
-// the batch touches — versus the only pre-mutation path, re-uploading the
+// graph: ApplyBatch — a copy-on-write generation that clones the table
+// chunks and permutation pieces the batch writes and rebuilds the rows and
+// domains it touches — versus the only pre-mutation path, re-uploading the
 // full TSV and re-running Freeze (column transposition plus index rebuilds
 // from scratch). The mutate rows cross graph size with batch size: what is
-// left of the dependence on the first (the headers and typed arrays a
-// generation copies; read B/op) against the work that follows the second.
-// Acceptance bar for the live graph layer is ApplyBatch ≥ 10× faster than
-// the re-upload on nodes=100k/ops=100; the rows are recorded in BENCH.md.
+// left of the dependence on the first (the chunk pointers every forked
+// table copies, the label ranks a removal shifts, and a touched label's
+// bucket and permutation piece lists; read B/op) against the work that
+// follows the second. Acceptance bar for the live graph layer is
+// ApplyBatch ≥ 10× faster than the re-upload on nodes=100k/ops=100; the
+// rows are recorded in BENCH.md.
 func BenchmarkMutateBatch(b *testing.B) {
 	sizes := []int{25000, 100000}
 	graphs := make([]*graph.Graph, len(sizes))

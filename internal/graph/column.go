@@ -27,11 +27,11 @@ type attrKV struct {
 type column struct {
 	kind    Kind // uniform kind of present values; KindNull when mixed
 	count   int  // number of nodes carrying the attribute
-	present []uint64
-	nums    []float64 // kind == KindNumber
-	strs    []string  // kind == KindString
-	bools   []uint64  // kind == KindBool: value bitmap
-	vals    []Value   // mixed kinds
+	present Table[uint64]
+	nums    Table[float64] // kind == KindNumber
+	strs    Table[string]  // kind == KindString
+	bools   Table[uint64]  // kind == KindBool: value bitmap
+	vals    []Value        // mixed kinds
 
 	// refs/tab replace strs for string columns served from a mapped
 	// snapshot: refs[v] is a 1-based reference into the graph's lazily
@@ -40,38 +40,40 @@ type column struct {
 	tab  *strTable
 }
 
-func bitGet(bm []uint64, i int) bool { return bm[i>>6]&(1<<uint(i&63)) != 0 }
-func bitSet(bm []uint64, i int)      { bm[i>>6] |= 1 << uint(i&63) }
-func bitClear(bm []uint64, i int)    { bm[i>>6] &^= 1 << uint(i&63) }
+func bitGet(bm *Table[uint64], i int) bool { return bm.At(i>>6)&(1<<uint(i&63)) != 0 }
+func bitSet(bm *Table[uint64], i int)      { *bm.mut(i >> 6) |= 1 << uint(i&63) }
+func bitClear(bm *Table[uint64], i int)    { *bm.mut(i >> 6) &^= 1 << uint(i&63) }
 
 // has reports whether node v carries the attribute.
-func (c *column) has(v NodeID) bool { return bitGet(c.present, int(v)) }
+func (c *column) has(v NodeID) bool { return bitGet(&c.present, int(v)) }
 
 // value reads node v's value from the column (Null when absent).
 func (c *column) value(v NodeID) Value {
-	if !bitGet(c.present, int(v)) {
+	if !bitGet(&c.present, int(v)) {
 		return Null
 	}
 	switch {
 	case c.vals != nil:
 		return c.vals[v]
-	case c.nums != nil:
-		return Num(c.nums[v])
-	case c.strs != nil:
-		return Str(c.strs[v])
+	case c.nums.n > 0:
+		return Num(c.nums.At(int(v)))
+	case c.strs.n > 0:
+		return Str(c.strs.At(int(v)))
 	case c.refs != nil:
 		return Str(c.tab.str(c.refs[v]))
 	default:
-		return Bool(bitGet(c.bools, int(v)))
+		return Bool(bitGet(&c.bools, int(v)))
 	}
 }
 
 // bytes estimates the column's memory footprint.
 func (c *column) bytes() int64 {
-	b := int64(len(c.present)+len(c.bools))*8 + int64(len(c.nums))*8
-	for _, s := range c.strs {
-		b += int64(len(s)) + 16
-	}
+	b := int64(c.present.n+c.bools.n)*8 + int64(c.nums.n)*8
+	c.strs.spans(func(ss []string) {
+		for _, s := range ss {
+			b += int64(len(s)) + 16
+		}
+	})
 	b += int64(len(c.vals))*32 + int64(len(c.refs))*4
 	return b
 }
@@ -100,12 +102,12 @@ func (g *Graph) AppendMatching(dst, base []NodeID, a AttrID, op Op, bound Value)
 		return dst // OpInvalid matches nothing, as in Op.Apply
 	}
 	if g.frozen && a >= 0 && int(a) < len(g.cols) {
-		if c := &g.cols[a]; c.nums != nil && bound.kind == KindNumber && !math.IsNaN(bound.num) {
+		if c := &g.cols[a]; c.nums.n > 0 && bound.kind == KindNumber && !math.IsNaN(bound.num) {
 			b := bound.num
 			for _, v := range base {
 				cmp := -1 // Null and NaN both sort below the bound
-				if bitGet(c.present, int(v)) {
-					switch x := c.nums[v]; {
+				if bitGet(&c.present, int(v)) {
+					switch x := c.nums.At(int(v)); {
 					case x < b || math.IsNaN(x):
 					case x > b:
 						cmp = 1
@@ -214,7 +216,7 @@ func (g *Graph) AttrValue(v NodeID, a AttrID) Value {
 // column and edits the cells in place with unset, note and put.
 
 // newColumn returns an empty column over words×64 node slots.
-func newColumn(words int) column { return column{present: make([]uint64, words)} }
+func newColumn(words int) column { return column{present: newTable[uint64](words)} }
 
 // note records that node v carries a value of kind k.
 func (c *column) note(v int, k Kind) {
@@ -223,7 +225,7 @@ func (c *column) note(v int, k Kind) {
 	} else if c.kind != k {
 		c.kind = KindNull // mixed
 	}
-	bitSet(c.present, v)
+	bitSet(&c.present, v)
 	c.count++
 }
 
@@ -234,11 +236,11 @@ func (c *column) alloc(n int) {
 	switch {
 	case c.count == 0:
 	case c.kind == KindNumber:
-		c.nums = make([]float64, n)
+		c.nums = newTable[float64](n)
 	case c.kind == KindString:
-		c.strs = make([]string, n)
+		c.strs = newTable[string](n)
 	case c.kind == KindBool:
-		c.bools = make([]uint64, len(c.present))
+		c.bools = newTable[uint64](c.present.n)
 	default:
 		c.vals = make([]Value, n)
 	}
@@ -247,13 +249,13 @@ func (c *column) alloc(n int) {
 // put stores a noted cell's value in the allocated array.
 func (c *column) put(v int, val Value) {
 	switch {
-	case c.nums != nil:
-		c.nums[v] = val.Float()
-	case c.strs != nil:
-		c.strs[v] = val.Text()
-	case c.bools != nil:
+	case c.nums.n > 0:
+		*c.nums.mut(v) = val.Float()
+	case c.strs.n > 0:
+		*c.strs.mut(v) = val.Text()
+	case c.bools.n > 0:
 		if val.IsTrue() {
-			bitSet(c.bools, v)
+			bitSet(&c.bools, v)
 		}
 	default:
 		c.vals[v] = val
@@ -264,18 +266,18 @@ func (c *column) put(v int, val Value) {
 // column, leaving the slot as alloc made it (the snapshot decoder rejects a
 // payload at an absent slot).
 func (c *column) unset(v int) {
-	if !bitGet(c.present, v) {
+	if !bitGet(&c.present, v) {
 		return
 	}
-	bitClear(c.present, v)
+	bitClear(&c.present, v)
 	c.count--
 	switch {
-	case c.nums != nil:
-		c.nums[v] = 0
-	case c.strs != nil:
-		c.strs[v] = ""
+	case c.nums.n > 0:
+		*c.nums.mut(v) = 0
+	case c.strs.n > 0:
+		*c.strs.mut(v) = ""
 	default:
-		bitClear(c.bools, v)
+		bitClear(&c.bools, v)
 	}
 }
 
@@ -285,12 +287,12 @@ func (c *column) unset(v int) {
 // at least one cell remains. Mixed columns may turn uniform and a
 // snapshot's string refs become heap strings, so neither qualifies.
 func (c *column) keepsLayout(edits []attrWrite) bool {
-	if c.nums == nil && c.strs == nil && c.bools == nil {
+	if c.nums.n+c.strs.n+c.bools.n == 0 {
 		return false
 	}
 	count := c.count
 	for _, ed := range edits {
-		if int(ed.node)>>6 < len(c.present) && c.has(ed.node) {
+		if int(ed.node)>>6 < c.present.n && c.has(ed.node) {
 			count--
 		}
 		if !ed.val.IsNull() {
@@ -307,7 +309,7 @@ func (c *column) keepsLayout(edits []attrWrite) bool {
 // typed columns and computes the active domains; it releases the row
 // storage afterwards (columns are the only post-freeze representation).
 func (g *Graph) buildColumns() {
-	n := len(g.nodeLabels)
+	n := g.nodeLabels.n
 	g.cols = make([]column, len(g.attrTable))
 	for a := range g.cols {
 		g.cols[a] = newColumn((n + 63) / 64)
@@ -337,7 +339,7 @@ func (g *Graph) buildColumns() {
 // the snapshot loader keeps it as the fallback when the serialized DOM2
 // section fails validation.
 func (g *Graph) computeDomains() [][]Value {
-	n := len(g.nodeLabels)
+	n := g.nodeLabels.n
 	domains := make([][]Value, len(g.cols))
 	for a := range g.cols {
 		domains[a] = computeDomain(&g.cols[a], n)
@@ -378,11 +380,11 @@ func sortedPerm(c *column, nodes []NodeID) []NodeID {
 // attribute are included, so a single binary search answers every
 // comparison operator, including ones whose bound a missing value satisfies.
 func (g *Graph) buildIndexes() {
-	g.indexes = make(map[labelAttr][]NodeID)
+	g.indexes = make(map[labelAttr]*permIndex)
 	for label, nodes := range g.byLabel {
 		for a := range g.cols {
 			if c := &g.cols[a]; c.occursOn(nodes) {
-				g.indexes[labelAttr{label, AttrID(a)}] = sortedPerm(c, nodes)
+				g.indexes[labelAttr{label, AttrID(a)}] = &permIndex{flat: sortedPerm(c, nodes)}
 			}
 		}
 	}
@@ -393,7 +395,7 @@ func (g *Graph) buildIndexes() {
 // Graph.SortedIndex; the zero value is invalid.
 type SortedIndex struct {
 	col  *column
-	perm []NodeID
+	perm *permIndex
 }
 
 // SortedIndex returns the sorted index for (label, attr), or an invalid
@@ -415,22 +417,22 @@ func (g *Graph) SortedIndex(label LabelID, attr AttrID) SortedIndex {
 func (ix SortedIndex) Valid() bool { return ix.perm != nil }
 
 // Len returns the number of nodes in the index (the label's population).
-func (ix SortedIndex) Len() int { return len(ix.perm) }
+func (ix SortedIndex) Len() int { return ix.perm.len() }
 
 // At returns the i-th node in value order.
-func (ix SortedIndex) At(i int) NodeID { return ix.perm[i] }
+func (ix SortedIndex) At(i int) NodeID { return ix.perm.at(i) }
 
 // ValueAt returns the attribute value of the i-th node in value order.
-func (ix SortedIndex) ValueAt(i int) Value { return ix.col.value(ix.perm[i]) }
+func (ix SortedIndex) ValueAt(i int) Value { return ix.col.value(ix.perm.at(i)) }
 
 // Range binary-searches the half-open subrange [lo, hi) of the permutation
 // whose values satisfy "value op bound" under the Value total order.
 // Duplicate values at the boundaries resolve via lower/upper bound, so the
 // range is exact. OpInvalid yields the empty range, matching Op.Apply.
 func (ix SortedIndex) Range(op Op, bound Value) (lo, hi int) {
-	n := len(ix.perm)
-	lower := sort.Search(n, func(i int) bool {
-		return ix.col.value(ix.perm[i]).Compare(bound) >= 0
+	n := ix.perm.len()
+	lower := ix.perm.search(func(v NodeID) bool {
+		return ix.col.value(v).Compare(bound) >= 0
 	})
 	switch op {
 	case OpLT:
@@ -438,8 +440,8 @@ func (ix SortedIndex) Range(op Op, bound Value) (lo, hi int) {
 	case OpGE:
 		return lower, n
 	}
-	upper := lower + sort.Search(n-lower, func(i int) bool {
-		return ix.col.value(ix.perm[lower+i]).Compare(bound) > 0
+	upper := ix.perm.search(func(v NodeID) bool {
+		return ix.col.value(v).Compare(bound) > 0
 	})
 	switch op {
 	case OpEQ:

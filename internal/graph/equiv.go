@@ -95,13 +95,14 @@ func Equivalent(a, b *Graph) error {
 	if a.mem.Indexes != b.mem.Indexes {
 		return fmt.Errorf("equivalent: %d permutation indexes vs %d", a.mem.Indexes, b.mem.Indexes)
 	}
-	for k, pa := range a.indexes {
+	for k, ia := range a.indexes {
 		labelName, attrName := a.labels[k.label], a.attrTable[k.attr]
 		lb, ab := b.LookupLabel(labelName), b.AttrIDOf(attrName)
-		pb, ok := b.indexes[labelAttr{lb, ab}]
+		ib, ok := b.indexes[labelAttr{lb, ab}]
 		if !ok {
 			return fmt.Errorf("equivalent: index (%q, %q) missing from second graph", labelName, attrName)
 		}
+		pa, pb := ia.nodes(), ib.nodes()
 		if len(pa) != len(pb) {
 			return fmt.Errorf("equivalent: index (%q, %q): %d entries vs %d", labelName, attrName, len(pa), len(pb))
 		}
@@ -125,12 +126,12 @@ type mappedEdge struct {
 }
 
 func mappedEdges(g *Graph, v NodeID, outgoing bool, m map[NodeID]NodeID) []mappedEdge {
-	rows := g.out
+	row := g.Out(v)
 	if !outgoing {
-		rows = g.in
+		row = g.In(v)
 	}
-	out := make([]mappedEdge, 0, len(rows[v]))
-	for _, e := range rows[v] {
+	out := make([]mappedEdge, 0, len(row))
+	for _, e := range row {
 		to := e.To
 		if m != nil {
 			to = m[e.To]
@@ -202,17 +203,15 @@ func CheckInvariants(g *Graph) error {
 		return fmt.Errorf("invariants: graph not frozen")
 	}
 	n := g.NumNodes()
-	if len(g.out) != n || len(g.in) != n {
-		return fmt.Errorf("invariants: adjacency length %d/%d, want %d", len(g.out), len(g.in), n)
+	if g.out.n != n || g.in.n != n {
+		return fmt.Errorf("invariants: adjacency length %d/%d, want %d", g.out.n, g.in.n, n)
 	}
-	if len(g.labelPos) != n || len(g.sigOut) != n || len(g.sigIn) != n {
-		return fmt.Errorf("invariants: derived table lengths %d/%d/%d, want %d", len(g.labelPos), len(g.sigOut), len(g.sigIn), n)
+	if g.labelPos.n != n || g.sigOut.n != n || g.sigIn.n != n {
+		return fmt.Errorf("invariants: derived table lengths %d/%d/%d, want %d", g.labelPos.n, g.sigOut.n, g.sigIn.n, n)
 	}
 	// Tombstones.
 	deadPop := 0
-	for _, w := range g.dead {
-		deadPop += bits.OnesCount64(w)
-	}
+	g.dead.spans(func(ws []uint64) { deadPop += Bitset{words: ws}.Count() })
 	if deadPop != g.deadCount {
 		return fmt.Errorf("invariants: deadCount %d but bitmap holds %d", g.deadCount, deadPop)
 	}
@@ -220,10 +219,10 @@ func CheckInvariants(g *Graph) error {
 		if g.Alive(NodeID(v)) {
 			continue
 		}
-		if len(g.out[v]) != 0 || len(g.in[v]) != 0 {
+		if g.OutDegree(NodeID(v)) != 0 || g.InDegree(NodeID(v)) != 0 {
 			return fmt.Errorf("invariants: dead node %d still has edges", v)
 		}
-		if g.labelPos[v] != PackLabelPos(InvalidLabel, -1) {
+		if g.labelPos.At(v) != PackLabelPos(InvalidLabel, -1) {
 			return fmt.Errorf("invariants: dead node %d labelPos not poisoned", v)
 		}
 		for a := range g.cols {
@@ -245,10 +244,10 @@ func CheckInvariants(g *Graph) error {
 			if !g.Alive(v) {
 				return fmt.Errorf("invariants: dead node %d in bucket %q", v, g.labels[l])
 			}
-			if g.nodeLabels[v] != l {
+			if g.NodeLabelID(v) != l {
 				return fmt.Errorf("invariants: node %d in bucket %q but labeled %q", v, g.labels[l], g.Label(v))
 			}
-			if g.labelPos[v] != PackLabelPos(l, int32(i)) {
+			if g.PackedLabelPos(v) != PackLabelPos(l, int32(i)) {
 				return fmt.Errorf("invariants: node %d labelPos mismatch", v)
 			}
 			seen[v] = true
@@ -266,8 +265,9 @@ func CheckInvariants(g *Graph) error {
 	outSet := make(map[fullEdge]int)
 	for v := 0; v < n; v++ {
 		var sig uint64
-		for i, e := range g.out[v] {
-			if i > 0 && (g.out[v][i-1].Label > e.Label || (g.out[v][i-1].Label == e.Label && g.out[v][i-1].To > e.To)) {
+		out, in := g.Out(NodeID(v)), g.In(NodeID(v))
+		for i, e := range out {
+			if i > 0 && (out[i-1].Label > e.Label || (out[i-1].Label == e.Label && out[i-1].To > e.To)) {
 				return fmt.Errorf("invariants: out row %d not sorted", v)
 			}
 			if !g.Alive(e.To) {
@@ -277,18 +277,18 @@ func CheckInvariants(g *Graph) error {
 			sig |= LabelSigBit(e.Label)
 			edges++
 		}
-		if g.sigOut[v] != sig {
+		if g.sigOut.At(v) != sig {
 			return fmt.Errorf("invariants: node %d out signature stale", v)
 		}
 		sig = 0
-		for i, e := range g.in[v] {
-			if i > 0 && (g.in[v][i-1].Label > e.Label || (g.in[v][i-1].Label == e.Label && g.in[v][i-1].To > e.To)) {
+		for i, e := range in {
+			if i > 0 && (in[i-1].Label > e.Label || (in[i-1].Label == e.Label && in[i-1].To > e.To)) {
 				return fmt.Errorf("invariants: in row %d not sorted", v)
 			}
 			outSet[fullEdge{e.To, NodeID(v), e.Label}]--
 			sig |= LabelSigBit(e.Label)
 		}
-		if g.sigIn[v] != sig {
+		if g.sigIn.At(v) != sig {
 			return fmt.Errorf("invariants: node %d in signature stale", v)
 		}
 	}
@@ -302,11 +302,11 @@ func CheckInvariants(g *Graph) error {
 	}
 	maxOut, maxIn := 0, 0
 	for v := 0; v < n; v++ {
-		if len(g.out[v]) > maxOut {
-			maxOut = len(g.out[v])
+		if d := g.OutDegree(NodeID(v)); d > maxOut {
+			maxOut = d
 		}
-		if len(g.in[v]) > maxIn {
-			maxIn = len(g.in[v])
+		if d := g.InDegree(NodeID(v)); d > maxIn {
+			maxIn = d
 		}
 	}
 	if maxOut != g.maxOutDeg || maxIn != g.maxInDeg {
@@ -314,18 +314,15 @@ func CheckInvariants(g *Graph) error {
 	}
 	// Run tables.
 	for _, outgoing := range []bool{true, false} {
-		starts, stride := g.RunStarts(outgoing)
-		if starts == nil {
+		runs, rows := g.RunStarts(outgoing), g.Adjacency(outgoing)
+		if !runs.Valid() {
 			continue
 		}
-		rows := g.out
-		if !outgoing {
-			rows = g.in
-		}
 		for v := 0; v < n; v++ {
-			for l := 0; l < stride-1; l++ {
-				run := rows[v][starts[v*stride+l]:starts[v*stride+l+1]]
-				want := edgeRunSearch(rows[v], LabelID(l))
+			for l := 0; l < runs.stride-1; l++ {
+				lo, hi := runs.Span(NodeID(v), LabelID(l))
+				run := rows.At(v)[lo:hi]
+				want := edgeRunSearch(rows.At(v), LabelID(l))
 				if len(run) != len(want) || (len(run) > 0 && &run[0] != &want[0]) {
 					return fmt.Errorf("invariants: run table (%d, label %d, out=%v) stale", v, l, outgoing)
 				}
@@ -339,18 +336,16 @@ func CheckInvariants(g *Graph) error {
 	words := (n + 63) / 64
 	for a := range g.cols {
 		c := &g.cols[a]
-		if len(c.present) < words {
+		if c.present.n < words {
 			return fmt.Errorf("invariants: column %q presence bitmap too short", g.attrTable[a])
 		}
 		pop := 0
-		for _, w := range c.present {
-			pop += bits.OnesCount64(w)
-		}
+		c.present.spans(func(ws []uint64) { pop += Bitset{words: ws}.Count() })
 		if pop != c.count {
 			return fmt.Errorf("invariants: column %q count %d but bitmap holds %d", g.attrTable[a], c.count, pop)
 		}
 		typed := 0
-		for _, set := range []bool{c.nums != nil, c.strs != nil, c.bools != nil, c.vals != nil, c.refs != nil} {
+		for _, set := range []bool{c.nums.n > 0, c.strs.n > 0, c.bools.n > 0, c.vals != nil, c.refs != nil} {
 			if set {
 				typed++
 			}
@@ -363,8 +358,8 @@ func CheckInvariants(g *Graph) error {
 			if !c.has(NodeID(v)) {
 				// An absent slot holds no payload (the snapshot decoder
 				// refuses one): a cleared cell is left as alloc made it.
-				if (v < len(c.nums) && math.Float64bits(c.nums[v]) != 0) || (v < len(c.strs) && c.strs[v] != "") ||
-					(v>>6 < len(c.bools) && bitGet(c.bools, v)) || (v < len(c.vals) && c.vals[v] != Null) {
+				if (v < c.nums.n && math.Float64bits(c.nums.At(v)) != 0) || (v < c.strs.n && c.strs.At(v) != "") ||
+					(v>>6 < c.bools.n && bitGet(&c.bools, v)) || (v < len(c.vals) && c.vals[v] != Null) {
 					return fmt.Errorf("invariants: column %q keeps a payload at absent node %d", g.attrTable[a], v)
 				}
 				continue
@@ -416,10 +411,11 @@ func CheckInvariants(g *Graph) error {
 				continue
 			}
 			wantPairs++
-			perm, ok := g.indexes[labelAttr{l, AttrID(a)}]
+			pi, ok := g.indexes[labelAttr{l, AttrID(a)}]
 			if !ok {
 				return fmt.Errorf("invariants: missing index (%q, %q)", g.labels[l], g.attrTable[a])
 			}
+			perm := pi.nodes()
 			if len(perm) != len(bucket) {
 				return fmt.Errorf("invariants: index (%q, %q) has %d entries for a %d-node bucket", g.labels[l], g.attrTable[a], len(perm), len(bucket))
 			}

@@ -194,6 +194,21 @@ func TestFuzzEncodeRoundTrip(t *testing.T) {
 	}
 }
 
+// chunkSeed grows fuzzSeedGraph to n node slots, then writes a cell of the
+// last node, adds an edge to it and removes the node before it — edits on
+// both sides of a chunk boundary when n is near a multiple of chunkLen.
+func chunkSeed(n int) (batches [][]Mutation) {
+	for nodes := fuzzSeedGraph().NumNodes(); nodes < n; {
+		var b []Mutation
+		for ; nodes < n && len(b) < fuzzMaxBatch-1; nodes++ {
+			b = append(b, addP("Tag"))
+		}
+		batches = append(batches, b)
+	}
+	last := NodeID(n - 1)
+	return append(batches, []Mutation{set(last, "score", Int(3)), {Op: MutAddEdge, From: 0, To: last, Label: "recommend"}, {Op: MutRemoveNode, Node: last - 1}})
+}
+
 // FuzzMutateEquivalence drives a byte-decoded mutation stream through
 // three parallel systems — the incremental merge (Live/ApplyBatch), the
 // map-based oracle rebuilt via builder+Freeze, and a shadow Live fed only
@@ -208,6 +223,9 @@ func FuzzMutateEquivalence(f *testing.F) {
 	f.Add([]byte{0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa, 0x55, 0xaa})
 	for _, c := range patchCases {
 		f.Add(fuzzEncode(c.batches))
+	}
+	for _, n := range []int{chunkLen - 1, chunkLen, chunkLen + 1, 2*chunkLen + 1} {
+		f.Add(fuzzEncode(chunkSeed(n)))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		base := fuzzSeedGraph()

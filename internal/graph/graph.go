@@ -39,10 +39,11 @@ const InvalidLabel LabelID = -1
 // AddNode/AddEdge, then call Freeze to construct the indexes; a frozen
 // graph is immutable and safe for concurrent readers.
 //
-// Storage seam: every frozen field below the comment lines is a plain
-// slice (or a map of plain slices), so it can be served either from heap
-// arrays built by Freeze / ReadSnapshot, or — for snapshot
-// files opened with OpenSnapshotMapped — from views directly over the
+// Storage seam: every frozen per-node table is a Table (chunk.go: one array,
+// or a chunk spine once a mutation batch forks it) and every other frozen
+// field a plain slice (or a map of plain slices), so either can be served
+// from heap arrays built by Freeze / ReadSnapshot, or — for snapshot files
+// opened with OpenSnapshotMapped — from views directly over the
 // memory-mapped file (see storage.go). The read API is identical either
 // way; only Close semantics differ.
 type Graph struct {
@@ -50,20 +51,20 @@ type Graph struct {
 	labelIDs  map[string]LabelID
 	attrTable []string // AttrID -> name, intern order
 	attrIDs   map[string]AttrID
-	// nodeLabels is the per-node label array — the frozen truth about V.
+	// nodeLabels is the per-node label table — the frozen truth about V.
 	// nodeAttrs carries the per-node attribute tuples only while the graph
 	// is under construction; Freeze transposes them into columns and drops
 	// the whole array.
-	nodeLabels []LabelID
+	nodeLabels Table[LabelID]
 	nodeAttrs  [][]attrKV
-	out        [][]Edge
-	in         [][]Edge
+	out        Table[[]Edge]
+	in         Table[[]Edge]
 	numEdges   int
 	frozen     bool
 	byLabel    map[LabelID][]NodeID
 	cols       []column  // by AttrID; built at Freeze
 	domains    [][]Value // by AttrID; sorted distinct values
-	indexes    map[labelAttr][]NodeID
+	indexes    map[labelAttr]*permIndex
 	attrNames  []string // sorted, for AttrNames
 	mem        MemoryStats
 	maxOutDeg  int
@@ -86,8 +87,8 @@ type Graph struct {
 	// NodeID was removed by a mutation. Dead slots keep their label (the
 	// checkpoint resurrect path needs it) but carry no attributes or edges
 	// and appear in no bucket or index, so the matcher never sees them.
-	// NodeIDs are never reused. nil on graphs that were never mutated.
-	dead      []uint64
+	// NodeIDs are never reused. Empty on graphs that were never mutated.
+	dead      Table[uint64]
 	deadCount int
 
 	// backing, when non-nil, owns the byte buffer (heap or mmap) the
@@ -99,7 +100,7 @@ type Graph struct {
 	domFill func()
 
 	// Derived tables, a function of buckets and adjacency alone. Freeze
-	// computes them for every row (buildDerived), ApplyBatch copies its
+	// computes them for every row (buildDerived), ApplyBatch forks its
 	// base's and re-derives the rows the batch touched (patchDerived, same
 	// per-row kernels), and a snapshot stores them (LPOS/SIGO/SIGI and the
 	// run sections), so a decoded or mapped graph computes nothing.
@@ -108,15 +109,12 @@ type Graph struct {
 	// for the matcher's label-local candidate bitsets; sigOut/sigIn hold
 	// per-node neighborhood label signatures (bit label&63 set when an
 	// incident edge carries that label), consulted for O(1) structural
-	// candidate pruning; outRunStart/inRunStart (nil on graphs where
+	// candidate pruning; outRuns/inRuns (not Valid on graphs where
 	// nodes×labels exceeds maxRunTableEntries) give every (node, label)
 	// adjacency run in O(1) instead of two binary searches.
-	labelPos    []uint64
-	sigOut      []uint64
-	sigIn       []uint64
-	runStride   int
-	outRunStart []int32
-	inRunStart  []int32
+	labelPos        Table[uint64]
+	sigOut, sigIn   Table[uint64]
+	outRuns, inRuns Runs
 }
 
 // New returns an empty graph.
@@ -172,25 +170,25 @@ func (g *Graph) Grow(n int) {
 	if n > maxPreallocEntries {
 		n = maxPreallocEntries
 	}
-	if want := len(g.nodeLabels) + n; want > cap(g.nodeLabels) {
-		labels := make([]LabelID, len(g.nodeLabels), want)
-		copy(labels, g.nodeLabels)
-		g.nodeLabels = labels
+	if want := len(g.nodeLabels.flat) + n; want > cap(g.nodeLabels.flat) {
+		labels := make([]LabelID, len(g.nodeLabels.flat), want)
+		copy(labels, g.nodeLabels.flat)
+		g.nodeLabels.flat = labels
 		attrs := make([][]attrKV, len(g.nodeAttrs), want)
 		copy(attrs, g.nodeAttrs)
 		g.nodeAttrs = attrs
-		out := make([][]Edge, len(g.out), want)
-		copy(out, g.out)
-		g.out = out
-		in := make([][]Edge, len(g.in), want)
-		copy(in, g.in)
-		g.in = in
+		out := make([][]Edge, len(g.out.flat), want)
+		copy(out, g.out.flat)
+		g.out.flat = out
+		in := make([][]Edge, len(g.in.flat), want)
+		copy(in, g.in.flat)
+		g.in.flat = in
 	}
 }
 
 func (g *Graph) AddNode(label string, attrs map[string]Value) NodeID {
 	g.mustMutable("AddNode")
-	id := NodeID(len(g.nodeLabels))
+	id := NodeID(g.nodeLabels.n)
 	var kvs []attrKV
 	if len(attrs) > 0 {
 		names := make([]string, 0, len(attrs))
@@ -203,10 +201,10 @@ func (g *Graph) AddNode(label string, attrs map[string]Value) NodeID {
 			kvs = append(kvs, attrKV{id: g.internAttr(a), val: attrs[a]})
 		}
 	}
-	g.nodeLabels = append(g.nodeLabels, g.Intern(label))
+	g.nodeLabels.push(g.Intern(label))
 	g.nodeAttrs = append(g.nodeAttrs, kvs)
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	g.out.push(nil)
+	g.in.push(nil)
 	return id
 }
 
@@ -214,16 +212,17 @@ func (g *Graph) AddNode(label string, attrs map[string]Value) NodeID {
 func (g *Graph) AddEdge(from, to NodeID, label string) error {
 	g.mustMutable("AddEdge")
 	if !g.valid(from) || !g.valid(to) {
-		return fmt.Errorf("graph: AddEdge(%d, %d): node out of range [0,%d)", from, to, len(g.nodeLabels))
+		return fmt.Errorf("graph: AddEdge(%d, %d): node out of range [0,%d)", from, to, g.nodeLabels.n)
 	}
 	l := g.Intern(label)
-	g.out[from] = append(g.out[from], Edge{To: to, Label: l})
-	g.in[to] = append(g.in[to], Edge{To: from, Label: l})
+	out, in := g.out.mut(int(from)), g.in.mut(int(to))
+	*out = append(*out, Edge{To: to, Label: l})
+	*in = append(*in, Edge{To: from, Label: l})
 	g.numEdges++
 	return nil
 }
 
-func (g *Graph) valid(v NodeID) bool { return v >= 0 && int(v) < len(g.nodeLabels) }
+func (g *Graph) valid(v NodeID) bool { return v >= 0 && int(v) < g.nodeLabels.n }
 
 func (g *Graph) mustMutable(op string) {
 	if g.frozen {
@@ -239,14 +238,14 @@ func (g *Graph) Freeze() {
 		return
 	}
 	g.byLabel = make(map[LabelID][]NodeID)
-	for i, l := range g.nodeLabels {
+	for i, l := range g.nodeLabels.flat {
 		g.byLabel[l] = append(g.byLabel[l], NodeID(i))
 	}
 	g.buildColumns()
 	g.buildIndexes()
-	for i := range g.out {
-		sortEdges(g.out[i])
-		sortEdges(g.in[i])
+	for i := range g.out.flat {
+		sortEdges(g.out.flat[i])
+		sortEdges(g.in.flat[i])
 	}
 	g.measure()
 	g.buildDerived()
@@ -264,13 +263,24 @@ func (g *Graph) measure() {
 		g.mem.ColumnBytes += g.cols[a].bytes()
 	}
 	for _, perm := range g.indexes {
-		g.mem.IndexBytes += int64(len(perm)) * 4
+		g.mem.IndexBytes += int64(perm.len()) * 4
 	}
-	g.maxOutDeg, g.maxInDeg = 0, 0
-	for v := range g.out {
-		g.maxOutDeg = max(g.maxOutDeg, len(g.out[v]))
-		g.maxInDeg = max(g.maxInDeg, len(g.in[v]))
-	}
+	g.maxOutDeg, g.maxInDeg = maxRowLen(&g.out), maxRowLen(&g.in)
+}
+
+// maxRowLen returns the length of the longest adjacency row. It walks the
+// table a chunk at a time: ApplyBatch measures every generation, and an At
+// per node would take the spine path for most rows of a forked table.
+func maxRowLen(rows *Table[[]Edge]) int {
+	m := 0
+	rows.spans(func(rs [][]Edge) {
+		for _, r := range rs {
+			if len(r) > m {
+				m = len(r)
+			}
+		}
+	})
+	return m
 }
 
 // lineageCounter issues process-unique lineage identities; see the
@@ -308,11 +318,11 @@ func (g *Graph) Alive(v NodeID) bool {
 	if !g.valid(v) {
 		return false
 	}
-	return g.dead == nil || !bitGet(g.dead, int(v))
+	return g.dead.n == 0 || !bitGet(&g.dead, int(v))
 }
 
 // NumLive returns the number of live nodes: NumNodes minus tombstones.
-func (g *Graph) NumLive() int { return len(g.nodeLabels) - g.deadCount }
+func (g *Graph) NumLive() int { return g.nodeLabels.n - g.deadCount }
 
 // HasTombstones reports whether any node slot was removed by a mutation.
 // Tombstoned graphs cannot be snapshotted directly (the snapshot codecs
@@ -341,27 +351,23 @@ func (g *Graph) DictAttrs() []string { return g.attrTable }
 // buildDerived is the all-rows driver: it allocates the tables for the
 // finished buckets and adjacency and derives every row.
 func (g *Graph) buildDerived() {
-	n := len(g.nodeLabels)
-	g.labelPos = make([]uint64, n)
+	n := g.nodeLabels.n
+	g.labelPos, g.sigOut, g.sigIn = newTable[uint64](n), newTable[uint64](n), newTable[uint64](n)
 	for l := range g.byLabel {
 		g.rankBucket(l)
 	}
 	if g.deadCount > 0 {
-		for v := range g.nodeLabels {
-			if bitGet(g.dead, v) {
-				g.labelPos[v] = deadLabelPos
+		for v := 0; v < n; v++ {
+			if bitGet(&g.dead, v) {
+				*g.labelPos.mut(v) = deadLabelPos
 			}
 		}
 	}
-	g.sigOut = make([]uint64, n)
-	g.sigIn = make([]uint64, n)
-	g.runStride, g.outRunStart, g.inRunStart = runTableStride(n, len(g.labels)), nil, nil
-	if g.runStride > 0 {
-		g.outRunStart = make([]int32, n*g.runStride)
-		g.inRunStart = make([]int32, n*g.runStride)
-	}
-	for v := range g.out {
-		g.deriveRow(v)
+	s := runTableStride(n, len(g.labels))
+	g.outRuns, g.inRuns = flatRuns(make([]int32, n*s), s), flatRuns(make([]int32, n*s), s)
+	for v := 0; v < n; v++ {
+		g.deriveRow(v, true)
+		g.deriveRow(v, false)
 	}
 }
 
@@ -372,18 +378,20 @@ var deadLabelPos = PackLabelPos(InvalidLabel, -1)
 // rankBucket writes the packed label and bucket rank of every node of l.
 func (g *Graph) rankBucket(l LabelID) {
 	for i, v := range g.byLabel[l] {
-		g.labelPos[v] = PackLabelPos(l, int32(i))
+		update(&g.labelPos, int(v), PackLabelPos(l, int32(i)))
 	}
 }
 
-// deriveRow computes node v's signatures and, where the graph carries run
-// tables, its run boundaries from its two sorted adjacency rows.
-func (g *Graph) deriveRow(v int) {
-	g.sigOut[v] = rowSignature(g.out[v])
-	g.sigIn[v] = rowSignature(g.in[v])
-	if s := g.runStride; s > 0 {
-		fillRunStarts(g.outRunStart[v*s:(v+1)*s], g.out[v])
-		fillRunStarts(g.inRunStart[v*s:(v+1)*s], g.in[v])
+// deriveRow computes node v's signature and, where the graph carries run
+// tables, its run boundaries from its sorted out- (or in-) adjacency row.
+func (g *Graph) deriveRow(v int, outgoing bool) {
+	rows, sig, runs := &g.out, &g.sigOut, &g.outRuns
+	if !outgoing {
+		rows, sig, runs = &g.in, &g.sigIn, &g.inRuns
+	}
+	update(sig, v, rowSignature(rows.At(v)))
+	if runs.Valid() {
+		fillRunStarts(runs.mutRow(v), rows.At(v))
 	}
 }
 
@@ -430,10 +438,10 @@ func LabelSigBit(l LabelID) uint64 { return 1 << (uint(l) & 63) }
 // OutSignature returns node v's out-edge label signature: for every
 // out-edge label l of v, the LabelSigBit(l) bit is set. Matcher hot path:
 // valid only on frozen graphs.
-func (g *Graph) OutSignature(v NodeID) uint64 { return g.sigOut[v] }
+func (g *Graph) OutSignature(v NodeID) uint64 { return g.sigOut.At(int(v)) }
 
 // InSignature is OutSignature over v's in-edges.
-func (g *Graph) InSignature(v NodeID) uint64 { return g.sigIn[v] }
+func (g *Graph) InSignature(v NodeID) uint64 { return g.sigIn.At(int(v)) }
 
 // PackLabelPos packs a node's label (high 32 bits) with its label-bucket
 // rank (low 32 bits) — the layout PackedLabelPos reads back.
@@ -445,7 +453,7 @@ func PackLabelPos(l LabelID, pos int32) uint64 {
 // load — the matcher's membership probe resolves label equality and bitset
 // position from it without touching the node records. Matcher hot path:
 // valid only on frozen graphs.
-func (g *Graph) PackedLabelPos(v NodeID) uint64 { return g.labelPos[v] }
+func (g *Graph) PackedLabelPos(v NodeID) uint64 { return g.labelPos.At(int(v)) }
 
 // LabelPos returns v's rank within its label bucket: NodesByLabel of v's
 // label lists v at exactly this index. Together with NodesByLabelID it
@@ -453,7 +461,7 @@ func (g *Graph) PackedLabelPos(v NodeID) uint64 { return g.labelPos[v] }
 // are indexed by.
 func (g *Graph) LabelPos(v NodeID) int32 {
 	g.mustFrozen("LabelPos")
-	return int32(uint32(g.labelPos[v]))
+	return int32(uint32(g.labelPos.At(int(v))))
 }
 
 // NodesByLabelID is NodesByLabel for an already-interned label. The slice
@@ -471,16 +479,16 @@ func (g *Graph) NodesByLabelID(id LabelID) []NodeID {
 // Matcher hot path: valid only on frozen graphs.
 func (g *Graph) EdgeRun(v NodeID, label LabelID, outgoing bool) []Edge {
 	if outgoing {
-		return edgeRun(g.out[v], g.outRunStart, g.runStride, v, label)
+		return edgeRun(g.out.At(int(v)), &g.outRuns, v, label)
 	}
-	return edgeRun(g.in[v], g.inRunStart, g.runStride, v, label)
+	return edgeRun(g.in.At(int(v)), &g.inRuns, v, label)
 }
 
 // Adjacency exposes the frozen adjacency lists (out when outgoing, in
 // otherwise), indexed by NodeID and sorted by (label, endpoint). Shared,
-// read-only: the matcher captures them once so its inner loops run on
-// direct slice indexing instead of per-edge accessor calls.
-func (g *Graph) Adjacency(outgoing bool) [][]Edge {
+// read-only: the matcher captures them once so its inner loops index the
+// table instead of calling a per-edge accessor.
+func (g *Graph) Adjacency(outgoing bool) Table[[]Edge] {
 	g.mustFrozen("Adjacency")
 	if outgoing {
 		return g.out
@@ -488,41 +496,41 @@ func (g *Graph) Adjacency(outgoing bool) [][]Edge {
 	return g.in
 }
 
-// RunStarts exposes the dense run-boundary table for one direction along
-// with its stride: run (v, l) spans starts[v*stride+l:v*stride+l+1] of the
-// node's adjacency. starts is nil on graphs past maxRunTableEntries —
-// callers must fall back to EdgeRun. Shared, read-only.
-func (g *Graph) RunStarts(outgoing bool) (starts []int32, stride int) {
+// RunStarts exposes the run-boundary table for one direction: Span(v, l)
+// bounds run (v, l) in the node's adjacency. It is not Valid on graphs past
+// maxRunTableEntries — callers must fall back to EdgeRun. Shared,
+// read-only.
+func (g *Graph) RunStarts(outgoing bool) Runs {
 	g.mustFrozen("RunStarts")
 	if outgoing {
-		return g.outRunStart, g.runStride
+		return g.outRuns
 	}
-	return g.inRunStart, g.runStride
+	return g.inRuns
 }
 
 // LabelPosTable exposes the packed label+rank table (see PackedLabelPos),
 // indexed by NodeID. Shared, read-only.
-func (g *Graph) LabelPosTable() []uint64 {
+func (g *Graph) LabelPosTable() Table[uint64] {
 	g.mustFrozen("LabelPosTable")
 	return g.labelPos
 }
 
 // SignatureTables exposes the out- and in-edge label signature tables (see
 // OutSignature), indexed by NodeID. Shared, read-only.
-func (g *Graph) SignatureTables() (sigOut, sigIn []uint64) {
+func (g *Graph) SignatureTables() (sigOut, sigIn Table[uint64]) {
 	g.mustFrozen("SignatureTables")
 	return g.sigOut, g.sigIn
 }
 
-func edgeRun(es []Edge, starts []int32, stride int, v NodeID, label LabelID) []Edge {
-	if starts == nil {
+func edgeRun(es []Edge, runs *Runs, v NodeID, label LabelID) []Edge {
+	if !runs.Valid() {
 		return edgeRunSearch(es, label)
 	}
-	if uint32(label) >= uint32(stride-1) {
+	if uint32(label) >= uint32(runs.stride-1) {
 		return nil
 	}
-	base := int(v) * stride
-	return es[starts[base+int(label)]:starts[base+int(label)+1]]
+	lo, hi := runs.Span(v, label)
+	return es[lo:hi]
 }
 
 // edgeRunSearch is the binary-search fallback for graphs too large for the
@@ -537,15 +545,15 @@ func edgeRunSearch(es []Edge, label LabelID) []Edge {
 // slice — the matcher's ordering heuristic reads run lengths far more
 // often than run contents.
 func (g *Graph) RunLen(v NodeID, label LabelID, outgoing bool) int {
-	starts := g.outRunStart
+	runs := &g.outRuns
 	if !outgoing {
-		starts = g.inRunStart
+		runs = &g.inRuns
 	}
-	if starts == nil || uint32(label) >= uint32(g.runStride-1) {
+	if !runs.Valid() || uint32(label) >= uint32(runs.stride-1) {
 		return len(g.EdgeRun(v, label, outgoing))
 	}
-	base := int(v) * g.runStride
-	return int(starts[base+int(label)+1] - starts[base+int(label)])
+	lo, hi := runs.Span(v, label)
+	return int(hi - lo)
 }
 
 // LabelDegree counts v's out- (or in-) edges carrying the given label;
@@ -567,16 +575,16 @@ func sortEdges(es []Edge) {
 func (g *Graph) Frozen() bool { return g.frozen }
 
 // NumNodes returns |V|.
-func (g *Graph) NumNodes() int { return len(g.nodeLabels) }
+func (g *Graph) NumNodes() int { return g.nodeLabels.n }
 
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Label returns the node's label string.
-func (g *Graph) Label(v NodeID) string { return g.labels[g.nodeLabels[v]] }
+func (g *Graph) Label(v NodeID) string { return g.labels[g.nodeLabels.At(int(v))] }
 
 // LabelID returns the node's interned label.
-func (g *Graph) NodeLabelID(v NodeID) LabelID { return g.nodeLabels[v] }
+func (g *Graph) NodeLabelID(v NodeID) LabelID { return g.nodeLabels.At(int(v)) }
 
 // Attr returns the node's value for attribute a (Null when absent). Hot
 // paths should resolve the name once via AttrIDOf and use AttrValue.
@@ -639,20 +647,20 @@ func (g *Graph) SetAttr(v NodeID, a string, val Value) {
 }
 
 // Out returns the out-edges of v sorted by (label, target).
-func (g *Graph) Out(v NodeID) []Edge { return g.out[v] }
+func (g *Graph) Out(v NodeID) []Edge { return g.out.At(int(v)) }
 
 // In returns the in-edges of v sorted by (label, source).
-func (g *Graph) In(v NodeID) []Edge { return g.in[v] }
+func (g *Graph) In(v NodeID) []Edge { return g.in.At(int(v)) }
 
 // OutDegree returns the out-degree of v.
-func (g *Graph) OutDegree(v NodeID) int { return len(g.out[v]) }
+func (g *Graph) OutDegree(v NodeID) int { return len(g.out.At(int(v))) }
 
 // InDegree returns the in-degree of v.
-func (g *Graph) InDegree(v NodeID) int { return len(g.in[v]) }
+func (g *Graph) InDegree(v NodeID) int { return len(g.in.At(int(v))) }
 
 // HasEdge reports whether an edge from → to with the given label exists.
 func (g *Graph) HasEdge(from, to NodeID, label LabelID) bool {
-	es := g.out[from]
+	es := g.out.At(int(from))
 	// Edges are sorted by (label, target) once frozen; binary search then.
 	if g.frozen {
 		i := sort.Search(len(es), func(i int) bool {

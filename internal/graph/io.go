@@ -62,8 +62,8 @@ func WriteJSON(w io.Writer, g *Graph) error {
 		Counts: &jsonCounts{Nodes: g.NumNodes(), Edges: g.NumEdges()},
 		Nodes:  make([]jsonNode, g.NumNodes()),
 	}
-	for i := range g.nodeLabels {
-		n := jsonNode{ID: i, Label: g.labels[g.nodeLabels[i]]}
+	for i := range doc.Nodes {
+		n := jsonNode{ID: i, Label: g.Label(NodeID(i))}
 		if pairs := g.AttrPairs(NodeID(i)); len(pairs) > 0 {
 			n.Attrs = make(map[string]string, len(pairs))
 			for _, p := range pairs {
@@ -72,8 +72,8 @@ func WriteJSON(w io.Writer, g *Graph) error {
 		}
 		doc.Nodes[i] = n
 	}
-	for from := range g.out {
-		for _, e := range g.out[from] {
+	for from := range doc.Nodes {
+		for _, e := range g.Out(NodeID(from)) {
 			doc.Edges = append(doc.Edges, jsonEdge{From: from, To: int(e.To), Label: g.labels[e.Label]})
 		}
 	}
@@ -134,15 +134,15 @@ func WriteTSV(w io.Writer, g *Graph) error {
 	// A comment header with the counts: old readers skip it ('#' lines
 	// are comments), new ones use it as a clamped pre-allocation hint.
 	fmt.Fprintf(bw, "# fairsqg-graph nodes=%d edges=%d\n", g.NumNodes(), g.NumEdges())
-	for i := range g.nodeLabels {
-		fmt.Fprintf(bw, "N\t%d\t%s", i, g.labels[g.nodeLabels[i]])
+	for i := 0; i < g.NumNodes(); i++ {
+		fmt.Fprintf(bw, "N\t%d\t%s", i, g.Label(NodeID(i)))
 		for _, p := range g.AttrPairs(NodeID(i)) {
 			fmt.Fprintf(bw, "\t%s=%s", p.Name, p.Value.String())
 		}
 		fmt.Fprintln(bw)
 	}
-	for from := range g.out {
-		for _, e := range g.out[from] {
+	for from := 0; from < g.NumNodes(); from++ {
+		for _, e := range g.Out(NodeID(from)) {
 			fmt.Fprintf(bw, "E\t%d\t%d\t%s\n", from, e.To, g.labels[e.Label])
 		}
 	}

@@ -70,11 +70,11 @@ func TestForgedCountsBounded(t *testing.T) {
 func TestGrowClamped(t *testing.T) {
 	g := New()
 	g.Grow(1 << 40)
-	if c := cap(g.nodeLabels); c > maxPreallocEntries {
+	if c := cap(g.nodeLabels.flat); c > maxPreallocEntries {
 		t.Fatalf("cap(nodeLabels) = %d after huge Grow, clamp is %d", c, maxPreallocEntries)
 	}
-	if cap(g.out) != cap(g.nodeLabels) || cap(g.in) != cap(g.nodeLabels) {
-		t.Fatalf("adjacency capacity %d/%d diverges from nodes %d", cap(g.out), cap(g.in), cap(g.nodeLabels))
+	if cap(g.out.flat) != cap(g.nodeLabels.flat) || cap(g.in.flat) != cap(g.nodeLabels.flat) {
+		t.Fatalf("adjacency capacity %d/%d diverges from nodes %d", cap(g.out.flat), cap(g.in.flat), cap(g.nodeLabels.flat))
 	}
 	g.AddNode("Person", nil)
 	g.Freeze()

@@ -173,7 +173,7 @@ func (g *Graph) resurrected() *Graph {
 	n := g.NumNodes()
 	nb.Grow(n)
 	for v := 0; v < n; v++ {
-		id := nb.AddNode(g.labels[g.nodeLabels[v]], nil)
+		id := nb.AddNode(g.Label(NodeID(v)), nil)
 		if !g.Alive(NodeID(v)) {
 			continue
 		}
@@ -182,7 +182,7 @@ func (g *Graph) resurrected() *Graph {
 		}
 	}
 	for v := 0; v < n; v++ {
-		for _, e := range g.out[v] {
+		for _, e := range g.Out(NodeID(v)) {
 			if err := nb.AddEdge(NodeID(v), e.To, g.labels[e.Label]); err != nil {
 				panic(fmt.Sprintf("graph: resurrect edge %d->%d: %v", v, e.To, err))
 			}

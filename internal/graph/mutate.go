@@ -13,11 +13,12 @@ import (
 // A frozen Graph never changes in place — every reader (matchers, engines,
 // in-flight jobs) holds an immutable generation. ApplyBatch instead merges
 // one validated batch of mutations into a NEW frozen graph that shares
-// every untouched slice, bucket, column and permutation index with its
-// base (copy-on-write): the batch is the "unsorted tail", and the merge
-// cost is proportional to the rows, columns and (label, attribute)
-// indexes the batch touches — never to graph size beyond O(|V|) slice
-// headers — so a small batch lands in milliseconds where a re-parse +
+// every untouched table chunk, bucket, column and permutation piece with
+// its base (copy-on-write, see chunk.go): the batch is the "unsorted
+// tail", and the merge cost is proportional to the rows, columns and
+// (label, attribute) indexes the batch touches — never to graph size beyond
+// the chunk pointers of the tables it forks and the buckets of the labels
+// it touches — so a small batch lands in milliseconds where a re-parse +
 // re-Freeze takes seconds.
 //
 // Semantics:
@@ -122,6 +123,9 @@ type Touched struct {
 	// DerivedRebuilt reports that the derived tables were rebuilt for every
 	// row because the run tables changed shape, not patched.
 	DerivedRebuilt bool `json:"derivedRebuilt"`
+	// ChunkBytes is the size of the per-node table chunks the new generation
+	// does not share with its base: the ones the batch cloned or added.
+	ChunkBytes int64 `json:"chunkBytes"`
 }
 
 // edgeKey identifies a parallel-edge class during validation.
@@ -285,9 +289,9 @@ type batchEdits struct {
 	// removedBase lists the removed nodes that exist in the base (a node
 	// added and removed by the same batch leaves no trace).
 	removedBase []NodeID
-	// dirtyRows lists the nodes with a rebuilt or cleared adjacency row (one
-	// entry per direction, so a node may repeat).
-	dirtyRows []NodeID
+	// dirty lists, per direction (out, in), the nodes whose adjacency row
+	// was rebuilt or cleared.
+	dirty [2][]NodeID
 
 	// touchedLabels are the buckets whose membership changed; addsByLabel
 	// lists their surviving added nodes, ascending.
@@ -303,7 +307,7 @@ type batchEdits struct {
 }
 
 // survives reports whether v is live once the whole batch has applied.
-func (e *batchEdits) survives(v NodeID) bool { return !bitGet(e.ng.dead, int(v)) }
+func (e *batchEdits) survives(v NodeID) bool { return e.ng.Alive(v) }
 
 // applyPlan executes a validated plan: the copy-on-write merge, one phase
 // per structure of the frozen layout. Each phase starts from the base
@@ -322,14 +326,25 @@ func applyPlan(p *batchPlan) (*Graph, *ApplyResult) {
 	e.mergeDomains()
 	e.ng.measure()
 	e.patchDerived()
+	e.res.Touched.ChunkBytes = e.chunkBytes()
 	return e.ng, e.res
 }
 
-// grown returns a copy of s extended (zero-filled) to n elements.
-func grown[T any](s []T, n int) []T {
-	out := make([]T, n)
-	copy(out, s)
-	return out
+// chunkBytes sums what the new generation's per-node tables hold apart
+// from its base's.
+func (e *batchEdits) chunkBytes() int64 {
+	base, ng := e.p.base, e.ng
+	b := ng.nodeLabels.freshBytes(&base.nodeLabels) + ng.dead.freshBytes(&base.dead) + ng.out.freshBytes(&base.out) +
+		ng.in.freshBytes(&base.in) + ng.labelPos.freshBytes(&base.labelPos) + ng.sigOut.freshBytes(&base.sigOut) +
+		ng.sigIn.freshBytes(&base.sigIn) + ng.outRuns.freshBytes(&base.outRuns) + ng.inRuns.freshBytes(&base.inRuns)
+	for a := range ng.cols {
+		c, bc := &ng.cols[a], &column{}
+		if a < len(base.cols) {
+			bc = &base.cols[a]
+		}
+		b += c.present.freshBytes(&bc.present) + c.nums.freshBytes(&bc.nums) + c.strs.freshBytes(&bc.strs) + c.bools.freshBytes(&bc.bools)
+	}
+	return b
 }
 
 // internShared interns s into a dictionary the new generation shares with
@@ -383,14 +398,15 @@ func newGeneration(p *batchPlan) *batchEdits {
 		sort.Strings(ng.attrNames)
 	}
 
-	ng.nodeLabels = grown(base.nodeLabels, n)
+	ng.nodeLabels = base.nodeLabels.fork(n)
 	for i, label := range p.adds {
-		ng.nodeLabels[n0+i] = ng.labelIDs[label]
+		update(&ng.nodeLabels, n0+i, ng.labelIDs[label])
 	}
-	ng.dead = grown(base.dead, e.words)
-	ng.deadCount = base.deadCount + len(p.removed)
+	if ng.dead, ng.deadCount = base.dead, base.deadCount+len(p.removed); ng.deadCount > 0 {
+		ng.dead = base.dead.fork(e.words)
+	}
 	for v := range p.removed {
-		bitSet(ng.dead, int(v))
+		bitSet(&ng.dead, int(v))
 		if int(v) < n0 {
 			e.removedBase = append(e.removedBase, v)
 		}
@@ -398,12 +414,11 @@ func newGeneration(p *batchPlan) *batchEdits {
 	return e
 }
 
-// mergeAdjacency copies the row-header arrays and rebuilds only the rows
+// mergeAdjacency forks the row-header tables and rebuilds only the rows
 // the batch touches, recording which.
 func (e *batchEdits) mergeAdjacency() {
 	p, base, ng, res := e.p, e.p.base, e.ng, e.res
-	ng.out = grown(base.out, p.newN())
-	ng.in = grown(base.in, p.newN())
+	ng.out, ng.in = base.out.fork(p.newN()), base.in.fork(p.newN())
 
 	// Every edit becomes a signed instance count on the rows of its
 	// surviving endpoints, tallied into the result.
@@ -432,25 +447,27 @@ func (e *batchEdits) mergeAdjacency() {
 	// RemoveNode cascade over base edges: the dead node's rows are cleared
 	// and its instances leave every surviving neighbor's opposite row.
 	for _, v := range e.removedBase {
-		for _, ed := range base.out[v] {
+		for _, ed := range base.Out(v) {
 			delta(v, ed.To, ed.Label, -1)
 		}
-		for _, ed := range base.in[v] {
+		for _, ed := range base.In(v) {
 			if e.survives(ed.To) { // dead->dead edges were counted from the out side
 				delta(ed.To, v, ed.Label, -1)
 			}
 		}
-		ng.out[v], ng.in[v] = nil, nil
+		*ng.out.mut(int(v)), *ng.in.mut(int(v)) = nil, nil
 	}
 	ng.numEdges += res.EdgesAdded - res.EdgesRemoved
-	e.dirtyRows = slices.Clone(e.removedBase)
+	e.dirty = [2][]NodeID{slices.Clone(e.removedBase), slices.Clone(e.removedBase)}
 	for v, d := range out {
-		ng.out[v] = mergeRow(ng.out[v], d)
-		e.dirtyRows = append(e.dirtyRows, v)
+		row := ng.out.mut(int(v))
+		*row = mergeRow(*row, d)
+		e.dirty[0] = append(e.dirty[0], v)
 	}
 	for v, d := range in {
-		ng.in[v] = mergeRow(ng.in[v], d)
-		e.dirtyRows = append(e.dirtyRows, v)
+		row := ng.in.mut(int(v))
+		*row = mergeRow(*row, d)
+		e.dirty[1] = append(e.dirty[1], v)
 	}
 	res.Touched.OutRows, res.Touched.InRows = len(out), len(in)
 }
@@ -487,11 +504,11 @@ func (e *batchEdits) mergeBuckets() {
 	e.touchedLabels = make(map[LabelID]bool)
 	e.addsByLabel = make(map[LabelID][]NodeID)
 	for _, v := range e.removedBase {
-		e.touchedLabels[base.nodeLabels[v]] = true
+		e.touchedLabels[base.NodeLabelID(v)] = true
 	}
 	for _, id := range p.addIDs {
 		if e.survives(id) {
-			l := ng.nodeLabels[id]
+			l := ng.NodeLabelID(id)
 			e.touchedLabels[l] = true
 			e.addsByLabel[l] = append(e.addsByLabel[l], id)
 		}
@@ -551,8 +568,8 @@ func (e *batchEdits) collectCells() {
 func (e *batchEdits) eachCell(a AttrID, fn func(v NodeID, val Value)) {
 	if int(a) < len(e.p.base.cols) {
 		c, edits := &e.p.base.cols[a], e.cells[a]
-		for w, word := range c.present {
-			for ; word != 0; word &= word - 1 {
+		for w := 0; w < c.present.n; w++ {
+			for word := c.present.At(w); word != 0; word &= word - 1 {
 				v := NodeID(w<<6 + bits.TrailingZeros64(word))
 				for len(edits) > 0 && edits[0].node < v {
 					edits = edits[1:]
@@ -577,27 +594,27 @@ func (e *batchEdits) eachCell(a AttrID, fn func(v NodeID, val Value)) {
 // snapshot, a foreign kind written, emptied, new) goes through the column
 // builder over its surviving cells (note, alloc, put), so either way the
 // result carries exactly the layout Freeze would produce. Untouched columns
-// are shared, their presence bitmap extended when the slot count crossed a
+// are shared, their presence bitmap lengthened when the slot count crossed a
 // word boundary.
 func (e *batchEdits) mergeColumns() {
 	base, ng, n := e.p.base, e.ng, e.p.newN()
-	ng.cols = grown(base.cols, len(ng.attrTable))
+	ng.cols = slices.Concat(base.cols, make([]column, len(ng.attrTable)-len(base.cols)))
 	for a := range ng.cols {
 		c, edits := &ng.cols[a], e.cells[a]
 		switch {
 		case len(edits) == 0:
-			if len(c.present) < e.words {
-				c.present = grown(c.present, e.words)
+			if c.present.n < e.words {
+				c.present = c.present.fork(e.words)
 			}
 		case c.keepsLayout(edits):
-			c.present = grown(c.present, e.words)
+			c.present = c.present.fork(e.words)
 			switch {
-			case c.nums != nil:
-				c.nums = grown(c.nums, n)
-			case c.strs != nil:
-				c.strs = grown(c.strs, n)
+			case c.nums.n > 0:
+				c.nums = c.nums.fork(n)
+			case c.strs.n > 0:
+				c.strs = c.strs.fork(n)
 			default:
-				c.bools = grown(c.bools, e.words)
+				c.bools = c.bools.fork(e.words)
 			}
 			for _, ed := range edits {
 				c.unset(int(ed.node))
@@ -632,69 +649,61 @@ func (e *batchEdits) mergeIndexes() {
 	for a, edits := range e.cells {
 		for _, ed := range edits {
 			if e.survives(ed.node) {
-				e.touchedPairs[labelAttr{ng.nodeLabels[ed.node], AttrID(a)}] = true
+				e.touchedPairs[labelAttr{ng.NodeLabelID(ed.node), AttrID(a)}] = true
 			}
 		}
 	}
 	e.res.Touched.IndexesMerged = len(e.touchedPairs)
 	ng.indexes = maps.Clone(base.indexes)
-	edited := make([]uint64, e.words) // the pair's edited nodes, set around each merge
 	for k := range e.touchedPairs {
-		// moved lists the bucket members whose rank may have moved: the
-		// attribute's surviving edited nodes of this label, then the label's
-		// added nodes.
-		var moved []NodeID
+		// gone lists the base bucket members that leave the permutation: the
+		// removed ones and the attribute's edited ones; moved the members
+		// whose place is found again: the edited ones that survive, then the
+		// label's added nodes.
+		var gone, moved []NodeID
+		for _, v := range e.removedBase {
+			if base.NodeLabelID(v) == k.label {
+				gone = append(gone, v)
+			}
+		}
 		for _, ed := range e.cells[k.attr] {
-			bitSet(edited, int(ed.node))
-			if ed.node < n0 && ng.nodeLabels[ed.node] == k.label && e.survives(ed.node) {
-				moved = append(moved, ed.node)
+			if ed.node < n0 && base.NodeLabelID(ed.node) == k.label {
+				gone = append(gone, ed.node)
+				if e.survives(ed.node) {
+					moved = append(moved, ed.node)
+				}
 			}
 		}
 		moved = append(moved, e.addsByLabel[k.label]...)
-		if perm := mergeIndex(&ng.cols[k.attr], base.indexes[k], ng.byLabel[k.label], moved, ng.dead, edited); perm != nil {
+		if perm := mergeIndex(ng, base, k, gone, moved); perm != nil {
 			ng.indexes[k] = perm
 		} else {
 			delete(ng.indexes, k)
 		}
-		for _, ed := range e.cells[k.attr] {
-			edited[ed.node>>6] = 0
-		}
 	}
 }
 
-// mergeIndex produces the new permutation for one touched (label, attr)
-// pair: the old permutation minus dead and edited nodes (still sorted —
-// untouched values didn't move), with each of the moved bucket members, in
-// sorted order, placed by binary search and the stretches between them
-// copied whole. Returns nil when the attribute no longer occurs on any
-// bucket node (the index is dropped, as a fresh Freeze would).
-func mergeIndex(c *column, oldPerm, bucket, moved []NodeID, dead, edited []uint64) []NodeID {
+// mergeIndex produces ng's permutation for one touched (label, attr) pair
+// from base's, which the base column orders: the gone nodes leave it, found
+// by binary search (untouched values didn't move, so the rest stays
+// sorted), and each of the moved bucket members, in sorted order, is placed
+// by binary search — permIndex.merge copies only the pieces a change lands
+// in. Returns nil when the attribute no longer occurs on any bucket node
+// (the index is dropped, as a fresh Freeze would).
+func mergeIndex(ng, base *Graph, k labelAttr, gone, moved []NodeID) *permIndex {
+	c, bucket, old := &ng.cols[k.attr], ng.byLabel[k.label], base.indexes[k]
 	if !c.occursOn(bucket) {
 		return nil
 	}
-	if oldPerm == nil {
-		return sortedPerm(c, bucket)
+	if old == nil {
+		return &permIndex{flat: sortedPerm(c, bucket)}
 	}
-	kept := make([]NodeID, 0, len(bucket))
-	for _, v := range oldPerm {
-		if !bitGet(dead, int(v)) && !bitGet(edited, int(v)) {
-			kept = append(kept, v)
-		}
+	bc, at := &base.cols[k.attr], make([]int, len(gone))
+	for i, v := range gone {
+		at[i] = old.search(func(u NodeID) bool { return !bc.less(u, v) })
 	}
-	// Back to front inside the one array: each moved node goes after the
-	// kept nodes that sort below it, which slide right as one segment.
-	moved = sortedPerm(c, moved)
-	perm, hi := kept[:len(kept)+len(moved)], len(kept)
-	for w := len(perm); len(moved) > 0; moved = moved[:len(moved)-1] {
-		t := moved[len(moved)-1]
-		p := sort.Search(hi, func(i int) bool { return c.less(t, kept[i]) })
-		w -= hi - p
-		copy(perm[w:], kept[p:hi])
-		hi = p
-		w--
-		perm[w] = t
-	}
-	return perm
+	slices.Sort(at)
+	return old.merge(slices.Compact(at), sortedPerm(c, moved), c.less)
 }
 
 // mergeDomains maintains the active domain of every touched attribute: the
@@ -706,7 +715,7 @@ func mergeIndex(c *column, oldPerm, bucket, moved []NodeID, dead, edited []uint6
 // and unchanged domains are shared.
 func (e *batchEdits) mergeDomains() {
 	base, ng, n0 := e.p.base, e.ng, NodeID(e.p.baseN())
-	ng.domains = grown(base.domains, len(ng.attrTable))
+	ng.domains = slices.Concat(base.domains, make([][]Value, len(ng.attrTable)-len(base.domains)))
 	for a, edits := range e.cells {
 		if len(edits) == 0 {
 			continue
@@ -771,34 +780,34 @@ func (g *Graph) holds(a AttrID, x Value) bool {
 	return false
 }
 
-// patchDerived is the derived tables' touched-rows driver: copies of the
+// patchDerived is the derived tables' touched-rows pass: forks of the
 // base's tables, re-derived — by the kernels buildDerived loops over — for
 // the buckets whose membership changed, the removed slots and the rows
 // mergeAdjacency rebuilt (an added node's rows are among those, or empty).
-// The run tables' row width is a property of the label dictionary and the
-// slot count; when the batch moves it (a new label, the first node, the
-// cap crossed) no base row can be copied and every row is rebuilt.
+// The kernels write only the entries that change, so a chunk no changed
+// entry lands in stays shared. The run tables' row width is a property of
+// the label dictionary and the slot count; when the batch moves it (a new
+// label, the first node, the cap crossed) no base row can be kept and
+// every row is rebuilt.
 func (e *batchEdits) patchDerived() {
 	base, ng, n := e.p.base, e.ng, e.p.newN()
-	s := runTableStride(n, len(ng.labels))
-	if s != base.runStride {
+	if runTableStride(n, len(ng.labels)) != base.outRuns.stride {
 		ng.buildDerived()
 		e.res.Touched.DerivedRebuilt = true
 		return
 	}
-	ng.labelPos = grown(base.labelPos, n)
-	ng.sigOut, ng.sigIn = grown(base.sigOut, n), grown(base.sigIn, n)
-	if ng.runStride = s; s > 0 {
-		ng.outRunStart, ng.inRunStart = grown(base.outRunStart, n*s), grown(base.inRunStart, n*s)
-	}
+	ng.labelPos, ng.sigOut, ng.sigIn = base.labelPos.fork(n), base.sigOut.fork(n), base.sigIn.fork(n)
+	ng.outRuns, ng.inRuns = base.outRuns.fork(n), base.inRuns.fork(n)
 	for l := range e.touchedLabels {
 		ng.rankBucket(l)
 	}
 	for v := range e.p.removed {
-		ng.labelPos[v] = deadLabelPos
+		update(&ng.labelPos, int(v), deadLabelPos)
 	}
-	for _, v := range e.dirtyRows {
-		ng.deriveRow(int(v))
+	for dir, rows := range e.dirty {
+		for _, v := range rows {
+			ng.deriveRow(int(v), dir == 0)
+		}
 	}
 }
 
@@ -823,12 +832,12 @@ func computeDomain(c *column, n int) []Value {
 	switch {
 	case c.vals != nil || c.refs != nil:
 		// generic below
-	case c.nums != nil:
+	case c.nums.n > 0:
 		seen := make(map[float64]struct{}, 64)
 		nan := false
 		for i := 0; i < n && !nan; i++ {
 			if c.has(NodeID(i)) {
-				f := c.nums[i]
+				f := c.nums.At(i)
 				if f != f {
 					nan = true
 					break
@@ -848,11 +857,11 @@ func computeDomain(c *column, n int) []Value {
 			}
 			return out
 		}
-	case c.strs != nil:
+	case c.strs.n > 0:
 		seen := make(map[string]struct{}, 64)
 		for i := 0; i < n; i++ {
 			if c.has(NodeID(i)) {
-				seen[c.strs[i]] = struct{}{}
+				seen[c.strs.At(i)] = struct{}{}
 			}
 		}
 		ss := make([]string, 0, len(seen))
@@ -865,11 +874,11 @@ func computeDomain(c *column, n int) []Value {
 			out[i] = Str(s)
 		}
 		return out
-	case c.bools != nil:
+	case c.bools.n > 0:
 		var hasF, hasT bool
 		for i := 0; i < n && !(hasF && hasT); i++ {
 			if c.has(NodeID(i)) {
-				if bitGet(c.bools, i) {
+				if bitGet(&c.bools, i) {
 					hasT = true
 				} else {
 					hasF = true
@@ -901,6 +910,10 @@ func (g *Graph) Tombstones() []NodeID {
 		return nil
 	}
 	out := make([]NodeID, 0, g.deadCount)
-	Bitset{words: g.dead}.ForEach(func(i int) { out = append(out, NodeID(i)) })
+	for w := 0; w < g.dead.n; w++ {
+		for word := g.dead.At(w); word != 0; word &= word - 1 {
+			out = append(out, NodeID(w<<6+bits.TrailingZeros64(word)))
+		}
+	}
 	return out
 }

@@ -34,13 +34,17 @@ func liveBatch(g *graph.Graph) []graph.Mutation {
 }
 
 // TestApplyBatchWorkFollowsBatch: the same batch on a graph eight times the
-// size rebuilds the same structures and makes about as many allocations —
-// what grows with the graph is the size of the arrays copied, not the work
-// done on them.
+// size rebuilds the same structures, makes about as many allocations and
+// clones about as many table chunks — what grows with the graph is the
+// chunk-pointer arrays forked, not the work done. 40,000 is a multiple of
+// the chunk size, so there the batch's new node opens a fresh chunk at the
+// end of every per-node table; at 40,010 it lands in a copied tail chunk.
 func TestApplyBatchWorkFollowsBatch(t *testing.T) {
-	var touched [2]graph.Touched
-	var allocs [2]float64
-	for i, nodes := range []int{5000, 40000} {
+	sizes := []int{5000, 40000, 40010}
+	touched := make([]graph.Touched, len(sizes))
+	allocs := make([]float64, len(sizes))
+	chunks := make([]int64, len(sizes))
+	for i, nodes := range sizes {
 		g, err := gen.Build("lki", gen.Options{Nodes: nodes, Seed: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -53,14 +57,20 @@ func TestApplyBatchWorkFollowsBatch(t *testing.T) {
 		if err := graph.CheckInvariants(ng); err != nil {
 			t.Fatal(err)
 		}
-		touched[i] = res.Touched
+		touched[i], chunks[i] = res.Touched, res.Touched.ChunkBytes
+		touched[i].ChunkBytes = 0
 		allocs[i] = testing.AllocsPerRun(5, func() { graph.ApplyBatch(g, batch) })
 	}
-	if touched[0] != touched[1] {
-		t.Errorf("touched sizes differ:\n 5k: %+v\n40k: %+v", touched[0], touched[1])
+	for i := 1; i < len(sizes); i++ {
+		if touched[0] != touched[i] {
+			t.Errorf("touched sizes differ:\n%d: %+v\n%d: %+v", sizes[0], touched[0], sizes[i], touched[i])
+		}
+		if d := allocs[i] - allocs[0]; d < -16 || d > 16 {
+			t.Errorf("allocations per batch: %.0f on %d nodes, %.0f on %d", allocs[0], sizes[0], allocs[i], sizes[i])
+		}
+		if chunks[i] > 2*chunks[0] {
+			t.Errorf("chunk bytes per batch: %d on %d nodes, %d on %d", chunks[0], sizes[0], chunks[i], sizes[i])
+		}
 	}
-	if d := allocs[1] - allocs[0]; d < -16 || d > 16 {
-		t.Errorf("allocations per batch: %.0f on 5k nodes, %.0f on 40k", allocs[0], allocs[1])
-	}
-	t.Logf("touched %+v; allocs/batch %.0f (5k) %.0f (40k)", touched[0], allocs[0], allocs[1])
+	t.Logf("touched %+v; allocs/batch %v; chunk bytes %v (nodes %v)", touched[0], allocs, chunks, sizes)
 }

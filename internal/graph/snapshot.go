@@ -191,8 +191,8 @@ func (e *snapBuilder) ref(s string) uint32 {
 // colStr reads one present string value regardless of representation
 // (heap strings or mapped string-table refs).
 func colStr(c *column, i int) string {
-	if c.strs != nil {
-		return c.strs[i]
+	if c.strs.n > 0 {
+		return c.strs.At(i)
 	}
 	return c.tab.str(c.refs[i])
 }
@@ -246,7 +246,7 @@ func putValueInline(buf *bytes.Buffer, v Value) {
 
 func (e *snapBuilder) build() [][]byte {
 	g := e.g
-	n := len(g.nodeLabels)
+	n := g.NumNodes()
 
 	// SPIL: dictionaries first, then mixed-column payloads.
 	var spil bytes.Buffer
@@ -273,23 +273,27 @@ func (e *snapBuilder) build() [][]byte {
 
 	// NLBL.
 	var nlbl bytes.Buffer
-	for _, l := range g.nodeLabels {
-		putI32(&nlbl, int32(l))
-	}
+	g.nodeLabels.spans(func(ls []LabelID) {
+		for _, l := range ls {
+			putI32(&nlbl, int32(l))
+		}
+	})
 
 	// Adjacency: CSR offsets + flat edges per direction.
-	encodeAdj := func(adj [][]Edge) (offs, edges []byte) {
+	encodeAdj := func(adj Table[[]Edge]) (offs, edges []byte) {
 		var ob, eb bytes.Buffer
 		total := uint64(0)
 		putU64s(&ob, 0)
-		for _, es := range adj {
-			total += uint64(len(es))
-			putU64s(&ob, total)
-			for _, ed := range es {
-				putI32(&eb, int32(ed.To))
-				putI32(&eb, int32(ed.Label))
+		adj.spans(func(rows [][]Edge) {
+			for _, es := range rows {
+				total += uint64(len(es))
+				putU64s(&ob, total)
+				for _, ed := range es {
+					putI32(&eb, int32(ed.To))
+					putI32(&eb, int32(ed.Label))
+				}
 			}
-		}
+		})
 		return ob.Bytes(), eb.Bytes()
 	}
 	ooff, oedg := encodeAdj(g.out)
@@ -324,9 +328,7 @@ func (e *snapBuilder) build() [][]byte {
 		chdr.Write(u32b[:])
 		binary.LittleEndian.PutUint32(u32b[:], uint32(c.count))
 		chdr.Write(u32b[:])
-		for _, w := range c.present {
-			putU64s(&pres, w)
-		}
+		c.present.spans(func(ws []uint64) { putU64s(&pres, ws...) })
 		if c.count == 0 {
 			continue
 		}
@@ -334,13 +336,15 @@ func (e *snapBuilder) build() [][]byte {
 		// base's slot count (ApplyBatch shares it); the slots past it are absent.
 		switch c.kind {
 		case KindNumber:
-			for _, x := range c.nums {
-				putU64s(&nums, math.Float64bits(x))
-			}
-			nums.Write(make([]byte, 8*(n-len(c.nums))))
+			c.nums.spans(func(xs []float64) {
+				for _, x := range xs {
+					putU64s(&nums, math.Float64bits(x))
+				}
+			})
+			nums.Write(make([]byte, 8*(n-c.nums.n)))
 		case KindBool:
-			putU64s(&boolb, c.bools...)
-			boolb.Write(make([]byte, 8*(len(c.present)-len(c.bools))))
+			c.bools.spans(func(ws []uint64) { putU64s(&boolb, ws...) })
+			boolb.Write(make([]byte, 8*(c.present.n-c.bools.n)))
 		case KindString:
 			for i := 0; i < n; i++ {
 				r := uint32(0)
@@ -369,22 +373,21 @@ func (e *snapBuilder) build() [][]byte {
 	for _, k := range keys {
 		putI32(&ikey, int32(k.label))
 		putI32(&ikey, int32(k.attr))
-		for _, v := range g.indexes[k] {
+		for _, v := range g.indexes[k].nodes() {
 			putI32(&iprm, int32(v))
 		}
 	}
 
 	// Derived tables — serialized so mapped open skips buildDerived.
-	var lpos, sigo, sigi bytes.Buffer
-	putU64s(&lpos, g.labelPos...)
-	putU64s(&sigo, g.sigOut...)
-	putU64s(&sigi, g.sigIn...)
-	var orun, irun bytes.Buffer
-	for _, x := range g.outRunStart {
-		putI32(&orun, x)
-	}
-	for _, x := range g.inRunStart {
-		putI32(&irun, x)
+	var lpos, sigo, sigi, orun, irun bytes.Buffer
+	g.labelPos.spans(func(xs []uint64) { putU64s(&lpos, xs...) })
+	g.sigOut.spans(func(xs []uint64) { putU64s(&sigo, xs...) })
+	g.sigIn.spans(func(xs []uint64) { putU64s(&sigi, xs...) })
+	for v := 0; v < n && g.outRuns.Valid(); v++ {
+		for l, x := range g.outRuns.row(v) {
+			putI32(&orun, x)
+			putI32(&irun, g.inRuns.row(v)[l])
+		}
 	}
 
 	// DOM2 (varint, inline strings).
@@ -413,7 +416,7 @@ func (e *snapBuilder) build() [][]byte {
 		uint64(g.maxOutDeg), uint64(g.maxInDeg),
 		uint64(g.mem.ColumnBytes), uint64(g.mem.IndexBytes), uint64(g.mem.Indexes),
 		uint64(len(bucketLabels)), uint64(len(e.strs)), blobLen,
-		uint64(g.runStride), uint64(spilLen), uint64(dom2Len))
+		uint64(g.outRuns.stride), uint64(spilLen), uint64(dom2Len))
 
 	return [][]byte{
 		padded(met2.Bytes()), padded(spil.Bytes()), padded(stro.Bytes()), padded(strb.Bytes()),
@@ -787,7 +790,8 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 	g.strTab = &strTable{offs: offs, blob: sections["STRB"].payload[:meta.strBlobLen]}
 
 	// Node labels (range-checked in the parallel phase below).
-	g.nodeLabels = viewLabelIDs(sections["NLBL"].payload[:4*n])
+	nodeLabels := viewLabelIDs(sections["NLBL"].payload[:4*n])
+	g.nodeLabels = flatTable(nodeLabels)
 
 	// Adjacency: CSR views + per-node slice headers, validated against the
 	// frozen sort order, the declared degrees, the signature tables and —
@@ -799,7 +803,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 	// one comparison per edge instead of a second full replay.
 	sigOut := viewU64(sections["SIGO"].payload[:8*n])
 	sigIn := viewU64(sections["SIGI"].payload[:8*n])
-	g.sigOut, g.sigIn = sigOut, sigIn
+	g.sigOut, g.sigIn = flatTable(sigOut), flatTable(sigIn)
 	decodeAdj := func(offTag, edgeTag, sigTag, runTag string, sigs []uint64, starts []int32, wantMaxDeg int) ([][]Edge, error) {
 		csr := viewU64(sections[offTag].payload[:8*(n+1)])
 		edges := viewEdges(sections[edgeTag].payload[:8*meta.edges])
@@ -906,15 +910,13 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 	// Bucket, position and run-table views; contents are validated in the
 	// parallel phase.
 	lpos := viewU64(sections["LPOS"].payload[:8*n])
-	g.labelPos = lpos
+	g.labelPos = flatTable(lpos)
 	bucketLabels := viewLabelIDs(sections["BLBL"].payload[:4*meta.buckets])
 	boff := viewU64(sections["BOFF"].payload[:8*(meta.buckets+1)])
 	bmem := viewNodeIDs(sections["BMEM"].payload[:4*n])
-	if meta.runStride > 0 {
-		g.runStride = meta.runStride
-		g.outRunStart = viewI32(sections["ORUN"].payload[:4*n*meta.runStride])
-		g.inRunStart = viewI32(sections["IRUN"].payload[:4*n*meta.runStride])
-	}
+	orun := viewI32(sections["ORUN"].payload[:4*n*meta.runStride])
+	irun := viewI32(sections["IRUN"].payload[:4*n*meta.runStride])
+	g.outRuns, g.inRuns = flatRuns(orun, meta.runStride), flatRuns(irun, meta.runStride)
 
 	// Columns: headers, presence bitmaps and typed payload views are
 	// assigned here (the spill cursor is sequential, so mixed columns must
@@ -938,7 +940,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 			return nil, secErr("CHDR", "attribute %d: count %d exceeds %d nodes", a, cnt, n)
 		}
 		c.kind, c.count = kind, int(cnt)
-		c.present = viewU64(presAll[8*words*a : 8*words*(a+1)])
+		c.present = flatTable(viewU64(presAll[8*words*a : 8*words*(a+1)]))
 		if c.count == 0 {
 			if kind != KindNull {
 				return nil, secErr("CHDR", "attribute %d: kind %d with zero count", a, kind)
@@ -950,13 +952,13 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 			if len(numsAll) < numOff+8*n {
 				return nil, secErr("NUMS", "attribute %d: truncated float payload", a)
 			}
-			c.nums = viewF64(numsAll[numOff : numOff+8*n])
+			c.nums = flatTable(viewF64(numsAll[numOff : numOff+8*n]))
 			numOff += 8 * n
 		case KindBool:
 			if len(boolAll) < boolOff+8*words {
 				return nil, secErr("BOOL", "attribute %d: truncated bool bitmap", a)
 			}
-			c.bools = viewU64(boolAll[boolOff : boolOff+8*words])
+			c.bools = flatTable(viewU64(boolAll[boolOff : boolOff+8*words]))
 			boolOff += 8 * words
 		case KindString:
 			if len(srefAll) < srefOff+4*n {
@@ -968,7 +970,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 		default: // KindNull with count > 0: mixed values from the spill
 			c.vals = make([]Value, n)
 			for i := 0; i < n; i++ {
-				if bitGet(c.present, i) {
+				if bitGet(&c.present, i) {
 					if c.vals[i], err = spil.valueInline(); err != nil {
 						return nil, err
 					}
@@ -1009,16 +1011,16 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 
 	// Out- and in-adjacency, each validated jointly with its run table.
 	task(0, func() error {
-		adj, err := decodeAdj("OOFF", "OEDG", "SIGO", "ORUN", sigOut, g.outRunStart, meta.maxOutDeg)
+		adj, err := decodeAdj("OOFF", "OEDG", "SIGO", "ORUN", sigOut, orun, meta.maxOutDeg)
 		if err == nil {
-			g.out = adj
+			g.out = flatTable(adj)
 		}
 		return err
 	})
 	task(1, func() error {
-		adj, err := decodeAdj("IOFF", "IEDG", "SIGI", "IRUN", sigIn, g.inRunStart, meta.maxInDeg)
+		adj, err := decodeAdj("IOFF", "IEDG", "SIGI", "IRUN", sigIn, irun, meta.maxInDeg)
 		if err == nil {
-			g.in = adj
+			g.in = flatTable(adj)
 		}
 		return err
 	})
@@ -1053,8 +1055,8 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 				if uint32(v) >= uint32(n) {
 					return secErr("BMEM", "label %d member %d out of range [0,%d)", l, v, n)
 				}
-				if g.nodeLabels[v] != l {
-					return secErr("BMEM", "node %d filed under label %d but carries label %d", v, l, g.nodeLabels[v])
+				if nodeLabels[v] != l {
+					return secErr("BMEM", "node %d filed under label %d but carries label %d", v, l, nodeLabels[v])
 				}
 				if j > 0 && members[j-1] >= v {
 					return secErr("BMEM", "label %d members not strictly ascending at position %d", l, j)
@@ -1073,43 +1075,40 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 	task(3, func() error {
 		for a := range g.cols {
 			c := &g.cols[a]
-			pop := 0
-			for _, w := range c.present {
-				pop += bits.OnesCount64(w)
-			}
-			if n%64 != 0 && words > 0 && c.present[words-1]>>(uint(n%64)) != 0 {
+			pop := Bitset{words: c.present.flat}.Count()
+			if n%64 != 0 && words > 0 && c.present.At(words-1)>>(uint(n%64)) != 0 {
 				return secErr("PRES", "attribute %d: presence bitmap has bits beyond node %d", a, n-1)
 			}
 			if pop != c.count {
 				return secErr("PRES", "attribute %d: presence bitmap has %d bits, count says %d", a, pop, c.count)
 			}
 			switch {
-			case c.nums != nil:
+			case c.nums.n > 0:
 				// Word-at-a-time: only absent slots are inspected, so a
 				// dense column costs one popcounted word per 64 nodes.
-				for w, pw := range c.present {
-					absent := ^pw
+				for w := 0; w < words; w++ {
+					absent := ^c.present.At(w)
 					if w == words-1 && n%64 != 0 {
 						absent &= 1<<uint(n%64) - 1
 					}
 					for absent != 0 {
 						i := w*64 + bits.TrailingZeros64(absent)
-						if math.Float64bits(c.nums[i]) != 0 {
+						if math.Float64bits(c.nums.At(i)) != 0 {
 							return secErr("NUMS", "attribute %d: nonzero payload at absent node %d", a, i)
 						}
 						absent &= absent - 1
 					}
 				}
-			case c.bools != nil:
-				for w := range c.bools {
-					if c.bools[w]&^c.present[w] != 0 {
+			case c.bools.n > 0:
+				for w := 0; w < words; w++ {
+					if c.bools.At(w)&^c.present.At(w) != 0 {
 						return secErr("BOOL", "attribute %d: bool bitmap sets bits outside the presence bitmap", a)
 					}
 				}
 			case c.refs != nil:
 				for i := 0; i < n; i++ {
 					r := c.refs[i]
-					if (r != 0) != bitGet(c.present, i) {
+					if (r != 0) != bitGet(&c.present, i) {
 						return secErr("SREF", "attribute %d: ref/presence mismatch at node %d", a, i)
 					}
 					if r > uint32(meta.strCount) {
@@ -1126,7 +1125,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 	// two could disagree fails task 2, so whenever the open succeeds the
 	// extents used here are the bucket contents.
 	task(4, func() error {
-		g.indexes = make(map[labelAttr][]NodeID, meta.mem.Indexes)
+		g.indexes = make(map[labelAttr]*permIndex, meta.mem.Indexes)
 		prmOff := 0
 		var prevKey labelAttr
 		for i := 0; i < meta.mem.Indexes; i++ {
@@ -1153,12 +1152,12 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 			perm := iprm[prmOff : prmOff+size]
 			prmOff += size
 			c := &g.cols[key.attr]
-			if c.kind == KindNumber && c.nums != nil {
-				if err := checkNumPerm(c, perm, g.nodeLabels, key, n); err != nil {
+			if c.kind == KindNumber && c.nums.n > 0 {
+				if err := checkNumPerm(c, perm, nodeLabels, key, n); err != nil {
 					return err
 				}
 			} else if c.kind == KindString && c.refs != nil {
-				if err := checkStrPerm(c, g.strTab, perm, g.nodeLabels, key, n); err != nil {
+				if err := checkStrPerm(c, g.strTab, perm, nodeLabels, key, n); err != nil {
 					return err
 				}
 			} else {
@@ -1166,8 +1165,8 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 					if uint32(v) >= uint32(n) {
 						return secErr("IPRM", "index (%d, %d) entry %d out of range [0,%d)", key.label, key.attr, v, n)
 					}
-					if g.nodeLabels[v] != key.label {
-						return secErr("IPRM", "index (%d, %d) lists node %d of label %d", key.label, key.attr, v, g.nodeLabels[v])
+					if nodeLabels[v] != key.label {
+						return secErr("IPRM", "index (%d, %d) lists node %d of label %d", key.label, key.attr, v, nodeLabels[v])
 					}
 					if j > 0 {
 						cmp := compareColNodes(c, g.strTab, perm[j-1], v)
@@ -1177,7 +1176,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 					}
 				}
 			}
-			g.indexes[key] = perm
+			g.indexes[key] = &permIndex{flat: perm}
 		}
 		if pad8(4*prmOff) != len(sections["IPRM"].payload) {
 			return secErr("IPRM", "section holds %d entries, indexes need %d", len(iprm), prmOff)
@@ -1237,8 +1236,8 @@ func checkNumPerm(c *column, perm []NodeID, nodeLabels []LabelID, key labelAttr,
 			return secErr("IPRM", "index (%d, %d) lists node %d of label %d", key.label, key.attr, v, nodeLabels[v])
 		}
 		bad := false
-		switch x := c.nums[v]; {
-		case !bitGet(c.present, int(v)):
+		switch x := c.nums.At(int(v)); {
+		case !bitGet(&c.present, int(v)):
 			bad = ph != phAbsent || (j > 0 && perm[j-1] >= v)
 		case math.IsNaN(x):
 			bad = ph > phNaN || (ph == phNaN && perm[j-1] >= v)
@@ -1325,12 +1324,12 @@ func compareColNodes(c *column, tab *strTable, u, v NodeID) int {
 		default:
 			return bytes.Compare(tab.bytesAt(int(ru)-1), tab.bytesAt(int(rv)-1))
 		}
-	case c.nums != nil:
+	case c.nums.n > 0:
 		pu, pv := c.has(u), c.has(v)
 		if !pu || !pv {
 			return boolCmp(pu, pv) // Null sorts before any number
 		}
-		nu, nv := c.nums[u], c.nums[v]
+		nu, nv := c.nums.At(int(u)), c.nums.At(int(v))
 		un, vn := math.IsNaN(nu), math.IsNaN(nv)
 		switch {
 		case un || vn:
@@ -1342,12 +1341,12 @@ func compareColNodes(c *column, tab *strTable, u, v NodeID) int {
 		default:
 			return 0
 		}
-	case c.bools != nil:
+	case c.bools.n > 0:
 		pu, pv := c.has(u), c.has(v)
 		if !pu || !pv {
 			return boolCmp(pu, pv)
 		}
-		return boolCmp(bitGet(c.bools, int(u)), bitGet(c.bools, int(v)))
+		return boolCmp(bitGet(&c.bools, int(u)), bitGet(&c.bools, int(v)))
 	default:
 		return c.value(u).Compare(c.value(v))
 	}

@@ -29,12 +29,14 @@ func writeSnapshotTemp(t testing.TB, g *Graph) string {
 // graph — parse+Freeze, heap-decode of the snapshot, mapped open of the
 // same file — must be indistinguishable through the whole read API,
 // including bit-identical floats, NaN payloads, mixed-kind columns, sorted
-// indexes and lazily-materialized strings and domains.
+// indexes and lazily-materialized strings and domains — and a batch forked
+// from the mapped base, which points its full chunks into the mapping and
+// copies each tail, must equal the same batch on the built graph.
 func TestOpenSnapshotMappedDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		seed int64
 		n    int
-	}{{21, 0}, {22, 1}, {23, 64}, {24, 300}} {
+	}{{21, 0}, {22, 1}, {23, 64}, {24, 300}, {25, chunkLen - 1}, {26, chunkLen}, {27, chunkLen + 1}, {28, 2*chunkLen + 1}} {
 		t.Run(fmt.Sprintf("seed%d_n%d", tc.seed, tc.n), func(t *testing.T) {
 			g := snapshotTestGraph(t, tc.seed, tc.n)
 			path := writeSnapshotTemp(t, g)
@@ -57,6 +59,17 @@ func TestOpenSnapshotMappedDifferential(t *testing.T) {
 			assertGraphDeepEqual(t, g, heap)
 			assertGraphDeepEqual(t, g, mapped)
 			assertGraphDeepEqual(t, heap, mapped)
+			if tc.n < 2 {
+				return
+			}
+			last, m := NodeID(tc.n-1), modelFrom(g)
+			batch := []Mutation{set(last, "score", Int(1)), {Op: MutAddEdge, From: 0, To: last, Label: "knows"}, addP("Org")}
+			got, _, err := ApplyBatch(mapped, batch)
+			if err != nil || m.applyBatch(batch) != nil {
+				t.Fatal(err)
+			}
+			defer got.Close()
+			checkAgainstModel(t, got, m)
 		})
 	}
 }

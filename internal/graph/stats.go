@@ -43,8 +43,8 @@ func Summarize(g *Graph) Stats {
 	s.MaxInDegree = g.maxInDeg
 	s.MaxAdom = g.MaxActiveDomain()
 	edgeLabels := map[LabelID]bool{}
-	for i := range g.out {
-		for _, e := range g.out[i] {
+	for i := 0; i < s.Nodes; i++ {
+		for _, e := range g.Out(NodeID(i)) {
 			edgeLabels[e.Label] = true
 		}
 	}
@@ -103,7 +103,7 @@ func (h *Neighborhood) Walk(g *Graph, seeds []NodeID, d int) []NodeID {
 	for hop, lo := 0, 0; hop < d && lo < len(nodes); hop++ {
 		hi := len(nodes)
 		for _, v := range nodes[lo:hi] {
-			for _, es := range [2][]Edge{g.out[v], g.in[v]} {
+			for _, es := range [2][]Edge{g.Out(v), g.In(v)} {
 				for _, e := range es {
 					if w, b := &seen[e.To>>6], uint64(1)<<(uint(e.To)&63); *w&b == 0 {
 						*w |= b

@@ -58,7 +58,7 @@ func (d *Domains) capture(m *Matcher, p *plan, narrowed bool) {
 		} else {
 			// A node without constraint edges has no bitset in the plan.
 			for _, v := range p.cands[i] {
-				set.Set(int(uint32(m.labelPos[v])))
+				set.Set(int(uint32(m.labelPos.At(int(v)))))
 			}
 		}
 		d.sets[ni], d.sizes[ni] = set, len(p.cands[i])

@@ -178,16 +178,15 @@ type Matcher struct {
 	wordsUsed int
 
 	// Frozen-graph tables captured at New (shared, read-only). The inner
-	// loops index them directly so the compiler keeps them register- and
-	// inline-friendly: outAdj/inAdj are the sorted adjacency lists,
-	// outRuns/inRuns the run-boundary tables (nil past the graph's size
-	// cap, in which case Graph.EdgeRun is the fallback), labelPos the
+	// loops read them through their inlined At and Span instead of Graph
+	// accessor calls: outAdj/inAdj are the sorted adjacency lists,
+	// outRuns/inRuns the run-boundary tables (not Valid past the graph's
+	// size cap, in which case Graph.EdgeRun is the fallback), labelPos the
 	// packed label+rank table, sigOut/sigIn the neighborhood signatures.
-	outAdj, inAdj   [][]graph.Edge
-	outRuns, inRuns []int32
-	runStride       int
-	labelPos        []uint64
-	sigOut, sigIn   []uint64
+	outAdj, inAdj   graph.Table[[]graph.Edge]
+	outRuns, inRuns graph.Runs
+	labelPos        graph.Table[uint64]
+	sigOut, sigIn   graph.Table[uint64]
 }
 
 // New returns a Matcher over a frozen graph with isomorphism semantics.
@@ -197,8 +196,7 @@ func New(g *graph.Graph) *Matcher {
 	}
 	m := &Matcher{G: g, used: make([]uint64, (g.NumNodes()+63)/64)}
 	m.outAdj, m.inAdj = g.Adjacency(true), g.Adjacency(false)
-	m.outRuns, m.runStride = g.RunStarts(true)
-	m.inRuns, _ = g.RunStarts(false)
+	m.outRuns, m.inRuns = g.RunStarts(true), g.RunStarts(false)
 	m.labelPos = g.LabelPosTable()
 	m.sigOut, m.sigIn = g.SignatureTables()
 	return m
@@ -206,15 +204,15 @@ func New(g *graph.Graph) *Matcher {
 
 // runLen is len(EdgeRun(v, label, outgoing)) via the boundary tables.
 func (m *Matcher) runLen(v graph.NodeID, label graph.LabelID, outgoing bool) int {
-	starts := m.outRuns
+	runs := &m.outRuns
 	if !outgoing {
-		starts = m.inRuns
+		runs = &m.inRuns
 	}
-	if starts == nil {
+	if !runs.Valid() {
 		return len(m.G.EdgeRun(v, label, outgoing))
 	}
-	b := int(v)*m.runStride + int(label)
-	return int(starts[b+1] - starts[b])
+	lo, hi := runs.Span(v, label)
+	return int(hi - lo)
 }
 
 func (m *Matcher) usedGet(v graph.NodeID) bool { return m.used[v>>6]&(1<<uint(v&63)) != 0 }
@@ -282,11 +280,11 @@ type planEdge struct {
 	fresh bool
 }
 
-// inSet reports whether v is in plan node i's candidate set: the label must
-// match (bitset positions are label-local) and the bit at v's label rank
-// must be set. The packed label+rank table resolves both in one load.
-func (m *Matcher) inSet(p *plan, i int, v graph.NodeID) bool {
-	lp := m.labelPos[v]
+// inSet reports whether the node whose packed label+rank is lp is in plan
+// node i's candidate set: the label must match (bitset positions are
+// label-local) and the bit at the node's label rank must be set. The packed
+// label+rank table resolves both in one load, which the caller makes.
+func (p *plan) inSet(i int, lp uint64) bool {
 	return graph.LabelID(lp>>32) == p.labels[i] && p.candBits[i].Get(int(uint32(lp)))
 }
 
@@ -451,7 +449,7 @@ func (m *Matcher) buildPlan(q *query.Instance, pin int, within []graph.NodeID, s
 		case i == p.rootIdx && within != nil:
 			cands = m.arenaIDs(len(within))
 			for _, v := range within {
-				lp := m.labelPos[v]
+				lp := m.labelPos.At(int(v))
 				if graph.LabelID(lp>>32) != p.labels[i] || had > 0 && !seed.sets[ni].Get(int(uint32(lp))) {
 					continue
 				}
@@ -601,7 +599,7 @@ func (m *Matcher) structurePrune(p *plan, i int, cands []graph.NodeID) []graph.N
 
 // structureAdmits reports whether v passes node requirement req.
 func (m *Matcher) structureAdmits(req nodeReq, v graph.NodeID) bool {
-	if req.sigOut&^m.sigOut[v] != 0 || req.sigIn&^m.sigIn[v] != 0 {
+	if req.sigOut&^m.sigOut.At(int(v)) != 0 || req.sigIn&^m.sigIn.At(int(v)) != 0 {
 		return false
 	}
 	for _, c := range req.counts {
@@ -794,7 +792,7 @@ func (m *Matcher) propagate(p *plan) bool {
 				// Rebuild the slice form in place from the surviving bits.
 				kept := p.cands[i][:0]
 				for _, v := range p.cands[i] {
-					if p.candBits[i].Get(int(uint32(m.labelPos[v]))) {
+					if p.candBits[i].Get(int(uint32(m.labelPos.At(int(v))))) {
 						kept = append(kept, v)
 					}
 				}
@@ -872,18 +870,18 @@ func (m *Matcher) expandNew(p *plan, pending int) bool {
 // candidate set of pe.other: the neighbor's candidates mark their
 // adjacency-run endpoints.
 func (m *Matcher) markSupport(mask []uint64, p *plan, i int, pe planEdge) {
-	lbl := p.labels[i]
+	lbl, lpos := p.labels[i], &m.labelPos
 	// The arc's edges seen from the neighbor side: flip the direction.
-	adj, starts := m.outAdj, m.outRuns
+	adj, runs := &m.outAdj, &m.outRuns
 	if pe.outgoing {
-		adj, starts = m.inAdj, m.inRuns
+		adj, runs = &m.inAdj, &m.inRuns
 	}
-	if starts != nil {
-		// Manually inlined run lookup — this is the propagation kernel.
+	if runs.Valid() {
+		// Run lookup on the captured tables — this is the propagation kernel.
 		for _, w := range p.cands[pe.other] {
-			b := int(w)*m.runStride + int(pe.label)
-			for _, e := range adj[w][starts[b]:starts[b+1]] {
-				lp := m.labelPos[e.To]
+			lo, hi := runs.Span(w, pe.label)
+			for _, e := range adj.At(int(w))[lo:hi] {
+				lp := lpos.At(int(e.To))
 				if graph.LabelID(lp>>32) == lbl {
 					mask[uint32(lp)>>6] |= 1 << (uint32(lp) & 63)
 				}
@@ -893,7 +891,7 @@ func (m *Matcher) markSupport(mask []uint64, p *plan, i int, pe planEdge) {
 	}
 	for _, w := range p.cands[pe.other] {
 		for _, e := range m.G.EdgeRun(w, pe.label, !pe.outgoing) {
-			lp := m.labelPos[e.To]
+			lp := lpos.At(int(e.To))
 			if graph.LabelID(lp>>32) == lbl {
 				mask[uint32(lp)>>6] |= 1 << (uint32(lp) & 63)
 			}
@@ -930,21 +928,21 @@ func (m *Matcher) reviseArc(p *plan, i int, pe planEdge) (shrunk, nonEmpty bool)
 // than the semijoin when i's set is the smaller side.
 func (m *Matcher) probeArc(p *plan, i int, pe planEdge) (shrunk, nonEmpty bool) {
 	bits := p.candBits[i]
-	adj, starts := m.inAdj, m.inRuns
+	adj, runs := &m.inAdj, &m.inRuns
 	if pe.outgoing {
-		adj, starts = m.outAdj, m.outRuns
+		adj, runs = &m.outAdj, &m.outRuns
 	}
 	for _, v := range p.cands[i] {
-		es := adj[v]
-		if starts != nil {
-			b := int(v)*m.runStride + int(pe.label)
-			es = es[starts[b]:starts[b+1]]
+		es := adj.At(int(v))
+		if runs.Valid() {
+			lo, hi := runs.Span(v, pe.label)
+			es = es[lo:hi]
 		} else {
 			es = m.G.EdgeRun(v, pe.label, pe.outgoing)
 		}
 		ok := false
 		for _, e := range es {
-			if m.inSet(p, pe.other, e.To) {
+			if p.inSet(pe.other, m.labelPos.At(int(e.To))) {
 				ok = true
 				break
 			}
@@ -952,7 +950,7 @@ func (m *Matcher) probeArc(p *plan, i int, pe planEdge) (shrunk, nonEmpty bool) 
 		if ok {
 			nonEmpty = true
 		} else {
-			bits.Clear(int(uint32(m.labelPos[v])))
+			bits.Clear(int(uint32(m.labelPos.At(int(v)))))
 			shrunk = true
 		}
 	}
@@ -1281,7 +1279,7 @@ func (m *Matcher) try(p *plan, depth, ui int, v graph.NodeID, skipEdge int) bool
 	}
 	// A candidate drawn from p.cands[ui] itself (skipEdge < 0) is a member
 	// by construction; pivot-generated candidates must pass the bitset.
-	if skipEdge >= 0 && !m.inSet(p, ui, v) {
+	if skipEdge >= 0 && !p.inSet(ui, m.labelPos.At(int(v))) {
 		return false
 	}
 	if !m.consistent(p, ui, v, skipEdge) {

@@ -91,7 +91,7 @@ func planSets(t *testing.T, m *Matcher, p *plan) [][]graph.NodeID {
 			t.Fatalf("%s node %d: bitset holds %d, slice %d", p.q, ni, got, len(p.cands[i]))
 		}
 		for _, v := range p.cands[i] {
-			if !m.inSet(p, i, v) {
+			if !p.inSet(i, m.labelPos.At(int(v))) {
 				t.Fatalf("%s node %d: candidate %d missing from the bitset", p.q, ni, v)
 			}
 		}

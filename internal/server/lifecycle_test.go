@@ -135,7 +135,7 @@ func TestMetricsKeyStability(t *testing.T) {
 		distCache.evals distCache.hits distCache.misses
 		jobs.cancelled jobs.done jobs.failed jobs.queueDepth jobs.shed jobs.states jobs.submitted
 		storage.mutations.batches storage.mutations.checkpointFails storage.mutations.checkpoints
-		storage.mutations.compactions storage.mutations.ops storage.mutations.rejected
+		storage.mutations.chunkBytes storage.mutations.compactions storage.mutations.ops storage.mutations.rejected
 		storage.snapshots.fallbacks storage.snapshots.loadMs storage.snapshots.loads
 		storage.snapshots.mappedBytes storage.snapshots.mmapLoads storage.snapshots.orphansCleaned
 		storage.snapshots.tmpCleaned storage.snapshots.writeFails storage.snapshots.writes
@@ -164,6 +164,9 @@ func TestMetricsKeyStability(t *testing.T) {
 	storage := s.MetricsSnapshot()["storage"].(map[string]any)
 	if got := storage["mutations"].(map[string]any)["ops"]; got != int64(1) {
 		t.Errorf("storage.mutations.ops = %v, want 1", got)
+	}
+	if got, _ := storage["mutations"].(map[string]any)["chunkBytes"].(int64); got <= 0 {
+		t.Errorf("storage.mutations.chunkBytes = %v, want the removal's cloned chunks", got)
 	}
 	if got := storage["wal"].(map[string]any)["resets"]; got != int64(1) {
 		t.Errorf("storage.wal.resets = %v, want 1", got)

@@ -82,6 +82,7 @@ type mutationStats struct {
 	compactions     atomic.Int64 // Live.Compact runs
 	checkpoints     atomic.Int64 // compactions fully persisted (snapshot + log reset)
 	checkpointFails atomic.Int64 // compactions whose persistence failed
+	chunkBytes      atomic.Int64 // table chunks the batches cloned or added (graph.Touched.ChunkBytes)
 }
 
 // Registry holds named, frozen graphs and hands out ref-counted handles.
@@ -330,6 +331,7 @@ func (r *Registry) Mutate(name string, ops []graph.Mutation) (*MutateResult, err
 	}
 	r.muts.batches.Add(1)
 	r.muts.ops.Add(int64(len(ops)))
+	r.muts.chunkBytes.Add(res.Touched.ChunkBytes)
 	entry.mutOps.Add(int64(len(ops)))
 	ng := r.swapServed(entry)
 
