@@ -172,7 +172,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "online: processed %d, final ε=%.4f\n", res.Processed, res.Eps)
-		printInherited(res.Stats)
+		printWork(res.Stats)
 		printSet(g, res.Set, *verbose)
 		if *save != "" {
 			if err := saveTo(*save, func(w *os.File) error {
@@ -195,10 +195,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cand-cache: %d hits / %d misses (%d evictions, %d entries)\n",
 			cs.Hits, cs.Misses, cs.Evictions, cs.Entries)
 	}
-	printInherited(res.Stats)
+	printWork(res.Stats)
 	if ds := res.Stats.DistCache; ds.Evals > 0 {
-		fmt.Fprintf(os.Stderr, "dist-cache: %d evals, %d hits / %d misses (%d entries); %d incremental scores; %d split scores, %v scoring\n",
-			ds.Evals, ds.Hits, ds.Misses, ds.Entries, res.Stats.IncScores, res.Stats.ScoreSplits, res.Stats.ScoreWall.Round(time.Microsecond))
+		fmt.Fprintf(os.Stderr, "dist-cache: %d evals, %d hits / %d misses (%d entries); %d incremental scores; %d split scores\n",
+			ds.Evals, ds.Hits, ds.Misses, ds.Entries, res.Stats.IncScores, res.Stats.ScoreSplits)
 	}
 	printSet(g, res.Set, *verbose)
 	if *save != "" {
@@ -268,9 +268,14 @@ func indent(s, prefix string) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// printInherited prints what the run's verifications took from their parents
-// instead of computing it: matcher arcs, answers and ancestors looked up.
-func printInherited(st fairsqg.Stats) {
+// printWork prints what the verifications took from their parents (matcher
+// arcs, answers, ancestors looked up) and the phase clocks, which nest.
+func printWork(st fairsqg.Stats) {
 	fmt.Fprintf(os.Stderr, "inherited: %d arcs, %d plans from scratch, %d ancestors found, %d answers shared, %d reused\n",
 		st.Matcher.ArcsInherited, st.Matcher.ScratchPlans, st.AncestorsFound, st.AnswersShared, st.AnswersReused)
+	phases := make([]string, len(st.Wall))
+	for p, d := range st.Wall {
+		phases[p] = fmt.Sprintf("%v %v", fairsqg.Phase(p), d.Round(time.Microsecond))
+	}
+	fmt.Fprintf(os.Stderr, "phases: %s\n", strings.Join(phases, ", "))
 }

@@ -134,8 +134,8 @@
 // so scores are bit-identical to the exact recompute in every setting.
 // For the same reason a large sampled or exact pair loop on the default
 // distance splits across up to GOMAXPROCS goroutines with the same result
-// at any count (Stats.ScoreSplits; Stats.ScoreWall is the time scoring
-// took); a Config.Distance always runs on the calling goroutine.
+// at any count (Stats.ScoreSplits; Stats.Wall clocks each phase); a
+// Config.Distance always runs on the calling goroutine.
 //
 //   - Config.DisableIncScore: the from-scratch scorer, kept as the
 //     reference the delta path is bit-compared with (library field only).
@@ -178,10 +178,10 @@
 // wraps the current generation behind retained references so readers
 // keep a consistent graph while writers advance it, and OpenMutationLog
 // / ReplayMutationLog persist batches to a CRC-framed write-ahead delta
-// log beside the snapshot (the fairsqgd mutate endpoint's crash
-// consistency). A Generator.Online run can follow a mutating graph via
-// OnlineOptions.Mutations, re-scoring its archive as generations land.
-// See README.md ("Live graphs") and DESIGN.md §5h.
+// log beside the snapshot (the fairsqgd mutate endpoint's crash consistency).
+// A Generator.Online run follows a mutating graph (OnlineOptions.Mutations),
+// re-scoring its archive a lattice level at a time on every processor as
+// generations land. See README.md ("Live graphs") and DESIGN.md §5h.
 //
 // Synthetic datasets mirroring the paper's evaluation graphs and the full
 // experiment harness live in cmd/experiments; see DESIGN.md and

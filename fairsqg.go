@@ -58,6 +58,8 @@ type (
 	Verified = core.Verified
 	// Stats aggregates generation work counters.
 	Stats = core.Stats
+	// Phase indexes Stats.Wall, the per-phase clocks; String names it.
+	Phase = core.Phase
 	// VerifyEvent describes one instance verification (trace hook).
 	VerifyEvent = core.VerifyEvent
 

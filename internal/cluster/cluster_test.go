@@ -442,7 +442,7 @@ func TestCoordinatorCarriesEveryCounter(t *testing.T) {
 	if res.Stats.AnswersReused == 0 || res.Stats.DerivedReused == 0 {
 		t.Errorf("slabs sharing two worker engines reused nothing: %+v", res.Stats)
 	}
-	if res.Stats.ScoreWall <= 0 {
+	if res.Stats.Wall[core.PhaseScore] <= 0 {
 		t.Errorf("the scoring clock did not cross the wire: %+v", res.Stats)
 	}
 	if got := coldStats(res.Stats); got != want {
@@ -535,9 +535,10 @@ func TestCoordinatorPreloadedWorker(t *testing.T) {
 }
 
 // coldStats is s without the counters of what a worker engine's store had,
-// and without the scoring clock, which no two runs read the same.
+// and without the phase clocks, which no two runs read the same.
 func coldStats(s core.Stats) core.Stats {
-	s.AnswersReused, s.DerivedReused, s.ScoreWall = 0, 0, 0
+	s.AnswersReused, s.DerivedReused = 0, 0
+	clear(s.Wall[:])
 	return s
 }
 

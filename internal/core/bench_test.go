@@ -252,6 +252,8 @@ func BenchmarkOnlineRescore(b *testing.B) {
 			b.ReportMetric(float64(st.Matcher.ScratchPlans), "scratch-plans/run")
 			b.ReportMetric(float64(st.Verified), "verified/run")
 			b.ReportMetric(float64(st.AncestorsFound), "ancestors/run")
+			b.ReportMetric(float64(st.Wall[PhaseReverify])/1e6, "reverify-ms/run")
+			b.ReportMetric(float64(st.Wall[PhasePlan]+st.Wall[PhaseSearch])/1e6, "match-ms/run")
 		})
 	}
 }

@@ -73,6 +73,8 @@ type Config struct {
 	// requested λ = 0 from an unset field.
 	LambdaSet bool
 	// Relevance overrides the default degree-based relevance r(u_o, ·).
+	// ParQGen calls it and Distance from several goroutines at once;
+	// re-verification and δ's split pair loops never do.
 	Relevance measure.RelevanceFunc
 	// Distance overrides the default tuple edit distance d(·,·). The
 	// function must be pure and symmetric: distances are memoized in a
@@ -256,9 +258,8 @@ type Stats struct {
 	// ScoreSplits counts diversity evaluations whose pair loop ran on more
 	// than one goroutine (measure.Diversity.Splits).
 	ScoreSplits int
-	// ScoreWall is the wall time spent scoring δ, one clock reading pair per
-	// scored verification.
-	ScoreWall time.Duration
+	// Wall is the time spent in each Phase, summed over goroutines: clocks.
+	Wall [numPhases]time.Duration
 	// Matcher carries the matcher counters of every evaluation of the run.
 	Matcher match.Stats
 	// Cache reports candidate-cache effectiveness; zero when disabled.
@@ -287,7 +288,9 @@ func (s *Stats) Add(o Stats) {
 	s.AnswersReused += o.AnswersReused
 	s.DerivedReused += o.DerivedReused
 	s.ScoreSplits += o.ScoreSplits
-	s.ScoreWall += o.ScoreWall
+	for p, d := range o.Wall {
+		s.Wall[p] += d
+	}
 	s.Matcher.Add(o.Matcher)
 	s.Cache.Hits += o.Cache.Hits
 	s.Cache.Misses += o.Cache.Misses
@@ -299,6 +302,25 @@ func (s *Stats) Add(o Stats) {
 	s.DistCache.Clears += o.DistCache.Clears
 	s.DistCache.Entries += o.DistCache.Entries
 }
+
+// Phase indexes Stats.Wall: the match engine's planning (candidate sets to
+// their arc-consistent fixpoint) and search, scoring δ, Spawn's refinement
+// step, and OnlineQGen's re-verification of its working set on a mutated
+// generation, which holds the planning, searching and scoring it does.
+type Phase int
+
+const (
+	PhasePlan Phase = iota
+	PhaseSearch
+	PhaseScore
+	PhaseSpawn
+	PhaseReverify
+	numPhases
+)
+
+var phaseNames = [numPhases]string{"plan", "search", "score", "spawn", "reverify"}
+
+func (p Phase) String() string { return phaseNames[p] }
 
 // Verified is an evaluated instance: its answer and quality coordinates.
 type Verified struct {

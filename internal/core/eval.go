@@ -188,10 +188,10 @@ func (r *Runner) bindScoring() {
 	}
 }
 
-// fork returns a worker's view of r for concurrent lattice exploration
-// (ParQGen): it shares what is goroutine-safe or read-only — the engine and
-// its candidate cache, the compiled features, relevance, the pair cache
-// around a custom distance, the group index — and owns what is not: the
+// fork returns a worker's view of r for concurrent work (ParQGen's slabs,
+// reverify's levels): it shares what is goroutine-safe or read-only — the
+// engine and its candidate cache, the compiled features, relevance, the pair
+// cache around a custom distance, the group index — and owns what is not: the
 // verification memo, the evaluator's scratch, the counts buffer, the
 // counters and the lineage's links (the root's domains it shares read-only).
 // The caller folds the worker's stats back with Stats.Add.
@@ -220,6 +220,8 @@ func (r *Runner) Stats() Stats {
 	s := r.stats
 	es := r.engine.Stats()
 	s.Matcher.Add(es.Stats)
+	s.Wall[PhasePlan] += es.Plan
+	s.Wall[PhaseSearch] += es.Search
 	s.Cache = es.Cache
 	if r.pairCache != nil {
 		s.DistCache = r.pairCache.Stats()
@@ -248,6 +250,9 @@ func (r *Runner) start() (end func()) {
 // err reports the run context's cancellation state; algorithms poll it
 // between verifications and abort with this error.
 func (r *Runner) err() error { return r.ctx.Err() }
+
+// clock adds the time since start to phase p.
+func (r *Runner) clock(p Phase, start time.Time) { r.stats.Wall[p] += time.Since(start) }
 
 // verify evaluates an instance: q(G), δ(q), f(q) and feasibility. When the
 // instance was already verified the cached record returns without work.
@@ -304,21 +309,30 @@ func (r *Runner) parentOf(q *query.Instance) (best *Verified, scanned int) {
 // noKeep) for its refinements: with the domains its plan ended with, or none
 // when its answer came whole from a store or Config.Evaluator. A memo hit,
 // an empty plan, a bound veto or several output nodes keep nothing.
-//
-// An answer equal to the parent's is not scored again: δ and f are functions
-// of the answer set alone, so the record adopts the parent's.
-func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, keep int) (v *Verified) {
+func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, keep int) *Verified {
 	if v, ok := r.cache[q.Key()]; ok {
 		return v
 	}
+	return r.commit(r.evaluate(q, parent, keep))
+}
+
+// evaluate is verifySeeded's work — q's answer, feasibility and score — as
+// the link commit records, at depth noKeep when nothing is kept. It writes no
+// memo, lineage or event, so forks run it side by side once the root is
+// planned. An answer equal to the parent's is not scored again: δ and f are
+// functions of the answer set alone, so the record adopts the parent's.
+func (r *Runner) evaluate(q *query.Instance, parent *Verified, keep int) link {
 	// counts holds the answer's per-group tally, computed once per
 	// verification: feasibility and coverage both derive from it (the
 	// slice is the counter's reusable buffer — read before any Counts
 	// call, which the paths below never make after filling it).
 	var counts []int
+	var v *Verified
+	var held *match.Domains
 	shared := false
 	if len(r.extraNodes) > 0 {
 		v, counts = r.verifyMultiOutput(q, parent)
+		keep = noKeep
 	} else {
 		var within []graph.NodeID
 		if parent != nil && !r.cfg.DisableIncremental {
@@ -327,7 +341,6 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, keep int) (v 
 		// An injected engine may have the answer from an earlier run: it stands
 		// where the evaluation would have returned it; nothing is planned.
 		var matches []graph.NodeID
-		var held *match.Domains
 		key, ok, reused := "", false, false
 		if r.cfg.Evaluator != nil {
 			// Like a stored answer: whole, nothing planned, vetoed or held.
@@ -367,21 +380,15 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, keep int) (v 
 			counts = r.counter.Counts(matches)
 			v.Feasible = ok && measure.FeasibleCounts(r.cfg.Groups, counts)
 		}
-		if keep != noKeep && (held != nil || reused) {
-			r.lin.links = append(r.lin.links, link{v, held, keep})
+		if held == nil && !reused {
+			keep = noKeep
 		}
 	}
 	if parent != nil {
 		v.spent = parent.spent
 	}
-	if r.ctx.Err() != nil {
-		// The evaluation was cut short: its result is partial. Don't cache
-		// or count it — the caller's next cancellation poll ends the run,
-		// so the placeholder never influences a returned set. What the
-		// lineage keeps of it goes when the walker cuts it.
-		return &Verified{Q: q}
-	}
 	switch {
+	case r.ctx.Err() != nil: // cut short: commit records nothing of it
 	case shared:
 		r.stats.AnswersShared++
 		if v.Feasible {
@@ -393,7 +400,24 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, keep int) (v 
 			Cov: measure.CoverageCounts(r.cfg.Groups, counts),
 		}
 	}
-	r.cache[q.Key()] = v
+	return link{v, held, keep}
+}
+
+// commit records what evaluate returned — memo, answered list, the link
+// unless at depth noKeep, counters, OnVerified — and returns the record. An
+// evaluation the run's cancellation cut short is partial: nothing of it is
+// recorded, its domains go back, and the placeholder returned never
+// influences a returned set (the caller's next poll ends the run).
+func (r *Runner) commit(l link) *Verified {
+	v := l.v
+	if r.ctx.Err() != nil {
+		r.engine.ReleaseDomains(l.d)
+		return &Verified{Q: v.Q}
+	}
+	if l.depth != noKeep {
+		r.lin.links = append(r.lin.links, l)
+	}
+	r.cache[v.Q.Key()] = v
 	if len(v.Matches) > 0 {
 		r.answered = append(r.answered, v)
 	}
@@ -405,7 +429,7 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, keep int) (v 
 	if r.cfg.OnVerified != nil {
 		r.cfg.OnVerified(VerifyEvent{
 			Seq:      r.verSeq,
-			Instance: q,
+			Instance: v.Q,
 			Point:    v.Point,
 			Feasible: v.Feasible,
 			Matches:  len(v.Matches),
@@ -422,7 +446,8 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, keep int) (v 
 // so scores are bit-equal regardless of DisableIncScore. The resulting
 // scorer state rides along in Verified for the instance's own children.
 func (r *Runner) scoreDiversity(v *Verified, parent *Verified) float64 {
-	start, before, splits := time.Now(), r.div.PairEvals(), r.div.Splits()
+	defer r.clock(PhaseScore, time.Now())
+	before, splits := r.div.PairEvals(), r.div.Splits()
 	div, ok := 0.0, false
 	if !r.cfg.DisableIncScore && parent != nil && parent.score != nil {
 		if div, v.score, ok = r.div.EvalDelta(parent.score, v.Matches); ok {
@@ -440,7 +465,6 @@ func (r *Runner) scoreDiversity(v *Verified, parent *Verified) float64 {
 		r.engine.AddDistEvals(evals)
 	}
 	r.stats.ScoreSplits += int(r.div.Splits() - splits)
-	r.stats.ScoreWall += time.Since(start)
 	return div
 }
 

@@ -232,27 +232,22 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 			set = append(set, e.v)
 		}
 		r.reverify(set)
+		if r.err() != nil {
+			return
+		}
 		for _, v := range old {
-			if r.err() != nil {
-				return
-			}
-			nv := r.verify(v.Q, nil)
-			if !nv.Feasible {
+			if nv := r.verify(v.Q, nil); nv.Feasible {
+				offer(nv)
+			} else {
 				res.RescoreDropped++
-				continue
 			}
-			offer(nv)
 		}
 		for _, e := range oldWindow {
-			if r.err() != nil {
-				return
-			}
-			nv := r.verify(e.v.Q, nil)
-			if !nv.Feasible {
+			if nv := r.verify(e.v.Q, nil); nv.Feasible {
+				window = append(window, windowEntry{v: nv, ts: e.ts})
+			} else {
 				res.RescoreDropped++
-				continue
 			}
-			window = append(window, windowEntry{v: nv, ts: e.ts})
 		}
 		refill()
 	}

@@ -2,7 +2,11 @@ package core
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/query"
@@ -72,13 +76,11 @@ func (s *LiveMutations) Poll() *MutationEvent {
 // generation). The candidate cache carries over — its keys are scoped by
 // the generation key, so pre-mutation entries can never answer
 // post-mutation queries, while entries the new generation re-derives stay
-// warm — and so do the matcher counters, which span generations within one
-// run. The engine is always replaced by a run-owned one under the same
-// settings (an external Config.Engine is bound to the old generation),
-// which takes over the old one's free matcher-domain buffers
-// (match.Engine.AdoptDomains): reverify holds one per member of the working
-// set, every generation. Generation lifetimes stay with the caller —
-// Retarget never closes g.
+// warm — and so do the matcher counters and clocks, which span generations
+// within one run. The engine is always replaced by a run-owned one under the
+// same settings (an external Config.Engine is bound to the old generation)
+// that adopts the old one's free matchers and domain buffers (Engine.Adopt).
+// Generation lifetimes stay with the caller — Retarget never closes g.
 func (r *Runner) Retarget(g *graph.Graph) {
 	if g == r.cfg.G {
 		return
@@ -88,10 +90,10 @@ func (r *Runner) Retarget(g *graph.Graph) {
 	cfg.G, cfg.Engine = g, nil
 	cfg.Settings = old.Settings()
 	r.cfg = &cfg
-	r.stats.Matcher.Add(old.Stats().Stats)
+	r.stats = r.Stats() // the old engine's counters and clocks stay the run's
 	r.release()
 	r.engine = r.newEngine(old.Cache())
-	r.engine.AdoptDomains(old)
+	r.engine.Adopt(old)
 	r.bind()
 }
 
@@ -102,23 +104,83 @@ func (r *Runner) Retarget(g *graph.Graph) {
 // memo holds by then (parentOf) and planned from that ancestor's domains,
 // which the lineage keeps while a later instance refines it. Every link is cut
 // at return, cancelled or not, and the caller finds each record in the memo.
+//
+// It goes a level (an equal level sum) at a time; refinement raises the sum,
+// so no member refines another. The caller picks the members' parents as the
+// level begins, up to GOMAXPROCS views of the runner evaluate them, and the
+// caller commits them in set order, so the run records the same at any worker
+// count. A caller-supplied Distance or Relevance keeps them on the caller.
 func (r *Runner) reverify(set []*Verified) {
+	defer r.clock(PhaseReverify, time.Now())
 	slices.SortFunc(set, func(a, b *Verified) int {
 		return cmp.Or(cmp.Compare(level(a.Q), level(b.Q)), cmp.Compare(a.Q.Key(), b.Q.Key()))
 	})
 	set = slices.CompactFunc(set, func(a, b *Verified) bool { return a.Q.Key() == b.Q.Key() })
 	defer r.cut(0)
-	for i, v := range set {
-		if r.err() != nil {
-			return
-		}
-		keep := noKeep
-		if slices.ContainsFunc(set[i+1:], func(d *Verified) bool { return query.StrictlyRefines(d.Q, v.Q) }) {
-			keep = 0
-		}
-		parent, _ := r.parentOf(v.Q)
-		r.verifySeeded(v.Q, parent, keep)
+	if len(set) > 0 && !r.cfg.DisableIncremental && len(r.extraNodes) == 0 && r.cfg.Evaluator == nil {
+		r.seed(nil) // planned before views read the lineage
 	}
+	views := []*Runner{r}
+	for lo, hi := 0, 0; lo < len(set) && r.err() == nil; lo = hi {
+		for hi = lo + 1; hi < len(set) && level(set[hi].Q) == level(set[lo].Q); hi++ {
+		}
+		ms := make([]member, hi-lo)
+		for i, v := range set[lo:hi] {
+			ms[i] = member{v: v, keep: noKeep}
+			if slices.ContainsFunc(set[hi:], func(d *Verified) bool { return query.StrictlyRefines(d.Q, v.Q) }) {
+				ms[i].keep = 0
+			}
+			ms[i].parent, _ = r.parentOf(v.Q)
+		}
+		n := min(runtime.GOMAXPROCS(0), len(ms))
+		if r.cfg.Distance != nil || r.cfg.Relevance != nil {
+			n = 1 // never entered from two goroutines here
+		}
+		for len(views) < n {
+			views = append(views, r.fork())
+		}
+		evaluateLevel(ms, views[:n])
+		for _, m := range ms {
+			r.commit(m.out)
+		}
+	}
+}
+
+// member is an instance of a level: its previous record, parent, depth, link.
+type member struct {
+	v, parent *Verified
+	keep      int
+	out       link
+}
+
+// evaluateLevel evaluates a level's members on views — the caller, then forks
+// that read its lineage and whose counters it takes — each view taking the
+// next when done, the largest previous answers first so that no long one
+// starts last; then puts the members back in set order.
+func evaluateLevel(ms []member, views []*Runner) {
+	slices.SortStableFunc(ms, func(a, b member) int { return cmp.Compare(len(b.v.Matches), len(a.v.Matches)) })
+	var next atomic.Int64
+	work := func(w *Runner) {
+		for i := next.Add(1) - 1; i < int64(len(ms)); i = next.Add(1) - 1 {
+			ms[i].out = w.evaluate(ms[i].v.Q, ms[i].parent, ms[i].keep)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, w := range views[1:] {
+		w.lin = views[0].lin
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(views[0])
+	wg.Wait()
+	for _, w := range views[1:] {
+		views[0].stats.Add(w.stats)
+		w.stats = Stats{}
+	}
+	slices.SortFunc(ms, func(a, b member) int { return cmp.Compare(a.v.Q.Key(), b.v.Q.Key()) })
 }
 
 // Close releases the graph generation the runner adopted from a mutation

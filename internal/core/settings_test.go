@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -128,13 +129,18 @@ func statsLeaves(s Stats) map[string]int64 {
 	leaves := map[string]int64{}
 	var walk func(path string, v reflect.Value)
 	walk = func(path string, v reflect.Value) {
-		if v.Kind() == reflect.Struct {
+		switch v.Kind() {
+		case reflect.Struct:
 			for i := 0; i < v.NumField(); i++ {
 				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
 			}
-			return
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(path+"["+strconv.Itoa(i)+"]", v.Index(i))
+			}
+		default:
+			leaves[path] = v.Int()
 		}
-		leaves[path] = v.Int()
 	}
 	walk("Stats", reflect.ValueOf(s))
 	return leaves
@@ -147,13 +153,18 @@ func TestStatsAddCoversEveryField(t *testing.T) {
 	var one Stats
 	var set func(v reflect.Value)
 	set = func(v reflect.Value) {
-		if v.Kind() == reflect.Struct {
+		switch v.Kind() {
+		case reflect.Struct:
 			for i := 0; i < v.NumField(); i++ {
 				set(v.Field(i))
 			}
-			return
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				set(v.Index(i))
+			}
+		default:
+			v.SetInt(1)
 		}
-		v.SetInt(1)
 	}
 	set(reflect.ValueOf(&one).Elem())
 	var wire Stats

@@ -2,6 +2,7 @@ package core
 
 import (
 	"slices"
+	"time"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/query"
@@ -112,6 +113,7 @@ func newSpawner(r *Runner) *spawner {
 // refine returns the one-step refinements of v's instantiation, restricted
 // by the template-refinement analysis when enabled and affordable.
 func (s *spawner) refine(v *Verified) []query.Instantiation {
+	defer s.r.clock(PhaseSpawn, time.Now())
 	t := s.r.cfg.Template
 	// An evaluator's variables need not be predicates on nodes near the answer.
 	if s.r.cfg.DisableTemplateRefinement || s.r.cfg.Evaluator != nil || len(v.Matches) == 0 || len(v.Matches) > maxNeighborhoodSeeds {

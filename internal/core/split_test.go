@@ -62,8 +62,8 @@ func TestSplitScoringSameResults(t *testing.T) {
 			t.Errorf("%s: exploration diverges: %d/%d/%d/%d at 1 proc, %d/%d/%d/%d at 2", alg.name,
 				s1.Verified, s1.Feasible, s1.Pruned, s1.DistCache.Evals, s2.Verified, s2.Feasible, s2.Pruned, s2.DistCache.Evals)
 		}
-		if s1.ScoreSplits != 0 || s2.ScoreSplits == 0 || s2.ScoreWall <= 0 {
-			t.Errorf("%s: %d split scores at 1 proc, %d at 2 (%v scoring)", alg.name, s1.ScoreSplits, s2.ScoreSplits, s2.ScoreWall)
+		if s1.ScoreSplits != 0 || s2.ScoreSplits == 0 || s2.Wall[PhaseScore] <= 0 {
+			t.Errorf("%s: %d split scores at 1 proc, %d at 2 (%v scoring)", alg.name, s1.ScoreSplits, s2.ScoreSplits, s2.Wall[PhaseScore])
 		}
 	}
 }

@@ -238,10 +238,21 @@ func DecodeMutations(data []byte) ([]Mutation, error) {
 // Not goroutine-safe; callers serialize (the registry holds its per-graph
 // lock across Apply + Append).
 type WALWriter struct {
-	f     *os.File
+	f     walFile
 	path  string
 	size  int64
 	epoch uint64
+	// broken refuses every append once a refused frame could not be cut off.
+	broken error
+}
+
+// walFile is what a WALWriter calls on its log: an *os.File.
+type walFile interface {
+	io.WriteSeeker
+	io.WriterAt
+	io.Closer
+	Truncate(size int64) error
+	Sync() error
 }
 
 // OpenWAL opens (or creates) the delta log at path for appending. A new
@@ -312,8 +323,13 @@ func walHeader(epoch uint64) []byte {
 }
 
 // Append encodes one batch as a frame and fsyncs. On success the batch is
-// durable: a crash any time after Append returns replays it.
+// durable: a crash any time after Append returns replays it. A refused batch
+// leaves no byte in the log: a failed write or fsync cuts the file back to
+// Size, and a writer that cannot cut it refuses every later append.
 func (w *WALWriter) Append(ops []Mutation) error {
+	if w.broken != nil {
+		return w.broken
+	}
 	payload, err := EncodeMutations(ops)
 	if err != nil {
 		return err
@@ -322,14 +338,31 @@ func (w *WALWriter) Append(ops []Mutation) error {
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
 	copy(frame[8:], payload)
-	if _, err := w.f.Write(frame); err != nil {
-		return err
+	if _, err = w.f.Write(frame); err == nil {
+		err = w.f.Sync()
 	}
-	if err := w.f.Sync(); err != nil {
-		return err
+	if err != nil {
+		return w.cut(err)
 	}
 	w.size += int64(len(frame))
 	return nil
+}
+
+// cut drops what a refused append left past Size and returns err; when that
+// fails the writer is broken: replay could apply the refused batch, or stop
+// at its torn frame before every batch appended after it.
+func (w *WALWriter) cut(err error) error {
+	cerr := w.f.Truncate(w.size)
+	if cerr == nil {
+		_, cerr = w.f.Seek(w.size, io.SeekStart)
+	}
+	if cerr == nil {
+		cerr = w.f.Sync()
+	}
+	if cerr != nil {
+		w.broken = fmt.Errorf("graph: delta log %s keeps a refused frame: %w", w.path, cerr)
+	}
+	return err
 }
 
 // Reset restarts the log at its current epoch with just the given batches
@@ -374,7 +407,7 @@ func (w *WALWriter) ResetEpoch(epoch uint64, batches ...[]Mutation) error {
 	syncDir(w.path)
 	// The renamed fd stays valid; retire the old one and adopt the new.
 	w.f.Close()
-	w.f, w.size, w.epoch = nf, nw.size, epoch
+	w.f, w.size, w.epoch, w.broken = nf, nw.size, epoch, nil
 	return nil
 }
 

@@ -149,7 +149,7 @@ func TestDifferentialTalentFixture(t *testing.T) {
 
 // TestEngineAllocations: the engine evaluates on the calling goroutine with
 // the planner's own matcher, so it allocates no more than
-// Matcher.EvalOutputFiltered.
+// Matcher.EvalNodeFiltered.
 func TestEngineAllocations(t *testing.T) {
 	g := randomGraph(t, 300, 900, differentialSeed)
 	tpl := randomTemplate(t, g)
@@ -161,7 +161,7 @@ func TestEngineAllocations(t *testing.T) {
 	for step := 0; step < 4; step++ {
 		q := query.MustInstance(tpl, in)
 		for _, within := range [][]graph.NodeID{nil, parent} {
-			seq := testing.AllocsPerRun(10, func() { m.EvalOutputFiltered(q, within, nil) })
+			seq := testing.AllocsPerRun(10, func() { m.EvalNodeFiltered(q, q.T.Output, within, nil) })
 			eng := testing.AllocsPerRun(10, func() { e.ParEvalNodeFiltered(ctx, q, q.T.Output, within, nil) })
 			if eng > seq {
 				t.Errorf("%s (within=%v): engine allocates %.0f per evaluation, matcher %.0f",

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/measure"
@@ -45,6 +46,9 @@ type EngineStats struct {
 	DomainsHeld int
 	// Shared reports what the runs on this engine left each other (Store).
 	Shared StoreStats
+	// Plan and Search are the wall time evaluations spent planning and
+	// searching, summed over goroutines.
+	Plan, Search time.Duration
 }
 
 // Engine is a concurrent match engine over one frozen graph: it owns a
@@ -74,7 +78,7 @@ type Engine struct {
 	domsHeld int
 	stats    Stats
 
-	distEvals atomic.Int64
+	distEvals, planNs, searchNs atomic.Int64
 }
 
 // NewEngine returns an engine over a frozen graph.
@@ -113,7 +117,8 @@ func (e *Engine) AddDistEvals(n int64) { e.distEvals.Add(n) }
 // Stats returns a snapshot of the engine's aggregated counters. Work done
 // by matchers currently mid-evaluation is included only once they finish.
 func (e *Engine) Stats() EngineStats {
-	s := EngineStats{Dist: measure.PairCacheStats{Evals: e.distEvals.Load()}}
+	s := EngineStats{Dist: measure.PairCacheStats{Evals: e.distEvals.Load()},
+		Plan: time.Duration(e.planNs.Load()), Search: time.Duration(e.searchNs.Load())}
 	e.mu.Lock()
 	s.Stats, s.DomainsHeld = e.stats, e.domsHeld
 	e.mu.Unlock()
@@ -137,14 +142,14 @@ func (e *Engine) acquire(ctx context.Context) *Matcher {
 		m = New(e.g)
 		m.Settings, m.Cache = e.settings, e.cache
 	}
-	m.bindContext(ctx)
+	m.BindContext(ctx)
 	return m
 }
 
 // release folds a Matcher's counters into the engine aggregate and returns
 // it to the free list.
 func (e *Engine) release(m *Matcher) {
-	m.bindContext(nil)
+	m.BindContext(nil)
 	e.mu.Lock()
 	e.stats.Add(m.Stats)
 	m.Stats = Stats{}
@@ -189,21 +194,26 @@ func (e *Engine) ReleaseDomains(d *Domains) {
 	e.mu.Unlock()
 }
 
-// AdoptDomains moves old's free Domains buffers to e, the engine that replaces
-// it over the graph's next generation (core.Runner.Retarget), so a walk that
-// holds many does not allocate them again per generation. A free buffer names
-// no instance and capture rewrites every set it then reads, so only the owner
-// changes: old refuses it from now on. Buffers old has out stay old's.
-func (e *Engine) AdoptDomains(old *Engine) {
+// Adopt moves old's free matchers and Domains buffers to e, the engine that
+// replaces it over the graph's next generation (core.Runner.Retarget), so a
+// run that re-verifies every generation does not build them again. A matcher
+// re-captures e's graph and keeps its arenas. A free buffer names no instance
+// and capture rewrites every set it then reads, so only its owner changes:
+// old refuses it from now on. What old has out stays old's.
+func (e *Engine) Adopt(old *Engine) {
 	old.mu.Lock()
-	free := old.freeDoms
-	old.freeDoms = nil
+	ms, ds := old.free, old.freeDoms
+	old.free, old.freeDoms = nil, nil
 	old.mu.Unlock()
-	for _, d := range free {
+	for _, m := range ms {
+		m.rebind(e.g)
+		m.Settings, m.Cache = e.settings, e.cache
+	}
+	for _, d := range ds {
 		d.owner = e
 	}
 	e.mu.Lock()
-	e.freeDoms = append(e.freeDoms, free...)
+	e.free, e.freeDoms = append(e.free, ms...), append(e.freeDoms, ds...)
 	e.mu.Unlock()
 }
 
@@ -268,7 +278,9 @@ func (e *Engine) eval(ctx context.Context, q *query.Instance, node int, within [
 	if seed != nil && seed.owner != e {
 		seed = nil // another engine's: positions in another generation's labels
 	}
+	start := time.Now()
 	p := planner.buildPlan(q, node, within, seed)
+	e.planNs.Add(int64(time.Since(start)))
 	if p == nil {
 		if err = ctx.Err(); err == nil {
 			e.keep(key, nil)
@@ -288,7 +300,9 @@ func (e *Engine) eval(ctx context.Context, q *query.Instance, node int, within [
 		e.keep(key, matches)
 		return matches, true, held, nil
 	}
+	start = time.Now()
 	matches = planner.embedAll(p, rootCands)
+	e.searchNs.Add(int64(time.Since(start)))
 	if err = ctx.Err(); err != nil {
 		e.ReleaseDomains(held)
 		return nil, false, nil, err

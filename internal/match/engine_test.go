@@ -290,3 +290,69 @@ func TestRetiredGenerationCollectable(t *testing.T) {
 		t.Fatal("retired generation still reachable after one GC")
 	}
 }
+
+// TestAdoptCarriesMatchers: across 20 generations, each engine adopting its
+// predecessor's free matchers, two concurrent callers are served by no more
+// than two matchers in all, each evaluates its generation exactly as a fresh
+// matcher does — also as the node count grows past the injectivity bitset's
+// words — and no free matcher is left on, or points at, a retired generation.
+func TestAdoptCarriesMatchers(t *testing.T) {
+	g := randomGraph(t, 300, 1200, 23)
+	tpl := randomTemplate(t, g)
+	var qs []*query.Instance
+	for _, in := range allInstantiations(tpl) {
+		qs = append(qs, query.MustInstance(tpl, in))
+	}
+	ctx := context.Background()
+	e := NewEngine(g, EngineOptions{})
+	seen := map[*Matcher]bool{}
+	for gen := 0; gen < 20; gen++ {
+		batch := []graph.Mutation{{Op: graph.MutRemoveNode, Node: graph.NodeID(5*gen + 2)}}
+		for i := 0; i < 70; i++ {
+			batch = append(batch, graph.Mutation{Op: graph.MutAddNode, Label: "Person",
+				Attrs: []graph.AttrPair{{Name: "yearsOfExp", Value: graph.Int(int64(i % 20))}}})
+		}
+		next, res, err := graph.ApplyBatch(g, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var edges []graph.Mutation // new people work at the orgs, every fifth node
+		for i, v := range res.AddedNodes[:40] {
+			edges = append(edges, graph.Mutation{Op: graph.MutAddEdge, From: v, To: graph.NodeID(5 * (i + 1)), Label: "worksAt"})
+		}
+		if next, _, err = graph.ApplyBatch(next, edges); err != nil {
+			t.Fatal(err)
+		}
+		old := e
+		g, e = next, NewEngine(next, EngineOptions{SharedCache: old.Cache()})
+		e.Adopt(old)
+		if len(old.free) != 0 {
+			t.Fatalf("generation %d: the retired engine kept %d free matchers", gen, len(old.free))
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				ref := New(g)
+				for i := w; i < len(qs); i += 2 {
+					got, _, err := e.ParEvalNodeFiltered(ctx, qs[i], qs[i].T.Output, nil, nil)
+					if want := ref.EvalOutput(qs[i]); err != nil || !reflect.DeepEqual(got, want) {
+						t.Errorf("generation %d, %s: %d matches (err %v), a fresh matcher's %d", gen, qs[i], len(got), err, len(want))
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		for _, m := range e.free {
+			if m.G != g {
+				t.Fatalf("generation %d: a free matcher is on another generation", gen)
+			}
+			seen[m] = true
+		}
+	}
+	if len(seen) > 2 {
+		t.Errorf("two callers over 20 generations were served by %d matchers", len(seen))
+	}
+}

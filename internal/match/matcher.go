@@ -191,15 +191,23 @@ type Matcher struct {
 
 // New returns a Matcher over a frozen graph with isomorphism semantics.
 func New(g *graph.Graph) *Matcher {
+	m := &Matcher{}
+	m.rebind(g)
+	return m
+}
+
+// rebind points m at g, a frozen graph, keeping its scratch and arenas (the
+// injectivity bitset is clear between evaluations).
+func (m *Matcher) rebind(g *graph.Graph) {
 	if !g.Frozen() {
 		panic("match: graph must be frozen")
 	}
-	m := &Matcher{G: g, used: make([]uint64, (g.NumNodes()+63)/64)}
+	words := (g.NumNodes() + 63) / 64
+	m.G, m.used = g, slices.Grow(m.used[:0], words)[:words]
 	m.outAdj, m.inAdj = g.Adjacency(true), g.Adjacency(false)
 	m.outRuns, m.inRuns = g.RunStarts(true), g.RunStarts(false)
 	m.labelPos = g.LabelPosTable()
 	m.sigOut, m.sigIn = g.SignatureTables()
-	return m
 }
 
 // runLen is len(EdgeRun(v, label, outgoing)) via the boundary tables.
@@ -299,20 +307,8 @@ func (m *Matcher) EvalOutput(q *query.Instance) []graph.NodeID {
 // verified parent's match set implements the paper's incVerify: a refined
 // instance's matches are a subset of its parent's.
 func (m *Matcher) EvalOutputWithin(q *query.Instance, within []graph.NodeID) []graph.NodeID {
-	matches, _ := m.EvalOutputFiltered(q, within, nil)
+	matches, _ := m.EvalNodeFiltered(q, q.T.Output, within, nil)
 	return matches
-}
-
-// EvalOutputFiltered is EvalOutputWithin with an admission check: after the
-// cheap candidate-filtering phase, accept is offered the arc-consistent
-// candidate superset of q(u_o, G). When accept returns false the expensive
-// backtracking phase is skipped and ok is false — the caller learned the
-// instance cannot meet its requirements (any monotone predicate over
-// candidate supersets, e.g. coverage upper bounds, is sound here). A nil
-// accept admits everything.
-func (m *Matcher) EvalOutputFiltered(q *query.Instance, within []graph.NodeID,
-	accept func(candidates []graph.NodeID) bool) (matches []graph.NodeID, ok bool) {
-	return m.EvalNodeFiltered(q, q.T.Output, within, accept)
 }
 
 // EvalNode computes q(u, G) for an arbitrary template node: the graph
@@ -323,10 +319,14 @@ func (m *Matcher) EvalNode(q *query.Instance, node int) []graph.NodeID {
 	return matches
 }
 
-// EvalNodeFiltered generalizes EvalOutputFiltered to any template node:
-// within restricts that node's candidates (a verified parent's match set
-// for the same node is a valid superset under refinement), and accept sees
-// the node's arc-consistent candidates.
+// EvalNodeFiltered is EvalNode with a within set and an admission check:
+// within restricts the node's candidates (a verified parent's match set for
+// the same node is a valid superset under refinement). After the cheap
+// candidate-filtering phase, accept is offered the node's arc-consistent
+// candidates, a superset of its matches; when it returns false the
+// backtracking phase is skipped and ok is false (any monotone predicate over
+// candidate supersets, e.g. coverage upper bounds, is sound here). A nil
+// accept admits everything.
 func (m *Matcher) EvalNodeFiltered(q *query.Instance, node int, within []graph.NodeID,
 	accept func(candidates []graph.NodeID) bool) (matches []graph.NodeID, ok bool) {
 	m.Stats.Evals++
@@ -1001,21 +1001,11 @@ func matchingOrder(p *plan, outIdx int) []int {
 // enough to keep the uncancellable hot path unaffected.
 const cancelCheckMask = 255
 
-// bindContext attaches a cancellation context for subsequent evaluations
-// and clears any prior abort; Engine calls it before driving a pooled
-// Matcher. A nil ctx disables polling.
-func (m *Matcher) bindContext(ctx context.Context) {
-	m.ctx = ctx
-	m.aborted = false
-}
-
-// BindContext attaches a cancellation context to subsequent sequential
-// evaluations: the backtracking search polls it (throttled by
-// cancelCheckMask) and unwinds when it fires, leaving Aborted set. A nil
-// ctx disables polling. Core binds the run context here so server-side
-// deadlines abort an in-flight evaluation instead of waiting for the next
-// instance boundary.
-func (m *Matcher) BindContext(ctx context.Context) { m.bindContext(ctx) }
+// BindContext attaches a cancellation context to subsequent evaluations and
+// clears any prior abort: the backtracking search polls it (throttled by
+// cancelCheckMask) and unwinds when it fires, leaving Aborted set. A nil ctx
+// disables polling. Engine binds every evaluation's context here.
+func (m *Matcher) BindContext(ctx context.Context) { m.ctx, m.aborted = ctx, false }
 
 // Aborted reports whether the last evaluation was cut short by context
 // cancellation; an aborted evaluation's result is partial and must be
@@ -1023,9 +1013,10 @@ func (m *Matcher) BindContext(ctx context.Context) { m.bindContext(ctx) }
 func (m *Matcher) Aborted() bool { return m.aborted }
 
 // embedAll returns, sorted, the candidates of p's pinned node that extend to
-// a full matching; nil, with Aborted set, once the bound context fires.
+// a full matching, gathered in the plan arena and copied out at their size;
+// nil, with Aborted set, once the bound context fires.
 func (m *Matcher) embedAll(p *plan, cands []graph.NodeID) []graph.NodeID {
-	var matched []graph.NodeID
+	matched := m.arenaIDs(len(cands))
 	for _, v := range cands {
 		if m.aborted || m.ctx != nil && m.ctx.Err() != nil {
 			m.aborted = true
@@ -1039,7 +1030,7 @@ func (m *Matcher) embedAll(p *plan, cands []graph.NodeID) []graph.NodeID {
 	// cands is ascending, so the appends usually are too; sortIDs is a
 	// linear verification with a sort fallback for unsorted within-sets.
 	sortIDs(matched)
-	return matched
+	return append([]graph.NodeID(nil), matched...)
 }
 
 // embedFrom checks whether a full matching exists with the pinned node

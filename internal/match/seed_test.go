@@ -414,7 +414,7 @@ func TestPlanDomainsSeedsTheLattice(t *testing.T) {
 // TestDomainsStayWithTheirEngine: domains seed plans of the engine that
 // handed them out only — another engine, over the same graph or the next
 // generation, plans from scratch to the same answer — and only that engine
-// takes them back, until AdoptDomains makes a free buffer another engine's.
+// takes them back, until Adopt makes a free buffer another engine's.
 func TestDomainsStayWithTheirEngine(t *testing.T) {
 	g := randomGraph(t, 220, 1100, differentialSeed+6)
 	ctx := context.Background()
@@ -450,7 +450,7 @@ func TestDomainsStayWithTheirEngine(t *testing.T) {
 		t.Errorf("DomainsHeld = %d and %d after the release", a, b)
 	}
 
-	// AdoptDomains moves the free buffer, not one that is out: the engine of
+	// Adopt moves the free buffer, not one that is out: the engine of
 	// a larger next generation hands the same buffer out again as
 	// its own — it seeds there and the first engine refuses it.
 	out, free := mine.PlanDomains(ctx, root), mine.PlanDomains(ctx, root)
@@ -460,7 +460,7 @@ func TestDomainsStayWithTheirEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	next := NewEngine(bigger, EngineOptions{})
-	next.AdoptDomains(mine)
+	next.Adopt(mine)
 	adopted := next.PlanDomains(ctx, root)
 	if adopted != free {
 		t.Fatalf("the next engine handed out %p, want the adopted %p (still out: %p)", adopted, free, out)

@@ -2,6 +2,7 @@ package measure
 
 import (
 	"math"
+	"sync"
 
 	"fairsqg/internal/graph"
 )
@@ -47,10 +48,10 @@ func pairUnits(d float64) int64 {
 // until their contributions are materialized; the zero value is not
 // useful — obtain states from Diversity.EvalState or EvalDelta.
 //
-// A ScoreState is not safe for concurrent mutation: contribution
-// materialization writes to the chain. Runners keep states private per
-// goroutine (ParQGen workers never exchange parents across slabs).
+// A ScoreState is safe for concurrent use: materializing contributions
+// writes each state of the chain under its own lock, once.
 type ScoreState struct {
+	mu        sync.Mutex
 	matches   []graph.NodeID
 	pairUnits int64
 	// contrib[i] is S(matches[i]) in units; nil until materialized.
@@ -231,33 +232,26 @@ func subsetDiff(parent, child []graph.NodeID) (removed []graph.NodeID, removedPo
 // as it goes, so repeated scoring along one refinement path does linear
 // total work.
 func (s *ScoreState) contribution(d *Diversity) []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.contrib != nil {
 		return s.contrib
 	}
-	var chain []*ScoreState
-	for cur := s; cur.contrib == nil; cur = cur.base {
-		chain = append(chain, cur)
-	}
-	for k := len(chain) - 1; k >= 0; k-- {
-		cur := chain[k]
-		base := cur.base
-		contrib := make([]int64, len(cur.matches))
-		bi := 0
-		for ci, v := range cur.matches {
-			for base.matches[bi] != v {
-				bi++
-			}
-			contrib[ci] = base.contrib[bi]
+	base, bi := s.base.contribution(d), 0
+	contrib := make([]int64, len(s.matches))
+	for ci, v := range s.matches {
+		for s.base.matches[bi] != v {
 			bi++
 		}
-		dist := d.caller(int64(len(cur.removed)) * int64(len(cur.matches)))
-		for _, u := range cur.removed {
-			for ci, v := range cur.matches {
-				contrib[ci] -= pairUnits(dist(u, v))
-			}
-		}
-		cur.contrib = contrib
-		cur.base, cur.removed = nil, nil
+		contrib[ci] = base[bi]
+		bi++
 	}
+	dist := d.caller(int64(len(s.removed)) * int64(len(s.matches)))
+	for _, u := range s.removed {
+		for ci, v := range s.matches {
+			contrib[ci] -= pairUnits(dist(u, v))
+		}
+	}
+	s.contrib, s.base, s.removed = contrib, nil, nil
 	return s.contrib
 }
