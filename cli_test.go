@@ -8,6 +8,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -82,6 +83,9 @@ func TestFairsqgCLI(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "q1:") {
 		t.Errorf("no suggestions in output:\n%s", out)
+	}
+	if !regexp.MustCompile(`\nphases: [^\n]*\nspawn: \d+ walks, \d+ nodes, \d+ children withheld\n`).Match(out) {
+		t.Errorf("no spawn line after the phases line:\n%s", out)
 	}
 	// The saved workload loads back.
 	f, err := os.Open(save)

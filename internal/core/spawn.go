@@ -47,12 +47,14 @@ type spawner struct {
 	extrema []hoodExtrema
 	labels  []hoodLabel
 
-	// Scratch reused across refine calls: the walker, the restriction
-	// handed to query.RefineStepsRestricted, and the variables (then the
-	// extrema and label slots) the current walk was made for.
+	// Scratch reused across refine calls: the walker, the restriction for
+	// query.RefineStepsRestricted, and the current walk's instance levels,
+	// steppable edge variables, and chain variables and labels not proven.
 	hood        graph.Neighborhood
 	res         query.Restriction
-	pending     []int
+	levels      query.Instantiation
+	edges       []int
+	unproven    []int
 	wantExtrema []*hoodExtrema
 	wantLabels  []*hoodLabel
 }
@@ -134,6 +136,10 @@ func spentBit(vi int) uint64 {
 // restriction derives per-variable ladder caps and frozen edge variables
 // from the neighborhood of v's matches, and records the variables that can
 // never step again in v.spent. The result aliases the spawner's scratch.
+//
+// The walk stops once every wanted label is found and every steppable chain
+// variable's next level is satisfiable: such a variable stays at NoCap, read
+// like any cap at or above that level; a blocked one saw the whole ball.
 func (s *spawner) restriction(v *Verified) query.Restriction {
 	t := s.r.cfg.Template
 	for vi := range s.res.Caps {
@@ -151,7 +157,8 @@ func (s *spawner) restriction(v *Verified) query.Restriction {
 		v.spent |= spentBit(vi)
 		s.r.stats.RefineSuppressed++
 	}
-	s.pending, s.wantExtrema, s.wantLabels = s.pending[:0], s.wantExtrema[:0], s.wantLabels[:0]
+	s.levels, s.edges, s.unproven = v.Q.I, s.edges[:0], s.unproven[:0]
+	s.wantExtrema, s.wantLabels = s.wantExtrema[:0], s.wantLabels[:0]
 	for vi := range t.Vars {
 		tv := &t.Vars[vi]
 		level := v.Q.I[vi]
@@ -165,90 +172,88 @@ func (s *spawner) restriction(v *Verified) query.Restriction {
 		case v.spent&spentBit(vi) != 0 || s.slot[vi] < 0:
 			block(vi, -1)
 		case tv.Kind == query.EdgeVar:
-			s.pending = append(s.pending, vi)
+			s.edges = append(s.edges, vi)
 			if l := &s.labels[s.slot[vi]]; !slices.Contains(s.wantLabels, l) {
 				l.found = false
 				s.wantLabels = append(s.wantLabels, l)
 			}
 		default:
-			s.pending = append(s.pending, vi)
+			s.unproven = append(s.unproven, vi)
 			if e := &s.extrema[s.slot[vi]]; !slices.Contains(s.wantExtrema, e) {
 				e.any = false
 				s.wantExtrema = append(s.wantExtrema, e)
 			}
 		}
 	}
-	if len(s.pending) == 0 {
+	if len(s.edges)+len(s.unproven) == 0 {
 		return s.res
 	}
-	nodes := s.hood.Walk(s.g, v.Matches, s.diameter)
 	s.r.stats.HoodRuns++
-	s.r.stats.HoodNodes += len(nodes)
-	s.collect(nodes)
-	for _, vi := range s.pending {
-		tv := &t.Vars[vi]
-		if tv.Kind == query.EdgeVar {
-			if !s.labels[s.slot[vi]].found {
-				block(vi, -1)
-			}
-			continue
+	s.r.stats.HoodNodes += s.hood.Visit(s.g, v.Matches, s.diameter, s.visit)
+	for _, vi := range s.edges {
+		if !s.labels[s.slot[vi]].found {
+			block(vi, -1)
 		}
-		// The cap is the highest ladder level some neighborhood value can
-		// still satisfy; -1 when there is none (or no value at all).
-		e := &s.extrema[s.slot[vi]]
-		top := -1
-		for l := len(tv.Ladder) - 1; l >= 0 && e.any; l-- {
-			if predicateSatisfiable(tv.Op, tv.Ladder[l], e.lo, e.hi) {
-				top = l
-				break
-			}
+	}
+	for _, vi := range s.unproven {
+		// The walk covered the ball: the cap is the highest ladder level
+		// some neighborhood value can satisfy; -1 when there is none.
+		top := len(t.Vars[vi].Ladder) - 1
+		for top >= 0 && !s.satisfiable(vi, top) {
+			top--
 		}
 		if v.Q.I[vi]+1 > top {
 			block(vi, top)
-		} else {
-			s.res.Caps[vi] = top
 		}
 	}
 	return s.res
 }
 
-// collect makes the one pass over the neighborhood: the wanted attribute
-// extrema, and which of the wanted edge labels leave some node. A node's
-// out-signature rules a label out without touching its adjacency.
-func (s *spawner) collect(nodes []graph.NodeID) {
-	g := s.g
-	toFind := len(s.wantLabels)
-	for _, n := range nodes {
-		if len(s.wantExtrema) > 0 {
-			label := g.NodeLabelID(n)
-			for _, e := range s.wantExtrema {
-				if e.label != label {
-					continue
-				}
-				val := g.AttrValue(n, e.attr)
-				switch {
-				case val.IsNull():
-				case !e.any:
-					e.lo, e.hi, e.any = val, val, true
-				case val.Compare(e.lo) < 0:
-					e.lo = val
-				case val.Compare(e.hi) > 0:
-					e.hi = val
-				}
+// visit takes in one neighborhood node — the wanted extrema, and the wanted
+// edge labels leaving it (its out-signature rules one out without touching
+// its adjacency) — and reports whether every pending step is now proven.
+func (s *spawner) visit(n graph.NodeID) bool {
+	g, moved := s.g, false
+	if len(s.unproven) > 0 {
+		label := g.NodeLabelID(n)
+		for _, e := range s.wantExtrema {
+			if e.label != label {
+				continue
 			}
-		} else if toFind == 0 {
-			return
-		}
-		if toFind > 0 {
-			sig := g.OutSignature(n)
-			for _, l := range s.wantLabels {
-				if !l.found && sig&l.sigBit != 0 && g.RunLen(n, l.label, true) > 0 {
-					l.found = true
-					toFind--
-				}
+			val := g.AttrValue(n, e.attr)
+			switch {
+			case val.IsNull():
+				continue
+			case !e.any:
+				e.lo, e.hi, e.any = val, val, true
+			case val.Compare(e.lo) < 0:
+				e.lo = val
+			case val.Compare(e.hi) > 0:
+				e.hi = val
+			default:
+				continue
 			}
+			moved = true
 		}
 	}
+	if len(s.wantLabels) > 0 {
+		sig := g.OutSignature(n)
+		s.wantLabels = slices.DeleteFunc(s.wantLabels, func(l *hoodLabel) bool {
+			l.found = sig&l.sigBit != 0 && g.RunLen(n, l.label, true) > 0
+			return l.found
+		})
+	}
+	if moved {
+		// Extrema only widen, so a proven step stays proven.
+		s.unproven = slices.DeleteFunc(s.unproven, func(vi int) bool { return s.satisfiable(vi, s.levels[vi]+1) })
+	}
+	return len(s.wantLabels) == 0 && len(s.unproven) == 0
+}
+
+// satisfiable reports whether vi's extrema admit a value at ladder level l.
+func (s *spawner) satisfiable(vi, l int) bool {
+	tv, e := &s.r.cfg.Template.Vars[vi], &s.extrema[s.slot[vi]]
+	return e.any && predicateSatisfiable(tv.Op, tv.Ladder[l], e.lo, e.hi)
 }
 
 // predicateSatisfiable reports whether "A op bound" can hold for some value

@@ -11,35 +11,33 @@ import (
 )
 
 // khopOracle is the map-based d-hop BFS the spawner was first written on:
-// the reference graph.Neighborhood.Walk is compared against.
-func khopOracle(g *graph.Graph, seeds []graph.NodeID, d int) map[graph.NodeID]bool {
+// the ball graph.Neighborhood.Visit is compared against, and its nodes in
+// BFS order — seeds first, then hop by hop, out-edges before in-edges.
+func khopOracle(g *graph.Graph, seeds []graph.NodeID, d int) (map[graph.NodeID]bool, []graph.NodeID) {
 	seen := make(map[graph.NodeID]bool, len(seeds)*4)
-	frontier := make([]graph.NodeID, 0, len(seeds))
-	for _, v := range seeds {
+	var order []graph.NodeID
+	add := func(v graph.NodeID) {
 		if !seen[v] {
 			seen[v] = true
-			frontier = append(frontier, v)
+			order = append(order, v)
 		}
 	}
-	for hop := 0; hop < d && len(frontier) > 0; hop++ {
-		var next []graph.NodeID
+	for _, v := range seeds {
+		add(v)
+	}
+	for hop, lo := 0, 0; hop < d && lo < len(order); hop++ {
+		frontier := order[lo:]
+		lo = len(order)
 		for _, v := range frontier {
 			for _, e := range g.Out(v) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
+				add(e.To)
 			}
 			for _, e := range g.In(v) {
-				if !seen[e.To] {
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
+				add(e.To)
 			}
 		}
-		frontier = next
 	}
-	return seen
+	return seen, order
 }
 
 // restrictionsOracle derives the per-variable ladder caps and frozen edge
@@ -243,18 +241,29 @@ func checkAgainstOracle(t *testing.T, r *Runner, sp *spawner, v *Verified, d int
 	t.Helper()
 	cfg, tpl := r.cfg, r.cfg.Template
 	sp.diameter = d
-	hood := khopOracle(cfg.G, v.Matches, d)
+	hood, order := khopOracle(cfg.G, v.Matches, d)
 	var walker graph.Neighborhood
-	walked := walker.Walk(cfg.G, v.Matches, d)
-	twice := make([]bool, cfg.G.NumNodes())
-	for _, n := range walked {
-		if !hood[n] || twice[n] {
-			t.Fatalf("%s d=%d: walk visits %d (in oracle: %v, seen before: %v)", v.Q.Key(), d, n, hood[n], twice[n])
-		}
-		twice[n] = true
+	var visited []graph.NodeID
+	walker.Visit(cfg.G, v.Matches, d, func(n graph.NodeID) bool {
+		visited = append(visited, n)
+		return false
+	})
+	if !slices.Equal(visited, order) {
+		t.Fatalf("%s d=%d: walk visits %v, oracle BFS order %v", v.Q.Key(), d, visited, order)
 	}
-	if len(walked) != len(hood) {
-		t.Fatalf("%s d=%d: walk visits %d nodes, oracle %d", v.Q.Key(), d, len(walked), len(hood))
+	// A walk stopped at its k-th node has visited exactly the first k.
+	for _, k := range []int{1, (len(order) + 1) / 2, len(order)} {
+		if k == 0 || k > len(order) {
+			continue
+		}
+		visited = visited[:0]
+		n := walker.Visit(cfg.G, v.Matches, d, func(n graph.NodeID) bool {
+			visited = append(visited, n)
+			return len(visited) == k
+		})
+		if n != k || !slices.Equal(visited, order[:k]) {
+			t.Fatalf("%s d=%d: stopped at node %d, Visit returned %d after visiting %v", v.Q.Key(), d, k, n, visited)
+		}
 	}
 	if len(v.Matches) <= maxNeighborhoodSeeds {
 		maxLevel, fixedEdges := restrictionsOracle(cfg, v, hood)
@@ -273,8 +282,15 @@ func checkAgainstOracle(t *testing.T, r *Runner, sp *spawner, v *Verified, d int
 				}
 			case tv.Kind == query.RangeVar && tv.Op != graph.OpEQ && level+1 < len(tv.Ladder):
 				steppable |= spentBit(vi)
-				if res.Caps[vi] != maxLevel[vi] {
-					t.Errorf("%s d=%d: variable %s capped at %d, oracle %d", v.Q.Key(), d, tv.Name, res.Caps[vi], maxLevel[vi])
+				// Blocked exactly when the oracle caps the next step away,
+				// then at the oracle's cap; admitted uncapped.
+				switch blocked := fresh.spent&spentBit(vi) != 0; {
+				case blocked != (maxLevel[vi] < level+1):
+					t.Errorf("%s d=%d: variable %s blocked=%v, oracle cap %d", v.Q.Key(), d, tv.Name, blocked, maxLevel[vi])
+				case blocked && res.Caps[vi] != maxLevel[vi]:
+					t.Errorf("%s d=%d: blocked variable %s capped at %d, oracle %d", v.Q.Key(), d, tv.Name, res.Caps[vi], maxLevel[vi])
+				case !blocked && res.Caps[vi] != query.NoCap:
+					t.Errorf("%s d=%d: admitted variable %s capped at %d", v.Q.Key(), d, tv.Name, res.Caps[vi])
 				}
 			}
 		}
@@ -339,6 +355,57 @@ func TestSpawnMatchesOracle(t *testing.T) {
 				if t.Failed() {
 					t.FailNow()
 				}
+			}
+		}
+	}
+}
+
+// TestSpawnStopRule pins where the walk stops on a hand-made path
+// n3 → n2 → n1 → n0 (recommend), with n2 → n1 the only coreview edge and
+// the only Orgs past n3. From n0, $x1 is proven at the seed itself: on
+// "late" the walk runs on until the coreview label turns up at n2, the
+// third node; on "blocked" no Org is ever in the ball, so $x3 is never
+// proven — not even while the Person extrema move and its own are empty —
+// and the walk covers the whole ball to block it.
+func TestSpawnStopRule(t *testing.T) {
+	g := graph.New()
+	person := func(title string, years int64, gender string) graph.NodeID {
+		return g.AddNode("Person", map[string]graph.Value{"title": graph.Str(title), "yearsOfExp": graph.Int(years), "gender": graph.Str(gender)})
+	}
+	n0, n1, n2, n3 := person("Director", 5, "male"), person("Engineer", 7, "female"), person("Analyst", 9, "male"), person("Analyst", 30, "female")
+	org, bigOrg := g.AddNode("Org", map[string]graph.Value{"employees": graph.Int(100)}), g.AddNode("Org", map[string]graph.Value{"employees": graph.Int(5000)})
+	for _, e := range []struct {
+		from, to graph.NodeID
+		label    string
+	}{{n1, n0, "recommend"}, {n2, n1, "recommend"}, {n2, n1, "coreview"}, {n3, n2, "recommend"}, {n3, org, "worksAt"}, {n3, bigOrg, "worksAt"}} {
+		if err := g.AddEdge(e.from, e.to, e.label); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Freeze()
+	const head = `node u_o Person title = "Director"
+node u1 Person yearsOfExp >= $x1
+node u2 Person
+edge u1 u_o recommend
+edge u2 u1 coreview ?e1
+`
+	for _, c := range []struct {
+		name, tpl string
+		nodes     []int // nodes walked at d = 0..3
+	}{
+		{"late", "template late\n" + head + "output u_o", []int{1, 2, 3, 3}},
+		{"blocked", "template blocked\n" + head + "node u3 Org employees <= $x3\nedge u_o u3 worksAt ?e2\noutput u_o", []int{1, 2, 3, 4}},
+	} {
+		r := spawnRunner(t, g, c.tpl)
+		tpl := r.cfg.Template
+		root := query.MustInstance(tpl, query.Root(tpl))
+		sp := newSpawner(r)
+		for d, want := range c.nodes {
+			checkAgainstOracle(t, r, sp, &Verified{Q: root, Matches: []graph.NodeID{n0}}, d)
+			nodes := r.stats.HoodNodes
+			sp.refine(&Verified{Q: root, Matches: []graph.NodeID{n0}})
+			if got := r.stats.HoodNodes - nodes; got != want {
+				t.Errorf("%s d=%d: walked %d nodes, want %d", c.name, d, got, want)
 			}
 		}
 	}

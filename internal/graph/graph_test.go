@@ -154,11 +154,15 @@ func TestKHopNeighborhood(t *testing.T) {
 	var hood Neighborhood
 	ball := func(d int) map[NodeID]bool {
 		set := map[NodeID]bool{}
-		for _, v := range hood.Walk(g, []NodeID{0, 0}, d) {
+		n := hood.Visit(g, []NodeID{0, 0}, d, func(v NodeID) bool {
 			if set[v] {
-				t.Errorf("%d-hop lists %d twice", d, v)
+				t.Errorf("%d-hop visits %d twice", d, v)
 			}
 			set[v] = true
+			return false
+		})
+		if n != len(set) {
+			t.Errorf("%d-hop: Visit returned %d for %d nodes", d, n, len(set))
 		}
 		return set
 	}
@@ -188,7 +192,8 @@ func TestKHopNeighborhood(t *testing.T) {
 
 // TestNeighborhoodClearsSeenSet: the seen-set is all-zero after a walk,
 // whether the ball was small against the graph (cleared node by node) or
-// all of it (cleared wholesale), so a reused walker starts from nothing.
+// all of it (cleared wholesale), and after a walk stopped in the middle of
+// a hop, so a reused walker starts from nothing.
 func TestNeighborhoodClearsSeenSet(t *testing.T) {
 	g := New()
 	const n = 1000
@@ -200,19 +205,33 @@ func TestNeighborhoodClearsSeenSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A hub with edges to 100 chain nodes: its one hop is wide.
+	hub := g.AddNode("N", nil)
+	for i := 0; i < 100; i++ {
+		if err := g.AddEdge(hub, NodeID(i*7), "spoke"); err != nil {
+			t.Fatal(err)
+		}
+	}
 	g.Freeze()
 	var hood Neighborhood
 	for _, c := range []struct {
-		seed NodeID
-		d    int
-		want int
-	}{{500, 3, 7}, {0, n, n}, {999, 2, 3}, {500, 3, 7}} {
-		if got := len(hood.Walk(g, []NodeID{c.seed}, c.d)); got != c.want {
-			t.Errorf("%d-hop ball of %d has %d nodes, want %d", c.d, c.seed, got, c.want)
+		seed   NodeID
+		d      int
+		stopAt int // 0: never stop
+		want   int
+	}{{500, 3, 0, 7}, {0, n, 0, n + 1}, {999, 2, 0, 3}, {500, 3, 0, 7},
+		{500, 3, 4, 4}, {hub, 1, 50, 50}, {hub, 2, 150, 150}, {500, 3, 0, 7}} {
+		visited := 0
+		got := hood.Visit(g, []NodeID{c.seed}, c.d, func(NodeID) bool {
+			visited++
+			return visited == c.stopAt
+		})
+		if got != c.want || visited != c.want {
+			t.Errorf("%d-hop ball of %d stopped at %d: Visit returned %d after %d visits, want %d", c.d, c.seed, c.stopAt, got, visited, c.want)
 		}
 		for i, w := range hood.seen {
 			if w != 0 {
-				t.Fatalf("after the %d-hop ball of %d: seen word %d = %#x", c.d, c.seed, i, w)
+				t.Fatalf("after the %d-hop ball of %d stopped at %d: seen word %d = %#x", c.d, c.seed, c.stopAt, i, w)
 			}
 		}
 	}

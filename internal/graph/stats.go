@@ -76,28 +76,43 @@ func (s Stats) String() string {
 // Neighborhood walks d-hop balls around seed sets. It implements the G_q^d
 // structure of the Spawn template-refinement optimization (Section IV-A):
 // the nodes within d hops of the current match set. The seen-set and the
-// node list are reused from walk to walk, so a warm walker allocates
+// BFS queue are reused from walk to walk, so a warm walker allocates
 // nothing; it serves one goroutine. The zero value is ready to use.
 type Neighborhood struct {
 	// seen is a bitset over NodeIDs, all-zero between walks.
 	seen []uint64
-	// nodes is the last ball in discovery order; during a walk its tail is
-	// the BFS frontier.
+	// nodes is the walk in visiting order; its tail is the BFS frontier.
 	nodes []NodeID
 }
 
-// Walk returns every node within d hops (ignoring edge direction) of any
-// seed, each once, seeds first. The slice is only valid until the next
-// Walk.
-func (h *Neighborhood) Walk(g *Graph, seeds []NodeID, d int) []NodeID {
+// Visit calls stop on every node within d hops (ignoring edge direction)
+// of any seed, each once, seeds first and then hop by hop, until stop
+// returns true. It returns the number of nodes visited.
+func (h *Neighborhood) Visit(g *Graph, seeds []NodeID, d int, stop func(NodeID) bool) int {
 	if need := (g.NumNodes() + 63) / 64; len(h.seen) < need {
 		h.seen = make([]uint64, need)
 	}
-	seen, nodes := h.seen, h.nodes[:0]
+	h.nodes = walk(g, seeds, d, stop, h.seen, h.nodes[:0])
+	// Clear what was visited, so the cost follows the walk and not the
+	// graph — unless the walk is the larger of the two.
+	if len(h.nodes) >= len(h.seen) {
+		clear(h.seen)
+	} else {
+		for _, v := range h.nodes {
+			h.seen[v>>6] = 0
+		}
+	}
+	return len(h.nodes)
+}
+
+// walk appends to nodes what it visits, marked in seen, and returns it.
+func walk(g *Graph, seeds []NodeID, d int, stop func(NodeID) bool, seen []uint64, nodes []NodeID) []NodeID {
 	for _, v := range seeds {
 		if w, b := &seen[v>>6], uint64(1)<<(uint(v)&63); *w&b == 0 {
 			*w |= b
-			nodes = append(nodes, v)
+			if nodes = append(nodes, v); stop(v) {
+				return nodes
+			}
 		}
 	}
 	for hop, lo := 0, 0; hop < d && lo < len(nodes); hop++ {
@@ -107,22 +122,14 @@ func (h *Neighborhood) Walk(g *Graph, seeds []NodeID, d int) []NodeID {
 				for _, e := range es {
 					if w, b := &seen[e.To>>6], uint64(1)<<(uint(e.To)&63); *w&b == 0 {
 						*w |= b
-						nodes = append(nodes, e.To)
+						if nodes = append(nodes, e.To); stop(e.To) {
+							return nodes
+						}
 					}
 				}
 			}
 		}
 		lo = hi
 	}
-	// Clear by walking the ball, so the cost follows the ball and not the
-	// graph — unless the ball is the larger of the two.
-	if len(nodes) >= len(seen) {
-		clear(seen)
-	} else {
-		for _, v := range nodes {
-			seen[v>>6] = 0
-		}
-	}
-	h.nodes = nodes
 	return nodes
 }

@@ -6,6 +6,7 @@ package groups
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fairsqg/internal/graph"
@@ -21,15 +22,17 @@ type Group struct {
 	// its answer covers at least Want members, and the coverage measure
 	// penalizes deviation from exactly Want.
 	Want int
-	// from and cell are set by ByAttribute: the partition the group was cut
-	// from and its place there. Cells of one partition are disjoint by
-	// construction: Validate skips them, a Counter shares the node index.
+	// from and cell are set by ByAttribute and ByValues: the partition the
+	// group was cut from and its place there. Cells of one partition are
+	// disjoint by construction: Validate skips them, a Counter shares the
+	// node index.
 	from *partition
 	cell int32
 }
 
-// partition is the node index of one ByAttribute call, shared read-only:
-// id[v] is 1 + the cell of the group holding node v, 0 when none does.
+// partition is the node index of one ByAttribute or ByValues call, shared
+// read-only: id[v] is 1 + the cell of the group holding node v, 0 when none
+// does.
 type partition struct {
 	id    []int32
 	cells int
@@ -115,23 +118,53 @@ func (s Set) Count(answer []graph.NodeID) []int {
 // distinct value of attr. Nodes lacking the attribute join no group. Groups
 // are returned sorted by value; constraints are left at zero.
 func ByAttribute(g *graph.Graph, label, attr string) Set {
+	set := cut(g, label, attr, nil)
+	// The names share their prefix, so this is the order of the values.
+	sort.Slice(set, func(a, b int) bool { return set[a].Name < set[b].Name })
+	return set
+}
+
+// ByValues is ByAttribute restricted to the listed attribute values, in the
+// given order; values with no members are skipped. Only the listed values'
+// groups are built.
+func ByValues(g *graph.Graph, label, attr string, values ...string) Set {
+	cells := cut(g, label, attr, values)
+	var set Set
+	for _, v := range values {
+		if k := slices.IndexFunc(cells, func(c Group) bool { return c.Name == attr+"="+v && len(c.Members) > 0 }); k >= 0 {
+			set = append(set, cells[k])
+		}
+	}
+	return set
+}
+
+// cut partitions the nodes with the given label by their value of attr, one
+// cell per value: per listed value in the order listed (a value listed
+// twice fills its last cell), or, with no list, per value present in the
+// order met.
+func cut(g *graph.Graph, label, attr string, values []string) Set {
+	slot, names := make(map[string]int, len(values)), values
+	for k, v := range values {
+		slot[v] = k
+	}
 	nodes := g.NodesByLabel(label)
 	aid := g.AttrIDOf(attr)
-	// First pass: every node's value slot and the slots' sizes, so that each
+	// First pass: every node's cell and the cells' sizes, so that each
 	// member map is made at its final size instead of rehashing its way up.
-	slot := map[string]int{}
-	var names []string
-	var sizes []int
+	sizes := make([]int, len(names))
 	slotOf := make([]int32, len(nodes))
 	for i, v := range nodes {
+		slotOf[i] = -1
 		val := g.AttrValue(v, aid)
 		if val.IsNull() {
-			slotOf[i] = -1
 			continue
 		}
 		key := val.String()
 		k, ok := slot[key]
 		if !ok {
+			if values != nil {
+				continue
+			}
 			k = len(names)
 			slot[key] = k
 			names, sizes = append(names, key), append(sizes, 0)
@@ -148,23 +181,6 @@ func ByAttribute(g *graph.Graph, label, attr string) Set {
 		if k := slotOf[i]; k >= 0 {
 			set[k].Members[v] = true
 			part.id[v] = k + 1
-		}
-	}
-	// The names share their prefix, so this is the order of the values.
-	sort.Slice(set, func(a, b int) bool { return set[a].Name < set[b].Name })
-	return set
-}
-
-// ByValues is ByAttribute restricted to the listed attribute values, in the
-// given order; values with no members are skipped.
-func ByValues(g *graph.Graph, label, attr string, values ...string) Set {
-	all := ByAttribute(g, label, attr)
-	var set Set
-	for _, want := range values {
-		for i := range all {
-			if all[i].Name == attr+"="+want {
-				set = append(set, all[i])
-			}
 		}
 	}
 	return set

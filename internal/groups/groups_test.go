@@ -2,6 +2,9 @@ package groups
 
 import (
 	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -44,6 +47,60 @@ func TestByValues(t *testing.T) {
 	set := ByValues(g, "Person", "gender", "male", "nonexistent")
 	if len(set) != 1 || set[0].Name != "gender=male" {
 		t.Errorf("ByValues = %v", set)
+	}
+}
+
+// TestByValuesFiltersByAttribute: ByValues builds what filtering
+// ByAttribute's groups by the listed values gives — the same names in the
+// listed order, the same members, the same Counter counts — with values
+// that have no members skipped and a value listed twice kept twice.
+func TestByValuesFiltersByAttribute(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := graph.New()
+	const numNodes = 400
+	for i := 0; i < numNodes; i++ {
+		attrs := map[string]graph.Value{}
+		if k := rng.Intn(6); k < 5 {
+			attrs["team"] = graph.Str(string(rune('a' + k)))
+		}
+		label := "Person"
+		if i%5 == 0 {
+			label = "Org"
+		}
+		g.AddNode(label, attrs)
+	}
+	g.Freeze()
+	all := ByAttribute(g, "Person", "team")
+	for _, values := range [][]string{
+		{"d", "b"}, {"e", "a", "c", "b", "d"}, {"a", "zz", "c"}, {"zz"}, nil, {"b", "b", "a"}, {"c", "a", "c"},
+	} {
+		var want Set
+		for _, v := range values {
+			for i := range all {
+				if all[i].Name == "team="+v {
+					want = append(want, all[i])
+				}
+			}
+		}
+		got := ByValues(g, "Person", "team", values...)
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d groups, want %d", values, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Name != want[i].Name || got[i].Want != 0 || !maps.Equal(got[i].Members, want[i].Members) {
+				t.Errorf("%q: group %d is %q with %d members, want %q with %d", values, i, got[i].Name, got[i].Size(), want[i].Name, want[i].Size())
+			}
+		}
+		cg, cw := NewCounter(numNodes, got), NewCounter(numNodes, want)
+		for trial := 0; trial < 20; trial++ {
+			answer := make([]graph.NodeID, rng.Intn(60))
+			for k := range answer {
+				answer[k] = graph.NodeID(rng.Intn(numNodes))
+			}
+			if a, b := cg.Counts(answer), cw.Counts(answer); !slices.Equal(a, b) {
+				t.Fatalf("%q trial %d: counts %v, filtered ByAttribute %v", values, trial, a, b)
+			}
+		}
 	}
 }
 
