@@ -99,8 +99,8 @@ func BenchmarkFig12CaseStudy(b *testing.B) { benchExperiment(b, "fig12") }
 // and BiQGen relative to EnumQGen (the Exp-1/2 pruning claims).
 func BenchmarkPruningAblation(b *testing.B) { benchExperiment(b, "pruning") }
 
-// BenchmarkDesignAblations benchmarks template refinement, incremental
-// verification and sandwich pruning on/off.
+// BenchmarkDesignAblations benchmarks incremental verification, sandwich
+// pruning and bound pruning on/off.
 func BenchmarkDesignAblations(b *testing.B) { benchExperiment(b, "ablation") }
 
 // BenchmarkRPQGeneration benchmarks the regular-path-query extension (the

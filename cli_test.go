@@ -84,8 +84,8 @@ func TestFairsqgCLI(t *testing.T) {
 	if !strings.Contains(string(out), "q1:") {
 		t.Errorf("no suggestions in output:\n%s", out)
 	}
-	if !regexp.MustCompile(`\nphases: [^\n]*\nspawn: \d+ walks, \d+ nodes, \d+ children withheld\n`).Match(out) {
-		t.Errorf("no spawn line after the phases line:\n%s", out)
+	if !regexp.MustCompile(`\nphases: [^\n]*\n`).Match(out) {
+		t.Errorf("no phases line:\n%s", out)
 	}
 	// The saved workload loads back.
 	f, err := os.Open(save)

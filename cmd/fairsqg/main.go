@@ -269,7 +269,7 @@ func indent(s, prefix string) string {
 }
 
 // printWork prints what the verifications took from their parents (matcher
-// arcs, answers, ancestors), the phase clocks (they nest) and Spawn's walks.
+// arcs, answers, ancestors) and the phase clocks (they nest).
 func printWork(st fairsqg.Stats) {
 	fmt.Fprintf(os.Stderr, "inherited: %d arcs, %d plans from scratch, %d ancestors found, %d answers shared, %d reused\n",
 		st.Matcher.ArcsInherited, st.Matcher.ScratchPlans, st.AncestorsFound, st.AnswersShared, st.AnswersReused)
@@ -278,5 +278,4 @@ func printWork(st fairsqg.Stats) {
 		phases[p] = fmt.Sprintf("%v %v", fairsqg.Phase(p), d.Round(time.Microsecond))
 	}
 	fmt.Fprintf(os.Stderr, "phases: %s\n", strings.Join(phases, ", "))
-	fmt.Fprintf(os.Stderr, "spawn: %d walks, %d nodes, %d children withheld\n", st.HoodRuns, st.HoodNodes, st.RefineSuppressed)
 }

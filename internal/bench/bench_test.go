@@ -187,7 +187,7 @@ func TestAblationQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 7 {
+	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
 }

@@ -220,9 +220,9 @@ func (h *Harness) Pruning() ([]Row, error) {
 	return rows, nil
 }
 
-// Ablation benchmarks the design choices DESIGN.md calls out: template
-// refinement in Spawn, incremental verification, and sandwich pruning —
-// each on/off with runtime and verified counts.
+// Ablation benchmarks the design choices DESIGN.md calls out: incremental
+// verification, sandwich pruning and bound pruning — each on/off with
+// runtime and verified counts.
 func (h *Harness) Ablation() ([]Row, error) {
 	w, err := h.buildWorkload(workloadParams{
 		dataset: gen.LKI, size: 4, rangeVars: 2, edgeVars: 1,
@@ -239,7 +239,6 @@ func (h *Harness) Ablation() ([]Row, error) {
 	}
 	variants := []variant{
 		{"RfQGen", func(*core.Config) {}, (*core.Runner).RfQGen},
-		{"RfQGen -tmplrefine", func(c *core.Config) { c.DisableTemplateRefinement = true }, (*core.Runner).RfQGen},
 		{"RfQGen -incremental", func(c *core.Config) { c.DisableIncremental = true }, (*core.Runner).RfQGen},
 		{"BiQGen", func(*core.Config) {}, (*core.Runner).BiQGen},
 		{"BiQGen -sandwich", func(c *core.Config) { c.DisableSandwich = true }, (*core.Runner).BiQGen},

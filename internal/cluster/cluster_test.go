@@ -423,8 +423,8 @@ func TestCoordinatorEquivalence(t *testing.T) {
 // TestCoordinatorCarriesEveryCounter: every run-private counter crosses the
 // wire, not a hand-picked few — a distributed job's totals are the
 // in-process sum of RunSlab over the same plan. The pinned ladder tops out
-// above every yearsOfExp in the graph, so Spawn withholds that step and the
-// refinement counters are exercised.
+// above every yearsOfExp in the graph, so the slabs also verify children
+// with empty answers.
 func TestCoordinatorCarriesEveryCounter(t *testing.T) {
 	g := testGraph(t, 11)
 	_, sa := newTestWorker(t)
@@ -447,9 +447,6 @@ func TestCoordinatorCarriesEveryCounter(t *testing.T) {
 	}
 	if got := coldStats(res.Stats); got != want {
 		t.Errorf("distributed stats %+v != in-process slab sum %+v", got, want)
-	}
-	if want.RefineSuppressed == 0 || want.HoodRuns == 0 || want.HoodNodes == 0 {
-		t.Errorf("template no longer exercises Spawn's counters: %+v", want)
 	}
 	// The same job again, on worker engines the first one warmed: the same
 	// entries and lattice counters, with more of it answered from their stores.

@@ -5,7 +5,6 @@ import (
 
 	"fairsqg/internal/gen"
 	"fairsqg/internal/graph"
-	"fairsqg/internal/query"
 )
 
 func benchConfig(b *testing.B) *Config {
@@ -32,42 +31,6 @@ func BenchmarkEnumQGen(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkSpawnRefine measures one Spawn of the star template's root
-// (diameter 2) on a 15k-node LKI graph, from as many seeds as the spawner
-// still walks from: the neighborhood walk and the restricted child list.
-// On "proven" the first nodes visited prove every pending step and the walk
-// stops there; on "blocked" $x1's ladder starts above every yearsOfExp in
-// the graph, so no node proves its step and the walk covers the whole ball.
-func BenchmarkSpawnRefine(b *testing.B) {
-	g := gen.BuildLKI(gen.Options{Nodes: 15000, Seed: 1})
-	for _, row := range []struct {
-		name   string
-		ladder []graph.Value // $x1's ladder; nil keeps the bound one
-	}{{"proven", nil}, {"blocked", []graph.Value{graph.Int(31), graph.Int(32)}}} {
-		b.Run(row.name, func(b *testing.B) {
-			r := spawnRunner(b, g, spawnTemplates[0])
-			tpl := r.cfg.Template
-			if row.ladder != nil {
-				tpl.Vars[tpl.Var("x1")].Ladder = row.ladder
-			}
-			root := r.verify(query.MustInstance(tpl, query.Root(tpl)), nil)
-			v := &Verified{Q: root.Q, Matches: root.Matches[:min(len(root.Matches), maxNeighborhoodSeeds)]}
-			sp := newSpawner(r)
-			if sp.diameter != 2 || len(sp.refine(v)) == 0 {
-				b.Fatalf("diameter %d, %d children", sp.diameter, len(sp.refine(v)))
-			}
-			runs, nodes := r.stats.HoodRuns, r.stats.HoodNodes
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				v.spent = 0
-				sp.refine(v)
-			}
-			b.ReportMetric(float64(r.stats.HoodNodes-nodes)/float64(r.stats.HoodRuns-runs), "nodes/walk")
 		})
 	}
 }
@@ -171,7 +134,7 @@ var inheritColumns = []struct {
 // benchmark's LKI workloads are (two attributes, 2000 sampled pairs), so
 // that verification, not the Levenshtein kernel, is what the rows compare.
 func inheritConfig(b *testing.B, g *graph.Graph, naive bool) *Config {
-	cfg := *spawnRunner(b, g, spawnTemplates[0]).cfg
+	cfg := *starConfig(b, g)
 	cfg.DistanceAttrs, cfg.MaxPairs = []string{"major", "yearsOfExp"}, 2000
 	cfg.DisableIncremental = naive
 	return &cfg

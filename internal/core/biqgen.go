@@ -77,7 +77,6 @@ func (r *Runner) BiQGen() (*Result, error) {
 	start := time.Now()
 	t := r.cfg.Template
 	archive := newArchive(r.cfg.Eps)
-	sp := newSpawner(r)
 	visited := make(map[string]bool)
 	bounds := &sBounds{t: t}
 
@@ -154,7 +153,7 @@ func (r *Runner) BiQGen() (*Result, error) {
 					if v.Feasible {
 						archive.Update(v.Point, v)
 						recordSandwich(v, true)
-						for _, child := range sp.refine(v) {
+						for _, child := range r.spawn(v) {
 							if !visited[child.Key()] {
 								fwd = append(fwd, biItem{in: child, parent: v})
 							}

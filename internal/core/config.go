@@ -8,6 +8,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -94,11 +95,6 @@ type Config struct {
 	// (match.DefaultCandCacheSize entries), a negative value disables
 	// caching. Results are identical in all settings.
 	CandCacheSize int
-	// TemplateRefinement enables the Spawn optimization that restricts
-	// variable ladders to the d-hop neighborhood of the current matches.
-	// Enabled by default through NewRunner; set DisableTemplateRefinement
-	// to turn it off for ablations.
-	DisableTemplateRefinement bool
 	// DisableIncremental forces from-scratch verification — no parent match
 	// set, no ancestor's (or the root's) matcher domains, no shared answer —
 	// for every algorithm: the ablation, and the paper's naive EnumQGen.
@@ -174,8 +170,8 @@ func (c *Config) Validate() error {
 	if err := c.Groups.Validate(); err != nil {
 		return err
 	}
-	if c.Eps <= 0 {
-		return fmt.Errorf("core: eps must be positive, got %g", c.Eps)
+	if !(c.Eps > 0 && c.Eps < math.Inf(1)) {
+		return fmt.Errorf("core: eps must be positive and finite, got %g", c.Eps)
 	}
 	if c.Engine != nil {
 		if c.Engine.Graph() != c.G {
@@ -189,7 +185,7 @@ func (c *Config) Validate() error {
 	if c.Evaluator != nil && (c.Engine != nil || len(c.ExtraOutputs) > 0) {
 		return fmt.Errorf("core: config evaluator answers in place of the matcher; it excludes Engine and ExtraOutputs")
 	}
-	if c.Lambda < 0 || c.Lambda > 1 {
+	if !(c.Lambda >= 0 && c.Lambda <= 1) {
 		return fmt.Errorf("core: lambda must be in [0,1], got %g", c.Lambda)
 	}
 	if len(c.ExtraOutputs) > 0 {
@@ -224,17 +220,8 @@ type Stats struct {
 	Feasible int
 	// Pruned counts instances skipped without verification: the children
 	// of an instance found infeasible (infeasibility backtracking) and the
-	// instances inside a sandwich bound. Children the template-refinement
-	// analysis withholds are not in it; RefineSuppressed counts those.
+	// instances inside a sandwich bound.
 	Pruned int
-	// RefineSuppressed counts children Spawn withheld because the d-hop
-	// neighborhood of the parent's matches capped the variable's ladder
-	// below the step or froze the edge variable.
-	RefineSuppressed int
-	// HoodRuns counts neighborhood walks made by Spawn and HoodNodes the
-	// nodes they visited.
-	HoodRuns  int
-	HoodNodes int
 	// SandwichPairs counts sandwich bounds recorded (BiQGen only).
 	SandwichPairs int
 	// IncScores counts diversity evaluations served by the subset-delta
@@ -258,7 +245,7 @@ type Stats struct {
 	// ScoreSplits counts diversity evaluations whose pair loop ran on more
 	// than one goroutine (measure.Diversity.Splits).
 	ScoreSplits int
-	// Wall is the time spent in each Phase, summed over goroutines: clocks.
+	// Wall is the time taken in each Phase, summed over goroutines: clocks.
 	Wall [numPhases]time.Duration
 	// Matcher carries the matcher counters of every evaluation of the run.
 	Matcher match.Stats
@@ -278,9 +265,6 @@ func (s *Stats) Add(o Stats) {
 	s.Verified += o.Verified
 	s.Feasible += o.Feasible
 	s.Pruned += o.Pruned
-	s.RefineSuppressed += o.RefineSuppressed
-	s.HoodRuns += o.HoodRuns
-	s.HoodNodes += o.HoodNodes
 	s.SandwichPairs += o.SandwichPairs
 	s.IncScores += o.IncScores
 	s.AnswersShared += o.AnswersShared
@@ -338,12 +322,6 @@ type Verified struct {
 	// whose matches subset this instance's re-score from the difference.
 	// nil when the instance was sampled or infeasible.
 	score *measure.ScoreState
-	// spent has bit vi set when Spawn found variable vi (< 64) blocked at
-	// this instance or at the ancestor it was verified under: its ladder is
-	// capped below the next step, or the edge variable is frozen. Match
-	// sets, and with them neighborhoods, only shrink along refinement, so
-	// the variable is blocked at every refinement of this instance as well.
-	spent uint64
 }
 
 // Result is the outcome of a generation run.

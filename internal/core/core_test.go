@@ -1,7 +1,10 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -108,6 +111,13 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("eps=0 accepted")
 	}
+	for _, eps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = *good
+		bad.Eps = eps
+		if err := bad.Validate(); err == nil {
+			t.Errorf("eps=%g accepted", eps)
+		}
+	}
 	bad = *good
 	bad.Groups = nil
 	if err := bad.Validate(); err == nil {
@@ -117,6 +127,11 @@ func TestConfigValidate(t *testing.T) {
 	bad.Lambda = 2
 	if err := bad.Validate(); err == nil {
 		t.Error("lambda=2 accepted")
+	}
+	bad = *good
+	bad.Lambda = math.NaN()
+	if err := bad.Validate(); err == nil {
+		t.Error("lambda=NaN accepted")
 	}
 	bad = *good
 	bad.G = nil
@@ -289,28 +304,105 @@ func TestIncrementalAblation(t *testing.T) {
 	}
 }
 
-// TestTemplateRefinementAblation: disabling the Spawn restriction must not
-// shrink the quality of the ε-Pareto set.
-func TestTemplateRefinementAblation(t *testing.T) {
-	g := fixtureGraph(t, 6)
-	cfg := fixtureConfig(t, g, 0.3, 3)
-	ref, err := newRunnerT(t, cfg).AllFeasible()
+// spawnFixture is a tiny graph whose lattice has children no node can
+// satisfy: two directors with recommenders of experience 5 and 9, and a
+// distant person with experience 50, so the ladder of x holds the level
+// x >= 50 that nothing recommending a director reaches; and an edge
+// variable whose label "mentors" occurs nowhere in the graph. Only the male
+// group is constrained, so the parents of both children are feasible.
+func spawnFixture(t *testing.T) *Config {
+	t.Helper()
+	g := graph.New()
+	d1 := g.AddNode("Person", map[string]graph.Value{"title": graph.Str("Director"), "gender": graph.Str("female")})
+	d2 := g.AddNode("Person", map[string]graph.Value{"title": graph.Str("Director"), "gender": graph.Str("male")})
+	r1 := g.AddNode("Person", map[string]graph.Value{"yearsOfExp": graph.Int(5), "gender": graph.Str("male")})
+	r2 := g.AddNode("Person", map[string]graph.Value{"yearsOfExp": graph.Int(9), "gender": graph.Str("female")})
+	far := g.AddNode("Person", map[string]graph.Value{"yearsOfExp": graph.Int(50), "gender": graph.Str("male")})
+	other := g.AddNode("Person", map[string]graph.Value{"gender": graph.Str("male")})
+	for _, e := range [][2]graph.NodeID{{r1, d1}, {r2, d2}, {far, other}} {
+		if err := g.AddEdge(e[0], e[1], "recommend"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Freeze()
+
+	tpl, err := query.NewBuilder("t").
+		Node("u_o", "Person").Literal("u_o", "title", graph.OpEQ, graph.Str("Director")).
+		Node("u1", "Person").RangeVar("x", "u1", "yearsOfExp", graph.OpGE).
+		Edge("u1", "u_o", "recommend").
+		Node("u2", "Person").VarEdge("men", "u2", "u_o", "mentors").
+		Output("u_o").Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	refPoints := make([]pareto.Point, len(ref))
-	for i, v := range ref {
-		refPoints[i] = v.Point
+	if err := tpl.BindDomains(g, query.DomainOptions{}); err != nil {
+		t.Fatal(err)
 	}
-	for _, disable := range []bool{false, true} {
-		c := fixtureConfig(t, g, 0.3, 3)
-		c.DisableTemplateRefinement = disable
-		res, err := newRunnerT(t, c).RfQGen()
-		if err != nil {
-			t.Fatal(err)
+	if x := tpl.Vars[tpl.Var("x")]; len(x.Ladder) != 3 || !x.Ladder[2].Equal(graph.Int(50)) {
+		t.Fatalf("ladder = %v", x.Ladder)
+	}
+	set := groups.EqualOpportunity(groups.ByAttribute(g, "Person", "gender"), 1)
+	for i := range set {
+		if set[i].Name == "gender=female" {
+			set[i].Want = 0
 		}
-		if em := pareto.MinEps(res.Points(), refPoints); em > c.Eps+1e-9 {
-			t.Errorf("refinement=%v: ε_m = %v", !disable, em)
+	}
+	return &Config{G: g, Template: tpl, Groups: set, Eps: 0.3}
+}
+
+// TestSpawnAgreesWithEnum: the walkers take every one-step refinement of a
+// feasible instance as its children, so RfQGen, BiQGen and ParQGen archive
+// the ε-boxes EnumQGen does — on the canonical fixture and on spawnFixture,
+// whose children x >= 50 and men present are verified, not withheld, and
+// read infeasible.
+func TestSpawnAgreesWithEnum(t *testing.T) {
+	walkers := []struct {
+		name string
+		run  func(*Runner) (*Result, error)
+	}{
+		{"rf", (*Runner).RfQGen},
+		{"bi", (*Runner).BiQGen},
+		{"par2", func(r *Runner) (*Result, error) { return r.ParQGen(2) }},
+	}
+	fixtures := []struct {
+		name string
+		cfg  func() *Config
+	}{
+		{"canonical", func() *Config { return fixtureConfig(t, fixtureGraph(t, 6), 0.3, 3) }},
+		{"spawn", func() *Config { return spawnFixture(t) }},
+	}
+	for _, fx := range fixtures {
+		want, err := newRunnerT(t, fx.cfg()).EnumQGen()
+		if err != nil || len(want.Set) == 0 {
+			t.Fatalf("%s: enum front %v, %v", fx.name, want, err)
+		}
+		for _, w := range walkers {
+			cfg := fx.cfg()
+			var mu sync.Mutex
+			feasible := map[string]bool{}
+			cfg.OnVerified = func(ev VerifyEvent) {
+				mu.Lock()
+				feasible[ev.Instance.Key()] = ev.Feasible
+				mu.Unlock()
+			}
+			got, err := w.run(newRunnerT(t, cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, e := boxesOf(got), boxesOf(want); !slices.Equal(g, e) {
+				t.Errorf("%s %s: boxes %v, enum %v", fx.name, w.name, g, e)
+			}
+			if fx.name != "spawn" {
+				continue
+			}
+			tpl := cfg.Template
+			top, mentor := query.Root(tpl), query.Root(tpl)
+			top[tpl.Var("x")], mentor[tpl.Var("men")] = 2, 1
+			for _, child := range []query.Instantiation{top, mentor} {
+				if f, ok := feasible[child.Key()]; !ok || f {
+					t.Errorf("%s: child %v verified %v, feasible %v; want verified and infeasible", w.name, child, ok, f)
+				}
+			}
 		}
 	}
 }

@@ -384,9 +384,6 @@ func (r *Runner) evaluate(q *query.Instance, parent *Verified, keep int) link {
 			keep = noKeep
 		}
 	}
-	if parent != nil {
-		v.spent = parent.spent
-	}
 	switch {
 	case r.ctx.Err() != nil: // cut short: commit records nothing of it
 	case shared:

@@ -136,7 +136,7 @@ func TestSharedAnswerEqualsDirectScore(t *testing.T) {
 				defer r.release()
 				w := r.fork()
 				plan := PlanSlabs(r.cfg.Template)
-				exploreSlab(w, newSpawner(w), plan.SplitVar, plan.Levels[len(plan.Levels)-1],
+				exploreSlab(w, plan.SplitVar, plan.Levels[len(plan.Levels)-1],
 					pareto.NewArchive[*Verified](r.cfg.Eps), noopLocker{})
 				return w
 			},
@@ -387,7 +387,7 @@ func TestRetargetLeavesNoStaleSeed(t *testing.T) {
 // runs also agree on the work done: the lookup's choice is deterministic.
 func TestParentlessInheritanceEqualsScratch(t *testing.T) {
 	lki := gen.BuildLKI(gen.Options{Nodes: 2000, Seed: 1})
-	star := *spawnRunner(t, lki, spawnTemplates[0]).cfg
+	star := *starConfig(t, lki)
 	for name, base := range map[string]*Config{
 		"cycle":  cycleConfig(t, fixtureGraph(t, 4)),
 		"talent": fixtureConfig(t, fixtureGraph(t, 30), 0.05, 3),
@@ -489,4 +489,31 @@ func must(t *testing.T, err error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// starTemplate is an LKI template with a >= and a <= range variable over one
+// attribute, an Org range variable and two edge variables.
+const starTemplate = `template star
+node u_o Person title = "Director"
+node u1 Person yearsOfExp >= $x1
+node u2 Person yearsOfExp <= $x2
+node u3 Org employees >= $x3
+edge u1 u_o recommend ?e1
+edge u2 u_o coreview ?e2
+edge u_o u3 worksAt
+output u_o`
+
+// starConfig binds starTemplate to g, three values a ladder, with lax
+// coverage constraints.
+func starConfig(t testing.TB, g *graph.Graph) *Config {
+	t.Helper()
+	tpl, err := query.ParseString(starTemplate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tpl.BindDomains(g, query.DomainOptions{MaxValues: 3}); err != nil {
+		t.Fatal(err)
+	}
+	set := groups.EqualOpportunity(groups.ByAttribute(g, "Person", "gender"), 1)
+	return &Config{G: g, Template: tpl, Groups: set, Eps: 0.2}
 }

@@ -45,9 +45,8 @@ func (r *Runner) ParQGen(workers int) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sp := newSpawner(local)
 			for level := range jobs {
-				exploreSlab(local, sp, plan.SplitVar, level, archive, &mu)
+				exploreSlab(local, plan.SplitVar, level, archive, &mu)
 			}
 			mu.Lock()
 			r.stats.Add(local.stats)
@@ -89,7 +88,7 @@ func pickSplitVariable(t *query.Template) int {
 //
 // The walk keeps every instance on the current root-to-leaf path in the
 // lineage at its depth, and cuts it once its subtree is walked.
-func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
+func exploreSlab(r *Runner, splitVar, level int,
 	archive *pareto.Archive[*Verified], mu sync.Locker) {
 	t := r.cfg.Template
 	visited := make(map[string]bool)
@@ -115,7 +114,7 @@ func exploreSlab(r *Runner, sp *spawner, splitVar, level int,
 		mu.Lock()
 		archive.Update(v.Point, v)
 		mu.Unlock()
-		for _, child := range sp.refine(v) {
+		for _, child := range r.spawn(v) {
 			if splitVar >= 0 && child[splitVar] != level {
 				continue // stay inside the slab
 			}

@@ -8,12 +8,12 @@ import "time"
 // incrementally against its parent's match set; infeasible instances cut
 // their entire refinement subtree (Lemma 2: refinement only shrinks match
 // sets, so no descendant can regain feasibility). Feasible instances pass
-// through the Update archive and spawn their restricted front set.
+// through the Update archive and spawn their front set.
 func (r *Runner) RfQGen() (*Result, error) {
 	defer r.start()()
 	start := time.Now()
 	archive := newArchive(r.cfg.Eps)
-	exploreSlab(r, newSpawner(r), -1, 0, archive, noopLocker{})
+	exploreSlab(r, -1, 0, archive, noopLocker{})
 	if err := r.err(); err != nil {
 		return nil, err
 	}

@@ -106,7 +106,7 @@ func (r *Runner) RunSlab(splitVar, level int) (*SlabResult, error) {
 	defer r.start()()
 	start := time.Now()
 	archive := newArchive(r.cfg.Eps)
-	exploreSlab(r, newSpawner(r), splitVar, level, archive, noopLocker{})
+	exploreSlab(r, splitVar, level, archive, noopLocker{})
 	if err := r.err(); err != nil {
 		return nil, err
 	}

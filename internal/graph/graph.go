@@ -1,8 +1,8 @@
 // Package graph implements the attributed directed graph substrate used by
 // the FairSQG query-generation algorithms: nodes and edges carry labels,
 // nodes carry typed attribute tuples, and the graph maintains the label,
-// active-domain and sorted attribute indexes the matcher and the spawners
-// rely on. Storage is columnar once frozen: attribute names are interned
+// active-domain and sorted attribute indexes the matcher relies on.
+// Storage is columnar once frozen: attribute names are interned
 // into dense AttrIDs and Freeze transposes the per-node tuples into typed
 // per-attribute columns (value array + presence bitmap) plus per-(label,
 // attribute) sorted permutation indexes.

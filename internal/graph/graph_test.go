@@ -149,94 +149,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestKHopNeighborhood(t *testing.T) {
-	g := buildSample(t)
-	var hood Neighborhood
-	ball := func(d int) map[NodeID]bool {
-		set := map[NodeID]bool{}
-		n := hood.Visit(g, []NodeID{0, 0}, d, func(v NodeID) bool {
-			if set[v] {
-				t.Errorf("%d-hop visits %d twice", d, v)
-			}
-			set[v] = true
-			return false
-		})
-		if n != len(set) {
-			t.Errorf("%d-hop: Visit returned %d for %d nodes", d, n, len(set))
-		}
-		return set
-	}
-	h0 := ball(0)
-	if len(h0) != 1 || !h0[0] {
-		t.Errorf("0-hop = %v", h0)
-	}
-	h1 := ball(1)
-	// node 0 reaches 1, 3 (out) and 2 (in) in one undirected hop.
-	for _, v := range []NodeID{0, 1, 2, 3} {
-		if !h1[v] {
-			t.Errorf("1-hop missing %d: %v", v, h1)
-		}
-	}
-	if h1[4] {
-		t.Errorf("1-hop should not include 4")
-	}
-	h2 := ball(2)
-	if len(h2) != 5 {
-		t.Errorf("2-hop should reach everything, got %v", h2)
-	}
-	// The walker is reusable: a smaller ball after a larger one.
-	if again := ball(0); len(again) != 1 || !again[0] {
-		t.Errorf("0-hop after 2-hop = %v", again)
-	}
-}
-
-// TestNeighborhoodClearsSeenSet: the seen-set is all-zero after a walk,
-// whether the ball was small against the graph (cleared node by node) or
-// all of it (cleared wholesale), and after a walk stopped in the middle of
-// a hop, so a reused walker starts from nothing.
-func TestNeighborhoodClearsSeenSet(t *testing.T) {
-	g := New()
-	const n = 1000
-	for i := 0; i < n; i++ {
-		g.AddNode("N", nil)
-	}
-	for i := 0; i+1 < n; i++ {
-		if err := g.AddEdge(NodeID(i), NodeID(i+1), "next"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// A hub with edges to 100 chain nodes: its one hop is wide.
-	hub := g.AddNode("N", nil)
-	for i := 0; i < 100; i++ {
-		if err := g.AddEdge(hub, NodeID(i*7), "spoke"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.Freeze()
-	var hood Neighborhood
-	for _, c := range []struct {
-		seed   NodeID
-		d      int
-		stopAt int // 0: never stop
-		want   int
-	}{{500, 3, 0, 7}, {0, n, 0, n + 1}, {999, 2, 0, 3}, {500, 3, 0, 7},
-		{500, 3, 4, 4}, {hub, 1, 50, 50}, {hub, 2, 150, 150}, {500, 3, 0, 7}} {
-		visited := 0
-		got := hood.Visit(g, []NodeID{c.seed}, c.d, func(NodeID) bool {
-			visited++
-			return visited == c.stopAt
-		})
-		if got != c.want || visited != c.want {
-			t.Errorf("%d-hop ball of %d stopped at %d: Visit returned %d after %d visits, want %d", c.d, c.seed, c.stopAt, got, visited, c.want)
-		}
-		for i, w := range hood.seen {
-			if w != 0 {
-				t.Fatalf("after the %d-hop ball of %d stopped at %d: seen word %d = %#x", c.d, c.seed, c.stopAt, i, w)
-			}
-		}
-	}
-}
-
 func TestJSONRoundTrip(t *testing.T) {
 	g := buildSample(t)
 	var buf bytes.Buffer

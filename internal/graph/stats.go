@@ -72,64 +72,3 @@ func (s Stats) String() string {
 		s.Nodes, s.Edges, s.NodeLabels, s.EdgeLabels, s.AvgAttrs, s.AvgOutDegree, s.MaxAdom)
 	return b.String()
 }
-
-// Neighborhood walks d-hop balls around seed sets. It implements the G_q^d
-// structure of the Spawn template-refinement optimization (Section IV-A):
-// the nodes within d hops of the current match set. The seen-set and the
-// BFS queue are reused from walk to walk, so a warm walker allocates
-// nothing; it serves one goroutine. The zero value is ready to use.
-type Neighborhood struct {
-	// seen is a bitset over NodeIDs, all-zero between walks.
-	seen []uint64
-	// nodes is the walk in visiting order; its tail is the BFS frontier.
-	nodes []NodeID
-}
-
-// Visit calls stop on every node within d hops (ignoring edge direction)
-// of any seed, each once, seeds first and then hop by hop, until stop
-// returns true. It returns the number of nodes visited.
-func (h *Neighborhood) Visit(g *Graph, seeds []NodeID, d int, stop func(NodeID) bool) int {
-	if need := (g.NumNodes() + 63) / 64; len(h.seen) < need {
-		h.seen = make([]uint64, need)
-	}
-	h.nodes = walk(g, seeds, d, stop, h.seen, h.nodes[:0])
-	// Clear what was visited, so the cost follows the walk and not the
-	// graph — unless the walk is the larger of the two.
-	if len(h.nodes) >= len(h.seen) {
-		clear(h.seen)
-	} else {
-		for _, v := range h.nodes {
-			h.seen[v>>6] = 0
-		}
-	}
-	return len(h.nodes)
-}
-
-// walk appends to nodes what it visits, marked in seen, and returns it.
-func walk(g *Graph, seeds []NodeID, d int, stop func(NodeID) bool, seen []uint64, nodes []NodeID) []NodeID {
-	for _, v := range seeds {
-		if w, b := &seen[v>>6], uint64(1)<<(uint(v)&63); *w&b == 0 {
-			*w |= b
-			if nodes = append(nodes, v); stop(v) {
-				return nodes
-			}
-		}
-	}
-	for hop, lo := 0, 0; hop < d && lo < len(nodes); hop++ {
-		hi := len(nodes)
-		for _, v := range nodes[lo:hi] {
-			for _, es := range [2][]Edge{g.Out(v), g.In(v)} {
-				for _, e := range es {
-					if w, b := &seen[e.To>>6], uint64(1)<<(uint(e.To)&63); *w&b == 0 {
-						*w |= b
-						if nodes = append(nodes, e.To); stop(e.To) {
-							return nodes
-						}
-					}
-				}
-			}
-		}
-		lo = hi
-	}
-	return nodes
-}

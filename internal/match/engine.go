@@ -46,7 +46,7 @@ type EngineStats struct {
 	DomainsHeld int
 	// Shared reports what the runs on this engine left each other (Store).
 	Shared StoreStats
-	// Plan and Search are the wall time evaluations spent planning and
+	// Plan and Search are the wall time evaluations took planning and
 	// searching, summed over goroutines.
 	Plan, Search time.Duration
 }

@@ -145,7 +145,7 @@ type Matcher struct {
 	// Backtracking scratch reused across evaluations: used is an
 	// isomorphism-injectivity bitset over all of V, assign the current
 	// partial matching indexed by plan node, nodesLeft/exhausted the
-	// explicit search budget (exhausted distinguishes "budget spent" from
+	// explicit search budget (exhausted distinguishes "budget used up" from
 	// the MaxBacktrackNodes == 0 "unbounded" zero).
 	used      []uint64
 	assign    []graph.NodeID

@@ -219,7 +219,7 @@ func chainTpl(t testing.TB, labels ...string) *query.Template {
 // TestBudgetSemantics pins the MaxBacktrackNodes contract: a budget of N
 // admits exactly N search-node expansions per root candidate — in
 // particular budget 1 completes a two-node plan (one expansion suffices; the
-// historical off-by-one spent the whole budget reaching the first expansion
+// historical off-by-one used up the whole budget reaching the first expansion
 // and reported a false non-match) — and 0 stays the unbounded sentinel.
 func TestBudgetSemantics(t *testing.T) {
 	g := budgetChainGraph(t)

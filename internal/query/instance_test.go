@@ -202,37 +202,6 @@ func TestRefineRelaxInverse(t *testing.T) {
 	}
 }
 
-func TestRefineStepsRestricted(t *testing.T) {
-	tpl := talentTemplate(t)
-	root := Root(tpl)
-	// Cap x1 (var 0) at level 0 and freeze e1 (var 2).
-	kids := RefineStepsRestricted(tpl, root, Restriction{Caps: []int{0: 0, 1: NoCap, 2: NoCap}, Frozen: []bool{2: true}})
-	for _, k := range kids {
-		if k[2] == 1 {
-			t.Error("frozen edge variable was refined")
-		}
-	}
-	// From level 0, x1 cannot go to level 1 under cap 0.
-	at0 := Instantiation{0, Wildcard, 0}
-	kids = RefineStepsRestricted(tpl, at0, Restriction{Caps: []int{0: 0}})
-	for _, k := range kids {
-		if k[0] == 1 {
-			t.Error("cap exceeded")
-		}
-	}
-	// Cap -1 suppresses even the wildcard step.
-	kids = RefineStepsRestricted(tpl, root, Restriction{Caps: []int{0: -1}})
-	for _, k := range kids {
-		if k[0] != Wildcard {
-			t.Error("cap -1 did not suppress the variable")
-		}
-	}
-	// The zero restriction means unrestricted.
-	if got, want := len(RefineStepsRestricted(tpl, root, Restriction{})), len(RefineSteps(tpl, root)); got != want {
-		t.Errorf("unrestricted mismatch: %d vs %d", got, want)
-	}
-}
-
 // TestNumRefineSteps: the count agrees with the materialized child list on
 // every instantiation of the lattice (chain, equality and edge variables).
 func TestNumRefineSteps(t *testing.T) {

@@ -1,68 +1,34 @@
 package query
 
-import (
-	"math"
-
-	"fairsqg/internal/graph"
-)
-
-// NoCap is the Restriction.Caps entry of a range variable whose ladder is
-// not capped.
-const NoCap = math.MaxInt
-
-// Restriction narrows the refinement steps of one instantiation. It
-// implements the Spawn template-refinement optimization, which restricts
-// the values a variable can still take to those realized in the d-hop
-// neighborhood of the current match set. Both slices are indexed by
-// variable; a nil (or short) slice restricts nothing, so the zero value is
-// the unrestricted lattice.
-type Restriction struct {
-	// Caps[vi] is the highest ladder level range variable vi may still be
-	// refined to: NoCap means no cap, -1 means no value remains (even the
-	// wildcard step is suppressed).
-	Caps []int
-	// Frozen[vi] keeps edge variable vi at absent (its label does not occur
-	// around the matches).
-	Frozen []bool
-}
-
-func (r Restriction) capOf(vi int) int {
-	if vi < len(r.Caps) {
-		return r.Caps[vi]
-	}
-	return NoCap
-}
-
-func (r Restriction) frozen(vi int) bool { return vi < len(r.Frozen) && r.Frozen[vi] }
+import "fairsqg/internal/graph"
 
 // forEachRefineStep calls step(vi, level) for every one-variable refinement
-// of in that res admits, in variable then level order: the one loop behind
-// RefineSteps, RefineStepsRestricted and NumRefineSteps. For chain-ordered
-// range variables (<, <=, >=, >) the wildcard steps to ladder level 0 and
-// level l to l+1. For equality variables the wildcard steps to every ladder
-// value (each a one-step refinement) and a bound value has no further
-// refinement. Edge variables step from absent (0) to present (1).
-func forEachRefineStep(t *Template, in Instantiation, res Restriction, step func(vi, level int)) {
+// of in, in variable then level order: the one loop behind RefineSteps and
+// NumRefineSteps. For chain-ordered range variables (<, <=, >=, >) the
+// wildcard steps to ladder level 0 and level l to l+1. For equality
+// variables the wildcard steps to every ladder value (each a one-step
+// refinement) and a bound value has no further refinement. Edge variables
+// step from absent (0) to present (1).
+func forEachRefineStep(t *Template, in Instantiation, step func(vi, level int)) {
 	for vi := range t.Vars {
 		v := &t.Vars[vi]
 		level := in[vi]
 		switch v.Kind {
 		case EdgeVar:
-			if (level == 0 || level == Wildcard) && !res.frozen(vi) {
+			if level == 0 || level == Wildcard {
 				step(vi, 1)
 			}
 		case RangeVar:
-			top := res.capOf(vi)
 			if v.Op == graph.OpEQ {
 				if level == Wildcard {
-					for l := 0; l < len(v.Ladder) && l <= top; l++ {
+					for l := range v.Ladder {
 						step(vi, l)
 					}
 				}
 				continue
 			}
 			next := level + 1 // Wildcard is -1: the wildcard steps to level 0
-			if next < len(v.Ladder) && next <= top {
+			if next < len(v.Ladder) {
 				step(vi, next)
 			}
 		}
@@ -73,18 +39,12 @@ func forEachRefineStep(t *Template, in Instantiation, res Restriction, step func
 // exactly one variable to its next value in the corresponding ladder: the
 // children of in in the instance lattice (Section IV, "Instance Lattice").
 func RefineSteps(t *Template, in Instantiation) []Instantiation {
-	return RefineStepsRestricted(t, in, Restriction{})
-}
-
-// RefineStepsRestricted is RefineSteps under a Restriction: the children
-// of in that res admits, in the order RefineSteps lists them.
-func RefineStepsRestricted(t *Template, in Instantiation, res Restriction) []Instantiation {
-	n := numRefineSteps(t, in, res)
+	n := NumRefineSteps(t, in)
 	if n == 0 {
 		return nil
 	}
 	out := make([]Instantiation, 0, n)
-	forEachRefineStep(t, in, res, func(vi, level int) {
+	forEachRefineStep(t, in, func(vi, level int) {
 		out = append(out, withBinding(in, vi, level))
 	})
 	return out
@@ -92,12 +52,8 @@ func RefineStepsRestricted(t *Template, in Instantiation, res Restriction) []Ins
 
 // NumRefineSteps is len(RefineSteps(t, in)) without building the children.
 func NumRefineSteps(t *Template, in Instantiation) int {
-	return numRefineSteps(t, in, Restriction{})
-}
-
-func numRefineSteps(t *Template, in Instantiation, res Restriction) int {
 	n := 0
-	forEachRefineStep(t, in, res, func(int, int) { n++ })
+	forEachRefineStep(t, in, func(int, int) { n++ })
 	return n
 }
 

@@ -366,41 +366,6 @@ func (t *Template) AlwaysActive() []int {
 	return out
 }
 
-// Diameter returns the diameter of the template graph with all edges
-// present, treated as undirected. It bounds the d-hop neighborhood used by
-// the Spawn template-refinement optimization.
-func (t *Template) Diameter() int {
-	n := len(t.Nodes)
-	adj := make([][]int, n)
-	for _, e := range t.Edges {
-		adj[e.From] = append(adj[e.From], e.To)
-		adj[e.To] = append(adj[e.To], e.From)
-	}
-	max := 0
-	dist := make([]int, n)
-	for s := 0; s < n; s++ {
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, w := range adj[v] {
-				if dist[w] < 0 {
-					dist[w] = dist[v] + 1
-					if dist[w] > max {
-						max = dist[w]
-					}
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return max
-}
-
 // InstanceSpaceSize returns |I(Q)| ≤ 2^|X_E| * Π(|ladder|+1): the number of
 // instantiations distinguishable by the lattice (each range variable may be
 // a wildcard or any ladder value; each edge variable absent or present).

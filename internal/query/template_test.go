@@ -37,9 +37,6 @@ func TestBuilderAndValidate(t *testing.T) {
 	if tpl.Var("x3") < 0 || tpl.Var("zz") != -1 {
 		t.Error("Var lookup wrong")
 	}
-	if tpl.Diameter() != 2 {
-		t.Errorf("Diameter = %d, want 2", tpl.Diameter())
-	}
 	// (3+1)*(3+1)*2 = 32 instantiations.
 	if got := tpl.InstanceSpaceSize(); got != 32 {
 		t.Errorf("InstanceSpaceSize = %d, want 32", got)
