@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -13,7 +14,9 @@ import (
 // PR=<n>) parses, names its commit, parent, toolchain and a reproduce command
 // per result, and its summary numbers — medians, quartiles, ratio, pairs won
 // — re-derive from the runs it lists, so a table copied out of it cannot
-// disagree with the measurements behind it.
+// disagree with the measurements behind it. A result recorded under
+// EXPECT_DIGEST (a sanctioned digest move) carries the parent's digest
+// beside its own, and its own is the one the command expects.
 func TestBenchFilesRederive(t *testing.T) {
 	files, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
@@ -29,6 +32,7 @@ func TestBenchFilesRederive(t *testing.T) {
 		Nproc              int
 		Results            []struct {
 			Workload, Digest, Reproduce string
+			ParentDigest                string `json:"parentDigest"`
 			Seed, Pairs                 int
 			Metrics                     []struct {
 				Name, Unit, Better string
@@ -65,6 +69,11 @@ func TestBenchFilesRederive(t *testing.T) {
 		for _, r := range doc.Results {
 			if r.Digest == "" || r.Reproduce == "" || r.Pairs == 0 || len(r.Metrics) == 0 {
 				t.Errorf("%s %s seed %d: incomplete result", file, r.Workload, r.Seed)
+			}
+			expect := strings.Contains(r.Reproduce, "EXPECT_DIGEST=")
+			if expect != (r.ParentDigest != "") || expect && !strings.Contains(r.Reproduce, "EXPECT_DIGEST="+r.Digest+" ") {
+				t.Errorf("%s %s seed %d: digest %q, parent digest %q, reproduced by %q",
+					file, r.Workload, r.Seed, r.Digest, r.ParentDigest, r.Reproduce)
 			}
 			for _, m := range r.Metrics {
 				where := file + " " + r.Workload + " " + m.Name

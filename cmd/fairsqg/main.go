@@ -51,7 +51,7 @@ func main() {
 	alg := flag.String("alg", "bi", "algorithm: "+algNames)
 	eps := flag.Float64("eps", 0.05, "ε-dominance tolerance")
 	lambda := flag.Float64("lambda", 0.5, "relevance/dissimilarity balance λ in [0,1] (0 = pure relevance)")
-	maxPairs := flag.Int("max-pairs", 20000, "pairwise diversity sample cap (<0 = exact, no cap)")
+	maxPairs := flag.Int("max-pairs", 20000, "pairwise diversity sample cap on free-text attributes (<0 = exact, no cap); the others are exact")
 	distAttrs := flag.String("dist-attrs", "", "comma-separated attributes for the diversity distance")
 	candCache := flag.Int("cand-cache", 0, "candidate cache entries: 0 default, <0 disabled")
 

@@ -124,13 +124,15 @@
 //     match sets; only exploration order — and, under a MaxBacktrackNodes
 //     budget, which prefix gets explored — differs.
 //
-// Diversity scoring is incremental: the default tuple distance compiles
-// into per-graph feature tables and is evaluated in place by a bit-vector
-// edit-distance kernel (cheaper per pair than a cache probe, so it is
-// never cached; only a caller-supplied Config.Distance is memoized, in a
-// run-private pair cache), and instances refined from a scored parent are
-// re-scored by subtracting the removed matches' contributions rather than
-// recomputing the O(n²) pair loop. Pair sums accumulate in fixed point,
+// Diversity scoring is exact by column and incremental: the default tuple
+// distance compiles into per-graph feature tables; every column but free
+// text sums exactly from one pass over the answer, with no pair loop; free
+// text is evaluated in place by a bit-vector edit-distance kernel (cheaper
+// per pair than a cache probe, so it is never cached; only a
+// caller-supplied Config.Distance is memoized, in a run-private pair
+// cache), and instances refined from a scored parent are re-scored by
+// subtracting the removed matches' contributions rather than recomputing
+// the O(n²) pair loop. Pair sums accumulate in fixed point,
 // so scores are bit-identical to the exact recompute in every setting.
 // For the same reason a large sampled or exact pair loop on the default
 // distance splits across up to GOMAXPROCS goroutines with the same result
@@ -143,7 +145,8 @@
 //     number of distance evaluations in Stats.DistCache.Evals (hits and
 //     misses are a custom distance's pair-cache traffic, 0 otherwise).
 //   - Config.MaxPairs: pair-sampling threshold for very large answer
-//     sets; 0 picks a default cap, negative forces exact scoring.
+//     sets; 0 picks a default cap, negative forces exact scoring. It caps
+//     only the pair loop: free-text columns and a Config.Distance.
 //   - Config.Lambda / Config.LambdaSet: the relevance/distance mix;
 //     LambdaSet lets an explicit 0 override the 0.5 default.
 //

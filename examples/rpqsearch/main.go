@@ -54,8 +54,9 @@ func main() {
 		log.Fatal(err)
 	}
 	cfg.Groups, cfg.Eps = set, 0.1
+	// Both attributes sum exactly by column, so δ takes no pair sample
+	// however many thousands of papers an answer holds.
 	cfg.DistanceAttrs = []string{"topic", "numberOfCitations"}
-	cfg.MaxPairs = 20000 // answers run to thousands of papers: sample δ's pairs
 	fmt.Printf("RPQ template: sources Paper, path %s, bounds %v, space %d instances\n\n",
 		expr, tpl.Bounds, cfg.Template.InstanceSpaceSize())
 	fmt.Printf("groups: %s (%d), %s (%d); c=%d each\n\n",

@@ -45,7 +45,8 @@ type JobPayload struct {
 	// MaxDomain caps each bound value ladder (default 8).
 	MaxDomain int `json:"maxDomain,omitempty"`
 	// MaxPairs caps pairwise diversity evaluations (default
-	// DefaultMaxPairs; negative requests exact scoring).
+	// DefaultMaxPairs; negative requests exact scoring). Only free-text
+	// distance attributes take pairs; the others sum exactly by column.
 	MaxPairs int `json:"maxPairs,omitempty"`
 	// DistanceAttrs restricts the tuple distance to these attributes.
 	DistanceAttrs []string `json:"distanceAttrs,omitempty"`

@@ -87,7 +87,8 @@ type Config struct {
 	// MaxPairs caps pairwise distance evaluations per instance: 0 selects
 	// the default cap (DefaultMaxPairs), a negative value requests exact
 	// scoring with no cap, and a positive value caps evaluations at that
-	// many sampled pairs.
+	// many sampled pairs. Only a pair loop samples: the default distance's
+	// free-text columns or a custom Distance; the others are exact.
 	MaxPairs int
 	// CandCacheSize bounds the shared candidate cache that memoizes the
 	// label+literal filtering phase across instances (refinement siblings
@@ -225,7 +226,8 @@ type Stats struct {
 	// SandwichPairs counts sandwich bounds recorded (BiQGen only).
 	SandwichPairs int
 	// IncScores counts diversity evaluations served by the subset-delta
-	// incremental path instead of a from-scratch pair loop.
+	// incremental path instead of a from-scratch pair loop (free-text columns
+	// or a custom Distance; without one, only feasible AnswersShared).
 	IncScores int
 	// AnswersShared counts verifications whose answer equalled the verified
 	// parent's and adopted its record — matches, feasibility, point and
@@ -247,14 +249,17 @@ type Stats struct {
 	ScoreSplits int
 	// Wall is the time taken in each Phase, summed over goroutines: clocks.
 	Wall [numPhases]time.Duration
-	// Matcher carries the matcher counters of every evaluation of the run.
+	// Matcher carries the matcher counters of the engine the run evaluated
+	// on (and of those Retarget replaced): an injected Config.Engine's are
+	// its totals over every run on it. Wall holds the run's own clocks.
 	Matcher match.Stats
 	// Cache reports candidate-cache effectiveness; zero when disabled.
 	Cache match.CacheStats
 	// DistCache.Evals is the exact number of pairwise distance evaluations
-	// of this run. The default tuple distance is evaluated directly, so the
-	// other counters read 0; with a caller-supplied Config.Distance they
-	// report the run-private pair cache that memoizes it.
+	// of this run's pair loops (the default distance's free-text columns, or
+	// a Config.Distance). The default distance is evaluated directly, so the
+	// other counters read 0; with a Config.Distance they report the
+	// run-private pair cache that memoizes it.
 	DistCache measure.PairCacheStats
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -31,35 +32,43 @@ func freeTextFixture(t testing.TB, seed int64) *graph.Graph {
 
 // TestDifferentialDirectVsCachedDistance: the default tuple distance,
 // which runners evaluate directly, and the very same function handed in as
-// Config.Distance, which they memoize through a pair cache, must be
-// indistinguishable — identical (δ, f) points and archive boxes, identical
-// exploration counters — on every algorithm, exact and sampled. Run with
-// -race -count=10 for the par case: its workers share the compiled
-// features (direct) or one pair cache (cached).
+// Config.Distance, which they memoize through a pair cache, must explore
+// alike — identical exploration counters, and as many pair evaluations as
+// pair-cache lookups — on every algorithm. Over the free-text bio alone
+// both run the one pair loop, so points and archive boxes are identical,
+// exact and sampled; with major and yearsOfExp beside it the direct path
+// sums those two by column, exact where the cached loop quantizes each pair
+// to 2⁻³⁰, so exact points agree within 1e-9 relative. Run with -race
+// -count=10 for the par case: its workers share the compiled features
+// (direct) or one pair cache (cached).
 func TestDifferentialDirectVsCachedDistance(t *testing.T) {
 	g := freeTextFixture(t, 31)
-	attrs := []string{"major", "yearsOfExp", "bio"}
-	for _, maxPairs := range []int{-1, 150} {
+	for _, c := range []struct {
+		attrs    []string
+		maxPairs int
+	}{{[]string{"bio"}, -1}, {[]string{"bio"}, 150}, {[]string{"major", "yearsOfExp", "bio"}, -1}} {
+		identical := len(c.attrs) == 1
 		for _, alg := range scoringAlgorithms {
 			run := func(cached bool) *Result {
 				cfg := fixtureConfig(t, g, 0.3, 3)
-				cfg.DistanceAttrs = attrs
-				cfg.MaxPairs = maxPairs
+				cfg.DistanceAttrs = c.attrs
+				cfg.MaxPairs = c.maxPairs
 				if cached {
-					cfg.Distance = measure.TupleDistance(g, attrs)
+					cfg.Distance = measure.TupleDistance(g, c.attrs)
 				}
 				res, err := alg.run(newRunnerT(t, cfg))
 				if err != nil {
-					t.Fatalf("%s maxPairs=%d cached=%v: %v", alg.name, maxPairs, cached, err)
+					t.Fatalf("%s %v maxPairs=%d cached=%v: %v", alg.name, c.attrs, c.maxPairs, cached, err)
 				}
 				return res
 			}
 			direct, cached := run(false), run(true)
-			name := fmt.Sprintf("%s maxPairs=%d", alg.name, maxPairs)
-			if !samePointSets(direct.Points(), cached.Points()) {
+			name := fmt.Sprintf("%s %v maxPairs=%d", alg.name, c.attrs, c.maxPairs)
+			if identical && !samePointSets(direct.Points(), cached.Points()) ||
+				!identical && !nearPointSets(direct.Points(), cached.Points(), 1e-9) {
 				t.Errorf("%s: points diverge:\ndirect %v\ncached %v", name, direct.Points(), cached.Points())
 			}
-			if db, cb := boxesOf(direct), boxesOf(cached); !equalStrings(db, cb) {
+			if db, cb := boxesOf(direct), boxesOf(cached); identical && !equalStrings(db, cb) {
 				t.Errorf("%s: archive boxes diverge:\ndirect %v\ncached %v", name, db, cb)
 			}
 			ds, cs := direct.Stats, cached.Stats
@@ -78,6 +87,28 @@ func TestDifferentialDirectVsCachedDistance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nearPointSets is samePointSets with δ and f each within tol relative.
+func nearPointSets(a, b []pareto.Point, tol float64) bool {
+	near := func(x, y float64) bool { return math.Abs(x-y) <= tol*math.Max(math.Abs(x), math.Abs(y)) }
+	if len(a) != len(b) {
+		return false
+	}
+	used := make([]bool, len(b))
+	for _, p := range a {
+		found := false
+		for j, q := range b {
+			if !used[j] && near(p.Div, q.Div) && near(p.Cov, q.Cov) {
+				used[j], found = true, true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // scoringAlgorithms are the walks that score differently enough to compare

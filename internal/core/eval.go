@@ -24,8 +24,10 @@ type Runner struct {
 	cfg *Config
 	// ctx is the run's cancellation context (cfg.Ctx, or Background when
 	// unset). Algorithms poll it between verifications; the engine polls it
-	// inside the backtracking search.
-	ctx context.Context
+	// inside the backtracking search, and adds its plan and search time to
+	// the clocks ctx carries, forks' included.
+	ctx    context.Context
+	clocks *match.Clocks
 	// engine evaluates every instance: Config.Engine when injected, else a
 	// run-owned one (see newEngine).
 	engine *match.Engine
@@ -75,7 +77,8 @@ func NewRunner(cfg *Config) (*Runner, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r := &Runner{cfg: cfg, ctx: ctx}
+	r := &Runner{cfg: cfg, clocks: new(match.Clocks)}
+	r.ctx = match.WithClocks(ctx, r.clocks)
 	for _, name := range cfg.ExtraOutputs {
 		r.extraNodes = append(r.extraNodes, cfg.Template.Node(name))
 	}
@@ -220,8 +223,8 @@ func (r *Runner) Stats() Stats {
 	s := r.stats
 	es := r.engine.Stats()
 	s.Matcher.Add(es.Stats)
-	s.Wall[PhasePlan] += es.Plan
-	s.Wall[PhaseSearch] += es.Search
+	s.Wall[PhasePlan] += time.Duration(r.clocks.Plan.Load())
+	s.Wall[PhaseSearch] += time.Duration(r.clocks.Search.Load())
 	s.Cache = es.Cache
 	if r.pairCache != nil {
 		s.DistCache = r.pairCache.Stats()
@@ -236,6 +239,8 @@ func (r *Runner) Stats() Stats {
 // cache warmth is exactly what injecting an engine is for.
 func (r *Runner) start() (end func()) {
 	r.stats = Stats{DerivedReused: r.derivedReused}
+	r.clocks.Plan.Store(0)
+	r.clocks.Search.Store(0)
 	r.derivedReused = 0
 	r.verSeq = 0
 	r.cache, r.answered = make(map[string]*Verified), nil

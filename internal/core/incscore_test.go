@@ -50,10 +50,13 @@ func TestIncScoreDifferential(t *testing.T) {
 
 // TestIncScoreDifferentialMultiOutput extends the differential to the
 // multiple-output-nodes mode, where the scored set is a union of per-node
-// match sets (still refinement-monotone, so the delta path applies).
+// match sets (still refinement-monotone, so the delta path applies to the
+// free-text bio's pair loop).
 func TestIncScoreDifferentialMultiOutput(t *testing.T) {
 	mk := func(disable bool) *Result {
 		cfg := multiOutputConfig(t, 22)
+		cfg.G = freeTextFixture(t, 22) // the same graph, plus bio
+		cfg.DistanceAttrs = []string{"major", "bio"}
 		cfg.MaxPairs = -1
 		cfg.DisableIncScore = disable
 		res, err := newRunnerT(t, cfg).RfQGen()
@@ -160,9 +163,10 @@ func TestMaxPairsSentinels(t *testing.T) {
 // TestEngineSharedDistCache pins the engine-level counter contract: the
 // default tuple distance is evaluated directly, so two identical runs over
 // one external engine each report the same, non-zero number of evaluations
-// and no cache traffic, and the engine accumulates both.
+// (the free-text bio's pairs) and no cache traffic, and the engine
+// accumulates both.
 func TestEngineSharedDistCache(t *testing.T) {
-	g := fixtureGraph(t, 26)
+	g := freeTextFixture(t, 26)
 	engine := match.NewEngine(g, match.EngineOptions{})
 	run := func() Stats {
 		cfg := fixtureConfig(t, g, 0.3, 3)
@@ -193,10 +197,11 @@ func TestEngineSharedDistCache(t *testing.T) {
 
 // TestPerRunDistCacheCounters: the distance counters are per run — a
 // second invocation on one Runner starts from zero and, the work being
-// deterministic, lands on the same count. ParQGen folds its workers'
-// counts to the same total whatever the worker count.
+// deterministic, lands on the same count (the free-text bio's pairs).
+// ParQGen folds its workers' counts to the same total whatever the worker
+// count.
 func TestPerRunDistCacheCounters(t *testing.T) {
-	g := fixtureGraph(t, 27)
+	g := freeTextFixture(t, 27)
 	cfg := fixtureConfig(t, g, 0.3, 3)
 	cfg.MaxPairs = -1
 	r := newRunnerT(t, cfg)

@@ -90,7 +90,9 @@ func (r *Runner) Retarget(g *graph.Graph) {
 	cfg.G, cfg.Engine = g, nil
 	cfg.Settings = old.Settings()
 	r.cfg = &cfg
-	r.stats = r.Stats() // the old engine's counters and clocks stay the run's
+	r.stats = r.Stats() // the old engine's counters and the clocks stay the run's
+	r.clocks.Plan.Store(0)
+	r.clocks.Search.Store(0)
 	r.release()
 	r.engine = r.newEngine(old.Cache())
 	r.engine.Adopt(old)

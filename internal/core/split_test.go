@@ -70,11 +70,13 @@ func TestSplitScoringSameResults(t *testing.T) {
 
 // TestCustomDistanceStaysOnCaller: a Config.Distance is entered by one
 // goroutine at a time at GOMAXPROCS 4 on the calls that split under the
-// default distance, and scores the same points. (ParQGen is left out: its
-// workers share the run's distance by design.)
+// default distance, and scores the same points. Both distances are over the
+// free-text title alone, so both run the same pair loop. (ParQGen is left
+// out: its workers share the run's distance by design.)
 func TestCustomDistanceStaysOnCaller(t *testing.T) {
 	g := gen.BuildDBP(gen.Options{Nodes: 4000, Seed: 3})
-	base := measure.TupleDistance(g, dbpSplitConfig(t, g).DistanceAttrs)
+	attrs := []string{"title"}
+	base := measure.TupleDistance(g, attrs)
 	var inflight, peak atomic.Int64
 	counted := func(v, w graph.NodeID) float64 {
 		n := inflight.Add(1)
@@ -88,6 +90,7 @@ func TestCustomDistanceStaysOnCaller(t *testing.T) {
 			continue
 		}
 		cfg := dbpSplitConfig(t, g)
+		cfg.DistanceAttrs = attrs
 		direct := runAtProcs(t, 4, cfg, alg.run)
 		cfg.Distance = counted
 		custom := runAtProcs(t, 4, cfg, alg.run)

@@ -46,9 +46,18 @@ type EngineStats struct {
 	DomainsHeld int
 	// Shared reports what the runs on this engine left each other (Store).
 	Shared StoreStats
-	// Plan and Search are the wall time evaluations took planning and
-	// searching, summed over goroutines.
-	Plan, Search time.Duration
+}
+
+// Clocks are the wall time evaluations took planning and searching, summed
+// over goroutines, for whoever made them: an evaluation whose context
+// carries Clocks (WithClocks) adds its own to them.
+type Clocks struct{ Plan, Search atomic.Int64 }
+
+type clocksKey struct{}
+
+// WithClocks returns ctx carrying c to the evaluations made under it.
+func WithClocks(ctx context.Context, c *Clocks) context.Context {
+	return context.WithValue(ctx, clocksKey{}, c)
 }
 
 // Engine is a concurrent match engine over one frozen graph: it owns a
@@ -78,7 +87,7 @@ type Engine struct {
 	domsHeld int
 	stats    Stats
 
-	distEvals, planNs, searchNs atomic.Int64
+	distEvals atomic.Int64
 }
 
 // NewEngine returns an engine over a frozen graph.
@@ -117,8 +126,7 @@ func (e *Engine) AddDistEvals(n int64) { e.distEvals.Add(n) }
 // Stats returns a snapshot of the engine's aggregated counters. Work done
 // by matchers currently mid-evaluation is included only once they finish.
 func (e *Engine) Stats() EngineStats {
-	s := EngineStats{Dist: measure.PairCacheStats{Evals: e.distEvals.Load()},
-		Plan: time.Duration(e.planNs.Load()), Search: time.Duration(e.searchNs.Load())}
+	s := EngineStats{Dist: measure.PairCacheStats{Evals: e.distEvals.Load()}}
 	e.mu.Lock()
 	s.Stats, s.DomainsHeld = e.stats, e.domsHeld
 	e.mu.Unlock()
@@ -278,9 +286,12 @@ func (e *Engine) eval(ctx context.Context, q *query.Instance, node int, within [
 	if seed != nil && seed.owner != e {
 		seed = nil // another engine's: positions in another generation's labels
 	}
+	clk, _ := ctx.Value(clocksKey{}).(*Clocks)
 	start := time.Now()
 	p := planner.buildPlan(q, node, within, seed)
-	e.planNs.Add(int64(time.Since(start)))
+	if clk != nil {
+		clk.Plan.Add(int64(time.Since(start)))
+	}
 	if p == nil {
 		if err = ctx.Err(); err == nil {
 			e.keep(key, nil)
@@ -302,7 +313,9 @@ func (e *Engine) eval(ctx context.Context, q *query.Instance, node int, within [
 	}
 	start = time.Now()
 	matches = planner.embedAll(p, rootCands)
-	e.searchNs.Add(int64(time.Since(start)))
+	if clk != nil {
+		clk.Search.Add(int64(time.Since(start)))
+	}
 	if err = ctx.Err(); err != nil {
 		e.ReleaseDomains(held)
 		return nil, false, nil, err

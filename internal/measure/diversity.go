@@ -82,11 +82,15 @@ func attrDistance(a, b graph.Value, span float64) float64 {
 // over a match set. |V_{u_o}| is the population of the output label, which
 // normalizes the pairwise term so that δ(q, G) ∈ [0, |V_{u_o}|].
 //
-// A Diversity counts its pair evaluations and owns kernel scratch, so it
-// serves one goroutine at a time; concurrent evaluators each take their
-// own value over the same (read-only) Features. A call whose pairs run on
-// Features may split its pair loop across goroutines of its own (split);
-// the result is the same at any worker count.
+// Over Features the pair term is exact by column: every column but free
+// text sums from one pass over the answer (DistanceFeatures.columnSums),
+// and only free-text columns — and a caller's Distance — run a pair loop.
+//
+// A Diversity counts its pair evaluations and owns scratch, so it serves
+// one goroutine at a time; concurrent evaluators each take their own value
+// over the same (read-only) Features. A call whose pairs run on Features
+// may split its pair loop across goroutines of its own (split); the result
+// is the same at any worker count.
 type Diversity struct {
 	// Lambda balances relevance (0) against dissimilarity (1).
 	Lambda float64
@@ -95,15 +99,17 @@ type Diversity struct {
 	// Distance is d(·,·); required unless Features is set.
 	Distance DistanceFunc
 	// Features, when set, is the default tuple distance evaluated in place
-	// of Distance: the pair loops call the compiled feature rows directly
+	// of Distance: its decomposable columns sum exactly by column, and the
+	// pair loops over its free-text columns call the compiled rows directly
 	// and keep each row's fixed string compiled for the bit-vector kernel,
 	// which a DistanceFunc closure cannot do.
 	Features *DistanceFeatures
 	// LabelPopulation is |V_{u_o}|.
 	LabelPopulation int
 	// MaxPairs caps the number of pairwise distance evaluations per call.
-	// When the match set induces more pairs, the pairwise sum is estimated
-	// from a deterministic sample and scaled; 0 means always exact.
+	// When the match set induces more pairs, the pair loop's sum (Distance,
+	// or Features' free-text columns) is estimated from a deterministic
+	// sample and scaled; 0 means always exact.
 	MaxPairs int
 
 	pairEvals, splits int64
@@ -111,13 +117,15 @@ type Diversity struct {
 }
 
 // pairWork is the scratch of the goroutines a pair loop runs on, one slot
-// each; the calling goroutine's loops that never split use slot 0.
+// each (the calling goroutine's loops that never split use slot 0), and the
+// column sums'.
 type pairWork struct {
 	wg     sync.WaitGroup
 	shares []pairShare
+	cols   colScratch
 }
 
-// pairShare is one worker's slot: kernel scratch per Features column, and
+// pairShare is one worker's slot: kernel scratch per free-text column, and
 // its share's pair units and S(v) partial sums.
 type pairShare struct {
 	scr     []levScratch
@@ -141,19 +149,33 @@ func (d *Diversity) Clone() *Diversity {
 	return &c
 }
 
-// shares returns the first nw worker slots, growing them as needed.
-func (d *Diversity) shares(nw int) []pairShare {
+// scratch returns the evaluator's scratch, made on first use.
+func (d *Diversity) scratch() *pairWork {
 	if d.work == nil {
 		d.work = new(pairWork)
 	}
-	for len(d.work.shares) < nw {
+	return d.work
+}
+
+// columnSums is Features' exact column part of the pair sum; 0 without.
+func (d *Diversity) columnSums(matches []graph.NodeID) float64 {
+	if d.Features == nil {
+		return 0
+	}
+	return d.Features.columnSums(matches, &d.scratch().cols)
+}
+
+// shares returns the first nw worker slots, growing them as needed.
+func (d *Diversity) shares(nw int) []pairShare {
+	w := d.scratch()
+	for len(w.shares) < nw {
 		var s pairShare
 		if d.Features != nil {
-			s.scr = make([]levScratch, len(d.Features.cols))
+			s.scr = make([]levScratch, len(d.Features.text))
 		}
-		d.work.shares = append(d.work.shares, s)
+		w.shares = append(w.shares, s)
 	}
-	return d.work.shares[:nw]
+	return w.shares[:nw]
 }
 
 // caller opens a scoring call that stays on the calling goroutine: it
@@ -163,37 +185,30 @@ func (d *Diversity) caller(pairs int64) DistanceFunc {
 	return d.distFn(d.shares(1)[0].scr)
 }
 
-// distFn returns d(·,·) for a loop: Distance, or the Features rows over a
-// worker's kernel scratch. Loops hold the first argument fixed and sweep
-// the second, so the scratch keeps the fixed node's strings compiled.
+// distFn returns d(·,·) for a loop: Distance, or the free-text columns'
+// share of it over a worker's kernel scratch. Loops hold the first argument
+// fixed and sweep the second, so the scratch keeps the fixed node's strings
+// compiled.
 func (d *Diversity) distFn(scr []levScratch) DistanceFunc {
 	f := d.Features
 	if f == nil {
 		return d.Distance
 	}
-	return func(v, w graph.NodeID) float64 { return f.distance(scr, v, w) }
+	return func(v, w graph.NodeID) float64 { return f.textDistance(scr, v, w) }
 }
 
 // A helper goroutine takes ≈ 60 µs to start, so a share must be many times
-// that: ≈ 100 ns a pair when some column runs the edit-distance kernel,
-// ≈ 15 ns when every column is matrix-backed or numeric.
-const (
-	minKernelShare = 4096
-	minCheapShare  = 32768
-)
+// that: a Features pair runs the edit-distance kernel, ≈ 100 ns.
+const minShare = 4096
 
 // workers is how many goroutines a loop over pairs earns: one per minimum
 // share, at most GOMAXPROCS. A caller-supplied Distance — opaque cost,
 // maybe impure, behind a lock-guarded PairCache — stays on the caller.
 func (d *Diversity) workers(pairs int64) int {
-	share := int64(minCheapShare)
-	switch {
-	case d.Features == nil:
+	if d.Features == nil {
 		return 1
-	case d.Features.kernel:
-		share = minKernelShare
 	}
-	return int(max(1, min(pairs/share, int64(runtime.GOMAXPROCS(0)))))
+	return int(max(1, min(pairs/minShare, int64(runtime.GOMAXPROCS(0)))))
 }
 
 // split runs one scoring call's loop over pairs: share(d, &ss[k], m, k, nw)
@@ -229,7 +244,7 @@ func (d *Diversity) Eval(matches []graph.NodeID) float64 {
 	return v
 }
 
-// samplePairs estimates the pairwise sum from MaxPairs deterministically
+// samplePairs estimates the pair loop's sum from MaxPairs deterministically
 // chosen pairs (splitmix64 stream seeded by the set size) scaled to the
 // full pair count. Determinism keeps benchmark runs reproducible.
 func (d *Diversity) samplePairs(matches []graph.NodeID, numPairs int64) float64 {

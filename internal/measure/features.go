@@ -2,6 +2,8 @@ package measure
 
 import (
 	"math"
+	"slices"
+	"sort"
 
 	"fairsqg/internal/graph"
 )
@@ -9,22 +11,22 @@ import (
 // levMatrixCap bounds the interned-string domain size for which a feature
 // column precomputes the full pairwise normalized-Levenshtein matrix.
 // Categorical attributes (genders, titles, genres) have tiny domains, so
-// the matrix turns every string comparison in the O(n²) pair loop into one
-// array read; large free-text domains run the bit-vector kernel on demand
-// over the precomputed per-string lengths and ASCII flags.
+// the matrix turns every string comparison into one array read and lets
+// the column sum from a histogram; larger domains are free text, which
+// runs the bit-vector kernel on demand over the precomputed per-string
+// lengths and ASCII flags, in the pair loops: it does not decompose.
 const levMatrixCap = 64
 
 // featureCol is one distance attribute's per-node feature row: a kind tag
-// per node plus typed payloads. Numbers keep their raw value (the span
-// division happens per pair, bit-identical to the reference attrDistance);
-// strings are interned to dense IDs so equal strings compare by ID and
-// small domains resolve through the precomputed matrix; bools keep their
-// 0/1 payload for the equality fallback.
+// per node plus one int32 payload. A number stores its rank among the
+// column's distinct finite numbers (vals, taken from the active domain, so
+// sorted and distinct), a string its interned ID, a bool 0 or 1. A
+// non-finite number reads as Null: it has no place on the span's scale.
 type featureCol struct {
 	span  float64
-	kinds []uint8 // graph.Kind per node; KindNull when absent
-	nums  []float64
-	strID []int32
+	kinds []uint8 // graph.Kind per node; KindNull when absent or non-finite
+	ids   []int32
+	vals  []float64 // distinct finite numbers, ascending
 	strs  []string  // interned string table
 	info  []strInfo // rune length and ASCII flag per interned string
 	mat   []float64 // pairwise normalized Levenshtein; nil when |strs| > levMatrixCap
@@ -38,9 +40,9 @@ type featureCol struct {
 // one DistanceFeatures value may back any number of concurrent evaluators.
 type DistanceFeatures struct {
 	cols []featureCol
-	// kernel reports that some column runs the edit-distance kernel (a
-	// string domain past levMatrixCap): ≈ 100 ns a pair instead of ≈ 15.
-	kernel bool
+	// text holds copies of the free-text columns, the ones Diversity's pair
+	// loops sum; the others sum by column (pairSum). nil when there are none.
+	text []featureCol
 }
 
 // NewDistanceFeatures compiles feature rows for the listed attributes (nil
@@ -53,27 +55,29 @@ func NewDistanceFeatures(g *graph.Graph, attrs []string) *DistanceFeatures {
 	f := &DistanceFeatures{cols: make([]featureCol, len(attrs))}
 	for i, name := range attrs {
 		c := &f.cols[i]
-		c.span = domainSpan(g, name)
+		c.span = 1
 		c.kinds = make([]uint8, n)
 		id := g.AttrIDOf(name)
 		if id == graph.InvalidAttr {
 			continue // every node reads Null: zero contribution, like the reference
 		}
+		c.vals, c.span = finiteNumbers(g.ActiveDomainByID(id))
+		c.ids = make([]int32, n)
 		interned := map[string]int32{}
 		for v := 0; v < n; v++ {
 			val := g.AttrValue(graph.NodeID(v), id)
-			kind := val.Kind()
-			c.kinds[v] = uint8(kind)
-			switch kind {
-			case graph.KindNumber, graph.KindBool:
-				if c.nums == nil {
-					c.nums = make([]float64, n)
+			switch kind := val.Kind(); kind {
+			case graph.KindNumber:
+				if x := val.Float(); finite(x) {
+					c.kinds[v], c.ids[v] = uint8(kind), int32(sort.SearchFloat64s(c.vals, x))
 				}
-				c.nums[v] = val.Float()
+			case graph.KindBool:
+				c.kinds[v] = uint8(kind)
+				if val.IsTrue() {
+					c.ids[v] = 1
+				}
 			case graph.KindString:
-				if c.strID == nil {
-					c.strID = make([]int32, n)
-				}
+				c.kinds[v] = uint8(kind)
 				s := val.Text()
 				sid, ok := interned[s]
 				if !ok {
@@ -82,11 +86,12 @@ func NewDistanceFeatures(g *graph.Graph, attrs []string) *DistanceFeatures {
 					c.info = append(c.info, infoOf(s))
 					interned[s] = sid
 				}
-				c.strID[v] = sid
+				c.ids[v] = sid
 			}
 		}
-		f.kernel = f.kernel || len(c.strs) > levMatrixCap
-		if m := len(c.strs); m > 1 && m <= levMatrixCap {
+		if len(c.strs) > levMatrixCap {
+			f.text = append(f.text, *c)
+		} else if m := len(c.strs); m > 1 {
 			c.mat = make([]float64, m*m)
 			var scr levScratch
 			for a := 0; a < m; a++ {
@@ -101,58 +106,63 @@ func NewDistanceFeatures(g *graph.Graph, attrs []string) *DistanceFeatures {
 	return f
 }
 
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+// finiteNumbers returns the distinct finite numbers of an active domain,
+// ascending, and their span: max − min, or 1 when fewer than two.
+func finiteNumbers(dom []graph.Value) (vals []float64, span float64) {
+	for _, x := range dom {
+		if x.Kind() == graph.KindNumber && finite(x.Float()) {
+			vals = append(vals, x.Float())
+		}
+	}
+	if span = 1; len(vals) > 1 {
+		span = vals[len(vals)-1] - vals[0]
+	}
+	return vals, span
+}
+
 // Bytes is the size of the feature rows (an interned string at 40 bytes),
 // for whoever keeps them around.
 func (f *DistanceFeatures) Bytes() (n int64) {
 	for i := range f.cols {
 		c := &f.cols[i]
-		n += int64(len(c.kinds) + 8*len(c.nums) + 4*len(c.strID) + 8*len(c.mat) + 40*len(c.strs))
+		n += int64(len(c.kinds) + 4*len(c.ids) + 8*len(c.vals) + 8*len(c.mat) + 40*len(c.strs))
 	}
 	return n
 }
 
-// domainSpan computes the numeric active-domain span exactly like the
-// original TupleDistance closure did: max − min over the attribute's
-// numeric values, or 1 when fewer than two distinct numbers occur.
-func domainSpan(g *graph.Graph, attr string) float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range g.ActiveDomain(attr) {
-		if v.Kind() == graph.KindNumber {
-			f := v.Float()
-			if f < lo {
-				lo = f
-			}
-			if f > hi {
-				hi = f
-			}
-		}
-	}
-	if hi > lo {
-		return hi - lo
-	}
-	return 1
-}
-
 // Distance evaluates the tuple distance d(v, w) from the feature rows. The
 // result is bit-identical to the reference per-pair attrDistance over
-// AttrValue reads: the same null/number/string/fallback case analysis, the
-// same span division and clamp, the same Levenshtein values. Safe for
-// concurrent use: free-text pairs borrow pooled kernel scratch.
+// AttrValue reads, a non-finite number read as Null: the same case
+// analysis, the same span division and clamp, the same Levenshtein values.
+// Safe for concurrent use: free-text pairs borrow pooled kernel scratch.
 func (f *DistanceFeatures) Distance(v, w graph.NodeID) float64 {
 	return f.distance(nil, v, w)
 }
 
 // distance is Distance over caller-owned kernel scratch, one levScratch per
-// column (nil borrows from the pool per free-text pair). Each column's
-// scratch keeps v's string compiled, so a loop that holds v fixed and
-// sweeps w builds the bit-vector match masks once per row, not per pair.
+// column (nil borrows from the pool per free-text pair).
 func (f *DistanceFeatures) distance(scr []levScratch, v, w graph.NodeID) float64 {
 	if len(f.cols) == 0 {
 		return 0
 	}
+	return terms(f.cols, scr, v, w) / float64(len(f.cols))
+}
+
+// textDistance is the free-text columns' share of d(v, w), over one
+// levScratch per text column. Each column's scratch keeps v's string
+// compiled, so a loop that holds v fixed and sweeps w builds the
+// bit-vector match masks once per row, not per pair.
+func (f *DistanceFeatures) textDistance(scr []levScratch, v, w graph.NodeID) float64 {
+	return terms(f.text, scr, v, w) / float64(len(f.cols))
+}
+
+// terms sums the columns' per-attribute distances of one pair.
+func terms(cols []featureCol, scr []levScratch, v, w graph.NodeID) float64 {
 	total := 0.0
-	for i := range f.cols {
-		c := &f.cols[i]
+	for i := range cols {
+		c := &cols[i]
 		ka, kb := graph.Kind(c.kinds[v]), graph.Kind(c.kinds[w])
 		switch {
 		case ka == graph.KindNull && kb == graph.KindNull:
@@ -160,13 +170,13 @@ func (f *DistanceFeatures) distance(scr []levScratch, v, w graph.NodeID) float64
 		case ka == graph.KindNull || kb == graph.KindNull:
 			total++
 		case ka == graph.KindNumber && kb == graph.KindNumber:
-			d := math.Abs(c.nums[v]-c.nums[w]) / c.span
+			d := math.Abs(c.vals[c.ids[v]]-c.vals[c.ids[w]]) / c.span
 			if d > 1 {
 				d = 1
 			}
 			total += d
 		case ka == graph.KindString && kb == graph.KindString:
-			a, b := c.strID[v], c.strID[w]
+			a, b := c.ids[v], c.ids[w]
 			if a == b {
 				break // equal strings: distance 0, no Levenshtein
 			}
@@ -182,12 +192,12 @@ func (f *DistanceFeatures) distance(scr []levScratch, v, w graph.NodeID) float64
 			}
 		default:
 			// Mixed kinds never compare equal; two bools compare by payload.
-			if ka != kb || c.nums[v] != c.nums[w] {
+			if ka != kb || c.ids[v] != c.ids[w] {
 				total++
 			}
 		}
 	}
-	return total / float64(len(f.cols))
+	return total
 }
 
 // Func adapts the features to the DistanceFunc interface (a closure over
@@ -195,4 +205,107 @@ func (f *DistanceFeatures) distance(scr []levScratch, v, w graph.NodeID) float64
 // 12 ns function).
 func (f *DistanceFeatures) Func() DistanceFunc {
 	return func(v, w graph.NodeID) float64 { return f.distance(nil, v, w) }
+}
+
+// colScratch is the column sums' reusable state; its histograms are all
+// zero between calls.
+type colScratch struct {
+	ranks []int32
+	hist  []int64
+	strs  [levMatrixCap]int64
+}
+
+// columnSums returns Σ_{v<w} d(v, w) over m for the columns that decompose
+// (all but free text), adding one column's sum at a time in a fixed order
+// on the caller, so its bits are a function of the set alone.
+func (f *DistanceFeatures) columnSums(m []graph.NodeID, s *colScratch) float64 {
+	if len(m) < 2 || len(f.text) == len(f.cols) {
+		return 0
+	}
+	sum := 0.0
+	for i := range f.cols {
+		if c := &f.cols[i]; len(c.strs) <= levMatrixCap {
+			sum += c.pairSum(m, s)
+		}
+	}
+	return sum / float64(len(f.cols))
+}
+
+// pairSum is one decomposable column's Σ_{v<w} of its term over m (DESIGN
+// §5c, "δ by column"): cross-kind pairs count 1, bools #true·#false,
+// numbers Σ|x−y|/span over the gaps between consecutive values (the clamp
+// never fires: span covers the column), matrix-backed strings
+// Σ_{a<b} h_a·h_b·mat[a][b] over the answer's histogram h.
+func (c *featureCol) pairSum(m []graph.NodeID, s *colScratch) float64 {
+	// Numbers count into a histogram over the column's ranks, unless the
+	// column has far more distinct values than the answer has nodes.
+	byHist := len(c.vals) <= 4*len(m)
+	if byHist && len(s.hist) < len(c.vals) {
+		s.hist = make([]int64, len(c.vals))
+	}
+	var byKind [graph.KindString + 1]int64
+	trues, ranks := int64(0), s.ranks[:0]
+	for _, v := range m {
+		k := graph.Kind(c.kinds[v])
+		byKind[k]++
+		switch {
+		case k == graph.KindBool:
+			trues += int64(c.ids[v])
+		case k == graph.KindNumber && byHist:
+			s.hist[c.ids[v]]++
+		case k == graph.KindNumber:
+			ranks = append(ranks, c.ids[v])
+		case k == graph.KindString:
+			s.strs[c.ids[v]]++
+		}
+	}
+	s.ranks = ranks
+	n := int64(len(m))
+	ones := n*(n-1)/2 + trues*(byKind[graph.KindBool]-trues)
+	for _, k := range byKind {
+		ones -= k * (k - 1) / 2
+	}
+	g := gapSum{vals: c.vals, n: byKind[graph.KindNumber]}
+	if byHist {
+		for r, k := range s.hist[:len(c.vals)] {
+			if k > 0 {
+				g.add(r, k)
+				s.hist[r] = 0
+			}
+		}
+	} else {
+		slices.Sort(ranks)
+		for _, r := range ranks {
+			g.add(int(r), 1)
+		}
+	}
+	sum := float64(ones) + g.sum/c.span
+	if k := len(c.strs); byKind[graph.KindString] > 0 {
+		h := s.strs[:k]
+		for a, ha := range h {
+			for b := a + 1; b < k && ha > 0; b++ {
+				sum += float64(ha*h[b]) * c.mat[a*k+b]
+			}
+		}
+		clear(h)
+	}
+	return sum
+}
+
+// gapSum accumulates Σ|x−y| over n values fed in ascending order: the gap
+// between two consecutive values is crossed by (#below)·(#above) pairs.
+// No term is negative, so nothing cancels, and on integers every term and
+// partial sum is exact below 2⁵³.
+type gapSum struct {
+	vals      []float64
+	n, below  int64
+	prev, sum float64
+}
+
+func (g *gapSum) add(r int, count int64) {
+	if g.below > 0 {
+		g.sum += (g.vals[r] - g.prev) * float64(g.below*(g.n-g.below))
+	}
+	g.below += count
+	g.prev = g.vals[r]
 }

@@ -40,8 +40,8 @@ func pairUnits(d float64) int64 {
 }
 
 // ScoreState carries the reusable part of one exact diversity evaluation:
-// the scored match set, its pair sum, and (lazily) each node's pairwise
-// contribution S(v) = Σ_w d(v,w), all in fixed-point units. A state
+// the scored match set, its pair loop's sum, and (lazily) each node's
+// pair-loop contribution S(v) = Σ_w d(v,w), both in fixed-point units. A state
 // produced for a parent instance lets every refinement child that shrinks
 // the match set (Lemma 2 guarantees they all do) be re-scored from the
 // difference instead of from scratch. States form a chain through base
@@ -62,7 +62,7 @@ type ScoreState struct {
 	removed []graph.NodeID
 }
 
-// PairUnits exposes the fixed-point pair sum for tests.
+// PairUnits exposes the pair loop's fixed-point sum for tests.
 func (s *ScoreState) PairUnits() int64 { return s.pairUnits }
 
 // relevanceSum accumulates r(v) in match order; delta evaluation recomputes
@@ -84,24 +84,29 @@ func (d *Diversity) score(rel, pairSum float64) float64 {
 	return (1-d.Lambda)*rel + norm*pairSum
 }
 
-// scoreUnits assembles δ from a relevance sum and a fixed-point pair sum.
-func (d *Diversity) scoreUnits(rel float64, units int64) float64 {
-	return d.score(rel, float64(units)/float64(pairUnitOne))
+// scoreUnits assembles δ from a relevance sum, column sums and a
+// fixed-point pair-loop sum.
+func (d *Diversity) scoreUnits(rel, cols float64, units int64) float64 {
+	return d.score(rel, cols+float64(units)/float64(pairUnitOne))
 }
 
-// EvalState computes δ exactly and returns the reusable state backing
-// subsequent EvalDelta calls. When the pair count exceeds MaxPairs it
-// samples, and past the fixed-point overflow bound it sums in float64;
-// both return a nil state: there is nothing sound to derive children from.
+// EvalState computes δ and returns the reusable state backing subsequent
+// EvalDelta calls. The column sums are exact at any size; the pair loop,
+// when there is one, samples when the pair count exceeds MaxPairs and sums
+// in float64 past the fixed-point overflow bound. Those two return a nil
+// state — there is nothing sound to derive children from — and so does a
+// call with no pair loop, whose children score from scratch as cheaply.
 // matches must be sorted ascending (verification always produces sorted
 // answers) and must not be mutated afterwards.
 func (d *Diversity) EvalState(matches []graph.NodeID) (float64, *ScoreState) {
 	n := len(matches)
 	numPairs := int64(n) * int64(n-1) / 2
-	rel := d.relevanceSum(matches)
+	rel, cols := d.relevanceSum(matches), d.columnSums(matches)
 	switch {
+	case d.Features != nil && len(d.Features.text) == 0: // no pair loop
+		return d.score(rel, cols), nil
 	case d.MaxPairs > 0 && numPairs > int64(d.MaxPairs):
-		return d.score(rel, d.samplePairs(matches, numPairs)), nil
+		return d.score(rel, cols+d.samplePairs(matches, numPairs)), nil
 	case numPairs > maxUnitPairs:
 		dist, sum := d.caller(numPairs), 0.0
 		for i := 0; i < n; i++ {
@@ -109,7 +114,7 @@ func (d *Diversity) EvalState(matches []graph.NodeID) (float64, *ScoreState) {
 				sum += dist(matches[i], matches[j])
 			}
 		}
-		return d.score(rel, sum), nil
+		return d.score(rel, cols+sum), nil
 	}
 	st := &ScoreState{matches: matches, contrib: make([]int64, n)}
 	for _, s := range d.split(numPairs, matches, (*Diversity).triangleShare) {
@@ -118,7 +123,7 @@ func (d *Diversity) EvalState(matches []graph.NodeID) (float64, *ScoreState) {
 			st.contrib[i] += u
 		}
 	}
-	return d.scoreUnits(rel, st.pairUnits), st
+	return d.scoreUnits(rel, cols, st.pairUnits), st
 }
 
 // triangleShare sums the pairs of the k-th of nw runs of rows of the
@@ -156,15 +161,15 @@ func rowCut(n, k, nw int) int {
 }
 
 // EvalDelta computes δ for a child match set from a scored parent state,
-// exploiting q_child(G) ⊆ q_parent(G): the child's pair sum is the
+// exploiting q_child(G) ⊆ q_parent(G): the child's pair-loop sum is the
 // parent's minus the removed nodes' contributions, plus the removed-removed
 // pairs subtracted twice (inclusion–exclusion). O(|removed|·depth + |removed|²)
-// distance work instead of O(n²). The result — and the returned state — is
-// bit-identical to EvalState on the same set, because both accumulate the
-// same quantized units and integer addition is associative. ok reports
-// false when the delta path does not apply (nil or sampled parent, not a
-// subset, or a removal too large to beat recomputation); callers then fall
-// back to EvalState.
+// distance work instead of O(n²); the column sums take their one pass. The
+// result — and the returned state — is bit-identical to EvalState on the
+// same set, because both accumulate the same quantized units and integer
+// addition is associative. ok reports false when the delta path does not
+// apply (nil or sampled parent, not a subset, or a removal too large to
+// beat recomputation); callers then fall back to EvalState.
 func (d *Diversity) EvalDelta(parent *ScoreState, matches []graph.NodeID) (float64, *ScoreState, bool) {
 	if parent == nil {
 		return 0, nil, false
@@ -176,7 +181,7 @@ func (d *Diversity) EvalDelta(parent *ScoreState, matches []graph.NodeID) (float
 	if len(removed) == 0 {
 		// Identical match set: share the parent state outright (including
 		// any contributions already materialized on it).
-		return d.scoreUnits(d.relevanceSum(matches), parent.pairUnits), parent, true
+		return d.scoreUnits(d.relevanceSum(matches), d.columnSums(matches), parent.pairUnits), parent, true
 	}
 	if len(removed) >= len(matches) {
 		// More than half the set vanished: the O(|removed|²) correction no
@@ -199,7 +204,7 @@ func (d *Diversity) EvalDelta(parent *ScoreState, matches []graph.NodeID) (float
 		units += s.units
 	}
 	st := &ScoreState{matches: matches, pairUnits: units, base: parent, removed: removed}
-	return d.scoreUnits(d.relevanceSum(matches), units), st, true
+	return d.scoreUnits(d.relevanceSum(matches), d.columnSums(matches), units), st, true
 }
 
 // subsetDiff walks two ascending NodeID lists and returns the elements of

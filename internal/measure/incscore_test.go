@@ -245,55 +245,71 @@ func TestEvalDeltaCachedDistance(t *testing.T) {
 }
 
 // TestDiversityFeaturesDirect: a Diversity bound to Features (the wiring
-// for the default tuple distance) returns the same bits as one bound to the
-// same function as an opaque Distance — exact, delta-chained and sampled —
-// over a free-text column, and counts its pair evaluations from the loop
-// bounds.
+// for the default tuple distance) against one bound to the same function as
+// an opaque Distance, exact, delta-chained and sampled. Over a free-text
+// column alone both run the same pair loop and return the same bits; with
+// numbers and categories beside it the direct path sums those by column, so
+// it differs only by the pair loop's 2⁻³⁰ quantization. Either way both
+// count the same pair evaluations, from the loop bounds.
 func TestDiversityFeaturesDirect(t *testing.T) {
 	g := featGraph(t, 130, 31)
-	attrs := []string{"cat", "bio", "score"}
-	feats := NewDistanceFeatures(g, attrs)
 	ids := make([]graph.NodeID, g.NumNodes())
 	for i := range ids {
 		ids[i] = graph.NodeID(i)
 	}
-	mk := func(maxPairs int, direct bool) *Diversity {
-		d := &Diversity{Lambda: 0.5, Relevance: DegreeRelevance(g, "P"), LabelPopulation: len(ids), MaxPairs: maxPairs}
-		if direct {
-			d.Features = feats
-		} else {
-			d.Distance = referenceTupleDistance(g, attrs)
+	for _, attrs := range [][]string{{"bio"}, {"cat", "bio", "score"}} {
+		exact := len(attrs) == 1
+		same := func(what string, got, want float64) {
+			if exact && got != want || math.Abs(got-want) > 1e-9*math.Abs(want) {
+				t.Errorf("%v %s: direct %v, reference %v", attrs, what, got, want)
+			}
 		}
-		return d
-	}
-	direct, ref := mk(0, true), mk(0, false)
-	gotScore, gotState := direct.EvalState(ids)
-	wantScore, wantState := ref.EvalState(ids)
-	if gotScore != wantScore || gotState.PairUnits() != wantState.PairUnits() {
-		t.Fatalf("exact: direct (%v, %d) != reference (%v, %d)",
-			gotScore, gotState.PairUnits(), wantScore, wantState.PairUnits())
-	}
-	n := int64(len(ids))
-	if got := direct.PairEvals(); got != n*(n-1)/2 {
-		t.Errorf("exact scoring counted %d pair evals, want %d", got, n*(n-1)/2)
-	}
-	child, grandchild := subsetOf(ids, 5), subsetOf(subsetOf(ids, 5), 7)
-	for _, set := range [][]graph.NodeID{child, grandchild} {
-		var ok1, ok2 bool
-		gotScore, gotState, ok1 = direct.EvalDelta(gotState, set)
-		wantScore, wantState, ok2 = ref.EvalDelta(wantState, set)
-		if !ok1 || !ok2 || gotScore != wantScore || gotState.PairUnits() != wantState.PairUnits() {
-			t.Fatalf("delta: direct (%v, %v) != reference (%v, %v)", gotScore, ok1, wantScore, ok2)
+		feats := NewDistanceFeatures(g, attrs)
+		mk := func(maxPairs int, direct bool) *Diversity {
+			d := &Diversity{Lambda: 0.5, Relevance: DegreeRelevance(g, "P"), LabelPopulation: len(ids), MaxPairs: maxPairs}
+			if direct {
+				d.Features = feats
+			} else {
+				d.Distance = referenceTupleDistance(g, attrs)
+			}
+			return d
 		}
-	}
-	if direct.PairEvals() != ref.PairEvals() {
-		t.Errorf("pair evals diverge: direct %d, reference %d", direct.PairEvals(), ref.PairEvals())
-	}
-	sampled, sampledRef := mk(500, true), mk(500, false)
-	if got, want := sampled.Eval(ids), sampledRef.Eval(ids); got != want {
-		t.Errorf("sampled: direct %v != reference %v", got, want)
-	}
-	if got := sampled.PairEvals(); got != 500 {
-		t.Errorf("sampled scoring counted %d pair evals, want 500", got)
+		direct, ref := mk(0, true), mk(0, false)
+		gotScore, gotState := direct.EvalState(ids)
+		wantScore, wantState := ref.EvalState(ids)
+		same("exact", gotScore, wantScore)
+		if exact && gotState.PairUnits() != wantState.PairUnits() {
+			t.Errorf("%v exact: direct %d units, reference %d", attrs, gotState.PairUnits(), wantState.PairUnits())
+		}
+		n := int64(len(ids))
+		if got := direct.PairEvals(); got != n*(n-1)/2 {
+			t.Errorf("%v: exact scoring counted %d pair evals, want %d", attrs, got, n*(n-1)/2)
+		}
+		child, grandchild := subsetOf(ids, 5), subsetOf(subsetOf(ids, 5), 7)
+		for _, set := range [][]graph.NodeID{child, grandchild} {
+			var ok1, ok2 bool
+			gotScore, gotState, ok1 = direct.EvalDelta(gotState, set)
+			wantScore, wantState, ok2 = ref.EvalDelta(wantState, set)
+			if !ok1 || !ok2 {
+				t.Fatalf("%v delta: direct %v, reference %v", attrs, ok1, ok2)
+			}
+			same("delta", gotScore, wantScore)
+			if fresh, _ := mk(0, true).EvalState(set); fresh != gotScore {
+				t.Errorf("%v: delta %v, from scratch %v", attrs, gotScore, fresh)
+			}
+		}
+		if direct.PairEvals() != ref.PairEvals() {
+			t.Errorf("%v: pair evals diverge: direct %d, reference %d", attrs, direct.PairEvals(), ref.PairEvals())
+		}
+		if !exact {
+			continue
+		}
+		sampled, sampledRef := mk(500, true), mk(500, false)
+		if got, want := sampled.Eval(ids), sampledRef.Eval(ids); got != want {
+			t.Errorf("sampled: direct %v != reference %v", got, want)
+		}
+		if got := sampled.PairEvals(); got != 500 {
+			t.Errorf("sampled scoring counted %d pair evals, want 500", got)
+		}
 	}
 }

@@ -15,42 +15,15 @@ func ProfileRelevance(g *graph.Graph, profile map[string]graph.Value) RelevanceF
 	for a := range profile {
 		attrs = append(attrs, a)
 	}
-	spans := make(map[string]float64, len(attrs))
-	for _, a := range attrs {
-		lo, hi := 0.0, 0.0
-		first := true
-		for _, v := range g.ActiveDomain(a) {
-			if v.Kind() != graph.KindNumber {
-				continue
-			}
-			f := v.Float()
-			if first {
-				lo, hi, first = f, f, false
-				continue
-			}
-			if f < lo {
-				lo = f
-			}
-			if f > hi {
-				hi = f
-			}
-		}
-		if hi > lo {
-			spans[a] = hi - lo
-		} else {
-			spans[a] = 1
-		}
-	}
-	// Resolve attribute names to interned IDs once; the closure runs per
-	// scored node.
-	ids := make([]graph.AttrID, len(attrs))
+	spans, ids := make([]float64, len(attrs)), make([]graph.AttrID, len(attrs))
 	for i, a := range attrs {
-		ids[i] = g.AttrIDOf(a)
+		_, spans[i] = finiteNumbers(g.ActiveDomain(a))
+		ids[i] = g.AttrIDOf(a) // resolved once; the closure runs per scored node
 	}
 	return func(v graph.NodeID) float64 {
 		total := 0.0
 		for i, a := range attrs {
-			total += attrDistance(g.AttrValue(v, ids[i]), profile[a], spans[a])
+			total += attrDistance(g.AttrValue(v, ids[i]), profile[a], spans[i])
 		}
 		return 1 - total/float64(len(attrs))
 	}

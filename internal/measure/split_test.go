@@ -54,13 +54,14 @@ func scoreSplitFixture(t *testing.T, d *Diversity, ids []graph.NodeID) (splitOut
 // Distance, which never splits.
 func TestSplitScoringBitIdentical(t *testing.T) {
 	g, ids := titleGraph(t, 2000)
-	feats := NewDistanceFeatures(g, titleAttrs)
+	attrs := []string{"title"}
+	feats := NewDistanceFeatures(g, attrs)
 	run := func(p int, direct bool) (o splitOutcome, contrib []int64) {
 		d := &Diversity{Lambda: 0.5, Relevance: DegreeRelevance(g, "Movie"), LabelPopulation: len(ids)}
 		if direct {
 			d.Features = feats
 		} else {
-			d.Distance = referenceTupleDistance(g, titleAttrs)
+			d.Distance = referenceTupleDistance(g, attrs)
 		}
 		atProcs(p, func() { o, contrib = scoreSplitFixture(t, d, ids) })
 		return o, contrib
@@ -83,20 +84,22 @@ func TestSplitScoringBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSplitScoringMatrixOnly: where every column is matrix-backed or
-// numeric a pair costs ≈ 15 ns, and neither a 10,000-pair sample nor a
-// 44,850-pair exact set is worth a second goroutine.
-func TestSplitScoringMatrixOnly(t *testing.T) {
+// TestNoPairLoopWithoutFreeText: where every column decomposes, δ is the
+// column sums alone at any answer size: no pair is evaluated, nothing
+// splits, and no state is kept, as children score as cheaply from scratch.
+func TestNoPairLoopWithoutFreeText(t *testing.T) {
 	g, ids := benchGraph(t, 2000)
 	d := &Diversity{Lambda: 0.5, Relevance: ConstantRelevance(1), LabelPopulation: len(ids),
 		Features: NewDistanceFeatures(g, []string{"major", "exp"}), MaxPairs: 10000}
 	atProcs(4, func() {
-		d.Eval(ids)
-		d.MaxPairs = 0
-		d.Eval(ids[:300])
+		for _, m := range [][]graph.NodeID{ids, ids[:300]} {
+			if _, st := d.EvalState(m); st != nil {
+				t.Errorf("%d nodes: a state without a pair loop", len(m))
+			}
+		}
 	})
-	if d.Splits() != 0 || d.PairEvals() != 10000+300*299/2 {
-		t.Errorf("matrix-only scoring: %d splits over %d pairs", d.Splits(), d.PairEvals())
+	if d.Splits() != 0 || d.PairEvals() != 0 {
+		t.Errorf("decomposable columns: %d splits over %d pairs", d.Splits(), d.PairEvals())
 	}
 }
 

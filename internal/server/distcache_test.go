@@ -1,8 +1,13 @@
 package server
 
 import (
+	"fmt"
 	"net/http"
 	"testing"
+	"time"
+
+	"fairsqg/internal/core"
+	"fairsqg/internal/graph"
 )
 
 // distCacheMetrics scrapes the aggregate pair-distance cache counters off
@@ -19,24 +24,47 @@ func distCacheMetrics(t *testing.T, baseURL string) (evals, hits int64) {
 	return doc.DistCache.Evals, doc.DistCache.Hits
 }
 
+// namedTestGraph is testGraph with a distinct free-text name on every
+// person, a column whose pairs the tuple distance sums in a pair loop.
+func namedTestGraph(t *testing.T, seed int64) *graph.Graph {
+	t.Helper()
+	g := testGraph(t, seed)
+	var batch []graph.Mutation
+	for _, v := range g.NodesByLabel("Person") {
+		batch = append(batch, graph.Mutation{Op: graph.MutSetAttr, Node: v, Attr: "name",
+			Value: graph.Str(fmt.Sprintf("person-%03d-%c", v, 'a'+rune(v%26)))})
+	}
+	named, _, err := graph.ApplyBatch(g, batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return named
+}
+
+// runTestJob submits spec, waits for it to finish and returns its result.
+func runTestJob(t *testing.T, baseURL string, spec JobSpec) JobResult {
+	t.Helper()
+	st := submitJob(t, baseURL, spec)
+	if f := pollDone(t, baseURL, st.ID); f.State != JobDone {
+		t.Fatalf("job state = %s (%s)", f.State, f.Error)
+	}
+	var res JobResult
+	doJSON(t, http.MethodGet, baseURL+"/v1/jobs/"+st.ID+"/result", nil, http.StatusOK, &res)
+	return res
+}
+
 // TestDistCacheCountersAcrossJobs pins the /metrics distCache contract:
 // jobs evaluate the default tuple distance directly, so two identical jobs
-// on one graph each report the same, non-zero number of evaluations, the
-// shared engine's aggregate grows by that much per job, and no hits appear
-// anywhere.
+// on one graph each report the same, non-zero number of evaluations (the
+// free-text name's pairs), the shared engine's aggregate grows by that much
+// per job, and no hits appear anywhere.
 func TestDistCacheCountersAcrossJobs(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	g := testGraph(t, 7)
-	uploadGraph(t, ts.URL, "talent", g)
+	uploadGraph(t, ts.URL, "talent", namedTestGraph(t, 7))
 	spec := testSpec("talent")
 
 	jobEvals := func() int64 {
-		st := submitJob(t, ts.URL, spec)
-		if f := pollDone(t, ts.URL, st.ID); f.State != JobDone {
-			t.Fatalf("job state = %s (%s)", f.State, f.Error)
-		}
-		var res JobResult
-		doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/result", nil, http.StatusOK, &res)
+		res := runTestJob(t, ts.URL, spec)
 		if dc := res.Stats.DistCache; dc.Hits != 0 || dc.Misses != 0 {
 			t.Errorf("job reports pair-cache traffic on the direct path: %+v", dc)
 		}
@@ -55,6 +83,28 @@ func TestDistCacheCountersAcrossJobs(t *testing.T) {
 	}
 	if evals2, hits2 := distCacheMetrics(t, ts.URL); evals2 != 2*first || hits2 != 0 {
 		t.Errorf("/metrics after two jobs: %d evals, %d hits; want %d, 0", evals2, hits2, 2*first)
+	}
+}
+
+// TestJobClocksAreTheJobs: a job's plan, search and score clocks hold its
+// own evaluations, not the shared engine's lifetime totals, so on a job
+// that runs on one goroutine they sum to no more than its elapsed time: a
+// light job after a heavy one on the same graph included.
+func TestJobClocksAreTheJobs(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	uploadGraph(t, ts.URL, "talent", namedTestGraph(t, 7))
+	heavy, light := testSpec("talent"), testSpec("talent")
+	heavy.Algorithm, heavy.MaxDomain = "enum", 12
+	light.MaxDomain = 2
+	for job, spec := range []JobSpec{heavy, light} {
+		res := runTestJob(t, ts.URL, spec)
+		w := res.Stats.Wall
+		clocks := w[core.PhasePlan] + w[core.PhaseSearch] + w[core.PhaseScore]
+		elapsed := time.Duration(res.ElapsedMs * float64(time.Millisecond))
+		if clocks > elapsed {
+			t.Errorf("job %d: plan %v + search %v + score %v > elapsed %v", job+1,
+				w[core.PhasePlan], w[core.PhaseSearch], w[core.PhaseScore], elapsed)
+		}
 	}
 }
 

@@ -28,7 +28,8 @@ type JobSpec struct {
 	// MaxDomain caps each bound value ladder (default 8).
 	MaxDomain int `json:"maxDomain,omitempty"`
 	// MaxPairs caps pairwise diversity evaluations (default 20000; a
-	// negative value requests exact scoring with no cap).
+	// negative value requests exact scoring with no cap). Only free-text
+	// distance attributes take pairs; the others sum exactly by column.
 	MaxPairs int `json:"maxPairs,omitempty"`
 	// DistanceAttrs restricts the tuple distance to these attributes.
 	DistanceAttrs []string `json:"distanceAttrs,omitempty"`

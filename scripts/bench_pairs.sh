@@ -11,19 +11,25 @@
 # (linear interpolation), the ratio change/parent, and the pairs the change
 # won (the direction comes from BENCHMARK.json; ties count for neither);
 # then every run. A run that is not correct:true with 0 failed ops, or a
-# digest that differs between the sides, fails the script.
+# digest that differs between the sides, fails the script. A change that
+# moves the digest on purpose names the digest it must produce in
+# EXPECT_DIGEST=<hex>: then each side's runs must agree among themselves,
+# the change side must print exactly that digest, and the parent's is
+# recorded beside it.
 #
 # With PR=<n> the same numbers also go into BENCH_<n>.json at the repository
 # root, the machine-readable record of a PR's claim: commit, parent, Go
 # version and nproc once, then one line per (workload, seed) measured — this
 # run replaces its own line and keeps the others — holding per metric both
 # medians with quartiles, the ratio, the pairs won and every run in pair
-# order, plus the digest and the command that reproduces the line.
+# order, plus the digest (and parentDigest, under EXPECT_DIGEST) and the
+# command that reproduces the line.
 # TestBenchFilesRederive (go test .) re-derives every median from the runs.
 #
 # Usage: scripts/bench_pairs.sh <parent-ref> [workload] [pairs]
 #        (workload default live-mutate, pairs default 10; SEED=n for -seed n;
-#        PR=n to record into BENCH_n.json;
+#        PR=n to record into BENCH_n.json; EXPECT_DIGEST=<hex> for a
+#        sanctioned digest move;
 #        BENCH_ARGS="-scale smoke -seconds 1" tries the script out in a minute
 #        — a claim is measured with the runner's defaults)
 # One run takes ~25 s, so ten pairs of one workload take ~9 minutes.
@@ -57,12 +63,28 @@ for i in $(seq 1 "$pairs"); do
   done
 done
 
-digests="$(cat "$tmp"/*.out | sed -n 's/^# .* digest=\([0-9a-f]*\).*/\1/p' | sort -u)"
-if [ "$(echo "$digests" | wc -l)" -ne 1 ]; then
+digest_of() { cat "$@" | sed -n 's/^# .* digest=\([0-9a-f]*\).*/\1/p' | sort -u; }
+digests="$(digest_of "$tmp"/*.out)"
+extra="" expect=""
+if [ -n "${EXPECT_DIGEST:-}" ]; then
+  parent_digest="$(digest_of "$tmp"/parent_*.out)"
+  digests="$(digest_of "$tmp"/new_*.out)"
+  if [ "$(echo "$parent_digest" | wc -l)" -ne 1 ] || [ "$(echo "$digests" | wc -l)" -ne 1 ]; then
+    echo "bench_pairs: the runs of one side disagree: parent" $parent_digest "/ change" $digests >&2
+    exit 1
+  fi
+  if [ "$digests" != "$EXPECT_DIGEST" ]; then
+    echo "bench_pairs: the change prints digest $digests, not EXPECT_DIGEST=$EXPECT_DIGEST" >&2
+    exit 1
+  fi
+  extra=", \"parentDigest\": \"$parent_digest\"" expect="EXPECT_DIGEST=$EXPECT_DIGEST "
+  echo "$workload, seed $seed, parent $(git rev-parse --short "$ref"), $pairs pairs, digest $parent_digest → $digests (expected)"
+elif [ "$(echo "$digests" | wc -l)" -ne 1 ]; then
   echo "bench_pairs: digests differ between runs:" $digests >&2
   exit 1
+else
+  echo "$workload, seed $seed, parent $(git rev-parse --short "$ref"), $pairs pairs, digest $digests on both sides"
 fi
-echo "$workload, seed $seed, parent $(git rev-parse --short "$ref"), $pairs pairs, digest $digests on both sides"
 echo
 echo "| workload | metric | parent | change | ratio | pairs won |"
 echo "|---|---|---|---|---|---|"
@@ -78,7 +100,7 @@ for side in parent new; do
     awk -v side="$side" -v i="$i" -v w="$workload" '$1 == w && NF == 4 {print side, i, $2, $3}' "$tmp/${side}_$i.out"
   done
 done | awk -v w="$workload" -v pairs="$pairs" -v metrics="$tmp/metrics" -v json="$tmp/json" \
-  -v head="\"workload\": \"$workload\", \"seed\": $seed, \"pairs\": $pairs, \"digest\": \"$digests\", \"reproduce\": \"${PR:+PR=$PR }SEED=$seed scripts/bench_pairs.sh $(git rev-parse --short "$ref") $workload $pairs\"" '
+  -v head="\"workload\": \"$workload\", \"seed\": $seed, \"pairs\": $pairs, \"digest\": \"$digests\"$extra, \"reproduce\": \"${PR:+PR=$PR }SEED=$seed ${expect}scripts/bench_pairs.sh $(git rev-parse --short "$ref") $workload $pairs\"" '
   function quantile(side, m, q,    n, j, k, tmpv, pos, lo) {
     n = 0
     for (j = 1; j <= pairs; j++) sorted[++n] = val[side, m, j]
