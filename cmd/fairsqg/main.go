@@ -53,7 +53,6 @@ func main() {
 	lambda := flag.Float64("lambda", 0.5, "relevance/dissimilarity balance λ in [0,1] (0 = pure relevance)")
 	maxPairs := flag.Int("max-pairs", 20000, "pairwise diversity sample cap on free-text attributes (<0 = exact, no cap); the others are exact")
 	distAttrs := flag.String("dist-attrs", "", "comma-separated attributes for the diversity distance")
-	candCache := flag.Int("cand-cache", 0, "candidate cache entries: 0 default, <0 disabled")
 
 	k := flag.Int("k", 10, "online: result size to maintain")
 	w := flag.Int("w", 40, "online: sliding-window size")
@@ -154,7 +153,6 @@ func main() {
 	cfg := &fairsqg.Config{
 		G: g, Template: tpl, Groups: set, Eps: *eps, MaxPairs: *maxPairs,
 		Lambda: *lambda, LambdaSet: true,
-		CandCacheSize: *candCache,
 	}
 	if *distAttrs != "" {
 		cfg.DistanceAttrs = strings.Split(*distAttrs, ",")
@@ -192,7 +190,7 @@ func main() {
 		*alg, len(res.Set), res.Elapsed.Round(1000000),
 		res.Stats.Verified, res.Stats.Pruned, res.Stats.Feasible)
 	if cs := res.Stats.Cache; cs.Hits+cs.Misses > 0 {
-		fmt.Fprintf(os.Stderr, "cand-cache: %d hits / %d misses (%d evictions, %d entries)\n",
+		fmt.Fprintf(os.Stderr, "cand-cache: %d hits / %d misses (store: %d evictions, %d entries)\n",
 			cs.Hits, cs.Misses, cs.Evictions, cs.Entries)
 	}
 	printWork(res.Stats)

@@ -77,7 +77,6 @@ func run(args []string, errw *os.File) int {
 		retention      = fs.Duration("retention", 15*time.Minute, "how long finished jobs stay visible")
 		timeout        = fs.Duration("timeout", 5*time.Minute, "default per-job deadline")
 		maxTimeout     = fs.Duration("max-timeout", 30*time.Minute, "ceiling on per-job deadlines")
-		candCache      = fs.Int("cand-cache", 0, "per-graph candidate cache entries (0 default, <0 disable)")
 		maxUpload      = fs.Int64("max-upload", 64<<20, "largest accepted graph upload in bytes")
 		snapshotDir    = fs.String("snapshot-dir", "", "persist registered graphs as binary snapshots here and restore them on startup (warm restart; standalone/coordinator)")
 		mmapGraphs     = fs.Bool("mmap-graphs", false, "serve graphs memory-mapped from their snapshots in -snapshot-dir instead of decoding to the heap (out-of-core: restore is O(open), resident memory tracks what queries touch)")
@@ -118,7 +117,6 @@ func run(args []string, errw *os.File) int {
 		return runWorker(workerConfig{
 			addr: *addr, drainFor: *drainFor, graphs: graphs,
 			opts: cluster.WorkerOptions{
-				CandCacheSize:    *candCache,
 				MaxSnapshotBytes: *maxUpload,
 				Logger:           logger,
 			},
@@ -151,7 +149,6 @@ func run(args []string, errw *os.File) int {
 			DefaultTimeout: *timeout,
 			MaxTimeout:     *maxTimeout,
 		},
-		CandCacheSize:  *candCache,
 		MaxUploadBytes: *maxUpload,
 		SnapshotDir:    *snapshotDir,
 		MmapGraphs:     *mmapGraphs,

@@ -96,14 +96,11 @@
 // together with incVerify: the paper's naive verification.
 //
 // Each instance's answer set is computed on the calling goroutine by the
-// run's match engine (MatchEngine). One Config knob schedules it and leaves
-// results bit-identical to the default:
-//
-//   - Config.CandCacheSize: bounds the engine's shared LRU cache of
-//     label+predicate candidate lists, reused across the many instances of
-//     one template that share bound literals. 0 picks a default size;
-//     negative disables the cache. Hit/miss/eviction counts are reported
-//     in Stats.Cache.
+// run's match engine (MatchEngine). Every engine keeps a store bounded in
+// bytes by its graph's size, with no knob: label+predicate candidate lists,
+// reused across the many instances of one template that share bound
+// literals, sit there beside whole answers and derived values. Candidate-list
+// hits and misses are reported in Stats.Cache.
 //
 // How the matcher searches is one value, MatchSettings (Mode, Order,
 // MaxBacktrackNodes, DisableAttrIndex), embedded by Config and

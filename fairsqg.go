@@ -64,16 +64,16 @@ type (
 	VerifyEvent = core.VerifyEvent
 
 	// MatchEngine is the concurrent match engine: a goroutine-safe
-	// evaluator that owns a shared candidate cache and evaluates each
-	// instance on its caller's goroutine. Every run verifies on one, with
-	// Config.CandCacheSize its cache; use NewMatchEngine for standalone
-	// instance evaluation.
+	// evaluator that owns a store of candidate lists, answers and derived
+	// values and evaluates each instance on its caller's goroutine. Every
+	// run verifies on one; use NewMatchEngine for standalone instance
+	// evaluation.
 	MatchEngine = match.Engine
 	// MatchEngineOptions configures NewMatchEngine.
 	MatchEngineOptions = match.EngineOptions
 	// MatchEngineStats aggregates engine work counters.
 	MatchEngineStats = match.EngineStats
-	// CacheStats reports candidate-cache hit/miss/eviction counters.
+	// CacheStats reports an engine's candidate-list hits and misses.
 	CacheStats = match.CacheStats
 	// MatchSettings is how the matcher searches — semantics, variable
 	// order, backtrack budget, candidate access path — embedded by Config

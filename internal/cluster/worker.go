@@ -18,9 +18,6 @@ import (
 
 // WorkerOptions configures a slab-execution worker.
 type WorkerOptions struct {
-	// CandCacheSize bounds each graph's candidate cache (0 default, < 0
-	// disabled).
-	CandCacheSize int
 	// MaxSnapshotBytes bounds pushed snapshot bodies (default 64 MiB).
 	MaxSnapshotBytes int64
 	// Logger receives request logs; nil silences them.
@@ -95,7 +92,7 @@ func (w *Worker) register(name string, g *graph.Graph, crc uint32) {
 	entry := &workerGraph{
 		g:      g,
 		crc:    crc,
-		engine: match.NewEngine(g, match.EngineOptions{CandCacheSize: w.opts.CandCacheSize}),
+		engine: match.NewEngine(g, match.EngineOptions{}),
 	}
 	w.mu.Lock()
 	w.graphs[name] = entry

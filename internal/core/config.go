@@ -90,12 +90,6 @@ type Config struct {
 	// many sampled pairs. Only a pair loop samples: the default distance's
 	// free-text columns or a custom Distance; the others are exact.
 	MaxPairs int
-	// CandCacheSize bounds the shared candidate cache that memoizes the
-	// label+literal filtering phase across instances (refinement siblings
-	// share most of their predicate sets): 0 selects the default size
-	// (match.DefaultCandCacheSize entries), a negative value disables
-	// caching. Results are identical in all settings.
-	CandCacheSize int
 	// DisableIncremental forces from-scratch verification — no parent match
 	// set, no ancestor's (or the root's) matcher domains, no shared answer —
 	// for every algorithm: the ablation, and the paper's naive EnumQGen.
@@ -253,7 +247,8 @@ type Stats struct {
 	// on (and of those Retarget replaced): an injected Config.Engine's are
 	// its totals over every run on it. Wall holds the run's own clocks.
 	Matcher match.Stats
-	// Cache reports candidate-cache effectiveness; zero when disabled.
+	// Cache counts the candidate-list lookups of the engines the run
+	// evaluated on (Retarget's included, like Matcher).
 	Cache match.CacheStats
 	// DistCache.Evals is the exact number of pairwise distance evaluations
 	// of this run's pair loops (the default distance's free-text columns, or

@@ -14,35 +14,14 @@ import (
 	"fairsqg/internal/query"
 )
 
-// differentialConfig is one column of the core differential suite.
-type differentialConfig struct {
-	name  string
-	cache int
-	// noInherit sets Config.DisableIncremental: every plan from its label
-	// populations, no within, no matcher domains handed down the lattice.
-	noInherit bool
-}
-
-// apply returns base under the column's knobs.
-func (dc differentialConfig) apply(base *Config) *Config {
+// noInherit returns base with Config.DisableIncremental set — every plan
+// from its label populations, no within, no matcher domains handed down the
+// lattice: the configuration the core differential suite compares against
+// the sequential reference, which has inheritance on.
+func noInherit(base *Config) *Config {
 	cfg := *base
-	cfg.CandCacheSize, cfg.DisableIncremental = dc.cache, dc.noInherit
+	cfg.DisableIncremental = true
 	return &cfg
-}
-
-// differentialConfigs enumerates the knob settings the core differential
-// suite compares against the sequential reference: the candidate cache on
-// and off, each with inheritance down the lattice on (as the reference has
-// it) and off.
-func differentialConfigs() []differentialConfig {
-	var out []differentialConfig
-	for _, cache := range []int{0, -1} {
-		for _, noInherit := range []bool{false, true} {
-			label := fmt.Sprintf("cache=%d/inherit=%v", cache, !noInherit)
-			out = append(out, differentialConfig{label, cache, noInherit})
-		}
-	}
-	return out
 }
 
 // cycleConfig is fixtureConfig's problem over a template whose plans do
@@ -125,7 +104,7 @@ func runAll(t *testing.T, cfg *Config) map[string][]string {
 }
 
 // TestDifferentialEngineVsSequential runs the full algorithm suite on the
-// canonical fixture under every engine configuration and asserts the
+// canonical fixture with and without inheritance and asserts the
 // ε-Pareto archives (instance keys, points, match sets, order) are
 // identical to the sequential reference. The fixture seed is logged so a
 // divergence reproduces.
@@ -137,13 +116,11 @@ func TestDifferentialEngineVsSequential(t *testing.T) {
 		if len(ref["rf"]) < 2 {
 			t.Fatalf("%s: rf archive %v: the fixture no longer yields a front", name, ref["rf"])
 		}
-		for _, dc := range differentialConfigs() {
-			got := runAll(t, dc.apply(base))
-			for alg, want := range ref {
-				if !equalStrings(got[alg], want) {
-					t.Errorf("seed %d: %s: %s: %s archive diverged from sequential reference:\ngot  %v\nwant %v",
-						seed, name, dc.name, alg, got[alg], want)
-				}
+		got := runAll(t, noInherit(base))
+		for alg, want := range ref {
+			if !equalStrings(got[alg], want) {
+				t.Errorf("seed %d: %s: %s archive diverged from sequential reference:\ngot  %v\nwant %v",
+					seed, name, alg, got[alg], want)
 			}
 		}
 	}
@@ -188,9 +165,9 @@ func TestEvaluatorStandsInForEngine(t *testing.T) {
 }
 
 // TestDifferentialOnline asserts OnlineQGen yields the identical final set,
-// ε and verification counters under every engine configuration, root-seeded
-// plans (inherit=true) or each from its labels: the stream order is fixed,
-// so verification results are the only way configurations could diverge.
+// ε and verification counters with root-seeded plans or each from its
+// labels (noInherit): the stream order is fixed, so verification results
+// are the only way the two could diverge.
 func TestDifferentialOnline(t *testing.T) {
 	const seed = 4
 	g := fixtureGraph(t, seed)
@@ -209,12 +186,9 @@ func TestDifferentialOnline(t *testing.T) {
 		return append(archiveFingerprint(res.Set), fmt.Sprintf("verified=%d feasible=%d", st.Verified, st.Feasible)), res.Eps
 	}
 	wantSet, wantEps := run(base)
-	for _, dc := range differentialConfigs() {
-		gotSet, gotEps := run(dc.apply(base))
-		if gotEps != wantEps || !equalStrings(gotSet, wantSet) {
-			t.Errorf("seed %d: %s: online run diverged (eps %v vs %v)\ngot  %v\nwant %v",
-				seed, dc.name, gotEps, wantEps, gotSet, wantSet)
-		}
+	if gotSet, gotEps := run(noInherit(base)); gotEps != wantEps || !equalStrings(gotSet, wantSet) {
+		t.Errorf("seed %d: online run diverged (eps %v vs %v)\ngot  %v\nwant %v",
+			seed, gotEps, wantEps, gotSet, wantSet)
 	}
 }
 
@@ -232,11 +206,8 @@ func TestDifferentialMultiOutput(t *testing.T) {
 		return archiveFingerprint(res.Set)
 	}
 	want := run(base)
-	for _, dc := range differentialConfigs() {
-		if got := run(dc.apply(base)); !equalStrings(got, want) {
-			t.Errorf("seed %d: %s: multi-output archive diverged:\ngot  %v\nwant %v",
-				seed, dc.name, got, want)
-		}
+	if got := run(noInherit(base)); !equalStrings(got, want) {
+		t.Errorf("seed %d: multi-output archive diverged:\ngot  %v\nwant %v", seed, got, want)
 	}
 }
 

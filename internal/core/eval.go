@@ -82,7 +82,7 @@ func NewRunner(cfg *Config) (*Runner, error) {
 	for _, name := range cfg.ExtraOutputs {
 		r.extraNodes = append(r.extraNodes, cfg.Template.Node(name))
 	}
-	r.engine = r.newEngine(nil)
+	r.engine = r.newEngine()
 	r.bind()
 	return r, nil
 }
@@ -113,16 +113,11 @@ func (r *Runner) bind() {
 
 // newEngine returns the engine the run evaluates on over r.cfg.G: the
 // injected Config.Engine, else a run-owned one under the run's settings.
-// shared, when non-nil, becomes a run-owned engine's candidate cache.
-func (r *Runner) newEngine(shared *match.CandidateCache) *match.Engine {
+func (r *Runner) newEngine() *match.Engine {
 	if r.cfg.Engine != nil {
 		return r.cfg.Engine
 	}
-	return match.NewEngine(r.cfg.G, match.EngineOptions{
-		Settings:      r.cfg.Settings,
-		CandCacheSize: r.cfg.CandCacheSize,
-		SharedCache:   shared,
-	})
+	return match.NewEngine(r.cfg.G, match.EngineOptions{Settings: r.cfg.Settings})
 }
 
 // initScoring resolves the scoring functions once per Runner: the
@@ -193,7 +188,7 @@ func (r *Runner) bindScoring() {
 
 // fork returns a worker's view of r for concurrent work (ParQGen's slabs,
 // reverify's levels): it shares what is goroutine-safe or read-only — the
-// engine and its candidate cache, the compiled features, relevance, the pair
+// engine and its store, the compiled features, relevance, the pair
 // cache around a custom distance, the group index — and owns what is not: the
 // verification memo, the evaluator's scratch, the counts buffer, the
 // counters and the lineage's links (the root's domains it shares read-only).
@@ -218,14 +213,17 @@ func (r *Runner) DivMax() float64 { return r.div.MaxValue() }
 func (r *Runner) CovMax() float64 { return measure.CoverageMax(r.cfg.Groups) }
 
 // Stats returns the counters accumulated so far (engine and
-// candidate-cache stats included).
+// candidate-cache stats included; Cache.Entries is the live engine's).
 func (r *Runner) Stats() Stats {
 	s := r.stats
 	es := r.engine.Stats()
 	s.Matcher.Add(es.Stats)
 	s.Wall[PhasePlan] += time.Duration(r.clocks.Plan.Load())
 	s.Wall[PhaseSearch] += time.Duration(r.clocks.Search.Load())
-	s.Cache = es.Cache
+	s.Cache.Hits += es.Cache.Hits
+	s.Cache.Misses += es.Cache.Misses
+	s.Cache.Evictions += es.Cache.Evictions
+	s.Cache.Entries = es.Cache.Entries
 	if r.pairCache != nil {
 		s.DistCache = r.pairCache.Stats()
 	}
@@ -234,9 +232,9 @@ func (r *Runner) Stats() Stats {
 
 // start clears counters and memo for one algorithm run and returns its end,
 // the lineage's release. A run-owned engine is rebuilt (its counters are
-// cumulative) with a fresh candidate cache, so every run reports its own,
-// cold-start numbers. An external Config.Engine is kept as-is: cross-run
-// cache warmth is exactly what injecting an engine is for.
+// cumulative) with an empty store, so every run reports its own, cold-start
+// numbers. An external Config.Engine is kept as-is: cross-run warmth of its
+// store is exactly what injecting an engine is for.
 func (r *Runner) start() (end func()) {
 	r.stats = Stats{DerivedReused: r.derivedReused}
 	r.clocks.Plan.Store(0)
@@ -245,7 +243,7 @@ func (r *Runner) start() (end func()) {
 	r.verSeq = 0
 	r.cache, r.answered = make(map[string]*Verified), nil
 	r.release()
-	r.engine = r.newEngine(nil)
+	r.engine = r.newEngine()
 	// Rebind the scorer so a custom distance's pair cache starts cold and
 	// its counters cover this run only.
 	r.bindScoring()

@@ -73,13 +73,11 @@ func (s *LiveMutations) Poll() *MutationEvent {
 // Retarget rebinds the runner to a new generation of its graph: engine,
 // group counter, population and scoring functions are rebuilt over g (see
 // bind), and the verification memo is dropped (its entries scored the old
-// generation). The candidate cache carries over — its keys are scoped by
-// the generation key, so pre-mutation entries can never answer
-// post-mutation queries, while entries the new generation re-derives stay
-// warm — and so do the matcher counters and clocks, which span generations
-// within one run. The engine is always replaced by a run-owned one under the
-// same settings (an external Config.Engine is bound to the old generation)
-// that adopts the old one's free matchers and domain buffers (Engine.Adopt).
+// generation). The matcher and candidate-cache counters and the clocks
+// carry over: they span generations within one run. The engine is always
+// replaced by a run-owned one under the same settings, with an empty store
+// (an external Config.Engine is bound to the old generation), that adopts
+// the old one's free matchers and domain buffers (Engine.Adopt).
 // Generation lifetimes stay with the caller — Retarget never closes g.
 func (r *Runner) Retarget(g *graph.Graph) {
 	if g == r.cfg.G {
@@ -94,7 +92,7 @@ func (r *Runner) Retarget(g *graph.Graph) {
 	r.clocks.Plan.Store(0)
 	r.clocks.Search.Store(0)
 	r.release()
-	r.engine = r.newEngine(old.Cache())
+	r.engine = r.newEngine()
 	r.engine.Adopt(old)
 	r.bind()
 }

@@ -100,6 +100,35 @@ func TestOnlineQGenConsumesMutations(t *testing.T) {
 	}
 }
 
+// TestOnlineCacheCountersSpanGenerations: each batch puts the run on a fresh
+// engine, yet the run's candidate-list lookups only grow — they carry every
+// retired engine's, like the matcher counters.
+func TestOnlineCacheCountersSpanGenerations(t *testing.T) {
+	g := fixtureGraph(t, 30)
+	cfg := fixtureConfig(t, g, 0.05, 3)
+	live := graph.NewLive(g)
+	defer live.Close()
+	r := newRunnerT(t, cfg)
+	defer r.Close()
+	var seen []int64 // lookups as each batch lands, then at the end
+	stream := &mutatingStream{inner: NewRandomStream(cfg.Template, 120, 11), at: 40}
+	stream.fire = func() {
+		seen = append(seen, r.Stats().Cache.Hits+r.Stats().Cache.Misses)
+		if _, err := live.Apply([]graph.Mutation{{Op: graph.MutSetAttr, Node: graph.NodeID(len(seen)), Attr: "yearsOfExp", Value: graph.Int(1)}}); err != nil {
+			t.Fatal(err)
+		}
+		stream.at += 50
+	}
+	res, err := r.OnlineQGen(stream, OnlineOptions{K: 4, Window: 20, InitialEps: 0.05, Mutations: &LiveMutations{L: live}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen = append(seen, res.Stats.Cache.Hits+res.Stats.Cache.Misses)
+	if own := r.engine.Stats().Cache; res.Rescores != 2 || seen[0] == 0 || seen[1] <= seen[0] || seen[2] <= seen[1] || seen[2] <= own.Hits+own.Misses {
+		t.Errorf("%d rescores; candidate-list lookups %v over the run, the last engine's alone %+v", res.Rescores, seen, own)
+	}
+}
+
 // TestOnlineQGenCoalescesMutationBurst: a burst of events drains into a
 // single re-score of the newest generation, and superseded event
 // generations are released along the way.

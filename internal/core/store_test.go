@@ -175,6 +175,18 @@ func TestStatsSayWhatWasReused(t *testing.T) {
 	}
 }
 
+// storedAnswers counts the records of r's last run whose answer e's store
+// holds.
+func storedAnswers(e *match.Engine, r *Runner) int {
+	n := 0
+	for _, v := range r.cache {
+		if _, ok := e.Answer(match.AnswerKey(v.Q)); ok {
+			n++
+		}
+	}
+	return n
+}
+
 // TestBudgetedEngineKeepsNoAnswers: under a backtracking budget an answer
 // depends on what it was searched inside — a parent's answer, truncated or
 // not — so an injected engine with one stores none: a second job finds only
@@ -193,14 +205,16 @@ func TestBudgetedEngineKeepsNoAnswers(t *testing.T) {
 	if reflect.DeepEqual(runs[0], unbounded) {
 		t.Error("a budget of 1 truncated nothing: the test shows nothing")
 	}
-	if st := e.Stats().Shared; st.Entries != 2 {
-		t.Errorf("a budgeted engine holds %+v, want the relevance and feature tables only", st)
+	r := newRunnerT(t, shapeConfig(t, g, "cycle", 2, 0.1, 0.5, e))
+	if _, err := r.RfQGen(); err != nil || len(r.cache) == 0 || storedAnswers(e, r) != 0 {
+		t.Errorf("a budgeted engine holds %d of %d answers (err %v), want none", storedAnswers(e, r), len(r.cache), err)
 	}
 }
 
 // TestRunOwnedEnginesShareNothing: without an injected engine no run looks
-// into a store or leaves anything in one — the library and CLI paths are
-// cold by construction, whatever the algorithm.
+// up an answer or a derived value, or leaves an answer behind — the library
+// and CLI paths are cold by construction, whatever the algorithm; the store
+// serves their candidate lists only.
 func TestRunOwnedEnginesShareNothing(t *testing.T) {
 	g := fixtureGraph(t, 4)
 	for name, run := range map[string]func(r *Runner) (Stats, error){
@@ -219,8 +233,12 @@ func TestRunOwnedEnginesShareNothing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sh := r.engine.Stats().Shared; sh.Hits+sh.Misses != 0 || sh.Entries != 0 || st.AnswersReused != 0 || st.DerivedReused != 0 {
-			t.Errorf("%s on a run-owned engine: store %+v, reused %d answers and %d structures", name, sh, st.AnswersReused, st.DerivedReused)
+		es := r.engine.Stats()
+		if sh, cs := es.Shared, es.Cache; sh.Hits+sh.Misses != cs.Hits+cs.Misses || st.AnswersReused != 0 || st.DerivedReused != 0 {
+			t.Errorf("%s on a run-owned engine: store %+v, candidate lists %+v, reused %d answers and %d structures", name, sh, cs, st.AnswersReused, st.DerivedReused)
+		}
+		if n := storedAnswers(r.engine, r); n != 0 || len(r.cache) == 0 {
+			t.Errorf("%s left %d of %d answers in its store", name, n, len(r.cache))
 		}
 		if st.Verified == 0 {
 			t.Errorf("%s verified nothing", name)

@@ -145,8 +145,8 @@ func BenchmarkRefineChain(b *testing.B) {
 
 // BenchmarkEngineWorkload sweeps the full instantiation lattice of the
 // largest bench graph — the unit of work one generation run performs —
-// through the sequential matcher and the engine with and without its
-// candidate cache. The shared candidate cache is what pays off here: the
+// through the sequential matcher and the engine, whose store holds the
+// candidate lists. That store is what pays off here: the
 // lattice re-filters the same label+literal candidate lists for every
 // instance that shares bound predicates.
 func BenchmarkEngineWorkload(b *testing.B) {
@@ -173,48 +173,41 @@ func BenchmarkEngineWorkload(b *testing.B) {
 			}
 		})
 	}
-	for _, cache := range []int{-1, 0} {
-		for _, order := range []Order{OrderDynamic, OrderStatic} {
-			name := fmt.Sprintf("engine/cache=%v", cache >= 0)
-			if order == OrderStatic {
-				name += "/order=static"
-			}
-			cache, order := cache, order
-			b.Run(name, func(b *testing.B) {
-				e := NewEngine(g, EngineOptions{CandCacheSize: cache, Settings: Settings{Order: order}})
-				ctx := context.Background()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for _, q := range qs {
-						if _, _, err := e.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil); err != nil {
-							b.Fatal(err)
-						}
+	for _, order := range []Order{OrderDynamic, OrderStatic} {
+		name := "engine"
+		if order == OrderStatic {
+			name += "/order=static"
+		}
+		b.Run(name, func(b *testing.B) {
+			e := NewEngine(g, EngineOptions{Settings: Settings{Order: order}})
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range qs {
+					if _, _, err := e.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil); err != nil {
+						b.Fatal(err)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkEngineNodeOnly isolates the scan-bound path on the largest
 // bench graph: single-node instances are pure label+literal filters, so
-// the candidate cache converts each repeat evaluation from a full label
-// scan into a lookup plus copy.
+// the engine's store turns each repeat evaluation from a full label scan
+// into a lookup plus copy (BenchmarkEvalOutputNodeOnlyLarge is the scan).
 func BenchmarkEngineNodeOnly(b *testing.B) {
 	g := randomGraph(b, 3000, 12000, 7)
 	tpl := randomTemplate(b, g)
 	solo := query.MustInstance(tpl, query.Instantiation{1, 1, 0, 0})
-	for _, cache := range []int{-1, 0} {
-		b.Run(fmt.Sprintf("cache=%v", cache >= 0), func(b *testing.B) {
-			e := NewEngine(g, EngineOptions{CandCacheSize: cache})
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := e.ParEvalNodeFiltered(ctx, solo, solo.T.Output, nil, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	e := NewEngine(g, EngineOptions{})
+	ctx := context.Background()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := e.ParEvalNodeFiltered(ctx, solo, solo.T.Output, nil, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -4,24 +4,22 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/query"
 )
 
-// DefaultCandCacheSize is the candidate-cache capacity used when a caller
-// asks for a cache without choosing a size.
-const DefaultCandCacheSize = 4096
-
-// CacheStats reports candidate-cache effectiveness.
+// CacheStats reports candidate-list lookups.
 type CacheStats struct {
-	// Hits counts lookups answered from the cache.
+	// Hits counts candidate-list lookups answered from the store.
 	Hits int64
-	// Misses counts lookups that had to fall back to a full scan.
+	// Misses counts candidate-list lookups that had to fall back to a scan.
 	Misses int64
-	// Evictions counts entries dropped to stay within capacity.
+	// Evictions counts the store's entries dropped to stay under its
+	// ceiling; an engine's store holds answers and derived values too.
 	Evictions int64
-	// Entries is the current number of cached candidate lists.
+	// Entries is the number of entries the store holds now.
 	Entries int
 }
 
@@ -30,18 +28,25 @@ type CacheStats struct {
 // literals) pair, the value is the filtered candidate list over one frozen
 // graph. Refinement siblings share most of their bound-literal sets, so a
 // shared cache lets them reuse nodeSatisfies scans instead of re-filtering
-// the label's whole node list. The cache is an LRU (a Store whose entries
-// weigh 1 under a ceiling of capacity) and safe for concurrent use; cached
-// slices are treated as immutable and callers must copy before mutating.
-type CandidateCache struct{ lru Store }
+// the label's whole node list. It is a view over a Store that counts its own
+// lookups: an engine's matchers use the engine's store, where a list weighs
+// its bytes beside the answers and derived values; NewCandidateCache makes a
+// store of its own, where a list weighs 1. Safe for concurrent use; cached
+// slices are immutable and callers must copy before mutating.
+type CandidateCache struct {
+	store *Store
+	// weighBytes weighs a list in bytes (an engine's view), not as 1.
+	weighBytes   bool
+	hits, misses atomic.Int64
+}
 
 // NewCandidateCache returns an empty cache holding at most capacity
-// candidate lists; capacity <= 0 selects DefaultCandCacheSize.
+// candidate lists; capacity <= 0 selects 4096.
 func NewCandidateCache(capacity int) *CandidateCache {
 	if capacity <= 0 {
-		capacity = DefaultCandCacheSize
+		capacity = 4096
 	}
-	return &CandidateCache{lru: Store{stats: StoreStats{Ceiling: int64(capacity)}}}
+	return &CandidateCache{store: &Store{stats: StoreStats{Ceiling: int64(capacity)}}}
 }
 
 // candKey canonicalizes a (node label, compiled literals) pair: literals
@@ -69,19 +74,27 @@ func candKey(label string, lits []query.CompiledLiteral) string {
 // lookup returns the cached candidate list for key; the returned slice must
 // not be mutated.
 func (c *CandidateCache) lookup(key string) ([]graph.NodeID, bool) {
-	if v, ok := c.lru.get(key); ok {
+	if v, ok := c.store.get(key); ok {
+		c.hits.Add(1)
 		return v.([]graph.NodeID), true
 	}
+	c.misses.Add(1)
 	return nil, false
 }
 
-// store records a candidate list for key, evicting the least recently used
-// entry when over capacity (a concurrent evaluation's incumbent is kept).
-// The slice is retained; callers must not mutate it afterwards.
-func (c *CandidateCache) store(key string, cands []graph.NodeID) { c.lru.put(key, cands, 1) }
+// keep records a candidate list for key, evicting the least recently used
+// entries when over the ceiling (a concurrent evaluation's incumbent is
+// kept). The slice is retained; callers must not mutate it afterwards.
+func (c *CandidateCache) keep(key string, cands []graph.NodeID) {
+	weight := int64(1)
+	if c.weighBytes {
+		weight = 4*int64(cap(cands)) + int64(len(key)) + storeEntryBytes
+	}
+	c.store.put(key, cands, weight)
+}
 
 // Stats returns a snapshot of the cache counters.
 func (c *CandidateCache) Stats() CacheStats {
-	s := c.lru.Stats()
-	return CacheStats{Hits: s.Hits, Misses: s.Misses, Evictions: s.Evictions, Entries: s.Entries}
+	s := c.store.Stats()
+	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: s.Evictions, Entries: s.Entries}
 }

@@ -15,26 +15,19 @@ import (
 const differentialSeed = 7321
 
 // engineMatrix enumerates the engine configurations the differential suite
-// checks against the sequential reference: the candidate cache on and off,
-// each with the sorted attribute indexes on and off, each under dynamic and
-// static backtracking order.
+// checks against the sequential reference: the sorted attribute indexes on
+// and off, each under dynamic and static backtracking order.
 func engineMatrix(g *graph.Graph, mode Mode) map[string]*Engine {
 	m := make(map[string]*Engine)
-	for _, cacheSize := range []int{0, -1} {
-		for _, noIndex := range []bool{false, true} {
-			for _, order := range []Order{OrderDynamic, OrderStatic} {
-				name := "cache=on"
-				if cacheSize < 0 {
-					name = "cache=off"
-				}
-				if noIndex {
-					name += "/index=off"
-				}
-				m[name+"/order="+order.String()] = NewEngine(g, EngineOptions{
-					CandCacheSize: cacheSize,
-					Settings:      Settings{Mode: mode, DisableAttrIndex: noIndex, Order: order},
-				})
+	for _, noIndex := range []bool{false, true} {
+		for _, order := range []Order{OrderDynamic, OrderStatic} {
+			name := "index=on"
+			if noIndex {
+				name = "index=off"
 			}
+			m[name+"/order="+order.String()] = NewEngine(g, EngineOptions{
+				Settings: Settings{Mode: mode, DisableAttrIndex: noIndex, Order: order},
+			})
 		}
 	}
 	return m
@@ -85,8 +78,9 @@ var engineCases struct{ plain, within, vetoed, inactive, singleNode int }
 // and without a vetoing accept, a fresh engine returns the sequential
 // matcher's match set and leaves exactly its counters — the engine runs the
 // sequential loop, not an approximation of it. within, when non-nil,
-// restricts the output node (incVerify). Both sides run cacheless so the
-// access-path counters are comparable.
+// restricts the output node (incVerify). The sequential matcher gets a
+// candidate cache of its own, so both sides look up the same lists and the
+// access-path and cache counters are comparable.
 func checkEngineColumn(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, within []graph.NodeID) {
 	t.Helper()
 	veto := func([]graph.NodeID) bool { return false }
@@ -97,8 +91,8 @@ func checkEngineColumn(t *testing.T, g *graph.Graph, q *query.Instance, mode Mod
 				w = within
 			}
 			m := New(g)
-			m.Mode = mode
-			e := NewEngine(g, EngineOptions{CandCacheSize: -1, Settings: Settings{Mode: mode}})
+			m.Mode, m.Cache = mode, NewCandidateCache(0)
+			e := NewEngine(g, EngineOptions{Settings: Settings{Mode: mode}})
 			want, wantOK := m.EvalNodeFiltered(q, node, w, accept)
 			got, gotOK, err := e.ParEvalNodeFiltered(context.Background(), q, node, w, accept)
 			if err != nil {
@@ -108,9 +102,10 @@ func checkEngineColumn(t *testing.T, g *graph.Graph, q *query.Instance, mode Mod
 				t.Errorf("seed %d: engine: %s node %d:\nengine     %v ok=%v\nsequential %v ok=%v",
 					differentialSeed, q, node, got, gotOK, want, wantOK)
 			}
-			if es := e.Stats(); es.Stats != m.Stats {
-				t.Errorf("seed %d: engine: %s node %d: counters diverged:\nengine     %+v\nsequential %+v",
-					differentialSeed, q, node, es.Stats, m.Stats)
+			es, cs := e.Stats(), m.Cache.Stats()
+			if es.Stats != m.Stats || es.Cache.Hits != cs.Hits || es.Cache.Misses != cs.Misses {
+				t.Errorf("seed %d: engine: %s node %d: counters diverged:\nengine     %+v %+v\nsequential %+v %+v",
+					differentialSeed, q, node, es.Stats, es.Cache, m.Stats, cs)
 			}
 			switch {
 			case !q.NodeActive(node):
@@ -149,12 +144,13 @@ func TestDifferentialTalentFixture(t *testing.T) {
 
 // TestEngineAllocations: the engine evaluates on the calling goroutine with
 // the planner's own matcher, so it allocates no more than
-// Matcher.EvalNodeFiltered.
+// Matcher.EvalNodeFiltered with a candidate cache of its own.
 func TestEngineAllocations(t *testing.T) {
 	g := randomGraph(t, 300, 900, differentialSeed)
 	tpl := randomTemplate(t, g)
 	m := New(g)
-	e := NewEngine(g, EngineOptions{CandCacheSize: -1})
+	m.Cache = NewCandidateCache(0)
+	e := NewEngine(g, EngineOptions{})
 	ctx := context.Background()
 	in := query.Root(tpl)
 	var parent []graph.NodeID

@@ -16,24 +16,13 @@ import (
 type EngineOptions struct {
 	// Settings is stamped onto every pooled matcher.
 	Settings
-	// CandCacheSize bounds the shared candidate cache: 0 selects
-	// DefaultCandCacheSize, a negative value disables caching entirely, the
-	// engine's Store included.
-	CandCacheSize int
-	// SharedCache, when non-nil, is used as the engine's candidate cache
-	// instead of constructing one (CandCacheSize is then ignored). Entries
-	// are keyed by graph generation, so one cache can safely back the
-	// successive engines a mutating graph goes through — the warm entries
-	// of untouched generations keep hitting. Same-graph sharing only;
-	// callers pass the previous engine's Cache().
-	SharedCache *CandidateCache
 }
 
 // EngineStats aggregates the work done through an Engine.
 type EngineStats struct {
 	// Stats sums the counters of every matcher the engine has driven.
 	Stats
-	// Cache reports candidate-cache effectiveness; zero when disabled.
+	// Cache reports the candidate-list lookups of the engine's matchers.
 	Cache CacheStats
 	// Dist.Evals counts the tuple-distance evaluations of the runs scored
 	// on this engine (AddDistEvals). The default tuple distance is evaluated
@@ -61,8 +50,9 @@ func WithClocks(ctx context.Context, c *Clocks) context.Context {
 }
 
 // Engine is a concurrent match engine over one frozen graph: it owns a
-// shared, bounded candidate cache and a free list of per-goroutine Matcher
-// scratch states. Each evaluation runs on its caller's goroutine with one
+// store, bounded in bytes, of what its evaluations share (candidate lists,
+// answers, derived values) and a free list of per-goroutine Matcher scratch
+// states. Each evaluation runs on its caller's goroutine with one
 // matcher from the list, so its results and counters are the sequential
 // Matcher's (the reference implementation).
 //
@@ -71,9 +61,10 @@ func WithClocks(ctx context.Context, c *Clocks) context.Context {
 type Engine struct {
 	g        *graph.Graph
 	settings Settings
-	cache    *CandidateCache
-	// store is what this generation's runs share; nothing, without a cache.
+	// store is what this generation's runs share; cache is its matchers'
+	// view of it (Matcher.Cache), counting their candidate-list lookups.
 	store Store
+	cache CandidateCache
 
 	// mu guards the free lists and stats. The lists are the engine's own,
 	// not the sync package's pool: a pool registers itself in a
@@ -95,14 +86,9 @@ func NewEngine(g *graph.Graph, opts EngineOptions) *Engine {
 	if !g.Frozen() {
 		panic("match: graph must be frozen")
 	}
-	cache := opts.SharedCache
-	if cache == nil && opts.CandCacheSize >= 0 {
-		cache = NewCandidateCache(opts.CandCacheSize)
-	}
-	e := &Engine{g: g, settings: opts.Settings, cache: cache}
-	if cache != nil {
-		e.store.stats.Ceiling = storeBytesPerNode * int64(g.NumNodes())
-	}
+	e := &Engine{g: g, settings: opts.Settings}
+	e.store.stats.Ceiling = storeBytesPerNode * int64(g.NumNodes())
+	e.cache.store, e.cache.weighBytes = &e.store, true
 	return e
 }
 
@@ -112,11 +98,6 @@ func (e *Engine) Graph() *graph.Graph { return e.g }
 // Settings returns the matcher settings every evaluation on this engine
 // runs under.
 func (e *Engine) Settings() Settings { return e.settings }
-
-// Cache returns the shared candidate cache, or nil when disabled. The
-// cache is goroutine-safe and may be attached to external sequential
-// Matchers (Matcher.Cache) so they share filter results with the engine.
-func (e *Engine) Cache() *CandidateCache { return e.cache }
 
 // AddDistEvals records n tuple-distance evaluations made by a run scoring
 // on this engine, so a long-lived engine reports its jobs' scoring work
@@ -130,10 +111,7 @@ func (e *Engine) Stats() EngineStats {
 	e.mu.Lock()
 	s.Stats, s.DomainsHeld = e.stats, e.domsHeld
 	e.mu.Unlock()
-	if e.cache != nil {
-		s.Cache = e.cache.Stats()
-	}
-	s.Shared = e.store.Stats()
+	s.Cache, s.Shared = e.cache.Stats(), e.store.Stats()
 	return s
 }
 
@@ -148,7 +126,7 @@ func (e *Engine) acquire(ctx context.Context) *Matcher {
 	e.mu.Unlock()
 	if m == nil {
 		m = New(e.g)
-		m.Settings, m.Cache = e.settings, e.cache
+		m.Settings, m.Cache = e.settings, &e.cache
 	}
 	m.BindContext(ctx)
 	return m
@@ -215,7 +193,7 @@ func (e *Engine) Adopt(old *Engine) {
 	old.mu.Unlock()
 	for _, m := range ms {
 		m.rebind(e.g)
-		m.Settings, m.Cache = e.settings, e.cache
+		m.Settings, m.Cache = e.settings, &e.cache
 	}
 	for _, d := range ds {
 		d.owner = e

@@ -128,54 +128,40 @@ func TestParEvalCancellation(t *testing.T) {
 	}
 }
 
+// TestEngineCacheStats: whatever options an engine is built from, it has a
+// store: a repeated Derived and a repeated candidate list come from it, and
+// Cache counts the candidate-list lookups alone.
 func TestEngineCacheStats(t *testing.T) {
 	g := talentGraph(t)
-	tpl := talentTpl(t)
-	e := NewEngine(g, EngineOptions{})
-	q := query.MustInstance(tpl, query.Instantiation{0, 0, 1})
-	if _, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	first := e.Stats()
-	if first.Cache.Misses == 0 {
-		t.Fatalf("first eval recorded no cache misses: %+v", first.Cache)
-	}
-	if _, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	second := e.Stats()
-	if second.Cache.Hits == 0 {
-		t.Fatalf("repeat eval recorded no cache hits: %+v", second.Cache)
-	}
-	if second.Cache.Misses != first.Cache.Misses {
-		t.Errorf("repeat eval missed: %d -> %d", first.Cache.Misses, second.Cache.Misses)
-	}
-	if second.Evals != 2 {
-		t.Errorf("counters: %+v", second)
-	}
-}
-
-func TestEngineCacheDisabled(t *testing.T) {
-	g := talentGraph(t)
-	e := NewEngine(g, EngineOptions{CandCacheSize: -1})
-	if e.Cache() != nil {
-		t.Fatal("CandCacheSize < 0 should disable the cache")
-	}
 	q := query.MustInstance(talentTpl(t), query.Instantiation{0, 0, 1})
 	want := New(g).EvalOutput(q)
-	got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("uncached engine %v, want %v", got, want)
+	for name, s := range map[string]Settings{"zero": {}, "homomorphism": {Mode: Homomorphism},
+		"static-order": {Order: OrderStatic}, "budget": {MaxBacktrackNodes: 50}, "scan-only": {DisableAttrIndex: true}} {
+		e := NewEngine(g, EngineOptions{Settings: s})
+		var first CacheStats
+		for i := 0; i < 2; i++ {
+			got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
+			if err != nil || (s.Mode == Isomorphism && s.MaxBacktrackNodes == 0 && !reflect.DeepEqual(got, want)) {
+				t.Errorf("%s: %v (err %v), want %v", name, got, err, want)
+			}
+			if v, hit := e.Derived("x", nil, func() (any, int64) { return i, 8 }); v != 0 || hit != (i == 1) {
+				t.Errorf("%s: Derived %d: %v, hit %v", name, i, v, hit)
+			}
+			if i == 0 {
+				first = e.Stats().Cache
+			}
+		}
+		if st := e.Stats(); first.Misses == 0 || st.Cache.Misses != first.Misses || st.Cache.Hits != 2*first.Hits+first.Misses || st.Evals != 2 {
+			t.Errorf("%s: the repeat did not find every candidate list: %+v, then %+v", name, first, st)
+		}
 	}
 }
 
 func TestEngineConcurrentUse(t *testing.T) {
 	g := randomGraph(t, 300, 900, 7)
 	tpl := randomTemplate(t, g)
-	e := NewEngine(g, EngineOptions{CandCacheSize: 64})
+	e := NewEngine(g, EngineOptions{})
+	e.SetStoreCeiling(16 << 10) // evicting while the goroutines look up
 	ins := allInstantiations(tpl)
 	want := make([][]graph.NodeID, len(ins))
 	m := New(g)
@@ -213,12 +199,12 @@ func TestEngineConcurrentUse(t *testing.T) {
 
 func TestCandidateCacheLRUEviction(t *testing.T) {
 	c := NewCandidateCache(2)
-	c.store("a", ids(1))
-	c.store("b", ids(2))
+	c.keep("a", ids(1))
+	c.keep("b", ids(2))
 	if _, ok := c.lookup("a"); !ok { // refresh a: b becomes LRU
 		t.Fatal("a missing")
 	}
-	c.store("c", ids(3))
+	c.keep("c", ids(3))
 	if _, ok := c.lookup("b"); ok {
 		t.Error("b should have been evicted as LRU")
 	}
@@ -324,7 +310,7 @@ func TestAdoptCarriesMatchers(t *testing.T) {
 			t.Fatal(err)
 		}
 		old := e
-		g, e = next, NewEngine(next, EngineOptions{SharedCache: old.Cache()})
+		g, e = next, NewEngine(next, EngineOptions{})
 		e.Adopt(old)
 		if len(old.free) != 0 {
 			t.Fatalf("generation %d: the retired engine kept %d free matchers", gen, len(old.free))
@@ -346,8 +332,8 @@ func TestAdoptCarriesMatchers(t *testing.T) {
 		}
 		wg.Wait()
 		for _, m := range e.free {
-			if m.G != g {
-				t.Fatalf("generation %d: a free matcher is on another generation", gen)
+			if m.G != g || m.Cache != &e.cache {
+				t.Fatalf("generation %d: a free matcher is on another generation or store", gen)
 			}
 			seen[m] = true
 		}

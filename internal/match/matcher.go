@@ -621,15 +621,15 @@ func (m *Matcher) filteredCandidates(label string, lits []query.CompiledLiteral)
 		return m.selectCandidates(label, lits)
 	}
 	// The graph generation prefix ((lineage, version), see graph.GenKey)
-	// makes a shared cache safe across graphs and across mutations: a
-	// post-mutation matcher can never be served a pre-mutation candidate
-	// list, and two graphs sharing one cache never collide.
+	// makes a standalone cache safe across graphs and mutations, and keeps
+	// an engine's lists apart from its answers and derived values: a base-36
+	// run then ':' starts no AnswerKey and no Derived key.
 	key := m.G.GenKey() + "\x02" + candKey(label, lits)
 	if cached, ok := m.Cache.lookup(key); ok {
 		return append(m.arenaIDs(len(cached)), cached...)
 	}
 	cands := m.selectCandidates(label, lits)
-	m.Cache.store(key, append([]graph.NodeID(nil), cands...))
+	m.Cache.keep(key, append([]graph.NodeID(nil), cands...))
 	return cands
 }
 

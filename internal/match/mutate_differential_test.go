@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -150,10 +151,10 @@ func TestMutatedGraphDifferential(t *testing.T) {
 }
 
 // TestSharedCacheAcrossGenerations is the cache-invalidation regression
-// suite: one candidate cache shared by the successive engines of a
-// mutating graph must never serve a pre-mutation entry (zero cross-
-// generation hits), while a second graph sharing the same cache keeps
-// hitting its own warm entries throughout.
+// suite: one standalone candidate cache attached to matchers over the
+// successive generations of a mutating graph must never serve a
+// pre-mutation entry (zero cross-generation hits), while a second graph
+// sharing the same cache keeps hitting its own warm entries throughout.
 func TestSharedCacheAcrossGenerations(t *testing.T) {
 	base := talentGraph(t)
 	l := graph.NewLive(base)
@@ -161,38 +162,30 @@ func TestSharedCacheAcrossGenerations(t *testing.T) {
 	other := randomGraph(t, 60, 150, 99)
 
 	shared := NewCandidateCache(0)
-	tpl := talentTpl(t)
-	inst := allInstantiations(tpl)[0]
-
-	run := func(e *Engine) []graph.NodeID {
-		t.Helper()
-		got, _, err := e.ParEvalNodeFiltered(context.Background(), query.MustInstance(tpl, inst), tpl.Output, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
+	on := func(g *graph.Graph) *Matcher {
+		m := New(g)
+		m.Cache = shared
+		return m
 	}
+	tpl := talentTpl(t)
+	q := query.MustInstance(tpl, allInstantiations(tpl)[0])
 
-	e1 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared})
-	first := run(e1)
+	m1 := on(l.Graph())
+	first := m1.EvalOutput(q)
 	afterFirst := shared.Stats()
 	if afterFirst.Misses == 0 || afterFirst.Entries == 0 {
 		t.Fatalf("first run should populate the cache: %+v", afterFirst)
 	}
-	run(e1)
-	warmed := shared.Stats()
-	if warmed.Hits <= afterFirst.Hits {
+	m1.EvalOutput(q)
+	if warmed := shared.Stats(); warmed.Hits <= afterFirst.Hits {
 		t.Fatalf("same-generation rerun should hit: %+v -> %+v", afterFirst, warmed)
 	}
 
 	// Warm the unrelated graph's entries through the same shared cache.
-	eOther := NewEngine(other, EngineOptions{SharedCache: shared})
 	tplO := randomTemplate(t, other)
-	instO := allInstantiations(tplO)[0]
-	qO := query.MustInstance(tplO, instO)
-	if _, _, err := eOther.ParEvalNodeFiltered(context.Background(), qO, qO.T.Output, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	qO := query.MustInstance(tplO, allInstantiations(tplO)[0])
+	mOther := on(other)
+	mOther.EvalOutput(qO)
 	otherWarm := shared.Stats()
 
 	// Mutate: drop one director the first run returned.
@@ -202,41 +195,34 @@ func TestSharedCacheAcrossGenerations(t *testing.T) {
 	if _, err := l.Apply([]graph.Mutation{{Op: graph.MutRemoveNode, Node: first[0]}}); err != nil {
 		t.Fatal(err)
 	}
-	e2 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared})
-	second := run(e2)
+	m2 := on(l.Graph())
+	second := m2.EvalOutput(q)
 	afterMutate := shared.Stats()
 	if afterMutate.Hits != otherWarm.Hits {
 		t.Errorf("cross-generation cache hits: %d after mutation, want %d (stale candidates served)",
 			afterMutate.Hits, otherWarm.Hits)
 	}
-	for _, v := range second {
-		if v == first[0] {
-			t.Errorf("removed node %d still in results %v", first[0], second)
-		}
+	if slices.Contains(second, first[0]) {
+		t.Errorf("removed node %d still in results %v", first[0], second)
 	}
 	// New generation's entries are cached under their own keys.
-	run(e2)
+	m2.EvalOutput(q)
 	if s := shared.Stats(); s.Hits <= afterMutate.Hits {
 		t.Errorf("post-mutation rerun should hit the fresh entries: %+v -> %+v", afterMutate, s)
 	}
 	// The unrelated graph's warm entries survived the other graph's
 	// mutation: rerunning it hits without new misses.
 	beforeOther := shared.Stats()
-	if _, _, err := eOther.ParEvalNodeFiltered(context.Background(), qO, qO.T.Output, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	afterOther := shared.Stats()
-	if afterOther.Misses != beforeOther.Misses {
-		t.Errorf("unrelated graph's entries were invalidated: misses %d -> %d", beforeOther.Misses, afterOther.Misses)
-	}
-	if afterOther.Hits <= beforeOther.Hits {
-		t.Errorf("unrelated graph's rerun should hit: %+v -> %+v", beforeOther, afterOther)
+	mOther.EvalOutput(qO)
+	if afterOther := shared.Stats(); afterOther.Misses != beforeOther.Misses || afterOther.Hits <= beforeOther.Hits {
+		t.Errorf("unrelated graph's entries were invalidated: %+v -> %+v", beforeOther, afterOther)
 	}
 }
 
 // TestCompactionKeepsCacheWarm asserts the flip side of invalidation: a
 // compaction rebuilds the representation without changing the logical
-// generation, so cached candidate lists stay valid and keep hitting.
+// generation, so the answer is unchanged and a standalone cache's candidate
+// lists stay valid and keep hitting.
 func TestCompactionKeepsCacheWarm(t *testing.T) {
 	base := talentGraph(t)
 	l := graph.NewLive(base)
@@ -249,26 +235,23 @@ func TestCompactionKeepsCacheWarm(t *testing.T) {
 	tpl := talentTpl(t)
 	q := query.MustInstance(tpl, allInstantiations(tpl)[0])
 
-	e1 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared})
-	want, _, err := e1.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := New(l.Graph())
+	m1.Cache = shared
+	want := m1.EvalOutput(q)
 	before := shared.Stats()
 	l.Compact()
-	e2 := NewEngine(l.Graph(), EngineOptions{SharedCache: shared})
-	got, _, err := e2.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
+	e := NewEngine(l.Graph(), EngineOptions{})
+	got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := shared.Stats()
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("results changed across compaction: %v vs %v", got, want)
 	}
-	if after.Misses != before.Misses {
-		t.Errorf("compaction invalidated the cache: misses %d -> %d", before.Misses, after.Misses)
-	}
-	if after.Hits <= before.Hits {
-		t.Errorf("post-compaction run should hit the warm entries: %+v -> %+v", before, after)
+	m2 := New(l.Graph())
+	m2.Cache = shared
+	m2.EvalOutput(q)
+	if after := shared.Stats(); after.Misses != before.Misses || after.Hits <= before.Hits {
+		t.Errorf("compaction invalidated the cache: %+v -> %+v", before, after)
 	}
 }

@@ -29,8 +29,9 @@ type StoreStats struct {
 
 // Store is a weight-bounded LRU map, safe for concurrent use. As an engine's
 // store it is what the runs that engine serves share: answers of concrete
-// queries (Engine.Answer) and values that are a function of the generation
-// and a small spec (Engine.Derived), weighed in bytes under one ceiling. All
+// queries (Engine.Answer), candidate lists (CandidateCache) and values that
+// are a function of the generation and a small spec (Engine.Derived),
+// weighed in bytes under one ceiling. All
 // of it is immutable and true of the engine's graph only, so nothing is ever
 // invalidated: it dies with its engine. A zero ceiling stores nothing.
 type Store struct {

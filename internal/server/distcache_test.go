@@ -111,7 +111,7 @@ func TestJobClocksAreTheJobs(t *testing.T) {
 // TestSpecLambdaPointer: an omitted lambda selects the default, an explicit
 // JSON 0 reaches the config as a deliberate pure-relevance request.
 func TestSpecLambdaPointer(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	if err := r.Put("talent", testGraph(t, 7)); err != nil {
 		t.Fatal(err)
 	}

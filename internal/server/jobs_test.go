@@ -16,7 +16,7 @@ func contextWithTimeout(d time.Duration) (context.Context, context.CancelFunc) {
 func newTestManager(t *testing.T, opts ManagerOptions) (*Manager, *metrics) {
 	t.Helper()
 	met := newMetrics()
-	m := NewManager(NewRegistry(0), met, opts)
+	m := NewManager(NewRegistry(), met, opts)
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()

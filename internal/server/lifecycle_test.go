@@ -243,7 +243,7 @@ func TestLifecycleConcurrency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.snaps = st
 	if err := reg.Put("g", testGraph(t, 13)); err != nil {
 		t.Fatal(err)

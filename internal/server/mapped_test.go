@@ -198,7 +198,7 @@ func TestMappedUseAfterRemove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	reg.snaps = st
 	g := testGraph(t, 9)
 	if err := reg.Put("g", g); err != nil {

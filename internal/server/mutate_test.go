@@ -47,12 +47,21 @@ func listDir(t *testing.T, dir string) []string {
 // TestHTTPMutateEndpoint exercises POST /v1/graphs/{name}/mutate: a valid
 // batch applies atomically and reports the new generation's shape, invalid
 // batches are rejected whole with 422 and change nothing, and jobs keep
-// running against the mutated graph.
+// running against the mutated graph, with /metrics cache.hits and
+// cache.misses never falling.
 func TestHTTPMutateEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	g := testGraph(t, 31)
 	uploadGraph(t, ts.URL, "talent", g)
 	newID := g.NumNodes() // deterministic ID of the first added node
+	job := func() {
+		t.Helper()
+		if done := pollDone(t, ts.URL, submitJob(t, ts.URL, testSpec("talent")).ID); done.State != JobDone {
+			t.Fatalf("job: %s: %s", done.State, done.Error)
+		}
+	}
+	job()
+	h1, m1 := cacheCounts(t, ts.URL)
 
 	batch := fmt.Sprintf(`[
 		{"op":"addNode","label":"Person","attrs":{"gender":"female","title":"Director","yearsOfExp":"7"}},
@@ -62,6 +71,11 @@ func TestHTTPMutateEndpoint(t *testing.T) {
 	res := mutate(t, ts.URL, "talent", batch, http.StatusOK)
 	if res.Version != 2 || res.Ops != 3 || res.EdgesAdded != 1 {
 		t.Fatalf("mutate result %+v, want version 2, ops 3, edgesAdded 1", res)
+	}
+	// The batch put the graph on a fresh engine; /metrics keeps the retired
+	// one's candidate-list lookups.
+	if h2, m2 := cacheCounts(t, ts.URL); m1 == 0 || h2 != h1 || m2 != m1 {
+		t.Errorf("cache hits/misses %d/%d after a job, %d/%d after the batch", h1, m1, h2, m2)
 	}
 	if len(res.AddedNodes) != 1 || int(res.AddedNodes[0]) != newID {
 		t.Fatalf("AddedNodes = %v, want [%d]", res.AddedNodes, newID)
@@ -96,9 +110,9 @@ func TestHTTPMutateEndpoint(t *testing.T) {
 	mutate(t, ts.URL, "nope", `[{"op":"removeNode","node":0}]`, http.StatusNotFound)
 
 	// Jobs evaluate against the mutated generation.
-	st := submitJob(t, ts.URL, testSpec("talent"))
-	if done := pollDone(t, ts.URL, st.ID); done.State != JobDone {
-		t.Fatalf("job on mutated graph: %s: %s", done.State, done.Error)
+	job()
+	if h3, m3 := cacheCounts(t, ts.URL); m3 <= m1 || h3 < h1 {
+		t.Errorf("cache hits/misses %d/%d after a job on the new generation, %d/%d before", h3, m3, h1, m1)
 	}
 }
 
@@ -345,10 +359,10 @@ func TestRestoreSweepsOrphans(t *testing.T) {
 
 // TestHandleGenerationIsolation: a handle captures one consistent
 // (generation, engine) pair — mutations and removal never swap the graph
-// under an in-flight job, while new acquires see the new generation and
-// successive engines share one candidate cache.
+// under an in-flight job, while new acquires see the new generation on an
+// engine of its own.
 func TestHandleGenerationIsolation(t *testing.T) {
-	reg := NewRegistry(0)
+	reg := NewRegistry()
 	if err := reg.Put("g", testGraph(t, 9)); err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +387,8 @@ func TestHandleGenerationIsolation(t *testing.T) {
 	if h1.Engine().Graph() != h1.Graph() || h2.Engine().Graph() != h2.Graph() {
 		t.Error("handle engine and graph disagree on the generation")
 	}
-	if h1.Engine().Cache() != h2.Engine().Cache() {
-		t.Error("successive engines do not share the candidate cache")
+	if h1.Engine() == h2.Engine() {
+		t.Error("two generations share one engine")
 	}
 	if err := reg.Remove("g"); err != nil {
 		t.Fatal(err)

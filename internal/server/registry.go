@@ -24,9 +24,8 @@ var graphNameRe = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 // The graph lives behind a graph.Live mutation head: cur is the generation
 // served (the registry holds one backing reference to it), engine the match
 // engine over exactly that generation. A batch produces the next generation
-// and a fresh engine around the same shared caches: jobs keep reusing each
-// other's filter scans, and stale entries are never served (cache keys
-// carry the graph's (lineage, version)).
+// and a fresh engine with an empty store: what the old one kept was true of
+// the old generation only, and dies with it.
 type graphEntry struct {
 	name     string
 	live     *graph.Live
@@ -35,11 +34,11 @@ type graphEntry struct {
 	mutOps   atomic.Int64 // mutation ops applied since registration
 
 	// Guarded by Registry.mu; set at registration, changed by swapServed
-	// only. retired sums the matcher counters of replaced engines, so
-	// /metrics never loses completed work.
+	// only. retired sums the matcher counters and candidate-list lookups of
+	// replaced engines, so /metrics never loses completed work.
 	cur     *graph.Graph
 	engine  *match.Engine
-	retired match.Stats
+	retired match.EngineStats
 	refs    int
 
 	// mutMu, the writer lock, serializes mutate, checkpoint and unregister
@@ -69,8 +68,9 @@ type GraphInfo struct {
 	// footprint, fixed at freeze time.
 	Memory graph.MemoryStats `json:"memory"`
 	// Engine reports the shared engine's cumulative counters, including
-	// the candidate cache — the numbers /metrics scrapes per graph.
-	// Matcher counters of engines retired by mutations are folded in.
+	// the candidate-list lookups — the numbers /metrics scrapes per graph.
+	// Both of engines retired by mutations are folded in; Shared is the
+	// live engine's store alone.
 	Engine match.EngineStats `json:"engine"`
 }
 
@@ -102,7 +102,6 @@ type mutationStats struct {
 type Registry struct {
 	mu     sync.Mutex
 	graphs map[string]*graphEntry
-	cache  int
 	// putMu serializes registration and removal of names, so register's
 	// one duplicate check stays true while it persists or loads the graph.
 	putMu sync.Mutex
@@ -115,10 +114,9 @@ type Registry struct {
 	logSink
 }
 
-// NewRegistry returns an empty registry. cacheSize bounds each graph's
-// candidate cache (0 default, < 0 disabled).
-func NewRegistry(cacheSize int) *Registry {
-	return &Registry{graphs: make(map[string]*graphEntry), cache: cacheSize}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{graphs: make(map[string]*graphEntry)}
 }
 
 // closeGraph drops one backing reference, logging a failed unmap.
@@ -158,22 +156,11 @@ func (r *Registry) register(name string, source func() (*graphEntry, error)) err
 	}
 	entry.name, entry.loadedAt = name, time.Now()
 	entry.cur = entry.live.Acquire()
-	entry.engine = r.newEngine(entry.cur, nil)
+	entry.engine = match.NewEngine(entry.cur, match.EngineOptions{})
 	r.mu.Lock()
 	r.graphs[name] = entry
 	r.mu.Unlock()
 	return nil
-}
-
-// newEngine builds an engine over g with the registry's knobs; prev, when
-// non-nil, donates its candidate cache so the new generation starts warm
-// (entries are keyed by graph generation, so the handover is always safe).
-func (r *Registry) newEngine(g *graph.Graph, prev *match.Engine) *match.Engine {
-	opts := match.EngineOptions{CandCacheSize: r.cache}
-	if prev != nil {
-		opts.SharedCache = prev.Cache()
-	}
-	return match.NewEngine(g, opts)
 }
 
 // graphReaders are the upload formats; every reader returns a frozen graph.
@@ -355,18 +342,19 @@ func (r *Registry) Mutate(name string, ops []graph.Mutation) (*MutateResult, err
 }
 
 // swapServed installs the live graph's current generation as the one the
-// entry serves, behind a fresh engine around the previous engine's caches
-// — the only place cur, engine and retired change after registration. The
-// caller holds the writer lock and has already made the generation durable.
+// entry serves, behind a fresh engine — the only place cur, engine and
+// retired change after registration. The caller holds the writer lock and
+// has already made the generation durable.
 func (r *Registry) swapServed(entry *graphEntry) *graph.Graph {
 	g := entry.live.Acquire()
-	ne := r.newEngine(g, entry.engine)
+	ne := match.NewEngine(g, match.EngineOptions{})
 	r.mu.Lock()
 	old, oldEngine := entry.cur, entry.engine
 	entry.cur, entry.engine = g, ne
-	// Only the matcher counters: successive engines share the candidate
-	// cache, so the live engine already reports its cumulative numbers.
-	entry.retired.Add(oldEngine.Stats().Stats)
+	st := oldEngine.Stats()
+	entry.retired.Add(st.Stats)
+	entry.retired.Cache.Hits += st.Cache.Hits
+	entry.retired.Cache.Misses += st.Cache.Misses
 	r.mu.Unlock()
 	r.closeGraph(entry.name, old)
 	return g
@@ -374,10 +362,9 @@ func (r *Registry) swapServed(entry *graphEntry) *graph.Graph {
 
 // Checkpoint synchronously compacts a graph and persists the result: the
 // accumulated copy-on-write generations re-freeze into a canonical layout
-// (cache coordinates preserved, so the shared caches stay warm; a mapped
-// base is released once outstanding leases drain), and the graph's files
-// rotate (graphFiles.rotate), so a restore replays a short log over a
-// fresh snapshot instead of the whole mutation history.
+// (a mapped base is released once outstanding leases drain), and the
+// graph's files rotate (graphFiles.rotate), so a restore replays a short
+// log over a fresh snapshot instead of the whole mutation history.
 func (r *Registry) Checkpoint(name string) error {
 	entry, err := r.lockEntry(name)
 	if err != nil {
@@ -474,7 +461,9 @@ func (r *Registry) List() []GraphInfo {
 // infoOf renders an entry's summary; the caller holds r.mu.
 func infoOf(e *graphEntry) GraphInfo {
 	st := e.engine.Stats()
-	st.Stats.Add(e.retired)
+	st.Stats.Add(e.retired.Stats)
+	st.Cache.Hits += e.retired.Cache.Hits
+	st.Cache.Misses += e.retired.Cache.Misses
 	return GraphInfo{
 		Name:            e.name,
 		Nodes:           e.cur.NumLive(),

@@ -22,7 +22,7 @@ func tinyGraph(t *testing.T) *graph.Graph {
 }
 
 func TestRegistryPutAcquireRemove(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	g := tinyGraph(t)
 	if err := r.Put("tiny", g); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestRegistryReadFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := NewRegistry(0)
+	r := NewRegistry()
 	if err := r.Read("t1", "tsv", bytes.NewReader(tsv.Bytes())); err != nil {
 		t.Fatal(err)
 	}

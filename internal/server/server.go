@@ -19,9 +19,6 @@ type Options struct {
 	// Workers / QueueDepth / Retention / DefaultTimeout / MaxTimeout /
 	// GCInterval tune the job manager (see ManagerOptions).
 	Jobs ManagerOptions
-	// CandCacheSize bounds each graph's candidate cache (0 default,
-	// < 0 disabled).
-	CandCacheSize int
 	// MaxUploadBytes bounds graph upload bodies (default 64 MiB).
 	MaxUploadBytes int64
 	// SnapshotDir, when non-empty, enables warm restarts: every
@@ -80,7 +77,7 @@ func New(opts Options) *Server {
 	setDefault(&opts.MaxUploadBytes, 64<<20)
 	s := &Server{
 		opts:    opts,
-		reg:     NewRegistry(opts.CandCacheSize),
+		reg:     NewRegistry(),
 		met:     newMetrics(),
 		logSink: logSink{opts.Logger},
 	}

@@ -269,12 +269,12 @@ func TestEndToEnd(t *testing.T) {
 
 	// A second identical job reuses the graph's warm candidate cache;
 	// /metrics must show the hit counter climbing.
-	hitsBefore := cacheHits(t, ts.URL)
+	hitsBefore, _ := cacheCounts(t, ts.URL)
 	st2 := submitJob(t, ts.URL, spec)
 	if f := pollDone(t, ts.URL, st2.ID); f.State != JobDone {
 		t.Fatalf("second job state = %s (%s)", f.State, f.Error)
 	}
-	hitsAfter := cacheHits(t, ts.URL)
+	hitsAfter, _ := cacheCounts(t, ts.URL)
 	if hitsAfter <= hitsBefore {
 		t.Fatalf("candidate cache hits did not increase across identical jobs: %d -> %d", hitsBefore, hitsAfter)
 	}
@@ -359,17 +359,18 @@ func directRun(t *testing.T, spec JobSpec) *JobResult {
 	return res
 }
 
-// cacheHits scrapes the aggregate candidate-cache hit counter off
-// /metrics.
-func cacheHits(t *testing.T, baseURL string) int64 {
+// cacheCounts scrapes the aggregate candidate-cache hit and miss counters
+// off /metrics.
+func cacheCounts(t *testing.T, baseURL string) (hits, misses int64) {
 	t.Helper()
 	var doc struct {
 		Cache struct {
-			Hits int64 `json:"hits"`
+			Hits   int64 `json:"hits"`
+			Misses int64 `json:"misses"`
 		} `json:"cache"`
 	}
 	doJSON(t, http.MethodGet, baseURL+"/metrics", nil, http.StatusOK, &doc)
-	return doc.Cache.Hits
+	return doc.Cache.Hits, doc.Cache.Misses
 }
 
 func TestHTTPErrorPaths(t *testing.T) {

@@ -4,8 +4,10 @@
 # HTTP, run a job, kill the daemon uncleanly (plus a torn delta-log tail),
 # restart on the same snapshot dir and assert the mutation survived the
 # crash via WAL replay; then trigger a background checkpoint with
-# -compact-after 1 and watch the snapshot epoch rotate on disk. Needs only
-# bash, curl and go.
+# -compact-after 1 and watch the snapshot epoch rotate on disk. Each batch
+# and the checkpoint put the graph on a fresh match engine: /metrics
+# cache.hits + cache.misses must not fall across them. Needs only bash, curl
+# and go.
 set -euo pipefail
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -53,6 +55,11 @@ run_job() { # expects $base; uses the example job spec
     [[ "$state" == "done" ]] || fail "job stuck in state '$state'"
 }
 
+lookups() { # /metrics cache.hits + cache.misses (the top-level section)
+    curl -fsS "$base/metrics" | sed -n '/^  "cache": {/,/^  }/s/.*"\(hits\|misses\)": *\([0-9]*\).*/\2/p' |
+        { read -r h; read -r m; echo $((h + m)); }
+}
+
 say "building fairsqgd and graphgen"
 (cd "$root" && go build -o "$work/fairsqgd" ./cmd/fairsqgd && go build -o "$work/graphgen" ./cmd/graphgen)
 
@@ -73,12 +80,19 @@ curl -fsS "$base/v1/graphs/lki" | grep -q '"version": *1' || fail "refused batch
 curl -fsS "$base/metrics" | grep -q '"appendFails": *1' || fail "refused batch not counted in storage.wal.appendFails"
 rmdir "$work/snaps/lki.fdelta"
 
+say "running a job on the loaded graph"
+run_job
+before="$(lookups)"
+[[ "$before" -gt 0 ]] || fail "a job left /metrics cache.hits + cache.misses at $before"
+
 say "mutating over HTTP"
 res="$(curl -fsS -X POST --data-binary '[{"op":"removeNode","node":0},{"op":"removeNode","node":1}]' "$base/v1/graphs/lki/mutate")"
 echo "$res" | grep -q '"version": *2' || fail "mutate did not report version 2: $res"
 echo "$res" | grep -q '"nodesRemoved": *2' || fail "mutate did not remove 2 nodes: $res"
 [[ -f "$work/snaps/lki.fdelta" ]] || fail "delta log not created beside the snapshot"
 curl -fsS -X POST --data-binary '[{"op":"removeNode","node":999999}]' "$base/v1/graphs/lki/mutate" >/dev/null 2>&1 && fail "invalid batch accepted"
+after="$(lookups)"
+[[ "$after" -ge "$before" ]] || fail "cache.hits + cache.misses fell across the batch: $before -> $after"
 
 say "running a job on the mutated graph"
 run_job
@@ -97,6 +111,7 @@ curl -fsS "$base/metrics" | grep -q '"truncations": *1' || fail "torn tail not c
 
 say "running a job on the restored graph"
 run_job
+before="$(lookups)"
 
 say "mutating past the compaction threshold"
 curl -fsS -X POST --data-binary '[{"op":"removeNode","node":2}]' "$base/v1/graphs/lki/mutate" >/dev/null || fail "post-restore mutate"
@@ -108,6 +123,8 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [[ -n "$rotated" ]] || fail "background checkpoint never rotated the snapshot epoch"
+after="$(lookups)"
+[[ "$after" -ge "$before" ]] || fail "cache.hits + cache.misses fell across the batch and its compaction: $before -> $after"
 say "snapshot epoch rotated: $(ls "$work/snaps")"
 
 say "stopping with SIGTERM"
