@@ -84,7 +84,7 @@ func TestFairsqgCLI(t *testing.T) {
 	if !strings.Contains(string(out), "q1:") {
 		t.Errorf("no suggestions in output:\n%s", out)
 	}
-	if !regexp.MustCompile(`\nphases: [^\n]*\n`).Match(out) {
+	if !regexp.MustCompile(`\nphases: [^\n]*, cover [^\n]*\n`).Match(out) {
 		t.Errorf("no phases line:\n%s", out)
 	}
 	// The saved workload loads back.

@@ -268,7 +268,8 @@ func FormatTemplate(t *Template) string { return query.Format(t) }
 func NewTemplate(name string) *TemplateBuilder { return query.NewBuilder(name) }
 
 // GroupsByAttribute partitions the nodes with a label into one group per
-// distinct value of an attribute.
+// distinct value of an attribute. The groups have no Members map: they read
+// the graph's attribute row, through Size and Has.
 func GroupsByAttribute(g *Graph, label, attr string) Groups {
 	return groups.ByAttribute(g, label, attr)
 }

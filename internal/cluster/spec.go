@@ -106,12 +106,13 @@ func buildConfig(p JobPayload, g *graph.Graph, e *match.Engine) (*core.Config, e
 	// Cut once per engine — per generation — and shared read-only by every
 	// job that names it; the constraints below are set on this job's copy.
 	cut, _ := e.Derived("groups", append([]string{gs.Label, gs.Attr}, gs.Values...), func() (any, int64) {
-		// At most a map entry per node of the label, an index slot per node.
-		weight := int64(16*g.CountLabel(gs.Label) + 4*g.NumNodes())
+		var set groups.Set
 		if len(gs.Values) > 0 {
-			return groups.ByValues(g, gs.Label, gs.Attr, gs.Values...), weight
+			set = groups.ByValues(g, gs.Label, gs.Attr, gs.Values...)
+		} else {
+			set = groups.ByAttribute(g, gs.Label, gs.Attr)
 		}
-		return groups.ByAttribute(g, gs.Label, gs.Attr), weight
+		return set, set.Bytes()
 	})
 	set := slices.Clone(cut.(groups.Set))
 	if len(set) == 0 {

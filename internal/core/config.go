@@ -288,9 +288,12 @@ func (s *Stats) Add(o Stats) {
 }
 
 // Phase indexes Stats.Wall: the match engine's planning (candidate sets to
-// their arc-consistent fixpoint) and search, scoring δ, Spawn's refinement
-// step, and OnlineQGen's re-verification of its working set on a mutated
-// generation, which holds the planning, searching and scoring it does.
+// their arc-consistent fixpoint, the bound-pruning tally of the output's
+// candidates included) and search, scoring δ, Spawn's refinement step,
+// OnlineQGen's re-verification of its working set on a mutated generation,
+// which holds the planning, searching, scoring and counting it does, and
+// counting an answer per group for feasibility and coverage, one sample per
+// verification.
 type Phase int
 
 const (
@@ -299,10 +302,11 @@ const (
 	PhaseScore
 	PhaseSpawn
 	PhaseReverify
+	PhaseCover
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"plan", "search", "score", "spawn", "reverify"}
+var phaseNames = [numPhases]string{"plan", "search", "score", "spawn", "reverify", "cover"}
 
 func (p Phase) String() string { return phaseNames[p] }
 

@@ -515,7 +515,7 @@ func TestEmptyFeasibleSpace(t *testing.T) {
 	cfg := fixtureConfig(t, g, 0.3, 3)
 	// Demand more female directors than exist anywhere.
 	for i := range cfg.Groups {
-		cfg.Groups[i].Want = len(cfg.Groups[i].Members)
+		cfg.Groups[i].Want = cfg.Groups[i].Size()
 	}
 	for _, alg := range []func(*Runner) (*Result, error){
 		(*Runner).EnumQGen, (*Runner).RfQGen, (*Runner).BiQGen, (*Runner).Kungs,

@@ -325,16 +325,11 @@ func (r *Runner) verifySeeded(q *query.Instance, parent *Verified, keep int) *Ve
 // planned. An answer equal to the parent's is not scored again: δ and f are
 // functions of the answer set alone, so the record adopts the parent's.
 func (r *Runner) evaluate(q *query.Instance, parent *Verified, keep int) link {
-	// counts holds the answer's per-group tally, computed once per
-	// verification: feasibility and coverage both derive from it (the
-	// slice is the counter's reusable buffer — read before any Counts
-	// call, which the paths below never make after filling it).
-	var counts []int
 	var v *Verified
 	var held *match.Domains
 	shared := false
 	if len(r.extraNodes) > 0 {
-		v, counts = r.verifyMultiOutput(q, parent)
+		v = r.verifyMultiOutput(q, parent)
 		keep = noKeep
 	} else {
 		var within []graph.NodeID
@@ -380,8 +375,7 @@ func (r *Runner) evaluate(q *query.Instance, parent *Verified, keep int) link {
 			v = &Verified{Q: q, Matches: within, Feasible: parent.Feasible, Point: parent.Point, score: parent.score}
 		} else {
 			v = &Verified{Q: q, Matches: matches}
-			counts = r.counter.Counts(matches)
-			v.Feasible = ok && measure.FeasibleCounts(r.cfg.Groups, counts)
+			r.cover(v, ok)
 		}
 		if held == nil && !reused {
 			keep = noKeep
@@ -395,12 +389,20 @@ func (r *Runner) evaluate(q *query.Instance, parent *Verified, keep int) link {
 			r.stats.IncScores++
 		}
 	case v.Feasible:
-		v.Point = pareto.Point{
-			Div: r.scoreDiversity(v, parent),
-			Cov: measure.CoverageCounts(r.cfg.Groups, counts),
-		}
+		v.Point.Div = r.scoreDiversity(v, parent)
 	}
 	return link{v, held, keep}
+}
+
+// cover tallies v's answer per group, once per verification, and derives
+// feasibility (ok, and every c_i met) and, when feasible, coverage from the
+// tally, under the coverage clock.
+func (r *Runner) cover(v *Verified, ok bool) {
+	defer r.clock(PhaseCover, time.Now())
+	counts := r.counter.Counts(v.Matches)
+	if v.Feasible = ok && measure.FeasibleCounts(r.cfg.Groups, counts); v.Feasible {
+		v.Point.Cov = measure.CoverageCounts(r.cfg.Groups, counts)
+	}
 }
 
 // commit records what evaluate returned — memo, answered list, the link
@@ -506,9 +508,8 @@ func (r *Runner) result(archive *pareto.Archive[*Verified], start time.Time) *Re
 // applied: a single node's candidate shortfall cannot prove the union
 // infeasible. Matcher domains are not inherited either: each node is
 // evaluated under its own pin, narrowed by its own within, so a seed serves
-// one pin only. The returned counts are the union's per-group tally, for
-// the caller's coverage computation.
-func (r *Runner) verifyMultiOutput(q *query.Instance, parent *Verified) (*Verified, []int) {
+// one pin only.
+func (r *Runner) verifyMultiOutput(q *query.Instance, parent *Verified) *Verified {
 	nodes := append([]int{q.T.Output}, r.extraNodes...)
 	v := &Verified{Q: q, PerNode: make(map[int][]graph.NodeID, len(nodes))}
 	unionSet := make(map[graph.NodeID]bool)
@@ -528,7 +529,6 @@ func (r *Runner) verifyMultiOutput(q *query.Instance, parent *Verified) (*Verifi
 		v.Matches = append(v.Matches, m)
 	}
 	sort.Slice(v.Matches, func(i, j int) bool { return v.Matches[i] < v.Matches[j] })
-	counts := r.counter.Counts(v.Matches)
-	v.Feasible = measure.FeasibleCounts(r.cfg.Groups, counts)
-	return v, counts
+	r.cover(v, true)
+	return v
 }

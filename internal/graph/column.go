@@ -2,7 +2,9 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"sync"
 )
 
 // AttrID is an interned attribute name. IDs are dense and assigned in
@@ -128,6 +130,96 @@ func (g *Graph) AppendMatching(dst, base []NodeID, a AttrID, op Op, bound Value)
 		}
 	}
 	return dst
+}
+
+// NoValue is an AttrRow entry for a node that lacks the attribute.
+const NoValue int32 = -1
+
+// AttrRow is one attribute's values over a frozen generation's nodes as
+// positions in its active domain: IDs[v] indexes ActiveDomainByID (NoValue
+// when v lacks the attribute, as a tombstoned node does), First[i] is the
+// lowest node holding domain entry i, and Held counts the nodes holding a
+// value. Scorers and group partitions read it instead of deriving per-node
+// facts per run; it is read-only.
+type AttrRow struct {
+	IDs   []int32
+	First []NodeID
+	Held  int
+}
+
+type rowSlot struct {
+	once sync.Once
+	row  *AttrRow
+}
+
+// AttrRow returns attribute a's row (nil when a is not interned), built from
+// the typed column on first use, once per generation, and shared by every
+// caller after that; concurrent first calls build it once.
+func (g *Graph) AttrRow(a AttrID) *AttrRow {
+	g.mustFrozen("AttrRow")
+	if a < 0 || int(a) >= len(g.cols) {
+		return nil
+	}
+	g.rowsOnce.Do(func() { g.rows = make([]rowSlot, len(g.cols)) })
+	s := &g.rows[a]
+	s.once.Do(func() { s.row = g.cols[a].row(g.ActiveDomainByID(a), g.nodeLabels.n) })
+	return s.row
+}
+
+// row places every node's value in dom, the column's active domain, by
+// binary search over the typed array: raw floats (cmp.Less orders NaN first,
+// as Compare does), strings, and Compare itself for bools and mixed kinds.
+func (c *column) row(dom []Value, n int) *AttrRow {
+	r := &AttrRow{IDs: make([]int32, n), First: make([]NodeID, len(dom))}
+	fs, ss := make([]float64, len(dom)), make([]string, len(dom))
+	for i, x := range dom {
+		fs[i], ss[i], r.First[i] = x.num, x.str, InvalidNode
+	}
+	var table []int32
+	if c.nums.n > 0 {
+		table = intTable(fs)
+	}
+	for v := range r.IDs {
+		r.IDs[v] = NoValue
+		if !c.has(NodeID(v)) {
+			continue
+		}
+		var i int
+		switch {
+		case table != nil:
+			i = int(table[int(c.nums.At(v)-fs[0])])
+		case c.nums.n > 0:
+			i, _ = slices.BinarySearch(fs, c.nums.At(v))
+		case c.refs != nil:
+			i, _ = slices.BinarySearch(ss, c.tab.str(c.refs[v]))
+		case c.strs.n > 0:
+			i, _ = slices.BinarySearch(ss, c.strs.At(v))
+		default:
+			i, _ = slices.BinarySearchFunc(dom, c.value(NodeID(v)), Value.Compare)
+		}
+		r.IDs[v], r.Held = int32(i), r.Held+1
+		if r.First[i] == InvalidNode {
+			r.First[i] = NodeID(v)
+		}
+	}
+	return r
+}
+
+// intTable maps x − fs[0] to x's index in fs when fs holds integers only,
+// spanning at most 4·len(fs)+64 of them (nil otherwise): a load per node
+// instead of a search.
+func intTable(fs []float64) []int32 {
+	if len(fs) == 0 || !(fs[len(fs)-1]-fs[0] < float64(4*len(fs)+64)) {
+		return nil // NaN and infinities fail the span test too
+	}
+	t := make([]int32, int(fs[len(fs)-1]-fs[0])+1)
+	for i, x := range fs {
+		if x != math.Trunc(x) {
+			return nil
+		}
+		t[int(x-fs[0])] = int32(i)
+	}
+	return t
 }
 
 // labelAttr keys the per-(label, attribute) sorted indexes.

@@ -98,6 +98,10 @@ type Graph struct {
 	strTab  *strTable
 	domOnce sync.Once
 	domFill func()
+	// rows holds each attribute's AttrRow, built on first use; a batch's
+	// generation starts with none.
+	rowsOnce sync.Once
+	rows     []rowSlot
 
 	// Derived tables, a function of buckets and adjacency alone. Freeze
 	// computes them for every row (buildDerived), ApplyBatch forks its

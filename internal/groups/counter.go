@@ -3,9 +3,10 @@ package groups
 import "fairsqg/internal/graph"
 
 // Counter answers group-count queries for one (graph, Set) pair. Set.Count
-// probes every group's member map per answer node — O(|answer|·m) map
-// lookups; a Counter instead builds a dense node→group array once, so each
-// Counts call is one array read per answer node. Verification calls Count
+// probes every group per answer node — O(|answer|·m) lookups; a Counter
+// reads the partition the groups were cut from, or builds a dense
+// node→group array once for any other set, so each Counts call is a few
+// array reads per answer node. Verification calls Count
 // on every instance (twice, before this existed: feasibility then
 // coverage), which made the probing the constant factor in front of every
 // lattice node.
@@ -14,11 +15,14 @@ import "fairsqg/internal/graph"
 // because the counts buffer is reused across calls.
 type Counter struct {
 	set Set
-	// group[id[v]] is 1+“index of the group containing v”, or 0 when v
-	// belongs to no group. Groups are disjoint (Set.Validate enforces it), so
-	// one slot suffices. id is the shared node index of the partition the
-	// groups were cut from (Set.partition) and group places its cells in the
-	// set; for any other set id is the counter's own and group the identity.
+	// group[id[v]+1] is 1+“index of the group containing v”, or 0 when v
+	// belongs to no group. Over the partition every group was cut from
+	// (Set.partition), id is its row, group places each domain entry's cell
+	// in the set, and v must pass the partition's label test too; for any
+	// other set id is the counter's own index (1+ the group, 0 for none) and
+	// group[k+1] is k. Groups are disjoint (Set.Validate enforces it), so one
+	// slot suffices.
+	part   *partition
 	id     []int32
 	group  []int32
 	counts []int
@@ -29,21 +33,26 @@ type Counter struct {
 // answers from the same graph — count toward no group.
 func NewCounter(numNodes int, s Set) *Counter {
 	c := &Counter{set: s, counts: make([]int, len(s))}
-	if p := s.partition(); p != nil {
-		c.id, c.group = p.id, make([]int32, p.cells+1)
+	if c.part = s.partition(); c.part != nil {
+		place := make([]int32, len(c.part.sizes)+1)
 		for i := range s {
-			c.group[s[i].cell+1] = int32(i) + 1
+			place[s[i].cell+1] = int32(i) + 1
+		}
+		c.id, c.group = c.part.row, make([]int32, len(c.part.cell))
+		for d, k := range c.part.cell {
+			c.group[d] = place[k]
 		}
 		return c
 	}
-	c.id, c.group = make([]int32, numNodes), make([]int32, len(s)+1)
+	c.id, c.group = make([]int32, numNodes), make([]int32, len(s)+2)
 	for i := range s {
-		c.group[i+1] = int32(i) + 1
-		for v := range s[i].Members {
+		c.group[i+2] = int32(i) + 1
+		s[i].members(func(v graph.NodeID) bool {
 			if int(v) < numNodes {
 				c.id[v] = int32(i) + 1
 			}
-		}
+			return true
+		})
 	}
 	return c
 }
@@ -51,7 +60,7 @@ func NewCounter(numNodes int, s Set) *Counter {
 // Clone returns a counter over the same node→group index with its own
 // counts buffer, for use on another goroutine.
 func (c *Counter) Clone() *Counter {
-	return &Counter{set: c.set, id: c.id, group: c.group, counts: make([]int, len(c.counts))}
+	return &Counter{set: c.set, part: c.part, id: c.id, group: c.group, counts: make([]int, len(c.counts))}
 }
 
 // Counts returns, for each group, |answer ∩ P_i| — the same values as
@@ -61,9 +70,10 @@ func (c *Counter) Counts(answer []graph.NodeID) []int {
 	for i := range c.counts {
 		c.counts[i] = 0
 	}
+	check := c.part != nil && c.part.labels != nil
 	for _, v := range answer {
 		if int(v) < len(c.id) {
-			if g := c.group[c.id[v]]; g != 0 {
+			if g := c.group[c.id[v]+1]; g != 0 && (!check || c.part.holds(v)) {
 				c.counts[g-1]++
 			}
 		}

@@ -3,6 +3,7 @@ package groups
 import (
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -75,7 +76,7 @@ func TestCounterBufferReuse(t *testing.T) {
 }
 
 // TestCounterOverPartition: a Counter over groups cut by one ByAttribute call
-// shares the partition's node index — nothing graph-sized is built — and
+// reads the partition — nothing graph-sized is built — and
 // agrees with Set.Count for the whole partition and for a reordered subset of
 // it; Validate takes such groups as disjoint, but not one of them listed
 // twice, nor the same members cut by two ByAttribute calls.
@@ -102,7 +103,7 @@ func TestCounterOverPartition(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		c := NewCounter(numNodes, set)
-		if &c.id[0] != &set[0].from.id[0] {
+		if c.part != set[0].from || &c.id[0] != &set[0].from.row[0] {
 			t.Fatalf("%s: the counter built an index of its own", name)
 		}
 		for trial := 0; trial < 50; trial++ {
@@ -123,7 +124,29 @@ func TestCounterOverPartition(t *testing.T) {
 	if err := mixed.Validate(); err == nil {
 		t.Error("the same members under two partitions validated as disjoint")
 	}
-	if c := NewCounter(numNodes, Set{all[0], other[1]}); &c.id[0] == &all[0].from.id[0] || &c.id[0] == &other[0].from.id[0] {
+	if c := NewCounter(numNodes, Set{all[0], other[1]}); c.part != nil {
 		t.Error("groups of two partitions share one node index")
 	}
+}
+
+// TestPartitionConcurrentFirstUse: goroutines cutting groups from a fresh
+// generation at once — so its row is built under their concurrent first use
+// — and counting one answer each get the same groups and counts. Run it
+// under -race.
+func TestPartitionConcurrentFirstUse(t *testing.T) {
+	g := genderGraph(t)
+	answer := []graph.NodeID{0, 1, 2, 3, 4, 5, 6, 7}
+	want := ByAttribute(genderGraph(t), "Person", "gender").Count(answer)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			set := ByAttribute(g, "Person", "gender")
+			if got := NewCounter(g.NumNodes(), set).Counts(answer); !slices.Equal(got, want) {
+				t.Errorf("worker %d: counts %v, want %v", w, got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }

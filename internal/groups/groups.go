@@ -15,8 +15,9 @@ import (
 // Group is one node group P_i with its coverage constraint c_i.
 type Group struct {
 	Name string
-	// Members is P_i; read-only on a group ByAttribute or ByValues returned:
-	// Validate and Counter go by the partition it was cut from, not by edits.
+	// Members is P_i for a group the caller builds. Groups ByAttribute and
+	// ByValues return have none (nil): they read the partition they were cut
+	// from, so ask them through Size and Has.
 	Members map[graph.NodeID]bool
 	// Want is the coverage constraint c_i: an instance is feasible only if
 	// its answer covers at least Want members, and the coverage measure
@@ -25,17 +26,30 @@ type Group struct {
 	// from and cell are set by ByAttribute and ByValues: the partition the
 	// group was cut from and its place there. Cells of one partition are
 	// disjoint by construction: Validate skips them, a Counter shares the
-	// node index.
+	// partition.
 	from *partition
 	cell int32
 }
 
-// partition is the node index of one ByAttribute or ByValues call, shared
-// read-only: id[v] is 1 + the cell of the group holding node v, 0 when none
-// does.
+// partition is one ByAttribute or ByValues call's view of a generation's
+// AttrRow for the attribute, shared read-only: a node of the label is in
+// cell cell[row[v]+1]-1, in none when that reads 0. Its own arrays are per
+// active-domain entry and per cell, none per node; the row and the packed
+// label table it reads are the generation's (not the Graph itself, which a
+// runner moving to the next generation lets go).
 type partition struct {
-	id    []int32
-	cells int
+	// labels is graph.PackLabelPos per node, nil when every node holding
+	// the attribute has the label: then the row alone decides.
+	labels *graph.Table[uint64]
+	label  graph.LabelID
+	row    []int32
+	cell   []int32 // per domain entry + 1
+	sizes  []int   // per cell
+}
+
+// holds reports whether v, a node of the row, has the partition's label.
+func (p *partition) holds(v graph.NodeID) bool {
+	return p.labels == nil || graph.LabelID(p.labels.At(int(v))>>32) == p.label
 }
 
 // partition returns the partition every group of s was cut from, nil when
@@ -53,10 +67,51 @@ func (s Set) partition() *partition {
 }
 
 // Size returns |P_i|.
-func (g *Group) Size() int { return len(g.Members) }
+func (g *Group) Size() int {
+	if g.from != nil {
+		return g.from.sizes[g.cell]
+	}
+	return len(g.Members)
+}
+
+// Has reports whether v belongs to P_i.
+func (g *Group) Has(v graph.NodeID) bool {
+	if p := g.from; p != nil {
+		return int(v) < len(p.row) && p.cell[p.row[v]+1] == g.cell+1 && p.holds(v)
+	}
+	return g.Members[v]
+}
+
+// members calls yield on every member of P_i until it returns false.
+func (g *Group) members(yield func(graph.NodeID) bool) {
+	for v := range g.Members {
+		if !yield(v) {
+			return
+		}
+	}
+	for v := 0; g.from != nil && v < len(g.from.row); v++ {
+		if g.Has(graph.NodeID(v)) && !yield(graph.NodeID(v)) {
+			return
+		}
+	}
+}
 
 // Set is an ordered collection of disjoint groups.
 type Set []Group
+
+// Bytes is what the set holds itself, for whoever keeps it around: 48 bytes
+// a group plus its name and, for a group the caller built, 40 a member; a
+// partition's arrays, per active-domain entry and per cell (the row and
+// label table it reads are the graph's).
+func (s Set) Bytes() (n int64) {
+	for i := range s {
+		n += int64(48 + len(s[i].Name) + 40*len(s[i].Members))
+	}
+	if p := s.partition(); p != nil {
+		n += int64(4*len(p.cell) + 8*len(p.sizes))
+	}
+	return n
+}
 
 // TotalWant returns C = Σ c_i.
 func (s Set) TotalWant() int {
@@ -71,29 +126,35 @@ func (s Set) TotalWant() int {
 // each constraint satisfies 0 <= c_i <= |P_i|.
 //
 // It runs several times per job, so disjointness is checked in place: each
-// pair of groups walks the smaller member set and probes the larger, with
-// no scratch map of every member (m is a handful).
+// pair of groups walks the smaller and probes the larger, with no scratch
+// map of every member (m is a handful); two cells of one partition are
+// disjoint without a walk.
 func (s Set) Validate() error {
 	for i := range s {
 		g := &s[i]
-		if len(g.Members) == 0 {
+		if g.Size() == 0 {
 			return fmt.Errorf("groups: group %q is empty", g.Name)
 		}
-		if g.Want < 0 || g.Want > len(g.Members) {
-			return fmt.Errorf("groups: group %q: constraint %d outside [0,%d]", g.Name, g.Want, len(g.Members))
+		if g.Want < 0 || g.Want > g.Size() {
+			return fmt.Errorf("groups: group %q: constraint %d outside [0,%d]", g.Name, g.Want, g.Size())
 		}
 		for j := 0; j < i; j++ {
 			if g.from != nil && g.from == s[j].from && g.cell != s[j].cell {
 				continue // two cells of one partition
 			}
-			walk, probe := s[j].Members, g.Members
-			if len(probe) < len(walk) {
+			walk, probe := &s[j], g
+			if probe.Size() < walk.Size() {
 				walk, probe = probe, walk
 			}
-			for v := range walk {
-				if _, dup := probe[v]; dup {
-					return fmt.Errorf("groups: node %d belongs to both %q and %q; groups must be disjoint", v, s[j].Name, g.Name)
+			dup := graph.InvalidNode
+			walk.members(func(v graph.NodeID) bool {
+				if probe.Has(v) {
+					dup = v
 				}
+				return dup < 0
+			})
+			if dup >= 0 {
+				return fmt.Errorf("groups: node %d belongs to both %q and %q; groups must be disjoint", dup, s[j].Name, g.Name)
 			}
 		}
 	}
@@ -105,7 +166,7 @@ func (s Set) Count(answer []graph.NodeID) []int {
 	counts := make([]int, len(s))
 	for _, v := range answer {
 		for i := range s {
-			if s[i].Members[v] {
+			if s[i].Has(v) {
 				counts[i]++
 				break // groups are disjoint
 			}
@@ -115,23 +176,23 @@ func (s Set) Count(answer []graph.NodeID) []int {
 }
 
 // ByAttribute partitions the nodes with the given label into one group per
-// distinct value of attr. Nodes lacking the attribute join no group. Groups
-// are returned sorted by value; constraints are left at zero.
+// distinct value of attr, keyed by Value.String (a number and a string of
+// the same text share a group). Nodes lacking the attribute join no group.
+// Groups are returned sorted by value; constraints are left at zero.
 func ByAttribute(g *graph.Graph, label, attr string) Set {
-	set := cut(g, label, attr, nil)
+	set := cut(g, label, attr)
 	// The names share their prefix, so this is the order of the values.
 	sort.Slice(set, func(a, b int) bool { return set[a].Name < set[b].Name })
 	return set
 }
 
 // ByValues is ByAttribute restricted to the listed attribute values, in the
-// given order; values with no members are skipped. Only the listed values'
-// groups are built.
+// given order; values with no members are skipped.
 func ByValues(g *graph.Graph, label, attr string, values ...string) Set {
-	cells := cut(g, label, attr, values)
+	cells := cut(g, label, attr)
 	var set Set
 	for _, v := range values {
-		if k := slices.IndexFunc(cells, func(c Group) bool { return c.Name == attr+"="+v && len(c.Members) > 0 }); k >= 0 {
+		if k := slices.IndexFunc(cells, func(c Group) bool { return c.Name == attr+"="+v }); k >= 0 {
 			set = append(set, cells[k])
 		}
 	}
@@ -139,49 +200,41 @@ func ByValues(g *graph.Graph, label, attr string, values ...string) Set {
 }
 
 // cut partitions the nodes with the given label by their value of attr, one
-// cell per value: per listed value in the order listed (a value listed
-// twice fills its last cell), or, with no list, per value present in the
-// order met.
-func cut(g *graph.Graph, label, attr string, values []string) Set {
-	slot, names := make(map[string]int, len(values)), values
-	for k, v := range values {
-		slot[v] = k
+// cell per value text present on them, in domain order. It reads the
+// generation's AttrRow and counts each domain entry's holders of the label
+// by binary search over the (label, attr) sorted index, whose nodes run in
+// domain order: per active-domain entry, not per node.
+func cut(g *graph.Graph, label, attr string) Set {
+	aid, lid := g.AttrIDOf(attr), g.LookupLabel(label)
+	ix := g.SortedIndex(lid, aid)
+	if !ix.Valid() {
+		return nil
 	}
-	nodes := g.NodesByLabel(label)
-	aid := g.AttrIDOf(attr)
-	// First pass: every node's cell and the cells' sizes, so that each
-	// member map is made at its final size instead of rehashing its way up.
-	sizes := make([]int, len(names))
-	slotOf := make([]int32, len(nodes))
-	for i, v := range nodes {
-		slotOf[i] = -1
-		val := g.AttrValue(v, aid)
-		if val.IsNull() {
+	dom, row := g.ActiveDomainByID(aid), g.AttrRow(aid)
+	part := &partition{label: lid, row: row.IDs, cell: make([]int32, len(dom)+1)}
+	slot := make(map[string]int32, len(dom))
+	var set Set
+	lo := sort.Search(ix.Len(), func(i int) bool { return row.IDs[ix.At(i)] != graph.NoValue })
+	if ix.Len()-lo != row.Held {
+		labels := g.LabelPosTable()
+		part.labels = &labels
+	}
+	for d := range dom {
+		hi := lo + sort.Search(ix.Len()-lo, func(i int) bool { return row.IDs[ix.At(lo+i)] > int32(d) })
+		if hi == lo {
 			continue
 		}
-		key := val.String()
+		key := dom[d].String()
 		k, ok := slot[key]
 		if !ok {
-			if values != nil {
-				continue
-			}
-			k = len(names)
+			k = int32(len(set))
 			slot[key] = k
-			names, sizes = append(names, key), append(sizes, 0)
+			set = append(set, Group{Name: attr + "=" + key, from: part, cell: k})
+			part.sizes = append(part.sizes, 0)
 		}
-		slotOf[i] = int32(k)
-		sizes[k]++
-	}
-	set := make(Set, len(names))
-	part := &partition{id: make([]int32, g.NumNodes()), cells: len(names)}
-	for k, n := range names {
-		set[k] = Group{Name: attr + "=" + n, Members: make(map[graph.NodeID]bool, sizes[k]), from: part, cell: int32(k)}
-	}
-	for i, v := range nodes {
-		if k := slotOf[i]; k >= 0 {
-			set[k].Members[v] = true
-			part.id[v] = k + 1
-		}
+		part.cell[d+1] = k + 1
+		part.sizes[k] += hi - lo
+		lo = hi
 	}
 	return set
 }

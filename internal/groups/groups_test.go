@@ -2,7 +2,6 @@ package groups
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -37,7 +36,7 @@ func TestByAttribute(t *testing.T) {
 		t.Errorf("group 1 = %q size %d", set[1].Name, set[1].Size())
 	}
 	// The Org node must not leak into Person groups.
-	if set[1].Members[7] {
+	if set[1].Has(7) {
 		t.Error("wrong-label node in group")
 	}
 }
@@ -87,7 +86,7 @@ func TestByValuesFiltersByAttribute(t *testing.T) {
 			t.Fatalf("%q: %d groups, want %d", values, len(got), len(want))
 		}
 		for i := range got {
-			if got[i].Name != want[i].Name || got[i].Want != 0 || !maps.Equal(got[i].Members, want[i].Members) {
+			if got[i].Name != want[i].Name || got[i].Want != 0 || got[i].Size() != want[i].Size() || !sameMembers(g, &got[i], &want[i]) {
 				t.Errorf("%q: group %d is %q with %d members, want %q with %d", values, i, got[i].Name, got[i].Size(), want[i].Name, want[i].Size())
 			}
 		}
@@ -102,6 +101,16 @@ func TestByValuesFiltersByAttribute(t *testing.T) {
 			}
 		}
 	}
+}
+
+// sameMembers reports whether two groups hold the same nodes of g.
+func sameMembers(g *graph.Graph, a, b *Group) bool {
+	for v := graph.NodeID(0); int(v) < g.NumNodes()+3; v++ {
+		if a.Has(v) != b.Has(v) {
+			return false
+		}
+	}
+	return true
 }
 
 func TestEqualOpportunityAndSplit(t *testing.T) {
@@ -210,5 +219,89 @@ func TestCount(t *testing.T) {
 	}
 	if c := set.Count(nil); c[0] != 0 || c[1] != 0 {
 		t.Errorf("empty counts = %v", c)
+	}
+}
+
+// TestPartitionMatchesMembers: groups cut from the graph's rows answer Size,
+// Has, Validate, Set.Count and a Counter as groups holding the same members
+// in maps do — keyed by Value.String, so the number 5 and the string "5"
+// (and true and "true") share a group — with nodes lacking the attribute,
+// for ByAttribute and for ByValues, on an attribute nodes of another label
+// carry too (v) and on one only the groups' label carries (w).
+func TestPartitionMatchesMembers(t *testing.T) {
+	for _, attr := range []string{"v", "w"} {
+		t.Run(attr, func(t *testing.T) { testPartitionMatchesMembers(t, attr) })
+	}
+}
+
+func testPartitionMatchesMembers(t *testing.T, attr string) {
+	rng := rand.New(rand.NewSource(11))
+	g := graph.New()
+	vals := []graph.Value{graph.Int(5), graph.Str("5"), graph.Str("x"), graph.Bool(true), graph.Str("true"), graph.Num(2.5), graph.Null}
+	const numNodes = 200
+	for i := 0; i < numNodes; i++ {
+		attrs := map[string]graph.Value{}
+		if x := vals[rng.Intn(len(vals))]; !x.IsNull() {
+			attrs["v"] = x
+		}
+		label := "P"
+		if i%5 == 0 {
+			label = "Q"
+		} else if x := vals[rng.Intn(len(vals))]; !x.IsNull() {
+			attrs["w"] = x
+		}
+		g.AddNode(label, attrs)
+	}
+	g.Freeze()
+	byKey := map[string]map[graph.NodeID]bool{}
+	for _, v := range g.NodesByLabel("P") {
+		if x := g.Attr(v, attr); !x.IsNull() {
+			if byKey[x.String()] == nil {
+				byKey[x.String()] = map[graph.NodeID]bool{}
+			}
+			byKey[x.String()][v] = true
+		}
+	}
+	if len(byKey) != 4 {
+		t.Fatalf("fixture has %d keys, want 4 (5, x, true, 2.5)", len(byKey))
+	}
+	for _, values := range [][]string{nil, {"5", "x"}, {"true", "zz", "5"}} {
+		got, keys := ByValues(g, "P", attr, values...), values
+		if values == nil {
+			got, keys = ByAttribute(g, "P", attr), []string{"2.5", "5", "true", "x"}
+		}
+		var want Set
+		for _, k := range keys {
+			if byKey[k] != nil {
+				want = append(want, Group{Name: attr + "=" + k, Members: byKey[k]})
+			}
+		}
+		EqualOpportunity(got, 1)
+		EqualOpportunity(want, 1)
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d groups, want %d", values, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Name != want[i].Name || got[i].Members != nil || got[i].Size() != want[i].Size() || !sameMembers(g, &got[i], &want[i]) {
+				t.Fatalf("%q: group %d is %q with %d members, want %q with %d", values, i, got[i].Name, got[i].Size(), want[i].Name, want[i].Size())
+			}
+		}
+		if err, werr := got.Validate(), want.Validate(); err != nil || werr != nil {
+			t.Fatalf("%q: Validate %v, oracle %v", values, err, werr)
+		}
+		if (got[0].from.labels == nil) != (attr == "w") {
+			t.Fatalf("%q: label table kept %v for attribute %s", values, got[0].from.labels != nil, attr)
+		}
+		cg, cw := NewCounter(numNodes, got), NewCounter(numNodes, want)
+		for trial := 0; trial < 30; trial++ {
+			answer := make([]graph.NodeID, rng.Intn(80))
+			for k := range answer {
+				answer[k] = graph.NodeID(rng.Intn(numNodes + 3))
+			}
+			a, b, c := cg.Counts(answer), cw.Counts(answer), got.Count(answer)
+			if !slices.Equal(a, b) || !slices.Equal(c, want.Count(answer)) {
+				t.Fatalf("%q trial %d: counter %v, Count %v, oracle %v", values, trial, a, c, b)
+			}
+		}
 	}
 }

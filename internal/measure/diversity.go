@@ -1,7 +1,6 @@
 package measure
 
 import (
-	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -48,31 +47,6 @@ func DegreeRelevance(g *graph.Graph, label string) RelevanceFunc {
 // distant from present ones and identical to each other.
 func TupleDistance(g *graph.Graph, attrs []string) DistanceFunc {
 	return NewDistanceFeatures(g, attrs).Func()
-}
-
-// attrDistance is the reference per-attribute distance the feature rows
-// compile down to; it is retained as the oracle for the differential test
-// pinning DistanceFeatures to the straightforward AttrValue evaluation.
-func attrDistance(a, b graph.Value, span float64) float64 {
-	switch {
-	case a.IsNull() && b.IsNull():
-		return 0
-	case a.IsNull() || b.IsNull():
-		return 1
-	case a.Kind() == graph.KindNumber && b.Kind() == graph.KindNumber:
-		d := math.Abs(a.Float()-b.Float()) / span
-		if d > 1 {
-			d = 1
-		}
-		return d
-	case a.Kind() == graph.KindString && b.Kind() == graph.KindString:
-		return NormalizedLevenshtein(a.Text(), b.Text())
-	default:
-		if a.Equal(b) {
-			return 0
-		}
-		return 1
-	}
 }
 
 // Diversity evaluates the max-sum diversity objective

@@ -17,93 +17,100 @@ import (
 // lengths and ASCII flags, in the pair loops: it does not decompose.
 const levMatrixCap = 64
 
-// featureCol is one distance attribute's per-node feature row: a kind tag
-// per node plus one int32 payload. A number stores its rank among the
-// column's distinct finite numbers (vals, taken from the active domain, so
-// sorted and distinct), a string its interned ID, a bool 0 or 1. A
-// non-finite number reads as Null: it has no place on the span's scale.
+// featureCol is one distance attribute's view of its graph.AttrRow: kinds
+// and ids, indexed by a node's domain entry + 1 (0 is absent), give its kind
+// tag and int32 payload. A number's payload is its rank among the column's
+// distinct finite numbers (vals), a bool's 0 or 1, a string's its domain
+// entry in a free-text column, its rank by first holder in one that fits a
+// matrix. A non-finite number reads as Null: it has no place on the span's
+// scale.
 type featureCol struct {
 	span  float64
-	kinds []uint8 // graph.Kind per node; KindNull when absent or non-finite
-	ids   []int32
-	vals  []float64 // distinct finite numbers, ascending
-	strs  []string  // interned string table
-	info  []strInfo // rune length and ASCII flag per interned string
-	mat   []float64 // pairwise normalized Levenshtein; nil when |strs| > levMatrixCap
+	row   []int32       // the generation's AttrRow IDs
+	kinds []uint8       // graph.Kind per domain entry + 1; KindNull when absent or non-finite
+	ids   []int32       // payload per domain entry + 1
+	vals  []float64     // distinct finite numbers, ascending
+	dom   []graph.Value // the active domain, the free-text strings' table
+	nstr  int           // distinct strings
+	info  []strInfo     // rune length and ASCII flag per free-text ID; nil for a matrix column
+	mat   []float64     // pairwise normalized Levenshtein; nil when nstr < 2 or > levMatrixCap
 }
 
-// DistanceFeatures holds precompiled per-node feature rows for the default
-// tuple distance over a frozen graph: one featureCol per distance
-// attribute, materialized straight from the columnar storage at
-// construction. The per-pair evaluation touches only these dense arrays —
-// no AttrValue lookups, no rune counting — and is read-only afterwards, so
-// one DistanceFeatures value may back any number of concurrent evaluators.
+// DistanceFeatures holds the default tuple distance's views over a frozen
+// graph's AttrRows, one per distance attribute the graph knows (an unknown
+// one reads Null everywhere and adds nothing). The per-pair evaluation
+// touches only dense arrays and is read-only, so one DistanceFeatures value
+// may back any number of concurrent evaluators.
 type DistanceFeatures struct {
 	cols []featureCol
+	n    float64 // number of distance attributes, the known and the unknown
 	// text holds copies of the free-text columns, the ones Diversity's pair
 	// loops sum; the others sum by column (pairSum). nil when there are none.
 	text []featureCol
 }
 
-// NewDistanceFeatures compiles feature rows for the listed attributes (nil
-// or empty means every attribute of g). The graph must be frozen.
+// NewDistanceFeatures compiles views for the listed attributes (nil or empty
+// means every attribute of g). The graph must be frozen. Its work and
+// allocation are per active-domain entry, none per node: the rows are the
+// graph's, built once per generation.
 func NewDistanceFeatures(g *graph.Graph, attrs []string) *DistanceFeatures {
 	if len(attrs) == 0 {
 		attrs = g.AttrNames()
 	}
-	n := g.NumNodes()
-	f := &DistanceFeatures{cols: make([]featureCol, len(attrs))}
-	for i, name := range attrs {
-		c := &f.cols[i]
-		c.span = 1
-		c.kinds = make([]uint8, n)
+	f := &DistanceFeatures{n: float64(len(attrs))}
+	for _, name := range attrs {
 		id := g.AttrIDOf(name)
 		if id == graph.InvalidAttr {
-			continue // every node reads Null: zero contribution, like the reference
+			continue
 		}
-		c.vals, c.span = finiteNumbers(g.ActiveDomainByID(id))
-		c.ids = make([]int32, n)
-		interned := map[string]int32{}
-		for v := 0; v < n; v++ {
-			val := g.AttrValue(graph.NodeID(v), id)
-			switch kind := val.Kind(); kind {
-			case graph.KindNumber:
-				if x := val.Float(); finite(x) {
-					c.kinds[v], c.ids[v] = uint8(kind), int32(sort.SearchFloat64s(c.vals, x))
-				}
-			case graph.KindBool:
-				c.kinds[v] = uint8(kind)
-				if val.IsTrue() {
-					c.ids[v] = 1
-				}
-			case graph.KindString:
-				c.kinds[v] = uint8(kind)
-				s := val.Text()
-				sid, ok := interned[s]
-				if !ok {
-					sid = int32(len(c.strs))
-					c.strs = append(c.strs, s)
-					c.info = append(c.info, infoOf(s))
-					interned[s] = sid
-				}
-				c.ids[v] = sid
-			}
-		}
-		if len(c.strs) > levMatrixCap {
-			f.text = append(f.text, *c)
-		} else if m := len(c.strs); m > 1 {
-			c.mat = make([]float64, m*m)
-			var scr levScratch
-			for a := 0; a < m; a++ {
-				for b := a + 1; b < m; b++ {
-					d := scr.normLev(c.strs[a], c.strs[b], c.info[a], c.info[b])
-					c.mat[a*m+b] = d
-					c.mat[b*m+a] = d
+		dom, row := g.ActiveDomainByID(id), g.AttrRow(id)
+		c := featureCol{row: row.IDs, dom: dom, kinds: make([]uint8, len(dom)+1), ids: make([]int32, len(dom)+1)}
+		c.vals, c.span = finiteNumbers(dom)
+		var strs []int // the string entries, up to the matrix cap
+		for i, x := range dom {
+			switch kind := x.Kind(); {
+			case kind == graph.KindNumber && finite(x.Float()):
+				c.kinds[i+1], c.ids[i+1] = uint8(kind), int32(sort.SearchFloat64s(c.vals, x.Float()))
+			case kind == graph.KindBool:
+				c.kinds[i+1], c.ids[i+1] = uint8(kind), int32(x.Float())
+			case kind == graph.KindString:
+				c.kinds[i+1], c.ids[i+1] = uint8(kind), int32(i)
+				if c.nstr++; c.nstr <= levMatrixCap {
+					strs = append(strs, i)
 				}
 			}
 		}
+		if c.nstr > levMatrixCap {
+			c.info = make([]strInfo, len(dom))
+			for i, x := range dom {
+				c.info[i] = infoOf(x.Text())
+			}
+			f.text = append(f.text, c)
+		} else {
+			c.matrix(strs, row.First)
+		}
+		f.cols = append(f.cols, c)
 	}
 	return f
+}
+
+// matrix renumbers a small string domain's entries by first holder — the
+// order pairSum adds the matrix terms in — and fills the pairwise matrix.
+func (c *featureCol) matrix(strs []int, first []graph.NodeID) {
+	slices.SortFunc(strs, func(a, b int) int { return int(first[a] - first[b]) })
+	m := len(strs)
+	if m > 1 {
+		c.mat = make([]float64, m*m)
+	}
+	var scr levScratch
+	for a, i := range strs {
+		c.ids[i+1] = int32(a)
+		for b := a + 1; b < m; b++ {
+			x, y := c.dom[i].Text(), c.dom[strs[b]].Text()
+			c.mat[a*m+b] = scr.normLev(x, y, infoOf(x), infoOf(y))
+			c.mat[b*m+a] = c.mat[a*m+b]
+		}
+	}
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
@@ -122,12 +129,13 @@ func finiteNumbers(dom []graph.Value) (vals []float64, span float64) {
 	return vals, span
 }
 
-// Bytes is the size of the feature rows (an interned string at 40 bytes),
-// for whoever keeps them around.
+// Bytes is what the features hold themselves, all of it per active-domain
+// entry, for whoever keeps them around: the rows and the domain they read
+// are the graph's.
 func (f *DistanceFeatures) Bytes() (n int64) {
 	for i := range f.cols {
 		c := &f.cols[i]
-		n += int64(len(c.kinds) + 4*len(c.ids) + 8*len(c.vals) + 8*len(c.mat) + 40*len(c.strs))
+		n += int64(len(c.kinds) + 4*len(c.ids) + 8*len(c.vals) + 8*len(c.mat) + 8*len(c.info))
 	}
 	return n
 }
@@ -144,10 +152,10 @@ func (f *DistanceFeatures) Distance(v, w graph.NodeID) float64 {
 // distance is Distance over caller-owned kernel scratch, one levScratch per
 // column (nil borrows from the pool per free-text pair).
 func (f *DistanceFeatures) distance(scr []levScratch, v, w graph.NodeID) float64 {
-	if len(f.cols) == 0 {
+	if f.n == 0 {
 		return 0
 	}
-	return terms(f.cols, scr, v, w) / float64(len(f.cols))
+	return terms(f.cols, scr, v, w) / f.n
 }
 
 // textDistance is the free-text columns' share of d(v, w), over one
@@ -155,7 +163,7 @@ func (f *DistanceFeatures) distance(scr []levScratch, v, w graph.NodeID) float64
 // compiled, so a loop that holds v fixed and sweeps w builds the
 // bit-vector match masks once per row, not per pair.
 func (f *DistanceFeatures) textDistance(scr []levScratch, v, w graph.NodeID) float64 {
-	return terms(f.text, scr, v, w) / float64(len(f.cols))
+	return terms(f.text, scr, v, w) / f.n
 }
 
 // terms sums the columns' per-attribute distances of one pair.
@@ -163,36 +171,37 @@ func terms(cols []featureCol, scr []levScratch, v, w graph.NodeID) float64 {
 	total := 0.0
 	for i := range cols {
 		c := &cols[i]
-		ka, kb := graph.Kind(c.kinds[v]), graph.Kind(c.kinds[w])
+		ra, rb := c.row[v]+1, c.row[w]+1
+		ka, kb := graph.Kind(c.kinds[ra]), graph.Kind(c.kinds[rb])
 		switch {
 		case ka == graph.KindNull && kb == graph.KindNull:
 			// both absent: identical
 		case ka == graph.KindNull || kb == graph.KindNull:
 			total++
 		case ka == graph.KindNumber && kb == graph.KindNumber:
-			d := math.Abs(c.vals[c.ids[v]]-c.vals[c.ids[w]]) / c.span
+			d := math.Abs(c.vals[c.ids[ra]]-c.vals[c.ids[rb]]) / c.span
 			if d > 1 {
 				d = 1
 			}
 			total += d
 		case ka == graph.KindString && kb == graph.KindString:
-			a, b := c.ids[v], c.ids[w]
+			a, b := c.ids[ra], c.ids[rb]
 			if a == b {
 				break // equal strings: distance 0, no Levenshtein
 			}
 			switch {
 			case c.mat != nil:
-				total += c.mat[int(a)*len(c.strs)+int(b)]
+				total += c.mat[int(a)*c.nstr+int(b)]
 			case scr != nil:
-				total += scr[i].normLev(c.strs[a], c.strs[b], c.info[a], c.info[b])
+				total += scr[i].normLev(c.dom[a].Text(), c.dom[b].Text(), c.info[a], c.info[b])
 			default:
 				s := levPool.Get().(*levScratch)
-				total += s.normLev(c.strs[a], c.strs[b], c.info[a], c.info[b])
+				total += s.normLev(c.dom[a].Text(), c.dom[b].Text(), c.info[a], c.info[b])
 				levPool.Put(s)
 			}
 		default:
 			// Mixed kinds never compare equal; two bools compare by payload.
-			if ka != kb || c.ids[v] != c.ids[w] {
+			if ka != kb || c.ids[ra] != c.ids[rb] {
 				total++
 			}
 		}
@@ -224,11 +233,11 @@ func (f *DistanceFeatures) columnSums(m []graph.NodeID, s *colScratch) float64 {
 	}
 	sum := 0.0
 	for i := range f.cols {
-		if c := &f.cols[i]; len(c.strs) <= levMatrixCap {
+		if c := &f.cols[i]; c.nstr <= levMatrixCap {
 			sum += c.pairSum(m, s)
 		}
 	}
-	return sum / float64(len(f.cols))
+	return sum / f.n
 }
 
 // pairSum is one decomposable column's Σ_{v<w} of its term over m (DESIGN
@@ -246,17 +255,18 @@ func (c *featureCol) pairSum(m []graph.NodeID, s *colScratch) float64 {
 	var byKind [graph.KindString + 1]int64
 	trues, ranks := int64(0), s.ranks[:0]
 	for _, v := range m {
-		k := graph.Kind(c.kinds[v])
+		r := c.row[v] + 1
+		k, id := graph.Kind(c.kinds[r]), c.ids[r]
 		byKind[k]++
 		switch {
 		case k == graph.KindBool:
-			trues += int64(c.ids[v])
+			trues += int64(id)
 		case k == graph.KindNumber && byHist:
-			s.hist[c.ids[v]]++
+			s.hist[id]++
 		case k == graph.KindNumber:
-			ranks = append(ranks, c.ids[v])
+			ranks = append(ranks, id)
 		case k == graph.KindString:
-			s.strs[c.ids[v]]++
+			s.strs[id]++
 		}
 	}
 	s.ranks = ranks
@@ -280,7 +290,7 @@ func (c *featureCol) pairSum(m []graph.NodeID, s *colScratch) float64 {
 		}
 	}
 	sum := float64(ones) + g.sum/c.span
-	if k := len(c.strs); byKind[graph.KindString] > 0 {
+	if k := c.nstr; byKind[graph.KindString] > 0 {
 		h := s.strs[:k]
 		for a, ha := range h {
 			for b := a + 1; b < k && ha > 0; b++ {

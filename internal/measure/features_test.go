@@ -7,10 +7,36 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"fairsqg/internal/graph"
 )
+
+// attrDistance is the reference per-attribute distance the feature views
+// compile down to: the oracle pinning DistanceFeatures to the
+// straightforward AttrValue evaluation.
+func attrDistance(a, b graph.Value, span float64) float64 {
+	switch {
+	case a.IsNull() && b.IsNull():
+		return 0
+	case a.IsNull() || b.IsNull():
+		return 1
+	case a.Kind() == graph.KindNumber && b.Kind() == graph.KindNumber:
+		d := math.Abs(a.Float()-b.Float()) / span
+		if d > 1 {
+			d = 1
+		}
+		return d
+	case a.Kind() == graph.KindString && b.Kind() == graph.KindString:
+		return NormalizedLevenshtein(a.Text(), b.Text())
+	default:
+		if a.Equal(b) {
+			return 0
+		}
+		return 1
+	}
+}
 
 // referenceTupleDistance is the pre-compilation evaluation: per-pair
 // AttrValue reads fed through the attrDistance oracle, a non-finite number
@@ -118,9 +144,9 @@ func TestDistanceFeaturesDifferential(t *testing.T) {
 		g := featGraph(t, 130, seed)
 		want := referenceTupleDistance(g, attrs)
 		feats := NewDistanceFeatures(g, attrs)
-		if bio := &feats.cols[2]; len(bio.strs) <= levMatrixCap || bio.mat != nil {
+		if bio := &feats.cols[2]; bio.nstr <= levMatrixCap || bio.mat != nil {
 			t.Fatalf("seed %d: bio has %d distinct strings (matrix: %v), want a free-text column past the cap",
-				seed, len(bio.strs), bio.mat != nil)
+				seed, bio.nstr, bio.mat != nil)
 		}
 		got := feats.Distance
 		scr := make([]levScratch, len(attrs))
@@ -146,10 +172,10 @@ func TestDistanceFeaturesLevMatrix(t *testing.T) {
 	// values, likely > levMatrixCap → no matrix. Assert at least the small
 	// domain compiled one (the observable contract — identical distances —
 	// is covered by the differential test).
-	if feats.cols[0].mat == nil && len(feats.cols[0].strs) > 1 {
+	if feats.cols[0].mat == nil && feats.cols[0].nstr > 1 {
 		t.Error("small string domain did not precompile a Levenshtein matrix")
 	}
-	if len(feats.cols[1].strs) > levMatrixCap && feats.cols[1].mat != nil {
+	if feats.cols[1].nstr > levMatrixCap && feats.cols[1].mat != nil {
 		t.Error("large string domain precompiled a matrix past the cap")
 	}
 }
@@ -361,4 +387,31 @@ func TestDiversityColumnsSameAtAnyProcs(t *testing.T) {
 			t.Errorf("GOMAXPROCS %d: δ %v, at 1 %v", p, got, want)
 		}
 	}
+}
+
+// TestFeaturesConcurrentFirstUse: goroutines compiling the features on a
+// fresh generation at once — so its rows are built under their concurrent
+// first use — each evaluate every pair as the reference does. Run it under
+// -race.
+func TestFeaturesConcurrentFirstUse(t *testing.T) {
+	attrs := []string{"cat", "name", "score", "mixed", "odd"}
+	g := featGraph(t, 40, 6)
+	want := referenceTupleDistance(featGraph(t, 40, 6), attrs)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			d := NewDistanceFeatures(g, attrs).Distance
+			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
+				for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
+					if d(v, u) != want(v, u) {
+						t.Errorf("worker %d: d(%d,%d) = %v, reference %v", w, v, u, d(v, u), want(v, u))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"fairsqg/internal/graph"
+	"fairsqg/internal/query"
 )
 
 // mutate POSTs a raw JSON mutation batch and decodes the result (for 200s).
@@ -436,5 +438,46 @@ func TestCompactAfterTriggersCheckpoint(t *testing.T) {
 	// The graph keeps serving and mutating across the rotation.
 	if res := mutate(t, ts1.URL, "auto", `[{"op":"setAttr","node":5,"attr":"yearsOfExp","value":"9"}]`, http.StatusOK); res.Version == 0 {
 		t.Fatal("post-checkpoint mutation failed")
+	}
+}
+
+// TestRetiredEngineCountsLeasedWork: a job that still holds the handle of a
+// generation a batch replaced keeps evaluating on that generation's engine;
+// the graph's engine counters (and so /metrics) count that work while the
+// lease lasts and keep it after the release folds the engine away.
+func TestRetiredEngineCountsLeasedWork(t *testing.T) {
+	r := NewRegistry()
+	if err := r.Put("talent", testGraph(t, 31)); err != nil {
+		t.Fatal(err)
+	}
+	h, err := r.Acquire("talent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Mutate("talent", []graph.Mutation{{Op: graph.MutSetAttr, Node: 1, Attr: "yearsOfExp", Value: graph.Int(3)}}); err != nil {
+		t.Fatal(err)
+	}
+	tpl, err := query.ParseString("template t\nnode u_o Person title = \"Director\"\noutput u_o\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := query.NewInstance(tpl, query.Root(tpl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.Engine().ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	leased, _ := r.Info("talent")
+	h.Release()
+	released, _ := r.Info("talent")
+	for name, info := range map[string]GraphInfo{"leased": leased, "released": released} {
+		if info.Engine.Evals != 1 || info.Engine.Cache.Misses == 0 {
+			t.Errorf("%s: engine evals %d, candidate-list misses %d; want the old handle's evaluation counted",
+				name, info.Engine.Evals, info.Engine.Cache.Misses)
+		}
+	}
+	if released.Refs != 0 || released.Engine.Cache.Misses != leased.Engine.Cache.Misses {
+		t.Errorf("after release: refs %d, misses %d (leased: %d)", released.Refs, released.Engine.Cache.Misses, leased.Engine.Cache.Misses)
 	}
 }

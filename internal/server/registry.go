@@ -33,13 +33,15 @@ type graphEntry struct {
 	replayed int          // delta-log batches replayed at restore
 	mutOps   atomic.Int64 // mutation ops applied since registration
 
-	// Guarded by Registry.mu; set at registration, changed by swapServed
-	// only. retired sums the matcher counters and candidate-list lookups of
-	// replaced engines, so /metrics never loses completed work.
+	// Guarded by Registry.mu; cur and engine are set at registration and
+	// changed by swapServed only. retired sums the matcher counters and
+	// candidate-list lookups of replaced engines, each folded in once its
+	// last lease is released; leased counts the leases per engine, so
+	// /metrics never loses work done on an old handle.
 	cur     *graph.Graph
 	engine  *match.Engine
 	retired match.EngineStats
-	refs    int
+	leased  map[*match.Engine]int
 
 	// mutMu, the writer lock, serializes mutate, checkpoint and unregister
 	// and guards the fields below; Acquire and Release never take it.
@@ -224,7 +226,12 @@ func (h *Handle) Name() string { return h.entry.name }
 func (h *Handle) Release() {
 	h.once.Do(func() {
 		h.r.mu.Lock()
-		h.entry.refs--
+		if h.entry.leased[h.engine]--; h.entry.leased[h.engine] == 0 {
+			delete(h.entry.leased, h.engine)
+			if h.engine != h.entry.engine {
+				addEngine(&h.entry.retired, h.engine)
+			}
+		}
 		h.r.mu.Unlock()
 		h.r.closeGraph(h.entry.name, h.g)
 	})
@@ -242,7 +249,10 @@ func (r *Registry) Acquire(name string) (*Handle, error) {
 	if !ok {
 		return nil, unknownGraph(name)
 	}
-	entry.refs++
+	if entry.leased == nil {
+		entry.leased = map[*match.Engine]int{}
+	}
+	entry.leased[entry.engine]++
 	entry.cur.Retain()
 	return &Handle{r: r, entry: entry, g: entry.cur, engine: entry.engine}, nil
 }
@@ -351,10 +361,9 @@ func (r *Registry) swapServed(entry *graphEntry) *graph.Graph {
 	r.mu.Lock()
 	old, oldEngine := entry.cur, entry.engine
 	entry.cur, entry.engine = g, ne
-	st := oldEngine.Stats()
-	entry.retired.Add(st.Stats)
-	entry.retired.Cache.Hits += st.Cache.Hits
-	entry.retired.Cache.Misses += st.Cache.Misses
+	if entry.leased[oldEngine] == 0 {
+		addEngine(&entry.retired, oldEngine) // else on its last Release
+	}
 	r.mu.Unlock()
 	r.closeGraph(entry.name, old)
 	return g
@@ -458,17 +467,31 @@ func (r *Registry) List() []GraphInfo {
 	return infos
 }
 
+// addEngine adds eng's matcher counters and candidate-list lookups to dst.
+func addEngine(dst *match.EngineStats, eng *match.Engine) {
+	st := eng.Stats()
+	dst.Stats.Add(st.Stats)
+	dst.Cache.Hits += st.Cache.Hits
+	dst.Cache.Misses += st.Cache.Misses
+}
+
 // infoOf renders an entry's summary; the caller holds r.mu.
 func infoOf(e *graphEntry) GraphInfo {
 	st := e.engine.Stats()
 	st.Stats.Add(e.retired.Stats)
 	st.Cache.Hits += e.retired.Cache.Hits
 	st.Cache.Misses += e.retired.Cache.Misses
+	refs := 0
+	for eng, n := range e.leased {
+		if refs += n; eng != e.engine {
+			addEngine(&st, eng) // retired, still leased
+		}
+	}
 	return GraphInfo{
 		Name:            e.name,
 		Nodes:           e.cur.NumLive(),
 		Edges:           e.cur.NumEdges(),
-		Refs:            e.refs,
+		Refs:            refs,
 		LoadedAt:        e.loadedAt,
 		Version:         e.cur.Version(),
 		Mutations:       e.mutOps.Load(),
