@@ -99,10 +99,14 @@ func (t *Table[T]) At(i int) T {
 	return t.c[i>>chunkShift][i&chunkMask]
 }
 
-func flatTable[T any](flat []T) Table[T] {
+// Len returns the number of entries.
+func (t *Table[T]) Len() int { return t.n }
+
+// TableOf returns a flat table over entries, which it does not copy.
+func TableOf[T any](flat []T) Table[T] {
 	return Table[T]{spine: spine[T, *[chunkLen]T]{flat: flat}, n: len(flat)}
 }
-func newTable[T any](n int) Table[T] { return flatTable(make([]T, n)) }
+func newTable[T any](n int) Table[T] { return TableOf(make([]T, n)) }
 
 // fork returns a table of n ≥ t.n entries sharing every chunk of t.
 func (t *Table[T]) fork(n int) Table[T] {
@@ -136,6 +140,12 @@ func (t *Table[T]) spans(fn func([]T)) {
 	for k := len(t.flat) >> chunkShift; t.c != nil && k<<chunkShift < t.n; k++ {
 		fn(t.c[k][:min(chunkLen, t.n-k<<chunkShift)])
 	}
+}
+
+// entries returns the entries as one slice.
+func (t *Table[T]) entries() (all []T) {
+	t.spans(func(s []T) { all = append(all, s...) })
+	return all
 }
 
 // freshBytes is the size of the chunks t holds apart from base.

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // AttrID is an interned attribute name. IDs are dense and assigned in
@@ -68,15 +69,24 @@ func (c *column) value(v NodeID) Value {
 	}
 }
 
-// bytes estimates the column's memory footprint.
-func (c *column) bytes() int64 {
-	b := int64(c.present.n+c.bools.n)*8 + int64(c.nums.n)*8
+// bytes estimates the column's footprint as a heap build lays it out: a
+// snapshot column's refs count as the strings they name, so every backing
+// of one graph measures what its snapshot records.
+func (c *column) bytes() int64 { return c.fixedBytes() + c.textBytes() }
+
+func (c *column) fixedBytes() int64 {
+	return int64(c.present.n+c.bools.n+c.nums.n)*8 + int64(c.strs.n+len(c.refs))*16 + int64(len(c.vals))*32
+}
+
+func (c *column) textBytes() (b int64) {
 	c.strs.spans(func(ss []string) {
 		for _, s := range ss {
-			b += int64(len(s)) + 16
+			b += int64(len(s))
 		}
 	})
-	b += int64(len(c.vals))*32 + int64(len(c.refs))*4
+	for _, r := range c.refs {
+		b += int64(len(c.tab.str(r)))
+	}
 	return b
 }
 
@@ -136,90 +146,75 @@ func (g *Graph) AppendMatching(dst, base []NodeID, a AttrID, op Op, bound Value)
 const NoValue int32 = -1
 
 // AttrRow is one attribute's values over a frozen generation's nodes as
-// positions in its active domain: IDs[v] indexes ActiveDomainByID (NoValue
-// when v lacks the attribute, as a tombstoned node does), First[i] is the
-// lowest node holding domain entry i, and Held counts the nodes holding a
-// value. Scorers and group partitions read it instead of deriving per-node
-// facts per run; it is read-only.
+// positions in its active domain: IDs.At(v) indexes ActiveDomainByID
+// (NoValue when v lacks the attribute, as a tombstoned node does), First[i]
+// is the lowest node holding domain entry i, and Held counts the nodes
+// holding a value. Scorers and group partitions read it instead of deriving
+// per-node facts per run; it is read-only.
 type AttrRow struct {
-	IDs   []int32
+	IDs   Table[int32]
 	First []NodeID
 	Held  int
 }
 
+// rowSlot holds one attribute's row once asked for (nil while building) and
+// the fork ApplyBatch derived from the base's, which AttrRow serves first.
 type rowSlot struct {
 	once sync.Once
-	row  *AttrRow
+	row  atomic.Pointer[AttrRow]
+	fork *AttrRow
 }
 
 // AttrRow returns attribute a's row (nil when a is not interned), built from
 // the typed column on first use, once per generation, and shared by every
-// caller after that; concurrent first calls build it once.
+// caller after that; concurrent first calls build it once. A batch's
+// generation starts with the rows its base served, forked (see forkRows).
 func (g *Graph) AttrRow(a AttrID) *AttrRow {
 	g.mustFrozen("AttrRow")
 	if a < 0 || int(a) >= len(g.cols) {
 		return nil
 	}
-	g.rowsOnce.Do(func() { g.rows = make([]rowSlot, len(g.cols)) })
 	s := &g.rows[a]
-	s.once.Do(func() { s.row = g.cols[a].row(g.ActiveDomainByID(a), g.nodeLabels.n) })
-	return s.row
+	s.once.Do(func() {
+		if r := s.fork; r != nil {
+			s.row.Store(r)
+		} else {
+			s.row.Store(g.cols[a].row(g.ActiveDomainByID(a), g.nodeLabels.n))
+		}
+	})
+	return s.row.Load()
 }
 
 // row places every node's value in dom, the column's active domain, by
 // binary search over the typed array: raw floats (cmp.Less orders NaN first,
 // as Compare does), strings, and Compare itself for bools and mixed kinds.
 func (c *column) row(dom []Value, n int) *AttrRow {
-	r := &AttrRow{IDs: make([]int32, n), First: make([]NodeID, len(dom))}
+	ids := make([]int32, n)
+	r := &AttrRow{IDs: TableOf(ids), First: make([]NodeID, len(dom))}
 	fs, ss := make([]float64, len(dom)), make([]string, len(dom))
 	for i, x := range dom {
 		fs[i], ss[i], r.First[i] = x.num, x.str, InvalidNode
 	}
-	var table []int32
-	if c.nums.n > 0 {
-		table = intTable(fs)
-	}
-	for v := range r.IDs {
-		r.IDs[v] = NoValue
+	for v := range ids {
+		ids[v] = NoValue
 		if !c.has(NodeID(v)) {
 			continue
 		}
 		var i int
 		switch {
-		case table != nil:
-			i = int(table[int(c.nums.At(v)-fs[0])])
 		case c.nums.n > 0:
 			i, _ = slices.BinarySearch(fs, c.nums.At(v))
-		case c.refs != nil:
-			i, _ = slices.BinarySearch(ss, c.tab.str(c.refs[v]))
-		case c.strs.n > 0:
-			i, _ = slices.BinarySearch(ss, c.strs.At(v))
+		case c.strs.n > 0 || c.refs != nil:
+			i, _ = slices.BinarySearch(ss, colStr(c, v))
 		default:
 			i, _ = slices.BinarySearchFunc(dom, c.value(NodeID(v)), Value.Compare)
 		}
-		r.IDs[v], r.Held = int32(i), r.Held+1
+		ids[v], r.Held = int32(i), r.Held+1
 		if r.First[i] == InvalidNode {
 			r.First[i] = NodeID(v)
 		}
 	}
 	return r
-}
-
-// intTable maps x − fs[0] to x's index in fs when fs holds integers only,
-// spanning at most 4·len(fs)+64 of them (nil otherwise): a load per node
-// instead of a search.
-func intTable(fs []float64) []int32 {
-	if len(fs) == 0 || !(fs[len(fs)-1]-fs[0] < float64(4*len(fs)+64)) {
-		return nil // NaN and infinities fail the span test too
-	}
-	t := make([]int32, int(fs[len(fs)-1]-fs[0])+1)
-	for i, x := range fs {
-		if x != math.Trunc(x) {
-			return nil
-		}
-		t[int(x-fs[0])] = int32(i)
-	}
-	return t
 }
 
 // labelAttr keys the per-(label, attribute) sorted indexes.
@@ -240,7 +235,7 @@ type MemoryStats struct {
 	Indexes int `json:"indexes"`
 }
 
-// Memory returns the storage footprint computed at Freeze.
+// Memory returns the storage footprint Freeze, a snapshot or ApplyBatch set.
 func (g *Graph) Memory() MemoryStats {
 	g.mustFrozen("Memory")
 	return g.mem
@@ -402,7 +397,7 @@ func (c *column) keepsLayout(edits []attrWrite) bool {
 // storage afterwards (columns are the only post-freeze representation).
 func (g *Graph) buildColumns() {
 	n := g.nodeLabels.n
-	g.cols = make([]column, len(g.attrTable))
+	g.cols, g.rows = make([]column, len(g.attrTable)), make([]rowSlot, len(g.attrTable))
 	for a := range g.cols {
 		g.cols[a] = newColumn((n + 63) / 64)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -300,17 +301,13 @@ func CheckInvariants(g *Graph) error {
 	if edges != g.numEdges {
 		return fmt.Errorf("invariants: numEdges %d but rows hold %d", g.numEdges, edges)
 	}
-	maxOut, maxIn := 0, 0
-	for v := 0; v < n; v++ {
-		if d := g.OutDegree(NodeID(v)); d > maxOut {
-			maxOut = d
-		}
-		if d := g.InDegree(NodeID(v)); d > maxIn {
-			maxIn = d
-		}
-	}
+	// The footprint and the degree maxima, which ApplyBatch derives by delta.
+	mem, maxOut, maxIn := g.measured()
 	if maxOut != g.maxOutDeg || maxIn != g.maxInDeg {
 		return fmt.Errorf("invariants: max degrees (%d,%d) recorded (%d,%d)", maxOut, maxIn, g.maxOutDeg, g.maxInDeg)
+	}
+	if mem != g.mem {
+		return fmt.Errorf("invariants: memory %+v recorded %+v", mem, g.mem)
 	}
 	// Run tables.
 	for _, outgoing := range []bool{true, false} {
@@ -439,6 +436,15 @@ func CheckInvariants(g *Graph) error {
 	}
 	if wantPairs != len(g.indexes) || g.mem.Indexes != len(g.indexes) {
 		return fmt.Errorf("invariants: %d indexes, want %d (mem records %d)", len(g.indexes), wantPairs, g.mem.Indexes)
+	}
+	// Rows: every one served or forked equals a fresh build.
+	for a := range g.rows {
+		f := g.cols[a].row(doms[a], n)
+		for _, r := range []*AttrRow{g.rows[a].row.Load(), g.rows[a].fork} {
+			if r != nil && (r.Held != f.Held || !slices.Equal(r.First, f.First) || !slices.Equal(r.IDs.entries(), f.IDs.entries())) {
+				return fmt.Errorf("invariants: attr %q row differs from a fresh build", g.attrTable[a])
+			}
+		}
 	}
 	return nil
 }

@@ -99,9 +99,8 @@ type Graph struct {
 	domOnce sync.Once
 	domFill func()
 	// rows holds each attribute's AttrRow, built on first use; a batch's
-	// generation starts with none.
-	rowsOnce sync.Once
-	rows     []rowSlot
+	// generation starts with forks of the rows its base served.
+	rows []rowSlot
 
 	// Derived tables, a function of buckets and adjacency alone. Freeze
 	// computes them for every row (buildDerived), ApplyBatch forks its
@@ -251,30 +250,35 @@ func (g *Graph) Freeze() {
 		sortEdges(g.out.flat[i])
 		sortEdges(g.in.flat[i])
 	}
-	g.measure()
+	g.mem, g.maxOutDeg, g.maxInDeg = g.measured()
 	g.buildDerived()
 	g.version = 1
 	g.lineage = nextLineage()
 	g.frozen = true
 }
 
-// measure sums the storage footprint and the degree maxima of a finished
-// layout (columns, indexes and adjacency in place). Freeze and ApplyBatch
-// both end with it; the snapshot decoder restores the recorded values.
-func (g *Graph) measure() {
-	g.mem = MemoryStats{Indexes: len(g.indexes)}
+// measured sums the storage footprint and the degree maxima of a finished
+// layout: Freeze's values, the oracle for ApplyBatch's deltas
+// (batchEdits.measure); the snapshot decoder restores the recorded values.
+func (g *Graph) measured() (mem MemoryStats, maxOut, maxIn int) {
 	for a := range g.cols {
-		g.mem.ColumnBytes += g.cols[a].bytes()
+		mem.ColumnBytes += g.cols[a].bytes()
 	}
+	return g.indexStats(mem), maxRowLen(&g.out), maxRowLen(&g.in)
+}
+
+// indexStats fills in mem's index footprint.
+func (g *Graph) indexStats(mem MemoryStats) MemoryStats {
+	mem.Indexes = len(g.indexes)
 	for _, perm := range g.indexes {
-		g.mem.IndexBytes += int64(perm.len()) * 4
+		mem.IndexBytes += int64(perm.len()) * 4
 	}
-	g.maxOutDeg, g.maxInDeg = maxRowLen(&g.out), maxRowLen(&g.in)
+	return mem
 }
 
 // maxRowLen returns the length of the longest adjacency row. It walks the
-// table a chunk at a time: ApplyBatch measures every generation, and an At
-// per node would take the spine path for most rows of a forked table.
+// table a chunk at a time: an At per node would take the spine path for
+// most rows of a forked table.
 func maxRowLen(rows *Table[[]Edge]) int {
 	m := 0
 	rows.spans(func(rs [][]Edge) {

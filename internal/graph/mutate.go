@@ -114,6 +114,10 @@ type Touched struct {
 	// that went back through the column builder.
 	ColumnsPatched int `json:"columnsPatched"`
 	ColumnsRebuilt int `json:"columnsRebuilt"`
+	// RowsForked counts the AttrRows derived from the base's (forkRows);
+	// RowsRemapped those whose entries all went through an old→new table.
+	RowsForked   int `json:"rowsForked"`
+	RowsRemapped int `json:"rowsRemapped"`
 	// IndexesMerged counts the (label, attribute) permutations re-merged.
 	IndexesMerged int `json:"indexesMerged"`
 	// DomainAdded / DomainDropped count the values that entered and left
@@ -124,7 +128,8 @@ type Touched struct {
 	// row because the run tables changed shape, not patched.
 	DerivedRebuilt bool `json:"derivedRebuilt"`
 	// ChunkBytes is the size of the per-node table chunks the new generation
-	// does not share with its base: the ones the batch cloned or added.
+	// does not share with its base: the ones the batch cloned or added,
+	// forked rows' included.
 	ChunkBytes int64 `json:"chunkBytes"`
 }
 
@@ -304,6 +309,7 @@ type batchEdits struct {
 	// touchedPairs are the permutation indexes to re-merge: every index of a
 	// touched label plus every (label, attribute) a surviving edit lands on.
 	touchedPairs map[labelAttr]bool
+	colBytes     int64 // the change in the columns' footprint (column.bytes)
 }
 
 // survives reports whether v is live once the whole batch has applied.
@@ -314,7 +320,7 @@ func (e *batchEdits) survives(v NodeID) bool { return e.ng.Alive(v) }
 // generation's structure and builds what the batch touches — with the
 // builder Freeze uses where the layout may change, by patching a copy where
 // it cannot — and shares the rest. Domains come after the indexes they
-// probe; the derived tables last, from the finished buckets and rows.
+// probe, attribute rows after both; the derived tables last.
 func applyPlan(p *batchPlan) (*Graph, *ApplyResult) {
 	p.base.domainList() // force lazy v2 domains before sharing them
 	e := newGeneration(p)
@@ -324,10 +330,34 @@ func applyPlan(p *batchPlan) (*Graph, *ApplyResult) {
 	e.mergeColumns()
 	e.mergeIndexes()
 	e.mergeDomains()
-	e.ng.measure()
+	e.forkRows()
+	e.measure()
 	e.patchDerived()
-	e.res.Touched.ChunkBytes = e.chunkBytes()
+	e.res.Touched.ChunkBytes += e.chunkBytes()
 	return e.ng, e.res
+}
+
+// measure derives the footprint and degree maxima from the base's: column
+// bytes by the touched columns' change (mergeColumns), maxima from the
+// rebuilt rows, walking them all only when one that held a maximum shrank.
+func (e *batchEdits) measure() {
+	base, ng := e.p.base, e.ng
+	ng.mem = ng.indexStats(MemoryStats{ColumnBytes: base.mem.ColumnBytes + e.colBytes})
+	ng.maxOutDeg = maxAfter(base.maxOutDeg, &base.out, &ng.out, e.dirty[0])
+	ng.maxInDeg = maxAfter(base.maxInDeg, &base.in, &ng.in, e.dirty[1])
+}
+
+// maxAfter is maxRowLen of rows, a fork of base whose longest row held m
+// and which differs from it in the dirty rows alone.
+func maxAfter(m int, base, rows *Table[[]Edge], dirty []NodeID) int {
+	out := m
+	for _, v := range dirty {
+		if int(v) < base.n && len(base.At(int(v))) == m && len(rows.At(int(v))) < m {
+			return maxRowLen(rows)
+		}
+		out = max(out, len(rows.At(int(v))))
+	}
+	return out
 }
 
 // chunkBytes sums what the new generation's per-node tables hold apart
@@ -599,8 +629,10 @@ func (e *batchEdits) eachCell(a AttrID, fn func(v NodeID, val Value)) {
 func (e *batchEdits) mergeColumns() {
 	base, ng, n := e.p.base, e.ng, e.p.newN()
 	ng.cols = slices.Concat(base.cols, make([]column, len(ng.attrTable)-len(base.cols)))
+	ng.rows = make([]rowSlot, len(ng.cols))
 	for a := range ng.cols {
 		c, edits := &ng.cols[a], e.cells[a]
+		was := c.fixedBytes()
 		switch {
 		case len(edits) == 0:
 			if c.present.n < e.words {
@@ -617,20 +649,29 @@ func (e *batchEdits) mergeColumns() {
 				c.bools = c.bools.fork(e.words)
 			}
 			for _, ed := range edits {
+				if c.strs.n > 0 {
+					e.colBytes -= int64(len(c.strs.At(int(ed.node))))
+				}
 				c.unset(int(ed.node))
 				if !ed.val.IsNull() {
 					c.note(int(ed.node), ed.val.Kind())
 					c.put(int(ed.node), ed.val)
 				}
+				if c.strs.n > 0 {
+					e.colBytes += int64(len(c.strs.At(int(ed.node))))
+				}
 			}
 			e.res.Touched.ColumnsPatched++
 		default:
+			e.colBytes -= c.textBytes()
 			*c = newColumn(e.words)
 			e.eachCell(AttrID(a), func(v NodeID, val Value) { c.note(int(v), val.Kind()) })
 			c.alloc(n)
 			e.eachCell(AttrID(a), func(v NodeID, val Value) { c.put(int(v), val) })
+			e.colBytes += c.textBytes()
 			e.res.Touched.ColumnsRebuilt++
 		}
+		e.colBytes += c.fixedBytes() - was
 	}
 }
 
@@ -739,7 +780,7 @@ func (e *batchEdits) mergeDomains() {
 			}
 		}
 		for _, x := range lost {
-			if !ng.holds(AttrID(a), x) {
+			if ng.firstHolder(AttrID(a), x) == InvalidNode {
 				dropped = append(dropped, x)
 			}
 		}
@@ -767,17 +808,80 @@ func (e *batchEdits) mergeDomains() {
 	}
 }
 
-// holds reports whether any live node carries value x for attribute a, by
-// an equality probe on each of the attribute's permutation indexes.
-func (g *Graph) holds(a AttrID, x Value) bool {
+// forkRows derives the row of every attribute whose row the base served
+// (one nobody asked for, or still being built, is not carried forward). The
+// fork shares the base row's chunks and re-ranks the batch's cells alone,
+// after an old→new table if the batch moved the domain; the entries a cell
+// gains or loses take their first holder from the indexes.
+func (e *batchEdits) forkRows() {
+	base, ng, n0 := e.p.base, e.ng, e.p.baseN()
+	for a := range base.rows {
+		r0 := base.rows[a].row.Load()
+		if r0 == nil {
+			continue
+		}
+		dom0, dom := base.domains[a], ng.domains[a]
+		r := &AttrRow{IDs: r0.IDs.fork(e.p.newN()), First: r0.First, Held: r0.Held}
+		if len(e.cells[a]) > 0 {
+			r.First = slices.Clone(r0.First)
+		}
+		for v := n0; v < r.IDs.n; v++ {
+			update(&r.IDs, v, NoValue)
+		}
+		to := func(id int32) int32 { return id }
+		if len(dom0) != len(dom) || (len(dom) > 0 && &dom0[0] != &dom[0]) {
+			remap := make([]int32, len(dom0)+1) // by old entry + 1; NoValue once dropped
+			remap[0], r.First = NoValue, make([]NodeID, len(dom))
+			for i, x := range dom0 {
+				j, ok := slices.BinarySearchFunc(dom, x, Value.Compare)
+				if remap[i+1] = NoValue; ok {
+					remap[i+1], r.First[j] = int32(j), r0.First[i]
+				}
+			}
+			to = func(id int32) int32 { return remap[id+1] }
+			for v := 0; v < n0; v++ {
+				update(&r.IDs, v, to(r.IDs.At(v)))
+			}
+			e.res.Touched.RowsRemapped++
+		}
+		for _, ed := range e.cells[a] {
+			was, now := NoValue, NoValue
+			if int(ed.node) < n0 {
+				if was = r0.IDs.At(int(ed.node)); was != NoValue {
+					r.Held--
+				}
+			}
+			if !ed.val.IsNull() {
+				i, _ := slices.BinarySearchFunc(dom, ng.cols[a].value(ed.node), Value.Compare)
+				now, r.Held = int32(i), r.Held+1
+			}
+			update(&r.IDs, int(ed.node), now)
+			for _, i := range []int32{to(was), now} {
+				if i != NoValue {
+					r.First[i] = ng.firstHolder(AttrID(a), dom[i])
+				}
+			}
+		}
+		ng.rows[a].fork = r
+		e.res.Touched.RowsForked++
+		e.res.Touched.ChunkBytes += r.IDs.freshBytes(&r0.IDs)
+	}
+}
+
+// firstHolder returns the lowest live node carrying value x for attribute a
+// (InvalidNode when none does): the least first node of an equality probe on
+// each of the attribute's permutation indexes, which order ties by node.
+func (g *Graph) firstHolder(a AttrID, x Value) NodeID {
+	first := InvalidNode
 	for k, perm := range g.indexes {
 		if k.attr == a {
-			if lo, hi := (SortedIndex{col: &g.cols[a], perm: perm}).Range(OpEQ, x); lo < hi {
-				return true
+			ix := SortedIndex{col: &g.cols[a], perm: perm}
+			if lo, hi := ix.Range(OpEQ, x); lo < hi && (first == InvalidNode || ix.At(lo) < first) {
+				first = ix.At(lo)
 			}
 		}
 	}
-	return false
+	return first
 }
 
 // patchDerived is the derived tables' touched-rows pass: forks of the
@@ -820,77 +924,30 @@ func sortDistinct(vs []Value) []Value {
 
 // computeDomain derives one column's active domain from its cells: Freeze's
 // builder, and the oracle CheckInvariants holds the domains ApplyBatch
-// maintains (mergeDomains) to. Uniform
-// typed columns dedup before sorting — domains are usually tiny relative
-// to the column, so hashing the distinct values first turns the dominant
-// O(count·log count) Value sort into O(count) + O(d·log d) — producing
-// exactly the order the generic path yields within one kind (numeric,
-// lexicographic, false<true). Mixed, interned-ref, and NaN-bearing
-// columns take the generic sort (NaN keys don't dedup in a map; the
-// generic comparator sorts NaN first and equal to itself).
+// maintains (mergeDomains) to. Uniform numeric and string columns dedup
+// before sorting (distinct); bool columns check which of the two occur.
+// Mixed, interned-ref, and NaN-bearing columns take the generic Value sort,
+// which orders NaN first and equal to itself.
 func computeDomain(c *column, n int) []Value {
 	switch {
 	case c.vals != nil || c.refs != nil:
 		// generic below
 	case c.nums.n > 0:
-		seen := make(map[float64]struct{}, 64)
-		nan := false
-		for i := 0; i < n && !nan; i++ {
-			if c.has(NodeID(i)) {
-				f := c.nums.At(i)
-				if f != f {
-					nan = true
-					break
-				}
-				seen[f] = struct{}{}
-			}
-		}
-		if !nan {
-			fs := make([]float64, 0, len(seen))
-			for f := range seen {
-				fs = append(fs, f)
-			}
-			sort.Float64s(fs)
-			out := make([]Value, len(fs))
-			for i, f := range fs {
-				out[i] = Num(f)
-			}
-			return out
+		if dom, ok := distinct(c, n, c.nums.At, Num); ok {
+			return dom
 		}
 	case c.strs.n > 0:
-		seen := make(map[string]struct{}, 64)
-		for i := 0; i < n; i++ {
-			if c.has(NodeID(i)) {
-				seen[c.strs.At(i)] = struct{}{}
-			}
-		}
-		ss := make([]string, 0, len(seen))
-		for s := range seen {
-			ss = append(ss, s)
-		}
-		sort.Strings(ss)
-		out := make([]Value, len(ss))
-		for i, s := range ss {
-			out[i] = Str(s)
-		}
-		return out
+		dom, _ := distinct(c, n, c.strs.At, Str)
+		return dom
 	case c.bools.n > 0:
-		var hasF, hasT bool
-		for i := 0; i < n && !(hasF && hasT); i++ {
-			if c.has(NodeID(i)) {
-				if bitGet(&c.bools, i) {
-					hasT = true
-				} else {
-					hasF = true
+		var out []Value
+		for _, b := range []bool{false, true} {
+			for i := 0; i < n; i++ {
+				if c.has(NodeID(i)) && bitGet(&c.bools, i) == b {
+					out = append(out, Bool(b))
+					break
 				}
 			}
-		}
-		out := make([]Value, 0, 2)
-		if hasF {
-			out = append(out, Bool(false))
-		}
-		if hasT {
-			out = append(out, Bool(true))
 		}
 		return out
 	}
@@ -901,6 +958,33 @@ func computeDomain(c *column, n int) []Value {
 		}
 	}
 	return sortDistinct(vs)
+}
+
+// distinct is a uniform column's domain by hashing its values first —
+// domains are usually tiny relative to the column, so O(count) + O(d·log d)
+// replaces the O(count·log count) Value sort, in the same order within one
+// kind. It fails on a NaN, which never equals a map key.
+func distinct[K float64 | string](c *column, n int, at func(int) K, box func(K) Value) ([]Value, bool) {
+	seen := make(map[K]struct{}, 64)
+	for i := 0; i < n; i++ {
+		if c.has(NodeID(i)) {
+			k := at(i)
+			if k != k {
+				return nil, false
+			}
+			seen[k] = struct{}{}
+		}
+	}
+	keys := make([]K, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := make([]Value, len(keys))
+	for i, k := range keys {
+		out[i] = box(k)
+	}
+	return out, true
 }
 
 // Tombstones returns the tombstoned NodeIDs in ascending order (nil when

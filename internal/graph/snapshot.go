@@ -791,7 +791,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 
 	// Node labels (range-checked in the parallel phase below).
 	nodeLabels := viewLabelIDs(sections["NLBL"].payload[:4*n])
-	g.nodeLabels = flatTable(nodeLabels)
+	g.nodeLabels = TableOf(nodeLabels)
 
 	// Adjacency: CSR views + per-node slice headers, validated against the
 	// frozen sort order, the declared degrees, the signature tables and —
@@ -803,7 +803,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 	// one comparison per edge instead of a second full replay.
 	sigOut := viewU64(sections["SIGO"].payload[:8*n])
 	sigIn := viewU64(sections["SIGI"].payload[:8*n])
-	g.sigOut, g.sigIn = flatTable(sigOut), flatTable(sigIn)
+	g.sigOut, g.sigIn = TableOf(sigOut), TableOf(sigIn)
 	decodeAdj := func(offTag, edgeTag, sigTag, runTag string, sigs []uint64, starts []int32, wantMaxDeg int) ([][]Edge, error) {
 		csr := viewU64(sections[offTag].payload[:8*(n+1)])
 		edges := viewEdges(sections[edgeTag].payload[:8*meta.edges])
@@ -910,7 +910,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 	// Bucket, position and run-table views; contents are validated in the
 	// parallel phase.
 	lpos := viewU64(sections["LPOS"].payload[:8*n])
-	g.labelPos = flatTable(lpos)
+	g.labelPos = TableOf(lpos)
 	bucketLabels := viewLabelIDs(sections["BLBL"].payload[:4*meta.buckets])
 	boff := viewU64(sections["BOFF"].payload[:8*(meta.buckets+1)])
 	bmem := viewNodeIDs(sections["BMEM"].payload[:4*n])
@@ -927,7 +927,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 	numsAll := sections["NUMS"].payload
 	boolAll := sections["BOOL"].payload
 	srefAll := sections["SREF"].payload
-	g.cols = make([]column, meta.attrs)
+	g.cols, g.rows = make([]column, meta.attrs), make([]rowSlot, meta.attrs)
 	numOff, boolOff, srefOff := 0, 0, 0
 	for a := range g.cols {
 		c := &g.cols[a]
@@ -940,7 +940,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 			return nil, secErr("CHDR", "attribute %d: count %d exceeds %d nodes", a, cnt, n)
 		}
 		c.kind, c.count = kind, int(cnt)
-		c.present = flatTable(viewU64(presAll[8*words*a : 8*words*(a+1)]))
+		c.present = TableOf(viewU64(presAll[8*words*a : 8*words*(a+1)]))
 		if c.count == 0 {
 			if kind != KindNull {
 				return nil, secErr("CHDR", "attribute %d: kind %d with zero count", a, kind)
@@ -952,13 +952,13 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 			if len(numsAll) < numOff+8*n {
 				return nil, secErr("NUMS", "attribute %d: truncated float payload", a)
 			}
-			c.nums = flatTable(viewF64(numsAll[numOff : numOff+8*n]))
+			c.nums = TableOf(viewF64(numsAll[numOff : numOff+8*n]))
 			numOff += 8 * n
 		case KindBool:
 			if len(boolAll) < boolOff+8*words {
 				return nil, secErr("BOOL", "attribute %d: truncated bool bitmap", a)
 			}
-			c.bools = flatTable(viewU64(boolAll[boolOff : boolOff+8*words]))
+			c.bools = TableOf(viewU64(boolAll[boolOff : boolOff+8*words]))
 			boolOff += 8 * words
 		case KindString:
 			if len(srefAll) < srefOff+4*n {
@@ -1013,14 +1013,14 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 	task(0, func() error {
 		adj, err := decodeAdj("OOFF", "OEDG", "SIGO", "ORUN", sigOut, orun, meta.maxOutDeg)
 		if err == nil {
-			g.out = flatTable(adj)
+			g.out = TableOf(adj)
 		}
 		return err
 	})
 	task(1, func() error {
 		adj, err := decodeAdj("IOFF", "IEDG", "SIGI", "IRUN", sigIn, irun, meta.maxInDeg)
 		if err == nil {
-			g.in = flatTable(adj)
+			g.in = TableOf(adj)
 		}
 		return err
 	})

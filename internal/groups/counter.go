@@ -23,7 +23,7 @@ type Counter struct {
 	// group[k+1] is k. Groups are disjoint (Set.Validate enforces it), so one
 	// slot suffices.
 	part   *partition
-	id     []int32
+	id     graph.Table[int32]
 	group  []int32
 	counts []int
 }
@@ -44,12 +44,13 @@ func NewCounter(numNodes int, s Set) *Counter {
 		}
 		return c
 	}
-	c.id, c.group = make([]int32, numNodes), make([]int32, len(s)+2)
+	id := make([]int32, numNodes)
+	c.id, c.group = graph.TableOf(id), make([]int32, len(s)+2)
 	for i := range s {
 		c.group[i+2] = int32(i) + 1
 		s[i].members(func(v graph.NodeID) bool {
 			if int(v) < numNodes {
-				c.id[v] = int32(i) + 1
+				id[v] = int32(i) + 1
 			}
 			return true
 		})
@@ -72,8 +73,8 @@ func (c *Counter) Counts(answer []graph.NodeID) []int {
 	}
 	check := c.part != nil && c.part.labels != nil
 	for _, v := range answer {
-		if int(v) < len(c.id) {
-			if g := c.group[c.id[v]+1]; g != 0 && (!check || c.part.holds(v)) {
+		if int(v) < c.id.Len() {
+			if g := c.group[c.id.At(int(v))+1]; g != 0 && (!check || c.part.holds(v)) {
 				c.counts[g-1]++
 			}
 		}

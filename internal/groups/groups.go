@@ -42,7 +42,7 @@ type partition struct {
 	// the attribute has the label: then the row alone decides.
 	labels *graph.Table[uint64]
 	label  graph.LabelID
-	row    []int32
+	row    graph.Table[int32]
 	cell   []int32 // per domain entry + 1
 	sizes  []int   // per cell
 }
@@ -77,7 +77,7 @@ func (g *Group) Size() int {
 // Has reports whether v belongs to P_i.
 func (g *Group) Has(v graph.NodeID) bool {
 	if p := g.from; p != nil {
-		return int(v) < len(p.row) && p.cell[p.row[v]+1] == g.cell+1 && p.holds(v)
+		return int(v) < p.row.Len() && p.cell[p.row.At(int(v))+1] == g.cell+1 && p.holds(v)
 	}
 	return g.Members[v]
 }
@@ -89,7 +89,7 @@ func (g *Group) members(yield func(graph.NodeID) bool) {
 			return
 		}
 	}
-	for v := 0; g.from != nil && v < len(g.from.row); v++ {
+	for v := 0; g.from != nil && v < g.from.row.Len(); v++ {
 		if g.Has(graph.NodeID(v)) && !yield(graph.NodeID(v)) {
 			return
 		}
@@ -214,13 +214,13 @@ func cut(g *graph.Graph, label, attr string) Set {
 	part := &partition{label: lid, row: row.IDs, cell: make([]int32, len(dom)+1)}
 	slot := make(map[string]int32, len(dom))
 	var set Set
-	lo := sort.Search(ix.Len(), func(i int) bool { return row.IDs[ix.At(i)] != graph.NoValue })
+	lo := sort.Search(ix.Len(), func(i int) bool { return row.IDs.At(int(ix.At(i))) != graph.NoValue })
 	if ix.Len()-lo != row.Held {
 		labels := g.LabelPosTable()
 		part.labels = &labels
 	}
 	for d := range dom {
-		hi := lo + sort.Search(ix.Len()-lo, func(i int) bool { return row.IDs[ix.At(lo+i)] > int32(d) })
+		hi := lo + sort.Search(ix.Len()-lo, func(i int) bool { return row.IDs.At(int(ix.At(lo+i))) > int32(d) })
 		if hi == lo {
 			continue
 		}

@@ -26,14 +26,14 @@ const levMatrixCap = 64
 // scale.
 type featureCol struct {
 	span  float64
-	row   []int32       // the generation's AttrRow IDs
-	kinds []uint8       // graph.Kind per domain entry + 1; KindNull when absent or non-finite
-	ids   []int32       // payload per domain entry + 1
-	vals  []float64     // distinct finite numbers, ascending
-	dom   []graph.Value // the active domain, the free-text strings' table
-	nstr  int           // distinct strings
-	info  []strInfo     // rune length and ASCII flag per free-text ID; nil for a matrix column
-	mat   []float64     // pairwise normalized Levenshtein; nil when nstr < 2 or > levMatrixCap
+	row   graph.Table[int32] // the generation's AttrRow IDs
+	kinds []uint8            // graph.Kind per domain entry + 1; KindNull when absent or non-finite
+	ids   []int32            // payload per domain entry + 1
+	vals  []float64          // distinct finite numbers, ascending
+	dom   []graph.Value      // the active domain, the free-text strings' table
+	nstr  int                // distinct strings
+	info  []strInfo          // rune length and ASCII flag per free-text ID; nil for a matrix column
+	mat   []float64          // pairwise normalized Levenshtein; nil when nstr < 2 or > levMatrixCap
 }
 
 // DistanceFeatures holds the default tuple distance's views over a frozen
@@ -171,7 +171,7 @@ func terms(cols []featureCol, scr []levScratch, v, w graph.NodeID) float64 {
 	total := 0.0
 	for i := range cols {
 		c := &cols[i]
-		ra, rb := c.row[v]+1, c.row[w]+1
+		ra, rb := c.row.At(int(v))+1, c.row.At(int(w))+1
 		ka, kb := graph.Kind(c.kinds[ra]), graph.Kind(c.kinds[rb])
 		switch {
 		case ka == graph.KindNull && kb == graph.KindNull:
@@ -255,7 +255,7 @@ func (c *featureCol) pairSum(m []graph.NodeID, s *colScratch) float64 {
 	var byKind [graph.KindString + 1]int64
 	trues, ranks := int64(0), s.ranks[:0]
 	for _, v := range m {
-		r := c.row[v] + 1
+		r := c.row.At(int(v)) + 1
 		k, id := graph.Kind(c.kinds[r]), c.ids[r]
 		byKind[k]++
 		switch {
