@@ -84,8 +84,8 @@ func TestFairsqgCLI(t *testing.T) {
 	if !strings.Contains(string(out), "q1:") {
 		t.Errorf("no suggestions in output:\n%s", out)
 	}
-	if !regexp.MustCompile(`\nphases: [^\n]*, cover [^\n]*\n`).Match(out) {
-		t.Errorf("no phases line:\n%s", out)
+	if m := regexp.MustCompile(`\nphases: [^\n]*, cover [^,\n]*, derive ([^,\n]*), update [^\n]*\n`).FindSubmatch(out); m == nil || string(m[1]) == "0s" {
+		t.Errorf("no phases line with a running derive clock:\n%s", out)
 	}
 	// The saved workload loads back.
 	f, err := os.Open(save)

@@ -442,8 +442,8 @@ func TestCoordinatorCarriesEveryCounter(t *testing.T) {
 	if res.Stats.AnswersReused == 0 || res.Stats.DerivedReused == 0 {
 		t.Errorf("slabs sharing two worker engines reused nothing: %+v", res.Stats)
 	}
-	if res.Stats.Wall[core.PhaseScore] <= 0 || res.Stats.Wall[core.PhaseCover] <= 0 {
-		t.Errorf("the scoring and coverage clocks did not cross the wire: %+v", res.Stats)
+	if w := res.Stats.Wall; w[core.PhaseScore] <= 0 || w[core.PhaseCover] <= 0 || w[core.PhaseDerive] <= 0 || w[core.PhaseUpdate] <= 0 {
+		t.Errorf("the scoring, coverage, derive and update clocks did not cross the wire: %+v", res.Stats)
 	}
 	if got := coldStats(res.Stats); got != want {
 		t.Errorf("distributed stats %+v != in-process slab sum %+v", got, want)

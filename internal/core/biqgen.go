@@ -151,7 +151,7 @@ func (r *Runner) BiQGen() (*Result, error) {
 				} else {
 					v := r.verify(query.MustInstance(t, item.in), item.parent)
 					if v.Feasible {
-						archive.Update(v.Point, v)
+						r.update(archive, v)
 						recordSandwich(v, true)
 						for _, child := range r.spawn(v) {
 							if !visited[child.Key()] {
@@ -187,7 +187,7 @@ func (r *Runner) BiQGen() (*Result, error) {
 					parent, _ := r.parentOf(q)
 					v := r.verify(q, parent)
 					if v.Feasible {
-						archive.Update(v.Point, v)
+						r.update(archive, v)
 						recordSandwich(v, false)
 					}
 				}

@@ -106,7 +106,7 @@ func (r *Runner) CBM(opts CBMOptions) (*Result, error) {
 	}
 	archive := newArchive(r.cfg.Eps)
 	for _, v := range set {
-		archive.Update(v.Point, v)
+		r.update(archive, v)
 	}
 	return r.result(archive, start), nil
 }

@@ -291,9 +291,11 @@ func (s *Stats) Add(o Stats) {
 // their arc-consistent fixpoint, the bound-pruning tally of the output's
 // candidates included) and search, scoring δ, Spawn's refinement step,
 // OnlineQGen's re-verification of its working set on a mutated generation,
-// which holds the planning, searching, scoring and counting it does, and
+// which holds the planning, searching, scoring and counting it does,
 // counting an answer per group for feasibility and coverage, one sample per
-// verification.
+// verification, deriving the scoring functions and group index from a
+// generation (NewRunner, Retarget), and offering a verified instance to the
+// run's archive, one sample per offer.
 type Phase int
 
 const (
@@ -303,10 +305,12 @@ const (
 	PhaseSpawn
 	PhaseReverify
 	PhaseCover
+	PhaseDerive
+	PhaseUpdate
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"plan", "search", "score", "spawn", "reverify", "cover"}
+var phaseNames = [numPhases]string{"plan", "search", "score", "spawn", "reverify", "cover", "derive", "update"}
 
 func (p Phase) String() string { return phaseNames[p] }
 

@@ -119,7 +119,7 @@ func (r *Runner) EnumQGen() (*Result, error) {
 	defer r.start()()
 	start := time.Now()
 	archive := newArchive(r.cfg.Eps)
-	if err := r.enumerate(func(v *Verified) { archive.Update(v.Point, v) }); err != nil {
+	if err := r.enumerate(func(v *Verified) { r.update(archive, v) }); err != nil {
 		return nil, err
 	}
 	return r.result(archive, start), nil

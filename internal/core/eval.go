@@ -50,8 +50,11 @@ type Runner struct {
 	// replaced by Retarget had counted (Stats adds the live engine's).
 	stats  Stats
 	verSeq int
-	// derivedReused: bind's hits in an injected engine's store; the next run's.
+	// derivedReused and deriveWall are what bind did — its hits in an
+	// injected engine's store, its clock — for the next run to report
+	// (Retarget's, for the current one).
 	derivedReused int
+	deriveWall    time.Duration
 	// extraNodes are the resolved multi-output template node indices.
 	extraNodes []int
 	// population is |V_uo| (summed over distinct output labels in
@@ -92,6 +95,7 @@ func NewRunner(cfg *Config) (*Runner, error) {
 // verification memo. NewRunner binds a fresh runner; Retarget rebinds one to
 // the next generation.
 func (r *Runner) bind() {
+	defer func(t time.Time) { r.deriveWall += time.Since(t) }(time.Now())
 	cfg := r.cfg
 	r.counter = groups.NewCounter(cfg.G.NumNodes(), cfg.Groups)
 
@@ -237,9 +241,10 @@ func (r *Runner) Stats() Stats {
 // store is exactly what injecting an engine is for.
 func (r *Runner) start() (end func()) {
 	r.stats = Stats{DerivedReused: r.derivedReused}
+	r.stats.Wall[PhaseDerive] = r.deriveWall
+	r.derivedReused, r.deriveWall = 0, 0
 	r.clocks.Plan.Store(0)
 	r.clocks.Search.Store(0)
-	r.derivedReused = 0
 	r.verSeq = 0
 	r.cache, r.answered = make(map[string]*Verified), nil
 	r.release()
@@ -256,6 +261,12 @@ func (r *Runner) err() error { return r.ctx.Err() }
 
 // clock adds the time since start to phase p.
 func (r *Runner) clock(p Phase, start time.Time) { r.stats.Wall[p] += time.Since(start) }
+
+// update offers v to the run's archive, on the update clock.
+func (r *Runner) update(a *pareto.Archive[*Verified], v *Verified) pareto.Result[*Verified] {
+	defer r.clock(PhaseUpdate, time.Now())
+	return a.Update(v.Point, v)
+}
 
 // verify evaluates an instance: q(G), δ(q), f(q) and feasibility. When the
 // instance was already verified the cached record returns without work.

@@ -179,7 +179,7 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 	}
 	// offer updates the archive with v and caches whatever it turns away.
 	offer := func(v *Verified) {
-		out := archive.Update(v.Point, v)
+		out := r.update(archive, v)
 		if !out.Accepted {
 			cache(v)
 		}
@@ -260,7 +260,7 @@ func (r *Runner) OnlineQGen(stream InstanceStream, opts OnlineOptions) (*OnlineR
 			admit := c == pareto.ReplacedBoxes || c == pareto.ReplacedInstance ||
 				(c == pareto.AddedBox && archive.Len() < opts.K)
 			if admit {
-				out := archive.Update(e.v.Point, e.v)
+				out := r.update(archive, e.v)
 				for _, ev := range out.Evicted {
 					kept = append(kept, windowEntry{v: ev, ts: now})
 				}

@@ -95,6 +95,8 @@ func (r *Runner) Retarget(g *graph.Graph) {
 	r.engine = r.newEngine()
 	r.engine.Adopt(old)
 	r.bind()
+	r.stats.Wall[PhaseDerive] += r.deriveWall
+	r.deriveWall = 0
 }
 
 // reverify verifies an online run's working set — a copy, sorted in place —

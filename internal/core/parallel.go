@@ -112,7 +112,7 @@ func exploreSlab(r *Runner, splitVar, level int,
 			return
 		}
 		mu.Lock()
-		archive.Update(v.Point, v)
+		r.update(archive, v)
 		mu.Unlock()
 		for _, child := range r.spawn(v) {
 			if splitVar >= 0 && child[splitVar] != level {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -150,11 +151,31 @@ const NoValue int32 = -1
 // (NoValue when v lacks the attribute, as a tombstoned node does), First[i]
 // is the lowest node holding domain entry i, and Held counts the nodes
 // holding a value. Scorers and group partitions read it instead of deriving
-// per-node facts per run; it is read-only.
+// per-node facts per run; it is read-only, bar the values Memo keeps beside
+// it.
 type AttrRow struct {
 	IDs   Table[int32]
 	First []NodeID
 	Held  int
+	memo  struct {
+		once     sync.Once
+		key, val any
+	}
+}
+
+// Memo returns what build derives from the row: built on first use, once
+// under concurrent first calls, then shared by every caller for the
+// generation's lifetime. A reader keeps its per-domain-entry data here without
+// the graph knowing its type; the value must be read-only. A row holds one
+// memo and key names its owner: a call under another key is a bug, and
+// panics. A forked row (see forkRows) starts with none.
+func (r *AttrRow) Memo(key any, build func() any) any {
+	m := &r.memo
+	m.once.Do(func() { m.key, m.val = key, build() })
+	if m.key != key {
+		panic(fmt.Sprintf("graph: AttrRow.Memo under %T, held for %T", key, m.key))
+	}
+	return m.val
 }
 
 // rowSlot holds one attribute's row once asked for (nil while building) and

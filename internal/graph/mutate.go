@@ -812,7 +812,8 @@ func (e *batchEdits) mergeDomains() {
 // (one nobody asked for, or still being built, is not carried forward). The
 // fork shares the base row's chunks and re-ranks the batch's cells alone,
 // after an old→new table if the batch moved the domain; the entries a cell
-// gains or loses take their first holder from the indexes.
+// gains or loses take their first holder from the indexes. A fork starts
+// without the base's memo (AttrRow.Memo): it follows the base's domain.
 func (e *batchEdits) forkRows() {
 	base, ng, n0 := e.p.base, e.ng, e.p.baseN()
 	for a := range base.rows {

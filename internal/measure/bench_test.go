@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"fairsqg/internal/gen"
 	"fairsqg/internal/graph"
 )
 
@@ -207,4 +208,27 @@ func BenchmarkDiversitySampled(b *testing.B) {
 			div.Eval(ids)
 		}
 	})
+}
+
+// BenchmarkNewDistanceFeatures composes a run's distance features on a
+// generation that already served them once, over every attribute (the CLI's
+// default, free-text DBP title and LKI name included), at the benchmark
+// workloads' sizes: 8,000-node DBP and 15,000-node LKI. Run it with
+// -benchmem: B/op is what each run pays for its features.
+func BenchmarkNewDistanceFeatures(b *testing.B) {
+	for _, ds := range []struct {
+		name  string
+		build func(gen.Options) *graph.Graph
+		nodes int
+	}{{"dbp", gen.BuildDBP, 8000}, {"lki", gen.BuildLKI, 15000}} {
+		g := ds.build(gen.Options{Nodes: ds.nodes, Seed: 1})
+		b.Run(ds.name, func(b *testing.B) {
+			NewDistanceFeatures(g, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink += len(NewDistanceFeatures(g, nil).cols)
+			}
+		})
+	}
 }

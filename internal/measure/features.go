@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"fairsqg/internal/graph"
 )
@@ -49,49 +50,59 @@ type DistanceFeatures struct {
 	text []featureCol
 }
 
-// NewDistanceFeatures compiles views for the listed attributes (nil or empty
-// means every attribute of g). The graph must be frozen. Its work and
-// allocation are per active-domain entry, none per node: the rows are the
-// graph's, built once per generation.
+// NewDistanceFeatures composes views for the listed attributes (nil or empty
+// means every attribute of g). The graph must be frozen. It allocates per
+// attribute only: each column is compiled once per generation, on first use,
+// and kept beside its row (graph.AttrRow.Memo), like the row itself.
 func NewDistanceFeatures(g *graph.Graph, attrs []string) *DistanceFeatures {
 	if len(attrs) == 0 {
 		attrs = g.AttrNames()
 	}
-	f := &DistanceFeatures{n: float64(len(attrs))}
+	f := &DistanceFeatures{n: float64(len(attrs)), cols: make([]featureCol, 0, len(attrs))}
 	for _, name := range attrs {
 		id := g.AttrIDOf(name)
 		if id == graph.InvalidAttr {
 			continue
 		}
-		dom, row := g.ActiveDomainByID(id), g.AttrRow(id)
-		c := featureCol{row: row.IDs, dom: dom, kinds: make([]uint8, len(dom)+1), ids: make([]int32, len(dom)+1)}
-		c.vals, c.span = finiteNumbers(dom)
-		var strs []int // the string entries, up to the matrix cap
-		for i, x := range dom {
-			switch kind := x.Kind(); {
-			case kind == graph.KindNumber && finite(x.Float()):
-				c.kinds[i+1], c.ids[i+1] = uint8(kind), int32(sort.SearchFloat64s(c.vals, x.Float()))
-			case kind == graph.KindBool:
-				c.kinds[i+1], c.ids[i+1] = uint8(kind), int32(x.Float())
-			case kind == graph.KindString:
-				c.kinds[i+1], c.ids[i+1] = uint8(kind), int32(i)
-				if c.nstr++; c.nstr <= levMatrixCap {
-					strs = append(strs, i)
-				}
-			}
-		}
+		row := g.AttrRow(id)
+		c := row.Memo(featureKey{}, func() any { return newFeatureCol(g.ActiveDomainByID(id), row) }).(*featureCol)
 		if c.nstr > levMatrixCap {
-			c.info = make([]strInfo, len(dom))
-			for i, x := range dom {
-				c.info[i] = infoOf(x.Text())
-			}
-			f.text = append(f.text, c)
-		} else {
-			c.matrix(strs, row.First)
+			f.text = append(f.text, *c)
 		}
-		f.cols = append(f.cols, c)
+		f.cols = append(f.cols, *c)
 	}
 	return f
+}
+
+type featureKey struct{} // names the distance columns as owner of a row's memo
+
+// newFeatureCol compiles one attribute's column, per active-domain entry.
+func newFeatureCol(dom []graph.Value, row *graph.AttrRow) *featureCol {
+	c := &featureCol{row: row.IDs, dom: dom, kinds: make([]uint8, len(dom)+1), ids: make([]int32, len(dom)+1)}
+	c.vals, c.span = finiteNumbers(dom)
+	var strs []int // the string entries, up to the matrix cap
+	for i, x := range dom {
+		switch kind := x.Kind(); {
+		case kind == graph.KindNumber && finite(x.Float()):
+			c.kinds[i+1], c.ids[i+1] = uint8(kind), int32(sort.SearchFloat64s(c.vals, x.Float()))
+		case kind == graph.KindBool:
+			c.kinds[i+1], c.ids[i+1] = uint8(kind), int32(x.Float())
+		case kind == graph.KindString:
+			c.kinds[i+1], c.ids[i+1] = uint8(kind), int32(i)
+			if c.nstr++; c.nstr <= levMatrixCap {
+				strs = append(strs, i)
+			}
+		}
+	}
+	if c.nstr > levMatrixCap {
+		c.info = make([]strInfo, len(dom))
+		for i, x := range dom {
+			c.info[i] = infoOf(x.Text())
+		}
+	} else {
+		c.matrix(strs, row.First)
+	}
+	return c
 }
 
 // matrix renumbers a small string domain's entries by first holder — the
@@ -129,15 +140,9 @@ func finiteNumbers(dom []graph.Value) (vals []float64, span float64) {
 	return vals, span
 }
 
-// Bytes is what the features hold themselves, all of it per active-domain
-// entry, for whoever keeps them around: the rows and the domain they read
-// are the graph's.
-func (f *DistanceFeatures) Bytes() (n int64) {
-	for i := range f.cols {
-		c := &f.cols[i]
-		n += int64(len(c.kinds) + 4*len(c.ids) + 8*len(c.vals) + 8*len(c.mat) + 8*len(c.info))
-	}
-	return n
+// Bytes is what the features hold themselves, a header per column: the rest is the graph's.
+func (f *DistanceFeatures) Bytes() int64 {
+	return int64(cap(f.cols)+cap(f.text)) * int64(unsafe.Sizeof(featureCol{}))
 }
 
 // Distance evaluates the tuple distance d(v, w) from the feature rows. The

@@ -390,19 +390,21 @@ func TestDiversityColumnsSameAtAnyProcs(t *testing.T) {
 }
 
 // TestFeaturesConcurrentFirstUse: goroutines compiling the features on a
-// fresh generation at once — so its rows are built under their concurrent
-// first use — each evaluate every pair as the reference does. Run it under
-// -race.
+// fresh generation at once — so its rows and their columns are built under
+// their concurrent first use — get one shared set of columns and each
+// evaluate every pair as the reference does. Run it under -race.
 func TestFeaturesConcurrentFirstUse(t *testing.T) {
 	attrs := []string{"cat", "name", "score", "mixed", "odd"}
 	g := featGraph(t, 40, 6)
 	want := referenceTupleDistance(featGraph(t, 40, 6), attrs)
+	feats := make([]*DistanceFeatures, 4)
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := range feats {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			d := NewDistanceFeatures(g, attrs).Distance
+			feats[w] = NewDistanceFeatures(g, attrs)
+			d := feats[w].Distance
 			for v := graph.NodeID(0); int(v) < g.NumNodes(); v++ {
 				for u := graph.NodeID(0); int(u) < g.NumNodes(); u++ {
 					if d(v, u) != want(v, u) {
@@ -414,4 +416,9 @@ func TestFeaturesConcurrentFirstUse(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for w, f := range feats[1:] {
+		if !sameColumns(f, feats[0]) {
+			t.Errorf("worker %d compiled its own columns", w+1)
+		}
+	}
 }
