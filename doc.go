@@ -102,24 +102,17 @@
 // literals, sit there beside whole answers and derived values. Candidate-list
 // hits and misses are reported in Stats.Cache.
 //
-// How the matcher searches is one value, MatchSettings (Mode, Order,
-// MaxBacktrackNodes, DisableAttrIndex), embedded by Config and
-// MatchEngineOptions as the field Settings; with Config.Engine injected
-// the run takes the engine's, and Validate rejects a Config.Settings that
-// disagrees. Two fields select reference paths kept as test and benchmark
-// oracles, with no command-line flag (BENCH.md has the rows that settled
-// them):
-//
-//   - Settings.DisableAttrIndex: forces candidate selection onto the
-//     linear-scan reference path. Access-path counts are reported in
-//     Stats.Matcher.IndexSelections and ScanSelections; a frozen graph's
-//     column and index footprint is available from Graph.Memory
-//     (GraphMemoryStats).
-//   - Settings.Order: backtracking variable order. OrderDynamic (the
-//     default) picks the cheapest frontier variable at each step;
-//     OrderStatic follows template order. Both orders return identical
-//     match sets; only exploration order — and, under a MaxBacktrackNodes
-//     budget, which prefix gets explored — differs.
+// How the matcher searches is one value, MatchSettings (Mode,
+// MaxBacktrackNodes), embedded by Config and MatchEngineOptions as the
+// field Settings; with Config.Engine injected the run takes the engine's,
+// and Validate rejects a Config.Settings that disagrees. The backtracking
+// search picks the cheapest frontier variable at each step, and candidate
+// selection takes a sorted per-(label, attribute) index range when one is
+// narrow enough and a linear label scan otherwise; neither has a switch.
+// The tests check both against a brute-force enumeration. Access-path
+// counts are reported in Stats.Matcher.IndexSelections and ScanSelections;
+// a frozen graph's column and index footprint is available from
+// Graph.Memory (GraphMemoryStats).
 //
 // Diversity scoring is exact by column and incremental: the default tuple
 // distance compiles into per-graph feature tables; every column but free

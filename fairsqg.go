@@ -75,14 +75,11 @@ type (
 	MatchEngineStats = match.EngineStats
 	// CacheStats reports an engine's candidate-list hits and misses.
 	CacheStats = match.CacheStats
-	// MatchSettings is how the matcher searches — semantics, variable
-	// order, backtrack budget, candidate access path — embedded by Config
-	// and MatchEngineOptions as the field Settings (in a composite literal:
-	// Config{Settings: MatchSettings{Order: OrderStatic}}).
+	// MatchSettings is how the matcher searches — semantics and backtrack
+	// budget — embedded by Config and MatchEngineOptions as the field
+	// Settings (in a composite literal:
+	// Config{Settings: MatchSettings{MaxBacktrackNodes: 10000}}).
 	MatchSettings = match.Settings
-	// MatchOrder selects the matcher's backtracking variable-ordering
-	// policy (MatchSettings.Order); results are identical in both settings.
-	MatchOrder = match.Order
 	// PairCacheStats carries the pairwise-distance counters of
 	// Stats.DistCache and MatchEngineStats.Dist: Evals is the exact number
 	// of distance evaluations; Hits/Misses/Clears/Entries describe the pair
@@ -135,16 +132,6 @@ const (
 
 // Wildcard is the "don't care" binding level.
 const Wildcard = query.Wildcard
-
-// Backtracking variable-ordering policies (MatchOrder values).
-const (
-	// OrderDynamic re-picks the cheapest frontier node at every search
-	// depth from live candidate counts (the default).
-	OrderDynamic = match.OrderDynamic
-	// OrderStatic keeps the per-plan connectivity-first order (the
-	// reference policy the order guard and differential tests compare to).
-	OrderStatic = match.OrderStatic
-)
 
 // Attribute value constructors.
 var (

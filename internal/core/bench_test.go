@@ -12,30 +12,8 @@ func benchConfig(b *testing.B) *Config {
 	return fixtureConfig(b, g, 0.1, 3)
 }
 
-func BenchmarkEnumQGen(b *testing.B) {
-	for _, noIndex := range []bool{false, true} {
-		name := "index"
-		if noIndex {
-			name = "scan"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchConfig(b)
-			cfg.DisableAttrIndex = noIndex
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := NewRunner(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.EnumQGen(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkRfQGen(b *testing.B) {
+// benchAlg times whole runs of one algorithm, runner construction included.
+func benchAlg(b *testing.B, alg func(*Runner) (*Result, error)) {
 	cfg := benchConfig(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -43,34 +21,15 @@ func BenchmarkRfQGen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := r.RfQGen(); err != nil {
+		if _, err := alg(r); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkBiQGen(b *testing.B) {
-	for _, noIndex := range []bool{false, true} {
-		name := "index"
-		if noIndex {
-			name = "scan"
-		}
-		b.Run(name, func(b *testing.B) {
-			cfg := benchConfig(b)
-			cfg.DisableAttrIndex = noIndex
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, err := NewRunner(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := r.BiQGen(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkEnumQGen(b *testing.B) { benchAlg(b, (*Runner).EnumQGen) }
+func BenchmarkRfQGen(b *testing.B)   { benchAlg(b, (*Runner).RfQGen) }
+func BenchmarkBiQGen(b *testing.B)   { benchAlg(b, (*Runner).BiQGen) }
 
 // BenchmarkIncScore measures the end-to-end effect of the incremental
 // diversity scorer on whole generation runs with exact (uncapped) pairwise

@@ -69,9 +69,11 @@ type biItem struct {
 // (SpawnF) interleaved with a backward relaxation-based exploration from
 // the most refined instance q_b (SpawnB). Feasible forward/backward pairs
 // that share a box coordinate become "sandwich" bounds (Lemma 3) that prune
-// every instance strictly between them. The backward exploration stops
-// expanding at feasible instances: their relaxations are feasible with
-// lower coverage and are reached by the forward search.
+// every instance strictly between them. The backward exploration relaxes
+// every instance it reaches, feasible or not, pruned or verified: its
+// feasible instances are what pair up with forward ones as sandwich bounds,
+// and the visited set keeps the two sweeps from verifying one instance
+// twice.
 func (r *Runner) BiQGen() (*Result, error) {
 	defer r.start()()
 	start := time.Now()

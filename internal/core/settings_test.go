@@ -14,9 +14,7 @@ import (
 // nonDefaultSettings is one Settings value per field, each away from zero.
 var nonDefaultSettings = map[string]match.Settings{
 	"homomorphism": {Mode: match.Homomorphism},
-	"static-order": {Order: match.OrderStatic},
 	"budget":       {MaxBacktrackNodes: 50},
-	"scan-only":    {DisableAttrIndex: true},
 }
 
 // TestSettingsReachEveryMatcher: there is always an engine, and whatever
@@ -104,7 +102,7 @@ func TestConfigValidateEngineSettings(t *testing.T) {
 		{homo, match.Settings{}, true}, // zero Config.Settings: take the engine's
 		{homo, homo, true},
 		{match.Settings{}, homo, false},
-		{homo, match.Settings{Order: match.OrderStatic}, false},
+		{homo, match.Settings{MaxBacktrackNodes: 10}, false},
 		{match.Settings{MaxBacktrackNodes: 10}, match.Settings{MaxBacktrackNodes: 20}, false},
 	} {
 		cfg := fixtureConfig(t, g, 0.3, 3)

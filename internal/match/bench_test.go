@@ -25,10 +25,10 @@ func candidateBenchGraph(b *testing.B, n int) *graph.Graph {
 }
 
 // BenchmarkCandidates measures one candidate selection — the label's nodes
-// filtered by a range literal — through the sorted attribute index and
-// through the linear-scan reference path, across selectivities. The CI
-// smoke job runs this family with -benchtime=1x; BENCH.md records the
-// index-vs-scan crossover.
+// filtered by a range literal — through selectCandidates (the sorted
+// attribute index, or the scan past indexScanCutoff) and through the linear
+// scan alone, across selectivities. The CI smoke job runs this family with
+// -benchtime=1x; BENCH.md records the index-vs-scan crossover.
 func BenchmarkCandidates(b *testing.B) {
 	const n = 100000
 	g := candidateBenchGraph(b, n)
@@ -37,17 +37,18 @@ func BenchmarkCandidates(b *testing.B) {
 		lits := query.CompileLiterals(g, []query.BoundLiteral{
 			{Attr: "score", Op: graph.OpGE, Value: bound},
 		})
-		for _, noIndex := range []bool{false, true} {
-			path := "index"
-			if noIndex {
-				path = "scan"
-			}
-			b.Run(fmt.Sprintf("%s/sel=%g", path, sel), func(b *testing.B) {
-				m := New(g)
-				m.DisableAttrIndex = noIndex
-				b.ResetTimer()
+		m := New(g)
+		base := g.NodesByLabel("Person")
+		for _, path := range []struct {
+			name string
+			pick func() []graph.NodeID
+		}{
+			{"index", func() []graph.NodeID { return m.selectCandidates("Person", lits) }},
+			{"scan", func() []graph.NodeID { return m.scanCandidates(base, lits) }},
+		} {
+			b.Run(fmt.Sprintf("%s/sel=%g", path.name, sel), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if got := m.selectCandidates("Person", lits); len(got) == 0 {
+					if got := path.pick(); len(got) == 0 {
 						b.Fatal("selection came back empty")
 					}
 				}
@@ -156,41 +157,27 @@ func BenchmarkEngineWorkload(b *testing.B) {
 	for _, in := range allInstantiations(tpl) {
 		qs = append(qs, query.MustInstance(tpl, in))
 	}
-	for _, order := range []Order{OrderDynamic, OrderStatic} {
-		name := "sequential"
-		if order == OrderStatic {
-			name += "/order=static"
+	b.Run("sequential", func(b *testing.B) {
+		m := New(g)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, q := range qs {
+				m.EvalOutput(q)
+			}
 		}
-		order := order
-		b.Run(name, func(b *testing.B) {
-			m := New(g)
-			m.Order = order
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs {
-					m.EvalOutput(q)
+	})
+	b.Run("engine", func(b *testing.B) {
+		e := NewEngine(g, EngineOptions{})
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, q := range qs {
+				if _, _, err := e.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil); err != nil {
+					b.Fatal(err)
 				}
 			}
-		})
-	}
-	for _, order := range []Order{OrderDynamic, OrderStatic} {
-		name := "engine"
-		if order == OrderStatic {
-			name += "/order=static"
 		}
-		b.Run(name, func(b *testing.B) {
-			e := NewEngine(g, EngineOptions{Settings: Settings{Order: order}})
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, q := range qs {
-					if _, _, err := e.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
+	})
 }
 
 // BenchmarkEngineNodeOnly isolates the scan-bound path on the largest

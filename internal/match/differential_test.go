@@ -14,59 +14,26 @@ import (
 // every failure so a differential divergence reproduces exactly.
 const differentialSeed = 7321
 
-// engineMatrix enumerates the engine configurations the differential suite
-// checks against the sequential reference: the sorted attribute indexes on
-// and off, each under dynamic and static backtracking order.
-func engineMatrix(g *graph.Graph, mode Mode) map[string]*Engine {
-	m := make(map[string]*Engine)
-	for _, noIndex := range []bool{false, true} {
-		for _, order := range []Order{OrderDynamic, OrderStatic} {
-			name := "index=on"
-			if noIndex {
-				name = "index=off"
-			}
-			m[name+"/order="+order.String()] = NewEngine(g, EngineOptions{
-				Settings: Settings{Mode: mode, DisableAttrIndex: noIndex, Order: order},
-			})
-		}
-	}
-	return m
-}
-
-// checkDifferential asserts every engine configuration reproduces the
-// sequential matcher's result for one instance, that the static-order
-// sequential matcher agrees with the dynamic one, and that both orders
-// drive the candidate-selection access paths identically (selection happens
-// before ordering, so the Index/ScanSelections counters must not depend on
-// the order knob).
-func checkDifferential(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, engines map[string]*Engine) {
+// checkDifferential asserts that the sequential matcher and the engine both
+// return the brute-force oracle's answer for one instance, and runs the
+// engine column over its template nodes.
+func checkDifferential(t *testing.T, g *graph.Graph, q *query.Instance, mode Mode, e *Engine) {
 	t.Helper()
 	checkEngineColumn(t, g, q, mode, nil)
+	want := bruteForceOutput(g, q, mode)
 	m := New(g)
 	m.Mode = mode
-	want := m.EvalOutput(q)
-	ms := New(g)
-	ms.Mode = mode
-	ms.Order = OrderStatic
-	if got := ms.EvalOutput(q); !reflect.DeepEqual(got, want) {
-		t.Errorf("seed %d: %s: static order diverged:\nstatic  %v\ndynamic %v",
-			differentialSeed, q, got, want)
+	if got := m.EvalOutput(q); !reflect.DeepEqual(got, want) {
+		t.Errorf("seed %d: %s mode %d:\nsequential %v\noracle     %v",
+			differentialSeed, q, mode, got, want)
 	}
-	if ms.Stats.IndexSelections != m.Stats.IndexSelections ||
-		ms.Stats.ScanSelections != m.Stats.ScanSelections {
-		t.Errorf("seed %d: %s: selection counters depend on order: static index=%d scan=%d, dynamic index=%d scan=%d",
-			differentialSeed, q, ms.Stats.IndexSelections, ms.Stats.ScanSelections,
-			m.Stats.IndexSelections, m.Stats.ScanSelections)
+	got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
+	if err != nil {
+		t.Fatalf("seed %d: %s: %v", differentialSeed, q, err)
 	}
-	for name, e := range engines {
-		got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
-		if err != nil {
-			t.Fatalf("seed %d: %s: %s: %v", differentialSeed, name, q, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("seed %d: %s: %s:\nengine     %v\nsequential %v",
-				differentialSeed, name, q, got, want)
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("seed %d: %s mode %d:\nengine %v\noracle %v",
+			differentialSeed, q, mode, got, want)
 	}
 }
 
@@ -124,7 +91,7 @@ func checkEngineColumn(t *testing.T, g *graph.Graph, q *query.Instance, mode Mod
 }
 
 // TestDifferentialTalentFixture runs every instantiation of the canonical
-// talent fixture through the full engine matrix in both matching modes. Its
+// talent fixture through the matcher and an engine in both matching modes. Its
 // e1=0 instances collapse to the output node alone, so this is also where
 // the engine column meets inactive nodes and single-node plans.
 func TestDifferentialTalentFixture(t *testing.T) {
@@ -132,9 +99,9 @@ func TestDifferentialTalentFixture(t *testing.T) {
 	tpl := talentTpl(t)
 	engineCases.plain, engineCases.vetoed, engineCases.inactive, engineCases.singleNode = 0, 0, 0, 0
 	for _, mode := range []Mode{Isomorphism, Homomorphism} {
-		engines := engineMatrix(g, mode)
+		e := NewEngine(g, EngineOptions{Settings: Settings{Mode: mode}})
 		for _, in := range allInstantiations(tpl) {
-			checkDifferential(t, g, query.MustInstance(tpl, in), mode, engines)
+			checkDifferential(t, g, query.MustInstance(tpl, in), mode, e)
 		}
 	}
 	if c := engineCases; c.plain == 0 || c.vetoed == 0 || c.inactive == 0 || c.singleNode == 0 {
@@ -174,20 +141,20 @@ func TestEngineAllocations(t *testing.T) {
 }
 
 // TestDifferentialRandomGraph covers the mid-size random fixture: every
-// instantiation of the 4-variable random template, one engine matrix reused
-// across instances so the shared cache is exercised with mixed keys.
+// instantiation of the 4-variable random template, one engine reused across
+// instances so the shared cache is exercised with mixed keys.
 func TestDifferentialRandomGraph(t *testing.T) {
 	g := randomGraph(t, 300, 900, differentialSeed)
 	tpl := randomTemplate(t, g)
-	engines := engineMatrix(g, Isomorphism)
+	e := NewEngine(g, EngineOptions{})
 	for _, in := range allInstantiations(tpl) {
-		checkDifferential(t, g, query.MustInstance(tpl, in), Isomorphism, engines)
+		checkDifferential(t, g, query.MustInstance(tpl, in), Isomorphism, e)
 	}
 }
 
 // TestDifferentialTinyRandom sweeps many tiny random graph/template pairs
-// (the brute-force oracle fixtures) through the matrix; fresh engines per
-// graph, shared across that graph's instances.
+// (the brute-force oracle fixtures); a fresh engine per graph and mode,
+// shared across that graph's instances.
 func TestDifferentialTinyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(differentialSeed))
 	for trial := 0; trial < 40; trial++ {
@@ -197,9 +164,9 @@ func TestDifferentialTinyRandom(t *testing.T) {
 			continue
 		}
 		for _, mode := range []Mode{Isomorphism, Homomorphism} {
-			engines := engineMatrix(g, mode)
+			e := NewEngine(g, EngineOptions{Settings: Settings{Mode: mode}})
 			for _, in := range allInstantiations(tpl) {
-				checkDifferential(t, g, query.MustInstance(tpl, in), mode, engines)
+				checkDifferential(t, g, query.MustInstance(tpl, in), mode, e)
 			}
 		}
 	}
@@ -211,7 +178,7 @@ func TestDifferentialIncremental(t *testing.T) {
 	g := randomGraph(t, 300, 900, differentialSeed+1)
 	tpl := randomTemplate(t, g)
 	m := New(g)
-	engines := engineMatrix(g, Isomorphism)
+	e := NewEngine(g, EngineOptions{})
 	rng := rand.New(rand.NewSource(differentialSeed + 2))
 	engineCases.within = 0
 	for trial := 0; trial < 20; trial++ {
@@ -226,15 +193,13 @@ func TestDifferentialIncremental(t *testing.T) {
 			q := query.MustInstance(tpl, in)
 			want := m.EvalOutputWithin(q, parent)
 			checkEngineColumn(t, g, q, Isomorphism, parent)
-			for name, e := range engines {
-				got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, parent, nil)
-				if err != nil {
-					t.Fatalf("seed %d: %s: %v", differentialSeed, name, err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed %d trial %d step %d: %s: %s: engine %v, sequential %v",
-						differentialSeed, trial, step, name, q, got, want)
-				}
+			got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, parent, nil)
+			if err != nil {
+				t.Fatalf("seed %d: %v", differentialSeed, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d trial %d step %d: %s: engine %v, sequential %v",
+					differentialSeed, trial, step, q, got, want)
 			}
 			parent = want
 		}

@@ -136,7 +136,7 @@ func TestEngineCacheStats(t *testing.T) {
 	q := query.MustInstance(talentTpl(t), query.Instantiation{0, 0, 1})
 	want := New(g).EvalOutput(q)
 	for name, s := range map[string]Settings{"zero": {}, "homomorphism": {Mode: Homomorphism},
-		"static-order": {Order: OrderStatic}, "budget": {MaxBacktrackNodes: 50}, "scan-only": {DisableAttrIndex: true}} {
+		"budget": {MaxBacktrackNodes: 50}} {
 		e := NewEngine(g, EngineOptions{Settings: s})
 		var first CacheStats
 		for i := 0; i < 2; i++ {

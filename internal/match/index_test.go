@@ -34,16 +34,39 @@ func indexSelectionGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
+// checkSelection asserts that selectCandidates (index or fallback) and
+// scanCandidates both return exactly the label's nodes that pass every
+// literal of raw, in ascending NodeID order.
+func checkSelection(t *testing.T, m *Matcher, label string, raw []query.BoundLiteral) {
+	t.Helper()
+	lits := query.CompileLiterals(m.G, raw)
+	base := m.G.NodesByLabel(label)
+	want := []graph.NodeID{}
+next:
+	for _, v := range base {
+		for _, l := range lits {
+			if !l.Matches(m.G, v) {
+				continue next
+			}
+		}
+		want = append(want, v)
+	}
+	if got := m.selectCandidates(label, lits); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s%v: selectCandidates %v, filter %v", label, raw, got, want)
+	}
+	if got := m.scanCandidates(base, lits); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s%v: scanCandidates %v, filter %v", label, raw, got, want)
+	}
+}
+
 // TestIndexSelectionMatchesScan sweeps every operator, every value kind,
-// missing attributes, boundary duplicates and empty results through
-// index-backed selection and asserts the candidate list is byte-identical
-// to the linear-scan reference path.
+// missing attributes, boundary duplicates and empty results through both
+// access paths, then every ladder value of the 300-node random fixture's
+// range variables, each of which must land on both sides of
+// indexScanCutoff.
 func TestIndexSelectionMatchesScan(t *testing.T) {
 	g := indexSelectionGraph(t)
-	indexed := New(g)
-	scanning := New(g)
-	scanning.DisableAttrIndex = true
-
+	m := New(g)
 	bounds := map[string][]graph.Value{
 		"score": {graph.Int(5), graph.Int(10), graph.Int(15), graph.Int(20),
 			graph.Int(50), graph.Int(99), graph.Null, graph.Num(math.NaN())},
@@ -58,40 +81,37 @@ func TestIndexSelectionMatchesScan(t *testing.T) {
 	for attr, bs := range bounds {
 		for _, op := range ops {
 			for _, bound := range bs {
-				lits := query.CompileLiterals(g, []query.BoundLiteral{{Attr: attr, Op: op, Value: bound}})
-				got := indexed.selectCandidates("Person", lits)
-				want := scanning.selectCandidates("Person", lits)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("Person[%s %s %v]: index %v, scan %v", attr, op, bound, got, want)
-				}
+				checkSelection(t, m, "Person", []query.BoundLiteral{{Attr: attr, Op: op, Value: bound}})
 			}
 		}
 	}
 	// Conjunctions: the most selective literal drives the gather and the
 	// rest verify against columns.
-	multi := [][]query.BoundLiteral{
+	for _, raw := range [][]query.BoundLiteral{
 		{{Attr: "score", Op: graph.OpGE, Value: graph.Int(20)}, {Attr: "name", Op: graph.OpEQ, Value: graph.Str("bob")}},
 		{{Attr: "score", Op: graph.OpLE, Value: graph.Int(10)}, {Attr: "flag", Op: graph.OpEQ, Value: graph.Bool(true)}},
 		{{Attr: "employees", Op: graph.OpGE, Value: graph.Int(1)}, {Attr: "score", Op: graph.OpGT, Value: graph.Int(15)}},
 		{{Attr: "score", Op: graph.OpGT, Value: graph.Int(99)}, {Attr: "name", Op: graph.OpEQ, Value: graph.Str("ann")}},
+	} {
+		checkSelection(t, m, "Person", raw)
 	}
-	for _, raw := range multi {
-		lits := query.CompileLiterals(g, raw)
-		got := indexed.selectCandidates("Person", lits)
-		want := scanning.selectCandidates("Person", lits)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("Person[%v]: index %v, scan %v", raw, got, want)
+	if m.Stats.IndexSelections == 0 || m.Stats.ScanSelections == 0 {
+		t.Errorf("hand-built fixture: %d index selections, %d fallbacks; want both", m.Stats.IndexSelections, m.Stats.ScanSelections)
+	}
+
+	rg := randomGraph(t, 300, 900, differentialSeed)
+	tpl := randomTemplate(t, rg)
+	rm := New(rg)
+	for _, v := range tpl.Vars {
+		if v.Kind == query.EdgeVar {
+			continue
+		}
+		for _, bound := range v.Ladder {
+			checkSelection(t, rm, tpl.Nodes[v.Node].Label, []query.BoundLiteral{{Attr: v.Attr, Op: v.Op, Value: bound}})
 		}
 	}
-	// Both matchers counted their access paths.
-	if indexed.Stats.IndexSelections == 0 {
-		t.Error("index matcher never took the index path")
-	}
-	if indexed.Stats.ScanSelections == 0 {
-		t.Error("index matcher never fell back to a scan (cutoff untested)")
-	}
-	if scanning.Stats.IndexSelections != 0 {
-		t.Error("DisableAttrIndex matcher took the index path")
+	if rm.Stats.IndexSelections == 0 || rm.Stats.ScanSelections == 0 {
+		t.Errorf("random fixture ladders: %d index selections, %d fallbacks; want both", rm.Stats.IndexSelections, rm.Stats.ScanSelections)
 	}
 }
 

@@ -28,52 +28,17 @@ const (
 	Homomorphism
 )
 
-// Order selects the backtracking variable-ordering policy.
-type Order uint8
-
-const (
-	// OrderDynamic (the default) picks the next query node at every search
-	// depth: the cheapest frontier node by live candidate supply — the
-	// smaller of its filtered candidate count and the shortest adjacency
-	// run from an already-assigned neighbor.
-	OrderDynamic Order = iota
-	// OrderStatic keeps the connectivity-first order fixed per plan (the
-	// pre-dynamic reference policy, retained as an ablation knob). Results
-	// are identical in both settings; only the exploration order changes.
-	OrderStatic
-)
-
-// String names the policy ("dynamic" or "static"), for benchmark and test
-// labels.
-func (o Order) String() string {
-	if o == OrderStatic {
-		return "static"
-	}
-	return "dynamic"
-}
-
 // Settings is how a matcher searches: everything about an evaluation that
 // is not part of the configuration C = (G, Q(u_o), P, ε). It is declared
 // once, here, and embedded by Matcher, EngineOptions and core.Config. The
-// zero value is what the CLIs and the server run; Order and
-// DisableAttrIndex select reference paths that return identical results
-// and exist for the differential suites, the fuzzers and
-// scripts/bench_order_guard.sh.
+// zero value is what the CLIs and the server run.
 type Settings struct {
 	// Mode selects the matching semantics (default Isomorphism).
 	Mode Mode
-	// Order selects the backtracking variable-ordering policy (default
-	// OrderDynamic); see Order. With an unbounded budget the two policies
-	// return identical results.
-	Order Order
 	// MaxBacktrackNodes bounds the search tree expanded per output-node
 	// candidate; 0 means unbounded. When the bound trips the candidate is
 	// conservatively reported as a non-match.
 	MaxBacktrackNodes int
-	// DisableAttrIndex forces the linear-scan reference path for candidate
-	// selection instead of the sorted per-(label, attribute) indexes.
-	// Results are identical; only the access path changes.
-	DisableAttrIndex bool
 }
 
 // Stats counts work done by the matcher; cumulative across calls.
@@ -86,8 +51,8 @@ type Stats struct {
 	BacktrackNodes int
 	// IndexSelections counts candidate selections answered through a
 	// sorted per-(label, attribute) index; ScanSelections counts linear
-	// label scans (the reference path, also taken when no literal's index
-	// range is selective enough).
+	// label scans (unconstrained nodes, and literal sets whose narrowest
+	// index range is too wide).
 	IndexSelections int
 	ScanSelections  int
 	// SigPruned counts candidates rejected by the degree and
@@ -252,8 +217,8 @@ func (m *Matcher) arenaBitset(n int) graph.Bitset {
 	return graph.BitsetOver(arenaNext(&m.wordBufs, &m.wordsUsed, (n+63)/64), n)
 }
 
-// plan is the per-instance evaluation plan: active structure, candidate
-// sets and a matching order rooted at the output node.
+// plan is the per-instance evaluation plan: active structure and candidate
+// sets, searched from the pinned node outward (pickNext).
 type plan struct {
 	q       *query.Instance
 	nodes   []int // active template nodes
@@ -267,7 +232,6 @@ type plan struct {
 	// without scanning nodes or edge lists.
 	adjMask  []uint64
 	fullMask uint64
-	order    []int // static matching order (OrderStatic), order[0] = rootIdx
 	cands    [][]graph.NodeID
 	// candBits mirrors cands as dense bitsets over label-local positions
 	// (graph.LabelPos); nil for nodes without constraint edges, which never
@@ -351,9 +315,9 @@ func (m *Matcher) EvalNodeFiltered(q *query.Instance, node int, within []graph.N
 
 // buildPlan computes candidate sets with label/literal filtering, degree
 // and neighborhood-signature pruning, and arc-consistency propagation over
-// label-local bitsets, plus a static connectivity-first matching order
-// rooted at pin (the node whose matches are being computed). It returns nil
-// when some active node has no candidates (empty q(G)).
+// label-local bitsets, rooted at pin (the node whose matches are being
+// computed). It returns nil when some active node has no candidates (empty
+// q(G)).
 //
 // seed, when it holds the domains of an instance q refines (Domains.seeds),
 // is where the plan starts from instead of the label populations. A node
@@ -504,16 +468,17 @@ func (m *Matcher) buildPlan(q *query.Instance, pin int, within []graph.NodeID, s
 	if !m.propagate(p) {
 		return nil
 	}
-	p.order = matchingOrder(p, p.rootIdx)
 	return p
 }
 
 // nodeReq is the structural requirement profile of one plan node: the
-// signature bits its candidates must carry and, per (label, direction), the
-// minimum incident-edge count an embedding needs.
+// signature bits its candidates must carry, per (label, direction) the
+// minimum incident-edge count an embedding needs, and the labels of the
+// node's self-loop edges, each of which a candidate v must carry as v → v.
 type nodeReq struct {
 	sigOut, sigIn uint64
 	counts        []labelCount
+	loops         []graph.LabelID
 }
 
 // labelCount is one (label, direction) requirement with the minimum number
@@ -538,6 +503,9 @@ func (m *Matcher) structureReq(p *plan, i int) nodeReq {
 		bit := graph.LabelSigBit(pe.label)
 		if pe.outgoing {
 			req.sigOut |= bit
+			if pe.other == i {
+				req.loops = append(req.loops, pe.label)
+			}
 		} else {
 			req.sigIn |= bit
 		}
@@ -582,8 +550,11 @@ func (m *Matcher) structureReq(p *plan, i int) nodeReq {
 // label absent (the signature is one-sided — set bits are inconclusive),
 // and an edge count below the isomorphism-distinct-neighbor requirement
 // proves an injective assignment impossible. Pruned candidates are counted
-// in Stats.SigPruned; results never change (propagate and the backtracking
-// search would reject the same candidates later, at higher cost).
+// in Stats.SigPruned. A missing self-loop edge is the one condition checked
+// here alone: the backtracking search only checks edges between a node and
+// the nodes assigned before it, so it never sees a node's edge to itself;
+// everything else propagate and the search would reject later, at higher
+// cost.
 func (m *Matcher) structurePrune(p *plan, i int, cands []graph.NodeID) []graph.NodeID {
 	req := m.structureReq(p, i)
 	kept := cands[:0]
@@ -604,6 +575,11 @@ func (m *Matcher) structureAdmits(req nodeReq, v graph.NodeID) bool {
 	}
 	for _, c := range req.counts {
 		if c.need > 1 && m.runLen(v, c.label, c.outgoing) < c.need {
+			return false
+		}
+	}
+	for _, l := range req.loops {
+		if !m.G.HasEdge(v, v, l) {
 			return false
 		}
 	}
@@ -656,13 +632,19 @@ func (m *Matcher) selectCandidates(label string, lits []query.CompiledLiteral) [
 		copy(out, base)
 		return out
 	}
-	if !m.DisableAttrIndex && len(lits) > 0 && len(base) > 0 {
+	if len(base) > 0 {
 		if cands, ok := m.indexCandidates(base, label, lits); ok {
 			m.Stats.IndexSelections++
 			return cands
 		}
 	}
 	m.Stats.ScanSelections++
+	return m.scanCandidates(base, lits)
+}
+
+// scanCandidates is the linear label scan: the members of base, in its
+// (ascending NodeID) order, that satisfy every literal.
+func (m *Matcher) scanCandidates(base []graph.NodeID, lits []query.CompiledLiteral) []graph.NodeID {
 	cands := make([]graph.NodeID, 0, len(base))
 	if len(lits) == 1 {
 		// Single-literal scans take the column-specialized compare.
@@ -957,45 +939,6 @@ func (m *Matcher) probeArc(p *plan, i int, pe planEdge) (shrunk, nonEmpty bool) 
 	return shrunk, nonEmpty
 }
 
-// matchingOrder returns a connectivity-first order starting at the output
-// node: each subsequent node is adjacent to an already-ordered node and has
-// the smallest candidate set among the frontier (fail-first heuristic).
-// Active instances are connected by construction, so the order covers all
-// active nodes.
-func matchingOrder(p *plan, outIdx int) []int {
-	n := len(p.nodes)
-	order := make([]int, 0, n)
-	placed := make([]bool, n)
-	order = append(order, outIdx)
-	placed[outIdx] = true
-	for len(order) < n {
-		best, bestSize := -1, int(^uint(0)>>1)
-		for _, oi := range order {
-			for _, pe := range p.adj[oi] {
-				if placed[pe.other] {
-					continue
-				}
-				if s := len(p.cands[pe.other]); s < bestSize {
-					best, bestSize = pe.other, s
-				}
-			}
-		}
-		if best < 0 {
-			// Disconnected remainder; should not happen for projected
-			// instances, but fall back to any unplaced node.
-			for i := 0; i < n; i++ {
-				if !placed[i] {
-					best = i
-					break
-				}
-			}
-		}
-		order = append(order, best)
-		placed[best] = true
-	}
-	return order
-}
-
 // cancelCheckMask throttles context polling to one check per 256 expanded
 // search-tree nodes: frequent enough for prompt deadline aborts, rare
 // enough to keep the uncancellable hot path unaffected.
@@ -1095,28 +1038,7 @@ func (m *Matcher) extend(p *plan, depth int) bool {
 		m.nodesLeft--
 	}
 
-	var ui int
-	var pivot graph.NodeID = graph.InvalidNode
-	var pivotAt int // index into p.adj[ui] of the edge reaching the pivot
-	var pivotEdge planEdge
-	if m.Order == OrderStatic {
-		ui = p.order[depth]
-		// Pick the assigned neighbor whose adjacency run is cheapest to
-		// scan as the candidate generator.
-		bestLen := 0
-		for ei, pe := range p.adj[ui] {
-			w := m.assign[pe.other]
-			if w == graph.InvalidNode {
-				continue
-			}
-			if l := m.runLen(w, pe.label, !pe.outgoing); pivot == graph.InvalidNode || l < bestLen {
-				pivot, pivotAt, bestLen = w, ei, l
-				pivotEdge = planEdge{other: ui, label: pe.label, outgoing: !pe.outgoing}
-			}
-		}
-	} else {
-		ui, pivot, pivotAt, pivotEdge = m.pickNext(p)
-	}
+	ui, pivot, pivotAt, pivotEdge := m.pickNext(p)
 
 	found := false
 	if pivot != graph.InvalidNode {

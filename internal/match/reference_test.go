@@ -3,84 +3,93 @@ package match
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/query"
 )
 
-// bruteForceOutput computes q(u_o, G) by enumerating every assignment of
-// active template nodes to graph nodes — the obviously correct oracle the
+// bruteForceOutput computes q(u_o, G) by enumerating assignments of active
+// template nodes to graph nodes — the obviously correct oracle the
 // production matcher is checked against on small inputs.
 func bruteForceOutput(g *graph.Graph, q *query.Instance, mode Mode) []graph.NodeID {
-	active := q.ActiveNodes()
-	t := q.T
-	n := g.NumNodes()
-	assign := make(map[int]graph.NodeID, len(active))
-	found := map[graph.NodeID]bool{}
-
-	valid := func() bool {
-		// Labels and literals.
-		for _, ni := range active {
-			v := assign[ni]
-			if g.Label(v) != t.Nodes[ni].Label {
-				return false
-			}
-			for _, l := range q.BoundLiterals(ni) {
-				if !l.Matches(g, v) {
-					return false
-				}
-			}
-		}
-		// Injectivity.
-		if mode == Isomorphism {
-			seen := map[graph.NodeID]bool{}
-			for _, ni := range active {
-				if seen[assign[ni]] {
-					return false
-				}
-				seen[assign[ni]] = true
-			}
-		}
-		// Edges.
-		for _, ei := range q.ActiveEdges() {
-			e := t.Edges[ei]
-			label := g.LookupLabel(e.Label)
-			if label == graph.InvalidLabel || !g.HasEdge(assign[e.From], assign[e.To], label) {
-				return false
-			}
-		}
-		return true
-	}
-
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(active) {
-			if valid() {
-				found[assign[t.Output]] = true
-			}
-			return
-		}
-		for v := 0; v < n; v++ {
-			assign[active[i]] = graph.NodeID(v)
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	out := make([]graph.NodeID, 0, len(found))
-	for v := range found {
-		out = append(out, v)
-	}
-	sortNodeIDs(out)
-	return out
+	return bruteForceMatches(g, q, mode, q.T.Output)
 }
 
-func sortNodeIDs(vs []graph.NodeID) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
+// bruteForceMatches returns, sorted (nil when empty), the graph nodes active
+// template node `node` maps to across every embedding of q. Each active node
+// walks its label bucket, node first; a partial assignment is dropped as soon
+// as a literal, injectivity or edge condition among the assigned nodes
+// fails, and each value of node stops at its first full embedding.
+func bruteForceMatches(g *graph.Graph, q *query.Instance, mode Mode, node int) []graph.NodeID {
+	t := q.T
+	order := []int{node}
+	for _, ni := range q.ActiveNodes() {
+		if ni != node {
+			order = append(order, ni)
 		}
 	}
+	// Per level: the node's literals, and the active edges it closes with
+	// the nodes assigned before it.
+	type edge struct {
+		from, to int
+		label    graph.LabelID
+	}
+	lits := make([][]query.BoundLiteral, len(order))
+	closes := make([][]edge, len(order))
+	level := make([]int, len(t.Nodes))
+	for i, ni := range order {
+		level[ni] = i
+		lits[i] = q.BoundLiterals(ni)
+	}
+	for _, ei := range q.ActiveEdges() {
+		e := t.Edges[ei]
+		i := max(level[e.From], level[e.To])
+		closes[i] = append(closes[i], edge{e.From, e.To, g.LookupLabel(e.Label)})
+	}
+
+	assign := make([]graph.NodeID, len(t.Nodes))
+	var out []graph.NodeID
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == len(order) {
+			return true
+		}
+		ni := order[i]
+	next:
+		for _, v := range g.NodesByLabel(t.Nodes[ni].Label) {
+			for _, l := range lits[i] {
+				if !l.Matches(g, v) {
+					continue next
+				}
+			}
+			if mode == Isomorphism {
+				for _, nj := range order[:i] {
+					if assign[nj] == v {
+						continue next
+					}
+				}
+			}
+			assign[ni] = v
+			for _, e := range closes[i] {
+				if e.label == graph.InvalidLabel || !g.HasEdge(assign[e.from], assign[e.to], e.label) {
+					continue next
+				}
+			}
+			if !rec(i + 1) {
+				continue
+			}
+			if i > 0 {
+				return true
+			}
+			out = append(out, v)
+		}
+		return false
+	}
+	rec(0)
+	slices.Sort(out)
+	return out
 }
 
 // tinyRandomGraph builds graphs small enough for brute force (≤ 9 nodes).
@@ -133,10 +142,13 @@ func tinyRandomTemplate(rng *rand.Rand) *query.Template {
 
 // TestMatcherAgainstBruteForce fuzzes the production matcher against the
 // exhaustive oracle over random tiny graphs, templates and instantiations,
-// in both matching modes.
+// in both matching modes. The trials must land on both sides of
+// indexScanCutoff: some selections answered by the index, and some of the
+// p node's literal sets falling back to the scan.
 func TestMatcherAgainstBruteForce(t *testing.T) {
 	const seed = 2024 // fixed and logged so a failing trial reproduces
 	rng := rand.New(rand.NewSource(seed))
+	indexed, fellBack := 0, 0
 	for trial := 0; trial < 250; trial++ {
 		g := tinyRandomGraph(rng)
 		tpl := tinyRandomTemplate(rng)
@@ -157,14 +169,22 @@ func TestMatcherAgainstBruteForce(t *testing.T) {
 			m := New(g)
 			m.Mode = mode
 			got := m.EvalOutput(q)
-			want := bruteForceOutput(g, q, mode)
-			if len(want) == 0 {
-				want = nil
-			}
-			if !reflect.DeepEqual(got, want) {
+			if want := bruteForceOutput(g, q, mode); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d trial %d mode %d:\ninstance %s\ngot  %v\nwant %v\ngraph: %d nodes",
 					seed, trial, mode, q, got, want, g.NumNodes())
 			}
+			indexed += m.Stats.IndexSelections
 		}
+		p := tpl.Node("p")
+		label := tpl.Nodes[p].Label
+		if lits, base := q.CompiledLiterals(g, p), g.NodesByLabel(label); len(lits) > 0 && len(base) > 0 {
+			if _, ok := New(g).indexCandidates(base, label, lits); !ok {
+				fellBack++
+			}
+		}
+	}
+	if indexed == 0 || fellBack == 0 {
+		t.Errorf("the trials took the index %d times and fell back to the scan %d times; both paths must be exercised",
+			indexed, fellBack)
 	}
 }

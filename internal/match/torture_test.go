@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fairsqg/internal/graph"
@@ -73,64 +74,21 @@ func multiNullTpl(t testing.TB, g *graph.Graph) *query.Template {
 }
 
 // TestDifferentialMultigraphNullNaN runs the hostile fixture through the
-// full engine matrix AND the exhaustive brute-force oracle: parallel edges,
+// matcher and an engine against the brute-force oracle: parallel edges,
 // Null and NaN attribute values must not change anyone's answer.
 func TestDifferentialMultigraphNullNaN(t *testing.T) {
 	g := multiNullGraph(t)
 	tpl := multiNullTpl(t, g)
 	for _, mode := range []Mode{Isomorphism, Homomorphism} {
-		engines := engineMatrix(g, mode)
+		e := NewEngine(g, EngineOptions{Settings: Settings{Mode: mode}})
 		for _, in := range allInstantiations(tpl) {
-			q := query.MustInstance(tpl, in)
-			checkDifferential(t, g, q, mode, engines)
-			m := New(g)
-			m.Mode = mode
-			got := m.EvalOutput(q)
-			want := bruteForceOutput(g, q, mode)
-			if len(want) == 0 {
-				want = nil
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("mode %d: %s: matcher %v, brute force %v", mode, q, got, want)
-			}
-		}
-	}
-}
-
-// TestOrderParityCounters drives two long-lived matchers — one per order —
-// through every instantiation of the mid-size random fixture and demands
-// bit-identical results plus identical cumulative work counters for every
-// phase that runs before ordering: candidate selection access paths and
-// structural pruning cannot depend on the order knob.
-func TestOrderParityCounters(t *testing.T) {
-	g := randomGraph(t, 300, 900, differentialSeed+3)
-	tpl := randomTemplate(t, g)
-	for _, mode := range []Mode{Isomorphism, Homomorphism} {
-		dyn := New(g)
-		dyn.Mode = mode
-		st := New(g)
-		st.Mode = mode
-		st.Order = OrderStatic
-		for _, in := range allInstantiations(tpl) {
-			q := query.MustInstance(tpl, in)
-			got, want := dyn.EvalOutput(q), st.EvalOutput(q)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("mode %d: %s: dynamic %v, static %v", mode, q, got, want)
-			}
-		}
-		if dyn.Stats.Evals != st.Stats.Evals ||
-			dyn.Stats.IndexSelections != st.Stats.IndexSelections ||
-			dyn.Stats.ScanSelections != st.Stats.ScanSelections ||
-			dyn.Stats.SigPruned != st.Stats.SigPruned {
-			t.Errorf("mode %d: pre-ordering counters diverged:\ndynamic %+v\nstatic  %+v",
-				mode, dyn.Stats, st.Stats)
+			checkDifferential(t, g, query.MustInstance(tpl, in), mode, e)
 		}
 	}
 }
 
 // TestDisconnectedFallback covers the defensive disconnected-remainder
-// branches in matchingOrder and pickNext (both the mask fast path and the
-// scan fallback): projected instances are connected by construction, so the
+// branches in pickNext (both the mask fast path and the scan fallback): projected instances are connected by construction, so the
 // branches are reached through a hand-built two-component plan.
 func TestDisconnectedFallback(t *testing.T) {
 	g := talentGraph(t)
@@ -147,10 +105,6 @@ func TestDisconnectedFallback(t *testing.T) {
 		candBits: make([]graph.Bitset, 2),
 		labels:   []graph.LabelID{person, org},
 	}
-	if got := matchingOrder(p, 0); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Errorf("matchingOrder fallback = %v, want [0 1]", got)
-	}
-
 	// pickNext with node 0 assigned and node 1 unreachable: the mask fast
 	// path must fall back to the lowest unassigned node with no pivot.
 	m.assign = []graph.NodeID{2, graph.InvalidNode}
@@ -167,15 +121,10 @@ func TestDisconnectedFallback(t *testing.T) {
 	}
 	p.adjMask = []uint64{0, 0}
 
-	// The full embedding succeeds through the fallback under both orders:
-	// with no constraint edges any candidate pair embeds.
-	p.order = matchingOrder(p, 0)
-	for _, order := range []Order{OrderDynamic, OrderStatic} {
-		mm := New(g)
-		mm.Order = order
-		if !mm.embedFrom(p, 2) {
-			t.Errorf("order=%s: embedFrom failed on the disconnected plan", order)
-		}
+	// The full embedding succeeds through the fallback: with no constraint
+	// edges any candidate pair embeds.
+	if !New(g).embedFrom(p, 2) {
+		t.Error("embedFrom failed on the disconnected plan")
 	}
 }
 
@@ -294,64 +243,6 @@ func TestCancellationCounterStability(t *testing.T) {
 	}
 }
 
-// bruteForceNodeMatches enumerates every assignment like bruteForceOutput
-// but collects the graph nodes one specific template node maps to across all
-// embeddings — the oracle for per-node pruning soundness.
-func bruteForceNodeMatches(g *graph.Graph, q *query.Instance, mode Mode, node int) map[graph.NodeID]bool {
-	active := q.ActiveNodes()
-	t := q.T
-	n := g.NumNodes()
-	assign := make(map[int]graph.NodeID, len(active))
-	found := map[graph.NodeID]bool{}
-
-	valid := func() bool {
-		for _, ni := range active {
-			v := assign[ni]
-			if g.Label(v) != t.Nodes[ni].Label {
-				return false
-			}
-			for _, l := range q.BoundLiterals(ni) {
-				if !l.Matches(g, v) {
-					return false
-				}
-			}
-		}
-		if mode == Isomorphism {
-			seen := map[graph.NodeID]bool{}
-			for _, ni := range active {
-				if seen[assign[ni]] {
-					return false
-				}
-				seen[assign[ni]] = true
-			}
-		}
-		for _, ei := range q.ActiveEdges() {
-			e := t.Edges[ei]
-			label := g.LookupLabel(e.Label)
-			if label == graph.InvalidLabel || !g.HasEdge(assign[e.From], assign[e.To], label) {
-				return false
-			}
-		}
-		return true
-	}
-
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(active) {
-			if valid() {
-				found[assign[node]] = true
-			}
-			return
-		}
-		for v := 0; v < n; v++ {
-			assign[active[i]] = graph.NodeID(v)
-			rec(i + 1)
-		}
-	}
-	rec(0)
-	return found
-}
-
 // TestSignaturePruneSoundness is the property behind structurePrune: any
 // candidate the degree/signature check rejects must fail every brute-force
 // embedding at that plan node. The sweep runs tiny random fixtures until a
@@ -379,15 +270,12 @@ func TestSignaturePruneSoundness(t *testing.T) {
 						continue
 					}
 					req := m.structureReq(p, i)
-					var oracle map[graph.NodeID]bool
+					oracle := bruteForceMatches(g, q, mode, ni)
 					for _, v := range m.filteredCandidates(q.T.Nodes[ni].Label, q.CompiledLiterals(m.G, ni)) {
 						if m.structureAdmits(req, v) {
 							continue
 						}
-						if oracle == nil {
-							oracle = bruteForceNodeMatches(g, q, mode, ni)
-						}
-						if oracle[v] {
+						if slices.Contains(oracle, v) {
 							t.Fatalf("trial %d mode %d: %s: node %d candidate %d pruned but embeds",
 								trial, mode, q, ni, v)
 						}
@@ -447,11 +335,7 @@ func TestIsoDegreePruneSoundness(t *testing.T) {
 		if !reflect.DeepEqual(got, c.want) {
 			t.Errorf("mode %d: got %v, want %v", c.mode, got, c.want)
 		}
-		want := bruteForceOutput(g, q, c.mode)
-		if len(want) == 0 {
-			want = nil
-		}
-		if !reflect.DeepEqual(got, want) {
+		if want := bruteForceOutput(g, q, c.mode); !reflect.DeepEqual(got, want) {
 			t.Errorf("mode %d: matcher %v, brute force %v", c.mode, got, want)
 		}
 		if c.mode == Isomorphism && m.Stats.SigPruned == 0 {
