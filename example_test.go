@@ -117,3 +117,41 @@ output u_o
 	// Output:
 	// [0 1]
 }
+
+// ExampleMatchSettings selects the matching semantics by name. The template
+// asks for two senior recommenders; under isomorphism they must be two
+// people, under homomorphism one person may fill both nodes.
+func ExampleMatchSettings() {
+	g := buildExampleGraph()
+	tpl, err := fairsqg.ParseTemplate(`
+template pair
+node u_o Person title = "Director"
+node u1 Person yearsOfExp >= 12
+node u2 Person yearsOfExp >= 12
+edge u1 u_o recommend
+edge u2 u_o recommend
+output u_o
+`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, mode := range []fairsqg.MatchSettings{{Mode: fairsqg.Isomorphism}, {Mode: fairsqg.Homomorphism}} {
+		gen, err := fairsqg.NewGenerator(&fairsqg.Config{
+			G: g, Template: tpl, Eps: 0.25, Settings: mode,
+			Groups: fairsqg.EqualOpportunity(fairsqg.GroupsByAttribute(g, "Person", "gender"), 0),
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := gen.AllFeasible()
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, v := range res {
+			fmt.Printf("homomorphism %t: directors %v\n", mode.Mode == fairsqg.Homomorphism, v.Matches)
+		}
+	}
+	// Output:
+	// homomorphism false: directors [0]
+	// homomorphism true: directors [0 1]
+}

@@ -78,7 +78,7 @@ type (
 	// MatchSettings is how the matcher searches — semantics and backtrack
 	// budget — embedded by Config and MatchEngineOptions as the field
 	// Settings (in a composite literal:
-	// Config{Settings: MatchSettings{MaxBacktrackNodes: 10000}}).
+	// Config{Settings: MatchSettings{Mode: Homomorphism, MaxBacktrackNodes: 10000}}).
 	MatchSettings = match.Settings
 	// PairCacheStats carries the pairwise-distance counters of
 	// Stats.DistCache and MatchEngineStats.Dist: Evals is the exact number
@@ -119,6 +119,13 @@ type (
 	MutationEvent = core.MutationEvent
 	// MutationSource feeds OnlineQGen graph mutation events.
 	MutationSource = core.MutationSource
+)
+
+// Matching semantics, MatchSettings.Mode: Isomorphism (the zero value) maps
+// query nodes to distinct graph nodes, Homomorphism lets two share one.
+const (
+	Isomorphism  = match.Isomorphism
+	Homomorphism = match.Homomorphism
 )
 
 // Comparison operators for literals.

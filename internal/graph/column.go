@@ -1,10 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -475,10 +477,44 @@ func (c *column) less(x, y NodeID) bool {
 	return x < y
 }
 
-// sortedPerm returns a copy of nodes in permutation-index order.
+// compare orders two nodes by their cells under the Value total order (see
+// less) without boxing a uniform column's cells: a missing cell sorts
+// first, raw floats compare by cmp.Compare (NaN first and -0 with +0, as
+// Compare does), strings (heap or a snapshot's refs) by byte order, bools
+// false first; a mixed column compares boxed Values.
+func (c *column) compare(u, v NodeID) int {
+	if c.vals != nil {
+		return c.value(u).Compare(c.value(v))
+	}
+	if pu, pv := c.has(u), c.has(v); !pu || !pv {
+		return boolCmp(pu, pv)
+	}
+	switch {
+	case c.nums.n > 0:
+		return cmp.Compare(c.nums.At(int(u)), c.nums.At(int(v)))
+	case c.strs.n > 0 || c.refs != nil:
+		return strings.Compare(colStr(c, int(u)), colStr(c, int(v)))
+	}
+	return boolCmp(bitGet(&c.bools, int(u)), bitGet(&c.bools, int(v)))
+}
+
+// boolCmp orders false before true.
+func boolCmp(u, v bool) int {
+	switch {
+	case u == v:
+		return 0
+	case v:
+		return -1
+	default:
+		return 1
+	}
+}
+
+// sortedPerm returns a copy of nodes in permutation-index order: compare,
+// ties by NodeID.
 func sortedPerm(c *column, nodes []NodeID) []NodeID {
-	perm := append([]NodeID(nil), nodes...)
-	sort.Slice(perm, func(i, j int) bool { return c.less(perm[i], perm[j]) })
+	perm := slices.Clone(nodes)
+	slices.SortFunc(perm, func(x, y NodeID) int { return cmp.Or(c.compare(x, y), cmp.Compare(x, y)) })
 	return perm
 }
 

@@ -40,6 +40,17 @@ func FuzzReadTSV(f *testing.F) {
 	f.Add([]byte("E\t0\t1\tx\n"))    // edge before nodes
 	f.Add([]byte("X\tjunk\n"))       // unknown record
 	f.Add([]byte("N\t0\tA\tbroken")) // attribute without '='
+	// IDs a prefix parse would read as valid: each must fail.
+	f.Add([]byte("N\t0\tA\nN\t1_000\tA\n"))
+	f.Add([]byte("N\t0x1f\tA\n"))
+	f.Add([]byte("N\t0\tA\nE\t0abc\t0\tx\n"))
+	f.Add([]byte("N\t0\tA\nE\t0\t 0\tx\n"))
+	f.Add([]byte("N\t+0\tA\nE\t+0\t-1\tx\n"))
+	// Cells that parse as numbers, bools and null, and words that start
+	// with a byte a number can start with.
+	f.Add([]byte("N\t0\tA\ta=nan\tb=Inf\tc=-0\td=true\te=null\tf=nobody\tg=infant\th=.x\n"))
+	// One label on nodes and edges, repeated.
+	f.Add([]byte("N\t0\tA\nN\t1\tA\nE\t0\t1\tA\nE\t1\t0\tA\nE\t0\t1\tA\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadTSV(bytes.NewReader(data))
 		if err != nil {

@@ -9,7 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -136,6 +138,15 @@ func (g *Graph) Intern(s string) LabelID {
 	return id
 }
 
+// internBytes is Intern or internAttr (add) for a name cut from a buffer: a
+// name dict already holds is found without allocating, a new one is copied.
+func internBytes[ID LabelID | AttrID](dict map[string]ID, b []byte, add func(string) ID) ID {
+	if id, ok := dict[string(b)]; ok {
+		return id
+	}
+	return add(string(b))
+}
+
 // LabelOf returns the string form of an interned label.
 func (g *Graph) LabelOf(id LabelID) string {
 	if id < 0 || int(id) >= len(g.labels) {
@@ -152,10 +163,6 @@ func (g *Graph) LookupLabel(s string) LabelID {
 	return InvalidLabel
 }
 
-// AddNode appends a node with the given label and attribute tuple and
-// returns its ID. The attrs map is copied (keys interned in sorted order,
-// so AttrID assignment is deterministic); the caller keeps ownership and
-// may reuse or mutate it afterwards. AddNode panics on a frozen graph.
 // maxPreallocEntries caps how many entries a declared count (a TSV or
 // JSON header, or any other untrusted hint) may pre-allocate through
 // Grow. Graphs larger than the cap still load fine — append takes over —
@@ -189,9 +196,12 @@ func (g *Graph) Grow(n int) {
 	}
 }
 
+// AddNode appends a node with the given label and attribute tuple and
+// returns its ID. The attrs map is copied (keys interned in sorted order,
+// so AttrID assignment is deterministic); the caller keeps ownership and
+// may reuse or mutate it afterwards. AddNode panics on a frozen graph.
 func (g *Graph) AddNode(label string, attrs map[string]Value) NodeID {
 	g.mustMutable("AddNode")
-	id := NodeID(g.nodeLabels.n)
 	var kvs []attrKV
 	if len(attrs) > 0 {
 		names := make([]string, 0, len(attrs))
@@ -204,20 +214,29 @@ func (g *Graph) AddNode(label string, attrs map[string]Value) NodeID {
 			kvs = append(kvs, attrKV{id: g.internAttr(a), val: attrs[a]})
 		}
 	}
-	g.nodeLabels.push(g.Intern(label))
+	return g.addNode(g.Intern(label), kvs)
+}
+
+// addNode, addEdge and setAttr are AddNode, AddEdge and SetAttr on interned
+// IDs, for a reader that interns its own input.
+func (g *Graph) addNode(l LabelID, kvs []attrKV) NodeID {
+	g.nodeLabels.push(l)
 	g.nodeAttrs = append(g.nodeAttrs, kvs)
 	g.out.push(nil)
 	g.in.push(nil)
-	return id
+	return NodeID(g.nodeLabels.n - 1)
 }
 
 // AddEdge inserts a directed labeled edge from → to.
 func (g *Graph) AddEdge(from, to NodeID, label string) error {
 	g.mustMutable("AddEdge")
+	return g.addEdge(from, to, g.Intern(label))
+}
+
+func (g *Graph) addEdge(from, to NodeID, l LabelID) error {
 	if !g.valid(from) || !g.valid(to) {
 		return fmt.Errorf("graph: AddEdge(%d, %d): node out of range [0,%d)", from, to, g.nodeLabels.n)
 	}
-	l := g.Intern(label)
 	out, in := g.out.mut(int(from)), g.in.mut(int(to))
 	*out = append(*out, Edge{To: to, Label: l})
 	*in = append(*in, Edge{To: from, Label: l})
@@ -571,12 +590,7 @@ func (g *Graph) LabelDegree(v NodeID, label LabelID, outgoing bool) int {
 }
 
 func sortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Label != es[j].Label {
-			return es[i].Label < es[j].Label
-		}
-		return es[i].To < es[j].To
-	})
+	slices.SortFunc(es, func(x, y Edge) int { return cmp.Or(cmp.Compare(x.Label, y.Label), cmp.Compare(x.To, y.To)) })
 }
 
 // Frozen reports whether Freeze has been called.
@@ -644,7 +658,10 @@ func (g *Graph) Attrs(v NodeID) map[string]Value {
 // Freeze (columns and active domains are built at freeze time).
 func (g *Graph) SetAttr(v NodeID, a string, val Value) {
 	g.mustMutable("SetAttr")
-	id := g.internAttr(a)
+	g.setAttr(v, g.internAttr(a), val)
+}
+
+func (g *Graph) setAttr(v NodeID, id AttrID, val Value) {
 	for i := range g.nodeAttrs[v] {
 		if g.nodeAttrs[v][i].id == id {
 			g.nodeAttrs[v][i].val = val

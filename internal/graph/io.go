@@ -2,12 +2,14 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -149,58 +151,64 @@ func WriteTSV(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
-// ReadTSV parses the WriteTSV format and freezes the resulting graph.
+// ReadTSV parses the WriteTSV format and freezes the resulting graph. An ID
+// is a whole decimal int32; of a line, only new names and strings are copied.
 func ReadTSV(r io.Reader) (*Graph, error) {
 	g := New()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<22)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "#") {
+	var fields [][]byte
+	for lineNo := 1; sc.Scan(); lineNo++ {
+		line := sc.Bytes()
+		if len(line) == 0 || line[0] == '#' {
 			// The WriteTSV count header is a pre-allocation hint; Grow
 			// clamps it, so forged counts cost nothing. Any other comment
 			// is skipped.
 			var nodes, edges int
-			if n, _ := fmt.Sscanf(line, "# fairsqg-graph nodes=%d edges=%d", &nodes, &edges); n == 2 {
+			if n, _ := fmt.Sscanf(string(line), "# fairsqg-graph nodes=%d edges=%d", &nodes, &edges); n == 2 {
 				g.Grow(nodes)
 			}
 			continue
 		}
-		fields := strings.Split(line, "\t")
-		switch fields[0] {
+		fields = fields[:0]
+		for rest, more := line, true; more; {
+			var f []byte
+			f, rest, more = bytes.Cut(rest, []byte{'\t'})
+			fields = append(fields, f)
+		}
+		switch string(fields[0]) {
 		case "N":
 			if len(fields) < 3 {
 				return nil, fmt.Errorf("graph: line %d: node record needs id and label", lineNo)
 			}
-			var id int
-			if _, err := fmt.Sscanf(fields[1], "%d", &id); err != nil {
+			id, err := strconv.ParseInt(string(fields[1]), 10, 32)
+			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad node id %q", lineNo, fields[1])
 			}
-			if id != g.NumNodes() {
+			if int(id) != g.NumNodes() {
 				return nil, fmt.Errorf("graph: line %d: node id %d out of order (expected %d)", lineNo, id, g.NumNodes())
 			}
-			nid := g.AddNode(fields[2], nil)
+			nid := g.addNode(internBytes(g.labelIDs, fields[2], g.Intern), nil)
 			for _, kv := range fields[3:] {
-				eq := strings.IndexByte(kv, '=')
-				if eq < 0 {
+				name, val, ok := bytes.Cut(kv, []byte{'='})
+				if !ok {
 					return nil, fmt.Errorf("graph: line %d: bad attribute %q", lineNo, kv)
 				}
-				g.SetAttr(nid, kv[:eq], ParseValue(kv[eq+1:]))
+				g.setAttr(nid, internBytes(g.attrIDs, name, g.internAttr), ParseValue(string(val)))
 			}
 		case "E":
 			if len(fields) != 4 {
 				return nil, fmt.Errorf("graph: line %d: edge record needs from, to, label", lineNo)
 			}
-			var from, to int
-			if _, err := fmt.Sscanf(fields[1], "%d", &from); err != nil {
+			from, err := strconv.ParseInt(string(fields[1]), 10, 32)
+			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad edge source %q", lineNo, fields[1])
 			}
-			if _, err := fmt.Sscanf(fields[2], "%d", &to); err != nil {
+			to, err := strconv.ParseInt(string(fields[2]), 10, 32)
+			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad edge target %q", lineNo, fields[2])
 			}
-			if err := g.AddEdge(NodeID(from), NodeID(to), fields[3]); err != nil {
+			if err := g.addEdge(NodeID(from), NodeID(to), internBytes(g.labelIDs, fields[3], g.Intern)); err != nil {
 				return nil, fmt.Errorf("graph: line %d: %w", lineNo, err)
 			}
 		default:

@@ -1169,7 +1169,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 						return secErr("IPRM", "index (%d, %d) lists node %d of label %d", key.label, key.attr, v, nodeLabels[v])
 					}
 					if j > 0 {
-						cmp := compareColNodes(c, g.strTab, perm[j-1], v)
+						cmp := c.compare(perm[j-1], v)
 						if cmp > 0 || (cmp == 0 && perm[j-1] >= v) {
 							return secErr("IPRM", "index (%d, %d) not sorted at position %d", key.label, key.attr, j)
 						}
@@ -1219,7 +1219,7 @@ func decodeSnapshot(data []byte, sections map[string]*snapSection, backing *snap
 // numeric column is three phases — absent (Null) nodes, then NaN nodes,
 // then finite numbers ascending — with node IDs strictly ascending inside
 // every tie, so one pass with a phase counter enforces exactly what
-// pairwise compareColNodes would.
+// pairwise column.compare would.
 func checkNumPerm(c *column, perm []NodeID, nodeLabels []LabelID, key labelAttr, n int) error {
 	const (
 		phAbsent = iota
@@ -1302,65 +1302,6 @@ func badRunEdge(edgeTag string, v, l, j int, ed Edge, n int) error {
 		return secErr(edgeTag, "node %d edge %d endpoint %d out of range [0,%d)", v, j, ed.To, n)
 	default:
 		return secErr(edgeTag, "node %d edges not sorted by (label, endpoint) at position %d", v, j)
-	}
-}
-
-// compareColNodes orders two nodes by their value in column c under the
-// Value total order, without materializing the string table or boxing
-// Values: string columns compare raw blob bytes (Go string order is byte
-// order), numeric and bool columns compare their packed payloads with the
-// same Null-first, NaN-first order Value.Compare defines.
-func compareColNodes(c *column, tab *strTable, u, v NodeID) int {
-	switch {
-	case c.refs != nil:
-		ru, rv := c.refs[u], c.refs[v]
-		switch {
-		case ru == rv: // interned: same ref is same string (or both Null)
-			return 0
-		case ru == 0: // Null sorts before any string
-			return -1
-		case rv == 0:
-			return 1
-		default:
-			return bytes.Compare(tab.bytesAt(int(ru)-1), tab.bytesAt(int(rv)-1))
-		}
-	case c.nums.n > 0:
-		pu, pv := c.has(u), c.has(v)
-		if !pu || !pv {
-			return boolCmp(pu, pv) // Null sorts before any number
-		}
-		nu, nv := c.nums.At(int(u)), c.nums.At(int(v))
-		un, vn := math.IsNaN(nu), math.IsNaN(nv)
-		switch {
-		case un || vn:
-			return boolCmp(vn, un) // NaN sorts before any other number
-		case nu < nv:
-			return -1
-		case nu > nv:
-			return 1
-		default:
-			return 0
-		}
-	case c.bools.n > 0:
-		pu, pv := c.has(u), c.has(v)
-		if !pu || !pv {
-			return boolCmp(pu, pv)
-		}
-		return boolCmp(bitGet(&c.bools, int(u)), bitGet(&c.bools, int(v)))
-	default:
-		return c.value(u).Compare(c.value(v))
-	}
-}
-
-// boolCmp orders false before true.
-func boolCmp(u, v bool) int {
-	switch {
-	case u == v:
-		return 0
-	case v:
-		return -1
-	default:
-		return 1
 	}
 }
 

@@ -154,8 +154,10 @@ func (v Value) String() string {
 	}
 }
 
-// ParseValue converts a textual representation into a Value. Numbers parse
-// as KindNumber, "true"/"false" as KindBool, everything else as KindString.
+// ParseValue converts a textual representation into a Value. Numbers (what
+// strconv.ParseFloat accepts whole) parse as KindNumber, "true"/"false" as
+// KindBool, everything else as KindString. ParseFloat is tried only on a
+// byte it can start with, so a word costs no failed parse.
 func ParseValue(s string) Value {
 	switch s {
 	case "", "null":
@@ -165,8 +167,10 @@ func ParseValue(s string) Value {
 	case "false":
 		return Bool(false)
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return Num(f)
+	if c := s[0]; '0' <= c && c <= '9' || strings.IndexByte("+-.iInN", c) >= 0 {
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return Num(f)
+		}
 	}
 	return Str(s)
 }
