@@ -29,10 +29,14 @@ func benchHarness(b *testing.B) *bench.Harness {
 	return h
 }
 
+// benchExperiment times one experiment per iteration on a fresh harness,
+// built with the timer stopped: a harness makes each run once, so a reused
+// one would time its memo from the second iteration on.
 func benchExperiment(b *testing.B, id string) {
-	h := benchHarness(b)
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		h := benchHarness(b)
+		b.StartTimer()
 		rows, err := h.Run(id)
 		if err != nil {
 			b.Fatal(err)

@@ -2,10 +2,18 @@ package bench
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"fairsqg/internal/core"
 	"fairsqg/internal/gen"
+	"fairsqg/internal/pareto"
 )
+
+// quick is the package's shared quick-scale harness: the tests read one
+// memo of datasets, workloads and runs, so the package pays each workload
+// once. A test that must make its own runs takes a fresh quickHarness.
+var quick = sync.OnceValue(quickHarness)
 
 // quickHarness shrinks every dataset so the whole experiment suite runs in
 // test time.
@@ -21,7 +29,7 @@ func quickHarness() *Harness {
 }
 
 func TestExperimentsListAndUnknown(t *testing.T) {
-	h := quickHarness()
+	h := quick()
 	if len(Experiments()) < 15 {
 		t.Errorf("experiment registry too small: %v", Experiments())
 	}
@@ -31,7 +39,7 @@ func TestExperimentsListAndUnknown(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	rows, err := quickHarness().Run("table2")
+	rows, err := quick().Run("table2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +58,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFig9aQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig9a")
+	rows, err := quick().Run("fig9a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +81,7 @@ func TestFig9aQuick(t *testing.T) {
 }
 
 func TestFig9bQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig9b")
+	rows, err := quick().Run("fig9b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +91,7 @@ func TestFig9bQuick(t *testing.T) {
 }
 
 func TestFig9eQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig9e")
+	rows, err := quick().Run("fig9e")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +115,7 @@ func TestFig9eQuick(t *testing.T) {
 }
 
 func TestFig10aQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig10a")
+	rows, err := quick().Run("fig10a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +130,7 @@ func TestFig10aQuick(t *testing.T) {
 }
 
 func TestFig11aQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig11a")
+	rows, err := quick().Run("fig11a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +145,7 @@ func TestFig11aQuick(t *testing.T) {
 }
 
 func TestFig11bQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig11b")
+	rows, err := quick().Run("fig11b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +161,7 @@ func TestFig11bQuick(t *testing.T) {
 }
 
 func TestFig12Quick(t *testing.T) {
-	rows, err := quickHarness().Run("fig12")
+	rows, err := quick().Run("fig12")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +176,7 @@ func TestFig12Quick(t *testing.T) {
 }
 
 func TestPruningQuick(t *testing.T) {
-	rows, err := quickHarness().Run("pruning")
+	rows, err := quick().Run("pruning")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +191,7 @@ func TestPruningQuick(t *testing.T) {
 }
 
 func TestAblationQuick(t *testing.T) {
-	rows, err := quickHarness().Run("ablation")
+	rows, err := quick().Run("ablation")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +201,7 @@ func TestAblationQuick(t *testing.T) {
 }
 
 func TestCBMQuick(t *testing.T) {
-	rows, err := quickHarness().Run("cbm")
+	rows, err := quick().Run("cbm")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +211,7 @@ func TestCBMQuick(t *testing.T) {
 }
 
 func TestFig9cQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig9c")
+	rows, err := quick().Run("fig9c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +221,7 @@ func TestFig9cQuick(t *testing.T) {
 }
 
 func TestFig9dQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig9d")
+	rows, err := quick().Run("fig9d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +231,7 @@ func TestFig9dQuick(t *testing.T) {
 }
 
 func TestFig9fQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig9f")
+	rows, err := quick().Run("fig9f")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +246,7 @@ func TestFig9fQuick(t *testing.T) {
 }
 
 func TestFig9ghQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig9gh")
+	rows, err := quick().Run("fig9gh")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +256,7 @@ func TestFig9ghQuick(t *testing.T) {
 }
 
 func TestFig10dQuick(t *testing.T) {
-	rows, err := quickHarness().Run("fig10d")
+	rows, err := quick().Run("fig10d")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +266,116 @@ func TestFig10dQuick(t *testing.T) {
 	for _, r := range rows {
 		if r.Value < 0 || r.Extra["verified"] <= 0 {
 			t.Errorf("row %+v implausible", r)
+		}
+	}
+}
+
+// TestKungsFrontIsReference checks that Kungs' exact front may stand in for
+// the whole feasible set as the indicators' reference on the 9(a)–(d)
+// workloads: the front ε-covers every feasible instance with ε_m = 0, and
+// every approximation's I_ε and I_R read the same against either, bit for
+// bit.
+func TestKungsFrontIsReference(t *testing.T) {
+	h := quick()
+	sweeps := [][]setting{h.overall(), h.varyEps(), h.varyRangeVars(), h.varyEdgeVars()}
+	for _, sweep := range sweeps {
+		for _, s := range sweep {
+			base, err := h.workload(s.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := core.NewRunner(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feasible, err := r.AllFeasible()
+			if err != nil {
+				t.Fatal(err)
+			}
+			all := make([]pareto.Point, len(feasible))
+			var divMax, covMax float64
+			for i, v := range feasible {
+				all[i] = v.Point
+				divMax, covMax = max(divMax, v.Point.Div), max(covMax, v.Point.Cov)
+			}
+			front, fDiv, fCov, err := h.reference(s.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if em := pareto.MinEps(front, all); em != 0 {
+				t.Errorf("%s %s: Kungs' front needs ε_m = %v to cover the %d feasible points", s.p.dataset, s.x, em, len(all))
+			}
+			if fDiv != divMax || fCov != covMax {
+				t.Errorf("%s %s: front maxima (%v, %v), feasible maxima (%v, %v)", s.p.dataset, s.x, fDiv, fCov, divMax, covMax)
+			}
+			for _, alg := range approxAlgorithms {
+				res, err := h.result(s.p, alg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pts := res.Points()
+				if a, b := pareto.EpsIndicator(pts, all, s.p.eps), pareto.EpsIndicator(pts, front, s.p.eps); a != b {
+					t.Errorf("%s %s %s: I_ε %v against the feasible set, %v against the front", s.p.dataset, s.x, alg, a, b)
+				}
+				if a, b := pareto.RIndicator(pts, 0.5, divMax, covMax), pareto.RIndicator(pts, 0.5, fDiv, fCov); a != b {
+					t.Errorf("%s %s %s: I_R %v against the feasible set, %v against the front", s.p.dataset, s.x, alg, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestTwinFiguresShareOneRun checks that a Fig. 10 row and its Fig. 9 twin
+// are one run, that a Fig. 10 figure asked for alone makes the same runs,
+// and that pruning reads Fig. 9(a)'s EnumQGen run. Fig. 10(c) is left out
+// of the runs made alone: its runs cost as much as the rest of the
+// package's tests together.
+func TestTwinFiguresShareOneRun(t *testing.T) {
+	h, fresh := quick(), quickHarness()
+	run := func(h *Harness, exp string) []Row {
+		t.Helper()
+		rows, err := h.Run(exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	for _, x := range []string{"a", "b", "c", "d"} {
+		quality, runtime := run(h, "fig9"+x), run(h, "fig10"+x)
+		if len(quality) != len(runtime) {
+			t.Fatalf("fig9%s/fig10%s: %d and %d rows", x, x, len(quality), len(runtime))
+		}
+		for i, r := range runtime {
+			q := quality[i]
+			if r.Series != q.Series || r.X != q.X || r.Value != q.Extra["sec"] || r.Extra["verified"] != q.Extra["verified"] {
+				t.Errorf("fig10%s %s %s: %v s, %v verified; its twin %v s, %v verified",
+					x, r.Series, r.X, r.Value, r.Extra["verified"], q.Extra["sec"], q.Extra["verified"])
+			}
+		}
+		if x == "c" {
+			continue
+		}
+		alone := run(fresh, "fig10"+x)
+		if len(alone) != len(runtime) {
+			t.Fatalf("fig10%s: %d rows alone, %d after fig9%s", x, len(alone), len(runtime), x)
+		}
+		for i, r := range runtime {
+			for _, k := range []string{"verified", "spawned", "pruned"} {
+				if a := alone[i].Extra[k]; a != r.Extra[k] {
+					t.Errorf("fig10%s %s %s: %s %v alone, %v after fig9%s", x, r.Series, r.X, k, a, r.Extra[k], x)
+				}
+			}
+		}
+	}
+	enum := map[string]float64{}
+	for _, r := range run(h, "fig9a") {
+		if r.Series == "EnumQGen" {
+			enum[r.X] = r.Extra["verified"]
+		}
+	}
+	for _, r := range run(h, "pruning") {
+		if r.Extra["enumVerified"] != enum[r.X] {
+			t.Errorf("pruning %s %s: enumVerified %v, fig9a's EnumQGen verified %v", r.Series, r.X, r.Extra["enumVerified"], enum[r.X])
 		}
 	}
 }

@@ -8,34 +8,34 @@ import (
 	"fairsqg/internal/pareto"
 )
 
-// onlineWorkload builds the Exp-3 setting: the LKI dataset with a fixed
-// template whose random instantiations form the instance stream.
-func (h *Harness) onlineWorkload() (*workload, error) {
-	return h.buildWorkload(workloadParams{
+// onlineParams is the Exp-3 setting: the LKI dataset with a fixed template
+// whose random instantiations form the instance stream.
+func (h *Harness) onlineParams() workloadParams {
+	return workloadParams{
 		dataset: gen.LKI, size: 4, rangeVars: 2, edgeVars: 1,
-		numGroups: 2, totalC: h.opts.totalC(), tightness: 0.7, eps: 0.05,
+		numGroups: 2, tightness: 0.7, eps: 0.05,
 		maxDomain: 2 * h.opts.maxDomain(),
-	})
+	}
 }
 
-// Fig11a reproduces Fig. 11(a): OnlineQGen's delay to process a batch of
+// fig11a reproduces Fig. 11(a): OnlineQGen's delay to process a batch of
 // instances, varying k from 5 to 20 with (batch, window) ∈
 // {(40, 10), (80, 40)}. Value is the mean per-batch delay in milliseconds.
-func (h *Harness) Fig11a() ([]Row, error) {
-	w, err := h.onlineWorkload()
+func (h *Harness) fig11a() ([]Row, error) {
+	base, err := h.workload(h.onlineParams())
 	if err != nil {
 		return nil, err
 	}
 	var rows []Row
 	for _, bw := range []struct{ batch, window int }{{40, 10}, {80, 40}} {
 		for _, k := range []int{5, 10, 15, 20} {
-			r, err := core.NewRunner(w.cfg)
+			r, err := core.NewRunner(base)
 			if err != nil {
 				return nil, err
 			}
-			stream := core.NewRandomStream(w.tpl, h.opts.streamLen(), h.opts.Seed+11)
+			stream := core.NewRandomStream(base.Template, h.opts.streamLen(), h.opts.Seed+11)
 			res, err := r.OnlineQGen(stream, core.OnlineOptions{
-				K: k, Window: bw.window, InitialEps: w.cfg.Eps,
+				K: k, Window: bw.window, InitialEps: base.Eps,
 			})
 			if err != nil {
 				return nil, err
@@ -56,7 +56,6 @@ func (h *Harness) Fig11a() ([]Row, error) {
 				batches, total = 1, cur
 			}
 			rows = append(rows, Row{
-				Exp:    "fig11a",
 				Series: fmt.Sprintf("batch=%d w=%d", bw.batch, bw.window),
 				X:      fmt.Sprintf("k=%d", k),
 				Value:  total / float64(batches) * 1000, // ms per batch
@@ -70,18 +69,18 @@ func (h *Harness) Fig11a() ([]Row, error) {
 	return rows, nil
 }
 
-// Fig11b reproduces Fig. 11(b): OnlineQGen's anytime effectiveness — I_ε
+// fig11b reproduces Fig. 11(b): OnlineQGen's anytime effectiveness — I_ε
 // of the maintained set against the feasible instances seen so far — for
 // k ∈ {10, 20} and w ∈ {40, 80}, sampled at eight checkpoints across the
 // stream.
-func (h *Harness) Fig11b() ([]Row, error) {
-	w, err := h.onlineWorkload()
+func (h *Harness) fig11b() ([]Row, error) {
+	base, err := h.workload(h.onlineParams())
 	if err != nil {
 		return nil, err
 	}
 	var rows []Row
 	for _, kw := range []struct{ k, window int }{{10, 40}, {10, 80}, {20, 40}, {20, 80}} {
-		cfg := *w.cfg
+		cfg := *base
 		var seen []pareto.Point
 		cfg.OnVerified = func(ev core.VerifyEvent) {
 			if ev.Feasible {
@@ -97,13 +96,12 @@ func (h *Harness) Fig11b() ([]Row, error) {
 		if every < 1 {
 			every = 1
 		}
-		stream := core.NewRandomStream(w.tpl, h.opts.streamLen(), h.opts.Seed+13)
+		stream := core.NewRandomStream(base.Template, h.opts.streamLen(), h.opts.Seed+13)
 		_, err = r.OnlineQGen(stream, core.OnlineOptions{
 			K: kw.k, Window: kw.window, InitialEps: cfg.Eps,
 			CheckpointEvery: every,
 			OnCheckpoint: func(cp core.OnlineCheckpoint) {
 				rows = append(rows, Row{
-					Exp:    "fig11b",
 					Series: series,
 					X:      fmt.Sprintf("n=%d", cp.Processed),
 					Value:  pareto.EpsIndicator(cp.Points, seen, cp.Eps),

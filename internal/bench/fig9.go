@@ -8,182 +8,214 @@ import (
 	"fairsqg/internal/pareto"
 )
 
-// algorithm pairs a display name with a runner method.
-type algorithm struct {
-	name string
-	run  func(*core.Runner) (*core.Result, error)
+// twinAlgorithms are the series of Fig. 9(a)–(d) and Fig. 10(a)–(d), in
+// row order; approxAlgorithms are the approximations among them.
+var (
+	twinAlgorithms   = []string{"Kungs", "EnumQGen", "RfQGen", "BiQGen"}
+	approxAlgorithms = twinAlgorithms[1:]
+)
+
+// setting is one x of a sweep: its label and its workload.
+type setting struct {
+	x string
+	p workloadParams
 }
 
-func approxAlgorithms() []algorithm {
-	return []algorithm{
-		{"EnumQGen", (*core.Runner).EnumQGen},
-		{"RfQGen", (*core.Runner).RfQGen},
-		{"BiQGen", (*core.Runner).BiQGen},
-	}
-}
-
-// effectivenessRows runs Kungs plus the approximation algorithms on a
-// workload and emits one I_ε row per algorithm (Extra: time in seconds,
-// verified instance count, result size, and I_R at λ_R = 0.5).
-func (h *Harness) effectivenessRows(exp, x string, w *workload) ([]Row, error) {
-	ref, divMax, covMax, err := referencePoints(w)
-	if err != nil {
-		return nil, err
-	}
-	var rows []Row
-	kr, err := core.NewRunner(w.cfg)
-	if err != nil {
-		return nil, err
-	}
-	kres, err := kr.Kungs()
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, Row{
-		Exp: exp, Series: "Kungs", X: x,
-		Value: pareto.EpsIndicator(kres.Points(), ref, w.cfg.Eps),
-		Extra: map[string]float64{
-			"sec":      kres.Elapsed.Seconds(),
-			"verified": float64(kres.Stats.Verified),
-			"size":     float64(len(kres.Set)),
-			"I_R":      pareto.RIndicator(kres.Points(), 0.5, divMax, covMax),
-		},
-	})
-	for _, alg := range approxAlgorithms() {
-		r, err := core.NewRunner(w.cfg)
-		if err != nil {
-			return nil, err
+// sweepRows returns the experiment that runs each algorithm at each
+// setting of a sweep and formats every run with row, labelled with the
+// algorithm and the setting's x. Runs come from the harness memo, so
+// experiments over one sweep (a Fig. 9 figure and its Fig. 10 twin) make
+// each run once.
+func sweepRows(
+	sweep func(*Harness) []setting, algs []string,
+	row func(*Harness, workloadParams, *core.Result) (Row, error),
+) func(*Harness) ([]Row, error) {
+	return func(h *Harness) ([]Row, error) {
+		var rows []Row
+		for _, s := range sweep(h) {
+			for _, alg := range algs {
+				res, err := h.result(s.p, alg)
+				if err != nil {
+					return nil, err
+				}
+				r, err := row(h, s.p, res)
+				if err != nil {
+					return nil, err
+				}
+				r.Series, r.X = alg, s.x
+				rows = append(rows, r)
+			}
 		}
-		res, err := alg.run(r)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, Row{
-			Exp: exp, Series: alg.name, X: x,
-			Value: pareto.EpsIndicator(res.Points(), ref, w.cfg.Eps),
-			Extra: map[string]float64{
-				"sec":      res.Elapsed.Seconds(),
-				"verified": float64(res.Stats.Verified),
-				"size":     float64(len(res.Set)),
-				"I_R":      pareto.RIndicator(res.Points(), 0.5, divMax, covMax),
-			},
-		})
+		return rows, nil
 	}
-	return rows, nil
 }
 
-// Fig9a reproduces Fig. 9(a): overall effectiveness (I_ε) of Kungs,
-// EnumQGen, RfQGen and BiQGen over the three datasets with |Q|=3, |X|=3
-// (1 edge + 2 range variables), |P|=2, equal opportunity, ε=0.01.
-func (h *Harness) Fig9a() ([]Row, error) {
-	var rows []Row
+// overall is the Fig. 9(a) setting per dataset: |Q|=3, |X|=3 (1 edge + 2
+// range variables), |P|=2, equal opportunity, ε=0.01.
+func (h *Harness) overall() []setting {
+	var s []setting
 	for _, ds := range []string{gen.DBP, gen.LKI, gen.Cite} {
-		w, err := h.buildWorkload(workloadParams{
+		s = append(s, setting{ds, workloadParams{
 			dataset: ds, size: 3, rangeVars: 2, edgeVars: 1,
-			numGroups: 2, totalC: h.opts.totalC(), tightness: 0.7, eps: 0.01,
+			numGroups: 2, tightness: 0.7, eps: 0.01,
 			maxDomain: 2 * h.opts.maxDomain(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		r, err := h.effectivenessRows("fig9a", ds, w)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r...)
+		}})
 	}
-	return rows, nil
+	return s
 }
 
-// Fig9b reproduces Fig. 9(b): I_ε on LKI while ε varies from 0.2 to 1.0,
+// overallDBP is the Fig. 9(a) setting on DBP alone.
+func (h *Harness) overallDBP() []setting { return h.overall()[:1] }
+
+// varyEps is the Fig. 9(b) setting: LKI while ε varies from 0.2 to 1.0,
 // with |Q|=4 and |X|=3 (1 range + 2 edge variables).
-func (h *Harness) Fig9b() ([]Row, error) {
-	var rows []Row
+func (h *Harness) varyEps() []setting {
+	var s []setting
 	for _, eps := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
-		w, err := h.buildWorkload(workloadParams{
+		s = append(s, setting{fmt.Sprintf("eps=%.1f", eps), workloadParams{
 			dataset: gen.LKI, size: 4, rangeVars: 1, edgeVars: 2,
-			numGroups: 2, totalC: h.opts.totalC(), tightness: 0.7, eps: eps,
+			numGroups: 2, tightness: 0.7, eps: eps,
 			maxDomain: 10 * h.opts.maxDomain(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		r, err := h.effectivenessRows("fig9b", fmt.Sprintf("eps=%.1f", eps), w)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r...)
+		}})
 	}
-	return rows, nil
+	return s
 }
 
-// Fig9c reproduces Fig. 9(c): I_ε on DBP while |X_L| varies from 2 to 5
-// (|Q|=4, |P|=2, ε=0.01).
-func (h *Harness) Fig9c() ([]Row, error) {
-	var rows []Row
+// varyRangeVars is the Fig. 9(c) setting: DBP while |X_L| varies from 2 to
+// 5 (|Q|=4, |P|=2, ε=0.01).
+func (h *Harness) varyRangeVars() []setting {
+	var s []setting
 	for _, xl := range []int{2, 3, 4, 5} {
-		w, err := h.buildWorkload(workloadParams{
+		s = append(s, setting{fmt.Sprintf("|X_L|=%d", xl), workloadParams{
 			dataset: gen.DBP, size: 4, rangeVars: xl, edgeVars: 1,
-			numGroups: 2, totalC: h.opts.totalC(), tightness: 0.7, eps: 0.01,
+			numGroups: 2, tightness: 0.7, eps: 0.01,
 			maxDomain: domainForRangeVars(xl, h.opts.maxDomain()),
-		})
-		if err != nil {
-			return nil, err
-		}
-		r, err := h.effectivenessRows("fig9c", fmt.Sprintf("|X_L|=%d", xl), w)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r...)
+		}})
 	}
-	return rows, nil
+	return s
 }
 
-// Fig9d reproduces Fig. 9(d): I_ε on LKI while |X_E| varies from 2 to 5
-// (|Q|=5, |P|=2, ε=0.01).
-func (h *Harness) Fig9d() ([]Row, error) {
-	var rows []Row
+// varyEdgeVars is the Fig. 9(d) setting: LKI while |X_E| varies from 2 to
+// 5 (|Q|=5, |P|=2, ε=0.01).
+func (h *Harness) varyEdgeVars() []setting {
+	var s []setting
 	for _, xe := range []int{2, 3, 4, 5} {
-		w, err := h.buildWorkload(workloadParams{
+		s = append(s, setting{fmt.Sprintf("|X_E|=%d", xe), workloadParams{
 			dataset: gen.LKI, size: 5, rangeVars: 1, edgeVars: xe,
-			numGroups: 2, totalC: h.opts.totalC(), tightness: 0.7, eps: 0.01,
+			numGroups: 2, tightness: 0.7, eps: 0.01,
 			maxDomain: 4 * h.opts.maxDomain(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		r, err := h.effectivenessRows("fig9d", fmt.Sprintf("|X_E|=%d", xe), w)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, r...)
+		}})
 	}
-	return rows, nil
+	return s
 }
 
-// Fig9e reproduces Fig. 9(e): anytime quality. For λ_R ∈ {0.1, 0.9} it
+// varyCoverage is the Fig. 9(f) setting: DBP while the total coverage
+// requirement C varies, with |P|=3 and C split evenly.
+func (h *Harness) varyCoverage() []setting {
+	base := h.opts.totalC()
+	var s []setting
+	for _, c := range []int{base * 3 / 5, base, base * 8 / 5, base * 12 / 5} {
+		s = append(s, setting{fmt.Sprintf("C=%d", c), workloadParams{
+			dataset: gen.DBP, size: 4, rangeVars: 2, edgeVars: 1,
+			numGroups: 3, totalC: c, eps: 0.01,
+			maxDomain: 2 * h.opts.maxDomain(),
+		}})
+	}
+	return s
+}
+
+// varyGroups is the Fig. 9(g)/(h) setting: DBP while |P| varies from 2 to
+// 5. Its |P|=2 workload is Fig. 9(e)'s.
+func (h *Harness) varyGroups() []setting {
+	var s []setting
+	for _, p := range []int{2, 3, 4, 5} {
+		s = append(s, setting{fmt.Sprintf("|P|=%d", p), workloadParams{
+			dataset: gen.DBP, size: 4, rangeVars: 2, edgeVars: 1,
+			numGroups: p, tightness: 0.7, eps: 0.01,
+			maxDomain: 2 * h.opts.maxDomain(),
+		}})
+	}
+	return s
+}
+
+// qualityRow is a Fig. 9(a)–(d) row: I_ε (Extra: time in seconds,
+// verified instance count, result size, and I_R at λ_R = 0.5).
+func (h *Harness) qualityRow(p workloadParams, res *core.Result) (Row, error) {
+	front, divMax, covMax, err := h.reference(p)
+	if err != nil {
+		return Row{}, err
+	}
+	pts := res.Points()
+	return Row{
+		Value: pareto.EpsIndicator(pts, front, p.eps),
+		Extra: map[string]float64{
+			"sec":      res.Elapsed.Seconds(),
+			"verified": float64(res.Stats.Verified),
+			"size":     float64(len(res.Set)),
+			"I_R":      pareto.RIndicator(pts, 0.5, divMax, covMax),
+		},
+	}, nil
+}
+
+// runtimeRow is a Fig. 10(a)–(d) row: the run's seconds, with
+// verified/spawned/pruned counts so the pruning factors are visible next
+// to the times. It is the same run as its Fig. 9 twin row's.
+func (*Harness) runtimeRow(_ workloadParams, res *core.Result) (Row, error) {
+	return Row{
+		Value: res.Elapsed.Seconds(),
+		Extra: map[string]float64{
+			"verified": float64(res.Stats.Verified),
+			"spawned":  float64(res.Stats.Spawned),
+			"pruned":   float64(res.Stats.Pruned),
+		},
+	}, nil
+}
+
+// coverageRow is a Fig. 9(f) row: I_R (λ_R = 0.5).
+func (h *Harness) coverageRow(p workloadParams, res *core.Result) (Row, error) {
+	_, divMax, covMax, err := h.reference(p)
+	if err != nil {
+		return Row{}, err
+	}
+	return Row{
+		Value: pareto.RIndicator(res.Points(), 0.5, divMax, covMax),
+		Extra: map[string]float64{"feasible": float64(res.Stats.Feasible)},
+	}, nil
+}
+
+// groupsRow is a Fig. 9(g)/(h) row: I_ε (Value) and I_R (Extra, λ_R =
+// 0.5).
+func (h *Harness) groupsRow(p workloadParams, res *core.Result) (Row, error) {
+	front, divMax, covMax, err := h.reference(p)
+	if err != nil {
+		return Row{}, err
+	}
+	pts := res.Points()
+	return Row{
+		Value: pareto.EpsIndicator(pts, front, p.eps),
+		Extra: map[string]float64{
+			"I_R":      pareto.RIndicator(pts, 0.5, divMax, covMax),
+			"feasible": float64(res.Stats.Feasible),
+		},
+	}, nil
+}
+
+// fig9e reproduces Fig. 9(e): anytime quality. For λ_R ∈ {0.1, 0.9} it
 // replays RfQGen's and BiQGen's verification streams through a shadow
 // archive and reports I_R after each decile of the explored instances.
-func (h *Harness) Fig9e() ([]Row, error) {
-	w, err := h.buildWorkload(workloadParams{
-		dataset: gen.DBP, size: 4, rangeVars: 2, edgeVars: 1,
-		numGroups: 2, totalC: h.opts.totalC(), tightness: 0.7, eps: 0.01,
-		maxDomain: 2 * h.opts.maxDomain(),
-	})
+func (h *Harness) fig9e() ([]Row, error) {
+	p := h.varyGroups()[0].p
+	base, err := h.workload(p)
 	if err != nil {
 		return nil, err
 	}
-	_, divMax, covMax, err := referencePoints(w)
+	_, divMax, covMax, err := h.reference(p)
 	if err != nil {
 		return nil, err
-	}
-	algs := []algorithm{
-		{"RfQGen", (*core.Runner).RfQGen},
-		{"BiQGen", (*core.Runner).BiQGen},
 	}
 	var rows []Row
-	for _, alg := range algs {
-		cfg := *w.cfg
+	for _, alg := range []string{"RfQGen", "BiQGen"} {
+		cfg := *base
 		shadow := pareto.NewArchive[int](cfg.Eps)
 		var trace []pareto.Point // best-so-far snapshot source
 		var irTrace [][2]float64 // (I_R(0.1), I_R(0.9)) after each verification
@@ -201,7 +233,7 @@ func (h *Harness) Fig9e() ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := alg.run(r); err != nil {
+		if _, err := r.Run(coreNames[alg], 0); err != nil {
 			return nil, err
 		}
 		n := len(irTrace)
@@ -214,86 +246,9 @@ func (h *Harness) Fig9e() ([]Row, error) {
 				idx = 0
 			}
 			rows = append(rows,
-				Row{Exp: "fig9e", Series: alg.name + " λR=0.1", X: fmt.Sprintf("%d%%", decile*10), Value: irTrace[idx][0]},
-				Row{Exp: "fig9e", Series: alg.name + " λR=0.9", X: fmt.Sprintf("%d%%", decile*10), Value: irTrace[idx][1]},
+				Row{Series: alg + " λR=0.1", X: fmt.Sprintf("%d%%", decile*10), Value: irTrace[idx][0]},
+				Row{Series: alg + " λR=0.9", X: fmt.Sprintf("%d%%", decile*10), Value: irTrace[idx][1]},
 			)
-		}
-	}
-	return rows, nil
-}
-
-// Fig9f reproduces Fig. 9(f): I_R (λ_R = 0.5) on DBP while the total
-// coverage requirement C varies, with |P|=3 and C split evenly.
-func (h *Harness) Fig9f() ([]Row, error) {
-	base := h.opts.totalC()
-	var rows []Row
-	for _, c := range []int{base * 3 / 5, base, base * 8 / 5, base * 12 / 5} {
-		w, err := h.buildWorkload(workloadParams{
-			dataset: gen.DBP, size: 4, rangeVars: 2, edgeVars: 1,
-			numGroups: 3, totalC: c, eps: 0.01,
-			maxDomain: 2 * h.opts.maxDomain(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		ref, divMax, covMax, err := referencePoints(w)
-		if err != nil {
-			return nil, err
-		}
-		_ = ref
-		for _, alg := range approxAlgorithms() {
-			r, err := core.NewRunner(w.cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := alg.run(r)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Row{
-				Exp: "fig9f", Series: alg.name, X: fmt.Sprintf("C=%d", c),
-				Value: pareto.RIndicator(res.Points(), 0.5, divMax, covMax),
-				Extra: map[string]float64{"feasible": float64(res.Stats.Feasible)},
-			})
-		}
-	}
-	return rows, nil
-}
-
-// Fig9gh reproduces Fig. 9(g) and 9(h): I_ε (Value) and I_R (Extra) on DBP
-// while |P| varies from 2 to 5, with C split evenly (λ_R = 0.5).
-func (h *Harness) Fig9gh() ([]Row, error) {
-	var rows []Row
-	for _, p := range []int{2, 3, 4, 5} {
-		w, err := h.buildWorkload(workloadParams{
-			dataset: gen.DBP, size: 4, rangeVars: 2, edgeVars: 1,
-			numGroups: p, totalC: h.opts.totalC() * 6 / 5, tightness: 0.7, eps: 0.01,
-			maxDomain: 2 * h.opts.maxDomain(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		ref, divMax, covMax, err := referencePoints(w)
-		if err != nil {
-			return nil, err
-		}
-		for _, alg := range approxAlgorithms() {
-			r, err := core.NewRunner(w.cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := alg.run(r)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, Row{
-				Exp: "fig9gh", Series: alg.name, X: fmt.Sprintf("|P|=%d", p),
-				Value: pareto.EpsIndicator(res.Points(), ref, w.cfg.Eps),
-				Extra: map[string]float64{
-					"I_R":      pareto.RIndicator(res.Points(), 0.5, divMax, covMax),
-					"feasible": float64(res.Stats.Feasible),
-				},
-			})
 		}
 	}
 	return rows, nil

@@ -74,17 +74,37 @@ func (o Options) streamLen() int {
 	return 240
 }
 
-// Harness caches datasets and runs experiments.
+// Harness caches datasets, workloads and runs, and runs experiments. A
+// workload is built, and an algorithm run on it, the first time any
+// experiment asks for it: figures over one setting (Fig. 10's runtime rows
+// and their Fig. 9 twins, pruning and cbm over Fig. 9(a)'s runs) read the
+// same runs. Run is single-goroutine; only Dataset may be called
+// concurrently.
 type Harness struct {
 	opts Options
 
 	mu     sync.Mutex
 	graphs map[string]*graph.Graph
+
+	workloads map[workloadParams]*core.Config
+	results   map[runKey]*core.Result
+}
+
+// runKey names one run: an algorithm (a series name of coreNames) on a
+// workload.
+type runKey struct {
+	p   workloadParams
+	alg string
 }
 
 // New returns a harness.
 func New(opts Options) *Harness {
-	return &Harness{opts: opts, graphs: make(map[string]*graph.Graph)}
+	return &Harness{
+		opts:      opts,
+		graphs:    make(map[string]*graph.Graph),
+		workloads: make(map[workloadParams]*core.Config),
+		results:   make(map[runKey]*core.Result),
+	}
 }
 
 // Row is one data point of an experiment: (series, x) → value, with
@@ -97,58 +117,55 @@ type Row struct {
 	Extra  map[string]float64
 }
 
-// Experiments lists the available experiment identifiers in run order.
-func Experiments() []string {
-	return []string{
-		"table2", "fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f",
-		"fig9gh", "cbm", "fig10a", "fig10b", "fig10c", "fig10d",
-		"fig11a", "fig11b", "fig12", "pruning", "ablation",
-	}
+// experiments is the one table of experiment identifiers, in run order,
+// and the function computing each one's rows.
+var experiments = []struct {
+	id  string
+	run func(*Harness) ([]Row, error)
+}{
+	{"table2", (*Harness).table2},
+	{"fig9a", sweepRows((*Harness).overall, twinAlgorithms, (*Harness).qualityRow)},
+	{"fig9b", sweepRows((*Harness).varyEps, twinAlgorithms, (*Harness).qualityRow)},
+	{"fig9c", sweepRows((*Harness).varyRangeVars, twinAlgorithms, (*Harness).qualityRow)},
+	{"fig9d", sweepRows((*Harness).varyEdgeVars, twinAlgorithms, (*Harness).qualityRow)},
+	{"fig9e", (*Harness).fig9e},
+	{"fig9f", sweepRows((*Harness).varyCoverage, approxAlgorithms, (*Harness).coverageRow)},
+	{"fig9gh", sweepRows((*Harness).varyGroups, approxAlgorithms, (*Harness).groupsRow)},
+	{"cbm", sweepRows((*Harness).overallDBP, []string{"Kungs", "CBM", "BiQGen"}, (*Harness).cbmRow)},
+	{"fig10a", sweepRows((*Harness).overall, twinAlgorithms, (*Harness).runtimeRow)},
+	{"fig10b", sweepRows((*Harness).varyEps, twinAlgorithms, (*Harness).runtimeRow)},
+	{"fig10c", sweepRows((*Harness).varyRangeVars, twinAlgorithms, (*Harness).runtimeRow)},
+	{"fig10d", sweepRows((*Harness).varyEdgeVars, twinAlgorithms, (*Harness).runtimeRow)},
+	{"fig11a", (*Harness).fig11a},
+	{"fig11b", (*Harness).fig11b},
+	{"fig12", (*Harness).fig12},
+	{"pruning", sweepRows((*Harness).overall, []string{"RfQGen", "BiQGen"}, (*Harness).pruningRow)},
+	{"ablation", (*Harness).ablation},
 }
 
-// Run executes one experiment by identifier.
-func (h *Harness) Run(exp string) ([]Row, error) {
-	switch exp {
-	case "table2":
-		return h.Table2()
-	case "fig9a":
-		return h.Fig9a()
-	case "fig9b":
-		return h.Fig9b()
-	case "fig9c":
-		return h.Fig9c()
-	case "fig9d":
-		return h.Fig9d()
-	case "fig9e":
-		return h.Fig9e()
-	case "fig9f":
-		return h.Fig9f()
-	case "fig9gh":
-		return h.Fig9gh()
-	case "cbm":
-		return h.CBMComparison()
-	case "fig10a":
-		return h.Fig10a()
-	case "fig10b":
-		return h.Fig10b()
-	case "fig10c":
-		return h.Fig10c()
-	case "fig10d":
-		return h.Fig10d()
-	case "fig11a":
-		return h.Fig11a()
-	case "fig11b":
-		return h.Fig11b()
-	case "fig12":
-		return h.Fig12()
-	case "pruning":
-		return h.Pruning()
-	case "ablation":
-		return h.Ablation()
-	default:
-		return nil, fmt.Errorf("bench: unknown experiment %q (want one of %s)",
-			exp, strings.Join(Experiments(), ", "))
+// Experiments lists the available experiment identifiers in run order.
+func Experiments() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
 	}
+	return ids
+}
+
+// Run executes one experiment by identifier and labels its rows with it.
+func (h *Harness) Run(exp string) ([]Row, error) {
+	for _, e := range experiments {
+		if e.id != exp {
+			continue
+		}
+		rows, err := e.run(h)
+		for i := range rows {
+			rows[i].Exp = exp
+		}
+		return rows, err
+	}
+	return nil, fmt.Errorf("bench: unknown experiment %q (want one of %s)",
+		exp, strings.Join(Experiments(), ", "))
 }
 
 // Dataset returns the (cached) synthetic graph for a dataset name.
@@ -198,7 +215,7 @@ type workloadParams struct {
 	rangeVars int // |X_L|
 	edgeVars  int // |X_E|
 	numGroups int // |P|
-	totalC    int // C, split evenly
+	totalC    int // C, split evenly; unused under tightness
 	eps       float64
 	// maxDomain overrides the per-variable ladder cap (0 = harness
 	// default). Experiments with few range variables raise it so the
@@ -211,19 +228,12 @@ type workloadParams struct {
 	tightness float64
 }
 
-// workload is a ready-to-run configuration.
-type workload struct {
-	g   *graph.Graph
-	tpl *query.Template
-	set groups.Set
-	cfg *core.Config
-}
-
-// buildWorkload generates a feasible workload for the parameters: dataset
-// graph, a generated template whose root instance is feasible, and the
-// |P| largest groups of the dataset's grouping attribute with C split
-// evenly (the paper's equal-opportunity setting).
-func (h *Harness) buildWorkload(p workloadParams) (*workload, error) {
+// buildWorkload generates a feasible workload for the parameters and
+// returns its run configuration: dataset graph, a generated template whose
+// root instance is feasible, and the |P| largest groups of the dataset's
+// grouping attribute with C split evenly (the paper's equal-opportunity
+// setting).
+func (h *Harness) buildWorkload(p workloadParams) (*core.Config, error) {
 	g, err := h.Dataset(p.dataset)
 	if err != nil {
 		return nil, err
@@ -284,40 +294,74 @@ func (h *Harness) buildWorkload(p workloadParams) (*workload, error) {
 			set[i].Want = want
 		}
 	}
-	cfg := &core.Config{
+	return &core.Config{
 		G:             g,
 		Template:      tpl,
 		Groups:        set,
 		Eps:           p.eps,
 		DistanceAttrs: distanceAttrs(p.dataset),
 		MaxPairs:      h.opts.maxPairs(),
-	}
-	return &workload{g: g, tpl: tpl, set: set, cfg: cfg}, nil
+	}, nil
 }
 
-// referencePoints enumerates the feasible instance space once and returns
-// its quality points plus the objective maxima used for normalization.
-func referencePoints(w *workload) ([]pareto.Point, float64, float64, error) {
-	r, err := core.NewRunner(w.cfg)
+// workload returns the configuration of p's workload, building it the
+// first time.
+func (h *Harness) workload(p workloadParams) (*core.Config, error) {
+	if cfg, ok := h.workloads[p]; ok {
+		return cfg, nil
+	}
+	cfg, err := h.buildWorkload(p)
+	if err != nil {
+		return nil, err
+	}
+	h.workloads[p] = cfg
+	return cfg, nil
+}
+
+// coreNames maps the series names the rows print to core's algorithm
+// names.
+var coreNames = map[string]string{
+	"Kungs": "kungs", "EnumQGen": "enum", "RfQGen": "rf", "BiQGen": "bi", "CBM": "cbm",
+}
+
+// result returns the run of the series' algorithm on p's workload, making
+// it the first time any experiment asks for it.
+func (h *Harness) result(p workloadParams, alg string) (*core.Result, error) {
+	key := runKey{p, alg}
+	if res, ok := h.results[key]; ok {
+		return res, nil
+	}
+	cfg, err := h.workload(p)
+	if err != nil {
+		return nil, err
+	}
+	r, err := core.NewRunner(cfg)
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.Run(coreNames[alg], 0)
+	if err != nil {
+		return nil, err
+	}
+	h.results[key] = res
+	return res, nil
+}
+
+// reference returns what the indicators measure against on p's workload:
+// Kungs' exact front, and its coordinate maxima as I_R's normalizers. Every
+// feasible point is weakly dominated by a front point, so ε_m and both
+// maxima are what the whole feasible set would give, bit for bit
+// (TestKungsFrontIsReference).
+func (h *Harness) reference(p workloadParams) (front []pareto.Point, divMax, covMax float64, err error) {
+	kres, err := h.result(p, "Kungs")
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	feasible, err := r.AllFeasible()
-	if err != nil {
-		return nil, 0, 0, err
+	front = kres.Points()
+	for _, pt := range front {
+		divMax, covMax = max(divMax, pt.Div), max(covMax, pt.Cov)
 	}
-	pts := make([]pareto.Point, len(feasible))
-	var divMax, covMax float64
-	for i, v := range feasible {
-		pts[i] = v.Point
-		if v.Point.Div > divMax {
-			divMax = v.Point.Div
-		}
-		if v.Point.Cov > covMax {
-			covMax = v.Point.Cov
-		}
-	}
-	return pts, divMax, covMax, nil
+	return front, divMax, covMax, nil
 }
 
 // domainForRangeVars picks a per-variable ladder cap so the instance space

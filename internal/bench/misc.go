@@ -12,9 +12,9 @@ import (
 	"fairsqg/internal/query"
 )
 
-// Table2 reproduces Table II: the dataset overview (|V|, |E|, average
+// table2 reproduces Table II: the dataset overview (|V|, |E|, average
 // attribute count, group counts, largest active domain).
-func (h *Harness) Table2() ([]Row, error) {
+func (h *Harness) table2() ([]Row, error) {
 	var rows []Row
 	for _, ds := range []string{gen.DBP, gen.LKI, gen.Cite} {
 		g, err := h.Dataset(ds)
@@ -25,7 +25,7 @@ func (h *Harness) Table2() ([]Row, error) {
 		label, attr := groupAttr(ds)
 		numGroups := len(groups.ByAttribute(g, label, attr))
 		rows = append(rows, Row{
-			Exp: "table2", Series: ds, X: "overview",
+			Series: ds, X: "overview",
 			Value: float64(s.Nodes),
 			Extra: map[string]float64{
 				"E":          float64(s.Edges),
@@ -40,64 +40,28 @@ func (h *Harness) Table2() ([]Row, error) {
 	return rows, nil
 }
 
-// CBMComparison reproduces the Exp-1 CBM discussion: under the Fig. 9(a)
-// DBP setting it compares Kungs against the constraint-based method in
-// runtime and BiQGen against CBM in I_R.
-func (h *Harness) CBMComparison() ([]Row, error) {
-	w, err := h.buildWorkload(workloadParams{
-		dataset: gen.DBP, size: 3, rangeVars: 2, edgeVars: 1,
-		numGroups: 2, totalC: h.opts.totalC(), tightness: 0.7, eps: 0.01,
-		maxDomain: 2 * h.opts.maxDomain(),
-	})
+// cbmRow is a row of the Exp-1 CBM discussion, under the Fig. 9(a) DBP
+// setting: it compares Kungs against the constraint-based method in
+// runtime (Value, seconds) and BiQGen against CBM in I_R (Extra, λ_R = 0.5).
+func (h *Harness) cbmRow(p workloadParams, res *core.Result) (Row, error) {
+	_, divMax, covMax, err := h.reference(p)
 	if err != nil {
-		return nil, err
+		return Row{}, err
 	}
-	_, divMax, covMax, err := referencePoints(w)
-	if err != nil {
-		return nil, err
-	}
-	kr, err := core.NewRunner(w.cfg)
-	if err != nil {
-		return nil, err
-	}
-	kres, err := kr.Kungs()
-	if err != nil {
-		return nil, err
-	}
-	cr, err := core.NewRunner(w.cfg)
-	if err != nil {
-		return nil, err
-	}
-	cres, err := cr.CBM(core.CBMOptions{})
-	if err != nil {
-		return nil, err
-	}
-	br, err := core.NewRunner(w.cfg)
-	if err != nil {
-		return nil, err
-	}
-	bres, err := br.BiQGen()
-	if err != nil {
-		return nil, err
-	}
-	mk := func(name string, res *core.Result) Row {
-		return Row{
-			Exp: "cbm", Series: name, X: "dbp",
-			Value: res.Elapsed.Seconds(),
-			Extra: map[string]float64{
-				"I_R":  pareto.RIndicator(res.Points(), 0.5, divMax, covMax),
-				"size": float64(len(res.Set)),
-			},
-		}
-	}
-	return []Row{mk("Kungs", kres), mk("CBM", cres), mk("BiQGen", bres)}, nil
+	return Row{
+		Value: res.Elapsed.Seconds(),
+		Extra: map[string]float64{
+			"I_R":  pareto.RIndicator(res.Points(), 0.5, divMax, covMax),
+			"size": float64(len(res.Set)),
+		},
+	}, nil
 }
 
-// Fig12 reproduces the Exp-4 case study: the movie-search template on DBP
+// fig12 reproduces the Exp-4 case study: the movie-search template on DBP
 // with equal coverage over two genre groups. For each algorithm it reports
 // the three highest-coverage suggested instances with their per-group
 // answer counts and the diversity of their answers.
-func (h *Harness) Fig12() ([]Row, error) {
+func (h *Harness) fig12() ([]Row, error) {
 	g, err := h.Dataset(gen.DBP)
 	if err != nil {
 		return nil, err
@@ -136,15 +100,12 @@ func (h *Harness) Fig12() ([]Row, error) {
 		return nil, fmt.Errorf("bench: fig12 workload infeasible at any coverage level")
 	}
 	var rows []Row
-	for _, alg := range []algorithm{
-		{"RfQGen", (*core.Runner).RfQGen},
-		{"BiQGen", (*core.Runner).BiQGen},
-	} {
+	for _, alg := range []string{"RfQGen", "BiQGen"} {
 		r, err := core.NewRunner(cfg)
 		if err != nil {
 			return nil, err
 		}
-		res, err := alg.run(r)
+		res, err := r.Run(coreNames[alg], 0)
 		if err != nil {
 			return nil, err
 		}
@@ -156,8 +117,7 @@ func (h *Harness) Fig12() ([]Row, error) {
 		for i, v := range picked {
 			counts := set.Count(v.Matches)
 			rows = append(rows, Row{
-				Exp:    "fig12",
-				Series: alg.name,
+				Series: alg,
 				X:      fmt.Sprintf("q%d %s", i+1, v.Q.String()),
 				Value:  v.Point.Cov,
 				Extra: map[string]float64{
@@ -172,93 +132,56 @@ func (h *Harness) Fig12() ([]Row, error) {
 	return rows, nil
 }
 
-// Pruning quantifies the Exp-1/Exp-2 pruning claims: the fraction of the
-// instance space each guided algorithm avoids verifying relative to
-// EnumQGen, per dataset under the Fig. 9(a) setting.
-func (h *Harness) Pruning() ([]Row, error) {
-	var rows []Row
-	for _, ds := range []string{gen.DBP, gen.LKI, gen.Cite} {
-		w, err := h.buildWorkload(workloadParams{
-			dataset: ds, size: 3, rangeVars: 2, edgeVars: 1,
-			numGroups: 2, totalC: h.opts.totalC(), tightness: 0.7, eps: 0.01,
-			maxDomain: 2 * h.opts.maxDomain(),
-		})
-		if err != nil {
-			return nil, err
-		}
-		er, err := core.NewRunner(w.cfg)
-		if err != nil {
-			return nil, err
-		}
-		eres, err := er.EnumQGen()
-		if err != nil {
-			return nil, err
-		}
-		for _, alg := range []algorithm{
-			{"RfQGen", (*core.Runner).RfQGen},
-			{"BiQGen", (*core.Runner).BiQGen},
-		} {
-			r, err := core.NewRunner(w.cfg)
-			if err != nil {
-				return nil, err
-			}
-			res, err := alg.run(r)
-			if err != nil {
-				return nil, err
-			}
-			saved := 1 - float64(res.Stats.Verified)/float64(eres.Stats.Verified)
-			rows = append(rows, Row{
-				Exp: "pruning", Series: alg.name, X: ds,
-				Value: saved,
-				Extra: map[string]float64{
-					"verified":     float64(res.Stats.Verified),
-					"enumVerified": float64(eres.Stats.Verified),
-				},
-			})
-		}
+// pruningRow quantifies the Exp-1/Exp-2 pruning claims under the Fig. 9(a)
+// setting: the fraction of EnumQGen's verifications a guided algorithm
+// avoids. Both runs are Fig. 9(a)'s.
+func (h *Harness) pruningRow(p workloadParams, res *core.Result) (Row, error) {
+	eres, err := h.result(p, "EnumQGen")
+	if err != nil {
+		return Row{}, err
 	}
-	return rows, nil
+	return Row{
+		Value: 1 - float64(res.Stats.Verified)/float64(eres.Stats.Verified),
+		Extra: map[string]float64{
+			"verified":     float64(res.Stats.Verified),
+			"enumVerified": float64(eres.Stats.Verified),
+		},
+	}, nil
 }
 
-// Ablation benchmarks the design choices DESIGN.md calls out: incremental
+// ablation benchmarks the design choices DESIGN.md calls out: incremental
 // verification, sandwich pruning and bound pruning — each on/off with
-// runtime and verified counts.
-func (h *Harness) Ablation() ([]Row, error) {
-	w, err := h.buildWorkload(workloadParams{
-		dataset: gen.LKI, size: 4, rangeVars: 2, edgeVars: 1,
-		numGroups: 2, totalC: h.opts.totalC(), tightness: 0.7, eps: 0.05,
-		maxDomain: 2 * h.opts.maxDomain(),
-	})
+// runtime and verified counts — on the online experiments' workload.
+func (h *Harness) ablation() ([]Row, error) {
+	base, err := h.workload(h.onlineParams())
 	if err != nil {
 		return nil, err
 	}
-	type variant struct {
-		name string
-		mod  func(c *core.Config)
-		run  func(*core.Runner) (*core.Result, error)
-	}
-	variants := []variant{
-		{"RfQGen", func(*core.Config) {}, (*core.Runner).RfQGen},
-		{"RfQGen -incremental", func(c *core.Config) { c.DisableIncremental = true }, (*core.Runner).RfQGen},
-		{"BiQGen", func(*core.Config) {}, (*core.Runner).BiQGen},
-		{"BiQGen -sandwich", func(c *core.Config) { c.DisableSandwich = true }, (*core.Runner).BiQGen},
-		{"RfQGen -boundprune", func(c *core.Config) { c.DisableBoundPrune = true }, (*core.Runner).RfQGen},
-		{"ParQGen w=4", func(*core.Config) {}, func(r *core.Runner) (*core.Result, error) { return r.ParQGen(4) }},
+	variants := []struct {
+		name, alg string // alg: core's name; workers = 4 is ParQGen's fan-out, the rest ignore it
+		mod       func(c *core.Config)
+	}{
+		{"RfQGen", "rf", func(*core.Config) {}},
+		{"RfQGen -incremental", "rf", func(c *core.Config) { c.DisableIncremental = true }},
+		{"BiQGen", "bi", func(*core.Config) {}},
+		{"BiQGen -sandwich", "bi", func(c *core.Config) { c.DisableSandwich = true }},
+		{"RfQGen -boundprune", "rf", func(c *core.Config) { c.DisableBoundPrune = true }},
+		{"ParQGen w=4", "par", func(*core.Config) {}},
 	}
 	var rows []Row
 	for _, v := range variants {
-		cfg := *w.cfg
+		cfg := *base
 		v.mod(&cfg)
 		r, err := core.NewRunner(&cfg)
 		if err != nil {
 			return nil, err
 		}
-		res, err := v.run(r)
+		res, err := r.Run(v.alg, 4)
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, Row{
-			Exp: "ablation", Series: v.name, X: "lki",
+			Series: v.name, X: "lki",
 			Value: res.Elapsed.Seconds(),
 			Extra: map[string]float64{
 				"verified": float64(res.Stats.Verified),

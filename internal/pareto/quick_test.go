@@ -63,14 +63,20 @@ func TestQuickArchiveMutualNonDominance(t *testing.T) {
 	}
 }
 
-// TestQuickKungCoversAll: the Kung front weakly dominates every input.
+// TestQuickKungCoversAll: the Kung front weakly dominates every input, so
+// it can stand in for the inputs as an indicator reference: any set's ε_m
+// against the front equals its ε_m against all inputs, and the coordinate
+// maxima are the same.
 func TestQuickKungCoversAll(t *testing.T) {
-	f := func(ps pointSeq) bool {
-		front := Kung(ps)
+	f := func(ps, approx pointSeq) bool {
+		front := make([]Point, 0, len(ps))
+		for _, i := range Kung(ps) {
+			front = append(front, ps[i])
+		}
 		for _, p := range ps {
 			ok := false
-			for _, i := range front {
-				if WeaklyDominates(ps[i], p) {
+			for _, q := range front {
+				if WeaklyDominates(q, p) {
 					ok = true
 					break
 				}
@@ -79,11 +85,23 @@ func TestQuickKungCoversAll(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		if MinEps(approx, ps) != MinEps(approx, front) {
+			return false
+		}
+		return maxima(ps) == maxima(front)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// maxima returns the largest Div and the largest Cov over ps.
+func maxima(ps []Point) Point {
+	var m Point
+	for _, p := range ps {
+		m.Div, m.Cov = max(m.Div, p.Div), max(m.Cov, p.Cov)
+	}
+	return m
 }
 
 // TestQuickDominanceIrreflexiveAntisymmetric.
