@@ -38,7 +38,7 @@ func sweepRows(
 				if err != nil {
 					return nil, err
 				}
-				r, err := row(h, s.p, res)
+				r, err := row(h, s.p, res.Result)
 				if err != nil {
 					return nil, err
 				}
@@ -205,50 +205,31 @@ func (h *Harness) groupsRow(p workloadParams, res *core.Result) (Row, error) {
 // archive and reports I_R after each decile of the explored instances.
 func (h *Harness) fig9e() ([]Row, error) {
 	p := h.varyGroups()[0].p
-	base, err := h.workload(p)
-	if err != nil {
-		return nil, err
-	}
 	_, divMax, covMax, err := h.reference(p)
 	if err != nil {
 		return nil, err
 	}
 	var rows []Row
 	for _, alg := range []string{"RfQGen", "BiQGen"} {
-		cfg := *base
-		shadow := pareto.NewArchive[int](cfg.Eps)
-		var trace []pareto.Point // best-so-far snapshot source
-		var irTrace [][2]float64 // (I_R(0.1), I_R(0.9)) after each verification
-		cfg.OnVerified = func(ev core.VerifyEvent) {
-			if ev.Feasible {
-				shadow.Update(ev.Point, 0)
-			}
-			trace = shadow.Points()
-			irTrace = append(irTrace, [2]float64{
-				pareto.RIndicator(trace, 0.1, divMax, covMax),
-				pareto.RIndicator(trace, 0.9, divMax, covMax),
-			})
-		}
-		r, err := core.NewRunner(&cfg)
+		res, err := h.result(p, alg)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := r.Run(coreNames[alg], 0); err != nil {
-			return nil, err
-		}
-		n := len(irTrace)
-		if n == 0 {
-			continue
-		}
-		for decile := 1; decile <= 10; decile++ {
-			idx := n*decile/10 - 1
-			if idx < 0 {
-				idx = 0
+		shadow, n := pareto.NewArchive[int](p.eps), len(res.verified)
+		for i, ev := range res.verified {
+			if ev.Feasible {
+				shadow.Update(ev.Point, 0)
 			}
-			rows = append(rows,
-				Row{Series: alg + " λR=0.1", X: fmt.Sprintf("%d%%", decile*10), Value: irTrace[idx][0]},
-				Row{Series: alg + " λR=0.9", X: fmt.Sprintf("%d%%", decile*10), Value: irTrace[idx][1]},
-			)
+			for decile := 1; decile <= 10; decile++ {
+				if max(n*decile/10-1, 0) != i {
+					continue // I_R is read after each decile of the stream
+				}
+				x := fmt.Sprintf("%d%%", decile*10)
+				rows = append(rows,
+					Row{Series: alg + " λR=0.1", X: x, Value: pareto.RIndicator(shadow.Points(), 0.1, divMax, covMax)},
+					Row{Series: alg + " λR=0.9", X: x, Value: pareto.RIndicator(shadow.Points(), 0.9, divMax, covMax)},
+				)
+			}
 		}
 	}
 	return rows, nil

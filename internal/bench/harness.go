@@ -87,7 +87,14 @@ type Harness struct {
 	graphs map[string]*graph.Graph
 
 	workloads map[workloadParams]*core.Config
-	results   map[runKey]*core.Result
+	results   map[runKey]*run
+}
+
+// run is one memoized run: its result and its OnVerified stream, which
+// Fig. 9(e) replays (the events keep no instance).
+type run struct {
+	*core.Result
+	verified []core.VerifyEvent
 }
 
 // runKey names one run: an algorithm (a series name of coreNames) on a
@@ -103,7 +110,7 @@ func New(opts Options) *Harness {
 		opts:      opts,
 		graphs:    make(map[string]*graph.Graph),
 		workloads: make(map[workloadParams]*core.Config),
-		results:   make(map[runKey]*core.Result),
+		results:   make(map[runKey]*run),
 	}
 }
 
@@ -326,21 +333,25 @@ var coreNames = map[string]string{
 
 // result returns the run of the series' algorithm on p's workload, making
 // it the first time any experiment asks for it.
-func (h *Harness) result(p workloadParams, alg string) (*core.Result, error) {
+func (h *Harness) result(p workloadParams, alg string) (*run, error) {
 	key := runKey{p, alg}
 	if res, ok := h.results[key]; ok {
 		return res, nil
 	}
-	cfg, err := h.workload(p)
+	base, err := h.workload(p)
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.NewRunner(cfg)
+	res, cfg := &run{}, *base
+	cfg.OnVerified = func(ev core.VerifyEvent) {
+		ev.Instance = nil
+		res.verified = append(res.verified, ev)
+	}
+	r, err := core.NewRunner(&cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, err := r.Run(coreNames[alg], 0)
-	if err != nil {
+	if res.Result, err = r.Run(coreNames[alg], 0); err != nil {
 		return nil, err
 	}
 	h.results[key] = res

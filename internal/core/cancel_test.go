@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -160,5 +161,59 @@ func TestExternalEngineSharedAcrossRuns(t *testing.T) {
 	bad.Engine = engine
 	if _, err := NewRunner(bad); err == nil {
 		t.Error("engine bound to a different graph accepted")
+	}
+}
+
+// TestDomainsReturnToEngine: the runner holds matcher domains — the root's,
+// and a walker's path — only while an algorithm runs: after each of them,
+// completed or cancelled mid-walk, every buffer is back on
+// the engine — and they do use them: on the cycle template plans inherit
+// arcs unless inheritance is off.
+func TestDomainsReturnToEngine(t *testing.T) {
+	g := fixtureGraph(t, 4)
+	algs := map[string]func(r *Runner) error{
+		"rf":    func(r *Runner) error { _, err := r.RfQGen(); return err },
+		"par":   func(r *Runner) error { _, err := r.ParQGen(2); return err },
+		"bi":    func(r *Runner) error { _, err := r.BiQGen(); return err },
+		"slab":  func(r *Runner) error { _, err := r.RunSlab(-1, 0); return err },
+		"enum":  func(r *Runner) error { _, err := r.EnumQGen(); return err },
+		"kungs": func(r *Runner) error { _, err := r.Kungs(); return err },
+		"all":   func(r *Runner) error { _, err := r.AllFeasible(); return err },
+		"cbm":   func(r *Runner) error { _, err := r.CBM(CBMOptions{}); return err },
+		"online": func(r *Runner) error {
+			_, err := r.OnlineQGen(NewRandomStream(r.cfg.Template, 40, 3), OnlineOptions{K: 4, Window: 8})
+			return err
+		},
+	}
+	for name, run := range algs {
+		for _, cancelAt := range []int{0, 1, 7} { // 0: run to completion
+			for _, noInherit := range []bool{false, true} {
+				cfg := cycleConfig(t, g)
+				cfg.DisableIncremental = noInherit
+				cfg.Engine = match.NewEngine(g, match.EngineOptions{})
+				ctx, cancel := context.WithCancel(context.Background())
+				cfg.Ctx = ctx
+				var mu sync.Mutex // par verifies on two goroutines
+				seen := 0
+				cfg.OnVerified = func(VerifyEvent) {
+					mu.Lock()
+					defer mu.Unlock()
+					if seen++; seen == cancelAt {
+						cancel()
+					}
+				}
+				err := run(newRunnerT(t, cfg))
+				cancel()
+				if cancelAt == 0 && err != nil || cancelAt > 0 && !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s cancelAt=%d: err %v", name, cancelAt, err)
+				}
+				if n := cfg.Engine.Stats().DomainsHeld; n != 0 {
+					t.Errorf("%s cancelAt=%d inherit=%v: %d matcher domains still held", name, cancelAt, !noInherit, n)
+				}
+				if st := cfg.Engine.Stats(); cancelAt == 0 && (st.ArcsInherited > 0) == noInherit {
+					t.Errorf("%s inherit=%v: %d arcs inherited, %d revised", name, !noInherit, st.ArcsInherited, st.ArcsRevised)
+				}
+			}
+		}
 	}
 }

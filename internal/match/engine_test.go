@@ -342,3 +342,34 @@ func TestAdoptCarriesMatchers(t *testing.T) {
 		t.Errorf("two callers over 20 generations were served by %d matchers", len(seen))
 	}
 }
+
+// TestEngineAllocations: the engine evaluates on the calling goroutine with
+// the planner's own matcher, so it allocates no more than
+// Matcher.EvalNodeFiltered with a candidate cache of its own.
+func TestEngineAllocations(t *testing.T) {
+	g := randomGraph(t, 300, 900, differentialSeed)
+	tpl := randomTemplate(t, g)
+	m := New(g)
+	m.Cache = NewCandidateCache(0)
+	e := NewEngine(g, EngineOptions{})
+	ctx := context.Background()
+	in := query.Root(tpl)
+	var parent []graph.NodeID
+	for step := 0; step < 4; step++ {
+		q := query.MustInstance(tpl, in)
+		for _, within := range [][]graph.NodeID{nil, parent} {
+			seq := testing.AllocsPerRun(10, func() { m.EvalNodeFiltered(q, q.T.Output, within, nil) })
+			eng := testing.AllocsPerRun(10, func() { e.ParEvalNodeFiltered(ctx, q, q.T.Output, within, nil) })
+			if eng > seq {
+				t.Errorf("%s (within=%v): engine allocates %.0f per evaluation, matcher %.0f",
+					q, within != nil, eng, seq)
+			}
+		}
+		parent = m.EvalOutput(q)
+		kids := query.RefineSteps(tpl, in)
+		if len(kids) == 0 {
+			break
+		}
+		in = kids[len(kids)-1]
+	}
+}

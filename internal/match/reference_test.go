@@ -1,10 +1,7 @@
 package match
 
 import (
-	"math/rand"
-	"reflect"
 	"slices"
-	"testing"
 
 	"fairsqg/internal/graph"
 	"fairsqg/internal/query"
@@ -90,101 +87,4 @@ func bruteForceMatches(g *graph.Graph, q *query.Instance, mode Mode, node int) [
 	rec(0)
 	slices.Sort(out)
 	return out
-}
-
-// tinyRandomGraph builds graphs small enough for brute force (≤ 9 nodes).
-func tinyRandomGraph(rng *rand.Rand) *graph.Graph {
-	g := graph.New()
-	n := 5 + rng.Intn(4)
-	labels := []string{"A", "B"}
-	for i := 0; i < n; i++ {
-		g.AddNode(labels[rng.Intn(2)], map[string]graph.Value{
-			"x": graph.Int(int64(rng.Intn(4))),
-		})
-	}
-	edgeLabels := []string{"r", "s"}
-	for e := 0; e < n*2; e++ {
-		from := graph.NodeID(rng.Intn(n))
-		to := graph.NodeID(rng.Intn(n))
-		if from != to {
-			_ = g.AddEdge(from, to, edgeLabels[rng.Intn(2)])
-		}
-	}
-	g.Freeze()
-	return g
-}
-
-// tinyRandomTemplate builds 2-3 node templates over the tiny schema.
-func tinyRandomTemplate(rng *rand.Rand) *query.Template {
-	b := query.NewBuilder("tiny")
-	labels := []string{"A", "B"}
-	b.Node("o", labels[rng.Intn(2)])
-	b.Node("p", labels[rng.Intn(2)])
-	edgeLabels := []string{"r", "s"}
-	if rng.Intn(2) == 0 {
-		b.Edge("p", "o", edgeLabels[rng.Intn(2)])
-	} else {
-		b.VarEdge("e", "p", "o", edgeLabels[rng.Intn(2)])
-	}
-	if rng.Intn(2) == 0 {
-		b.Node("q", labels[rng.Intn(2)])
-		b.Edge("o", "q", edgeLabels[rng.Intn(2)])
-	}
-	ops := []graph.Op{graph.OpGE, graph.OpLE, graph.OpEQ}
-	b.RangeVar("x", "p", "x", ops[rng.Intn(len(ops))])
-	b.Output("o")
-	tpl, err := b.Build()
-	if err != nil {
-		panic(err)
-	}
-	return tpl
-}
-
-// TestMatcherAgainstBruteForce fuzzes the production matcher against the
-// exhaustive oracle over random tiny graphs, templates and instantiations,
-// in both matching modes. The trials must land on both sides of
-// indexScanCutoff: some selections answered by the index, and some of the
-// p node's literal sets falling back to the scan.
-func TestMatcherAgainstBruteForce(t *testing.T) {
-	const seed = 2024 // fixed and logged so a failing trial reproduces
-	rng := rand.New(rand.NewSource(seed))
-	indexed, fellBack := 0, 0
-	for trial := 0; trial < 250; trial++ {
-		g := tinyRandomGraph(rng)
-		tpl := tinyRandomTemplate(rng)
-		if err := tpl.BindDomains(g, query.DomainOptions{}); err != nil {
-			continue // label/attr combination absent in this tiny graph
-		}
-		in := make(query.Instantiation, len(tpl.Vars))
-		for vi := range tpl.Vars {
-			v := &tpl.Vars[vi]
-			if v.Kind == query.EdgeVar {
-				in[vi] = rng.Intn(2)
-			} else {
-				in[vi] = rng.Intn(len(v.Ladder)+1) - 1
-			}
-		}
-		q := query.MustInstance(tpl, in)
-		for _, mode := range []Mode{Isomorphism, Homomorphism} {
-			m := New(g)
-			m.Mode = mode
-			got := m.EvalOutput(q)
-			if want := bruteForceOutput(g, q, mode); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d trial %d mode %d:\ninstance %s\ngot  %v\nwant %v\ngraph: %d nodes",
-					seed, trial, mode, q, got, want, g.NumNodes())
-			}
-			indexed += m.Stats.IndexSelections
-		}
-		p := tpl.Node("p")
-		label := tpl.Nodes[p].Label
-		if lits, base := q.CompiledLiterals(g, p), g.NodesByLabel(label); len(lits) > 0 && len(base) > 0 {
-			if _, ok := New(g).indexCandidates(base, label, lits); !ok {
-				fellBack++
-			}
-		}
-	}
-	if indexed == 0 || fellBack == 0 {
-		t.Errorf("the trials took the index %d times and fell back to the scan %d times; both paths must be exercised",
-			indexed, fellBack)
-	}
 }

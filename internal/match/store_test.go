@@ -2,6 +2,7 @@ package match
 
 import (
 	"context"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -237,5 +238,111 @@ func TestDerivedSpecsNeverCollide(t *testing.T) {
 	}
 	if v, hit := e.Derived("k2", nil, func() (any, int64) { return "other", 8 }); hit || v != "other" {
 		t.Errorf("another kind shared a value: %v, hit %v", v, hit)
+	}
+}
+
+// TestSharedCacheAcrossGenerations is the cache-invalidation regression
+// suite: one standalone candidate cache attached to matchers over the
+// successive generations of a mutating graph must never serve a
+// pre-mutation entry (zero cross-generation hits), while a second graph
+// sharing the same cache keeps hitting its own warm entries throughout.
+func TestSharedCacheAcrossGenerations(t *testing.T) {
+	base := talentGraph(t)
+	l := graph.NewLive(base)
+	defer l.Close()
+	other := randomGraph(t, 60, 150, 99)
+
+	shared := NewCandidateCache(0)
+	on := func(g *graph.Graph) *Matcher {
+		m := New(g)
+		m.Cache = shared
+		return m
+	}
+	tpl := talentTpl(t)
+	q := query.MustInstance(tpl, allInstantiations(tpl)[0])
+
+	m1 := on(l.Graph())
+	first := m1.EvalOutput(q)
+	afterFirst := shared.Stats()
+	if afterFirst.Misses == 0 || afterFirst.Entries == 0 {
+		t.Fatalf("first run should populate the cache: %+v", afterFirst)
+	}
+	m1.EvalOutput(q)
+	if warmed := shared.Stats(); warmed.Hits <= afterFirst.Hits {
+		t.Fatalf("same-generation rerun should hit: %+v -> %+v", afterFirst, warmed)
+	}
+
+	// Warm the unrelated graph's entries through the same shared cache.
+	tplO := randomTemplate(t, other)
+	qO := query.MustInstance(tplO, allInstantiations(tplO)[0])
+	mOther := on(other)
+	mOther.EvalOutput(qO)
+	otherWarm := shared.Stats()
+
+	// Mutate: drop one director the first run returned.
+	if len(first) == 0 {
+		t.Fatal("fixture returned no results")
+	}
+	if _, err := l.Apply([]graph.Mutation{{Op: graph.MutRemoveNode, Node: first[0]}}); err != nil {
+		t.Fatal(err)
+	}
+	m2 := on(l.Graph())
+	second := m2.EvalOutput(q)
+	afterMutate := shared.Stats()
+	if afterMutate.Hits != otherWarm.Hits {
+		t.Errorf("cross-generation cache hits: %d after mutation, want %d (stale candidates served)",
+			afterMutate.Hits, otherWarm.Hits)
+	}
+	if slices.Contains(second, first[0]) {
+		t.Errorf("removed node %d still in results %v", first[0], second)
+	}
+	// New generation's entries are cached under their own keys.
+	m2.EvalOutput(q)
+	if s := shared.Stats(); s.Hits <= afterMutate.Hits {
+		t.Errorf("post-mutation rerun should hit the fresh entries: %+v -> %+v", afterMutate, s)
+	}
+	// The unrelated graph's warm entries survived the other graph's
+	// mutation: rerunning it hits without new misses.
+	beforeOther := shared.Stats()
+	mOther.EvalOutput(qO)
+	if afterOther := shared.Stats(); afterOther.Misses != beforeOther.Misses || afterOther.Hits <= beforeOther.Hits {
+		t.Errorf("unrelated graph's entries were invalidated: %+v -> %+v", beforeOther, afterOther)
+	}
+}
+
+// TestCompactionKeepsCacheWarm asserts the flip side of invalidation: a
+// compaction rebuilds the representation without changing the logical
+// generation, so the answer is unchanged and a standalone cache's candidate
+// lists stay valid and keep hitting.
+func TestCompactionKeepsCacheWarm(t *testing.T) {
+	base := talentGraph(t)
+	l := graph.NewLive(base)
+	defer l.Close()
+	if _, err := l.Apply([]graph.Mutation{{Op: graph.MutAddNode, Label: "Person",
+		Attrs: []graph.AttrPair{{Name: "title", Value: graph.Str("Director")}}}}); err != nil {
+		t.Fatal(err)
+	}
+	shared := NewCandidateCache(0)
+	tpl := talentTpl(t)
+	q := query.MustInstance(tpl, allInstantiations(tpl)[0])
+
+	m1 := New(l.Graph())
+	m1.Cache = shared
+	want := m1.EvalOutput(q)
+	before := shared.Stats()
+	l.Compact()
+	e := NewEngine(l.Graph(), EngineOptions{})
+	got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("results changed across compaction: %v vs %v", got, want)
+	}
+	m2 := New(l.Graph())
+	m2.Cache = shared
+	m2.EvalOutput(q)
+	if after := shared.Stats(); after.Misses != before.Misses || after.Hits <= before.Hits {
+		t.Errorf("compaction invalidated the cache: %+v -> %+v", before, after)
 	}
 }
