@@ -354,8 +354,10 @@ func TestWorkerProtocol(t *testing.T) {
 }
 
 // TestCoordinatorEquivalence: a distributed run over two in-process
-// workers produces the single-process ParQGen archive at box granularity,
-// pushing each snapshot at most once per worker.
+// workers reports every slab, presents its entries by diversity and pushes
+// each snapshot at most once per worker. (That its entries are the
+// single-process par run's and its counters the slabs' sum is the
+// equivalence generator's distributed axis, internal/match.)
 func TestCoordinatorEquivalence(t *testing.T) {
 	g := testGraph(t, 11)
 	wa, sa := newTestWorker(t)
@@ -376,15 +378,8 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := refResult(t, p, g)
-	assertMatchesReference(t, res, ref, res.Eps)
 	if int(slabsSeen.Load()) != res.Slabs {
 		t.Errorf("OnSlab fired %d times for %d slabs", slabsSeen.Load(), res.Slabs)
-	}
-	if res.Stats.Spawned != ref.Stats.Spawned || res.Stats.Verified != ref.Stats.Verified ||
-		res.Stats.Feasible != ref.Stats.Feasible || res.Stats.Pruned != ref.Stats.Pruned {
-		t.Errorf("distributed stats %+v != reference spawned=%d verified=%d feasible=%d pruned=%d",
-			res.Stats, ref.Stats.Spawned, ref.Stats.Verified, ref.Stats.Feasible, ref.Stats.Pruned)
 	}
 	// Entries are presented like the single-process result: diversity
 	// descending.
@@ -420,23 +415,19 @@ func TestCoordinatorEquivalence(t *testing.T) {
 	}
 }
 
-// TestCoordinatorCarriesEveryCounter: every run-private counter crosses the
-// wire, not a hand-picked few — a distributed job's totals are the
-// in-process sum of RunSlab over the same plan. The pinned ladder tops out
-// above every yearsOfExp in the graph, so the slabs also verify children
-// with empty answers.
+// TestCoordinatorCarriesEveryCounter: what the workers' stores answered and
+// the phase clocks cross the wire too. (That the other counters are the
+// in-process sum of RunSlab over the same plan is the equivalence
+// generator's distributed axis, internal/match.)
 func TestCoordinatorCarriesEveryCounter(t *testing.T) {
 	g := testGraph(t, 11)
 	_, sa := newTestWorker(t)
 	_, sb := newTestWorker(t)
 	c := newTestCoordinator(t, CoordinatorOptions{Workers: []string{sa.URL, sb.URL}, Replicas: 2})
-	p := testPayload()
-	p.Template += "ladder $x1 5 10 99\n"
-	res, err := c.RunJob(context.Background(), JobRequest{Graph: "net", G: g, Payload: p, RequestID: "j-counters"})
+	res, err := c.RunJob(context.Background(), JobRequest{Graph: "net", G: g, Payload: testPayload(), RequestID: "j-counters"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := slabSum(t, p, g)
 	// What a slab found in its worker's store depends on the slabs that
 	// engine served before it, not on the plan: carried, but not the sum's.
 	if res.Stats.AnswersReused == 0 || res.Stats.DerivedReused == 0 {
@@ -444,18 +435,6 @@ func TestCoordinatorCarriesEveryCounter(t *testing.T) {
 	}
 	if w := res.Stats.Wall; w[core.PhaseScore] <= 0 || w[core.PhaseCover] <= 0 || w[core.PhaseDerive] <= 0 || w[core.PhaseUpdate] <= 0 {
 		t.Errorf("the scoring, coverage, derive and update clocks did not cross the wire: %+v", res.Stats)
-	}
-	if got := coldStats(res.Stats); got != want {
-		t.Errorf("distributed stats %+v != in-process slab sum %+v", got, want)
-	}
-	// The same job again, on worker engines the first one warmed: the same
-	// entries and lattice counters, with more of it answered from their stores.
-	again, err := c.RunJob(context.Background(), JobRequest{Graph: "net", G: g, Payload: p, RequestID: "j-counters-2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Entries, res.Entries) || coldStats(again.Stats) != want || again.Stats.AnswersReused <= res.Stats.AnswersReused {
-		t.Errorf("repeated on warm workers: stats %+v (first %+v)\nentries %+v\nfirst   %+v", again.Stats, res.Stats, again.Entries, res.Entries)
 	}
 }
 

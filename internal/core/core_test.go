@@ -779,25 +779,6 @@ func TestDifferentialOnline(t *testing.T) {
 	}
 }
 
-// TestDifferentialMultiOutput covers the multi-output verification path,
-// which routes through ParEvalNodeFiltered when the engine is enabled.
-func TestDifferentialMultiOutput(t *testing.T) {
-	const seed = 50
-	base := multiOutputConfig(t, seed)
-	run := func(cfg *Config) []string {
-		r := newRunnerT(t, cfg)
-		res, err := r.RfQGen()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return archiveFingerprint(res.Set)
-	}
-	want := run(base)
-	if got := run(noInherit(base)); !equalStrings(got, want) {
-		t.Errorf("seed %d: multi-output archive diverged:\ngot  %v\nwant %v", seed, got, want)
-	}
-}
-
 // TestParetoArchiveParityParQGen double-checks that ParQGen with the
 // concurrent engine still satisfies the ε-Pareto contract against the full
 // feasible space (Theorem 2), not just equality with the sequential run.

@@ -3,11 +3,9 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"slices"
 	"testing"
 
-	"fairsqg/internal/gen"
 	"fairsqg/internal/graph"
 	"fairsqg/internal/groups"
 	"fairsqg/internal/match"
@@ -15,70 +13,6 @@ import (
 	"fairsqg/internal/pareto"
 	"fairsqg/internal/query"
 )
-
-// TestScratchPlansFollowGenerations states the default seed as work done:
-// whatever the algorithm and however many instances it verifies, a run
-// starts one plan from the label populations per graph generation — the
-// root's — and every other plan from an ancestor's domains. With
-// DisableIncremental every verification pays for its own.
-func TestScratchPlansFollowGenerations(t *testing.T) {
-	g := fixtureGraph(t, 4)
-	algs := map[string]func(r *Runner) error{
-		"enum":        func(r *Runner) error { _, err := r.EnumQGen(); return err },
-		"kungs":       func(r *Runner) error { _, err := r.Kungs(); return err },
-		"cbm":         func(r *Runner) error { _, err := r.CBM(CBMOptions{}); return err },
-		"allfeasible": func(r *Runner) error { _, err := r.AllFeasible(); return err },
-		"rf":          func(r *Runner) error { _, err := r.RfQGen(); return err },
-		"bi":          func(r *Runner) error { _, err := r.BiQGen(); return err },
-		"par":         func(r *Runner) error { _, err := r.ParQGen(2); return err },
-		"slab":        func(r *Runner) error { _, err := r.RunSlab(-1, 0); return err },
-	}
-	for name, run := range algs {
-		for _, inherit := range []bool{true, false} {
-			cfg := cycleConfig(t, g)
-			cfg.DisableIncremental = !inherit
-			r := newRunnerT(t, cfg)
-			must(t, run(r))
-			st := r.Stats()
-			want := 1
-			if !inherit {
-				want = st.Verified
-			}
-			if name == "enum" && st.Verified < 36 {
-				t.Fatalf("fixture: the lattice has only %d instances", st.Verified)
-			}
-			if st.Matcher.ScratchPlans != want || st.Matcher.Evals != st.Verified {
-				t.Errorf("%s inherit=%v: %d plans from the labels for %d verifications (%d evaluations), want %d",
-					name, inherit, st.Matcher.ScratchPlans, st.Verified, st.Matcher.Evals, want)
-			}
-		}
-	}
-
-	// OnlineQGen: one per generation, re-verification of archive and window
-	// after each Retarget included.
-	cfg := fixtureConfig(t, fixtureGraph(t, 30), 0.05, 3)
-	live := graph.NewLive(cfg.G)
-	defer live.Close()
-	r := newRunnerT(t, cfg)
-	defer r.Close()
-	remove := func(id graph.NodeID) func() {
-		return func() {
-			_, err := live.Apply([]graph.Mutation{{Op: graph.MutRemoveNode, Node: id}})
-			must(t, err)
-		}
-	}
-	var stream InstanceStream = NewRandomStream(cfg.Template, 90, 11)
-	stream = &mutatingStream{inner: stream, at: 30, fire: remove(0)}
-	stream = &mutatingStream{inner: stream, at: 60, fire: remove(4)}
-	res, err := r.OnlineQGen(stream, OnlineOptions{K: 4, Window: 20, Mutations: &LiveMutations{L: live}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rescores != 2 || res.Stats.Matcher.ScratchPlans != 3 || res.Stats.Verified <= 90 {
-		t.Errorf("online over 3 generations: %d re-scores, %d verifications, %d plans from the labels",
-			res.Rescores, res.Stats.Verified, res.Stats.Matcher.ScratchPlans)
-	}
-}
 
 // checkRecords recomputes every verified record of r's memo from its match
 // set alone — a fresh group count, a from-scratch EvalState — and requires
@@ -375,77 +309,6 @@ func TestRetargetLeavesNoStaleSeed(t *testing.T) {
 	}
 	if a, b := cut.Engine.Stats().DomainsHeld, r2.engine.Stats().DomainsHeld; a != 0 || b != 0 {
 		t.Errorf("DomainsHeld after a run cancelled in the ordered walk: old engine %d, new engine %d", a, b)
-	}
-}
-
-// TestParentlessInheritanceEqualsScratch: the verifications that take their
-// parent from the memo — BiQGen's backward sweep, OnlineQGen's arrivals and
-// its ordered re-verification after each of two batches — return what the
-// from-scratch reference (no incVerify, no seed, no score inheritance: no
-// lookup at all) returns: sets with their matches and bit-equal points, the ε
-// history and every counter of the lattice and the re-scores. Two default
-// runs also agree on the work done: the lookup's choice is deterministic.
-func TestParentlessInheritanceEqualsScratch(t *testing.T) {
-	lki := gen.BuildLKI(gen.Options{Nodes: 2000, Seed: 1})
-	star := *starConfig(t, lki)
-	for name, base := range map[string]*Config{
-		"cycle":  cycleConfig(t, fixtureGraph(t, 4)),
-		"talent": fixtureConfig(t, fixtureGraph(t, 30), 0.05, 3),
-		"star":   &star,
-	} {
-		// Each batch removes an eighth of the root's answer and adds a node.
-		rootAnswer := newRunnerT(t, base).verify(query.MustInstance(base.Template, query.Root(base.Template)), nil).Matches
-		batch := func(i int) []graph.Mutation {
-			muts := []graph.Mutation{{Op: graph.MutAddNode, Label: "Person", Attrs: []graph.AttrPair{{Name: "title", Value: graph.Str("Director")}}}}
-			for _, id := range rootAnswer[i*len(rootAnswer)/8 : (i+1)*len(rootAnswer)/8] {
-				muts = append(muts, graph.Mutation{Op: graph.MutRemoveNode, Node: id})
-			}
-			return muts
-		}
-		run := func(scratch bool) (fp []string, st Stats) {
-			cfg := *base
-			cfg.DisableIncremental, cfg.DisableIncScore = scratch, scratch
-			r := newRunnerT(t, &cfg)
-			defer r.Close()
-			bi, err := r.BiQGen()
-			must(t, err)
-			fp = append(archiveFingerprint(bi.Set), fmt.Sprintf("bi %d/%d/%d/%d", bi.Stats.Spawned, bi.Stats.Verified, bi.Stats.Feasible, bi.Stats.Pruned))
-			st = bi.Stats
-
-			live := graph.NewLive(base.G)
-			defer live.Close()
-			apply := func(i int) func() { return func() { _, err := live.Apply(batch(i)); must(t, err) } }
-			var stream InstanceStream = NewRandomStream(cfg.Template, 90, 11)
-			stream = &mutatingStream{inner: stream, at: 30, fire: apply(0)}
-			stream = &mutatingStream{inner: stream, at: 60, fire: apply(1)}
-			on, err := r.OnlineQGen(stream, OnlineOptions{K: 6, Window: 30, Mutations: &LiveMutations{L: live}})
-			must(t, err)
-			if n := r.engine.Stats().DomainsHeld; n != 0 {
-				t.Errorf("%s scratch=%v: %d matcher domains held after OnlineQGen", name, scratch, n)
-			}
-			if on.Rescores != 2 || on.RescoreDropped == 0 {
-				t.Errorf("%s: fixture: %d re-scores dropped %d instances", name, on.Rescores, on.RescoreDropped)
-			}
-			fp = append(fp, archiveFingerprint(on.Set)...)
-			fp = append(fp, fmt.Sprint(on.EpsHistory), fmt.Sprintf("online %d/%d/%d rescores %d dropped %d",
-				on.Stats.Verified, on.Stats.Feasible, on.Stats.Pruned, on.Rescores, on.RescoreDropped))
-			st.Add(on.Stats)
-			return fp, st
-		}
-		want, scratch := run(true)
-		got, first := run(false)
-		_, second := run(false)
-		if !equalStrings(got, want) {
-			t.Errorf("%s: inheriting run differs from the from-scratch one:\ngot  %v\nwant %v", name, got, want)
-		}
-		if scratch.AncestorsFound != 0 || first.AncestorsFound == 0 || first.AnswersShared == 0 {
-			t.Errorf("%s: %d ancestors found from scratch; %d found, %d answers shared by default",
-				name, scratch.AncestorsFound, first.AncestorsFound, first.AnswersShared)
-		}
-		if first.Matcher != second.Matcher || first.AncestorsFound != second.AncestorsFound {
-			t.Errorf("%s: two identical runs did different work:\n%+v, %d ancestors\n%+v, %d ancestors",
-				name, first.Matcher, first.AncestorsFound, second.Matcher, second.AncestorsFound)
-		}
 	}
 }
 

@@ -95,8 +95,9 @@ func TestMultiOutputUnion(t *testing.T) {
 }
 
 // TestMultiOutputGeneration: the full pipeline stays valid — every
-// algorithm returns ε-Pareto sets over the multi-output objective, and
-// incremental evaluation equals from-scratch.
+// algorithm returns ε-Pareto sets over the multi-output objective. (That
+// each inheritance setting gives the oracle's archive is the equivalence
+// generator's multi-output axis, internal/match.)
 func TestMultiOutputGeneration(t *testing.T) {
 	cfg := multiOutputConfig(t, 52)
 	ref, err := newRunnerT(t, cfg).AllFeasible()
@@ -127,20 +128,6 @@ func TestMultiOutputGeneration(t *testing.T) {
 		if em := pareto.MinEps(res.Points(), refPoints); em > cfg.Eps+1e-9 {
 			t.Errorf("%s: ε_m = %v", alg.name, em)
 		}
-	}
-	// Incremental vs from-scratch.
-	cfg2 := multiOutputConfig(t, 52)
-	cfg2.DisableIncremental = true
-	a, err := newRunnerT(t, cfg).RfQGen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := newRunnerT(t, cfg2).RfQGen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalStrings(archiveFingerprint(a.Set), archiveFingerprint(b.Set)) {
-		t.Errorf("incremental multi-output evaluation changed the archive:\n%v\nvs\n%v", archiveFingerprint(a.Set), archiveFingerprint(b.Set))
 	}
 }
 

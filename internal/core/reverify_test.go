@@ -81,41 +81,6 @@ func runLive(t *testing.T, c liveCase, procs int, cfg Config, onEvent func(n int
 	return run
 }
 
-// TestReverifyWorkersAgree: the level walk records the same at one, two and
-// four processors — the set's keys, answers, point bits and feasibility,
-// every counter, and the OnVerified sequence. Only the clocks and how many
-// scoring calls split their pair loop (which follows GOMAXPROCS by design)
-// may differ.
-func TestReverifyWorkersAgree(t *testing.T) {
-	for _, c := range liveCases(t) {
-		var want liveRun
-		for _, procs := range []int{1, 2, 4} {
-			got := runLive(t, c, procs, *c.cfg, nil)
-			must(t, got.err)
-			if got.res.Rescores != 5 || got.res.RescoreDropped == 0 {
-				t.Fatalf("%s: fixture: %d re-scores dropped %d", c.name, got.res.Rescores, got.res.RescoreDropped)
-			}
-			st := got.res.Stats
-			clear(st.Wall[:])
-			st.ScoreSplits = 0
-			got.res.Stats = st
-			if procs == 1 {
-				want = got
-				continue
-			}
-			if a, b := archiveFingerprint(got.res.Set), archiveFingerprint(want.res.Set); !equalStrings(a, b) {
-				t.Errorf("%s: set at %d procs\n%v\nat 1\n%v", c.name, procs, a, b)
-			}
-			if got.res.Stats != want.res.Stats {
-				t.Errorf("%s: stats at %d procs\n%+v\nat 1\n%+v", c.name, procs, got.res.Stats, want.res.Stats)
-			}
-			if !equalStrings(got.events, want.events) {
-				t.Errorf("%s: %d events at %d procs differ from the %d at 1", c.name, len(got.events), procs, len(want.events))
-			}
-		}
-	}
-}
-
 // TestReverifyCancelInLevel: a run cancelled between two commits of a level,
 // or at any moment of its evaluations, returns context.Canceled, and what it
 // recorded is a prefix of the uncancelled run: every event it fired is the

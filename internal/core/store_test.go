@@ -81,59 +81,6 @@ func shapeConfig(t testing.TB, g *graph.Graph, shape string, cover int, eps, lam
 	return &Config{G: g, Template: tpl, Groups: set, Eps: eps, Lambda: lambda, MaxPairs: -1, Engine: engine}
 }
 
-// warmEngine returns an engine over g that jobs unlike the one under test —
-// other algorithms, constraints, tolerances and λ — have run on.
-func warmEngine(t testing.TB, g *graph.Graph, shape string) *match.Engine {
-	t.Helper()
-	e := match.NewEngine(g, match.EngineOptions{})
-	for _, job := range []struct {
-		cover       int
-		eps, lambda float64
-		run         func(r *Runner) error
-	}{
-		{1, 0.3, 0.2, func(r *Runner) error { _, err := r.BiQGen(); return err }},
-		{4, 0.05, 0.9, func(r *Runner) error { _, err := r.EnumQGen(); return err }},
-		{3, 0.15, 0.5, func(r *Runner) error { _, err := r.RfQGen(); return err }},
-	} {
-		if err := job.run(newRunnerT(t, shapeConfig(t, g, shape, job.cover, job.eps, job.lambda, e))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return e
-}
-
-// TestWarmEqualsCold: on an engine other jobs have warmed, every algorithm
-// and every slab returns what it returns on an engine of its own — the same
-// instances with the same answers, bit-equal (δ, f) points, the same lattice
-// counters — while answering from the store, not the matcher.
-func TestWarmEqualsCold(t *testing.T) {
-	g := fixtureGraph(t, 4)
-	for shape := range storeShapes {
-		cold := runAll(t, shapeConfig(t, g, shape, 2, 0.1, 0.5, nil))
-		if len(cold["rf"]) < 2 {
-			t.Fatalf("%s: rf archive %v: the fixture yields no front", shape, cold["rf"])
-		}
-		e := warmEngine(t, g, shape)
-		before := e.Stats()
-		warm := runAll(t, shapeConfig(t, g, shape, 2, 0.1, 0.5, e))
-		if !reflect.DeepEqual(warm, cold) {
-			for alg := range cold {
-				if !equalStrings(warm[alg], cold[alg]) {
-					t.Errorf("%s/%s on a warm engine:\n%v\non its own:\n%v", shape, alg, warm[alg], cold[alg])
-				}
-			}
-		}
-		after := e.Stats()
-		if after.Shared.Hits == before.Shared.Hits || after.Shared.Evictions != 0 {
-			t.Errorf("%s: the warm runs found nothing stored: %+v", shape, after.Shared)
-		}
-		// Whole answers are stored, so only vetoed instances are evaluated again.
-		if evals, lookups := after.Evals-before.Evals, after.Shared.Hits+after.Shared.Misses-before.Shared.Hits-before.Shared.Misses; int64(evals)*2 > lookups {
-			t.Errorf("%s: %d evaluations for %d lookups on a warm engine", shape, evals, lookups)
-		}
-	}
-}
-
 // TestStatsSayWhatWasReused: a job's Stats carry how much of it the store
 // answered; the first job on an engine reuses only what it stored itself.
 func TestStatsSayWhatWasReused(t *testing.T) {

@@ -60,7 +60,8 @@ func FuzzReadTSV(f *testing.F) {
 	})
 }
 
-// FuzzReadJSON is the same property for the JSON format.
+// FuzzReadJSON is the same property for the JSON format, which also keeps
+// every value and its kind: the reread graph is Equivalent.
 func FuzzReadJSON(f *testing.F) {
 	var buf bytes.Buffer
 	if err := WriteJSON(&buf, fuzzSeedGraph()); err != nil {
@@ -70,6 +71,7 @@ func FuzzReadJSON(f *testing.F) {
 	f.Add([]byte(`{"nodes":[],"edges":[]}`))
 	f.Add([]byte(`{"nodes":[{"label":"A"}],"edges":[{"from":0,"to":0,"label":"x"}]}`))
 	f.Add([]byte(`{"nodes":[{"label":"A"}],"edges":[{"from":5,"to":0,"label":"x"}]}`)) // bad endpoint
+	f.Add([]byte(`{"nodes":[{"id":0,"label":"A","attrs":{"a":"1","b":{"kind":"string","value":"true"},"c":{"kind":"number","value":"NaN"}}}],"edges":[]}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -77,7 +79,9 @@ func FuzzReadJSON(f *testing.F) {
 		if err != nil {
 			return
 		}
-		roundTrip(t, g, WriteJSON, ReadJSON)
+		if err := Equivalent(g, roundTrip(t, g, WriteJSON, ReadJSON)); err != nil {
+			t.Fatal(err)
+		}
 	})
 }
 
@@ -152,7 +156,7 @@ func FuzzValueTotalOrder(f *testing.F) {
 
 // roundTrip writes an accepted graph back out and reads it again; the
 // copy must parse and match node/edge counts and per-node labels.
-func roundTrip(t *testing.T, g *Graph, write func(io.Writer, *Graph) error, read func(io.Reader) (*Graph, error)) {
+func roundTrip(t *testing.T, g *Graph, write func(io.Writer, *Graph) error, read func(io.Reader) (*Graph, error)) *Graph {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := write(&buf, g); err != nil {
@@ -171,4 +175,5 @@ func roundTrip(t *testing.T, g *Graph, write func(io.Writer, *Graph) error, read
 			t.Fatalf("node %d label %q -> %q", i, g.Label(NodeID(i)), g2.Label(NodeID(i)))
 		}
 	}
+	return g2
 }

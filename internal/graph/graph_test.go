@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -149,17 +150,31 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
+// TestJSONRoundTrip: what WriteJSON writes ReadJSON reads back Equivalent,
+// each value with its kind: strings a compact cell would read as another
+// kind or cut ("1", "true", "", "null", a tab, a newline), NaN, ±Inf, −0,
+// all in one mixed-kind column.
 func TestJSONRoundTrip(t *testing.T) {
-	g := buildSample(t)
-	var buf bytes.Buffer
-	if err := WriteJSON(&buf, g); err != nil {
-		t.Fatal(err)
+	g := New()
+	for _, v := range []Value{Str("1"), Str("true"), Str(""), Str("null"), Str("a\tb"), Str("a\nb"),
+		Num(math.NaN()), Num(math.Inf(1)), Num(math.Inf(-1)), Num(math.Copysign(0, -1)), Int(3), Bool(true), Str("s")} {
+		g.AddNode("A", map[string]Value{"mixed": v})
 	}
-	g2, err := ReadJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
+	_ = g.AddEdge(0, 1, "r")
+	g.Freeze()
+	for _, g := range []*Graph{g, buildSample(t)} {
+		var buf bytes.Buffer
+		if err := WriteJSON(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		g2, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Equivalent(g, g2); err != nil {
+			t.Error(err)
+		}
 	}
-	assertSameGraph(t, g, g2)
 }
 
 func TestTSVRoundTrip(t *testing.T) {

@@ -47,9 +47,9 @@ type jsonCounts struct {
 }
 
 type jsonNode struct {
-	ID    int               `json:"id"`
-	Label string            `json:"label"`
-	Attrs map[string]string `json:"attrs,omitempty"`
+	ID    int                  `json:"id"`
+	Label string               `json:"label"`
+	Attrs map[string]jsonValue `json:"attrs,omitempty"`
 }
 
 type jsonEdge struct {
@@ -67,9 +67,9 @@ func WriteJSON(w io.Writer, g *Graph) error {
 	for i := range doc.Nodes {
 		n := jsonNode{ID: i, Label: g.Label(NodeID(i))}
 		if pairs := g.AttrPairs(NodeID(i)); len(pairs) > 0 {
-			n.Attrs = make(map[string]string, len(pairs))
+			n.Attrs = make(map[string]jsonValue, len(pairs))
 			for _, p := range pairs {
-				n.Attrs[p.Name] = p.Value.String()
+				n.Attrs[p.Name] = jsonValue{p.Value}
 			}
 		}
 		doc.Nodes[i] = n
@@ -113,7 +113,7 @@ func ReadJSON(r io.Reader) (*Graph, error) {
 		}
 		sort.Strings(names)
 		for _, a := range names {
-			g.SetAttr(id, a, ParseValue(n.Attrs[a]))
+			g.SetAttr(id, a, n.Attrs[a].v)
 		}
 	}
 	for _, e := range doc.Edges {

@@ -17,28 +17,62 @@ import (
 
 // The checker on fixed fixtures: the hand-built and seeded graphs the
 // matcher's tests share run through checkMatcher and checkEval as cases of
-// their own, in the heap backing, without a budget.
+// their own, without a budget. equivFixtures is the table; each of its rows
+// is a test of the row's name (runFixture).
 
-// fixtureCase wraps g and tpl as a case of the checker.
-func fixtureCase(seed int64, g *graph.Graph, tpl *query.Template, mode match.Mode, shape string) *equivCase {
-	return &equivCase{
+// fixtureCase wraps g and tpl as a case of the checker, in the given
+// backing.
+func fixtureCase(t testing.TB, seed int64, g *graph.Graph, tpl *query.Template, mode match.Mode, shape, backing string) *equivCase {
+	c := &equivCase{
 		seed: seed, rng: rand.New(rand.NewSource(seed)), g: g, heap: g, nodes: g.NumNodes(), tpl: tpl,
-		shape: shape, backing: "heap", inherit: "default", settings: match.Settings{Mode: mode}, procs: runtime.GOMAXPROCS(0),
+		shape: shape, backing: backing, inherit: "default", settings: match.Settings{Mode: mode}, procs: runtime.GOMAXPROCS(0),
 	}
+	c.g = c.inBacking(t, g)
+	return c
 }
 
-// checkFixture runs every instantiation of tpl over g through the matcher
-// level in the given modes, with outputOracle as given, and through one
-// engine per mode shared by all of them, so its candidate cache serves
-// mixed keys: that engine's answer at the output must be the sequential
-// matcher's, which checkMatcher compares with the oracle.
-func checkFixture(t *testing.T, seed int64, g *graph.Graph, tpl *query.Template, shape string, modes []match.Mode, outputOracle bool) equivReach {
-	t.Helper()
+var bothModes = []match.Mode{match.Isomorphism, match.Homomorphism}
+
+// equivFixtures are the fixture runs: every instantiation of the row's
+// template over its graph, through the matcher level in each of the row's
+// modes, on the row's backing (with outputOracle, the oracle at the output
+// only), and through one engine per mode shared by all of them, so its
+// candidate cache serves mixed keys: that engine's answer at the output
+// must be the sequential matcher's. reach lists what the row must meet.
+var equivFixtures = map[string]struct {
+	build        func(testing.TB) (*graph.Graph, *query.Template)
+	modes        []match.Mode
+	backing      string
+	outputOracle bool
+	reach        []string
+}{
+	// The canonical talent fixture. Its e1=0 instances collapse to the
+	// output node alone, so this is also where the checker meets inactive
+	// nodes and single-node plans on a hand-built graph.
+	"TestDifferentialTalentFixture": {talentFixture, bothModes, "heap", false, []string{"inactive node", "vetoed", "single-node plan", "within"}},
+	// The talent fixture decoded from a snapshot and mapped from a file:
+	// matching must not tell the copies from the heap graph, counters
+	// included.
+	"TestMatcherSnapshotDifferential": {talentFixture, bothModes, "decode", false, []string{"index selection"}},
+	"TestMatcherMappedDifferential":   {talentFixture, bothModes, "mapped", false, []string{"index selection"}},
+	// The mid-size random fixture: every instantiation of the 4-variable
+	// random template, against the oracle at the output node.
+	"TestDifferentialRandomGraph": {randomFixture, bothModes[:1], "heap", true, nil},
+	// The hostile fixture, on the heap and decoded: parallel edges, Null
+	// and NaN attribute values must not change anyone's answer.
+	"TestDifferentialMultigraphNullNaN": {multiNullFixture, bothModes, "heap", false, nil},
+	"TestEngineSnapshotDifferential":    {multiNullFixture, bothModes, "decode", false, nil},
+}
+
+// runFixture runs the row of t's name.
+func runFixture(t *testing.T) {
+	row := equivFixtures[t.Name()]
+	g, tpl := row.build(t)
 	reach := equivReach{}
-	for _, mode := range modes {
-		c := fixtureCase(seed, g, tpl, mode, shape)
-		c.outputOracle = outputOracle
-		e := match.NewEngine(g, match.EngineOptions{Settings: c.settings})
+	for _, mode := range row.modes {
+		c := fixtureCase(t, match.DifferentialSeed, g, tpl, mode, t.Name(), row.backing)
+		c.outputOracle = row.outputOracle
+		e := match.NewEngine(c.g, match.EngineOptions{Settings: c.settings})
 		for _, in := range match.AllInstantiations(tpl) {
 			q := query.MustInstance(tpl, in)
 			checkMatcher(t, c, q, reach)
@@ -50,36 +84,35 @@ func checkFixture(t *testing.T, seed int64, g *graph.Graph, tpl *query.Template,
 			}
 		}
 	}
-	return reach
-}
-
-var bothModes = []match.Mode{match.Isomorphism, match.Homomorphism}
-
-// TestDifferentialTalentFixture runs every instantiation of the canonical
-// talent fixture through the checker in both matching modes. Its e1=0
-// instances collapse to the output node alone, so this is also where the
-// checker meets inactive nodes and single-node plans on a hand-built graph.
-func TestDifferentialTalentFixture(t *testing.T) {
-	reach := checkFixture(t, match.DifferentialSeed, match.TalentGraph(t), match.TalentTpl(t), "talent", bothModes, false)
-	for _, shape := range []string{"inactive node", "vetoed", "single-node plan", "within"} {
+	for _, shape := range row.reach {
 		if reach[shape] == 0 {
-			t.Errorf("the talent fixture reached no %q evaluation: %v", shape, reach)
+			t.Errorf("the fixture reached no %q evaluation: %v", shape, reach)
 		}
 	}
 }
 
-// TestDifferentialRandomGraph covers the mid-size random fixture: every
-// instantiation of the 4-variable random template, against the oracle at
-// the output node.
-func TestDifferentialRandomGraph(t *testing.T) {
-	g := match.RandomGraph(t, 300, 900, match.DifferentialSeed)
-	checkFixture(t, match.DifferentialSeed, g, match.RandomTemplate(t, g), "random", bothModes[:1], true)
+func TestDifferentialTalentFixture(t *testing.T)     { runFixture(t) }
+func TestMatcherSnapshotDifferential(t *testing.T)   { runFixture(t) }
+func TestMatcherMappedDifferential(t *testing.T)     { runFixture(t) }
+func TestDifferentialRandomGraph(t *testing.T)       { runFixture(t) }
+func TestDifferentialMultigraphNullNaN(t *testing.T) { runFixture(t) }
+func TestEngineSnapshotDifferential(t *testing.T)    { runFixture(t) }
+
+func talentFixture(t testing.TB) (*graph.Graph, *query.Template) {
+	return match.TalentGraph(t), match.TalentTpl(t)
 }
 
-// multiNullGraph is a deliberately hostile fixture: a multigraph (parallel
-// edges with identical endpoints and label must dedup, not double-count) in
-// which attribute values include Null (absent) and NaN — the bottom of the
-// value total order — on both template-constrained attributes.
+func randomFixture(t testing.TB) (*graph.Graph, *query.Template) {
+	g := match.RandomGraph(t, 300, 900, match.DifferentialSeed)
+	return g, match.RandomTemplate(t, g)
+}
+
+// multiNullFixture is a deliberately hostile fixture: a multigraph
+// (parallel edges with identical endpoints and label must dedup, not
+// double-count) in which attribute values include Null (absent) and NaN —
+// the bottom of the value total order — on both template-constrained
+// attributes. The template ranges over both; the edge variable turns the
+// recommender off entirely, exercising projection.
 //
 //	p0 Person exp 10      p0 -rec-> p3 (x2), p0 -rec-> p1, p0 -works-> o4 (x2)
 //	p1 Person exp NaN     p1 -rec-> p3, p1 -works-> o4
@@ -87,7 +120,7 @@ func TestDifferentialRandomGraph(t *testing.T) {
 //	p3 Person exp 3       p3 -rec-> p0, p3 -works-> o5
 //	o4 Org size 100
 //	o5 Org (no size)
-func multiNullGraph(t testing.TB) *graph.Graph {
+func multiNullFixture(t testing.TB) (*graph.Graph, *query.Template) {
 	t.Helper()
 	g := graph.New()
 	p0 := g.AddNode("Person", map[string]graph.Value{"exp": graph.Int(10)})
@@ -113,54 +146,47 @@ func multiNullGraph(t testing.TB) *graph.Graph {
 		}
 	}
 	g.Freeze()
-	return g
-}
-
-// TestDifferentialMultigraphNullNaN runs the hostile fixture through the
-// checker: parallel edges, Null and NaN attribute values must not change
-// anyone's answer. The template ranges over both hostile attributes; the
-// edge variable turns the recommender off entirely, exercising projection.
-func TestDifferentialMultigraphNullNaN(t *testing.T) {
-	g := multiNullGraph(t)
-	tpl, err := query.NewBuilder("multinull").
+	tpl := query.NewBuilder("multinull").
 		Node("u_o", "Person").
 		Node("u1", "Person").RangeVar("x", "u1", "exp", graph.OpGE).
 		Node("org", "Org").RangeVar("y", "org", "size", graph.OpLE).
 		VarEdge("e1", "u1", "u_o", "rec").
 		Edge("u1", "org", "works").
-		Output("u_o").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+		Output("u_o").MustBuild()
 	if err := tpl.BindDomains(g, query.DomainOptions{MaxValues: 3}); err != nil {
 		t.Fatal(err)
 	}
-	checkFixture(t, match.DifferentialSeed, g, tpl, "multinull", bothModes, false)
+	return g, tpl
 }
 
-// TestDifferentialIncremental checks within-restricted evaluation (what
-// incVerify runs) along random refinement chains: at each step the output
-// node restricted to its parent's answer goes through checkEval, and an
-// engine shared by the chains answers it as the sequential matcher does.
-func TestDifferentialIncremental(t *testing.T) {
-	g := match.RandomGraph(t, 300, 900, match.DifferentialSeed+1)
+// checkChains checks within-restricted evaluation (what incVerify runs)
+// along random refinement chains over the random fixture of graphSeed: at
+// each step the output node restricted to its parent's answer goes through
+// checkEval, the oracle's answer lies inside the parent's (Lemma 2), so the
+// restricted evaluation is the one from scratch, and an engine shared by
+// the chains answers as the sequential matcher does.
+func checkChains(t *testing.T, graphSeed, chainSeed int64, trials int) {
+	g := match.RandomGraph(t, 300, 900, graphSeed)
 	tpl := match.RandomTemplate(t, g)
-	c := fixtureCase(match.DifferentialSeed+2, g, tpl, match.Isomorphism, "random")
+	c := fixtureCase(t, chainSeed, g, tpl, match.Isomorphism, "random", "heap")
 	m := match.New(g)
 	e := match.NewEngine(g, match.EngineOptions{})
 	reach := equivReach{}
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		in := query.Root(tpl)
 		parent := m.EvalOutput(query.MustInstance(tpl, in))
-		for step := 0; step < 5; step++ {
+		for step := 0; step < 6; step++ {
 			kids := query.RefineSteps(tpl, in)
 			if len(kids) == 0 {
 				break
 			}
 			in = kids[c.rng.Intn(len(kids))]
 			q := query.MustInstance(tpl, in)
-			checkEval(t, c, q, q.T.Output, match.BruteForceMatches(g, q, c.settings.Mode, q.T.Output), parent, 0, reach)
+			oracle := match.BruteForceMatches(g, q, c.settings.Mode, q.T.Output)
+			if slices.ContainsFunc(oracle, func(v graph.NodeID) bool { return !slices.Contains(parent, v) }) {
+				t.Fatalf("%v: trial %d step %d: %s: refinement grew the answer %v to %v", c, trial, step, q, parent, oracle)
+			}
+			checkEval(t, c, q, q.T.Output, oracle, parent, 0, reach)
 			want := m.EvalOutputWithin(q, parent)
 			if got, _, err := e.ParEvalNodeFiltered(context.Background(), q, q.T.Output, parent, nil); err != nil || !reflect.DeepEqual(got, want) {
 				t.Errorf("%v: trial %d step %d: %s: shared engine %v (err %v), sequential %v", c, trial, step, q, got, err, want)
@@ -172,6 +198,12 @@ func TestDifferentialIncremental(t *testing.T) {
 		t.Error("the chains ran no within-restricted evaluation")
 	}
 }
+
+func TestDifferentialIncremental(t *testing.T) {
+	checkChains(t, match.DifferentialSeed+1, match.DifferentialSeed+2, 20)
+}
+
+func TestIncrementalEqualsScratch(t *testing.T) { checkChains(t, 42, 99, 60) }
 
 // TestSignaturePruneSoundness is the property behind structurePrune: any
 // candidate the degree/signature check rejects must fail every brute-force

@@ -12,6 +12,7 @@ import (
 
 	"fairsqg/internal/core"
 	"fairsqg/internal/graph"
+	"fairsqg/internal/groups"
 	"fairsqg/internal/match"
 	"fairsqg/internal/query"
 )
@@ -21,7 +22,12 @@ import (
 // one value of every axis. checkEquivCase checks it against the brute-force
 // oracle (bruteForceMatches, through export_test.go) at the matcher level
 // here and at the core level (equiv_core_test.go), so the axes cross, and
-// every failure names the seed and the axis values that reproduce it.
+// every failure names the seed and the axis values that reproduce it. The
+// core level's axes are the store (cold, or warm: an engine another job ran
+// on), the answer source (the matcher, or an extra output node joining it),
+// the execution (local, or a cluster.Coordinator over two in-process
+// workers) and, on a mutated graph, the mutation script landing under a
+// streaming OnlineQGen.
 var (
 	equivSizes    = []int{31, 32, 33, 65} // across the 32-entry chunk and the 64-bit word
 	equivShapes   = []string{"star", "chain", "tree", "cycle", "clique"}
@@ -32,17 +38,23 @@ var (
 // equivCase is one generated case. g is the graph in the case's backing and
 // heap the same graph as built (and mutated): g's cells, answers and
 // counters must equal heap's, and the core level's reference runs on heap.
+// A mutated case keeps base, the graph as built, and script, the batches
+// that mutated it.
 type equivCase struct {
 	seed                    int64
 	rng                     *rand.Rand // what the checker draws instances and within sets from
-	g, heap                 *graph.Graph
+	g, heap, base           *graph.Graph
+	script                  [][]graph.Mutation
 	nodes, tombstones       int
 	mixed                   bool // column x holds strings and bools besides numbers
 	tpl                     *query.Template
+	groups                  groups.Set // the k partition of A on heap, under cover
 	shape, backing, inherit string
 	settings                match.Settings
 	procs, cover            int
 	eps                     float64
+	warm, cluster           bool   // the store and execution axes
+	extra                   string // an always-active extra output node, or "" for the output alone
 	// outputOracle limits the oracle to the output node, for a fixture too
 	// large to brute-force at every node: the other nodes compare the
 	// engine with the sequential matcher only.
@@ -50,15 +62,15 @@ type equivCase struct {
 }
 
 func (c *equivCase) String() string {
-	return fmt.Sprintf("seed %d (%d nodes, %d tombstoned, mixed x %v; %s template; %s backing; mode %d, budget %d; inheritance %s; GOMAXPROCS %d)",
-		c.seed, c.nodes, c.tombstones, c.mixed, c.shape, c.backing, c.settings.Mode, c.settings.MaxBacktrackNodes, c.inherit, c.procs)
+	return fmt.Sprintf("seed %d (%d nodes, %d tombstoned, mixed x %v; %s template; %s backing; mode %d, budget %d; inheritance %s; GOMAXPROCS %d; warm %v; extra output %q; cluster %v)",
+		c.seed, c.nodes, c.tombstones, c.mixed, c.shape, c.backing, c.settings.Mode, c.settings.MaxBacktrackNodes, c.inherit, c.procs, c.warm, c.extra, c.cluster)
 }
 
 // newEquivCase generates the case of one seed. Nodes are labelled A (all
 // of them in half the cases) or B and carry x (equivValue), y (a small
 // integer) and k (the group attribute, f or m), each absent at times. Edges
 // are labelled r or s, one in six is a self-loop, some come in parallel
-// copies. Half the graphs then take two graph.Live batches (equivMutate).
+// copies. Half the graphs then take two graph.Live batches (equivScript).
 func newEquivCase(t testing.TB, seed int64) *equivCase {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -72,6 +84,7 @@ func newEquivCase(t testing.TB, seed int64) *equivCase {
 		procs:   1 + rng.Intn(2),
 		cover:   1 + rng.Intn(4)/3,
 		eps:     []float64{0.05, 0.2, 0.5}[rng.Intn(3)],
+		warm:    rng.Intn(2) == 0,
 		// A budget of 1 to 4 search nodes in one case in six.
 		settings: match.Settings{Mode: match.Mode(rng.Intn(2)), MaxBacktrackNodes: max(0, rng.Intn(24)-19)},
 	}
@@ -103,14 +116,19 @@ func newEquivCase(t testing.TB, seed int64) *equivCase {
 	g.Freeze()
 	c.heap, c.g = g, g
 	if rng.Intn(2) == 0 {
-		c.heap, g = equivMutate(t, rng, g, c.mixed)
+		c.base, c.script = g, equivScript(rng, g, c.mixed)
+		l := graph.NewLive(g)
+		for i := range c.script {
+			landBatch(t, l, c.script, i)
+		}
+		// Live.Compact hands a checkpoint the generation's resurrected
+		// image, tombstoned slots live again.
+		c.heap = l.Graph()
+		_, g = l.Compact()
 		c.tombstones, c.g = len(c.heap.Tombstones()), c.heap
 	}
-	switch c.backing {
-	case "decode":
-		c.g = match.SnapshotCopy(t, g)
-	case "mapped":
-		c.g = match.MappedCopy(t, g)
+	if c.backing != "heap" {
+		c.g = c.inBacking(t, g)
 	}
 	// A snapshot holds no tombstones (WriteSnapshot refuses them), so a
 	// mutated graph gets to a backing as a checkpoint does: g is its
@@ -124,14 +142,76 @@ func newEquivCase(t testing.TB, seed int64) *equivCase {
 		t.Cleanup(func() { live.Close() })
 		c.g = live
 	}
-	for try := 0; ; try++ {
-		if c.tpl = equivTemplate(rng, c.shape, labels); c.tpl.BindDomains(c.heap, query.DomainOptions{MaxValues: 2}) == nil {
-			return c
-		}
+	if rng.Intn(3) == 0 {
+		c.extra = "a" // equivTemplate keeps it always active
+	}
+	for try := 0; c.tpl == nil || c.tpl.BindDomains(c.heap, query.DomainOptions{MaxValues: 2}) != nil; try++ {
 		if try == 20 {
 			t.Fatalf("seed %d: no %s template binds", seed, c.shape)
 		}
+		c.tpl = equivTemplate(rng, c.shape, labels, c.extra != "")
 	}
+	c.groups = equivGroups(c.heap, c.cover)
+	// The cluster rebuilds the job from its wire form: the template as
+	// text and groups under an uncapped cover, matched by isomorphism with
+	// inheritance on, on a graph a snapshot can ship.
+	capped := slices.ContainsFunc(c.groups, func(g groups.Group) bool { return g.Want < c.cover })
+	if c.tombstones == 0 && c.extra == "" && !capped && c.settings.Mode == match.Isomorphism && c.inherit == "default" {
+		if text := textForm(c.tpl); text != nil {
+			c.tpl, c.cluster = text, true
+		}
+	}
+	return c
+}
+
+// inBacking returns g in the case's backing: the heap graph, or its
+// snapshot decoded or mapped.
+func (c *equivCase) inBacking(t testing.TB, g *graph.Graph) *graph.Graph {
+	switch c.backing {
+	case "decode":
+		return match.SnapshotCopy(t, g)
+	case "mapped":
+		return match.MappedCopy(t, g)
+	}
+	return g
+}
+
+// equivGroups cuts A by k under cover, each want capped at its group's size.
+func equivGroups(g *graph.Graph, cover int) groups.Set {
+	set := groups.EqualOpportunity(groups.ByAttribute(g, "A", "k"), cover)
+	for i := range set {
+		set[i].Want = min(set[i].Want, set[i].Size())
+	}
+	return set
+}
+
+// textForm returns tpl parsed back from its text form, which a worker
+// rebuilds the job from (the variable table in the parser's order), or nil
+// when a bound does not come back with its kind and bits.
+func textForm(tpl *query.Template) *query.Template {
+	p, err := query.ParseString(query.Format(tpl))
+	if err != nil {
+		return nil
+	}
+	var a, b []graph.Value
+	for i, n := range tpl.Nodes {
+		for j, l := range n.Literals {
+			a, b = append(a, l.Const), append(b, p.Nodes[i].Literals[j].Const)
+		}
+	}
+	for _, v := range tpl.Vars {
+		for _, w := range p.Vars {
+			if w.Name == v.Name && len(w.Ladder) == len(v.Ladder) {
+				a, b = append(a, v.Ladder...), append(b, w.Ladder...)
+			}
+		}
+	}
+	if !slices.EqualFunc(a, b, func(x, y graph.Value) bool {
+		return x.Kind() == y.Kind() && x.Text() == y.Text() && math.Float64bits(x.Float()) == math.Float64bits(y.Float())
+	}) {
+		return nil
+	}
+	return p
 }
 
 // equivValue draws a cell of column x: absent (Null), NaN, −0 or a small
@@ -144,13 +224,10 @@ func equivValue(rng *rand.Rand, mixed bool) graph.Value {
 	return pool[rng.Intn(len(pool))]
 }
 
-// equivMutate applies two graph.Live batches to g with a compaction between
-// them — a rewritten x, a new node and an edge (to the new node or a
-// self-loop), then one to three removals — and returns the mutated
-// generation and its resurrected image, which Live.Compact hands a
-// checkpoint (tombstoned slots live again).
-func equivMutate(t testing.TB, rng *rand.Rand, g *graph.Graph, mixed bool) (mutated, resurrected *graph.Graph) {
-	t.Helper()
+// equivScript draws the mutation script of g: two graph.Live batches, a
+// rewritten x, a new node and an edge (to the new node or a self-loop),
+// then one to three removals.
+func equivScript(rng *rand.Rand, g *graph.Graph, mixed bool) [][]graph.Mutation {
 	n := graph.NodeID(g.NumNodes())
 	from := graph.NodeID(rng.Intn(int(n)))
 	batch := []graph.Mutation{
@@ -161,26 +238,27 @@ func equivMutate(t testing.TB, rng *rand.Rand, g *graph.Graph, mixed bool) (muta
 	for _, v := range rng.Perm(int(n))[:1+rng.Intn(3)] {
 		batch = append(batch, graph.Mutation{Op: graph.MutRemoveNode, Node: graph.NodeID(v)})
 	}
-	l := graph.NewLive(g)
-	for i, b := range [][]graph.Mutation{batch[:3], batch[3:]} {
-		if _, err := l.Apply(b); err != nil {
-			t.Fatalf("mutation batch %+v: %v", b, err)
-		}
-		if i == 0 {
-			l.Compact()
-		}
+	return [][]graph.Mutation{batch[:3], batch[3:]}
+}
+
+// landBatch applies batch i of script to l, compacting after the first.
+func landBatch(t testing.TB, l *graph.Live, script [][]graph.Mutation, i int) {
+	t.Helper()
+	if _, err := l.Apply(script[i]); err != nil {
+		t.Fatalf("mutation batch %+v: %v", script[i], err)
 	}
-	mutated = l.Graph()
-	_, resurrected = l.Compact()
-	return mutated, resurrected
+	if i == 0 {
+		l.Compact()
+	}
 }
 
 // equivTemplate builds a template of one shape over o (the output, label A)
 // and two or three more nodes. Each edge takes a random direction and
-// label, up to two are edge variables, and half the templates add a
-// self-loop. One or two range variables and perhaps a fixed literal (its
-// bound an equivValue: Null, NaN and −0 among them) sit on random nodes.
-func equivTemplate(rng *rand.Rand, shape string, labels []string) *query.Template {
+// label, up to three are edge variables (never the first, o–a, when
+// fixFirst holds), and half the templates add a self-loop. One or two range
+// variables and perhaps a fixed literal (its bound an equivValue: Null, NaN
+// and −0 among them) sit on random nodes.
+func equivTemplate(rng *rand.Rand, shape string, labels []string, fixFirst bool) *query.Template {
 	edges := map[string][][2]int{
 		"star":   {{0, 1}, {0, 2}, {0, 3}},
 		"chain":  {{0, 1}, {1, 2}, {2, 3}},
@@ -206,7 +284,7 @@ func equivTemplate(rng *rand.Rand, shape string, labels []string) *query.Templat
 			e[0], e[1] = e[1], e[0]
 		}
 		from, to, label := names[e[0]], names[e[1]], []string{"r", "s"}[rng.Intn(2)]
-		if vars < 2 && rng.Intn(2) == 0 {
+		if vars < 3 && rng.Intn(2) == 0 && (i > 0 || !fixFirst) {
 			vars++
 			b.VarEdge("e"+strconv.Itoa(i), from, to, label)
 		} else {
@@ -244,6 +322,8 @@ func checkEquivCase(t *testing.T, seed int64, reach equivReach) {
 	for _, k := range []string{"cases", "size " + strconv.Itoa(c.nodes), c.shape, c.backing, c.inherit, fmt.Sprint("mode ", c.settings.Mode)} {
 		reach[k]++
 	}
+	reach.met("multi-output", c.extra != "")
+	reach.met("distributed", c.cluster)
 	reach.met("tombstoned node", c.tombstones > 0)
 	reach.met("budget", c.settings.MaxBacktrackNodes > 0)
 	reach.met("GOMAXPROCS 2 with par", c.procs == 2)
@@ -392,7 +472,8 @@ func TestJointEquivalence(t *testing.T) {
 	}
 	want := []string{"index selection", "scan fallback", "within", "vetoed", "inactive node", "single-node plan",
 		"seeded", "budget", "self-loop edge", "tombstoned node", "NaN or Null bound", "GOMAXPROCS 2 with par",
-		"mode 0", "mode 1", "size 31", "size 32", "size 33", "size 65", "a label over 64 nodes", "an rf front of two"}
+		"mode 0", "mode 1", "size 31", "size 32", "size 33", "size 65", "a label over 64 nodes", "an rf front of two",
+		"warm, answers reused", "re-scored at GOMAXPROCS 2", "re-verified", "distributed", "multi-output"}
 	for _, shape := range slices.Concat(want, equivShapes, equivBackings, equivInherit) {
 		if reach[shape] == 0 {
 			t.Errorf("no case reached %q", shape)

@@ -235,40 +235,6 @@ func TestNewRequiresFrozen(t *testing.T) {
 	New(graph.New())
 }
 
-// TestIncrementalEqualsScratch is the incVerify correctness property: for
-// random refinement chains, evaluating a child restricted to its parent's
-// match set equals evaluating it from scratch.
-func TestIncrementalEqualsScratch(t *testing.T) {
-	const graphSeed, chainSeed = 42, 99 // fixed and logged so failures reproduce
-	g := randomGraph(t, 300, 900, graphSeed)
-	tpl := randomTemplate(t, g)
-	m := New(g)
-	rng := rand.New(rand.NewSource(chainSeed))
-	for trial := 0; trial < 60; trial++ {
-		in := query.Root(tpl)
-		parentMatches := m.EvalOutput(query.MustInstance(tpl, in))
-		for step := 0; step < 6; step++ {
-			kids := query.RefineSteps(tpl, in)
-			if len(kids) == 0 {
-				break
-			}
-			in = kids[rng.Intn(len(kids))]
-			q := query.MustInstance(tpl, in)
-			scratch := m.EvalOutput(q)
-			inc := m.EvalOutputWithin(q, parentMatches)
-			if !reflect.DeepEqual(scratch, inc) {
-				t.Fatalf("seeds %d/%d trial %d step %d: scratch %v != incremental %v for %s",
-					graphSeed, chainSeed, trial, step, scratch, inc, q)
-			}
-			// Lemma 2: matches shrink along refinement.
-			if len(scratch) > len(parentMatches) {
-				t.Fatalf("refinement grew the match set: %d > %d", len(scratch), len(parentMatches))
-			}
-			parentMatches = scratch
-		}
-	}
-}
-
 // randomGraph builds a random two-label graph with numeric attributes.
 func randomGraph(t testing.TB, nodes, edges int, seed int64) *graph.Graph {
 	t.Helper()

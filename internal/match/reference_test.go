@@ -16,9 +16,10 @@ func bruteForceOutput(g *graph.Graph, q *query.Instance, mode Mode) []graph.Node
 
 // bruteForceMatches returns, sorted (nil when empty), the graph nodes active
 // template node `node` maps to across every embedding of q. Each active node
-// walks its label bucket, node first; a partial assignment is dropped as soon
-// as a literal, injectivity or edge condition among the assigned nodes
-// fails, and each value of node stops at its first full embedding.
+// walks the members of its label bucket that pass its literals (filtered once,
+// in bucket order), node first; a partial assignment is dropped as soon as an
+// injectivity or edge condition among the assigned nodes fails, and each
+// value of node stops at its first full embedding.
 func bruteForceMatches(g *graph.Graph, q *query.Instance, mode Mode, node int) []graph.NodeID {
 	t := q.T
 	order := []int{node}
@@ -27,18 +28,23 @@ func bruteForceMatches(g *graph.Graph, q *query.Instance, mode Mode, node int) [
 			order = append(order, ni)
 		}
 	}
-	// Per level: the node's literals, and the active edges it closes with
+	// Per level: the node's candidates, and the active edges it closes with
 	// the nodes assigned before it.
 	type edge struct {
 		from, to int
 		label    graph.LabelID
 	}
-	lits := make([][]query.BoundLiteral, len(order))
+	cands := make([][]graph.NodeID, len(order))
 	closes := make([][]edge, len(order))
 	level := make([]int, len(t.Nodes))
 	for i, ni := range order {
 		level[ni] = i
-		lits[i] = q.BoundLiterals(ni)
+		lits := q.BoundLiterals(ni)
+		for _, v := range g.NodesByLabel(t.Nodes[ni].Label) {
+			if !slices.ContainsFunc(lits, func(l query.BoundLiteral) bool { return !l.Matches(g, v) }) {
+				cands[i] = append(cands[i], v)
+			}
+		}
 	}
 	for _, ei := range q.ActiveEdges() {
 		e := t.Edges[ei]
@@ -55,12 +61,7 @@ func bruteForceMatches(g *graph.Graph, q *query.Instance, mode Mode, node int) [
 		}
 		ni := order[i]
 	next:
-		for _, v := range g.NodesByLabel(t.Nodes[ni].Label) {
-			for _, l := range lits[i] {
-				if !l.Matches(g, v) {
-					continue next
-				}
-			}
+		for _, v := range cands[i] {
 			if mode == Isomorphism {
 				for _, nj := range order[:i] {
 					if assign[nj] == v {

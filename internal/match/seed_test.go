@@ -2,7 +2,6 @@ package match
 
 import (
 	"context"
-	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -99,49 +98,6 @@ func planSets(t *testing.T, m *Matcher, p *plan) [][]graph.NodeID {
 	return sets
 }
 
-// seedCases tallies what the seeded plans of a test met, so it can assert
-// the corpus reached every case the planner distinguishes.
-type seedCases struct {
-	literalStep, newNode, closingEdge, within, ancestor, inherited, empty int
-}
-
-// checkSeeded asserts that q's plan seeded from d (the domains of anc) ends
-// with exactly the candidate sets — same members, same order — of its
-// from-scratch plan under the same within.
-func checkSeeded(t *testing.T, g *graph.Graph, mode Mode, q, anc *query.Instance, d *Domains, within []graph.NodeID, c *seedCases) {
-	t.Helper()
-	scratch, seeded := New(g), New(g)
-	scratch.Mode, seeded.Mode = mode, mode
-	want := planSets(t, scratch, scratch.buildPlan(q, q.T.Output, within, nil))
-	got := planSets(t, seeded, seeded.buildPlan(q, q.T.Output, within, d))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("mode %d: %s seeded from %s (within=%v):\nseeded  %v\nscratch %v", mode, q, anc, within != nil, got, want)
-	}
-	if scratch.Stats.ArcsInherited != 0 {
-		t.Fatalf("%s: unseeded plan inherited %d arcs", q, scratch.Stats.ArcsInherited)
-	}
-	if n := seeded.Stats.IndexSelections + seeded.Stats.ScanSelections; n != 0 {
-		t.Fatalf("%s seeded from %s: %d candidate selections, want none", q, anc, n)
-	}
-	if want == nil {
-		c.empty++
-	}
-	if seeded.Stats.ArcsInherited > 0 {
-		c.inherited++
-	}
-	if within != nil {
-		c.within++
-	}
-	switch {
-	case len(q.ActiveNodes()) > len(anc.ActiveNodes()):
-		c.newNode++
-	case len(q.ActiveEdges()) > len(anc.ActiveEdges()):
-		c.closingEdge++
-	default:
-		c.literalStep++
-	}
-}
-
 // captureDomains returns the domains q's plan ends with under within and
 // seed, or nil when q has no plan.
 func captureDomains(g *graph.Graph, mode Mode, q *query.Instance, within []graph.NodeID, seed *Domains) *Domains {
@@ -154,80 +110,6 @@ func captureDomains(g *graph.Graph, mode Mode, q *query.Instance, within []graph
 	d := new(Domains)
 	d.capture(m, p, within != nil)
 	return d
-}
-
-// TestSeededPlanEqualsScratch is the exactness property of incremental arc
-// consistency: over random graphs and the four template shapes, in both
-// matching modes, every plan seeded from an ancestor's domains ends with
-// the from-scratch plan's candidate sets, node for node. Random refinement
-// chains seed each instance from its parent and from an earlier ancestor,
-// carrying the domains down as the walkers do — half the chains under the
-// parent's match set as within, so that what is carried is narrower than
-// the ancestor's own from-scratch sets; then one whole lattice seeds every
-// instance from every instance it refines.
-func TestSeededPlanEqualsScratch(t *testing.T) {
-	var c seedCases
-	rng := rand.New(rand.NewSource(differentialSeed))
-	for _, graphSeed := range []int64{differentialSeed, differentialSeed + 1} {
-		g := randomGraph(t, 220, 1100, graphSeed)
-		for _, shape := range []string{"star", "chain", "tree", "cycle"} {
-			tpl := shapeTemplate(t, shape, g)
-			for _, mode := range []Mode{Isomorphism, Homomorphism} {
-				eval := New(g)
-				eval.Mode = mode
-				for trial := 0; trial < 12; trial++ {
-					type link struct {
-						q *query.Instance
-						d *Domains
-					}
-					in := query.Root(tpl)
-					root := query.MustInstance(tpl, in)
-					chain := []link{{root, captureDomains(g, mode, root, nil, nil)}}
-					for len(chain) > 0 && chain[len(chain)-1].d != nil {
-						kids := query.RefineSteps(tpl, in)
-						if len(kids) == 0 {
-							break
-						}
-						in = kids[rng.Intn(len(kids))]
-						q := query.MustInstance(tpl, in)
-						parent := chain[len(chain)-1]
-						// All the way down or not at all: a seed captured under
-						// a within serves evaluations inside that within.
-						var within []graph.NodeID
-						if trial%2 == 0 {
-							within = eval.EvalOutput(parent.q)
-						}
-						checkSeeded(t, g, mode, q, parent.q, parent.d, within, &c)
-						if far := chain[rng.Intn(len(chain))]; far.q != parent.q {
-							c.ancestor++
-							checkSeeded(t, g, mode, q, far.q, far.d, within, &c)
-						}
-						// What the walker would hold: the seeded plan's sets.
-						chain = append(chain, link{q, captureDomains(g, mode, q, within, parent.d)})
-					}
-				}
-			}
-		}
-	}
-	g := randomGraph(t, 220, 1100, differentialSeed+2)
-	tpl := shapeTemplate(t, "cycle", g)
-	all := allInstantiations(tpl)
-	for _, a := range all {
-		anc := query.MustInstance(tpl, a)
-		d := captureDomains(g, Isomorphism, anc, nil, nil)
-		if d == nil {
-			continue
-		}
-		for _, b := range all {
-			if query.RefinesInstantiation(tpl, a, b) {
-				checkSeeded(t, g, Isomorphism, query.MustInstance(tpl, b), anc, d, nil, &c)
-			}
-		}
-	}
-	if c.literalStep == 0 || c.newNode == 0 || c.closingEdge == 0 || c.within == 0 ||
-		c.ancestor == 0 || c.inherited == 0 || c.empty == 0 {
-		t.Errorf("the corpus missed a case: %+v", c)
-	}
 }
 
 // TestSeedIgnoredUnlessRefined: domains seed only refinements of their
@@ -309,63 +191,6 @@ func TestSeedIgnoredUnlessRefined(t *testing.T) {
 		t.Error("the free list did not hand the released buffer out again")
 	}
 	e.ReleaseDomains(again)
-}
-
-// TestEngineSeededEqualsUnseeded: through the engine, a seeded evaluation
-// returns the unseeded one's matches and veto, and leaves the search
-// counters where the unseeded one does — same fixpoint, same search.
-func TestEngineSeededEqualsUnseeded(t *testing.T) {
-	g := randomGraph(t, 220, 1100, differentialSeed+3)
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(differentialSeed + 3))
-	for _, shape := range []string{"tree", "cycle"} {
-		tpl := shapeTemplate(t, shape, g)
-		for trial := 0; trial < 12; trial++ {
-			seeded := NewEngine(g, EngineOptions{})
-			plain := NewEngine(g, EngineOptions{})
-			in := query.Root(tpl)
-			var stack []*Domains
-			var seed *Domains
-			var within []graph.NodeID
-			for {
-				q := query.MustInstance(tpl, in)
-				got, gotOK, held, err := seeded.ParEvalOutputSeeded(ctx, q, within, nil, seed, true, "")
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, wantOK, err := plain.ParEvalNodeFiltered(ctx, q, q.T.Output, within, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if gotOK != wantOK || !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: seeded %v ok=%v, unseeded %v ok=%v", q, got, gotOK, want, wantOK)
-				}
-				if held != nil {
-					stack = append(stack, held)
-					seed = held
-				}
-				kids := query.RefineSteps(tpl, in)
-				if len(kids) == 0 || len(got) == 0 {
-					break
-				}
-				in, within = kids[rng.Intn(len(kids))], got
-			}
-			if n := seeded.Stats().DomainsHeld; n != len(stack) {
-				t.Errorf("DomainsHeld = %d with %d on the path", n, len(stack))
-			}
-			for _, d := range stack {
-				seeded.ReleaseDomains(d)
-			}
-			s, p := seeded.Stats().Stats, plain.Stats().Stats
-			if s.CandidatesChecked != p.CandidatesChecked || s.BacktrackNodes != p.BacktrackNodes || s.Evals != p.Evals {
-				t.Errorf("%s: search diverged: seeded %+v, unseeded %+v", shape, s, p)
-			}
-			if p.ArcsInherited != 0 || s.ArcsRevised >= p.ArcsRevised {
-				t.Errorf("%s: arcs revised seeded %d (inherited %d), unseeded %d (inherited %d)",
-					shape, s.ArcsRevised, s.ArcsInherited, p.ArcsRevised, p.ArcsInherited)
-			}
-		}
-	}
 }
 
 // TestPlanDomainsSeedsTheLattice: the root's domains from the plan-only

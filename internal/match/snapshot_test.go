@@ -2,7 +2,6 @@ package match
 
 import (
 	"bytes"
-	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -14,11 +13,11 @@ import (
 )
 
 // snapshotCopy round-trips a frozen graph through the binary snapshot
-// codec, returning the decoded copy the differential tests below run
-// against. Matching on the copy must be indistinguishable from matching
-// on the original — same results, same access-path counters — because the
-// snapshot serializes the frozen layout (columns, indexes, adjacency)
-// rather than the source data.
+// codec, returning the decoded copy the selection sweeps below and the
+// equivalence generator's decode backing run against. Matching on the copy
+// must be indistinguishable from matching on the original — same results,
+// same access-path counters — because the snapshot serializes the frozen
+// layout (columns, indexes, adjacency) rather than the source data.
 func snapshotCopy(t testing.TB, g *graph.Graph) *graph.Graph {
 	t.Helper()
 	var buf bytes.Buffer
@@ -33,9 +32,9 @@ func snapshotCopy(t testing.TB, g *graph.Graph) *graph.Graph {
 }
 
 // mappedCopy round-trips a frozen graph through a snapshot file opened
-// with OpenSnapshotMapped, so the differential tests below also prove the
-// zero-copy storage layer: matching over mmap-backed sections must be
-// indistinguishable from matching over heap slices.
+// with OpenSnapshotMapped, so the sweeps below and the generator's mapped
+// backing also prove the zero-copy storage layer: matching over mmap-backed
+// sections must be indistinguishable from matching over heap slices.
 func mappedCopy(t testing.TB, g *graph.Graph) *graph.Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g.fsnap")
@@ -58,103 +57,14 @@ func mappedCopy(t testing.TB, g *graph.Graph) *graph.Graph {
 	return m
 }
 
-// TestMatcherMappedDifferential: the talent grid over a mapped graph must
-// produce byte-identical results and identical access-path counters to the
-// heap-built original.
-func TestMatcherMappedDifferential(t *testing.T) {
-	orig := talentGraph(t)
-	mapped := mappedCopy(t, orig)
-	tpl := talentTpl(t)
-
-	mOrig := New(orig)
-	mMap := New(mapped)
-	for _, in := range []query.Instantiation{
-		{query.Wildcard, query.Wildcard, 0},
-		{0, 0, 1}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1},
-		{query.Wildcard, query.Wildcard, 1},
-	} {
-		q := query.MustInstance(tpl, in)
-		want := mOrig.EvalOutput(q)
-		got := mMap.EvalOutput(q)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("instantiation %v: mapped copy returned %v, original %v", in, got, want)
-		}
-	}
-	if mOrig.Stats != mMap.Stats {
-		t.Errorf("matcher stats diverge: original %+v, mapped %+v", mOrig.Stats, mMap.Stats)
-	}
-}
-
-// TestSelectCandidatesMappedDifferential sweeps the index-selection matrix
-// against a mapped copy: same candidates, same Index/ScanSelections split.
-func TestSelectCandidatesMappedDifferential(t *testing.T) {
+// checkSelectionCopy sweeps the index-selection matrix (every operator and
+// value kind, Null/NaN bounds) on indexSelectionGraph and on its copy, and
+// requires byte-identical candidate lists and equal Index/ScanSelections
+// counters, the index path taken.
+func checkSelectionCopy(t *testing.T, copyOf func(testing.TB, *graph.Graph) *graph.Graph) {
 	orig := indexSelectionGraph(t)
-	mapped := mappedCopy(t, orig)
-	mOrig := New(orig)
-	mMap := New(mapped)
-
-	bounds := map[string][]graph.Value{
-		"score": {graph.Int(5), graph.Int(15), graph.Int(99), graph.Null, graph.Num(math.NaN())},
-		"name":  {graph.Str(""), graph.Str("ann"), graph.Str("zzz"), graph.Null},
-		"flag":  {graph.Bool(false), graph.Bool(true), graph.Null},
-		"mix":   {graph.Int(1), graph.Str("x"), graph.Null},
-	}
-	for attr, bs := range bounds {
-		for _, op := range []graph.Op{graph.OpLT, graph.OpLE, graph.OpEQ, graph.OpGE, graph.OpGT} {
-			for _, bound := range bs {
-				raw := []query.BoundLiteral{{Attr: attr, Op: op, Value: bound}}
-				want := mOrig.selectCandidates("Person", query.CompileLiterals(orig, raw))
-				got := mMap.selectCandidates("Person", query.CompileLiterals(mapped, raw))
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("Person[%s %s %v]: mapped %v, original %v", attr, op, bound, got, want)
-				}
-			}
-		}
-	}
-	if mOrig.Stats.IndexSelections != mMap.Stats.IndexSelections ||
-		mOrig.Stats.ScanSelections != mMap.Stats.ScanSelections {
-		t.Errorf("access paths diverge: original %+v, mapped %+v", mOrig.Stats, mMap.Stats)
-	}
-}
-
-// TestMatcherSnapshotDifferential runs the full talent instantiation grid
-// through sequential matchers over the original graph and its snapshot
-// copy, asserting identical outputs and identical Stats — candidate
-// selection must take the same access path (index vs scan) on both.
-func TestMatcherSnapshotDifferential(t *testing.T) {
-	orig := talentGraph(t)
-	snap := snapshotCopy(t, orig)
-	tpl := talentTpl(t)
-
-	mOrig := New(orig)
-	mSnap := New(snap)
-	for _, in := range []query.Instantiation{
-		{query.Wildcard, query.Wildcard, 0},
-		{0, 0, 1}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1},
-		{query.Wildcard, query.Wildcard, 1},
-	} {
-		q := query.MustInstance(tpl, in)
-		want := mOrig.EvalOutput(q)
-		got := mSnap.EvalOutput(q)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("instantiation %v: snapshot copy returned %v, original %v", in, got, want)
-		}
-	}
-	if mOrig.Stats != mSnap.Stats {
-		t.Errorf("matcher stats diverge: original %+v, snapshot %+v", mOrig.Stats, mSnap.Stats)
-	}
-}
-
-// TestSelectCandidatesSnapshotDifferential sweeps the index-selection
-// matrix (every operator and value kind, Null/NaN bounds, conjunctions)
-// on both copies and requires byte-identical candidate lists and equal
-// Index/ScanSelections counters.
-func TestSelectCandidatesSnapshotDifferential(t *testing.T) {
-	orig := indexSelectionGraph(t)
-	snap := snapshotCopy(t, orig)
-	mOrig := New(orig)
-	mSnap := New(snap)
-
+	cp := copyOf(t, orig)
+	mOrig, mCopy := New(orig), New(cp)
 	bounds := map[string][]graph.Value{
 		"score": {graph.Int(5), graph.Int(10), graph.Int(15), graph.Int(20),
 			graph.Int(50), graph.Int(99), graph.Null, graph.Num(math.NaN())},
@@ -163,59 +73,25 @@ func TestSelectCandidatesSnapshotDifferential(t *testing.T) {
 		"mix":       {graph.Int(1), graph.Str("x"), graph.Num(math.NaN()), graph.Null},
 		"employees": {graph.Int(10), graph.Null},
 	}
-	ops := []graph.Op{graph.OpLT, graph.OpLE, graph.OpEQ, graph.OpGE, graph.OpGT}
 	for attr, bs := range bounds {
-		for _, op := range ops {
+		for _, op := range []graph.Op{graph.OpLT, graph.OpLE, graph.OpEQ, graph.OpGE, graph.OpGT} {
 			for _, bound := range bs {
 				raw := []query.BoundLiteral{{Attr: attr, Op: op, Value: bound}}
 				want := mOrig.selectCandidates("Person", query.CompileLiterals(orig, raw))
-				got := mSnap.selectCandidates("Person", query.CompileLiterals(snap, raw))
+				got := mCopy.selectCandidates("Person", query.CompileLiterals(cp, raw))
 				if !reflect.DeepEqual(got, want) {
-					t.Errorf("Person[%s %s %v]: snapshot %v, original %v", attr, op, bound, got, want)
+					t.Errorf("Person[%s %s %v]: copy %v, original %v", attr, op, bound, got, want)
 				}
 			}
 		}
 	}
-	if mOrig.Stats.IndexSelections != mSnap.Stats.IndexSelections ||
-		mOrig.Stats.ScanSelections != mSnap.Stats.ScanSelections {
-		t.Errorf("access paths diverge: original %+v, snapshot %+v", mOrig.Stats, mSnap.Stats)
+	if mOrig.Stats.IndexSelections != mCopy.Stats.IndexSelections || mOrig.Stats.ScanSelections != mCopy.Stats.ScanSelections {
+		t.Errorf("access paths diverge: original %+v, copy %+v", mOrig.Stats, mCopy.Stats)
 	}
-	if mSnap.Stats.IndexSelections == 0 {
-		t.Error("snapshot copy never took the index path — indexes not restored?")
+	if mCopy.Stats.IndexSelections == 0 {
+		t.Error("the copy never took the index path — indexes not restored?")
 	}
 }
 
-// TestEngineSnapshotDifferential evaluates the talent grid through
-// concurrent engines on both copies (exercised under -race in CI) and
-// asserts identical results and identical work counters.
-func TestEngineSnapshotDifferential(t *testing.T) {
-	orig := talentGraph(t)
-	snap := snapshotCopy(t, orig)
-	tpl := talentTpl(t)
-
-	eOrig := NewEngine(orig, EngineOptions{})
-	eSnap := NewEngine(snap, EngineOptions{})
-	ctx := context.Background()
-	for _, in := range []query.Instantiation{
-		{0, 0, 1}, {1, 0, 1}, {0, 1, 1}, {1, 1, 1},
-		{query.Wildcard, query.Wildcard, 1},
-	} {
-		q := query.MustInstance(tpl, in)
-		want, _, err := eOrig.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := eSnap.ParEvalNodeFiltered(ctx, q, q.T.Output, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("instantiation %v: snapshot engine %v, original %v", in, got, want)
-		}
-	}
-	so, ss := eOrig.Stats(), eSnap.Stats()
-	if so.Evals != ss.Evals || so.CandidatesChecked != ss.CandidatesChecked ||
-		so.IndexSelections != ss.IndexSelections || so.ScanSelections != ss.ScanSelections {
-		t.Errorf("engine stats diverge: original %+v, snapshot %+v", so, ss)
-	}
-}
+func TestSelectCandidatesMappedDifferential(t *testing.T)   { checkSelectionCopy(t, mappedCopy) }
+func TestSelectCandidatesSnapshotDifferential(t *testing.T) { checkSelectionCopy(t, snapshotCopy) }

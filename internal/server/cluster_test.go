@@ -62,9 +62,9 @@ func pointBoxes(pts []pareto.Point, eps float64) map[pareto.Box]bool {
 
 // TestDistributedEndToEnd runs a par job through the full HTTP stack in
 // coordinator mode — upload, submit, progress stream, result — against
-// two in-process workers, and checks the distributed archive is the
-// single-process ParQGen archive: identical box sets, mutual
-// ε-domination, identical work counters.
+// two in-process workers. (That the distributed archive and counters are
+// the single-process run's is the equivalence generator's distributed
+// axis, internal/match.)
 func TestDistributedEndToEnd(t *testing.T) {
 	wa, sa := newClusterWorker(t)
 	wb, sb := newClusterWorker(t)
@@ -86,21 +86,6 @@ func TestDistributedEndToEnd(t *testing.T) {
 	doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+st.ID+"/result", nil, http.StatusOK, &res)
 	if res.Algorithm != "par" || len(res.Queries) == 0 {
 		t.Fatalf("distributed result: %+v", res)
-	}
-
-	ref := directRun(t, spec)
-	if got, want := pointBoxes(resultPoints(&res), res.Eps), pointBoxes(resultPoints(ref), ref.Eps); !reflect.DeepEqual(got, want) {
-		t.Errorf("distributed box set %v != single-process box set %v", got, want)
-	}
-	if em := pareto.MinEps(resultPoints(&res), resultPoints(ref)); em > res.Eps+1e-9 {
-		t.Errorf("distributed archive does not ε-dominate the reference: ε_m = %v", em)
-	}
-	if em := pareto.MinEps(resultPoints(ref), resultPoints(&res)); em > res.Eps+1e-9 {
-		t.Errorf("reference does not ε-dominate the distributed archive: ε_m = %v", em)
-	}
-	if res.Stats.Spawned != ref.Stats.Spawned || res.Stats.Verified != ref.Stats.Verified ||
-		res.Stats.Feasible != ref.Stats.Feasible || res.Stats.Pruned != ref.Stats.Pruned {
-		t.Errorf("distributed stats %+v != reference %+v", res.Stats, ref.Stats)
 	}
 
 	// Both workers did slab work; the progress stream carried slab events.
